@@ -2,25 +2,43 @@
 //!
 //! Times the three matmul variants at 256×256×256 and on the rectangular
 //! training-step shapes (LoRA `r×dim` projections, expert-FFN
-//! `dim×hidden` projections and their backward transposes), plus a
-//! MoeBlock forward/backward pass, under a 1-thread pool and under the
-//! default pool (`VELA_THREADS` / host parallelism). Each kernel also
-//! reports *heap allocations per iteration*, counted by the
-//! [`vela_bench::alloc::CountingAllocator`] registered as the global
-//! allocator — the zero-allocation hot-path metric.
+//! `dim×hidden` projections and their backward transposes, at the micro
+//! model's width and at the `ffn-heavy` benchmark workload's per-expert
+//! 64 rows × 64 × 1024), plus a MoeBlock forward/backward pass, under a
+//! 1-thread pool and under the default pool (`VELA_THREADS` / host
+//! parallelism). Each kernel also reports *heap allocations per
+//! iteration*, counted by the [`vela_bench::alloc::CountingAllocator`]
+//! registered as the global allocator — the zero-allocation hot-path
+//! metric — and each bare product its serial GFLOP/s.
+//!
+//! The top-level `simd` field names the GEMM microkernel this host
+//! dispatched to (`avx2` or `portable`; detected, not configured), and the
+//! three 256³ rows also carry `portable_secs`: the portable microkernel
+//! timed in the same process, so the ratio of the two is free of the
+//! host's speed regimes.
 //!
 //! Usage:
 //!   bench_kernels                 full run, writes BENCH_kernels.json
 //!   bench_kernels --quick         faster sampling, does not write JSON
-//!   bench_kernels --check FILE    compare serial times against a committed
-//!                                 JSON; exits non-zero if any kernel
-//!                                 regressed by more than 2x
+//!   bench_kernels --check FILE    exits non-zero if a kernel's serial time
+//!                                 regressed by more than 2x against the
+//!                                 committed JSON (skipped, loudly, when
+//!                                 the JSON was recorded at another `simd`
+//!                                 level) or allocates more than it did
+//!                                 there; if `simd` is `avx2` and the
+//!                                 dispatched `matmul_nn_256` is not
+//!                                 >= 1.5x the portable one; or, on a host
+//!                                 with >= 2 CPUs and a multi-lane pool, if
+//!                                 a 256³ product runs slower on the pool
+//!                                 than serially. Parallel speedups are
+//!                                 not gated when `host_parallelism < 2`.
 //!
 //! Run with `cargo run --release -p vela-bench --bin bench_kernels`.
 
 use std::fmt::Write as _;
 use vela::model::{LocalExpertStore, ModelConfig, MoeBlock};
 use vela::prelude::*;
+use vela::tensor::gemm::{self, Layout};
 use vela::tensor::parallel::{self, ThreadPool};
 use vela_bench::alloc::{count_allocations, CountingAllocator};
 use vela_bench::microbench::secs_per_iter;
@@ -34,12 +52,32 @@ struct Row {
     parallel_secs: f64,
     /// Heap allocations in one steady-state iteration (serial pool).
     allocs_per_iter: u64,
+    /// Floating-point operations in one iteration; bare products only.
+    flops: Option<f64>,
+    /// The same product through the portable microkernel, serial pool;
+    /// 256³ rows only.
+    portable_secs: Option<f64>,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
         self.serial_secs / self.parallel_secs
     }
+
+    /// Serial GFLOP/s of a bare product.
+    fn gflops(&self) -> Option<f64> {
+        self.flops.map(|f| f / self.serial_secs / 1e9)
+    }
+
+    /// How many times faster the dispatched microkernel ran than the
+    /// portable one, both serial, in this process.
+    fn simd_speedup(&self) -> Option<f64> {
+        self.portable_secs.map(|p| p / self.serial_secs)
+    }
+}
+
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Sampling parameters: (samples, target batch seconds).
@@ -81,6 +119,23 @@ fn row<R>(
         serial_secs,
         parallel_secs,
         allocs_per_iter,
+        flops: None,
+        portable_secs: None,
+    }
+}
+
+/// [`row`] for a bare `(r, k) x (k, c)` product: also records its flops.
+fn product_row<R>(
+    name: &'static str,
+    (r, k, c): (usize, usize, usize),
+    serial: &ThreadPool,
+    pool: &ThreadPool,
+    sampling: Sampling,
+    f: impl FnMut() -> R,
+) -> Row {
+    Row {
+        flops: Some(2.0 * (r * k * c) as f64),
+        ..row(name, serial, pool, sampling, f)
     }
 }
 
@@ -90,20 +145,27 @@ fn run_all(sampling: Sampling) -> (usize, Vec<Row>) {
     let threads = pool.threads();
     let mut rows = Vec::new();
 
-    // Square kernels: the historical reference points.
+    // Square kernels: the historical reference points, each also timed
+    // through the portable microkernel.
     let n = 256;
     let mut rng = DetRng::new(1);
     let a = Tensor::uniform((n, n), -1.0, 1.0, &mut rng);
     let b = Tensor::uniform((n, n), -1.0, 1.0, &mut rng);
-    rows.push(row("matmul_nn_256", &serial, &pool, sampling, || {
-        a.matmul(&b)
-    }));
-    rows.push(row("matmul_tn_256", &serial, &pool, sampling, || {
-        a.matmul_tn(&b)
-    }));
-    rows.push(row("matmul_nt_256", &serial, &pool, sampling, || {
-        a.matmul_nt(&b)
-    }));
+    let mut square = |name, layout, f: &dyn Fn() -> Tensor| {
+        let mut out = vec![0.0f32; n * n];
+        let portable_secs = parallel::with_pool(&serial, || {
+            secs_per_iter(sampling.samples, sampling.target_batch_secs, || {
+                gemm::gemm_portable(layout, a.as_slice(), b.as_slice(), n, n, n, &mut out)
+            })
+        });
+        rows.push(Row {
+            portable_secs: Some(portable_secs),
+            ..product_row(name, (n, n, n), &serial, &pool, sampling, f)
+        });
+    };
+    square("matmul_nn_256", Layout::Nn, &|| a.matmul(&b));
+    square("matmul_tn_256", Layout::Tn, &|| a.matmul_tn(&b));
+    square("matmul_nt_256", Layout::Nt, &|| a.matmul_nt(&b));
 
     // Rectangular training-step shapes: LoRA adapters (r=8, dim=64) and
     // the expert FFN projections (dim=64, hidden=128) over 512 tokens.
@@ -114,29 +176,30 @@ fn run_all(sampling: Sampling) -> (usize, Vec<Row>) {
     let wb = Tensor::uniform((8, 64), -1.0, 1.0, &mut rng); // LoRA B
     let wg = Tensor::uniform((64, 128), -1.0, 1.0, &mut rng); // gate/up weight
     let h = Tensor::uniform((512, 128), -1.0, 1.0, &mut rng); // hidden grad
-    rows.push(row("lora_down_512x64x8", &serial, &pool, sampling, || {
-        x.matmul(&wa)
-    }));
-    rows.push(row("lora_up_512x8x64", &serial, &pool, sampling, || {
-        xa.matmul(&wb)
-    }));
-    rows.push(row("ffn_fwd_512x64x128", &serial, &pool, sampling, || {
-        x.matmul(&wg)
-    }));
-    rows.push(row(
-        "ffn_bwd_dw_512x64x128",
-        &serial,
-        &pool,
-        sampling,
-        || x.matmul_tn(&h),
-    ));
-    rows.push(row(
-        "ffn_bwd_dx_512x128x64",
-        &serial,
-        &pool,
-        sampling,
-        || h.matmul_nt(&wg),
-    ));
+    let mut product = |name, shape, f: &dyn Fn() -> Tensor| {
+        rows.push(product_row(name, shape, &serial, &pool, sampling, f));
+    };
+    product("lora_down_512x64x8", (512, 64, 8), &|| x.matmul(&wa));
+    product("lora_up_512x8x64", (512, 8, 64), &|| xa.matmul(&wb));
+    product("ffn_fwd_512x64x128", (512, 64, 128), &|| x.matmul(&wg));
+    product("ffn_bwd_dw_512x64x128", (64, 512, 128), &|| x.matmul_tn(&h));
+    product("ffn_bwd_dx_512x128x64", (512, 128, 64), &|| {
+        h.matmul_nt(&wg)
+    });
+
+    // One expert of the `ffn-heavy` benchmark workload: 64 routed rows,
+    // dim 64, hidden 1024, LoRA r=8.
+    let mut rng = DetRng::new(8);
+    let x = Tensor::uniform((64, 64), -1.0, 1.0, &mut rng); // [rows, dim]
+    let wg = Tensor::uniform((64, 1024), -1.0, 1.0, &mut rng); // gate/up weight
+    let h = Tensor::uniform((64, 1024), -1.0, 1.0, &mut rng); // hidden grad
+    let xa = Tensor::uniform((64, 8), -1.0, 1.0, &mut rng); // x·A
+    let wb = Tensor::uniform((8, 1024), -1.0, 1.0, &mut rng); // LoRA B
+    product("ffn_fwd_64x64x1024", (64, 64, 1024), &|| x.matmul(&wg));
+    product("ffn_bwd_dx_64x1024x64", (64, 1024, 64), &|| {
+        h.matmul_nt(&wg)
+    });
+    product("lora_up_64x8x1024", (64, 8, 1024), &|| xa.matmul(&wb));
 
     let cfg = ModelConfig {
         vocab: 64,
@@ -170,22 +233,29 @@ fn emit_json(threads: usize, rows: &[Row]) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(
-        json,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
+    let _ = writeln!(json, "  \"host_parallelism\": {},", host_parallelism());
+    let _ = writeln!(json, "  \"simd\": \"{}\",", gemm::simd_level());
     json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"serial_secs\": {:.9}, \"parallel_secs\": {:.9}, \"speedup\": {:.3}, \"allocs_per_iter\": {}}}",
+            "    {{\"name\": \"{}\", \"serial_secs\": {:.9}, \"parallel_secs\": {:.9}, \"speedup\": {:.3}, \"allocs_per_iter\": {}",
             r.name,
             r.serial_secs,
             r.parallel_secs,
             r.speedup(),
             r.allocs_per_iter
         );
+        if let Some(g) = r.gflops() {
+            let _ = write!(json, ", \"gflops\": {g:.2}");
+        }
+        if let Some((p, x)) = r.portable_secs.zip(r.simd_speedup()) {
+            let _ = write!(
+                json,
+                ", \"portable_secs\": {p:.9}, \"simd_speedup\": {x:.3}"
+            );
+        }
+        json.push('}');
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
@@ -229,15 +299,27 @@ fn parse_reference(text: &str) -> Vec<(String, f64, u64)> {
     out
 }
 
-/// Compares measured serial times (within `factor`) and steady-state
-/// allocation counts (exact budget: any increase over the committed
-/// reference fails) against a reference JSON; returns the offending
-/// kernels.
-fn regressions(rows: &[Row], reference: &[(String, f64, u64)], factor: f64) -> Vec<String> {
+/// The `simd` level a reference JSON was recorded at; `None` for files
+/// that predate the field.
+fn parse_reference_simd(text: &str) -> Option<&str> {
+    let rest = &text[text.find("\"simd\": \"")? + 9..];
+    Some(&rest[..rest.find('"')?])
+}
+
+/// Compares steady-state allocation counts (exact budget: any increase
+/// over the committed reference fails) and, when `gate_times`, measured
+/// serial times (within `factor`) against a reference JSON; returns the
+/// offending kernels.
+fn regressions(
+    rows: &[Row],
+    reference: &[(String, f64, u64)],
+    factor: f64,
+    gate_times: bool,
+) -> Vec<String> {
     let mut bad = Vec::new();
     for (name, ref_secs, ref_allocs) in reference {
         if let Some(r) = rows.iter().find(|r| r.name == name) {
-            if r.serial_secs > ref_secs * factor {
+            if gate_times && r.serial_secs > ref_secs * factor {
                 bad.push(format!(
                     "{name}: serial {:.3e}s vs reference {:.3e}s (> {factor}x)",
                     r.serial_secs, ref_secs
@@ -247,6 +329,56 @@ fn regressions(rows: &[Row], reference: &[(String, f64, u64)], factor: f64) -> V
                 bad.push(format!(
                     "{name}: {} allocs/iter vs reference {ref_allocs} (hot path regressed)",
                     r.allocs_per_iter
+                ));
+            }
+        }
+    }
+    bad
+}
+
+/// Dispatched-vs-portable floor on `matmul_nn_256` when the host runs the
+/// AVX2 microkernel. Both sides are timed in this process, minutes apart at
+/// most, so the host's speed regimes cancel.
+const MIN_SIMD_SPEEDUP: f64 = 1.5;
+
+/// Pool-vs-serial floor on the 256³ products when the host has a second CPU
+/// to show one on. Extra lanes that cost a 33-MFLOP product a quarter of its
+/// speed are a scheduling bug; anything tighter would gate the neighbours of
+/// a shared two-core CI host.
+const MIN_POOL_SPEEDUP: f64 = 0.75;
+
+/// The gates that compare this run with itself rather than with a file:
+/// the SIMD ratio, and pool-vs-serial on the 256³ products where the host
+/// can show one. Prints what it skips and why; returns the failures.
+fn self_checks(threads: usize, rows: &[Row]) -> Vec<String> {
+    let mut bad = Vec::new();
+    if gemm::simd_level() == "avx2" {
+        let x = rows
+            .iter()
+            .find(|r| r.name == "matmul_nn_256")
+            .and_then(Row::simd_speedup)
+            .expect("matmul_nn_256 is timed through both microkernels");
+        if x < MIN_SIMD_SPEEDUP {
+            bad.push(format!(
+                "matmul_nn_256: avx2 microkernel only {x:.2}x the portable one (< {MIN_SIMD_SPEEDUP}x)"
+            ));
+        }
+    } else {
+        println!("simd ratio not gated: this host runs the portable microkernel");
+    }
+
+    if host_parallelism() < 2 || threads < 2 {
+        println!(
+            "parallel speedups not gated: host_parallelism {}, pool threads {threads}",
+            host_parallelism()
+        );
+    } else {
+        for r in rows.iter().filter(|r| r.portable_secs.is_some()) {
+            if r.speedup() < MIN_POOL_SPEEDUP {
+                bad.push(format!(
+                    "{}: {threads}-lane pool {:.2}x serial (< {MIN_POOL_SPEEDUP}x)",
+                    r.name,
+                    r.speedup()
                 ));
             }
         }
@@ -289,9 +421,13 @@ fn main() {
 
     let (threads, rows) = run_all(sampling);
 
-    println!("threads: {threads}");
+    println!(
+        "threads: {threads}  host_parallelism: {}  simd: {}",
+        host_parallelism(),
+        gemm::simd_level()
+    );
     for r in &rows {
-        println!(
+        print!(
             "{:<24} serial {:>12.3e}s  parallel {:>12.3e}s  speedup {:>6.2}x  allocs/iter {:>6}",
             r.name,
             r.serial_secs,
@@ -299,6 +435,13 @@ fn main() {
             r.speedup(),
             r.allocs_per_iter
         );
+        if let Some(g) = r.gflops() {
+            print!("  {g:>6.2} GFLOP/s");
+        }
+        if let Some((p, x)) = r.portable_secs.zip(r.simd_speedup()) {
+            print!("  portable {p:>10.3e}s  simd {x:>5.2}x");
+        }
+        println!();
     }
 
     if let Some(path) = check {
@@ -311,9 +454,21 @@ fn main() {
             eprintln!("reference {path} contains no kernel entries");
             std::process::exit(2);
         }
-        let bad = regressions(&rows, &reference, 2.0);
+        // Serial times only compare like with like: a reference recorded
+        // on the AVX2 microkernel would fail every portable host by the
+        // SIMD ratio alone (and pass a regressed AVX2 one the other way).
+        let ref_simd = parse_reference_simd(&text).unwrap_or("portable");
+        let gate_times = ref_simd == gemm::simd_level();
+        if !gate_times {
+            println!(
+                "serial times not gated: {path} was recorded at simd {ref_simd}, this host runs {}",
+                gemm::simd_level()
+            );
+        }
+        let mut bad = regressions(&rows, &reference, 2.0, gate_times);
+        bad.extend(self_checks(threads, &rows));
         if bad.is_empty() {
-            println!("bench check OK: no kernel regressed >2x vs {path}");
+            println!("bench check OK vs {path}");
         } else {
             eprintln!("bench check FAILED vs {path}:");
             for b in &bad {

@@ -189,7 +189,7 @@ impl Linear {
         }
         let mut grad_in = grad_out.matmul_nt(&self.weight.value);
         if let Some(lora) = &mut self.lora {
-            grad_in.add_assign(&lora.backward(grad_out));
+            grad_in.add_assign(&lora.backward(x, grad_out));
         }
         grad_in
     }

@@ -25,8 +25,6 @@ pub struct LoraAdapter {
     rank: usize,
     /// Cached `x·A` from the last forward pass, needed by backward.
     cached_xa: Option<Tensor>,
-    /// Cached input from the last forward pass.
-    cached_x: Option<Tensor>,
 }
 
 impl LoraAdapter {
@@ -53,7 +51,6 @@ impl LoraAdapter {
             scale: alpha / rank as f32,
             rank,
             cached_xa: None,
-            cached_x: None,
         }
     }
 
@@ -67,31 +64,28 @@ impl LoraAdapter {
         self.scale
     }
 
-    /// The low-rank contribution `s·(x·A)·B`, caching activations for
-    /// backward.
+    /// The low-rank contribution `s·(x·A)·B`, caching `x·A` for backward.
+    /// The input itself is not kept: the owning layer already caches it and
+    /// hands it back to [`backward`](Self::backward).
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let xa = x.matmul(&self.a.value);
         let mut out = xa.matmul(&self.b.value);
         out.scale_inplace(self.scale);
         self.cached_xa = Some(xa);
-        match &mut self.cached_x {
-            Some(t) => t.copy_from(x),
-            None => self.cached_x = Some(x.clone()),
-        }
         out
     }
 
     /// Accumulates gradients for `A` and `B` and returns the adapter's
-    /// contribution to the input gradient.
+    /// contribution to the input gradient. `x` is the input the last
+    /// [`forward`](Self::forward) saw.
     ///
     /// # Panics
     /// Panics if called before [`forward`](Self::forward).
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    pub fn backward(&mut self, x: &Tensor, grad_out: &Tensor) -> Tensor {
         let xa = self
             .cached_xa
             .as_ref()
             .expect("LoraAdapter::backward called before forward");
-        let x = self.cached_x.as_ref().expect("input cache missing");
         // dB = s * (xA)^T g
         let mut db = xa.matmul_tn(grad_out);
         db.scale_inplace(self.scale);
@@ -165,7 +159,7 @@ mod tests {
         let gout = Tensor::uniform((5, 3), -1.0, 1.0, &mut rng);
 
         lora.forward(&x);
-        let gin = lora.backward(&gout);
+        let gin = lora.backward(&x, &gout);
 
         let eps = 1e-2f32;
         // Check dA.

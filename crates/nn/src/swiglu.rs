@@ -5,7 +5,7 @@
 //! can all carry LoRA adapters during fine-tuning.
 
 use vela_tensor::rng::DetRng;
-use vela_tensor::{ops, Tensor};
+use vela_tensor::{ops, workspace, Tensor};
 
 use crate::linear::Linear;
 use crate::param::{Module, Param};
@@ -20,7 +20,9 @@ pub struct SwiGlu {
     hidden: usize,
     cached_gate_pre: Option<Tensor>,
     cached_up_out: Option<Tensor>,
-    cached_gate_act: Option<Tensor>,
+    /// `sigmoid(gate_pre)`: both `silu` and its derivative are products of
+    /// this and `gate_pre`, so backward needs no second `exp`.
+    cached_gate_sig: Option<Tensor>,
 }
 
 impl SwiGlu {
@@ -36,7 +38,7 @@ impl SwiGlu {
             hidden,
             cached_gate_pre: None,
             cached_up_out: None,
-            cached_gate_act: None,
+            cached_gate_sig: None,
         }
     }
 
@@ -82,17 +84,24 @@ impl SwiGlu {
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let gate_pre = self.gate.forward(x);
         let up_out = self.up.forward(x);
-        // Reuse last step's activation buffer instead of allocating.
-        let mut gate_act = match self.cached_gate_act.take() {
-            Some(t) => t,
-            None => Tensor::zeros(1usize),
+        // Reuse last step's buffer when the token count has not changed.
+        let mut gate_sig = match self.cached_gate_sig.take() {
+            Some(t) if t.shape() == gate_pre.shape() => t,
+            _ => workspace::take_uninit(*gate_pre.shape()),
         };
-        ops::silu_into(&gate_pre, &mut gate_act);
-        let inner = gate_act.mul(&up_out);
+        // One pass over the hidden buffer: the sigmoid, and
+        // `inner = silu(gate_pre) ⊙ up_out` with silu(x) = x · sigmoid(x).
+        let mut inner = workspace::take_uninit(*gate_pre.shape());
+        let outs = gate_sig.as_mut_slice().iter_mut().zip(inner.as_mut_slice());
+        let ins = gate_pre.as_slice().iter().zip(up_out.as_slice());
+        for ((sig, y), (&g, &u)) in outs.zip(ins) {
+            *sig = ops::sigmoid(g);
+            *y = (g * *sig) * u;
+        }
         let out = self.down.forward(&inner);
         self.cached_gate_pre = Some(gate_pre);
         self.cached_up_out = Some(up_out);
-        self.cached_gate_act = Some(gate_act);
+        self.cached_gate_sig = Some(gate_sig);
         out
     }
 
@@ -107,19 +116,27 @@ impl SwiGlu {
             .as_ref()
             .expect("SwiGlu::backward called before forward");
         let up_out = self.cached_up_out.as_ref().expect("cache missing");
-        let gate_act = self.cached_gate_act.as_ref().expect("cache missing");
+        let gate_sig = self.cached_gate_sig.as_ref().expect("cache missing");
 
         let g_inner = self.down.backward(grad_out);
-        // inner = silu(gate_pre) ⊙ up_out
-        let g_up = g_inner.mul(gate_act);
-        let g_gate_act = g_inner.mul(up_out);
-        // Fused g ⊙ silu'(gate_pre): same per-element order of operations as
-        // mul(silu_grad(..)), without materializing the derivative tensor.
-        let g_gate_pre = g_gate_act.zip(gate_pre, |g, x| {
-            let s = ops::sigmoid(x);
+        // inner = silu(gate_pre) ⊙ up_out, so
+        //   g_up       = g_inner ⊙ silu(gate_pre)
+        //   g_gate_pre = (g_inner ⊙ up_out) ⊙ silu'(gate_pre)
+        // in one pass, with silu and silu' rebuilt from the cached sigmoid —
+        // the same products, in the same order, as evaluating it again.
+        let mut g_up = workspace::take_uninit(*g_inner.shape());
+        let mut g_gate_pre = workspace::take_uninit(*g_inner.shape());
+        let outs = g_up
+            .as_mut_slice()
+            .iter_mut()
+            .zip(g_gate_pre.as_mut_slice());
+        let acts = gate_pre.as_slice().iter().zip(gate_sig.as_slice());
+        let ins = g_inner.as_slice().iter().zip(up_out.as_slice()).zip(acts);
+        for ((gu, gg), ((&g, &u), (&x, &s))) in outs.zip(ins) {
+            *gu = g * (x * s);
             let d = s * (1.0 + x * (1.0 - s));
-            g * d
-        });
+            *gg = (g * u) * d;
+        }
 
         let gin_up = self.up.backward(&g_up);
         let gin_gate = self.gate.backward(&g_gate_pre);
@@ -139,6 +156,89 @@ impl Module for SwiGlu {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_input_grad, check_param_grads};
+
+    /// Forward and backward as they were before the sigmoid was cached: two
+    /// passes forward (`silu`, then `⊙ up`), and in backward a fresh
+    /// `ops::sigmoid` per element. Kept as the reference the fused passes
+    /// are pinned against, bit for bit.
+    fn reference_forward_backward(
+        ffn: &mut SwiGlu,
+        x: &Tensor,
+        grad_out: &Tensor,
+    ) -> (Tensor, Tensor) {
+        let gate_pre = ffn.gate.forward(x);
+        let up_out = ffn.up.forward(x);
+        let gate_act = ops::silu(&gate_pre);
+        let out = ffn.down.forward(&gate_act.mul(&up_out));
+
+        let g_inner = ffn.down.backward(grad_out);
+        let g_up = g_inner.mul(&gate_act);
+        let g_gate_act = g_inner.mul(&up_out);
+        let g_gate_pre = g_gate_act.zip(&gate_pre, |g, x| {
+            let s = ops::sigmoid(x);
+            let d = s * (1.0 + x * (1.0 - s));
+            g * d
+        });
+        let gin_up = ffn.up.backward(&g_up);
+        let gin_gate = ffn.gate.backward(&g_gate_pre);
+        (out, gin_up.add(&gin_gate))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs two steps (the second reuses the cached buffers, at a different
+    /// token count) through the fused passes and through the reference on a
+    /// clone, and compares output, input gradient and every parameter
+    /// gradient bitwise.
+    fn assert_matches_reference(mut ffn: SwiGlu, dim: usize, seed: u64) {
+        let mut reference = ffn.clone();
+        let mut rng = DetRng::new(seed);
+        for tokens in [13, 5] {
+            // Wide enough to reach both branches of `sigmoid` and its tails.
+            let x = Tensor::uniform((tokens, dim), -6.0, 6.0, &mut rng);
+            let gout = Tensor::uniform((tokens, dim), -1.0, 1.0, &mut rng);
+            let out = ffn.forward(&x);
+            let gin = ffn.backward(&gout);
+            let (ref_out, ref_gin) = reference_forward_backward(&mut reference, &x, &gout);
+            assert_eq!(bits(&out), bits(&ref_out), "output, {tokens} tokens");
+            assert_eq!(bits(&gin), bits(&ref_gin), "input grad, {tokens} tokens");
+        }
+        let mut grads = Vec::new();
+        ffn.visit_params(&mut |p| grads.push((p.name().to_string(), bits(&p.grad))));
+        let mut seen = 0;
+        reference.visit_params(&mut |p| {
+            assert_eq!(grads[seen].0, p.name());
+            assert_eq!(grads[seen].1, bits(&p.grad), "grad of {}", p.name());
+            seen += 1;
+        });
+        assert_eq!(seen, grads.len());
+    }
+
+    #[test]
+    fn cached_sigmoid_backward_is_bitwise_the_old_formula_frozen_lora() {
+        let mut rng = DetRng::new(41);
+        let mut ffn = SwiGlu::new("e", 9, 17, &mut rng);
+        ffn.freeze_base();
+        ffn.attach_lora(2, 4.0, &mut rng);
+        // Non-zero B so every adapter path carries signal.
+        let mut r = DetRng::new(42);
+        ffn.visit_params(&mut |p| {
+            if p.name().ends_with("lora_b") {
+                p.value = Tensor::uniform(*p.value.shape(), -0.3, 0.3, &mut r);
+            }
+        });
+        assert_matches_reference(ffn, 9, 43);
+    }
+
+    #[test]
+    fn cached_sigmoid_backward_is_bitwise_the_old_formula_trainable_base() {
+        let mut rng = DetRng::new(44);
+        let ffn = SwiGlu::new("e", 8, 24, &mut rng);
+        assert!(!ffn.base_frozen());
+        assert_matches_reference(ffn, 8, 45);
+    }
 
     #[test]
     fn output_shape_matches_input() {

@@ -1,4 +1,4 @@
-//! Packed, register-blocked GEMM: the single microkernel behind
+//! Packed, register-blocked GEMM: the one driver behind
 //! [`Tensor::matmul`](crate::Tensor::matmul), `matmul_tn` and `matmul_nt`.
 //!
 //! # Tile layout
@@ -24,6 +24,36 @@
 //! same bits. The multiply-adds are written as separate `*` and `+` (Rust
 //! does not contract to FMA), matching the naive reference loops in the
 //! parity suites.
+//!
+//! The contract is also independent of the instruction set. An IEEE-754
+//! single-precision multiply and an add each round once, and a SIMD lane
+//! rounds exactly as the scalar instruction does, so as long as every
+//! element keeps its own accumulator and its own ascending-`p` sequence of
+//! `acc = acc + a*b`, the vector width only decides how many elements
+//! advance per instruction, never what any of them holds: scalar, 4-lane
+//! SSE2/NEON and 8-lane AVX2 agree to the last bit, and so do a master and
+//! a `vela_worker` on different CPUs. Two things would break that and stay
+//! out: a fused multiply-add rounds once where `*` then `+` round twice
+//! (so `mul_add`/`+fma` change bits relative to every host without FMA),
+//! and blocking over `k` reassociates the sum.
+//!
+//! # Instruction-set dispatch
+//!
+//! Packing, tiling and threading are one code path. Only the `MR x NR`
+//! microkernel exists twice: [`microkernel`], portable Rust that LLVM
+//! vectorizes at the build target's baseline width (SSE2 on x86-64), and on
+//! `x86_64` `microkernel_avx2`, the same loop in `std::arch` intrinsics —
+//! eight `ymm` accumulator rows, one broadcast, one `vmulps` and one
+//! `vaddps` per row per `p`. Each [`gemm`] call picks one with
+//! `is_x86_feature_detected!("avx2")`; there is no knob, cargo feature or
+//! build flag, and the binary still runs on any x86-64 or aarch64 host.
+//! The intrinsics are there because the autovectorizer is not dependable at
+//! eight lanes: compiling the portable body under
+//! `#[target_feature(enable = "avx2")]` makes LLVM's SLP pass re-transpose
+//! the accumulators with ~100 shuffles per `p` (slower than SSE2), and
+//! whether it vectorizes the body at all depends on what it was inlined
+//! into. An in-crate test runs both microkernels over every layout and
+//! asserts `to_bits()` equality.
 
 use std::ops::Range;
 
@@ -57,6 +87,85 @@ pub enum Layout {
 ///
 /// `out` is fully overwritten; it does not need to be zeroed.
 pub fn gemm(layout: Layout, a: &[f32], b: &[f32], r: usize, k: usize, c: usize, out: &mut [f32]) {
+    gemm_with(Isa::detect(), layout, a, b, r, k, c, out);
+}
+
+/// [`gemm`] pinned to the portable microkernel whatever the host supports —
+/// the in-process baseline `bench_kernels` times the dispatched kernel
+/// against. Same bits as [`gemm`].
+#[doc(hidden)]
+pub fn gemm_portable(
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    r: usize,
+    k: usize,
+    c: usize,
+    out: &mut [f32],
+) {
+    gemm_with(Isa::Portable, layout, a, b, r, k, c, out);
+}
+
+/// The microkernel [`gemm`] runs on this host: `"avx2"` or `"portable"`.
+/// Detected from the CPU, not configured.
+pub fn simd_level() -> &'static str {
+    match Isa::detect() {
+        Isa::Portable => "portable",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => "avx2",
+    }
+}
+
+/// Which microkernel a call runs.
+#[derive(Clone, Copy)]
+enum Isa {
+    /// [`microkernel`], at the build target's baseline instruction set.
+    Portable,
+    /// `microkernel_avx2`. Only [`Isa::avx2`] makes this value, and only
+    /// after the CPU reported the feature; [`Isa::microkernel`] relies on
+    /// that.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The AVX2 microkernel, if this is an x86-64 CPU that has AVX2.
+    fn avx2() -> Option<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(Isa::Avx2);
+        }
+        None
+    }
+
+    /// The widest microkernel this host can run.
+    fn detect() -> Isa {
+        Isa::avx2().unwrap_or(Isa::Portable)
+    }
+
+    #[inline]
+    fn microkernel(self, apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]) {
+        match self {
+            Isa::Portable => microkernel(apack, bpanel, k, acc),
+            // SAFETY: an `Isa::Avx2` exists only because `Isa::avx2` saw the
+            // CPU report AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { microkernel_avx2(apack, bpanel, k, acc) },
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_with(
+    isa: Isa,
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    r: usize,
+    k: usize,
+    c: usize,
+    out: &mut [f32],
+) {
     debug_assert_eq!(out.len(), r * c);
     if r == 0 || c == 0 {
         return;
@@ -79,9 +188,16 @@ pub fn gemm(layout: Layout, a: &[f32], b: &[f32], r: usize, k: usize, c: usize, 
 
     {
         let _c = vela_obs::span("tensor.gemm.compute");
-        par_rows(r, k * c, out, c, |rows, chunk| {
-            gemm_rows(layout, a, bpack, r, k, c, rows, chunk);
-        });
+        let job = RowJob {
+            isa,
+            layout,
+            a,
+            bpack,
+            r,
+            k,
+            c,
+        };
+        par_rows(r, k * c, out, c, |rows, chunk| gemm_rows(&job, rows, chunk));
     }
 
     workspace::recycle_vec(bpack_buf);
@@ -156,8 +272,14 @@ fn pack_a(layout: Layout, a: &[f32], r: usize, k: usize, i0: usize, iw: usize, a
 
 /// Computes one `MR x NR` output tile into `acc`, accumulating the full `k`
 /// extent in ascending-`p` order. Both operands are packed K-major, so the
-/// inner loops read contiguously and vectorize cleanly.
-#[inline]
+/// inner loops read contiguously; at the x86-64 baseline LLVM turns each
+/// accumulator row into two 4-lane SSE2 `mulps`/`addps` pairs against a
+/// stack copy of `acc` (sixteen `xmm` registers cannot hold 64 floats).
+///
+/// Never inlined: whether LLVM vectorizes this body has been seen to depend
+/// on the caller it lands in, and one call per `128·k`-flop tile costs
+/// nothing.
+#[inline(never)]
 fn microkernel(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]) {
     acc.fill(0.0);
     for p in 0..k {
@@ -173,19 +295,64 @@ fn microkernel(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]
     }
 }
 
-/// Computes output rows `rows` into `chunk` (the disjoint sub-slice owned by
-/// this range): packs each `A` tile, then sweeps all `B` panels through the
-/// microkernel.
-fn gemm_rows(
+/// [`microkernel`] in AVX2 intrinsics: the eight accumulator rows live in
+/// eight `ymm` registers for the whole `k` extent. Per element it performs
+/// the same `acc = acc + a*b` sequence — `vmulps` then `vaddps`, two
+/// roundings; `avx2` does not enable `fma` and nothing here asks for it — so
+/// it returns the same bits as the portable kernel.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn microkernel_avx2(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    const { assert!(NR == 8, "one ymm register holds one accumulator row") };
+
+    let mut rows = [_mm256_setzero_ps(); MR];
+    let a_rows = apack[..k * MR].chunks_exact(MR);
+    let b_rows = bpanel[..k * NR].chunks_exact(NR);
+    for (arow, brow) in a_rows.zip(b_rows) {
+        // SAFETY: `chunks_exact(NR)` yields slices of exactly NR == 8 floats.
+        let b = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
+        for (row, av) in rows.iter_mut().zip(arow) {
+            *row = _mm256_add_ps(*row, _mm256_mul_ps(_mm256_broadcast_ss(av), b));
+        }
+    }
+    for (dst, row) in acc.chunks_exact_mut(NR).zip(rows) {
+        // SAFETY: `dst` is exactly NR == 8 floats.
+        unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), row) };
+    }
+}
+
+/// What every row chunk of one [`gemm`] call shares: the microkernel, the
+/// caller's `A`, the packed `B` and the logical dimensions.
+struct RowJob<'a> {
+    isa: Isa,
     layout: Layout,
-    a: &[f32],
-    bpack: &[f32],
+    a: &'a [f32],
+    bpack: &'a [f32],
     r: usize,
     k: usize,
     c: usize,
-    rows: Range<usize>,
-    chunk: &mut [f32],
-) {
+}
+
+/// Computes output rows `rows` into `chunk` (the disjoint sub-slice owned by
+/// this range): packs each `A` tile, then sweeps all `B` panels through the
+/// microkernel.
+fn gemm_rows(job: &RowJob<'_>, rows: Range<usize>, chunk: &mut [f32]) {
+    let &RowJob {
+        isa,
+        layout,
+        a,
+        bpack,
+        r,
+        k,
+        c,
+    } = job;
     let base = rows.start;
     let panels = c.div_ceil(NR);
     let mut apack = workspace::take_vec_uninit(k * MR);
@@ -198,7 +365,7 @@ fn gemm_rows(
         for jp in 0..panels {
             let j0 = jp * NR;
             let jw = NR.min(c - j0);
-            microkernel(&apack, &bpack[jp * k * NR..(jp + 1) * k * NR], k, &mut acc);
+            isa.microkernel(&apack, &bpack[jp * k * NR..(jp + 1) * k * NR], k, &mut acc);
             for ii in 0..iw {
                 let dst = &mut chunk[(i0 - base + ii) * c + j0..(i0 - base + ii) * c + j0 + jw];
                 dst.copy_from_slice(&acc[ii * NR..ii * NR + jw]);
@@ -235,4 +402,102 @@ fn par_rows(
         };
         kernel(range, chunk);
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::DetRng;
+    use crate::Tensor;
+
+    /// `(r, k, c)`: the parallel-parity suite's matrix, then shapes that
+    /// pin the edges of the tile — `k` of 1 and 8, fewer rows than `MR`,
+    /// fewer columns than `NR`, remainders on every axis — and one expert
+    /// projection of the `ffn-heavy` benchmark workload.
+    const SHAPES: [(usize, usize, usize); 16] = [
+        (1, 1, 1),
+        (1, 5, 3),
+        (8, 8, 8),
+        (9, 4, 9),
+        (16, 16, 16),
+        (15, 16, 17),
+        (17, 9, 33),
+        (33, 64, 7),
+        (96, 64, 80),
+        (65, 33, 131),
+        (13, 17, 9),
+        (5, 1, 3),
+        (3, 8, 5),
+        (7, 8, 24),
+        (24, 1, 7),
+        (64, 64, 1024),
+    ];
+
+    #[test]
+    fn avx2_and_portable_microkernels_agree_bitwise() {
+        let Some(avx2) = Isa::avx2() else {
+            eprintln!("skip: no AVX2 on this host (or not x86_64); only the portable microkernel exists here");
+            return;
+        };
+        assert_eq!(simd_level(), "avx2");
+        for (s, &(r, k, c)) in SHAPES.iter().enumerate() {
+            let mut rng = DetRng::new(0xA5A5 + s as u64);
+            // Both operands are `r*k` and `k*c` floats whatever the layout;
+            // only how `gemm` indexes them differs.
+            let a = Tensor::uniform(r * k, -1.0, 1.0, &mut rng);
+            let b = Tensor::uniform(k * c, -1.0, 1.0, &mut rng);
+            for layout in [Layout::Nn, Layout::Tn, Layout::Nt] {
+                let mut portable = vec![f32::NAN; r * c];
+                let mut wide = vec![f32::NAN; r * c];
+                gemm_with(
+                    Isa::Portable,
+                    layout,
+                    a.as_slice(),
+                    b.as_slice(),
+                    r,
+                    k,
+                    c,
+                    &mut portable,
+                );
+                gemm_with(avx2, layout, a.as_slice(), b.as_slice(), r, k, c, &mut wide);
+                for (i, (p, w)) in portable.iter().zip(&wide).enumerate() {
+                    assert_eq!(
+                        p.to_bits(),
+                        w.to_bits(),
+                        "{layout:?} {r}x{k}x{c} element {i}: portable {p} vs avx2 {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_entry_point_matches_dispatched_gemm() {
+        let (r, k, c) = (13, 17, 9);
+        let mut rng = DetRng::new(77);
+        let a = Tensor::uniform((r, k), -1.0, 1.0, &mut rng);
+        let b = Tensor::uniform((k, c), -1.0, 1.0, &mut rng);
+        let mut dispatched = vec![0.0f32; r * c];
+        let mut portable = vec![0.0f32; r * c];
+        gemm(
+            Layout::Nn,
+            a.as_slice(),
+            b.as_slice(),
+            r,
+            k,
+            c,
+            &mut dispatched,
+        );
+        gemm_portable(
+            Layout::Nn,
+            a.as_slice(),
+            b.as_slice(),
+            r,
+            k,
+            c,
+            &mut portable,
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&dispatched), bits(&portable));
+    }
 }

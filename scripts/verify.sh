@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: tier-1 build+test, formatting, and the kernel
-# micro-bench (emits BENCH_kernels.json in the repo root).
+# micro-bench (emits BENCH_kernels.json in the repo root; its log names the
+# GEMM SIMD level the host dispatched to).
 #
 # Usage: scripts/verify.sh [--no-bench]
 set -euo pipefail
@@ -73,8 +74,14 @@ cargo run --release -p vela-bench --bin trace_summary -- merge "$tcp_trace"
 cargo run --release -p vela-bench --bin trace_summary -- --check "$tcp_trace".merged
 
 if [ "$run_bench" = 1 ]; then
-    echo "==> bench smoke: serial regression gate vs committed BENCH_kernels.json"
-    cargo run --release -p vela-bench --bin bench_kernels -- --quick --check BENCH_kernels.json
+    echo "==> bench smoke: serial regression gate vs committed BENCH_kernels.json + in-process SIMD ratio gate (avx2 >= 1.5x portable on matmul_nn_256)"
+    # The first line names the microkernel this host dispatched to. A host
+    # that fell back to "portable" skips the ratio gate and the serial-time
+    # comparison (the committed file is avx2); say so here rather than let
+    # it surface later as an unexplained slowdown.
+    bench_log=target/bench_kernels-check.log
+    cargo run --release -p vela-bench --bin bench_kernels -- --quick --check BENCH_kernels.json | tee "$bench_log"
+    echo "    simd: $(sed -n 's/.*simd: \([a-z0-9]*\).*/\1/p' "$bench_log" | head -n 1)"
 
     echo "==> transport bench check: frame coalescing + ledger invariants + replication straggler gate + migration overlap gate (>=50% of sync blocking hidden at equal ledger bytes)"
     # Needs target/release/vela_worker for the tcp rows; the tier-1 build
