@@ -10,6 +10,7 @@
 use std::time::Instant;
 
 use vela::placement::exact::{branch_and_bound, optimal_placement};
+use vela::placement::lp::build::build_lp;
 use vela::prelude::*;
 
 fn main() {
@@ -103,6 +104,19 @@ fn main() {
             "zipf {zipf:.1}: vela {vela:.4}s/step ({lp_time:.2?}), greedy {greedy:.4}s/step \
              ({greedy_time:.2?}), sequential {seq:.4}s/step; vela vs greedy {:+.1}%",
             gap(vela, greedy)
+        );
+        // Where the LP's share of that time goes: iterations, not seconds,
+        // are what a solver change may not move.
+        let lp = build_lp(&problem);
+        let t2 = Instant::now();
+        let sol = lp.solve();
+        let solve_time = t2.elapsed();
+        println!(
+            "          simplex: {} + {} iterations (phase 1 + 2), {solve_time:.2?} per solve, \
+             {:.1} µs each",
+            sol.phase1_iterations,
+            sol.iterations - sol.phase1_iterations,
+            solve_time.as_secs_f64() * 1e6 / sol.iterations as f64
         );
     }
     println!("\n(LP solves the global capacity trade-off; greedy is per-block and myopic)");

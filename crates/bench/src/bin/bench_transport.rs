@@ -349,7 +349,8 @@ fn run_wire_row(label: &'static str, wire: WireFormat, quant: Quant) -> WireRow 
             let _ = broker.forward_block(block, &batches);
             let _ = broker.backward_block(block, &grads);
         }
-        broker.step_end_and_wait().expect("step end");
+        broker.step_end().expect("step end");
+        broker.wait_step_done().expect("step done");
     }
     let stats = broker.wire_stats();
     broker.shutdown().expect("worker shutdown");

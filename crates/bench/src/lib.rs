@@ -331,6 +331,24 @@ impl AttributionProbe {
     }
 }
 
+/// The placement problem of the solver micro-bench: the paper's six
+/// workers, Mixtral's 8 experts per block, a Zipf(1.2) profile and 5 spare
+/// slots per worker. `blocks = 32` is the paper-size instance whose pivot
+/// path `vela-placement` pins.
+pub fn solver_bench_problem(blocks: usize) -> PlacementProblem {
+    let spec = MoeSpec::mixtral_8x7b();
+    let profile = LocalityProfile::synthetic("b", blocks, spec.experts, 1.2, 3);
+    PlacementProblem::new(
+        Topology::paper_testbed(),
+        DeviceId(0),
+        (0..6).map(DeviceId).collect(),
+        profile.to_matrix(),
+        8192.0,
+        spec.token_bytes(),
+        PlacementProblem::even_capacities(blocks, spec.experts, 6, 5),
+    )
+}
+
 /// Formats bytes as mebibytes with one decimal.
 pub fn mb(bytes: f64) -> String {
     format!("{:.1}", bytes / (1024.0 * 1024.0))

@@ -13,9 +13,12 @@
 //! * Dantzig pricing with a fallback to Bland's rule guards against
 //!   cycling.
 //!
-//! The placement LP for the paper's testbed (6 workers × 32 blocks ×
-//! 8 experts → 1 568 structural variables, 454 rows) solves in well under a
-//! second in release builds.
+//! The pivot path is part of the contract: the rounded placement depends on
+//! the vertex reached, so a change here must walk the same pivots, which
+//! `simplex/pivot_path.rs` pins bit for bit. The placement LP for the
+//! paper's testbed (6 workers × 32 blocks × 8 experts → 1 568 structural
+//! variables, 454 rows) takes 2 108 iterations and 0.13 s in a release
+//! build (`cargo bench -p vela-bench --bench simplex`).
 
 use std::fmt;
 
@@ -64,8 +67,11 @@ pub struct LpSolution {
     pub x: Vec<f64>,
     /// Objective value at `x`.
     pub objective: f64,
-    /// Simplex pivots performed (both phases).
+    /// Simplex iterations performed (both phases).
     pub iterations: usize,
+    /// The share of `iterations` spent in Phase 1 (0 when no row needed an
+    /// artificial variable).
+    pub phase1_iterations: usize,
 }
 
 /// A sparse constraint row: terms, comparison, right-hand side.
@@ -169,8 +175,10 @@ enum Rest {
 }
 
 struct Tableau {
-    /// Dense rows, m × total columns.
-    a: Vec<Vec<f64>>,
+    /// Dense tableau, `m` rows of `stride` columns in one allocation.
+    a: Vec<f64>,
+    /// Columns per row: `[structural | slacks | artificials]`.
+    stride: usize,
     /// Basic-variable values per row.
     beta: Vec<f64>,
     /// Basis column per row.
@@ -185,86 +193,69 @@ struct Tableau {
     art_start: usize,
     n_structural: usize,
     iterations: usize,
+    phase1_iterations: usize,
+    /// Scratch: reduced cost per column, refilled by every pricing pass.
+    z: Vec<f64>,
+    /// Scratch: the rows whose basic variable has a non-zero cost.
+    priced_rows: Vec<(usize, f64)>,
+    /// Scratch: the entering column.
+    col: Vec<f64>,
+    /// Compare every pricing pass with the column-wise reference.
+    #[cfg(test)]
+    check_pricing: bool,
 }
 
 impl Tableau {
     fn from_builder(lp: &LpBuilder) -> Self {
         let m = lp.rows.len();
-        // Column layout: [structural | slacks | artificials].
-        let n_slack = lp.rows.iter().filter(|(_, cmp, _)| *cmp != Cmp::Eq).count();
-        let total_guess = lp.n + n_slack + m;
-        let mut a = vec![vec![0.0; total_guess]; m];
-        let mut upper = lp.upper.clone();
-        upper.resize(total_guess, f64::INFINITY);
-        let mut cost = lp.objective.clone();
-        cost.resize(total_guess, 0.0);
+        // Rows are normalized to rhs >= 0 so slack/artificial bases are
+        // valid; a negated row swaps `≤` and `≥`.
+        let effective = |(_, cmp, rhs): &ConstraintRow| match (cmp, *rhs < 0.0) {
+            (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
+            (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
+            (Cmp::Eq, _) => Cmp::Eq,
+        };
+        let cmps: Vec<Cmp> = lp.rows.iter().map(effective).collect();
+        let art_start = lp.n + cmps.iter().filter(|&&c| c != Cmp::Eq).count();
+        let stride = art_start + cmps.iter().filter(|&&c| c != Cmp::Le).count();
 
-        let mut next_col = lp.n;
-        let mut basis = vec![usize::MAX; m];
-        let mut needs_artificial = Vec::new();
-
-        for (r, (terms, cmp, rhs)) in lp.rows.iter().enumerate() {
-            let mut rhs = *rhs;
-            let mut sign = 1.0;
-            if rhs < 0.0 {
-                // Normalize to rhs >= 0 so slack/artificial bases are valid.
-                rhs = -rhs;
-                sign = -1.0;
-            }
-            for &(v, c) in terms {
-                a[r][v] += sign * c;
-            }
-            a[r][total_guess - 1] = 0.0; // keep row length consistent
-            let eff_cmp = match (cmp, sign < 0.0) {
-                (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
-                (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
-                (Cmp::Eq, _) => Cmp::Eq,
-            };
-            // Write rhs into beta later; store for now in a temp via basis
-            // construction below.
-            match eff_cmp {
-                Cmp::Le => {
-                    a[r][next_col] = 1.0;
-                    basis[r] = next_col; // slack is a valid basic var
-                    next_col += 1;
-                }
-                Cmp::Ge => {
-                    a[r][next_col] = -1.0; // surplus
-                    next_col += 1;
-                    needs_artificial.push(r);
-                }
-                Cmp::Eq => needs_artificial.push(r),
-            }
-            a[r].push(rhs); // stash rhs at the very end temporarily
-        }
-
-        let art_start = next_col;
-        for &r in &needs_artificial {
-            a[r][next_col] = 1.0;
-            basis[r] = next_col;
-            next_col += 1;
-        }
-        let total = next_col;
-
-        // Extract rhs and trim columns.
+        let mut a = vec![0.0; m * stride];
         let mut beta = Vec::with_capacity(m);
-        for row in &mut a {
-            let rhs = row.pop().expect("stashed rhs");
-            beta.push(rhs);
-            row.truncate(total);
+        let mut basis = Vec::with_capacity(m);
+        let (mut next_slack, mut next_art) = (lp.n, art_start);
+        let rows = a.chunks_exact_mut(stride.max(1));
+        for (((terms, _, rhs), cmp), row) in lp.rows.iter().zip(cmps).zip(rows) {
+            let sign = if *rhs < 0.0 { -1.0 } else { 1.0 };
+            for &(v, c) in terms {
+                row[v] += sign * c;
+            }
+            if cmp != Cmp::Eq {
+                // Slack (`≤`) or surplus (`≥`).
+                row[next_slack] = if cmp == Cmp::Le { 1.0 } else { -1.0 };
+                next_slack += 1;
+            }
+            if cmp == Cmp::Le {
+                basis.push(next_slack - 1); // slack is a valid basic var
+            } else {
+                row[next_art] = 1.0;
+                basis.push(next_art);
+                next_art += 1;
+            }
+            beta.push(sign * rhs);
         }
-        upper.truncate(total.max(upper.len()));
-        upper.resize(total, f64::INFINITY);
-        cost.truncate(total.max(cost.len()));
-        cost.resize(total, 0.0);
 
-        let mut rest = vec![Rest::Lower; total];
+        let mut upper = lp.upper.clone();
+        upper.resize(stride, f64::INFINITY);
+        let mut cost = lp.objective.clone();
+        cost.resize(stride, 0.0);
+        let mut rest = vec![Rest::Lower; stride];
         for &b in &basis {
             rest[b] = Rest::Basic;
         }
 
         Tableau {
             a,
+            stride,
             beta,
             basis,
             rest,
@@ -273,47 +264,74 @@ impl Tableau {
             art_start,
             n_structural: lp.n,
             iterations: 0,
+            phase1_iterations: 0,
+            z: vec![0.0; stride],
+            priced_rows: Vec::with_capacity(m),
+            col: vec![0.0; m],
+            #[cfg(test)]
+            check_pricing: false,
         }
     }
 
     fn solve(mut self) -> LpSolution {
-        let m = self.a.len();
-        let total = self.rest.len();
-
         // Phase 1: minimize the sum of artificials.
-        if self.art_start < total {
-            let phase1_cost: Vec<f64> = (0..total)
-                .map(|j| if j >= self.art_start { 1.0 } else { 0.0 })
-                .collect();
-            match self.optimize(&phase1_cost, usize::MAX) {
-                Ok(()) => {}
-                Err(status) => return self.finish(status),
+        if self.art_start < self.stride {
+            let mut phase1_cost = vec![0.0; self.stride];
+            phase1_cost[self.art_start..].fill(1.0);
+            let outcome = self.optimize(&phase1_cost, self.stride);
+            self.phase1_iterations = self.iterations;
+            if let Err(status) = outcome {
+                return self.finish(status);
             }
-            let art_sum: f64 = (0..m)
-                .filter(|&r| self.basis[r] >= self.art_start)
-                .map(|r| self.beta[r])
+            let basic_values = self.basis.iter().zip(&self.beta);
+            let art_sum: f64 = basic_values
+                .filter_map(|(&b, &v)| (b >= self.art_start).then_some(v))
                 .sum();
             if art_sum > 1e-6 {
                 return self.finish(LpStatus::Infeasible);
             }
             // Pin artificials at zero so Phase 2 cannot revive them.
-            for j in self.art_start..total {
-                self.upper[j] = 0.0;
-            }
+            self.upper[self.art_start..].fill(0.0);
         }
 
-        // Phase 2: the real objective.
-        let cost = self.cost.clone();
-        match self.optimize(&cost, self.art_start) {
-            Ok(()) => self.finish(LpStatus::Optimal),
-            Err(status) => self.finish(status),
+        // Phase 2: the real objective, with the artificial columns retired.
+        // None may enter, and ratio test and pivot read the entering column
+        // only, so nothing looks at them again; one still basic (at 0)
+        // keeps its `basis`, `upper` and `rest` entries, which is all the
+        // ratio test asks of it.
+        let cost = std::mem::take(&mut self.cost);
+        let outcome = self.optimize(&cost, self.art_start);
+        self.cost = cost;
+        self.finish(outcome.err().unwrap_or(LpStatus::Optimal))
+    }
+
+    /// Fills `z[..width]` with the reduced costs `z_j = c_j − c_B · col_j`,
+    /// one tableau row at a time: per column this is the same sequence of
+    /// `z -= c_B[r] · a[r][j]` over ascending `r` as walking the column,
+    /// hence the same bits (Rust does not contract to FMA) — but it reads
+    /// memory in order and skips the rows with `c_B[r] = 0` once, not once
+    /// per column.
+    fn price(&mut self, cost: &[f64], width: usize) {
+        self.priced_rows.clear();
+        for (r, &b) in self.basis.iter().enumerate() {
+            if cost[b] != 0.0 {
+                self.priced_rows.push((r, cost[b]));
+            }
+        }
+        let z = &mut self.z[..width];
+        z.copy_from_slice(&cost[..width]);
+        for &(r, c) in &self.priced_rows {
+            for (z, &a) in z.iter_mut().zip(&self.a[r * self.stride..][..width]) {
+                *z -= c * a;
+            }
         }
     }
 
     /// Runs simplex iterations for the given cost vector. Columns at or
-    /// beyond `enter_limit` may not enter the basis.
-    fn optimize(&mut self, cost: &[f64], enter_limit: usize) -> Result<(), LpStatus> {
-        let m = self.a.len();
+    /// beyond `width` may not enter the basis and are no longer maintained.
+    /// Allocation-free.
+    fn optimize(&mut self, cost: &[f64], width: usize) -> Result<(), LpStatus> {
+        let stride = self.stride;
         let max_iters = 500_000;
         let bland_after = 2_000;
         let mut local_iters = 0usize;
@@ -326,54 +344,44 @@ impl Tableau {
             }
             let use_bland = local_iters > bland_after;
 
-            // Reduced costs: z_j = c_j − c_B · col_j.
-            let mut cb = vec![0.0; m];
-            for r in 0..m {
-                cb[r] = cost[self.basis[r]];
+            self.price(cost, width);
+            #[cfg(test)]
+            if self.check_pricing {
+                self.assert_prices_match_reference(cost, width);
             }
 
-            let limit = enter_limit.min(self.rest.len());
             let mut entering: Option<(usize, bool)> = None; // (col, from_lower)
             let mut best_score = PRICE_EPS;
-            #[allow(clippy::needless_range_loop)] // j indexes 4 parallel arrays
-            for j in 0..limit {
-                match self.rest[j] {
+            for j in 0..width {
+                let from_lower = match self.rest[j] {
                     Rest::Basic => continue,
-                    Rest::Lower | Rest::Upper => {}
-                }
-                if self.upper[j] <= 0.0 && self.rest[j] == Rest::Lower {
-                    continue; // fixed at zero
-                }
-                let mut z = cost[j];
-                for (r, &c) in cb.iter().enumerate() {
-                    if c != 0.0 {
-                        z -= c * self.a[r][j];
-                    }
-                }
-                let improving = match self.rest[j] {
-                    Rest::Lower => -z, // want z < 0
-                    Rest::Upper => z,  // want z > 0
-                    Rest::Basic => unreachable!(),
+                    Rest::Lower if self.upper[j] <= 0.0 => continue, // fixed at zero
+                    Rest::Lower => true,
+                    Rest::Upper => false,
                 };
+                // At the lower bound a negative z improves, at the upper a
+                // positive one.
+                let improving = if from_lower { -self.z[j] } else { self.z[j] };
                 if improving > best_score {
+                    entering = Some((j, from_lower));
                     if use_bland {
-                        entering = Some((j, self.rest[j] == Rest::Lower));
                         break;
                     }
                     best_score = improving;
-                    entering = Some((j, self.rest[j] == Rest::Lower));
                 }
             }
             let Some((j, from_lower)) = entering else {
                 return Ok(()); // optimal for this phase
             };
+            for (d, row) in self.col.iter_mut().zip(self.a.chunks_exact(stride)) {
+                *d = row[j];
+            }
 
             // Direction of basic-variable change per unit step t:
             // from_lower: x_B -= d t; from_upper: x_B += d t, d = col_j.
             let mut t_max = self.upper[j]; // bound flip distance
             let mut leave: Option<(usize, bool)> = None; // (row, leaves_at_upper)
-            for r in 0..m {
-                let d = self.a[r][j];
+            for (r, &d) in self.col.iter().enumerate() {
                 if d.abs() <= EPS {
                     continue;
                 }
@@ -409,75 +417,62 @@ impl Tableau {
             }
             let t = t_max.max(0.0);
 
-            match leave {
-                None => {
-                    // Bound flip: j jumps to its other bound.
-                    for r in 0..m {
-                        let d = self.a[r][j];
-                        if d != 0.0 {
-                            self.beta[r] += if from_lower { -d * t } else { d * t };
-                        }
-                    }
-                    self.rest[j] = if from_lower { Rest::Upper } else { Rest::Lower };
+            // Update basic values (a bound flip stops here).
+            for (b, &d) in self.beta.iter_mut().zip(&self.col) {
+                if d != 0.0 {
+                    *b += if from_lower { -d * t } else { d * t };
                 }
-                Some((r, leaves_at_upper)) => {
-                    // Update basic values.
-                    for i in 0..m {
-                        let d = self.a[i][j];
-                        if d != 0.0 {
-                            self.beta[i] += if from_lower { -d * t } else { d * t };
-                        }
-                    }
-                    // Entering variable's new value.
-                    let x_j = if from_lower { t } else { self.upper[j] - t };
-                    let old_basic = self.basis[r];
-                    self.rest[old_basic] = if leaves_at_upper {
-                        Rest::Upper
-                    } else {
-                        Rest::Lower
-                    };
-                    self.rest[j] = Rest::Basic;
-                    self.basis[r] = j;
-                    self.beta[r] = x_j;
+            }
+            let Some((r, leaves_at_upper)) = leave else {
+                self.rest[j] = if from_lower { Rest::Upper } else { Rest::Lower };
+                continue;
+            };
+            let old_basic = self.basis[r];
+            self.rest[old_basic] = if leaves_at_upper {
+                Rest::Upper
+            } else {
+                Rest::Lower
+            };
+            self.rest[j] = Rest::Basic;
+            self.basis[r] = j;
+            // Entering variable's new value.
+            self.beta[r] = if from_lower { t } else { self.upper[j] - t };
 
-                    // Pivot: normalize row r on column j, eliminate others.
-                    let pivot = self.a[r][j];
-                    debug_assert!(pivot.abs() > EPS, "zero pivot");
-                    let inv = 1.0 / pivot;
-                    for v in &mut self.a[r] {
-                        *v *= inv;
-                    }
-                    let pivot_row = self.a[r].clone();
-                    for (i, row) in self.a.iter_mut().enumerate() {
-                        if i == r {
-                            continue;
-                        }
-                        let factor = row[j];
-                        if factor.abs() <= EPS {
-                            row[j] = 0.0;
-                            continue;
-                        }
-                        for (v, &p) in row.iter_mut().zip(&pivot_row) {
-                            *v -= factor * p;
-                        }
-                        row[j] = 0.0;
+            // Pivot: normalize row r on column j, eliminate others.
+            debug_assert!(self.col[r].abs() > EPS, "zero pivot");
+            let inv = 1.0 / self.col[r];
+            let (above, rest) = self.a.split_at_mut(r * stride);
+            let (pivot_row, below) = rest.split_at_mut(stride);
+            let pivot_row = &mut pivot_row[..width];
+            for v in pivot_row.iter_mut() {
+                *v *= inv;
+            }
+            let others = above
+                .chunks_exact_mut(stride)
+                .chain(below.chunks_exact_mut(stride));
+            let factors = self.col[..r].iter().chain(&self.col[r + 1..]);
+            for (row, &factor) in others.zip(factors) {
+                if factor.abs() > EPS {
+                    for (v, &p) in row[..width].iter_mut().zip(pivot_row.iter()) {
+                        *v -= factor * p;
                     }
                 }
+                row[j] = 0.0;
             }
         }
     }
 
     fn finish(self, status: LpStatus) -> LpSolution {
-        let mut x = vec![0.0; self.n_structural];
-        for (j, item) in x.iter_mut().enumerate() {
-            *item = match self.rest[j] {
-                Rest::Lower => 0.0,
+        let mut x: Vec<f64> = (0..self.n_structural)
+            .map(|j| match self.rest[j] {
                 Rest::Upper => self.upper[j],
-                Rest::Basic => {
-                    let r = self.basis.iter().position(|&b| b == j).expect("basic");
-                    self.beta[r]
-                }
-            };
+                Rest::Lower | Rest::Basic => 0.0,
+            })
+            .collect();
+        for (&b, &value) in self.basis.iter().zip(&self.beta) {
+            if b < self.n_structural {
+                x[b] = value;
+            }
         }
         let objective = x.iter().zip(&self.cost).map(|(&v, &c)| v * c).sum::<f64>();
         LpSolution {
@@ -485,9 +480,13 @@ impl Tableau {
             x,
             objective,
             iterations: self.iterations,
+            phase1_iterations: self.phase1_iterations,
         }
     }
 }
+
+#[cfg(test)]
+mod pivot_path;
 
 #[cfg(test)]
 mod tests {

@@ -115,6 +115,13 @@ fn vela(problem: &PlacementProblem) -> Placement {
         "placement LP must solve (status {})",
         sol.status
     );
+    if sol.status == LpStatus::IterationLimit {
+        vela_obs::warn!(
+            "placement LP stopped at the iteration limit after {} iterations; rounding a \
+             non-optimal relaxation",
+            sol.iterations
+        );
+    }
     let x = build::extract_relaxed(problem, &sol);
     let rounded = rounding::round_relaxed(problem, &x);
     rounding::polish_placement(problem, rounded, 8)

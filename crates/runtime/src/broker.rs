@@ -736,11 +736,18 @@ impl BrokerClient {
         self.hub.broadcast(&Message::StepBegin { step: trace_step })
     }
 
-    /// Broadcasts `StepEnd` and waits for every worker's `StepDone`.
-    /// Migration-lane frames drained while waiting are relayed, not
-    /// errors: the wait is a natural window for background transfers.
-    pub fn step_end_and_wait(&mut self) -> Result<(), TransportError> {
-        self.hub.broadcast(&Message::StepEnd)?;
+    /// Broadcasts `StepEnd`: every worker steps its optimizers and answers
+    /// `StepDone`. Returns at once, so the master can step its own
+    /// optimizer meanwhile; [`wait_step_done`](Self::wait_step_done)
+    /// collects the answers.
+    pub fn step_end(&mut self) -> Result<(), TransportError> {
+        self.hub.broadcast(&Message::StepEnd)
+    }
+
+    /// Waits for every worker's `StepDone`. Migration-lane frames drained
+    /// while waiting are relayed, not errors: the wait is a natural window
+    /// for background transfers.
+    pub fn wait_step_done(&mut self) -> Result<(), TransportError> {
         let mut pending = self.hub.worker_count();
         while pending > 0 {
             let (w, msg) = recv_routed(&mut self.hub, &mut self.migrations)?;
@@ -1621,9 +1628,9 @@ fn real_tensor(payload: Payload, pass: Pass) -> Result<Tensor, TransportError> {
 // [`ExpertProvider`] is an infallible seam (the model crate knows nothing
 // about transports), so a transport failure mid-exchange surfaces as a
 // panic with the underlying error. Control-plane methods
-// (`step_begin`/`step_end_and_wait`/`shutdown`/`migrate_expert`) propagate
-// `TransportError` instead, which is where disconnects actually occur in
-// practice (between steps, or while waiting on acks).
+// (`step_begin`/`step_end`/`wait_step_done`/`shutdown`/`migrate_expert`)
+// propagate `TransportError` instead, which is where disconnects actually
+// occur in practice (between steps, or while waiting on acks).
 impl ExpertProvider for BrokerClient {
     fn replica_degree(&self, block: usize, expert: usize) -> usize {
         self.placement.degree(block, expert)
@@ -1802,7 +1809,8 @@ mod tests {
     fn step_control_round_trips() {
         let (mut broker, managers, _, _) = setup();
         broker.step_begin().unwrap();
-        broker.step_end_and_wait().unwrap(); // must not deadlock
+        broker.step_end().unwrap();
+        broker.wait_step_done().unwrap(); // must not deadlock
         teardown(&mut broker, managers);
     }
 

@@ -398,10 +398,6 @@ impl RealRuntime {
         let stats = self
             .model
             .train_step(inputs, targets, batch, seq, &mut self.broker);
-        {
-            let _opt = vela_obs::span("runtime.optimizer");
-            self.opt_model.step(&mut self.model);
-        }
         // Replica gradient sync rides between backward and StepEnd: the
         // workers' optimizers only run on StepEnd, so every replica steps
         // on the serving replica's gradients and copies stay bit-identical.
@@ -411,7 +407,14 @@ impl RealRuntime {
             let _sync = vela_obs::span("runtime.grad_sync");
             self.broker.sync_replica_grads(self.grad_bytes)?
         };
-        self.broker.step_end_and_wait()?;
+        // The master's optimizer and the workers' touch disjoint
+        // parameters, so they run side by side: StepEnd goes out first.
+        self.broker.step_end()?;
+        {
+            let _opt = vela_obs::span("runtime.optimizer");
+            self.opt_model.step(&mut self.model);
+        }
+        self.broker.wait_step_done()?;
         // Step boundary: relay any lane chunks that already arrived,
         // refill the streaming slots, and — once the whole plan has
         // installed — cut every lane over together; both sides observe

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repository verification: tier-1 build+test, formatting, and the kernel
-# micro-bench (emits BENCH_kernels.json in the repo root; its log names the
-# GEMM SIMD level the host dispatched to).
+# Repository verification: tier-1 build+test, formatting, the release-mode
+# gates (simplex pivot path, parity grids), and the micro-benches (the kernel
+# one emits BENCH_kernels.json in the repo root and its log names the GEMM
+# SIMD level the host dispatched to; the placement-LP one is echoed only).
 #
 # Usage: scripts/verify.sh [--no-bench]
 set -euo pipefail
@@ -27,6 +28,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> simplex pivot path (release): every pricing pass vs the column-wise reference, iterations + solution hash vs the recorded parent solver"
+cargo test --release -q -p vela-placement
 
 echo "==> exchange parity grid (release): {transport x coalesce x microbatch x depth x wire}, single-owner + replicated arms"
 cargo test --release -q --test transport_parity
@@ -87,6 +91,9 @@ if [ "$run_bench" = 1 ]; then
     # Needs target/release/vela_worker for the tcp rows; the tier-1 build
     # above produced it.
     cargo run --release -p vela-bench --bin bench_transport -- --quick --check BENCH_transport.json
+
+    echo "==> placement LP micro-bench (reported, not gated: iteration counts and bit hashes are the gate)"
+    cargo bench -q -p vela-bench --bench simplex | grep -E '^placement_lp/(vela_solve|simplex)/32 ' | sed 's/^/    /'
 
     echo "==> kernel micro-bench (BENCH_kernels.json)"
     cargo run --release -p vela-bench --bin bench_kernels
