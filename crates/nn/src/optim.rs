@@ -42,8 +42,7 @@ impl Sgd {
         let lr = self.lr;
         module.visit_params(&mut |p| {
             if p.is_trainable() {
-                let g = p.grad.clone();
-                p.value.axpy(-lr, &g);
+                p.value.axpy(-lr, &p.grad);
             }
         });
     }
@@ -153,12 +152,13 @@ impl AdamW {
             if !p.is_trainable() {
                 return;
             }
-            let (m, v) = state.entry(p.name().to_string()).or_insert_with(|| {
-                (
-                    Tensor::zeros(p.value.shape().clone()),
-                    Tensor::zeros(p.value.shape().clone()),
-                )
-            });
+            // Looked up by `&str`: the name is copied only on the first step
+            // a parameter takes.
+            if !state.contains_key(p.name()) {
+                let zeros = || Tensor::zeros(*p.value.shape());
+                state.insert(p.name().to_string(), (zeros(), zeros()));
+            }
+            let (m, v) = state.get_mut(p.name()).expect("inserted above");
             let g = p.grad.as_slice();
             let w = p.value.as_mut_slice();
             for i in 0..g.len() {

@@ -49,8 +49,14 @@ impl Param {
         self.trainable
     }
 
-    /// Freezes or unfreezes the parameter.
+    /// Freezes or unfreezes the parameter. A change of state zeroes the
+    /// gradient: [`zero_grad`](Self::zero_grad) leaves frozen parameters
+    /// alone, so whatever the buffer held when the parameter froze, or was
+    /// handed while it was frozen, must not be there when it thaws.
     pub fn set_trainable(&mut self, trainable: bool) {
+        if trainable != self.trainable {
+            self.grad.fill_zero();
+        }
         self.trainable = trainable;
     }
 
@@ -64,9 +70,14 @@ impl Param {
         self.value.is_empty()
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to zero. A frozen parameter is
+    /// skipped: no layer accumulates into one, and a fine-tuning step would
+    /// otherwise clear every frozen base weight's gradient buffer (6.3 MiB
+    /// per worker on the benchmark's expert-heavy workloads) to no effect.
     pub fn zero_grad(&mut self) {
-        self.grad.fill_zero();
+        if self.trainable {
+            self.grad.fill_zero();
+        }
     }
 
     /// Accumulates `g` into the gradient.
@@ -87,7 +98,7 @@ pub trait Module {
     /// Calls `f` once for every parameter, in a deterministic order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
-    /// Zeroes every parameter gradient.
+    /// Zeroes every trainable parameter's gradient.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
     }
@@ -148,6 +159,39 @@ mod tests {
         assert_eq!(p.grad.as_slice(), &[2.0, 4.0]);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
+    }
+
+    #[test]
+    fn freeze_step_unfreeze_leaves_a_zeroed_gradient() {
+        use crate::optim::Sgd;
+
+        let mut m = vec![
+            Param::new("w", Tensor::ones(2usize)),
+            Param::new("lora", Tensor::ones(2usize)),
+        ];
+        let g = Tensor::from_vec(2usize, vec![1.0, 2.0]);
+        m[0].accumulate(&g);
+        m[0].set_trainable(false);
+        assert_eq!(m[0].grad.sum(), 0.0, "freezing clears the last gradient");
+
+        // One fine-tuning step: `zero_grad` skips the frozen parameter, so a
+        // gradient handed to it anyway survives until it thaws.
+        m.zero_grad();
+        m[0].accumulate(&g);
+        m[1].accumulate(&g);
+        Sgd::new(0.5).step(&mut m);
+        m.zero_grad();
+        assert_eq!(m[0].value.as_slice(), &[1.0, 1.0]);
+        assert_eq!(m[0].grad.as_slice(), &[1.0, 2.0]);
+        assert_eq!(m[1].value.as_slice(), &[0.5, 0.0]);
+        assert_eq!(m[1].grad.sum(), 0.0);
+
+        m[0].set_trainable(true);
+        assert_eq!(m[0].grad.sum(), 0.0, "thawing clears what freezing kept");
+        m[0].accumulate(&g);
+        assert_eq!(m[0].grad.as_slice(), &[1.0, 2.0]);
+        m[0].set_trainable(true);
+        assert_eq!(m[0].grad.as_slice(), &[1.0, 2.0], "no change of state");
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! surfaces [`TransportError::Disconnected`]. The hub joins its reader
 //! threads so no thread outlives an explicit shutdown.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
@@ -84,11 +84,30 @@ fn frame_too_big(len: u64) -> TransportError {
     })
 }
 
+/// Writes the length prefix and the body with one `writev`: on a
+/// `TCP_NODELAY` socket two `write`s are two segments, and up to two wake-ups
+/// of the reader, per frame. What a full socket buffer leaves unwritten
+/// follows through `write_all`.
 fn write_frame(sock: &mut TcpStream, frame: &[u8]) -> Result<(), TransportError> {
-    sock.write_all(&(frame.len() as u32).to_be_bytes())?;
-    sock.write_all(frame)?;
+    let prefix = (frame.len() as u32).to_be_bytes();
+    let sent = loop {
+        match sock.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(frame)]) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            sent => break sent?,
+        }
+    };
+    if sent == 0 {
+        return Err(std::io::Error::from(ErrorKind::WriteZero).into());
+    }
+    if let Some(rest) = prefix.get(sent..) {
+        sock.write_all(rest)?;
+    }
+    sock.write_all(&frame[sent.saturating_sub(prefix.len())..])?;
     Ok(())
 }
+
+/// Bytes of spare buffer a socket read is offered at least.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Accumulates raw socket bytes and extracts complete frames. Keeping the
 /// partial bytes here (not in the socket) is what makes timeouts safe: a
@@ -96,33 +115,54 @@ fn write_frame(sock: &mut TcpStream, frame: &[u8]) -> Result<(), TransportError>
 /// call resumes exactly where the stream stopped.
 #[derive(Debug, Default)]
 struct FrameBuf {
-    pending: Vec<u8>,
+    /// `data[start..end]` is what the socket delivered and no frame has
+    /// claimed yet; past `end` is initialized scratch that reads land in, so
+    /// a read costs no zeroing and no copy out of a staging array.
+    data: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameBuf {
     /// Pops one complete frame if the buffer holds one.
     fn extract(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        if self.pending.len() < 4 {
+        let pending = &self.data[self.start..self.end];
+        let Some((prefix, body)) = pending.split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes(self.pending[..4].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
         if len > MAX_FRAME {
             return Err(frame_too_big(len as u64));
         }
-        if self.pending.len() < 4 + len {
+        let Some(frame) = body.get(..len) else {
             return Ok(None);
-        }
-        let frame = self.pending[4..4 + len].to_vec();
-        self.pending.drain(..4 + len);
+        };
+        let frame = frame.to_vec();
+        self.start += 4 + len;
         Ok(Some(frame))
+    }
+
+    /// The scratch past the received bytes, at least [`READ_CHUNK`] long.
+    /// Unclaimed bytes move to the front here, once per read, not once per
+    /// extracted frame.
+    fn spare(&mut self) -> &mut [u8] {
+        self.data.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.data.len() < self.end + READ_CHUNK {
+            self.data.resize(self.end + READ_CHUNK, 0);
+        }
+        &mut self.data[self.end..]
+    }
+
+    /// Counts the first `n` bytes of [`spare`](Self::spare) as received.
+    fn advance(&mut self, n: usize) {
+        self.end += n;
     }
 }
 
 fn is_wait(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 /// Worker-side endpoint: one socket plus a reassembly buffer.
@@ -135,12 +175,11 @@ struct TcpPort {
 impl TcpPort {
     /// Reads some bytes into the buffer; `Ok(())` means progress was made.
     fn fill(&mut self) -> Result<(), std::io::Error> {
-        let mut tmp = [0u8; 64 * 1024];
-        let n = self.sock.read(&mut tmp)?;
+        let n = self.sock.read(self.buf.spare())?;
         if n == 0 {
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
+            return Err(ErrorKind::UnexpectedEof.into());
         }
-        self.buf.pending.extend_from_slice(&tmp[..n]);
+        self.buf.advance(n);
         Ok(())
     }
 }
@@ -663,19 +702,23 @@ mod tests {
 
     #[test]
     fn large_real_payload_roundtrips() {
+        // 16 MB each way: past any socket buffer, and hundreds of reads
+        // into one growing reassembly buffer.
         let (_, mut hub, mut ports) = setup();
-        let data: Vec<f32> = (0..40_000).map(|i| i as f32 * 0.5 - 7.0).collect();
+        let data: Vec<f32> = (0..4_000_000).map(|i| i as f32 * 0.5 - 7.0).collect();
         let msg = Message::TokenBatch {
             block: 1,
             expert: 2,
             payload: Payload::Real {
-                rows: 200,
-                cols: 200,
+                rows: 2000,
+                cols: 2000,
                 data,
             },
         };
         hub.send(0, &msg).unwrap();
         assert_eq!(ports[0].recv().unwrap(), msg);
+        ports[0].send(&msg).unwrap();
+        assert_eq!(hub.recv().unwrap(), (0, msg));
         hub.shutdown();
     }
 
@@ -839,9 +882,31 @@ mod tests {
     }
 
     #[test]
+    fn frames_reassemble_from_reads_split_anywhere() {
+        let frames: [&[u8]; 3] = [b"first", b"", b"third frame"];
+        let stream: Vec<u8> = frames
+            .iter()
+            .flat_map(|f| [&(f.len() as u32).to_be_bytes()[..], f].concat())
+            .collect();
+        for read_len in 1..=stream.len() {
+            let mut buf = FrameBuf::default();
+            let mut got = Vec::new();
+            for read in stream.chunks(read_len) {
+                buf.spare()[..read.len()].copy_from_slice(read);
+                buf.advance(read.len());
+                while let Some(frame) = buf.extract().unwrap() {
+                    got.push(frame);
+                }
+            }
+            assert_eq!(got, frames, "reads of {read_len} bytes");
+        }
+    }
+
+    #[test]
     fn oversized_frame_header_is_rejected() {
         let mut buf = FrameBuf::default();
-        buf.pending.extend_from_slice(&u32::MAX.to_be_bytes());
+        buf.spare()[..4].copy_from_slice(&u32::MAX.to_be_bytes());
+        buf.advance(4);
         assert!(matches!(
             buf.extract(),
             Err(TransportError::Wire(WireError::BadLength { .. }))

@@ -3,14 +3,46 @@
 //!
 //! # Tile layout
 //!
-//! The driver packs `B` once per call into column panels of [`NR`] columns,
-//! stored K-major (`bpack[p * NR + jj]`), so the microkernel reads `B`
-//! contiguously no matter which variant produced it — `matmul_nt`'s
-//! transposed access pattern is absorbed entirely by the pack step. `A` is
-//! packed per row tile into K-major [`MR`]-row strips (`apack[p * MR + ii]`).
-//! Remainder tiles are zero-padded: padded lanes compute garbage that is
-//! never written back, and real lanes only ever multiply real values, so
-//! padding cannot perturb any output bit.
+//! The driver packs `B` once per call into column panels, stored K-major
+//! (`bpack[p * nr + jj]`), so the microkernel reads `B` contiguously no
+//! matter which variant produced it — `matmul_nt`'s transposed access pattern
+//! is absorbed entirely by the pack step. `A` is packed per row tile into
+//! K-major [`MR`]-row strips (`apack[p * MR + ii]`). Remainder tiles are
+//! zero-padded: padded lanes compute garbage that is never written back, and
+//! real lanes only ever multiply real values, so padding cannot perturb any
+//! output bit.
+//!
+//! | microkernel          | tile `MR x` | accumulators         | panels it runs on        |
+//! |----------------------|-------------|----------------------|--------------------------|
+//! | `microkernel`      | 8           | stack (SSE2: 16 regs)| any host; both widths    |
+//! | `microkernel_avx2`   | 8           | eight `ymm`          | AVX2; both widths        |
+//! | `microkernel_avx512` | 32          | sixteen `zmm`        | AVX-512F; 32-wide only   |
+//!
+//! # The panel width is chosen per call
+//!
+//! The panel width `nr` is [`NR`] (8) or `NR_WIDE` (32), a value threaded
+//! from [`gemm`] through `pack_b`, `RowJob` and `gemm_rows`, not a constant:
+//! 32 when the CPU has AVX-512F and the product has at least 32 columns,
+//! otherwise 8. One width cannot serve both kinds of product a fine-tuning
+//! step is made of. The expert FFN's projections are 64 to 1024 columns wide
+//! and run 1.3–1.5× faster on the 512-bit tile. LoRA's adapters are 8 columns
+//! wide (`x·A`, `g·Bᵀ`): padded to one 32-wide panel they do 4× the work, and
+//! a global 32 was measured to give back on them everything the wide products
+//! gained (EXPERIMENTS.md). On 32-wide panels the 8-wide kernels sweep four
+//! column strips per panel; only the in-crate test asks them to, so that
+//! every host checks the wide pack against the narrow one.
+//!
+//! # Why `Nt` packs by blocks
+//!
+//! `matmul_nt`'s `B` is `(c, k)` row-major, so a panel is the transpose of a
+//! `nr x k` strip of rows. Walking one source row at a time writes the panel
+//! at a stride of `nr` floats: at `nr = 32` every store opens a new cache
+//! line, and `[16×1024]·[64×1024]ᵀ` took 198 µs, 2.2× what it took on 8-wide
+//! panels, where it takes 47 µs now. The pack therefore works in blocks of a few values of `p` — a short run of every
+//! source row in, 2 KiB of contiguous panel out — and on the AVX-512 path a
+//! block is two 16×16 transposes held in registers (`transpose_16x16`).
+//! Packing moves bits and never computes, so it cannot affect the contract
+//! below.
 //!
 //! # Accumulation-order contract
 //!
@@ -25,35 +57,40 @@
 //! does not contract to FMA), matching the naive reference loops in the
 //! parity suites.
 //!
-//! The contract is also independent of the instruction set. An IEEE-754
-//! single-precision multiply and an add each round once, and a SIMD lane
-//! rounds exactly as the scalar instruction does, so as long as every
-//! element keeps its own accumulator and its own ascending-`p` sequence of
-//! `acc = acc + a*b`, the vector width only decides how many elements
-//! advance per instruction, never what any of them holds: scalar, 4-lane
-//! SSE2/NEON and 8-lane AVX2 agree to the last bit, and so do a master and
-//! a `vela_worker` on different CPUs. Two things would break that and stay
-//! out: a fused multiply-add rounds once where `*` then `+` round twice
-//! (so `mul_add`/`+fma` change bits relative to every host without FMA),
-//! and blocking over `k` reassociates the sum.
+//! The contract is also independent of the instruction set and of the panel
+//! width. An IEEE-754 single-precision multiply and an add each round once,
+//! and a SIMD lane rounds exactly as the scalar instruction does, so as long
+//! as every element keeps its own accumulator and its own ascending-`p`
+//! sequence of `acc = acc + a*b`, the vector width only decides how many
+//! elements advance per instruction, never what any of them holds: scalar,
+//! 4-lane SSE2/NEON, 8-lane AVX2 and 16-lane AVX-512 agree to the last bit,
+//! and so do a master and a `vela_worker` on different CPUs. Two things would
+//! break that and stay out: a fused multiply-add rounds once where `*` then
+//! `+` round twice (so `mul_add`/`+fma`, and AVX-512F's own `vfmadd`, change
+//! bits relative to every host without FMA), and blocking over `k`
+//! reassociates the sum.
 //!
 //! # Instruction-set dispatch
 //!
-//! Packing, tiling and threading are one code path. Only the `MR x NR`
-//! microkernel exists twice: [`microkernel`], portable Rust that LLVM
-//! vectorizes at the build target's baseline width (SSE2 on x86-64), and on
-//! `x86_64` `microkernel_avx2`, the same loop in `std::arch` intrinsics —
-//! eight `ymm` accumulator rows, one broadcast, one `vmulps` and one
-//! `vaddps` per row per `p`. Each [`gemm`] call picks one with
-//! `is_x86_feature_detected!("avx2")`; there is no knob, cargo feature or
-//! build flag, and the binary still runs on any x86-64 or aarch64 host.
-//! The intrinsics are there because the autovectorizer is not dependable at
-//! eight lanes: compiling the portable body under
+//! Packing, tiling and threading are one code path; the microkernel exists
+//! three times. `microkernel` is portable Rust that LLVM vectorizes at the
+//! build target's baseline width (SSE2 on x86-64). On `x86_64`,
+//! `microkernel_avx2` is the same loop in `std::arch` intrinsics — eight
+//! `ymm` accumulator rows, one broadcast, one `vmulps` and one `vaddps` per
+//! row per `p` — and `microkernel_avx512` the 8×32 one: sixteen `zmm`
+//! accumulators, two panel loads and eight broadcasts per `p`, still separate
+//! `vmulps` and `vaddps`. Each [`gemm`] call detects what the CPU has
+//! (`is_x86_feature_detected!`, through the private `Isa`) and picks the
+//! widest; there is no knob, cargo feature or build flag, nothing is cached
+//! between calls, and the binary still runs on any x86-64 or aarch64 host.
+//! The intrinsics are there because the autovectorizer is not dependable
+//! above four lanes: compiling the portable body under
 //! `#[target_feature(enable = "avx2")]` makes LLVM's SLP pass re-transpose
 //! the accumulators with ~100 shuffles per `p` (slower than SSE2), and
 //! whether it vectorizes the body at all depends on what it was inlined
-//! into. An in-crate test runs both microkernels over every layout and
-//! asserts `to_bits()` equality.
+//! into. An in-crate test runs every kernel the CPU has, at both panel
+//! widths and over every layout, and asserts `to_bits()` equality with the
+//! portable kernel.
 
 use std::ops::Range;
 
@@ -69,8 +106,11 @@ static GEMM_PARALLEL: LazyCounter = LazyCounter::new("tensor.gemm.parallel");
 /// Rows per microkernel tile (register-blocked output rows).
 pub const MR: usize = 8;
 
-/// Columns per packed `B` panel (register-blocked output columns).
+/// Columns per narrow packed `B` panel, and per portable/AVX2 tile.
 pub const NR: usize = 8;
+
+/// Columns per wide packed `B` panel: one AVX-512 tile, two `zmm` per row.
+const NR_WIDE: usize = 32;
 
 /// How the logical operands map onto the caller's row-major buffers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,12 +127,13 @@ pub enum Layout {
 ///
 /// `out` is fully overwritten; it does not need to be zeroed.
 pub fn gemm(layout: Layout, a: &[f32], b: &[f32], r: usize, k: usize, c: usize, out: &mut [f32]) {
-    gemm_with(Isa::detect(), layout, a, b, r, k, c, out);
+    let isa = Isa::detect();
+    gemm_with(isa, isa.panel_width(c), layout, a, b, r, k, c, out);
 }
 
-/// [`gemm`] pinned to the portable microkernel whatever the host supports —
-/// the in-process baseline `bench_kernels` times the dispatched kernel
-/// against. Same bits as [`gemm`].
+/// [`gemm`] pinned to the portable microkernel and narrow panels whatever
+/// the host supports — the in-process baseline `bench_kernels` times the
+/// dispatched kernel against. Same bits as [`gemm`].
 #[doc(hidden)]
 pub fn gemm_portable(
     layout: Layout,
@@ -103,21 +144,43 @@ pub fn gemm_portable(
     c: usize,
     out: &mut [f32],
 ) {
-    gemm_with(Isa::Portable, layout, a, b, r, k, c, out);
+    gemm_with(Isa::Portable, NR, layout, a, b, r, k, c, out);
 }
 
-/// The microkernel [`gemm`] runs on this host: `"avx2"` or `"portable"`.
-/// Detected from the CPU, not configured.
+/// [`gemm`] pinned to the AVX2 microkernel and narrow panels — what an
+/// AVX-512 host ran before it had a wider kernel, and `bench_kernels`'
+/// baseline for it. Same bits as [`gemm`].
+///
+/// # Panics
+/// Panics if the CPU has no AVX2; callers check [`simd_level`] first.
+#[doc(hidden)]
+pub fn gemm_avx2(
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    r: usize,
+    k: usize,
+    c: usize,
+    out: &mut [f32],
+) {
+    let isa = Isa::avx2().expect("gemm_avx2 called on a CPU without AVX2");
+    gemm_with(isa, NR, layout, a, b, r, k, c, out);
+}
+
+/// The widest microkernel [`gemm`] runs on this host: `"avx512"`, `"avx2"`
+/// or `"portable"`. Detected from the CPU, not configured.
 pub fn simd_level() -> &'static str {
     match Isa::detect() {
         Isa::Portable => "portable",
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => "avx2",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => "avx512",
     }
 }
 
-/// Which microkernel a call runs.
-#[derive(Clone, Copy)]
+/// Which microkernels a call may run.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Isa {
     /// [`microkernel`], at the build target's baseline instruction set.
     Portable,
@@ -126,8 +189,15 @@ enum Isa {
     /// that.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// `microkernel_avx512` on wide panels, `microkernel_avx2` on narrow
+    /// ones. Only [`Isa::avx512`] makes this value, and only after the CPU
+    /// reported both features.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
+// Off x86-64 only `Portable` exists and the width questions have one answer.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 impl Isa {
     /// The AVX2 microkernel, if this is an x86-64 CPU that has AVX2.
     fn avx2() -> Option<Isa> {
@@ -138,19 +208,91 @@ impl Isa {
         None
     }
 
-    /// The widest microkernel this host can run.
-    fn detect() -> Isa {
-        Isa::avx2().unwrap_or(Isa::Portable)
+    /// The AVX-512 microkernel, if this is an x86-64 CPU that has AVX-512F
+    /// (and the AVX2 its narrow panels run on).
+    fn avx512() -> Option<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx2")
+        {
+            return Some(Isa::Avx512);
+        }
+        None
     }
 
-    #[inline]
-    fn microkernel(self, apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]) {
+    /// The widest microkernel this host can run.
+    fn detect() -> Isa {
+        Isa::avx512().or_else(Isa::avx2).unwrap_or(Isa::Portable)
+    }
+
+    /// The `B`-panel width [`gemm`] packs a `c`-column product at. Wide
+    /// panels pay only where a 512-bit tile can use them: below [`NR_WIDE`]
+    /// columns the zero padding would be most of the tile (4× the work at
+    /// LoRA's `c = 8`).
+    fn panel_width(self, c: usize) -> usize {
         match self {
-            Isa::Portable => microkernel(apack, bpanel, k, acc),
-            // SAFETY: an `Isa::Avx2` exists only because `Isa::avx2` saw the
-            // CPU report AVX2.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { microkernel_avx2(apack, bpanel, k, acc) },
+            Isa::Avx512 if c >= NR_WIDE => NR_WIDE,
+            _ => NR,
+        }
+    }
+
+    /// Columns of the tile this kernel computes per call on `nr`-wide
+    /// panels: the whole panel when a kernel of that width exists, else
+    /// [`NR`] — the 8-wide kernels sweep a wide panel in column strips.
+    fn tile_width(self, nr: usize) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if nr == NR_WIDE => NR_WIDE,
+            _ => NR,
+        }
+    }
+
+    /// Packs as much of an `Nt` panel as this host has an in-register
+    /// transpose for — on AVX-512, whole blocks of sixteen `p` of a full
+    /// [`NR_WIDE`]-row strip — and returns the first `p` left to
+    /// [`transpose_strip`].
+    fn transpose_strip_prefix(self, strip: &[f32], k: usize, panel: &mut [f32]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if self == Isa::Avx512 && strip.len() == NR_WIDE * k && panel.len() == NR_WIDE * k {
+            let p0 = k - k % LANES_512;
+            // SAFETY: an `Isa::Avx512` exists only because `Isa::avx512` saw
+            // the CPU report AVX-512F.
+            unsafe { transpose_strip_avx512(strip, k, &mut panel[..p0 * NR_WIDE]) };
+            return p0;
+        }
+        0
+    }
+
+    /// Computes the `MR x tile_width(nr)` tile at columns `t0..` of `panel`,
+    /// an `nr`-wide packed panel, into `acc` with row stride `tile_width(nr)`.
+    #[inline]
+    fn microkernel(
+        self,
+        apack: &[f32],
+        panel: &[f32],
+        nr: usize,
+        t0: usize,
+        k: usize,
+        acc: &mut [f32; MR * NR_WIDE],
+    ) {
+        let (acc8, _) = acc
+            .split_first_chunk_mut::<{ MR * NR }>()
+            .expect("the wide tile holds a narrow one");
+        match (self, nr) {
+            (Isa::Portable, NR) => microkernel::<NR>(apack, panel, t0, k, acc8),
+            (Isa::Portable, _) => microkernel::<NR_WIDE>(apack, panel, t0, k, acc8),
+            // SAFETY (every arm below): an `Isa::Avx2` exists only because
+            // `Isa::avx2` saw the CPU report AVX2, and an `Isa::Avx512` only
+            // because `Isa::avx512` saw it report AVX-512F and AVX2.
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx2 | Isa::Avx512, NR) => unsafe {
+                microkernel_avx2::<NR>(apack, panel, t0, k, acc8)
+            },
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx2, _) => unsafe { microkernel_avx2::<NR_WIDE>(apack, panel, t0, k, acc8) },
+            #[cfg(target_arch = "x86_64")]
+            (Isa::Avx512, _) => unsafe { microkernel_avx512(apack, panel, k, acc) },
         }
     }
 }
@@ -158,6 +300,7 @@ impl Isa {
 #[allow(clippy::too_many_arguments)]
 fn gemm_with(
     isa: Isa,
+    nr: usize,
     layout: Layout,
     a: &[f32],
     b: &[f32],
@@ -178,11 +321,14 @@ fn gemm_with(
     let _g = vela_obs::span("tensor.gemm");
 
     // Pack B once; the packed panels are shared read-only across threads.
-    let panels = c.div_ceil(NR);
-    let mut bpack_buf = workspace::take_vec_uninit(panels * k * NR);
+    let mut bpack_buf = workspace::take_vec_uninit(c.div_ceil(nr) * k * nr);
     {
         let _p = vela_obs::span("tensor.gemm.pack");
-        pack_b(layout, b, k, c, &mut bpack_buf);
+        match nr {
+            NR => pack_b::<NR>(isa, layout, b, k, c, &mut bpack_buf),
+            NR_WIDE => pack_b::<NR_WIDE>(isa, layout, b, k, c, &mut bpack_buf),
+            _ => unreachable!("panels are NR or NR_WIDE columns, not {nr}"),
+        }
     }
     let bpack = &bpack_buf[..];
 
@@ -190,6 +336,7 @@ fn gemm_with(
         let _c = vela_obs::span("tensor.gemm.compute");
         let job = RowJob {
             isa,
+            nr,
             layout,
             a,
             bpack,
@@ -203,46 +350,163 @@ fn gemm_with(
     workspace::recycle_vec(bpack_buf);
 }
 
-/// Packs `B` into K-major column panels: panel `jp` covers columns
-/// `jp*NR .. jp*NR+NR` and stores `bpack[jp*k*NR + p*NR + jj] = B[p, j0+jj]`.
-/// Short final panels are zero-padded.
-fn pack_b(layout: Layout, b: &[f32], k: usize, c: usize, bpack: &mut [f32]) {
-    let panels = c.div_ceil(NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let jw = NR.min(c - j0);
-        let panel = &mut bpack[jp * k * NR..(jp + 1) * k * NR];
+/// Packs `B` into K-major column panels of `W` columns: panel `jp` covers
+/// columns `jp*W .. jp*W+W` and stores `bpack[jp*k*W + p*W + jj] =
+/// B[p, j0+jj]`. A short final panel is zero-padded.
+fn pack_b<const W: usize>(
+    isa: Isa,
+    layout: Layout,
+    b: &[f32],
+    k: usize,
+    c: usize,
+    bpack: &mut [f32],
+) {
+    for (jp, panel) in bpack.chunks_exact_mut(k * W).enumerate() {
+        let j0 = jp * W;
+        let jw = W.min(c - j0);
         match layout {
-            // B is (k, c) row-major: copy row segments.
+            // B is (k, c) row-major: copy row segments. Full panels copy a
+            // constant `W` floats per row, which compiles to vector moves.
+            Layout::Nn | Layout::Tn if jw == W => {
+                for (p, dst) in panel.chunks_exact_mut(W).enumerate() {
+                    dst.copy_from_slice(&b[p * c + j0..p * c + j0 + W]);
+                }
+            }
             Layout::Nn | Layout::Tn => {
-                for p in 0..k {
-                    let src = &b[p * c + j0..p * c + j0 + jw];
-                    let dst = &mut panel[p * NR..p * NR + NR];
-                    dst[..jw].copy_from_slice(src);
+                for (p, dst) in panel.chunks_exact_mut(W).enumerate() {
+                    dst[..jw].copy_from_slice(&b[p * c + j0..p * c + j0 + jw]);
                     dst[jw..].fill(0.0);
                 }
             }
-            // B is (c, k) row-major: transpose-gather a column strip. Reads
-            // are sequential per source row; this is the one-time cost that
-            // turns matmul_nt into a contiguous panel-dot.
+            // B is (c, k) row-major: transpose a `jw x k` strip of rows.
             Layout::Nt => {
-                if jw < NR {
+                if jw < W {
                     panel.fill(0.0);
                 }
-                for jj in 0..jw {
-                    let src = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                    for (p, &v) in src.iter().enumerate() {
-                        panel[p * NR + jj] = v;
-                    }
-                }
+                let strip = &b[j0 * k..(j0 + jw) * k];
+                let p0 = isa.transpose_strip_prefix(strip, k, panel);
+                transpose_strip::<W>(strip, k, p0, panel);
             }
         }
     }
 }
 
+/// Floats of panel one block of [`transpose_strip`] writes: 2 KiB, so a
+/// block's writes and the cache line of every source row it reads stay in L1.
+const PACK_BLOCK: usize = 512;
+
+/// The `Nt` pack of one panel from `p0` on: `panel[p*W + jj] = strip[jj*k +
+/// p]` for `p0 <= p < k` and every row `jj` of `strip`, in blocks of
+/// `PACK_BLOCK / W` values of `p`. A block reads a short run of every source
+/// row and writes [`PACK_BLOCK`] contiguous floats; walking a whole source row
+/// at a time instead scatters across the panel at a stride of `W` floats — a
+/// new cache line per store at `W = 32`, which made a 16-row product 2.2×
+/// slower than on 8-wide panels.
+fn transpose_strip<const W: usize>(strip: &[f32], k: usize, p0: usize, panel: &mut [f32]) {
+    for (pb, block) in panel[p0 * W..].chunks_mut(PACK_BLOCK).enumerate() {
+        let p0 = p0 + pb * (PACK_BLOCK / W);
+        let pw = block.len() / W;
+        for (jj, row) in strip.chunks_exact(k).enumerate() {
+            for (pp, &v) in row[p0..p0 + pw].iter().enumerate() {
+                block[pp * W + jj] = v;
+            }
+        }
+    }
+}
+
+/// Floats per `zmm` register.
+#[cfg(target_arch = "x86_64")]
+const LANES_512: usize = 16;
+
+/// [`transpose_strip`] for a whole [`NR_WIDE`]-row strip and the first
+/// `panel.len() / NR_WIDE` values of `p`, a multiple of sixteen: each block of
+/// sixteen is two 16×16 transposes held in registers — sixteen loads, 64
+/// shuffles and sixteen stores per 256 floats where the scalar loop issues 256
+/// of each.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_strip_avx512(strip: &[f32], k: usize, panel: &mut [f32]) {
+    use std::arch::x86_64::{_mm512_loadu_ps, _mm512_setzero_ps, _mm512_storeu_ps};
+    const L: usize = LANES_512;
+    assert_eq!(strip.len(), NR_WIDE * k);
+
+    for (pb, block) in panel.chunks_exact_mut(L * NR_WIDE).enumerate() {
+        let p0 = pb * L;
+        for (half, rows) in strip.chunks_exact(L * k).enumerate() {
+            let mut tile = [_mm512_setzero_ps(); L];
+            for (reg, row) in tile.iter_mut().zip(rows.chunks_exact(k)) {
+                let src = &row[p0..p0 + L];
+                // SAFETY: `src` was just sliced to exactly L == 16 floats.
+                *reg = unsafe { _mm512_loadu_ps(src.as_ptr()) };
+            }
+            let tile = transpose_16x16(tile);
+            for (reg, out) in tile.into_iter().zip(block.chunks_exact_mut(NR_WIDE)) {
+                let dst = &mut out[half * L..half * L + L];
+                // SAFETY: `dst` was just sliced to exactly L == 16 floats.
+                unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), reg) };
+            }
+        }
+    }
+}
+
+/// Transposes sixteen 16-float rows: `out[i][j] = r[j][i]`. Two rounds of
+/// 32- and 64-bit interleaves transpose every 4×4 block inside its 128-bit
+/// lane; two rounds of lane shuffles then move the blocks into place.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose_16x16(r: [std::arch::x86_64::__m512; 16]) -> [std::arch::x86_64::__m512; 16] {
+    use std::arch::x86_64::{
+        _mm512_shuffle_f32x4, _mm512_shuffle_ps, _mm512_unpackhi_ps, _mm512_unpacklo_ps,
+    };
+    // Element `[x, y]` below is row `x`, column `y` of the input; `q` stands
+    // for the lane's column base 0, 4, 8 or 12.
+    let mut t = r;
+    for i in (0..16).step_by(2) {
+        // [i,q] [i+1,q] [i,q+1] [i+1,q+1] | [i,q+2] [i+1,q+2] [i,q+3] [i+1,q+3]
+        t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+    }
+    let mut u = t;
+    for i in (0..16).step_by(4) {
+        // u[i + d]: rows i..i+4 of column q + d, per lane.
+        u[i] = _mm512_shuffle_ps::<0x44>(t[i], t[i + 2]);
+        u[i + 1] = _mm512_shuffle_ps::<0xEE>(t[i], t[i + 2]);
+        u[i + 2] = _mm512_shuffle_ps::<0x44>(t[i + 1], t[i + 3]);
+        u[i + 3] = _mm512_shuffle_ps::<0xEE>(t[i + 1], t[i + 3]);
+    }
+    let mut v = u;
+    for i in (0..16).step_by(8) {
+        for d in 0..4 {
+            // Lanes 0 and 2 of each: rows i..i+8 of columns d and 8 + d;
+            // lanes 1 and 3: of columns 4 + d and 12 + d.
+            v[i + d] = _mm512_shuffle_f32x4::<0x88>(u[i + d], u[i + 4 + d]);
+            v[i + 4 + d] = _mm512_shuffle_f32x4::<0xDD>(u[i + d], u[i + 4 + d]);
+        }
+    }
+    let mut out = v;
+    for d in 0..8 {
+        // v[d] holds rows 0..8 and v[8 + d] rows 8..16, both of column d in
+        // lanes 0 and 2 and of column 8 + d in lanes 1 and 3.
+        out[d] = _mm512_shuffle_f32x4::<0x88>(v[d], v[8 + d]);
+        out[8 + d] = _mm512_shuffle_f32x4::<0xDD>(v[d], v[8 + d]);
+    }
+    out
+}
+
 /// Packs an `A` row tile (`rows i0..i0+iw` of the logical `(r, k)` operand)
 /// into K-major order: `apack[p*MR + ii] = A[i0+ii, p]`, zero-padding short
 /// tiles.
+///
+/// Never inlined: standing alone, `a` and `apack` are distinct arguments, so
+/// LLVM hoists the gather's bounds checks and loads four source floats per
+/// iteration; inlined into [`gemm_rows`] it keeps one checked load and store
+/// per float, and the LoRA-sized products (`64×64×8`, `512×64×8`), half of
+/// whose time is this function, run 1.3–1.6× slower.
+#[inline(never)]
 fn pack_a(layout: Layout, a: &[f32], r: usize, k: usize, i0: usize, iw: usize, apack: &mut [f32]) {
     match layout {
         // A is (r, k) row-major: gather MR rows into K-major strips.
@@ -271,8 +535,9 @@ fn pack_a(layout: Layout, a: &[f32], r: usize, k: usize, i0: usize, iw: usize, a
 }
 
 /// Computes one `MR x NR` output tile into `acc`, accumulating the full `k`
-/// extent in ascending-`p` order. Both operands are packed K-major, so the
-/// inner loops read contiguously; at the x86-64 baseline LLVM turns each
+/// extent in ascending-`p` order. The tile's `B` columns are `t0..t0 + NR` of
+/// `panel`, K-major with `LDB` columns, so its row `p` is
+/// `panel[p*LDB + t0..][..NR]`; at the x86-64 baseline LLVM turns each
 /// accumulator row into two 4-lane SSE2 `mulps`/`addps` pairs against a
 /// stack copy of `acc` (sixteen `xmm` registers cannot hold 64 floats).
 ///
@@ -280,11 +545,17 @@ fn pack_a(layout: Layout, a: &[f32], r: usize, k: usize, i0: usize, iw: usize, a
 /// on the caller it lands in, and one call per `128·k`-flop tile costs
 /// nothing.
 #[inline(never)]
-fn microkernel(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]) {
+fn microkernel<const LDB: usize>(
+    apack: &[f32],
+    panel: &[f32],
+    t0: usize,
+    k: usize,
+    acc: &mut [f32; MR * NR],
+) {
     acc.fill(0.0);
     for p in 0..k {
         let arow = &apack[p * MR..p * MR + MR];
-        let brow = &bpanel[p * NR..p * NR + NR];
+        let brow = &panel[p * LDB + t0..p * LDB + t0 + NR];
         for ii in 0..MR {
             let av = arow[ii];
             let dst = &mut acc[ii * NR..ii * NR + NR];
@@ -305,7 +576,13 @@ fn microkernel(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn microkernel_avx2(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f32; MR * NR]) {
+unsafe fn microkernel_avx2<const LDB: usize>(
+    apack: &[f32],
+    panel: &[f32],
+    t0: usize,
+    k: usize,
+    acc: &mut [f32; MR * NR],
+) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
@@ -314,9 +591,10 @@ unsafe fn microkernel_avx2(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f
 
     let mut rows = [_mm256_setzero_ps(); MR];
     let a_rows = apack[..k * MR].chunks_exact(MR);
-    let b_rows = bpanel[..k * NR].chunks_exact(NR);
+    let b_rows = panel[..k * LDB].chunks_exact(LDB);
     for (arow, brow) in a_rows.zip(b_rows) {
-        // SAFETY: `chunks_exact(NR)` yields slices of exactly NR == 8 floats.
+        let brow = &brow[t0..t0 + NR];
+        // SAFETY: `brow` was just sliced to exactly NR == 8 floats.
         let b = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
         for (row, av) in rows.iter_mut().zip(arow) {
             *row = _mm256_add_ps(*row, _mm256_mul_ps(_mm256_broadcast_ss(av), b));
@@ -328,10 +606,72 @@ unsafe fn microkernel_avx2(apack: &[f32], bpanel: &[f32], k: usize, acc: &mut [f
     }
 }
 
+/// The `MR x NR_WIDE` tile in AVX-512F intrinsics: each accumulator row is
+/// two `zmm` registers, sixteen in all, held for the whole `k` extent. Per
+/// `p` it loads the panel row as two vectors and, per tile row, broadcasts
+/// one `A` value and issues two `vmulps` and two `vaddps` — separate
+/// multiply and add, two roundings, so every element sees the `acc = acc +
+/// a*b` sequence of the portable kernel and holds the same bits. AVX-512F
+/// *has* fused multiply-adds; nothing here asks for one, and LLVM does not
+/// contract separate intrinsics.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_avx512(
+    apack: &[f32],
+    bpanel: &[f32],
+    k: usize,
+    acc: &mut [f32; MR * NR_WIDE],
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    const LANES: usize = 16;
+    const {
+        assert!(
+            NR_WIDE == 2 * LANES,
+            "two zmm registers hold one accumulator row"
+        )
+    };
+
+    let mut lo = [_mm512_setzero_ps(); MR];
+    let mut hi = [_mm512_setzero_ps(); MR];
+    let a_rows = apack[..k * MR].chunks_exact(MR);
+    let b_rows = bpanel[..k * NR_WIDE].chunks_exact(NR_WIDE);
+    for (arow, brow) in a_rows.zip(b_rows) {
+        let (b_lo, b_hi) = brow.split_at(LANES);
+        // SAFETY: `chunks_exact(NR_WIDE)` yields 32 floats, so each half is
+        // exactly LANES == 16 of them.
+        let (b_lo, b_hi) = unsafe {
+            (
+                _mm512_loadu_ps(b_lo.as_ptr()),
+                _mm512_loadu_ps(b_hi.as_ptr()),
+            )
+        };
+        for ((lo, hi), &av) in lo.iter_mut().zip(&mut hi).zip(arow) {
+            let a = _mm512_set1_ps(av);
+            *lo = _mm512_add_ps(*lo, _mm512_mul_ps(a, b_lo));
+            *hi = _mm512_add_ps(*hi, _mm512_mul_ps(a, b_hi));
+        }
+    }
+    for ((dst, lo), hi) in acc.chunks_exact_mut(NR_WIDE).zip(lo).zip(hi) {
+        let (dst_lo, dst_hi) = dst.split_at_mut(LANES);
+        // SAFETY: `dst` is exactly NR_WIDE == 32 floats, LANES == 16 a half.
+        unsafe {
+            _mm512_storeu_ps(dst_lo.as_mut_ptr(), lo);
+            _mm512_storeu_ps(dst_hi.as_mut_ptr(), hi);
+        }
+    }
+}
+
 /// What every row chunk of one [`gemm`] call shares: the microkernel, the
-/// caller's `A`, the packed `B` and the logical dimensions.
+/// caller's `A`, the packed `B`, its panel width and the logical dimensions.
 struct RowJob<'a> {
     isa: Isa,
+    nr: usize,
     layout: Layout,
     a: &'a [f32],
     bpack: &'a [f32],
@@ -342,10 +682,11 @@ struct RowJob<'a> {
 
 /// Computes output rows `rows` into `chunk` (the disjoint sub-slice owned by
 /// this range): packs each `A` tile, then sweeps all `B` panels through the
-/// microkernel.
+/// microkernel, one tile width of columns at a time.
 fn gemm_rows(job: &RowJob<'_>, rows: Range<usize>, chunk: &mut [f32]) {
     let &RowJob {
         isa,
+        nr,
         layout,
         a,
         bpack,
@@ -354,21 +695,29 @@ fn gemm_rows(job: &RowJob<'_>, rows: Range<usize>, chunk: &mut [f32]) {
         c,
     } = job;
     let base = rows.start;
-    let panels = c.div_ceil(NR);
+    let tw = isa.tile_width(nr);
+    let panels = c.div_ceil(nr);
     let mut apack = workspace::take_vec_uninit(k * MR);
-    let mut acc = [0.0f32; MR * NR];
+    let mut acc = [0.0f32; MR * NR_WIDE];
 
     let mut i0 = rows.start;
     while i0 < rows.end {
         let iw = MR.min(rows.end - i0);
         pack_a(layout, a, r, k, i0, iw, &mut apack);
         for jp in 0..panels {
-            let j0 = jp * NR;
-            let jw = NR.min(c - j0);
-            isa.microkernel(&apack, &bpack[jp * k * NR..(jp + 1) * k * NR], k, &mut acc);
-            for ii in 0..iw {
-                let dst = &mut chunk[(i0 - base + ii) * c + j0..(i0 - base + ii) * c + j0 + jw];
-                dst.copy_from_slice(&acc[ii * NR..ii * NR + jw]);
+            let panel = &bpack[jp * k * nr..(jp + 1) * k * nr];
+            // Tiles wholly inside the last panel's zero padding are skipped.
+            let panel_cols = nr.min(c - jp * nr);
+            let mut t0 = 0;
+            while t0 < panel_cols {
+                let j0 = jp * nr + t0;
+                let jw = tw.min(c - j0);
+                isa.microkernel(&apack, panel, nr, t0, k, &mut acc);
+                for ii in 0..iw {
+                    let dst = &mut chunk[(i0 - base + ii) * c + j0..][..jw];
+                    dst.copy_from_slice(&acc[ii * tw..ii * tw + jw]);
+                }
+                t0 += tw;
             }
         }
         i0 += iw;
@@ -410,94 +759,118 @@ mod tests {
     use crate::rng::DetRng;
     use crate::Tensor;
 
-    /// `(r, k, c)`: the parallel-parity suite's matrix, then shapes that
-    /// pin the edges of the tile — `k` of 1 and 8, fewer rows than `MR`,
-    /// fewer columns than `NR`, remainders on every axis — and one expert
-    /// projection of the `ffn-heavy` benchmark workload.
-    const SHAPES: [(usize, usize, usize); 16] = [
-        (1, 1, 1),
-        (1, 5, 3),
-        (8, 8, 8),
-        (9, 4, 9),
-        (16, 16, 16),
-        (15, 16, 17),
-        (17, 9, 33),
-        (33, 64, 7),
-        (96, 64, 80),
-        (65, 33, 131),
-        (13, 17, 9),
-        (5, 1, 3),
-        (3, 8, 5),
-        (7, 8, 24),
-        (24, 1, 7),
-        (64, 64, 1024),
-    ];
+    /// `(r, k, c)` beside the grid: a single element, and fewer columns than
+    /// the narrow panel with remainders on the other axes.
+    const EDGE_SHAPES: [(usize, usize, usize); 4] =
+        [(1, 1, 1), (1, 5, 3), (33, 64, 7), (13, 17, 5)];
+
+    /// Every `(r, k, c)` the kernels are compared on: rows below, at and
+    /// above `MR`; `k` of 1, one tile, and the two expert-FFN depths; columns
+    /// around both panel widths, including the `ffn-heavy` hidden width.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = EDGE_SHAPES.to_vec();
+        for r in [1, 7, 8, 9, 64] {
+            for k in [1, 8, 64, 1024] {
+                for c in [8, 24, 31, 32, 33, 40, 64, 1024] {
+                    shapes.push((r, k, c));
+                }
+            }
+        }
+        shapes
+    }
+
+    /// The kernels this CPU has beside the portable one, with a skip line for
+    /// each it lacks.
+    fn simd_isas() -> Vec<Isa> {
+        let mut isas = Vec::new();
+        match Isa::avx2() {
+            Some(isa) => isas.push(isa),
+            None => eprintln!(
+                "skip: no AVX2 on this host (or not x86_64); the AVX2 microkernel is not compared"
+            ),
+        }
+        match Isa::avx512() {
+            Some(isa) => isas.push(isa),
+            None => eprintln!("skip: no AVX-512F on this host (or not x86_64); the AVX-512 microkernel is not compared"),
+        }
+        isas
+    }
 
     #[test]
-    fn avx2_and_portable_microkernels_agree_bitwise() {
-        let Some(avx2) = Isa::avx2() else {
-            eprintln!("skip: no AVX2 on this host (or not x86_64); only the portable microkernel exists here");
-            return;
-        };
-        assert_eq!(simd_level(), "avx2");
-        for (s, &(r, k, c)) in SHAPES.iter().enumerate() {
+    fn every_kernel_at_both_panel_widths_agrees_bitwise_with_portable() {
+        let isas = simd_isas();
+        assert_eq!(Isa::detect(), *isas.last().unwrap_or(&Isa::Portable));
+        for (s, (r, k, c)) in shapes().into_iter().enumerate() {
             let mut rng = DetRng::new(0xA5A5 + s as u64);
             // Both operands are `r*k` and `k*c` floats whatever the layout;
             // only how `gemm` indexes them differs.
             let a = Tensor::uniform(r * k, -1.0, 1.0, &mut rng);
             let b = Tensor::uniform(k * c, -1.0, 1.0, &mut rng);
             for layout in [Layout::Nn, Layout::Tn, Layout::Nt] {
-                let mut portable = vec![f32::NAN; r * c];
-                let mut wide = vec![f32::NAN; r * c];
-                gemm_with(
-                    Isa::Portable,
-                    layout,
-                    a.as_slice(),
-                    b.as_slice(),
-                    r,
-                    k,
-                    c,
-                    &mut portable,
-                );
-                gemm_with(avx2, layout, a.as_slice(), b.as_slice(), r, k, c, &mut wide);
-                for (i, (p, w)) in portable.iter().zip(&wide).enumerate() {
-                    assert_eq!(
-                        p.to_bits(),
-                        w.to_bits(),
-                        "{layout:?} {r}x{k}x{c} element {i}: portable {p} vs avx2 {w}"
+                let run = |isa, nr| {
+                    let mut out = vec![f32::NAN; r * c];
+                    gemm_with(
+                        isa,
+                        nr,
+                        layout,
+                        a.as_slice(),
+                        b.as_slice(),
+                        r,
+                        k,
+                        c,
+                        &mut out,
                     );
+                    out
+                };
+                let reference = run(Isa::Portable, NR);
+                let others = isas.iter().flat_map(|&isa| [(isa, NR), (isa, NR_WIDE)]);
+                for (isa, nr) in others.chain([(Isa::Portable, NR_WIDE)]) {
+                    let got = run(isa, nr);
+                    for (i, (p, w)) in reference.iter().zip(&got).enumerate() {
+                        assert_eq!(
+                            p.to_bits(),
+                            w.to_bits(),
+                            "{layout:?} {r}x{k}x{c} element {i}: portable {p} vs {isa:?} on {nr}-wide panels {w}"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn portable_entry_point_matches_dispatched_gemm() {
-        let (r, k, c) = (13, 17, 9);
+    fn wide_panels_are_for_avx512_and_at_least_one_full_tile() {
+        for isa in simd_isas().into_iter().chain([Isa::Portable]) {
+            let wide = isa.tile_width(NR_WIDE) == NR_WIDE;
+            assert_eq!(wide, Some(isa) == Isa::avx512());
+            for c in [1, NR, NR_WIDE - 1] {
+                assert_eq!(isa.panel_width(c), NR, "{isa:?} at c = {c}");
+            }
+            for c in [NR_WIDE, NR_WIDE + 1, 1024] {
+                let want = if wide { NR_WIDE } else { NR };
+                assert_eq!(isa.panel_width(c), want, "{isa:?} at c = {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_entry_points_match_dispatched_gemm() {
         let mut rng = DetRng::new(77);
-        let a = Tensor::uniform((r, k), -1.0, 1.0, &mut rng);
-        let b = Tensor::uniform((k, c), -1.0, 1.0, &mut rng);
-        let mut dispatched = vec![0.0f32; r * c];
-        let mut portable = vec![0.0f32; r * c];
-        gemm(
-            Layout::Nn,
-            a.as_slice(),
-            b.as_slice(),
-            r,
-            k,
-            c,
-            &mut dispatched,
-        );
-        gemm_portable(
-            Layout::Nn,
-            a.as_slice(),
-            b.as_slice(),
-            r,
-            k,
-            c,
-            &mut portable,
-        );
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(bits(&dispatched), bits(&portable));
+        for (r, k, c) in [(13, 17, 9), (13, 17, 70)] {
+            let a = Tensor::uniform((r, k), -1.0, 1.0, &mut rng);
+            let b = Tensor::uniform((k, c), -1.0, 1.0, &mut rng);
+            let (a, b) = (a.as_slice(), b.as_slice());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            let mut dispatched = vec![0.0f32; r * c];
+            gemm(Layout::Nn, a, b, r, k, c, &mut dispatched);
+            let mut pinned = vec![0.0f32; r * c];
+            gemm_portable(Layout::Nn, a, b, r, k, c, &mut pinned);
+            assert_eq!(bits(&dispatched), bits(&pinned));
+            if Isa::avx2().is_some() {
+                pinned.fill(0.0);
+                gemm_avx2(Layout::Nn, a, b, r, k, c, &mut pinned);
+                assert_eq!(bits(&dispatched), bits(&pinned));
+            }
+        }
     }
 }
