@@ -5,32 +5,36 @@
 use std::sync::Arc;
 use vela::cluster::TrafficLedger;
 use vela::prelude::*;
-use vela::runtime::message::{Message, Payload};
+use vela::runtime::message::{GroupPass, Message, PackedGroup};
 use vela::runtime::transport::{star, tcp_star, MasterHub, WorkerPort};
 use vela_bench::microbench::bench;
 
+/// One expert's `t` as a dispatch frame.
+fn dispatch(t: &Tensor) -> Message {
+    Message::PackedDispatch(PackedGroup::pack(
+        5,
+        GroupPass::Forward,
+        t.cols() as u32,
+        false,
+        std::iter::once((3, t.as_slice())),
+    ))
+}
+
 fn bench_encode_decode() {
     let mut rng = DetRng::new(1);
-    let t = Tensor::uniform((96, 32), -1.0, 1.0, &mut rng);
-    let msg = Message::TokenBatch {
-        block: 5,
-        expert: 3,
-        payload: Payload::from_tensor(&t),
-    };
+    let msg = dispatch(&Tensor::uniform((96, 32), -1.0, 1.0, &mut rng));
     let bytes = msg.encode();
     println!("wire frame: {} bytes", bytes.len());
     bench("wire/encode_real_96x32", || msg.encode());
     bench("wire/decode_real_96x32", || {
         Message::decode(&bytes).unwrap()
     });
-    let virt = Message::TokenBatch {
-        block: 5,
-        expert: 3,
-        payload: Payload::Virtual {
-            rows: 4096,
-            bytes_per_token: 8192,
-        },
-    };
+    let virt = Message::PackedDispatch(PackedGroup::pack_virtual(
+        5,
+        GroupPass::Forward,
+        8192,
+        std::iter::once((3, 4096)),
+    ));
     bench("wire/encode_virtual", || virt.encode());
 }
 
@@ -44,12 +48,7 @@ fn bench_star_roundtrip(name: &str, mut hub: MasterHub, mut ports: Vec<WorkerPor
         }
     });
     let mut rng = DetRng::new(2);
-    let t = Tensor::uniform((96, 32), -1.0, 1.0, &mut rng);
-    let msg = Message::TokenBatch {
-        block: 0,
-        expert: 0,
-        payload: Payload::from_tensor(&t),
-    };
+    let msg = dispatch(&Tensor::uniform((96, 32), -1.0, 1.0, &mut rng));
     bench(name, || {
         hub.send(0, &msg).unwrap();
         hub.recv().unwrap()

@@ -103,12 +103,11 @@ fn main() {
                 if let Some(a) = summary.attribution {
                     println!(
                         "{:>10} | measured µs/step: serialize {:.1} | inflight {:.1} \
-                         (stall {:.1}, compute {:.1}, wire {:.1}) | combine {:.1} | \
+                         (compute {:.1}, wire {:.1}) | combine {:.1} | \
                          exchange wall {:.1}",
                         "",
                         a.serialize_us,
                         a.inflight_us,
-                        a.stall_us,
                         a.compute_us,
                         a.wire_us(),
                         a.combine_us,

@@ -13,7 +13,7 @@
 //! per-lane monotone timestamps, balanced enter/exit, complete dispatch →
 //! compute → result flow chains, (whenever the trace contains
 //! broker/virtual exchange spans) the presence of the
-//! `runtime.pipeline.*` per-chunk spans, and (on merged distributed
+//! `runtime.pipeline.*` spans, and (on merged distributed
 //! traces) ≥90% attribution coverage of exchange wall time — exiting
 //! non-zero on any violation (used by `scripts/verify.sh`).
 //!
@@ -366,8 +366,8 @@ fn check_replica_shares(events: &[RawEvent]) -> Result<(), String> {
 }
 
 /// Any trace that records an exchange (a broker or virtual fwd/bwd span)
-/// must also record the ring pipeline's per-chunk serialize spans and the
-/// exchange-time counter — otherwise the overlap instrumentation has
+/// must also record the exchange's serialize spans and the
+/// exchange-time counter — otherwise the phase instrumentation has
 /// silently regressed.
 fn check_pipeline_instrumentation(events: &[RawEvent]) -> Result<(), String> {
     let span_present = |name: &str| events.iter().any(|ev| ev.ev == "b" && ev.name == name);
@@ -383,7 +383,7 @@ fn check_pipeline_instrumentation(events: &[RawEvent]) -> Result<(), String> {
     if !span_present("runtime.pipeline.serialize") {
         return Err(
             "trace has exchange spans but no runtime.pipeline.serialize spans \
-             (ring pipeline instrumentation missing)"
+             (exchange phase instrumentation missing)"
                 .into(),
         );
     }

@@ -274,15 +274,13 @@ pub fn summarize_strategy(strategy: Strategy, metrics: &[StepMetrics]) -> RunSum
 }
 
 /// The counters a [`PhaseAttribution`] is built from, in struct field
-/// order ending with the exchange wall clock and the stall count.
-const ATTRIBUTION_COUNTERS: [&str; 7] = [
+/// order ending with the exchange wall clock.
+const ATTRIBUTION_COUNTERS: [&str; 5] = [
     "runtime.pipeline.serialize_us",
     "runtime.pipeline.inflight_us",
-    "runtime.pipeline.stall_us",
     "runtime.worker.serve_us",
     "runtime.pipeline.combine_us",
     "runtime.pipeline.exchange_us",
-    "runtime.pipeline.stalls",
 ];
 
 /// Captures the pipeline/worker timing counters before a run so their
@@ -316,17 +314,15 @@ impl AttributionProbe {
             .zip(&self.base)
             .map(|(n, &base)| vela_obs::counter(n).get().saturating_sub(base) as f64 / steps as f64)
             .collect();
-        if delta[5] == 0.0 {
+        if delta[4] == 0.0 {
             return None; // no exchange wall time measured
         }
         Some(PhaseAttribution {
             serialize_us: delta[0],
             inflight_us: delta[1],
-            stall_us: delta[2],
-            compute_us: delta[3],
-            combine_us: delta[4],
-            exchange_us: delta[5],
-            stalls: delta[6],
+            compute_us: delta[2],
+            combine_us: delta[3],
+            exchange_us: delta[4],
         })
     }
 }

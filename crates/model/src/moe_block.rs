@@ -297,8 +297,8 @@ impl MoeBlock {
 
         // Weighted combine (Eq. (1)), streamed: scatter each expert output
         // row back to its token, scaled by the mixture weight, as soon as the
-        // provider delivers that group — a pipelined provider keeps later
-        // chunks in flight while earlier ones combine. The provider contract
+        // provider delivers that group — a remote provider keeps other workers'
+        // replies in flight while earlier ones combine. The provider contract
         // (ascending group index, exactly once) makes this visit groups in
         // ascending expert order, reproducing the pre-CSR accumulation order
         // bit for bit.

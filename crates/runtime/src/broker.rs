@@ -14,20 +14,16 @@ use std::time::Duration;
 
 use vela_model::checkpoint;
 use vela_model::provider::{ExpertBatch, ExpertProvider};
-use vela_obs::{Counter, FlowPhase, LazyCounter};
+use vela_obs::{Counter, LazyCounter};
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::Tensor;
 
-use crate::message::{GroupItem, GroupPass, Message, PackedData, PackedGroup, Payload};
-use crate::pipeline::{AutoTuner, ChunkPlan, ExchangeTimer};
+use crate::message::{GroupPass, Message, PackedData, PackedGroup};
 use crate::pipeline::{
-    COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS, MIGRATION_FLUSH_US,
-    MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_INFLIGHT, SPAN_MIGRATION_PUMP, SPAN_SERIALIZE, STALLS,
-    STALL_US,
+    self, DispatchPlan, Link, Rows, COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS,
+    MIGRATION_COMMITS, MIGRATION_FLUSH_US, MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_MIGRATION_PUMP,
 };
-use crate::transport::{
-    ExchangeConfig, MasterHub, Microbatch, TransportError, WireFormat, WireStats,
-};
+use crate::transport::{ExchangeConfig, MasterHub, TransportError, WireStats};
 
 /// Aggregate dispatch/gather telemetry across all phases and engines.
 static PHASE_BYTES_OUT: LazyCounter = LazyCounter::new("runtime.phase.bytes_out");
@@ -66,28 +62,6 @@ pub(crate) fn pass_name(pass: Pass) -> &'static str {
         Pass::Forward => "fwd",
         Pass::Backward => "bwd",
     }
-}
-
-/// The wire-level pass discriminant for a broker pass.
-pub(crate) fn group_pass(pass: Pass) -> GroupPass {
-    match pass {
-        Pass::Forward => GroupPass::Forward,
-        Pass::Backward => GroupPass::Backward,
-    }
-}
-
-/// Correlation key tying this master-side dispatch (and its reply) to the
-/// worker's serve span. Both sides derive the step component from their
-/// own [`vela_obs::current_step`], which agree because `StepBegin` frames
-/// precede dispatches on every per-link FIFO.
-pub(crate) fn exchange_corr(w: usize, block: usize, pass: Pass, chunk: usize) -> u64 {
-    vela_obs::corr::pack(
-        vela_obs::current_step(),
-        w as u64,
-        block as u64,
-        matches!(pass, Pass::Backward) as u64,
-        chunk as u64,
-    )
 }
 
 /// Mirrors one completed [`PhaseLog`] into `vela-obs`: aggregate and
@@ -402,112 +376,22 @@ fn sync_targets(
 /// every peer, frame by frame over the accounted hub. See
 /// [`BrokerClient::sync_replica_grads`] for the protocol contract.
 ///
-/// With `overlap` off the protocol is strictly sequential round-trips —
-/// the seed behavior, byte- and flow-identical. With `overlap` on, every
-/// `FetchGrads` is issued up front and gradient states are forwarded to
-/// peers as they arrive, so per-target round-trips ride the wire
-/// concurrently. Workers only *apply* synced gradients on `StepEnd`
-/// either way, so the result is bitwise identical; the returned flow
-/// list is emitted in canonical per-target order regardless of arrival
-/// order, keeping the modeled sync time deterministic.
+/// Every `FetchGrads` is issued up front, gradient states are forwarded to
+/// peers as they arrive and acks are collected last, so per-target
+/// round-trips ride the wire concurrently. Workers only *apply* synced
+/// gradients on `StepEnd`, so arrival order cannot reach the result. Flow
+/// accounting is slotted per target, so the returned list comes out in
+/// canonical per-target order (fetch, state, then install + ack per peer)
+/// no matter how replies interleave, keeping the modeled sync time
+/// deterministic.
 pub(crate) fn sync_grads_over(
     hub: &mut MasterHub,
     placement: &ReplicatedPlacement,
     routes: &HashMap<(usize, usize), usize>,
     grad_bytes: u32,
-    overlap: bool,
     st: &mut MigrationState,
 ) -> Result<Vec<(usize, u64)>, TransportError> {
     let targets = sync_targets(placement, routes, st);
-    if targets.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !overlap {
-        return sync_sequential(hub, &targets, grad_bytes, st);
-    }
-    sync_overlapped(hub, &targets, grad_bytes, st)
-}
-
-/// Sequential per-target round-trips (the seed protocol).
-fn sync_sequential(
-    hub: &mut MasterHub,
-    targets: &[SyncTarget],
-    grad_bytes: u32,
-    st: &mut MigrationState,
-) -> Result<Vec<(usize, u64)>, TransportError> {
-    let mut flows = Vec::new();
-    for t in targets {
-        let (block, expert, serving) = (t.block, t.expert, t.serving);
-        let req = Message::FetchGrads {
-            block: block as u32,
-            expert: expert as u32,
-            grad_bytes,
-        };
-        flows.push((serving, req.accounted_bytes()));
-        hub.send(serving, &req)?;
-        let (src, msg) = recv_routed(hub, st)?;
-        if src != serving {
-            return Err(TransportError::Protocol(format!(
-                "grad state arrived from worker {src}, expected {serving}"
-            )));
-        }
-        let reply_bytes = msg.accounted_bytes();
-        let Message::GradState {
-            block: rb,
-            expert: re,
-            payload,
-        } = msg
-        else {
-            return Err(TransportError::Protocol(format!(
-                "expected GradState, got {msg:?}"
-            )));
-        };
-        if (rb as usize, re as usize) != (block, expert) {
-            return Err(TransportError::Protocol(format!(
-                "grad state for expert ({rb},{re}), asked for ({block},{expert})"
-            )));
-        }
-        flows.push((serving, reply_bytes));
-        for &w in &t.peers {
-            let install = Message::GradState {
-                block: block as u32,
-                expert: expert as u32,
-                payload: payload.clone(),
-            };
-            flows.push((w, install.accounted_bytes()));
-            hub.send(w, &install)?;
-            let (dst, ack) = recv_routed(hub, st)?;
-            if dst != w {
-                return Err(TransportError::Protocol(format!(
-                    "grad sync ack arrived from worker {dst}, expected {w}"
-                )));
-            }
-            let ack_bytes = ack.accounted_bytes();
-            if !matches!(
-                ack,
-                Message::GradSyncDone { block: ab, expert: ae }
-                    if (ab as usize, ae as usize) == (block, expert)
-            ) {
-                return Err(TransportError::Protocol(format!(
-                    "expected GradSyncDone for ({block},{expert}), got {ack:?}"
-                )));
-            }
-            flows.push((w, ack_bytes));
-        }
-    }
-    Ok(flows)
-}
-
-/// All fetches issued up front; states forwarded to peers on arrival;
-/// acks collected last. Flow accounting is slotted per target so the
-/// returned list is identical to the sequential protocol's no matter
-/// how replies interleave.
-fn sync_overlapped(
-    hub: &mut MasterHub,
-    targets: &[SyncTarget],
-    grad_bytes: u32,
-    st: &mut MigrationState,
-) -> Result<Vec<(usize, u64)>, TransportError> {
     let mut slots: Vec<Vec<(usize, u64)>> = Vec::with_capacity(targets.len());
     let mut index: HashMap<(usize, usize), usize> = HashMap::new();
     for (i, t) in targets.iter().enumerate() {
@@ -594,23 +478,6 @@ fn sync_overlapped(
     Ok(slots.concat())
 }
 
-/// Emits per-worker `(expert, rows)` trace events for a routed exchange —
-/// the raw data `trace_summary`'s replication section aggregates into
-/// per-replica token shares. Only emitted for placements with actual
-/// replication, so degree-1 traces stay identical to the seed's.
-fn observe_replica_rows(pass: Pass, block: usize, batches: &[ExpertBatch], routes: &[usize]) {
-    let workers = routes.iter().copied().max().map_or(0, |w| w + 1);
-    for w in 0..workers {
-        let rows: Vec<(usize, usize)> = batches
-            .iter()
-            .zip(routes)
-            .filter(|&(_, &r)| r == w)
-            .map(|(b, _)| (b.expert, b.xs.rows()))
-            .collect();
-        vela_obs::expert_rows(worker_src(w), pass_name(pass), block, &rows);
-    }
-}
-
 /// Which half of the step a phase belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
@@ -649,15 +516,16 @@ pub struct BrokerClient {
     phase_logs: Vec<PhaseLog>,
     step: u64,
     exchange_cfg: ExchangeConfig,
-    plan: ChunkPlan,
-    tuner: AutoTuner,
+    plan: DispatchPlan,
     /// Background migration lanes (overlap mode); empty in sync mode.
     migrations: MigrationState,
 }
 
 impl BrokerClient {
     /// Creates a broker over `hub` using `placement` (a plain
-    /// [`Placement`] converts to the degree-1 relation).
+    /// [`Placement`] converts to the degree-1 relation), with the default
+    /// [`ExchangeConfig`]; sessions that read the environment do so at
+    /// launch and pass it through [`set_exchange`](Self::set_exchange).
     ///
     /// # Panics
     /// Panics if the placement's worker count differs from the hub's.
@@ -676,9 +544,8 @@ impl BrokerClient {
             routes: HashMap::new(),
             phase_logs: Vec::new(),
             step: 0,
-            exchange_cfg: ExchangeConfig::from_env(),
-            plan: ChunkPlan::default(),
-            tuner: AutoTuner::default(),
+            exchange_cfg: ExchangeConfig::default(),
+            plan: DispatchPlan::default(),
             migrations: MigrationState::default(),
         }
     }
@@ -688,14 +555,12 @@ impl BrokerClient {
         &self.placement
     }
 
-    /// Overrides the exchange shape (coalescing / microbatching) chosen
-    /// from the environment at construction. Any shape yields bitwise-
-    /// identical results; this knob trades frames for pipeline overlap.
+    /// Sets row quantization and the migration mode.
     pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
         self.exchange_cfg = cfg;
     }
 
-    /// The exchange shape in force.
+    /// The exchange configuration in force.
     pub fn exchange_config(&self) -> ExchangeConfig {
         self.exchange_cfg
     }
@@ -707,9 +572,9 @@ impl BrokerClient {
 
     /// Actual encoded wire bytes shipped/received so far, split per frame
     /// kind into header vs payload. Distinct from the phase-log ledgers,
-    /// which account a wire-format-independent cost by construction; these
-    /// are the bytes the chosen `VELA_WIRE`/`VELA_QUANT` encoding really
-    /// put on the wire.
+    /// which account tokens moved rather than how they were framed; these
+    /// are the bytes the encoding (`VELA_QUANT` included) really put on
+    /// the wire.
     pub fn wire_stats(&self) -> WireStats {
         self.hub.wire_stats()
     }
@@ -1148,30 +1013,15 @@ impl BrokerClient {
             &self.placement,
             &self.routes,
             grad_bytes,
-            self.exchange_cfg.sync_overlap,
             &mut self.migrations,
         )
     }
 
-    /// Dispatch + gather for one block and pass: the chunked, coalescing
-    /// ring exchange.
-    ///
-    /// Each worker's batches are split into up to
-    /// [`ExchangeConfig::microbatch`] contiguous chunks (the
-    /// [`ChunkPlan`]), so chunking composes with coalescing: tick *c*
-    /// ships one [`Message::DispatchGroup`] per worker carrying that
-    /// worker's chunk *c*. Up to [`ExchangeConfig::depth`] ticks ride the
-    /// wire at once; before shipping tick *c* the master drains all reply
-    /// frames owed through tick `c − depth`, so serialize/send/compute/
-    /// recv overlap (the transports' writer seam keeps sends from blocking
-    /// on unread replies).
-    ///
-    /// Replies may interleave arbitrarily across workers and chunks — each
-    /// carries its chunk id, is slotted by batch index, and `sink` is
-    /// called with the completed *ascending-prefix* of batch indices as
-    /// soon as it exists. Delivery order is therefore identical to the
-    /// unpipelined exchange no matter how frames arrive, which is what
-    /// keeps every {shape × transport × depth} combination bit-identical.
+    /// Dispatch + gather for one block and pass through
+    /// [`pipeline::exchange`]: one packed frame of tensor rows per worker,
+    /// int8-encoded when quantization is on. `sink` is called with the
+    /// completed *ascending prefix* of batch indices as soon as it exists,
+    /// so delivery order is the same whichever worker answers first.
     fn exchange(
         &mut self,
         block: usize,
@@ -1179,449 +1029,114 @@ impl BrokerClient {
         batches: &[ExpertBatch],
         sink: &mut dyn FnMut(usize, Tensor),
     ) -> Result<(), TransportError> {
-        let _span = vela_obs::span(match pass {
-            Pass::Forward => "runtime.broker.fwd",
-            Pass::Backward => "runtime.broker.bwd",
-        });
-        let workers = self.hub.worker_count();
-        let mut log = PhaseLog {
+        let mut rows = TensorRows {
+            batches,
+            quantize: self.exchange_cfg.quantized(),
+            pending: batches.iter().map(|_| None).collect(),
+            next_emit: 0,
+            sink,
+        };
+        let log = pipeline::exchange(
+            Link {
+                hub: &mut self.hub,
+                lanes: &mut self.migrations,
+                placement: &self.placement,
+                routes: &mut self.routes,
+                plan: &mut self.plan,
+            },
+            match pass {
+                Pass::Forward => "runtime.broker.fwd",
+                Pass::Backward => "runtime.broker.bwd",
+            },
             block,
             pass,
-            bytes_out: vec![0; workers],
-            bytes_back: vec![0; workers],
-            rows: vec![0; workers],
-        };
-        let cfg = self.exchange_cfg;
-        let backward = matches!(pass, Pass::Backward);
-        let (chunks, probe) = match cfg.microbatch {
-            Microbatch::Fixed(n) => (n, false),
-            Microbatch::Auto => self.tuner.plan(block, backward),
-        };
-        let loads: Vec<(usize, u64)> = batches
-            .iter()
-            .map(|b| (b.expert, b.xs.rows() as u64))
-            .collect();
-        let routes = route_experts(&self.placement, &mut self.routes, block, backward, &loads);
-        self.plan.build(workers, chunks, routes.iter().copied());
-        let ticks = self.plan.ticks();
-        let depth = cfg.depth.max(1);
-        let mut timer = ExchangeTimer::new(probe || vela_obs::enabled());
-
-        // Replies slotted by batch index; `next_emit` is the ascending
-        // prefix already handed to the sink.
-        let mut pending: Vec<Option<Tensor>> = Vec::with_capacity(batches.len());
-        pending.resize_with(batches.len(), || None);
-        let mut next_emit = 0usize;
-        // Per-batch replies (coalesce off) carry no chunk id; key them by
-        // expert instead.
-        let mut expert_index: HashMap<usize, usize> = HashMap::new();
-        if !cfg.coalesce {
-            expert_index.extend(batches.iter().enumerate().map(|(i, b)| (b.expert, i)));
-        }
-
-        let mut owed_after: Vec<usize> = Vec::with_capacity(ticks);
-        let mut sent = 0usize; // wire frames dispatched so far
-        let mut received = 0usize; // reply frames drained so far
-        for tick in 0..ticks {
-            if tick >= depth {
-                // Ring full: drain everything owed through tick − depth
-                // before shipping more.
-                let owed = owed_after[tick - depth];
-                let stall_t0 = if received < owed {
-                    STALLS.add(1);
-                    vela_obs::enabled().then(vela_obs::now_us)
-                } else {
-                    None
-                };
-                while received < owed {
-                    received += drain_one(
-                        &mut self.hub,
-                        &mut self.migrations,
-                        &self.plan,
-                        &expert_index,
-                        block,
-                        pass,
-                        batches,
-                        &mut log,
-                        &mut timer,
-                        next_emit,
-                        &mut pending,
-                    )?;
-                    timer.drained(received);
-                    flush_prefix(&mut pending, &mut next_emit, sink);
-                }
-                if let Some(t0) = stall_t0 {
-                    STALL_US.add(vela_obs::now_us().saturating_sub(t0));
-                }
-            }
-            {
-                let _g = vela_obs::span(SPAN_SERIALIZE);
-                let t0 = timer.mark();
-                sent += send_tick(
-                    &mut self.hub,
-                    &self.placement,
-                    &self.plan,
-                    cfg,
-                    block,
-                    pass,
-                    tick,
-                    batches,
-                    &mut log,
-                )?;
-                timer.add_serialize(t0);
-            }
-            timer.tick_sent(sent);
-            owed_after.push(sent);
-        }
-        while received < sent {
-            received += drain_one(
-                &mut self.hub,
-                &mut self.migrations,
-                &self.plan,
-                &expert_index,
-                block,
-                pass,
-                batches,
-                &mut log,
-                &mut timer,
-                next_emit,
-                &mut pending,
-            )?;
-            timer.drained(received);
-            flush_prefix(&mut pending, &mut next_emit, sink);
-        }
-        if next_emit != batches.len() {
-            return Err(TransportError::Protocol(format!(
-                "{} exchange for block {block} drained all frames but only \
-                 {next_emit}/{} batches have replies",
-                pass_name(pass),
-                batches.len()
-            )));
-        }
-        if let Some((serialize_us, wait_us)) = timer.finish() {
-            if probe {
-                self.tuner.record(block, backward, serialize_us, wait_us);
-            }
-        }
-
-        if vela_obs::enabled() {
-            let rows: Vec<(usize, usize)> =
-                batches.iter().map(|b| (b.expert, b.xs.rows())).collect();
-            observe_phase(&log, &rows);
-            if !self.placement.is_degree_one() {
-                observe_replica_rows(pass, block, batches, &routes);
-            }
-        }
+            &mut rows,
+        )?;
         self.phase_logs.push(log);
         Ok(())
     }
 }
 
-/// Hands the sink every completed batch in ascending index order. The
-/// prefix gate is the determinism lever: a chunk that arrives early waits
-/// in `pending` until everything before it has been delivered.
-fn flush_prefix(
-    pending: &mut [Option<Tensor>],
-    next_emit: &mut usize,
-    sink: &mut dyn FnMut(usize, Tensor),
-) {
-    if *next_emit >= pending.len() || pending[*next_emit].is_none() {
-        return;
-    }
-    let _g = vela_obs::span(SPAN_COMBINE);
-    let t0 = vela_obs::enabled().then(vela_obs::now_us);
-    while *next_emit < pending.len() {
-        match pending[*next_emit].take() {
-            Some(t) => {
-                sink(*next_emit, t);
-                *next_emit += 1;
-            }
-            None => break,
-        }
-    }
-    if let Some(t0) = t0 {
-        COMBINE_US.add(vela_obs::now_us().saturating_sub(t0));
-    }
-}
-
-/// Ships ring tick `tick`: one coalesced group per worker with items in
-/// that chunk (or per-batch frames with coalescing off). Under
-/// `VELA_WIRE=packed` the coalesced frame is column-packed — a span table
-/// plus one contiguous row region, int8-encoded when quantization is on —
-/// instead of a list of header-laden per-item payloads. Returns the wire
-/// frames sent.
-#[allow(clippy::too_many_arguments)]
-fn send_tick(
-    hub: &mut MasterHub,
-    placement: &ReplicatedPlacement,
-    plan: &ChunkPlan,
-    cfg: ExchangeConfig,
-    block: usize,
-    pass: Pass,
-    tick: usize,
-    batches: &[ExpertBatch],
-    log: &mut PhaseLog,
-) -> Result<usize, TransportError> {
-    let mut frames = 0usize;
-    for w in 0..hub.worker_count() {
-        let items = plan.chunk_items(w, tick);
-        if items.is_empty() {
-            continue;
-        }
-        if cfg.coalesce && cfg.wire == WireFormat::Packed {
-            let width = batches[items[0]].xs.cols() as u32;
-            for &i in items {
-                log.rows[w] += batches[i].xs.rows() as u64;
-            }
-            let msg = Message::PackedDispatch(PackedGroup::pack(
-                block as u32,
-                group_pass(pass),
-                tick as u32,
-                width,
-                cfg.quantized(),
-                items
-                    .iter()
-                    .map(|&i| (batches[i].expert as u32, batches[i].xs.as_slice())),
-            ));
-            log.bytes_out[w] += msg.accounted_bytes();
-            vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-            hub.send(w, &msg)?;
-            frames += 1;
-        } else if cfg.coalesce {
-            let items: Vec<GroupItem> = items
-                .iter()
-                .map(|&i| {
-                    let batch = &batches[i];
-                    log.rows[w] += batch.xs.rows() as u64;
-                    GroupItem {
-                        expert: batch.expert as u32,
-                        payload: Payload::from_tensor(&batch.xs),
-                    }
-                })
-                .collect();
-            let msg = Message::DispatchGroup {
-                block: block as u32,
-                pass: group_pass(pass),
-                chunk: tick as u32,
-                items,
-            };
-            log.bytes_out[w] += msg.accounted_bytes();
-            vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-            hub.send(w, &msg)?;
-            frames += 1;
-        } else {
-            for &i in items {
-                let batch = &batches[i];
-                debug_assert!(
-                    placement.replicas_of(block, batch.expert).contains(&w),
-                    "batch for expert ({block}, {}) routed to non-replica worker {w}",
-                    batch.expert
-                );
-                let payload = Payload::from_tensor(&batch.xs);
-                let (b, e) = (block as u32, batch.expert as u32);
-                let msg = match pass {
-                    Pass::Forward => Message::TokenBatch {
-                        block: b,
-                        expert: e,
-                        payload,
-                    },
-                    Pass::Backward => Message::GradBatch {
-                        block: b,
-                        expert: e,
-                        payload,
-                    },
-                };
-                log.bytes_out[w] += msg.accounted_bytes();
-                log.rows[w] += batch.xs.rows() as u64;
-                hub.send(w, &msg)?;
-                frames += 1;
-            }
-        }
-    }
-    Ok(frames)
-}
-
-/// Drains one reply frame into `pending`, validating it against the plan;
-/// returns 1 (frames drained) on success. Wrong kinds, blocks, passes,
-/// chunks or duplicate batches are protocol errors, not panics.
-#[allow(clippy::too_many_arguments)]
-fn drain_one(
-    hub: &mut MasterHub,
-    migrations: &mut MigrationState,
-    plan: &ChunkPlan,
-    expert_index: &HashMap<usize, usize>,
-    block: usize,
-    pass: Pass,
-    batches: &[ExpertBatch],
-    log: &mut PhaseLog,
-    timer: &mut ExchangeTimer,
+/// Real tensors as exchange rows: dispatch regions are packed from the
+/// batches' own storage, reply regions are re-sliced into one tensor per
+/// batch and handed to the sink.
+struct TensorRows<'a> {
+    batches: &'a [ExpertBatch],
+    quantize: bool,
+    /// Replies slotted by batch index, waiting for everything before them.
+    pending: Vec<Option<Tensor>>,
+    /// The ascending prefix already handed to the sink.
     next_emit: usize,
-    pending: &mut [Option<Tensor>],
-) -> Result<usize, TransportError> {
-    let (w, msg) = {
-        let _g = vela_obs::span(SPAN_INFLIGHT);
-        let t0 = timer.mark();
-        let r = recv_routed(hub, migrations)?;
-        timer.add_wait(t0);
-        r
-    };
-    log.bytes_back[w] += msg.accounted_bytes();
-    // Packed replies carry no per-item expert ids — item identity is
-    // positional against the dispatch layout — so the expert check only
-    // applies to reply kinds that name their expert on the wire.
-    let mut slot =
-        |index: usize, expert: Option<usize>, tensor: Tensor| -> Result<(), TransportError> {
-            if let Some(expert) = expert {
-                if batches[index].expert != expert {
-                    return Err(TransportError::Protocol(format!(
-                        "worker {w} answered batch {index} with expert {expert}, \
-                     expected {}",
-                        batches[index].expert
-                    )));
-                }
-            }
-            if index < next_emit || pending[index].is_some() {
-                return Err(TransportError::Protocol(format!(
-                    "worker {w} sent a duplicate {} reply for batch {index} of block {block}",
-                    pass_name(pass)
-                )));
-            }
-            pending[index] = Some(tensor);
-            Ok(())
-        };
-    match (pass, msg) {
-        (
-            Pass::Forward,
-            Message::ExpertResult {
-                block: rb,
-                expert,
-                payload,
-            },
+    sink: &'a mut dyn FnMut(usize, Tensor),
+}
+
+impl Rows for TensorRows<'_> {
+    fn loads(&self) -> Vec<(usize, u64)> {
+        self.batches
+            .iter()
+            .map(|b| (b.expert, b.xs.rows() as u64))
+            .collect()
+    }
+
+    fn width(&self) -> u32 {
+        self.batches.first().map_or(0, |b| b.xs.cols() as u32)
+    }
+
+    fn pack(&self, block: u32, pass: GroupPass, items: &[usize]) -> PackedGroup {
+        PackedGroup::pack(
+            block,
+            pass,
+            self.width(),
+            self.quantize,
+            items
+                .iter()
+                .map(|&i| (self.batches[i].expert as u32, self.batches[i].xs.as_slice())),
         )
-        | (
-            Pass::Backward,
-            Message::GradResult {
-                block: rb,
-                expert,
-                payload,
-            },
-        ) => {
-            check_reply_block(block, rb, pass)?;
-            let index = *expert_index.get(&(expert as usize)).ok_or_else(|| {
-                TransportError::Protocol(format!(
-                    "{} reply for undispatched expert ({block},{expert})",
-                    pass_name(pass)
-                ))
-            })?;
-            slot(index, Some(expert as usize), real_tensor(payload, pass)?)?;
-        }
-        (
-            _,
-            Message::ResultGroup {
-                block: rb,
-                pass: rp,
-                chunk,
-                items,
-            },
-        ) => {
-            check_reply_block(block, rb, pass)?;
-            if rp != group_pass(pass) {
-                return Err(TransportError::Protocol(format!(
-                    "{rp:?} result group during a {} exchange",
-                    pass_name(pass)
-                )));
-            }
-            let indices = plan.chunk_items(w, chunk as usize);
-            if indices.len() != items.len() {
-                return Err(TransportError::Protocol(format!(
-                    "worker {w} answered chunk {chunk} with {} items, \
-                     dispatch had {}",
-                    items.len(),
-                    indices.len()
-                )));
-            }
-            for (&index, item) in indices.iter().zip(items) {
-                slot(
-                    index,
-                    Some(item.expert as usize),
-                    real_tensor(item.payload, pass)?,
-                )?;
-            }
-            vela_obs::flow(
-                FlowPhase::Finish,
-                exchange_corr(w, block, pass, chunk as usize),
-            );
-        }
-        (_, Message::PackedResult(reply)) => {
-            check_reply_block(block, reply.block, pass)?;
-            if reply.pass != group_pass(pass) {
-                return Err(TransportError::Protocol(format!(
-                    "{:?} packed result during a {} exchange",
-                    reply.pass,
-                    pass_name(pass)
-                )));
-            }
-            if matches!(reply.data, PackedData::Virtual) {
-                return Err(TransportError::Protocol(format!(
-                    "virtual packed reply in a real {} exchange",
-                    pass_name(pass)
-                )));
-            }
-            let chunk = reply.chunk as usize;
-            let indices = plan.chunk_items(w, chunk);
-            let width = reply.width as usize;
-            let total: usize = indices.iter().map(|&i| batches[i].xs.rows()).sum();
-            if indices.len() != reply.items as usize
-                || reply.rows as usize != total
-                || indices.iter().any(|&i| batches[i].xs.cols() != width)
-            {
-                return Err(TransportError::Protocol(format!(
-                    "worker {w} answered chunk {chunk} with {} items × {} rows of \
-                     width {width}, dispatch had {} items × {total} rows",
-                    reply.items,
-                    reply.rows,
-                    indices.len()
-                )));
-            }
-            // The reply region's layout is implied by the dispatch plan:
-            // re-slice it per batch in dispatch order, dequantizing int8
-            // rows on the way in.
-            for (index, lo, rows) in plan.chunk_regions(w, chunk, |i| batches[i].xs.rows()) {
-                let mut vals = Vec::with_capacity(rows * width);
-                reply.data.unpack_rows(width, lo, lo + rows, &mut vals);
-                slot(index, None, Tensor::from_vec((rows, width), vals))?;
-            }
-            vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass, chunk));
-        }
-        (_, other) => {
-            return Err(TransportError::Protocol(format!(
-                "unexpected reply during {} exchange: {other:?}",
-                pass_name(pass)
-            )))
-        }
     }
-    Ok(1)
+
+    fn deliver(
+        &mut self,
+        layout: impl Iterator<Item = (usize, usize, usize)>,
+        data: PackedData,
+    ) -> Result<(), TransportError> {
+        // A virtual region here means the peer is running a different
+        // engine.
+        if matches!(data, PackedData::Virtual) {
+            return Err(TransportError::Protocol(
+                "virtual packed reply in a real exchange".into(),
+            ));
+        }
+        // The reply region's layout is implied by the dispatch plan:
+        // re-slice it per batch in dispatch order, dequantizing int8 rows
+        // on the way in.
+        let width = self.width() as usize;
+        for (index, lo, rows) in layout {
+            let mut vals = Vec::with_capacity(rows * width);
+            data.unpack_rows(width, lo, lo + rows, &mut vals);
+            self.pending[index] = Some(Tensor::from_vec((rows, width), vals));
+        }
+        self.flush_prefix();
+        Ok(())
+    }
 }
 
-fn check_reply_block(block: usize, got: u32, pass: Pass) -> Result<(), TransportError> {
-    if got as usize != block {
-        return Err(TransportError::Protocol(format!(
-            "{} reply for block {got}, expected {block}",
-            pass_name(pass)
-        )));
-    }
-    Ok(())
-}
-
-/// A data-plane reply must carry real features; a virtual payload here
-/// means the peer is running a different engine.
-fn real_tensor(payload: Payload, pass: Pass) -> Result<Tensor, TransportError> {
-    match payload {
-        Payload::Real { .. } => Ok(payload.to_tensor()),
-        Payload::Virtual { .. } => Err(TransportError::Protocol(format!(
-            "virtual payload in a real {} exchange",
-            pass_name(pass)
-        ))),
+impl TensorRows<'_> {
+    /// Hands the sink every completed batch in ascending index order. The
+    /// prefix gate is the determinism lever: a reply that arrives early
+    /// waits in `pending` until everything before it has been delivered.
+    fn flush_prefix(&mut self) {
+        if !matches!(self.pending.get(self.next_emit), Some(Some(_))) {
+            return;
+        }
+        let _g = vela_obs::span(SPAN_COMBINE);
+        let t0 = vela_obs::enabled().then(vela_obs::now_us);
+        while let Some(t) = self.pending.get_mut(self.next_emit).and_then(Option::take) {
+            (self.sink)(self.next_emit, t);
+            self.next_emit += 1;
+        }
+        if let Some(t0) = t0 {
+            COMBINE_US.add(vela_obs::now_us().saturating_sub(t0));
+        }
     }
 }
 
@@ -1638,22 +1153,20 @@ impl ExpertProvider for BrokerClient {
 
     fn forward_block(&mut self, block: usize, batches: &[ExpertBatch]) -> Vec<Tensor> {
         let mut out = Vec::with_capacity(batches.len());
-        self.exchange(block, Pass::Forward, batches, &mut |_, t| out.push(t))
-            .unwrap_or_else(|e| panic!("transport failed during forward exchange: {e}"));
+        self.forward_block_streamed(block, batches, &mut |_, t| out.push(t));
         out
     }
 
     fn backward_block(&mut self, block: usize, grads: &[ExpertBatch]) -> Vec<Tensor> {
         let mut out = Vec::with_capacity(grads.len());
-        self.exchange(block, Pass::Backward, grads, &mut |_, t| out.push(t))
-            .unwrap_or_else(|e| panic!("transport failed during backward exchange: {e}"));
+        self.backward_block_streamed(block, grads, &mut |_, t| out.push(t));
         out
     }
 
     // The streamed overrides are where the model-layer overlap comes
-    // from: `MoeBlock` scatters each chunk's results into its output
-    // buffer while later chunks are still on the wire, instead of parking
-    // them in a Vec until the block-pass completes.
+    // from: `MoeBlock` scatters one worker's results into its output
+    // buffer while the other workers' replies are still on the wire,
+    // instead of parking them in a Vec until the block-pass completes.
     fn forward_block_streamed(
         &mut self,
         block: usize,
@@ -1678,7 +1191,8 @@ impl ExpertProvider for BrokerClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{star, WireFormat};
+    use crate::message::PackedReply;
+    use crate::transport::star;
     use crate::worker::ExpertManager;
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
@@ -1815,113 +1329,76 @@ mod tests {
     }
 
     #[test]
-    fn every_exchange_shape_is_bitwise_identical() {
-        // The same forward+backward exchange under every {coalesce ×
-        // microbatch} shape must reproduce the per-batch baseline bit for
-        // bit — results, phase logs, everything the model sees.
-        let run = |cfg: ExchangeConfig| {
-            let (mut broker, managers, _, model_cfg) = setup();
-            broker.set_exchange(cfg);
-            let mut rng = DetRng::new(11);
-            let batches: Vec<ExpertBatch> = (0..model_cfg.experts)
+    fn streamed_delivery_is_an_ascending_prefix() {
+        // Two echo workers answer in either order. The sink must see batch
+        // indices 0..n ascending both times: when worker 1 (batches 1, 3)
+        // answers first, its results wait in `pending` behind batch 0.
+        for first in [0usize, 1] {
+            let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+            let (hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+            let echo = std::thread::spawn(move || {
+                let replies: Vec<Message> = ports
+                    .iter_mut()
+                    .map(|port| match port.recv().unwrap() {
+                        Message::PackedDispatch(group) => Message::PackedResult(PackedReply {
+                            block: group.block,
+                            pass: group.pass,
+                            width: group.width,
+                            items: group.spans.len() as u32,
+                            rows: group.total_rows(),
+                            data: group.data,
+                        }),
+                        other => panic!("expected a dispatch, got {other:?}"),
+                    })
+                    .collect();
+                for w in [first, 1 - first] {
+                    ports[w].send(&replies[w]).unwrap();
+                }
+                for port in &mut ports {
+                    assert_eq!(port.recv().unwrap(), Message::Shutdown);
+                }
+            });
+            let mut broker = BrokerClient::new(hub, Placement::new(vec![vec![0, 1, 0, 1]], 2));
+            let mut rng = DetRng::new(21);
+            let batches: Vec<ExpertBatch> = (0..4)
                 .map(|e| ExpertBatch {
                     expert: e,
-                    xs: vela_tensor::Tensor::uniform((2 + e, model_cfg.dim), -1.0, 1.0, &mut rng),
+                    xs: vela_tensor::Tensor::uniform((2 + e, 8), -1.0, 1.0, &mut rng),
                 })
                 .collect();
-            let fwd = broker.forward_block(0, &batches);
-            let grads: Vec<ExpertBatch> = batches
-                .iter()
-                .map(|b| ExpertBatch {
-                    expert: b.expert,
-                    xs: vela_tensor::Tensor::ones(b.xs.shape().as_2d()),
-                })
-                .collect();
-            let bwd = broker.backward_block(0, &grads);
-            let logs = broker.take_phase_logs();
-            teardown(&mut broker, managers);
-            (fwd, bwd, logs)
-        };
-        let baseline = run(ExchangeConfig::per_batch());
-        for wire in [WireFormat::Legacy, WireFormat::Packed] {
-            for coalesce in [false, true] {
-                for microbatch in [Microbatch::Fixed(1), Microbatch::Fixed(3), Microbatch::Auto] {
-                    for depth in [1, 2, 4] {
-                        let shaped = run(ExchangeConfig {
-                            coalesce,
-                            microbatch,
-                            depth,
-                            wire,
-                            ..ExchangeConfig::default()
-                        });
-                        assert_eq!(
-                            baseline,
-                            shaped,
-                            "wire={} coalesce={coalesce} microbatch={microbatch} depth={depth} \
-                             must be invisible",
-                            wire.label()
-                        );
-                    }
-                }
-            }
+            let mut order = Vec::new();
+            let mut streamed = Vec::new();
+            broker.forward_block_streamed(0, &batches, &mut |i, t| {
+                order.push(i);
+                streamed.push(t);
+            });
+            assert_eq!(order, vec![0, 1, 2, 3], "worker {first} answered first");
+            let sent: Vec<_> = batches.iter().map(|b| b.xs.clone()).collect();
+            assert_eq!(streamed, sent, "an echo must come back bit for bit");
+            broker.shutdown().unwrap();
+            echo.join().unwrap();
         }
     }
 
     #[test]
-    fn streamed_delivery_is_an_ascending_prefix() {
-        // The sink must see batch indices 0..n in order — with chunking
-        // and a deep ring, out-of-order arrivals have to wait in pending.
-        let (mut broker, managers, mut reference, model_cfg) = setup();
-        broker.set_exchange(ExchangeConfig {
-            coalesce: true,
-            microbatch: Microbatch::Fixed(3),
-            depth: 4,
-            ..ExchangeConfig::default()
-        });
-        let mut rng = DetRng::new(21);
+    fn coalescing_shrinks_frames_not_bytes() {
+        let (mut broker, managers, _, model_cfg) = setup();
+        let mut rng = DetRng::new(13);
         let batches: Vec<ExpertBatch> = (0..model_cfg.experts)
             .map(|e| ExpertBatch {
                 expert: e,
-                xs: vela_tensor::Tensor::uniform((2, model_cfg.dim), -1.0, 1.0, &mut rng),
+                xs: vela_tensor::Tensor::uniform((3, model_cfg.dim), -1.0, 1.0, &mut rng),
             })
             .collect();
-        let mut order = Vec::new();
-        let mut streamed = Vec::new();
-        broker.forward_block_streamed(0, &batches, &mut |i, t| {
-            order.push(i);
-            streamed.push(t);
-        });
-        assert_eq!(order, (0..model_cfg.experts).collect::<Vec<_>>());
-        assert_eq!(streamed, reference.forward_block(0, &batches));
+        broker.forward_block(0, &batches);
+        // 2 workers × 4 experts: one frame per worker each way...
+        assert_eq!(broker.frame_counts(), (2, 2));
+        // ...accounting what one frame per expert batch cost at the commit
+        // that retired them (8456ee6): 2 × (9 + 3 rows · 16 · 4) a worker.
+        let log = broker.take_phase_logs().pop().unwrap();
+        assert_eq!(log.bytes_out, vec![402, 402]);
+        assert_eq!(log.bytes_back, vec![402, 402]);
         teardown(&mut broker, managers);
-    }
-
-    #[test]
-    fn coalescing_shrinks_frames_not_bytes() {
-        let run = |cfg: ExchangeConfig| {
-            let (mut broker, managers, _, model_cfg) = setup();
-            broker.set_exchange(cfg);
-            let mut rng = DetRng::new(13);
-            let batches: Vec<ExpertBatch> = (0..model_cfg.experts)
-                .map(|e| ExpertBatch {
-                    expert: e,
-                    xs: vela_tensor::Tensor::uniform((3, model_cfg.dim), -1.0, 1.0, &mut rng),
-                })
-                .collect();
-            broker.forward_block(0, &batches);
-            let frames = broker.frame_counts();
-            let log = broker.take_phase_logs().pop().unwrap();
-            teardown(&mut broker, managers);
-            (frames, log.bytes_out, log.bytes_back)
-        };
-        let (per_frames, per_out, per_back) = run(ExchangeConfig::per_batch());
-        let (co_frames, co_out, co_back) = run(ExchangeConfig::default());
-        // 2 workers × 4 experts: 4 frames each way per-batch, 2 coalesced.
-        assert_eq!(per_frames, (4, 4));
-        assert_eq!(co_frames, (2, 2));
-        // ...while the accounted bytes are identical.
-        assert_eq!(per_out, co_out);
-        assert_eq!(per_back, co_back);
     }
 
     #[test]

@@ -39,16 +39,15 @@ pub mod worker;
 pub use broker::BrokerClient;
 pub use ep_engine::EpEngine;
 pub use message::{
-    chunk_expert_state, ChunkAssembler, FrameKind, GroupItem, GroupPass, Message, PackedData,
-    PackedGroup, PackedReply, Payload, RowSpan, EXPERT_CHUNK_BYTES,
+    chunk_expert_state, ChunkAssembler, FrameKind, GroupPass, Message, PackedData, PackedGroup,
+    PackedReply, Payload, RowSpan, EXPERT_CHUNK_BYTES,
 };
 pub use metrics::{
     routing_straggler_index, PhaseAttribution, ReplicationSummary, RunSummary, StepMetrics,
 };
 pub use runtime::{MigrationHandle, RealRuntime};
 pub use transport::{
-    ExchangeConfig, Microbatch, MigrationMode, Quant, TransportConfig, TransportError,
-    TransportMode, WireFormat, WireStats,
+    ExchangeConfig, MigrationMode, Quant, TransportConfig, TransportError, TransportMode, WireStats,
 };
 pub use virtual_engine::{ScaleConfig, VirtualEngine};
 pub use wire::WireError;

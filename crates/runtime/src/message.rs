@@ -82,31 +82,15 @@ impl Payload {
     }
 }
 
-/// Which half of a block-pass a group frame belongs to.
-///
-/// A [`Message::DispatchGroup`] carrying `Forward` items plays the role of
-/// many `TokenBatch` frames; `Backward` plays many `GradBatch` frames. The
-/// reply [`Message::ResultGroup`] mirrors the pass so the master can check
-/// it is draining the exchange it started.
+/// Which half of a block-pass a dispatch frame belongs to. The reply
+/// mirrors the pass so the master can check it is draining the exchange it
+/// started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupPass {
     /// Token activations out, expert outputs back.
     Forward,
     /// Output gradients out, input gradients back.
     Backward,
-}
-
-/// One expert's payload inside a coalesced group frame.
-///
-/// Equivalent to the `(expert, payload)` pair of a per-batch frame; the
-/// block index is hoisted to the enclosing group since a block-pass never
-/// mixes blocks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupItem {
-    /// Expert index within the block.
-    pub expert: u32,
-    /// Activations or gradients for that expert.
-    pub payload: Payload,
 }
 
 /// One expert's contiguous row region inside a packed frame.
@@ -210,18 +194,15 @@ pub fn quantize_rows(data: &[f32], width: usize) -> (Vec<f32>, Vec<i8>) {
     (scales, codes)
 }
 
-/// A column-packed dispatch frame (master → worker): one contiguous row
-/// region for the whole worker-chunk, prefixed by a compact span table —
-/// no per-item payload headers. Plays the role of [`Message::DispatchGroup`]
-/// under `VELA_WIRE=packed`.
+/// A column-packed dispatch frame (master → worker): every row bound for
+/// one worker in one block-pass as a single contiguous region, prefixed by
+/// a compact span table — no per-item payload headers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedGroup {
     /// MoE block index.
     pub block: u32,
     /// Forward (token activations) or backward (gradients).
     pub pass: GroupPass,
-    /// Pipeline chunk index within the block-pass.
-    pub chunk: u32,
     /// Features per row for real data; declared bytes per token for
     /// virtual rows.
     pub width: u32,
@@ -242,7 +223,6 @@ impl PackedGroup {
     pub fn pack<'a>(
         block: u32,
         pass: GroupPass,
-        chunk: u32,
         width: u32,
         quantize: bool,
         parts: impl Iterator<Item = (u32, &'a [f32])>,
@@ -273,7 +253,6 @@ impl PackedGroup {
         PackedGroup {
             block,
             pass,
-            chunk,
             width,
             spans,
             data,
@@ -284,7 +263,6 @@ impl PackedGroup {
     pub fn pack_virtual(
         block: u32,
         pass: GroupPass,
-        chunk: u32,
         bytes_per_token: u32,
         parts: impl Iterator<Item = (u32, u32)>,
     ) -> PackedGroup {
@@ -301,7 +279,6 @@ impl PackedGroup {
         PackedGroup {
             block,
             pass,
-            chunk,
             width: bytes_per_token,
             spans,
             data: PackedData::Virtual,
@@ -324,8 +301,6 @@ pub struct PackedReply {
     pub block: u32,
     /// Pass of the dispatch this answers.
     pub pass: GroupPass,
-    /// Chunk id echoed from the dispatch.
-    pub chunk: u32,
     /// Features per row (bytes per token for virtual rows).
     pub width: u32,
     /// Item count echoed from the dispatch (accounting parity with
@@ -344,42 +319,6 @@ pub enum Message {
     StepBegin {
         /// Step counter (for assertions/debugging).
         step: u64,
-    },
-    /// Token features for one expert (master → worker, forward pass).
-    TokenBatch {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Activations.
-        payload: Payload,
-    },
-    /// Expert output (worker → master, forward pass).
-    ExpertResult {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Activations.
-        payload: Payload,
-    },
-    /// Output gradients for one expert (master → worker, backward pass).
-    GradBatch {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Gradients.
-        payload: Payload,
-    },
-    /// Input gradients (worker → master, backward pass).
-    GradResult {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Gradients.
-        payload: Payload,
     },
     /// Marks the end of a step; workers run their optimizer.
     StepEnd,
@@ -412,39 +351,11 @@ pub enum Message {
     },
     /// Terminates the worker loop.
     Shutdown,
-    /// One chunk of a worker's expert batches for a block-pass in a single
-    /// frame (master → worker). Coalesces O(experts-per-worker) per-batch
-    /// frames into one round-trip; a microbatched exchange sends one group
-    /// per worker per chunk, each tagged with its chunk id so replies can
-    /// be matched while several chunks are in flight.
-    DispatchGroup {
-        /// MoE block index.
-        block: u32,
-        /// Forward (token activations) or backward (gradients).
-        pass: GroupPass,
-        /// Pipeline chunk index within the block-pass (0 when the
-        /// exchange is unchunked).
-        chunk: u32,
-        /// Per-expert payloads, in the master's dispatch order.
-        items: Vec<GroupItem>,
-    },
-    /// The worker's replies to a [`Message::DispatchGroup`], one item per
-    /// dispatched item in the same order (worker → master).
-    ResultGroup {
-        /// MoE block index.
-        block: u32,
-        /// Pass of the dispatch this answers.
-        pass: GroupPass,
-        /// Chunk id echoed from the dispatch this answers.
-        chunk: u32,
-        /// Per-expert results, in dispatch order.
-        items: Vec<GroupItem>,
-    },
-    /// Column-packed dispatch frame (`VELA_WIRE=packed`): the role of
-    /// [`Message::DispatchGroup`] with one contiguous region + span table
-    /// instead of per-item payload headers.
+    /// Every token (forward) or gradient (backward) row bound for one
+    /// worker in one block-pass (master → worker).
     PackedDispatch(PackedGroup),
-    /// Column-packed reply to a [`Message::PackedDispatch`].
+    /// The worker's reply to a [`Message::PackedDispatch`], rows in
+    /// dispatch order (worker → master).
     PackedResult(PackedReply),
     /// NTP-style clock probe (master → worker): `t1` is the master's
     /// send timestamp, echoed back so the reply is self-contained.
@@ -565,19 +476,16 @@ pub enum Message {
     },
 }
 
+// Tags 2–5 (per-batch frames) and 12–13 (per-item group frames) belonged
+// to retired framings and are never reused: a stale peer that still sends
+// one gets `WireError::BadTag`, not a misparse.
 const TAG_STEP_BEGIN: u8 = 1;
-const TAG_TOKEN_BATCH: u8 = 2;
-const TAG_EXPERT_RESULT: u8 = 3;
-const TAG_GRAD_BATCH: u8 = 4;
-const TAG_GRAD_RESULT: u8 = 5;
 const TAG_STEP_END: u8 = 6;
 const TAG_STEP_DONE: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
 const TAG_FETCH_EXPERT: u8 = 9;
 const TAG_EXPERT_STATE: u8 = 10;
 const TAG_INSTALL_DONE: u8 = 11;
-const TAG_DISPATCH_GROUP: u8 = 12;
-const TAG_RESULT_GROUP: u8 = 13;
 const TAG_PACKED_DISPATCH: u8 = 14;
 const TAG_PACKED_RESULT: u8 = 15;
 const TAG_CLOCK_PROBE: u8 = 16;
@@ -612,11 +520,6 @@ const ENC_VIRTUAL: u8 = 2;
 /// (`u16 expert | u32 offset | u16 rows`).
 const SPAN_BYTES: u64 = 8;
 
-/// Smallest possible encoded group item: 4 expert bytes + a virtual
-/// payload (1 tag + 4 rows + 4 bytes-per-token). Used to reject frames
-/// whose declared item count could not possibly fit before allocating.
-const MIN_GROUP_ITEM_BYTES: u64 = 13;
-
 impl Message {
     /// Serializes the message.
     pub fn encode(&self) -> Vec<u8> {
@@ -626,26 +529,6 @@ impl Message {
                 buf.put_u8(TAG_STEP_BEGIN);
                 buf.put_u64(*step);
             }
-            Message::TokenBatch {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_TOKEN_BATCH, *block, *expert, payload),
-            Message::ExpertResult {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_EXPERT_RESULT, *block, *expert, payload),
-            Message::GradBatch {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_GRAD_BATCH, *block, *expert, payload),
-            Message::GradResult {
-                block,
-                expert,
-                payload,
-            } => encode_payload_msg(&mut buf, TAG_GRAD_RESULT, *block, *expert, payload),
             Message::StepEnd => buf.put_u8(TAG_STEP_END),
             Message::StepDone => buf.put_u8(TAG_STEP_DONE),
             Message::FetchExpert { block, expert } => {
@@ -670,18 +553,6 @@ impl Message {
                 buf.put_u32(*expert);
             }
             Message::Shutdown => buf.put_u8(TAG_SHUTDOWN),
-            Message::DispatchGroup {
-                block,
-                pass,
-                chunk,
-                items,
-            } => encode_group(&mut buf, TAG_DISPATCH_GROUP, *block, *pass, *chunk, items),
-            Message::ResultGroup {
-                block,
-                pass,
-                chunk,
-                items,
-            } => encode_group(&mut buf, TAG_RESULT_GROUP, *block, *pass, *chunk, items),
             Message::PackedDispatch(group) => encode_packed_dispatch(&mut buf, group),
             Message::PackedResult(reply) => encode_packed_result(&mut buf, reply),
             Message::ClockProbe { t1 } => {
@@ -772,33 +643,6 @@ impl Message {
             TAG_STEP_BEGIN => Message::StepBegin {
                 step: bytes.get_u64()?,
             },
-            TAG_TOKEN_BATCH | TAG_EXPERT_RESULT | TAG_GRAD_BATCH | TAG_GRAD_RESULT => {
-                let block = bytes.get_u32()?;
-                let expert = bytes.get_u32()?;
-                let payload = decode_payload(&mut bytes)?;
-                match tag {
-                    TAG_TOKEN_BATCH => Message::TokenBatch {
-                        block,
-                        expert,
-                        payload,
-                    },
-                    TAG_EXPERT_RESULT => Message::ExpertResult {
-                        block,
-                        expert,
-                        payload,
-                    },
-                    TAG_GRAD_BATCH => Message::GradBatch {
-                        block,
-                        expert,
-                        payload,
-                    },
-                    _ => Message::GradResult {
-                        block,
-                        expert,
-                        payload,
-                    },
-                }
-            }
             TAG_STEP_END => Message::StepEnd,
             TAG_STEP_DONE => Message::StepDone,
             TAG_FETCH_EXPERT => Message::FetchExpert {
@@ -829,51 +673,6 @@ impl Message {
                 expert: bytes.get_u32()?,
             },
             TAG_SHUTDOWN => Message::Shutdown,
-            TAG_DISPATCH_GROUP | TAG_RESULT_GROUP => {
-                let block = bytes.get_u32()?;
-                let pass = match bytes.get_u8()? {
-                    PASS_FORWARD => GroupPass::Forward,
-                    PASS_BACKWARD => GroupPass::Backward,
-                    other => {
-                        return Err(WireError::BadTag {
-                            what: "group pass",
-                            tag: other,
-                        })
-                    }
-                };
-                let chunk = bytes.get_u32()?;
-                let count = bytes.get_u32()?;
-                // Reject impossible counts before allocating: every item
-                // occupies at least MIN_GROUP_ITEM_BYTES on the wire.
-                if u64::from(count) * MIN_GROUP_ITEM_BYTES > bytes.remaining() as u64 {
-                    return Err(WireError::BadLength {
-                        what: "group item count",
-                        declared: u64::from(count),
-                        available: bytes.remaining(),
-                    });
-                }
-                let mut items = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let expert = bytes.get_u32()?;
-                    let payload = decode_payload(&mut bytes)?;
-                    items.push(GroupItem { expert, payload });
-                }
-                if tag == TAG_DISPATCH_GROUP {
-                    Message::DispatchGroup {
-                        block,
-                        pass,
-                        chunk,
-                        items,
-                    }
-                } else {
-                    Message::ResultGroup {
-                        block,
-                        pass,
-                        chunk,
-                        items,
-                    }
-                }
-            }
             TAG_PACKED_DISPATCH => Message::PackedDispatch(decode_packed_dispatch(&mut bytes)?),
             TAG_PACKED_RESULT => Message::PackedResult(decode_packed_result(&mut bytes)?),
             TAG_CLOCK_PROBE => Message::ClockProbe {
@@ -977,10 +776,6 @@ impl Message {
     /// bytes (accounted, so virtual sizes are honoured) plus the header.
     pub fn accounted_bytes(&self) -> u64 {
         match self {
-            Message::TokenBatch { payload, .. }
-            | Message::ExpertResult { payload, .. }
-            | Message::GradBatch { payload, .. }
-            | Message::GradResult { payload, .. } => 9 + payload.accounted_bytes(),
             Message::StepBegin { .. } => 9,
             // Clock probes exist only to timestamp the wire; they must
             // not perturb ledgers (the hub additionally skips them in
@@ -1016,20 +811,11 @@ impl Message {
             | Message::Evict { .. }
             | Message::MigrationCommit { .. } => 9,
             Message::StepEnd | Message::StepDone | Message::Shutdown => 1,
-            // A group accounts exactly what its items would have cost as
-            // individual per-batch frames (9-byte routing header each), so
-            // ledgers are coalescing- and chunking-independent by
-            // construction: the group/chunk header is local framing, never
-            // accounted.
-            Message::DispatchGroup { items, .. } | Message::ResultGroup { items, .. } => items
-                .iter()
-                .map(|item| 9 + item.payload.accounted_bytes())
-                .sum(),
-            // Packed frames account the same 9-byte routing header per item
-            // as per-batch framing, plus actual data bytes per row — so
-            // exact (f32/virtual) packed exchanges are ledger-identical to
-            // legacy framing by construction, while int8's smaller rows
-            // show up honestly.
+            // A dispatch accounts a 9-byte routing header per item plus the
+            // actual data bytes per row — what one frame per expert batch
+            // would cost — so the ledger counts tokens moved, not how they
+            // were framed (the span table is local framing, never
+            // accounted), while int8's smaller rows show up honestly.
             Message::PackedDispatch(group) => {
                 9 * group.spans.len() as u64
                     + u64::from(group.total_rows()) * group.data.row_cost(group.width)
@@ -1102,20 +888,6 @@ impl Message {
             PackedData::Virtual => 0,
         };
         let (kind, payload) = match self {
-            Message::TokenBatch { payload, .. } | Message::GradBatch { payload, .. } => {
-                (FrameKind::Dispatch, real_bytes(payload))
-            }
-            Message::ExpertResult { payload, .. } | Message::GradResult { payload, .. } => {
-                (FrameKind::Result, real_bytes(payload))
-            }
-            Message::DispatchGroup { items, .. } => (
-                FrameKind::Dispatch,
-                items.iter().map(|i| real_bytes(&i.payload)).sum(),
-            ),
-            Message::ResultGroup { items, .. } => (
-                FrameKind::Result,
-                items.iter().map(|i| real_bytes(&i.payload)).sum(),
-            ),
             Message::PackedDispatch(group) => (FrameKind::Dispatch, packed_bytes(&group.data)),
             Message::PackedResult(reply) => (FrameKind::Result, packed_bytes(&reply.data)),
             Message::ExpertState { data, .. } => (FrameKind::ExpertState, data.len() as u64),
@@ -1260,28 +1032,6 @@ impl ChunkAssembler {
     }
 }
 
-fn encode_group(
-    buf: &mut ByteWriter,
-    tag: u8,
-    block: u32,
-    pass: GroupPass,
-    chunk: u32,
-    items: &[GroupItem],
-) {
-    buf.put_u8(tag);
-    buf.put_u32(block);
-    buf.put_u8(match pass {
-        GroupPass::Forward => PASS_FORWARD,
-        GroupPass::Backward => PASS_BACKWARD,
-    });
-    buf.put_u32(chunk);
-    buf.put_u32(items.len() as u32);
-    for item in items {
-        buf.put_u32(item.expert);
-        encode_payload(buf, &item.payload);
-    }
-}
-
 fn encode_payload_msg(buf: &mut ByteWriter, tag: u8, block: u32, expert: u32, payload: &Payload) {
     buf.put_u8(tag);
     buf.put_u32(block);
@@ -1354,7 +1104,6 @@ fn encode_packed_dispatch(buf: &mut ByteWriter, group: &PackedGroup) {
     buf.put_u8(TAG_PACKED_DISPATCH);
     buf.put_u32(group.block);
     put_pass(buf, group.pass);
-    buf.put_u32(group.chunk);
     buf.put_u8(encoding_tag(&group.data));
     buf.put_u32(group.width);
     assert!(
@@ -1378,7 +1127,6 @@ fn encode_packed_result(buf: &mut ByteWriter, reply: &PackedReply) {
     buf.put_u8(TAG_PACKED_RESULT);
     buf.put_u32(reply.block);
     put_pass(buf, reply.pass);
-    buf.put_u32(reply.chunk);
     buf.put_u8(encoding_tag(&reply.data));
     buf.put_u32(reply.width);
     assert!(
@@ -1442,7 +1190,6 @@ fn decode_packed_region(
 fn decode_packed_dispatch(bytes: &mut ByteReader<'_>) -> Result<PackedGroup, WireError> {
     let block = bytes.get_u32()?;
     let pass = get_pass(bytes)?;
-    let chunk = bytes.get_u32()?;
     let enc = bytes.get_u8()?;
     let width = bytes.get_u32()?;
     let count = u64::from(bytes.get_u16()?);
@@ -1489,7 +1236,6 @@ fn decode_packed_dispatch(bytes: &mut ByteReader<'_>) -> Result<PackedGroup, Wir
     Ok(PackedGroup {
         block,
         pass,
-        chunk,
         width,
         spans,
         data,
@@ -1499,7 +1245,6 @@ fn decode_packed_dispatch(bytes: &mut ByteReader<'_>) -> Result<PackedGroup, Wir
 fn decode_packed_result(bytes: &mut ByteReader<'_>) -> Result<PackedReply, WireError> {
     let block = bytes.get_u32()?;
     let pass = get_pass(bytes)?;
-    let chunk = bytes.get_u32()?;
     let enc = bytes.get_u8()?;
     let width = bytes.get_u32()?;
     let items = u32::from(bytes.get_u16()?);
@@ -1508,7 +1253,6 @@ fn decode_packed_result(bytes: &mut ByteReader<'_>) -> Result<PackedReply, WireE
     Ok(PackedReply {
         block,
         pass,
-        chunk,
         width,
         items,
         rows,
@@ -1556,30 +1300,17 @@ mod tests {
         let t = Tensor::uniform((3, 4), -1.0, 1.0, &mut rng);
         let msgs = vec![
             Message::StepBegin { step: 42 },
-            Message::TokenBatch {
+            Message::GradState {
                 block: 7,
                 expert: 3,
                 payload: Payload::from_tensor(&t),
             },
-            Message::ExpertResult {
+            Message::OptimState {
                 block: 0,
                 expert: 0,
                 payload: Payload::Virtual {
                     rows: 100,
                     bytes_per_token: 8192,
-                },
-            },
-            Message::GradBatch {
-                block: 31,
-                expert: 7,
-                payload: Payload::from_tensor(&t),
-            },
-            Message::GradResult {
-                block: 1,
-                expert: 2,
-                payload: Payload::Virtual {
-                    rows: 5,
-                    bytes_per_token: 64,
                 },
             },
             Message::StepEnd,
@@ -1636,7 +1367,7 @@ mod tests {
     #[test]
     fn real_encoded_size_matches_accounting() {
         let t = Tensor::ones((2, 3));
-        let msg = Message::TokenBatch {
+        let msg = Message::GradState {
             block: 0,
             expert: 0,
             payload: Payload::from_tensor(&t),
@@ -1777,96 +1508,11 @@ mod tests {
     }
 
     #[test]
-    fn group_frames_roundtrip() {
-        let mut rng = DetRng::new(4);
-        let t = Tensor::uniform((2, 3), -1.0, 1.0, &mut rng);
-        let msgs = vec![
-            Message::DispatchGroup {
-                block: 2,
-                pass: GroupPass::Forward,
-                chunk: 3,
-                items: vec![
-                    GroupItem {
-                        expert: 1,
-                        payload: Payload::from_tensor(&t),
-                    },
-                    GroupItem {
-                        expert: 6,
-                        payload: Payload::Virtual {
-                            rows: 9,
-                            bytes_per_token: 128,
-                        },
-                    },
-                ],
-            },
-            Message::ResultGroup {
-                block: 0,
-                pass: GroupPass::Backward,
-                chunk: u32::MAX,
-                items: vec![],
-            },
-        ];
-        for msg in msgs {
-            assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn group_accounting_equals_per_batch_sum() {
-        // The whole point of the accounting rule: a coalesced frame costs
-        // byte-for-byte what its items would as individual frames.
-        let mut rng = DetRng::new(5);
-        let items: Vec<GroupItem> = (0..4)
-            .map(|e| GroupItem {
-                expert: e,
-                payload: Payload::from_tensor(&Tensor::uniform(
-                    (e as usize + 1, 3),
-                    -1.0,
-                    1.0,
-                    &mut rng,
-                )),
-            })
-            .collect();
-        let per_batch: u64 = items
-            .iter()
-            .map(|i| {
-                Message::TokenBatch {
-                    block: 1,
-                    expert: i.expert,
-                    payload: i.payload.clone(),
-                }
-                .accounted_bytes()
-            })
-            .sum();
-        let group = Message::DispatchGroup {
-            block: 1,
-            pass: GroupPass::Forward,
-            chunk: 0,
-            items,
-        };
-        assert_eq!(group.accounted_bytes(), per_batch);
-        // The chunk id is local framing: it never changes accounting.
-        let rechunked = match group {
-            Message::DispatchGroup {
-                block, pass, items, ..
-            } => Message::DispatchGroup {
-                block,
-                pass,
-                chunk: 7,
-                items,
-            },
-            _ => unreachable!(),
-        };
-        assert_eq!(rechunked.accounted_bytes(), per_batch);
-    }
-
-    #[test]
     fn group_bad_pass_is_an_error() {
         let mut w = crate::wire::ByteWriter::with_capacity(16);
-        w.put_u8(12); // DispatchGroup
+        w.put_u8(14); // PackedDispatch
         w.put_u32(0);
         w.put_u8(7); // no such pass
-        w.put_u32(0);
         assert_eq!(
             Message::decode(&w.into_vec()),
             Err(WireError::BadTag {
@@ -1882,7 +1528,6 @@ mod tests {
         PackedGroup::pack(
             3,
             GroupPass::Forward,
-            1,
             4,
             quantize,
             vec![(2u32, a.as_slice()), (5u32, b.as_slice())].into_iter(),
@@ -1900,7 +1545,6 @@ mod tests {
         let reply = Message::PackedResult(PackedReply {
             block: 3,
             pass: GroupPass::Backward,
-            chunk: 2,
             width: 4,
             items: 2,
             rows: 3,
@@ -1910,7 +1554,6 @@ mod tests {
         let virt = Message::PackedDispatch(PackedGroup::pack_virtual(
             0,
             GroupPass::Forward,
-            0,
             8192,
             vec![(0u32, 100u32), (1, 50)].into_iter(),
         ));
@@ -1944,31 +1587,19 @@ mod tests {
     }
 
     #[test]
-    fn packed_f32_accounting_matches_legacy_group() {
-        // The exact packed layout must be ledger-invisible: its accounted
-        // bytes equal the legacy coalesced (and hence per-batch) framing
-        // for the same items, even though far fewer bytes hit the wire.
+    fn packed_accounting_is_what_per_item_frames_cost() {
+        // The ledger must not learn that framing changed: a packed frame
+        // accounts Σ rows·width·4 data bytes plus a 9-byte routing header
+        // per item. The literals are what the retired per-item group
+        // frames accounted for the same items at the commit that deleted
+        // them (8456ee6).
         let mut rng = DetRng::new(6);
         let tensors: Vec<Tensor> = (0..3)
             .map(|i| Tensor::uniform((i + 1, 4), -1.0, 1.0, &mut rng))
             .collect();
-        let legacy = Message::DispatchGroup {
-            block: 0,
-            pass: GroupPass::Forward,
-            chunk: 0,
-            items: tensors
-                .iter()
-                .enumerate()
-                .map(|(e, t)| GroupItem {
-                    expert: e as u32,
-                    payload: Payload::from_tensor(t),
-                })
-                .collect(),
-        };
         let packed = Message::PackedDispatch(PackedGroup::pack(
             0,
             GroupPass::Forward,
-            0,
             4,
             false,
             tensors
@@ -1976,34 +1607,25 @@ mod tests {
                 .enumerate()
                 .map(|(e, t)| (e as u32, t.as_slice())),
         ));
-        assert_eq!(packed.accounted_bytes(), legacy.accounted_bytes());
-        assert!(
-            packed.encode().len() < legacy.encode().len(),
-            "packing must shrink actual wire bytes"
-        );
-        // Virtual packed frames are ledger-identical to virtual groups too.
-        let virt_legacy = Message::DispatchGroup {
-            block: 0,
-            pass: GroupPass::Forward,
-            chunk: 0,
-            items: (0..3)
-                .map(|e| GroupItem {
-                    expert: e,
-                    payload: Payload::Virtual {
-                        rows: 10 * (e + 1),
-                        bytes_per_token: 8192,
-                    },
-                })
-                .collect(),
-        };
-        let virt_packed = Message::PackedDispatch(PackedGroup::pack_virtual(
+        assert_eq!(packed.accounted_bytes(), (1 + 2 + 3) * 4 * 4 + 3 * 9);
+        assert_eq!(packed.accounted_bytes(), 123);
+        let virt = Message::PackedDispatch(PackedGroup::pack_virtual(
             0,
             GroupPass::Forward,
-            0,
             8192,
             (0..3).map(|e| (e, 10 * (e + 1))),
         ));
-        assert_eq!(virt_packed.accounted_bytes(), virt_legacy.accounted_bytes());
+        assert_eq!(virt.accounted_bytes(), 491_547);
+        // The reply mirrors the dispatch: same items, same rows.
+        let reply = Message::PackedResult(PackedReply {
+            block: 0,
+            pass: GroupPass::Forward,
+            width: 4,
+            items: 3,
+            rows: 6,
+            data: PackedData::F32(vec![0.0; 24]),
+        });
+        assert_eq!(reply.accounted_bytes(), 123);
     }
 
     #[test]
@@ -2041,7 +1663,6 @@ mod tests {
             w.put_u8(14); // PackedDispatch
             w.put_u32(0);
             w.put_u8(0); // Forward
-            w.put_u32(0); // chunk
             w.put_u8(0); // f32
             w.put_u32(2); // width
             w.put_u16(2); // spans
@@ -2076,7 +1697,6 @@ mod tests {
         w.put_u8(14);
         w.put_u32(0);
         w.put_u8(0);
-        w.put_u32(0);
         w.put_u8(0);
         w.put_u32(1024);
         w.put_u16(u16::MAX);
@@ -2092,7 +1712,6 @@ mod tests {
         w.put_u8(15);
         w.put_u32(0);
         w.put_u8(0);
-        w.put_u32(0);
         w.put_u8(1); // int8
         w.put_u32(4096);
         w.put_u16(1);
@@ -2108,48 +1727,18 @@ mod tests {
 
     #[test]
     fn wire_cost_splits_header_from_payload() {
-        let t = Tensor::ones((2, 3));
-        let msg = Message::TokenBatch {
-            block: 0,
-            expert: 0,
-            payload: Payload::from_tensor(&t),
-        };
-        let frame = msg.encode();
-        let (kind, header, payload) = msg.wire_cost(frame.len());
-        assert_eq!(kind, FrameKind::Dispatch);
-        assert_eq!(payload, 24);
-        assert_eq!(header, frame.len() as u64 - 24);
-
         let packed = Message::PackedDispatch(sample_packed(false));
         let frame = packed.encode();
         let (kind, header, payload) = packed.wire_cost(frame.len());
         assert_eq!(kind, FrameKind::Dispatch);
         assert_eq!(payload, 12 * 4);
-        // tag 1 + block 4 + pass 1 + chunk 4 + enc 1 + width 4 + count 2
+        // tag 1 + block 4 + pass 1 + enc 1 + width 4 + count 2
         // + 2 spans × 8.
-        assert_eq!(header, 17 + 16);
+        assert_eq!(header, 13 + 16);
 
         let (kind, _, payload) = Message::StepEnd.wire_cost(1);
         assert_eq!(kind, FrameKind::Control);
         assert_eq!(payload, 0);
-    }
-
-    #[test]
-    fn implausible_group_count_never_allocates() {
-        // Claims u32::MAX items but carries none: reject before reserving.
-        let mut w = crate::wire::ByteWriter::with_capacity(16);
-        w.put_u8(13); // ResultGroup
-        w.put_u32(0);
-        w.put_u8(0); // Forward
-        w.put_u32(0); // chunk
-        w.put_u32(u32::MAX);
-        assert!(matches!(
-            Message::decode(&w.into_vec()),
-            Err(WireError::BadLength {
-                what: "group item count",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -2158,7 +1747,7 @@ mod tests {
         // decoder must reject the header instead of attempting a huge
         // allocation.
         let mut w = crate::wire::ByteWriter::with_capacity(16);
-        w.put_u8(2); // TokenBatch
+        w.put_u8(19); // GradState
         w.put_u32(0);
         w.put_u32(0);
         w.put_u8(0); // Payload::Real

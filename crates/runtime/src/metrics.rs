@@ -26,27 +26,23 @@ pub struct StepMetrics {
 pub struct PhaseAttribution {
     /// Master time encoding + enqueueing dispatch frames.
     pub serialize_us: f64,
-    /// Master time blocked draining replies (chunks in flight).
+    /// Master time blocked draining replies (frames in flight).
     pub inflight_us: f64,
-    /// Slice of the inflight window spent in ring-full backpressure.
-    pub stall_us: f64,
     /// Worker expert-serve time. Zero when workers run in separate
     /// processes (their counters live in the worker traces, not here).
     pub compute_us: f64,
-    /// Master time delivering completed chunk prefixes to the sink.
+    /// Master time delivering completed batch prefixes to the sink.
     pub combine_us: f64,
     /// Exchange wall time (dispatch through last reply).
     pub exchange_us: f64,
-    /// Ring-full stall events per step.
-    pub stalls: f64,
 }
 
 impl PhaseAttribution {
     /// The wire share of the inflight window: what remains after worker
-    /// compute and ring-full stalls, clamped at zero. Only meaningful
-    /// when `compute_us` was measured in this process (threaded modes).
+    /// compute, clamped at zero. Only meaningful when `compute_us` was
+    /// measured in this process (threaded modes).
     pub fn wire_us(&self) -> f64 {
-        (self.inflight_us - self.stall_us - self.compute_us).max(0.0)
+        (self.inflight_us - self.compute_us).max(0.0)
     }
 }
 

@@ -1,48 +1,38 @@
-//! The chunked exchange pipeline shared by the real broker and the
-//! virtual engine.
+//! The block-pass exchange shared by the real broker and the virtual
+//! engine: route → plan → one [`Message::PackedDispatch`] per worker with
+//! rows → drain and validate one [`Message::PackedResult`] per frame sent →
+//! phase log, spans and flow events.
 //!
-//! PR-5's microbatch knob split the *global* batch list, which silently
-//! disabled coalescing: a chunk holding one worker's batch degenerated to
-//! per-batch framing (BENCH_transport.json's 12 → 36 frames/step
-//! regression at `microbatch=4`). This module fixes the composition by
-//! planning chunks **per worker**: worker *w*'s item list is split into
-//! `min(microbatch, items_w)` contiguous chunks, so a chunked block-pass
-//! still ships exactly one coalesced frame per worker per chunk.
-//!
-//! The chunks then flow through a bounded ring: tick *c* ships every
-//! worker's chunk *c*, and before shipping tick *c* the master drains all
-//! replies owed through tick `c − depth` (`VELA_PIPELINE_DEPTH`,
-//! default 2). Serialize, send, worker compute and receive all overlap;
-//! `depth = 1` reproduces the old one-deep send→drain pipeline exactly.
-//!
-//! None of this can change results: chunk boundaries sit at whole
-//! expert-batch granularity (each expert batch is still served by a
-//! single `forward_block`/`backward_block` call on its worker), and the
-//! broker delivers replies to the model in ascending batch-index order no
-//! matter how frames interleave on the wire. That is why
-//! `VELA_MICROBATCH=auto` — whose chunk counts depend on *measured time*
-//! — still passes the bitwise parity grid.
+//! One frame per worker per block-pass is the whole schedule. The master
+//! has nothing to compute while a frame is in flight — this communication
+//! is *exposed* — so splitting a worker's rows into more frames only adds
+//! wake-ups (measured in EXPERIMENTS.md, "One exchange"). What can vary is
+//! the order replies arrive in, and that never reaches the model: the real
+//! engine's [`Rows`] hands results on as an ascending prefix of batch
+//! indices, so float accumulation order is the same however workers race.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use vela_obs::LazyCounter;
+use vela_obs::{FlowPhase, LazyCounter};
+use vela_placement::ReplicatedPlacement;
 
-/// Per-tick span around encoding + shipping one tick's frames.
-pub(crate) const SPAN_SERIALIZE: &str = "runtime.pipeline.serialize";
-/// Span around each blocked drain bout (master idle, chunks in flight).
-pub(crate) const SPAN_INFLIGHT: &str = "runtime.pipeline.inflight";
-/// Span around streamed-combine delivery of a completed chunk prefix.
+use crate::broker::{
+    observe_phase, pass_name, recv_routed, route_experts, worker_src, MigrationState, Pass,
+    PhaseLog,
+};
+use crate::message::{GroupPass, Message, PackedData, PackedGroup};
+use crate::transport::{MasterHub, TransportError};
+
+/// Span around encoding + shipping the block-pass's dispatch frames.
+const SPAN_SERIALIZE: &str = "runtime.pipeline.serialize";
+/// Span around each blocked drain (master idle, frames in flight).
+const SPAN_INFLIGHT: &str = "runtime.pipeline.inflight";
+/// Span around streamed-combine delivery of a completed batch prefix.
 pub(crate) const SPAN_COMBINE: &str = "runtime.pipeline.combine";
 /// Span around the boundary migration pump (non-blocking lane service).
 pub(crate) const SPAN_MIGRATION_PUMP: &str = "runtime.migration.pump";
 
-/// Depth-gated sends that found replies still in flight: the ring was
-/// full and the master had to block before shipping the next tick.
-pub(crate) static STALLS: LazyCounter = LazyCounter::new("runtime.pipeline.stalls");
-/// Master time blocked in ring-full drains (the [`STALLS`] bouts), µs —
-/// the backpressure slice of the inflight window.
-pub(crate) static STALL_US: LazyCounter = LazyCounter::new("runtime.pipeline.stall_us");
 /// Master time spent in streamed-combine delivery, µs.
 pub(crate) static COMBINE_US: LazyCounter = LazyCounter::new("runtime.pipeline.combine_us");
 /// Background migration chunk frames relayed master → destination.
@@ -58,391 +48,286 @@ pub(crate) static MIGRATION_PUMP_US: LazyCounter = LazyCounter::new("runtime.mig
 pub(crate) static MIGRATION_FLUSH_US: LazyCounter = LazyCounter::new("runtime.migration.flush_us");
 /// Master time spent encoding + enqueueing frames, µs.
 static SERIALIZE_US: LazyCounter = LazyCounter::new("runtime.pipeline.serialize_us");
-/// Σ over ticks of (tick fully drained − tick fully sent), µs. Overlapped
-/// ticks each count their own window, so this *exceeds* wall time when
-/// the pipeline actually overlaps — the bench's overlap-efficiency column
-/// is `exchange_us / (serialize_us + inflight_us)`, < 1 iff overlap won.
+/// Last frame sent → last reply drained, µs.
 static INFLIGHT_US: LazyCounter = LazyCounter::new("runtime.pipeline.inflight_us");
 /// Exchange wall time, µs.
 static EXCHANGE_US: LazyCounter = LazyCounter::new("runtime.pipeline.exchange_us");
 
-/// Per-worker chunk plan for one block-pass exchange.
+/// Which worker serves which items of one block-pass.
 ///
 /// Built once per exchange from the item → worker assignment; buffers are
-/// reused across exchanges. Items keep their dispatch order: worker *w*'s
-/// chunk *c* is a contiguous run of the indices routed to *w*.
+/// reused across exchanges. Items keep their dispatch order within a
+/// worker.
 #[derive(Debug, Default)]
-pub(crate) struct ChunkPlan {
+pub(crate) struct DispatchPlan {
     by_worker: Vec<Vec<usize>>,
-    chunks: Vec<usize>,
-    ticks: usize,
 }
 
-impl ChunkPlan {
-    /// Plans `chunks`-way chunking of an item list over `workers`, given
-    /// each item's assigned worker (in item order).
-    pub(crate) fn build(
-        &mut self,
-        workers: usize,
-        chunks: usize,
-        assignments: impl Iterator<Item = usize>,
-    ) {
+impl DispatchPlan {
+    /// Groups an item list over `workers`, given each item's assigned
+    /// worker (in item order).
+    pub(crate) fn build(&mut self, workers: usize, assignments: impl Iterator<Item = usize>) {
         self.by_worker.resize_with(workers, Vec::new);
-        self.by_worker.truncate(workers);
         for list in &mut self.by_worker {
             list.clear();
         }
         for (item, w) in assignments.enumerate() {
             self.by_worker[w].push(item);
         }
-        self.chunks.clear();
-        self.ticks = 0;
-        for list in &self.by_worker {
-            let c = chunks.max(1).min(list.len());
-            self.chunks.push(c);
-            self.ticks = self.ticks.max(c);
-        }
     }
 
-    /// Number of ring ticks (= the largest per-worker chunk count).
-    pub(crate) fn ticks(&self) -> usize {
-        self.ticks
+    /// The item indices routed to worker `w`, ascending.
+    pub(crate) fn items(&self, w: usize) -> &[usize] {
+        &self.by_worker[w]
     }
 
-    /// The packed-region layout of worker `w`'s chunk `tick`: yields
-    /// `(item_index, row_offset, rows)` for each item in the chunk, given
-    /// every item's row count. Packed frames carry one contiguous data
-    /// region and no per-item payload headers, so this is both how a
-    /// dispatch region is laid out and how the master re-slices a reply
-    /// region back into per-batch tensors — the reply's implicit layout is
-    /// the plan itself, never the wire.
-    pub(crate) fn chunk_regions<'a>(
+    /// The packed-region layout of worker `w`'s frame: yields
+    /// `(item_index, row_offset, rows)` for each of its items, given every
+    /// item's row count. Packed frames carry one contiguous data region
+    /// and no per-item payload headers, so this is both how a dispatch
+    /// region is laid out and how the master re-slices a reply region back
+    /// into per-batch tensors — the reply's implicit layout is the plan
+    /// itself, never the wire.
+    pub(crate) fn regions<'a>(
         &'a self,
         w: usize,
-        tick: usize,
         rows_of: impl Fn(usize) -> usize + 'a,
     ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
-        self.chunk_items(w, tick)
-            .iter()
-            .scan(0usize, move |offset, &item| {
-                let rows = rows_of(item);
-                let lo = *offset;
-                *offset += rows;
-                Some((item, lo, rows))
-            })
+        self.items(w).iter().scan(0usize, move |offset, &item| {
+            let rows = rows_of(item);
+            let lo = *offset;
+            *offset += rows;
+            Some((item, lo, rows))
+        })
     }
+}
 
-    /// The item indices of worker `w`'s chunk `tick` (empty once `w` has
-    /// run out of chunks). Earlier chunks absorb the remainder, so chunk
-    /// sizes within a worker differ by at most one.
-    pub(crate) fn chunk_items(&self, w: usize, tick: usize) -> &[usize] {
-        let list = &self.by_worker[w];
-        let m = self.chunks[w];
-        if tick >= m {
-            return &[];
+/// What one engine feeds [`exchange`]: where each worker's row region
+/// comes from and where its reply goes. Items are the block-pass's expert
+/// batches in dispatch order.
+pub(crate) trait Rows {
+    /// `(expert, rows)` of every item, in dispatch order.
+    fn loads(&self) -> Vec<(usize, u64)>;
+    /// Features per row (declared bytes per token for virtual rows).
+    fn width(&self) -> u32;
+    /// Packs the given items' rows, in order, into one dispatch frame.
+    fn pack(&self, block: u32, pass: GroupPass, items: &[usize]) -> PackedGroup;
+    /// Takes one worker's reply region, already validated against the
+    /// dispatch's item count, row total and width. `layout` yields
+    /// `(item, first_row, rows)` over that worker's items.
+    fn deliver(
+        &mut self,
+        layout: impl Iterator<Item = (usize, usize, usize)>,
+        data: PackedData,
+    ) -> Result<(), TransportError>;
+}
+
+/// The engine state one exchange borrows.
+pub(crate) struct Link<'a> {
+    pub(crate) hub: &'a mut MasterHub,
+    /// Background migration lanes whose frames the drain relays; an empty
+    /// table for an engine that never migrates.
+    pub(crate) lanes: &'a mut MigrationState,
+    pub(crate) placement: &'a ReplicatedPlacement,
+    pub(crate) routes: &'a mut HashMap<(usize, usize), usize>,
+    pub(crate) plan: &'a mut DispatchPlan,
+}
+
+fn group_pass(pass: Pass) -> GroupPass {
+    match pass {
+        Pass::Forward => GroupPass::Forward,
+        Pass::Backward => GroupPass::Backward,
+    }
+}
+
+/// Correlation key tying this master-side dispatch (and its reply) to the
+/// worker's serve span. Both sides derive the step component from their
+/// own [`vela_obs::current_step`], which agree because `StepBegin` frames
+/// precede dispatches on every per-link FIFO.
+fn exchange_corr(w: usize, block: usize, pass: Pass) -> u64 {
+    vela_obs::corr::pack(
+        vela_obs::current_step(),
+        w as u64,
+        block as u64,
+        matches!(pass, Pass::Backward) as u64,
+        0,
+    )
+}
+
+/// Dispatch + gather for one block and pass. `span` names the engine's
+/// exchange span. Replies may arrive in any order across workers; each is
+/// checked against what its worker was sent — wrong kinds, blocks, passes,
+/// shapes, strangers and duplicates are protocol errors, not panics —
+/// before `rows` sees it.
+pub(crate) fn exchange<R: Rows>(
+    link: Link<'_>,
+    span: &'static str,
+    block: usize,
+    pass: Pass,
+    rows: &mut R,
+) -> Result<PhaseLog, TransportError> {
+    let _span = vela_obs::span(span);
+    let Link {
+        hub,
+        lanes,
+        placement,
+        routes,
+        plan,
+    } = link;
+    let workers = hub.worker_count();
+    let mut log = PhaseLog {
+        block,
+        pass,
+        bytes_out: vec![0; workers],
+        bytes_back: vec![0; workers],
+        rows: vec![0; workers],
+    };
+    let loads = rows.loads();
+    let assigned = route_experts(
+        placement,
+        routes,
+        block,
+        matches!(pass, Pass::Backward),
+        &loads,
+    );
+    plan.build(workers, assigned.iter().copied());
+    let started = vela_obs::enabled().then(Instant::now);
+
+    let mut owed = vec![false; workers];
+    {
+        let _g = vela_obs::span(SPAN_SERIALIZE);
+        for (w, owes) in owed.iter_mut().enumerate() {
+            let items = plan.items(w);
+            if items.is_empty() {
+                continue;
+            }
+            log.rows[w] = items.iter().map(|&i| loads[i].1).sum();
+            let msg = Message::PackedDispatch(rows.pack(block as u32, group_pass(pass), items));
+            log.bytes_out[w] = msg.accounted_bytes();
+            vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass));
+            hub.send(w, &msg)?;
+            *owes = true;
         }
-        let (base, extra) = (list.len() / m, list.len() % m);
-        let start = tick * base + tick.min(extra);
-        let end = start + base + usize::from(tick < extra);
-        &list[start..end]
     }
-}
+    let sent = started.map(|_| Instant::now());
 
-/// How often an auto-tuned (block, pass) re-probes, in exchange calls.
-pub(crate) const AUTO_REESTIMATE_EVERY: u64 = 64;
-/// Unchunked probe calls at the start of every re-estimation window.
-pub(crate) const AUTO_WARMUP: u64 = 2;
-/// Largest chunk count auto mode will pick.
-pub(crate) const AUTO_MAX_CHUNKS: usize = 8;
-/// Minimum hideable time (µs) before chunking is worth its frame
-/// overhead. Keeps echo/virtual workloads — where serialize is a few µs —
-/// deterministically at one chunk.
-const AUTO_MIN_OVERLAP_US: f64 = 150.0;
-
-/// The chunk count that best hides `serialize_us` behind `wait_us`
-/// (in-flight worker time): roughly one more chunk than the wait/serialize
-/// ratio, clamped to `2..=AUTO_MAX_CHUNKS`, or 1 when there is not enough
-/// hideable time on either side to pay for extra frames.
-pub(crate) fn pick_chunks(serialize_us: f64, wait_us: f64) -> usize {
-    let hideable = serialize_us.min(wait_us);
-    if !hideable.is_finite() || hideable < AUTO_MIN_OVERLAP_US {
-        return 1;
-    }
-    let ratio = wait_us / serialize_us;
-    ((ratio.round() as usize).saturating_add(1)).clamp(2, AUTO_MAX_CHUNKS)
-}
-
-#[derive(Debug)]
-struct AutoEntry {
-    calls: u64,
-    serialize_us: f64,
-    wait_us: f64,
-    chunks: usize,
-}
-
-/// Online chunk-count tuner for `VELA_MICROBATCH=auto`.
-///
-/// Keyed by (block, backward?): the serialize/compute ratio differs per
-/// block size and pass. The probe schedule is a pure function of the call
-/// count — the first [`AUTO_WARMUP`] calls of every
-/// [`AUTO_REESTIMATE_EVERY`]-call window run unchunked and re-measure —
-/// so *which* calls probe is deterministic even though what they measure
-/// is not. Chunk choices only ever change speed, never bits.
-#[derive(Debug, Default)]
-pub(crate) struct AutoTuner {
-    entries: HashMap<(usize, bool), AutoEntry>,
-}
-
-impl AutoTuner {
-    /// Picks the chunk count for the next exchange of (block, backward).
-    /// Returns `(chunks, probe)`; a probe call runs unchunked and must
-    /// report its measurement via [`record`](Self::record).
-    pub(crate) fn plan(&mut self, block: usize, backward: bool) -> (usize, bool) {
-        let e = self.entries.entry((block, backward)).or_insert(AutoEntry {
-            calls: 0,
-            serialize_us: 0.0,
-            wait_us: 0.0,
-            chunks: 1,
-        });
-        let probe = e.calls % AUTO_REESTIMATE_EVERY < AUTO_WARMUP;
-        e.calls += 1;
-        if probe {
-            (1, true)
-        } else {
-            (e.chunks, false)
-        }
-    }
-
-    /// Feeds one probe measurement back and re-picks the chunk count
-    /// (exponential moving average over probes, α = ½).
-    pub(crate) fn record(&mut self, block: usize, backward: bool, serialize_us: f64, wait_us: f64) {
-        let Some(e) = self.entries.get_mut(&(block, backward)) else {
-            return;
+    while owed.contains(&true) {
+        let (w, msg) = {
+            let _g = vela_obs::span(SPAN_INFLIGHT);
+            recv_routed(hub, lanes)?
         };
-        if e.serialize_us == 0.0 && e.wait_us == 0.0 {
-            e.serialize_us = serialize_us;
-            e.wait_us = wait_us;
-        } else {
-            e.serialize_us = 0.5 * (e.serialize_us + serialize_us);
-            e.wait_us = 0.5 * (e.wait_us + wait_us);
+        log.bytes_back[w] = msg.accounted_bytes();
+        let Message::PackedResult(reply) = msg else {
+            return Err(TransportError::Protocol(format!(
+                "unexpected reply during {} exchange: {msg:?}",
+                pass_name(pass)
+            )));
+        };
+        if !std::mem::take(&mut owed[w]) {
+            return Err(TransportError::Protocol(format!(
+                "worker {w} sent a {} reply for block {block} it does not owe",
+                pass_name(pass)
+            )));
         }
-        e.chunks = pick_chunks(e.serialize_us, e.wait_us);
-    }
-}
-
-/// Wall/serialize/in-flight stopwatch for one exchange. Inert (every
-/// method a no-op returning `None`) unless measuring — probes and
-/// obs-enabled runs — so the fixed-chunk fast path pays one branch.
-#[derive(Debug)]
-pub(crate) struct ExchangeTimer {
-    started: Option<Instant>,
-    serialize: Duration,
-    wait: Duration,
-    inflight: Duration,
-    /// (send-done instant, cumulative frames owed) per shipped tick.
-    sent_at: Vec<(Instant, usize)>,
-    /// First `sent_at` entry whose frames are not yet fully drained.
-    next_done: usize,
-}
-
-impl ExchangeTimer {
-    pub(crate) fn new(measure: bool) -> Self {
-        ExchangeTimer {
-            started: measure.then(Instant::now),
-            serialize: Duration::ZERO,
-            wait: Duration::ZERO,
-            inflight: Duration::ZERO,
-            sent_at: Vec::new(),
-            next_done: 0,
+        // A reply must mirror the dispatch it answers.
+        if reply.block as usize != block || reply.pass != group_pass(pass) {
+            return Err(TransportError::Protocol(format!(
+                "{:?} reply for block {} during the {} exchange of block {block}",
+                reply.pass,
+                reply.block,
+                pass_name(pass)
+            )));
         }
-    }
-
-    /// A reference instant, or `None` when not measuring.
-    pub(crate) fn mark(&self) -> Option<Instant> {
-        self.started.map(|_| Instant::now())
-    }
-
-    /// Accounts time since `mark` as serialize time.
-    pub(crate) fn add_serialize(&mut self, from: Option<Instant>) {
-        if let Some(t) = from {
-            self.serialize += t.elapsed();
+        let (items, sent_rows, width) = (plan.items(w).len(), log.rows[w], rows.width());
+        if reply.items as usize != items
+            || u64::from(reply.rows) != sent_rows
+            || reply.width != width
+        {
+            return Err(TransportError::Protocol(format!(
+                "worker {w} answered with {} items × {} rows of width {}, dispatch had \
+                 {items} items × {sent_rows} rows of width {width}",
+                reply.items, reply.rows, reply.width
+            )));
         }
+        vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass));
+        rows.deliver(plan.regions(w, |i| loads[i].1 as usize), reply.data)?;
+    }
+    if let (Some(started), Some(sent)) = (started, sent) {
+        SERIALIZE_US.add((sent - started).as_micros() as u64);
+        INFLIGHT_US.add(sent.elapsed().as_micros() as u64);
+        EXCHANGE_US.add(started.elapsed().as_micros() as u64);
     }
 
-    /// Accounts time since `mark` as blocked-drain time.
-    pub(crate) fn add_wait(&mut self, from: Option<Instant>) {
-        if let Some(t) = from {
-            self.wait += t.elapsed();
+    if vela_obs::enabled() {
+        let expert_rows: Vec<(usize, usize)> =
+            loads.iter().map(|&(e, n)| (e, n as usize)).collect();
+        observe_phase(&log, &expert_rows);
+        // Per-worker `(expert, rows)` events are what `trace_summary`'s
+        // replication section aggregates into per-replica token shares.
+        // Only emitted for placements with actual replication, so
+        // degree-1 traces stay identical to the seed's.
+        if !placement.is_degree_one() {
+            for w in (0..workers).filter(|&w| !plan.items(w).is_empty()) {
+                let served: Vec<(usize, usize)> =
+                    plan.items(w).iter().map(|&i| expert_rows[i]).collect();
+                vela_obs::expert_rows(worker_src(w), pass_name(pass), block, &served);
+            }
         }
     }
-
-    /// Records that a tick is fully shipped, owing `owed` cumulative
-    /// reply frames.
-    pub(crate) fn tick_sent(&mut self, owed: usize) {
-        if self.started.is_some() {
-            self.sent_at.push((Instant::now(), owed));
-        }
-    }
-
-    /// Advances in-flight accounting to `drained` cumulative frames.
-    pub(crate) fn drained(&mut self, drained: usize) {
-        if self.started.is_none() {
-            return;
-        }
-        let now = Instant::now();
-        while self.next_done < self.sent_at.len() && self.sent_at[self.next_done].1 <= drained {
-            self.inflight += now - self.sent_at[self.next_done].0;
-            self.next_done += 1;
-        }
-    }
-
-    /// Flushes counters (when obs is enabled) and returns
-    /// `(serialize_us, wait_us)` for the auto-tuner.
-    pub(crate) fn finish(self) -> Option<(f64, f64)> {
-        let started = self.started?;
-        if vela_obs::enabled() {
-            SERIALIZE_US.add(self.serialize.as_micros() as u64);
-            INFLIGHT_US.add(self.inflight.as_micros() as u64);
-            EXCHANGE_US.add(started.elapsed().as_micros() as u64);
-        }
-        Some((
-            self.serialize.as_secs_f64() * 1e6,
-            self.wait.as_secs_f64() * 1e6,
-        ))
-    }
+    Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn plan(workers: usize, chunks: usize, assign: &[usize]) -> ChunkPlan {
-        let mut p = ChunkPlan::default();
-        p.build(workers, chunks, assign.iter().copied());
+    fn plan(workers: usize, assign: &[usize]) -> DispatchPlan {
+        let mut p = DispatchPlan::default();
+        p.build(workers, assign.iter().copied());
         p
     }
 
     #[test]
     fn chunks_are_per_worker_and_order_preserving() {
-        // 8 items alternating between 2 workers (the bench placement).
+        // 8 items alternating between 2 workers (the bench placement):
+        // each worker's frame carries its own items, in dispatch order.
         let assign: Vec<usize> = (0..8).map(|e| e % 2).collect();
-        let p = plan(2, 4, &assign);
-        assert_eq!(p.ticks(), 4);
-        // Worker 0 owns items 0,2,4,6 split into 4 single-item chunks.
-        for tick in 0..4 {
-            assert_eq!(p.chunk_items(0, tick), &[tick * 2]);
-            assert_eq!(p.chunk_items(1, tick), &[tick * 2 + 1]);
-        }
-        assert!(p.chunk_items(0, 4).is_empty());
-    }
-
-    #[test]
-    fn chunk_count_clamps_to_items_per_worker() {
-        // Worker 1 has a single item: asking for 4 chunks gives it 1,
-        // while worker 0 still gets 4. Ticks follow the largest.
-        let p = plan(2, 4, &[0, 0, 0, 0, 1]);
-        assert_eq!(p.ticks(), 4);
-        assert_eq!(p.chunk_items(1, 0), &[4]);
-        assert!(p.chunk_items(1, 1).is_empty());
-        let all: Vec<usize> = (0..4).flat_map(|t| p.chunk_items(0, t).to_vec()).collect();
-        assert_eq!(all, vec![0, 1, 2, 3]);
+        let p = plan(2, &assign);
+        assert_eq!(p.items(0), &[0, 2, 4, 6]);
+        assert_eq!(p.items(1), &[1, 3, 5, 7]);
     }
 
     #[test]
     fn single_chunk_plan_is_the_coalesced_baseline() {
-        let p = plan(3, 1, &[2, 0, 2, 1]);
-        assert_eq!(p.ticks(), 1);
-        assert_eq!(p.chunk_items(0, 0), &[1]);
-        assert_eq!(p.chunk_items(1, 0), &[3]);
-        assert_eq!(p.chunk_items(2, 0), &[0, 2]);
+        let p = plan(3, &[2, 0, 2, 1]);
+        assert_eq!(p.items(0), &[1]);
+        assert_eq!(p.items(1), &[3]);
+        assert_eq!(p.items(2), &[0, 2]);
     }
 
     #[test]
     fn workers_without_items_ship_no_chunks() {
-        let p = plan(3, 2, &[1, 1]);
-        assert_eq!(p.ticks(), 2);
-        assert!(p.chunk_items(0, 0).is_empty());
-        assert!(p.chunk_items(2, 0).is_empty());
-        assert_eq!(p.chunk_items(1, 0), &[0]);
-        assert_eq!(p.chunk_items(1, 1), &[1]);
+        let p = plan(3, &[1, 1]);
+        assert!(p.items(0).is_empty());
+        assert!(p.items(2).is_empty());
+        assert_eq!(p.items(1), &[0, 1]);
+        // Buffers are reused: a rebuild forgets the previous exchange.
+        let mut p = p;
+        p.build(2, [0usize].into_iter());
+        assert_eq!(p.items(0), &[0]);
+        assert!(p.items(1).is_empty());
     }
 
     #[test]
     fn chunk_regions_tile_the_packed_layout_densely() {
-        // Items 0,2,4 on worker 0 with 1,3,5 rows: chunk 0 holds items
-        // 0,2 (rows 1+3), chunk 1 holds item 4. Offsets restart per chunk
-        // because every chunk is its own packed frame.
-        let p = plan(2, 2, &[0, 1, 0, 1, 0]);
+        // Items 0,2,4 on worker 0 with 1,3,5 rows: offsets run on from one
+        // item to the next and restart per worker, because every worker's
+        // rows are their own packed frame.
+        let p = plan(2, &[0, 1, 0, 1, 0]);
         let rows_of = |i: usize| i + 1;
-        let c0: Vec<_> = p.chunk_regions(0, 0, rows_of).collect();
-        assert_eq!(c0, vec![(0, 0, 1), (2, 1, 3)]);
-        let c1: Vec<_> = p.chunk_regions(0, 1, rows_of).collect();
-        assert_eq!(c1, vec![(4, 0, 5)]);
-        assert_eq!(p.chunk_regions(0, 2, rows_of).count(), 0);
-    }
-
-    #[test]
-    fn remainder_goes_to_earlier_chunks() {
-        // 5 items on one worker in 2 chunks: 3 + 2, like chunk_ranges.
-        let p = plan(1, 2, &[0, 0, 0, 0, 0]);
-        assert_eq!(p.chunk_items(0, 0), &[0, 1, 2]);
-        assert_eq!(p.chunk_items(0, 1), &[3, 4]);
-    }
-
-    #[test]
-    fn pick_chunks_wants_substance_on_both_sides() {
-        // Echo workloads: serialize is microseconds — stay at 1.
-        assert_eq!(pick_chunks(3.0, 500.0), 1);
-        assert_eq!(pick_chunks(500.0, 3.0), 1);
-        assert_eq!(pick_chunks(0.0, 0.0), 1);
-        // Balanced, substantial work: ratio + 1 chunks.
-        assert_eq!(pick_chunks(1000.0, 1000.0), 2);
-        assert_eq!(pick_chunks(1000.0, 3000.0), 4);
-        // Heavily compute-bound clamps at the max.
-        assert_eq!(pick_chunks(1000.0, 100_000.0), AUTO_MAX_CHUNKS);
-    }
-
-    #[test]
-    fn auto_tuner_probe_schedule_is_deterministic() {
-        let mut t = AutoTuner::default();
-        // Warmup probes run unchunked regardless of what they measure.
-        for _ in 0..AUTO_WARMUP {
-            let (chunks, probe) = t.plan(0, false);
-            assert_eq!((chunks, probe), (1, true));
-            t.record(0, false, 2000.0, 6000.0);
-        }
-        // Settled: serves the measured pick without probing...
-        for _ in AUTO_WARMUP..AUTO_REESTIMATE_EVERY {
-            assert_eq!(t.plan(0, false), (4, false));
-        }
-        // ...and the next window re-probes on schedule.
-        assert_eq!(t.plan(0, false), (1, true));
-        // Other (block, pass) keys have their own state.
-        assert_eq!(t.plan(0, true), (1, true));
-        assert_eq!(t.plan(3, false), (1, true));
-    }
-
-    #[test]
-    fn timer_is_inert_when_not_measuring() {
-        let mut t = ExchangeTimer::new(false);
-        assert!(t.mark().is_none());
-        t.tick_sent(1);
-        t.drained(1);
-        assert!(t.finish().is_none());
-    }
-
-    #[test]
-    fn timer_accounts_overlapping_inflight_windows() {
-        let mut t = ExchangeTimer::new(true);
-        let m = t.mark();
-        assert!(m.is_some());
-        t.add_serialize(m);
-        t.tick_sent(2);
-        std::thread::sleep(Duration::from_millis(2));
-        t.tick_sent(4);
-        std::thread::sleep(Duration::from_millis(2));
-        t.drained(4);
-        let (serialize_us, _) = t.finish().unwrap();
-        assert!(serialize_us >= 0.0);
+        let w0: Vec<_> = p.regions(0, rows_of).collect();
+        assert_eq!(w0, vec![(0, 0, 1), (2, 1, 3), (4, 4, 5)]);
+        let w1: Vec<_> = p.regions(1, rows_of).collect();
+        assert_eq!(w1, vec![(1, 0, 2), (3, 2, 4)]);
     }
 }

@@ -156,6 +156,9 @@ impl RealRuntime {
         let grad_bytes = (expert_grads(experts.expert_mut(0, 0)).len() * 4) as u32;
         let ledger = Arc::new(TrafficLedger::new(topology.clone()));
         let cost = CostModel::new(topology);
+        // Read once: process-mode seeding and the broker must agree on
+        // whether expert state crosses the wire quantized.
+        let exchange = ExchangeConfig::from_env();
 
         let (hub, workers) = if transport.is_process_mode() {
             let bootstrap = WorkerBootstrap {
@@ -167,7 +170,13 @@ impl RealRuntime {
             let (mut hub, children) =
                 launch_process_star(ledger.clone(), master, &worker_devices, &bootstrap)
                     .unwrap_or_else(|e| panic!("launching worker processes failed: {e}"));
-            seed_processes(&mut hub, &mut experts, &placement, &cfg);
+            seed_processes(
+                &mut hub,
+                &mut experts,
+                &placement,
+                &cfg,
+                exchange.quantized(),
+            );
             // Seeding crossed real sockets; drop its ledger window so step
             // traffic starts clean and matches the thread-backed transports.
             ledger.take_step();
@@ -219,10 +228,12 @@ impl RealRuntime {
             (hub, workers)
         };
 
+        let mut broker = BrokerClient::new(hub, placement);
+        broker.set_exchange(exchange);
         RealRuntime {
             spec: cfg.spec(),
             model,
-            broker: BrokerClient::new(hub, placement),
+            broker,
             workers,
             template,
             opt_model: AdamW::new(optim),
@@ -253,9 +264,10 @@ impl RealRuntime {
         self.broker.transport()
     }
 
-    /// Overrides the exchange shape (coalescing / microbatching) chosen
-    /// from the environment at launch. Metrics and ledger windows are
-    /// bitwise-identical for every shape; only wire frame counts change.
+    /// Overrides the configuration read from the environment at launch.
+    /// Process-mode seeding has already happened by then, so a `quant`
+    /// set here applies to dispatch rows and sync-mode migration installs
+    /// only.
     pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
         self.broker.set_exchange(cfg);
     }
@@ -270,24 +282,14 @@ impl RealRuntime {
         self.broker.set_exchange(cfg);
     }
 
-    /// Overrides the replica grad-sync shape (the `VELA_SYNC_OVERLAP`
-    /// knob): sequential round-trips, or all fetches in flight at once.
-    /// Workers only apply synced gradients on `StepEnd`, so both shapes
-    /// are bit-identical.
-    pub fn set_sync_overlap(&mut self, on: bool) {
-        let mut cfg = self.broker.exchange_config();
-        cfg.sync_overlap = on;
-        self.broker.set_exchange(cfg);
-    }
-
     /// Wire frames shipped/drained by the master hub so far (out, in).
     pub fn frame_counts(&self) -> (u64, u64) {
         self.broker.frame_counts()
     }
 
     /// Actual encoded wire bytes by frame kind (headers vs payloads) —
-    /// the quantity `VELA_WIRE` / `VELA_QUANT` exist to shrink. Unlike
-    /// the traffic ledger this *does* depend on the wire format.
+    /// the quantity `VELA_QUANT` exists to shrink. Unlike the traffic
+    /// ledger this *does* depend on the wire encoding.
     pub fn wire_stats(&self) -> crate::transport::WireStats {
         self.broker.wire_stats()
     }
@@ -436,8 +438,8 @@ impl RealRuntime {
             &self.spec,
             master_flops,
         );
-        // The sync protocol is sequential round-trips through the master,
-        // so its modeled time is the sum of the per-flow transfer times.
+        // Every sync flow crosses the master's one link to its worker, so
+        // the modeled time is the sum of the per-flow transfer times.
         time.sync_s += sync_flows
             .iter()
             .map(|&(w, bytes)| {
@@ -528,17 +530,17 @@ impl RealRuntime {
 /// Ships every expert to its placed worker process as an accounted
 /// `ExpertState` frame and waits for all install acks.
 ///
-/// With `VELA_QUANT=int8` (and the packed wire) the blobs cross the wire
-/// as `VELQ` checkpoints at roughly a quarter of the f32 size; workers
-/// install the dequantized weights (the lossy opt-in), while teardown
-/// fetch-back always rides exact f32.
+/// When the session is `quantized` (`VELA_QUANT=int8`) the blobs cross
+/// the wire as `VELQ` checkpoints at roughly a quarter of the f32 size;
+/// workers install the dequantized weights (the lossy opt-in), while
+/// teardown fetch-back always rides exact f32.
 fn seed_processes(
     hub: &mut MasterHub,
     experts: &mut LocalExpertStore,
     placement: &ReplicatedPlacement,
     cfg: &vela_model::ModelConfig,
+    quantized: bool,
 ) {
-    let quantized = crate::transport::ExchangeConfig::from_env().quantized();
     let mut outstanding = 0usize;
     for l in 0..cfg.blocks {
         for e in 0..cfg.experts {

@@ -187,67 +187,7 @@ impl TransportConfig {
     }
 }
 
-/// How many chunks a block-pass exchange is split into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Microbatch {
-    /// Split every worker's item list into (up to) this many chunks.
-    /// `Fixed(1)` is the degenerate single-chunk exchange.
-    Fixed(usize),
-    /// Let the runtime pick the chunk count per (block, pass) from the
-    /// measured serialize/in-flight ratio, re-estimated online with a
-    /// deterministic warmup window (see `runtime::pipeline::AutoTuner`).
-    /// Any choice is bitwise-identical to any other by construction, so
-    /// auto-chunking affects speed only.
-    Auto,
-}
-
-impl Microbatch {
-    /// The chunk count for a fixed setting, or `None` for auto.
-    pub fn fixed(&self) -> Option<usize> {
-        match self {
-            Microbatch::Fixed(n) => Some(*n),
-            Microbatch::Auto => None,
-        }
-    }
-
-    /// Stable label for bench output: the number, or `auto`.
-    pub fn label(&self) -> String {
-        match self {
-            Microbatch::Fixed(n) => n.to_string(),
-            Microbatch::Auto => "auto".to_string(),
-        }
-    }
-}
-
-impl fmt::Display for Microbatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
-/// How coalesced group frames are laid out on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFormat {
-    /// One `Payload` header per expert batch inside the group frame (the
-    /// original format).
-    Legacy,
-    /// Column-packed frames: one contiguous row region per worker-chunk
-    /// with a compact span table, no per-item payload headers. Bitwise-
-    /// identical computation and ledger-identical accounting to legacy.
-    Packed,
-}
-
-impl WireFormat {
-    /// Stable label for bench output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            WireFormat::Legacy => "legacy",
-            WireFormat::Packed => "packed",
-        }
-    }
-}
-
-/// Opt-in lossy compression of packed activation rows and expert-state
+/// Opt-in lossy compression of dispatch/result rows and expert-state
 /// installs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Quant {
@@ -295,156 +235,45 @@ impl MigrationMode {
     }
 }
 
-/// How a block-pass exchange is framed and pipelined.
+/// The two choices a session makes about its data plane. Everything else
+/// about the exchange is fixed: one packed frame per worker per block-pass,
+/// replica gradient flows issued up front.
 ///
-/// Orthogonal to [`TransportConfig`]: any exchange shape runs over any
-/// transport, and every combination produces bitwise-identical results and
-/// byte-identical ledgers (pinned by `tests/transport_parity.rs`) — except
-/// `quant: Int8`, which is deliberately lossy on activations and carries
-/// its own accuracy gate.
+/// Orthogonal to [`TransportConfig`]: both fields run over any transport.
+/// `migration` never changes results (pinned by `tests/migration.rs`);
+/// `quant: Int8` is deliberately lossy on activations and carries its own
+/// accuracy gate (`tests/quant_accuracy.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExchangeConfig {
-    /// Pack a worker's expert batches for a chunk into one
-    /// `DispatchGroup` frame (default). Off = one frame per batch, the
-    /// pre-pipeline wire protocol.
-    pub coalesce: bool,
-    /// Number of chunks each block-pass is split into so the master can
-    /// drain chunk *j* while workers compute *j+1*. Chunking happens
-    /// per worker at whole-expert-batch granularity, so it composes with
-    /// coalescing: one frame per worker per chunk.
-    pub microbatch: Microbatch,
-    /// Maximum chunks in flight per worker before the master drains
-    /// replies (the ring depth). `1` reproduces the one-deep send→drain
-    /// pipeline; deeper rings keep the link busy while earlier chunks are
-    /// still being served.
-    pub depth: usize,
-    /// Group frame layout. Packed framing applies to coalesced frames;
-    /// with `coalesce: false` the per-batch protocol is legacy by
-    /// definition.
-    pub wire: WireFormat,
-    /// Opt-in int8 row quantization (packed frames only).
+    /// Opt-in int8 row quantization.
     pub quant: Quant,
     /// How expert migration moves parameters (stop-the-world or
     /// background shadow install).
     pub migration: MigrationMode,
-    /// Issue replica gradient-sync flows up front and drain replies in
-    /// arrival order instead of one sequential round-trip per expert.
-    /// Workers only apply gradients on `StepEnd`, so results stay
-    /// loss-for-loss bitwise identical either way.
-    pub sync_overlap: bool,
 }
 
 impl Default for ExchangeConfig {
     fn default() -> Self {
         ExchangeConfig {
-            coalesce: true,
-            microbatch: Microbatch::Fixed(1),
-            depth: 2,
-            wire: WireFormat::Legacy,
             quant: Quant::Off,
             migration: MigrationMode::Sync,
-            sync_overlap: false,
         }
     }
 }
 
 impl ExchangeConfig {
-    /// One frame per batch, single chunk, no pipelining — the exact wire
-    /// protocol that predates the pipeline. Parity tests use this as the
-    /// baseline.
-    pub fn per_batch() -> Self {
-        ExchangeConfig {
-            coalesce: false,
-            microbatch: Microbatch::Fixed(1),
-            depth: 1,
-            ..ExchangeConfig::default()
-        }
-    }
-
-    /// Coalesced exchange with a fixed chunk count and the default ring
-    /// depth — the common bench/test shape.
-    pub fn chunked(microbatch: usize) -> Self {
-        ExchangeConfig {
-            microbatch: Microbatch::Fixed(microbatch),
-            ..ExchangeConfig::default()
-        }
-    }
-
-    /// The default exchange over column-packed frames, optionally with
-    /// int8 row quantization.
-    pub fn packed(quant: Quant) -> Self {
-        ExchangeConfig {
-            wire: WireFormat::Packed,
-            quant,
-            ..ExchangeConfig::default()
-        }
-    }
-
-    /// Same exchange shape with a different wire format/quantization.
-    pub fn with_wire(self, wire: WireFormat, quant: Quant) -> Self {
-        ExchangeConfig {
-            wire,
-            quant,
-            ..self
-        }
-    }
-
     /// Whether data-plane rows are int8-quantized on the wire.
     pub fn quantized(&self) -> bool {
-        self.wire == WireFormat::Packed && self.quant == Quant::Int8
+        self.quant == Quant::Int8
     }
 
-    /// Reads `VELA_COALESCE` (`1`/`on`/`true` — default — or
-    /// `0`/`off`/`false`), `VELA_MICROBATCH` (a chunk count ≥ 1 or
-    /// `auto`, default 1), `VELA_PIPELINE_DEPTH` (in-flight chunks
-    /// ≥ 1, default 2), `VELA_WIRE` (`legacy` — default — or `packed`)
-    /// and `VELA_QUANT` (`off` — default — or `int8`; requires
-    /// `VELA_WIRE=packed`). Unknown values warn and fall back rather
-    /// than aborting a long run.
+    /// Reads `VELA_QUANT` (`off` — default — or `int8`) and
+    /// `VELA_MIGRATION` (`sync` — default — or `overlap`). Unknown values
+    /// warn and fall back rather than aborting a long run.
     pub fn from_env() -> Self {
         let mut cfg = ExchangeConfig::default();
-        match std::env::var("VELA_COALESCE").as_deref() {
-            Ok("0") | Ok("off") | Ok("false") => cfg.coalesce = false,
-            Ok("1") | Ok("on") | Ok("true") | Err(_) => {}
-            Ok(other) => {
-                vela_obs::warn!("unknown VELA_COALESCE={other:?}, coalescing stays on");
-            }
-        }
-        if let Ok(raw) = std::env::var("VELA_MICROBATCH") {
-            if raw == "auto" {
-                cfg.microbatch = Microbatch::Auto;
-            } else {
-                match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => cfg.microbatch = Microbatch::Fixed(n),
-                    _ => {
-                        vela_obs::warn!("invalid VELA_MICROBATCH={raw:?}, using 1");
-                    }
-                }
-            }
-        }
-        if let Ok(raw) = std::env::var("VELA_PIPELINE_DEPTH") {
-            match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => cfg.depth = n,
-                _ => {
-                    vela_obs::warn!("invalid VELA_PIPELINE_DEPTH={raw:?}, using 2");
-                }
-            }
-        }
-        match std::env::var("VELA_WIRE").as_deref() {
-            Ok("packed") => cfg.wire = WireFormat::Packed,
-            Ok("legacy") | Err(_) => {}
-            Ok(other) => {
-                vela_obs::warn!("unknown VELA_WIRE={other:?}, using legacy framing");
-            }
-        }
         match std::env::var("VELA_QUANT").as_deref() {
-            Ok("int8") => {
-                if cfg.wire == WireFormat::Packed {
-                    cfg.quant = Quant::Int8;
-                } else {
-                    vela_obs::warn!("VELA_QUANT=int8 needs VELA_WIRE=packed, staying exact");
-                }
-            }
+            Ok("int8") => cfg.quant = Quant::Int8,
             Ok("off") | Err(_) => {}
             Ok(other) => {
                 vela_obs::warn!("unknown VELA_QUANT={other:?}, staying exact");
@@ -455,13 +284,6 @@ impl ExchangeConfig {
             Ok("sync") | Err(_) => {}
             Ok(other) => {
                 vela_obs::warn!("unknown VELA_MIGRATION={other:?}, using sync migration");
-            }
-        }
-        match std::env::var("VELA_SYNC_OVERLAP").as_deref() {
-            Ok("1") | Ok("on") | Ok("true") => cfg.sync_overlap = true,
-            Ok("0") | Ok("off") | Ok("false") | Err(_) => {}
-            Ok(other) => {
-                vela_obs::warn!("unknown VELA_SYNC_OVERLAP={other:?}, staying sequential");
             }
         }
         if cfg.migration == MigrationMode::Overlap && cfg.quantized() {
@@ -517,11 +339,10 @@ static WIRE_EXPERT_STATE_PAYLOAD: LazyCounter = LazyCounter::new("wire.expert_st
 /// kind and header vs payload.
 ///
 /// This is the *wire* view, distinct from the [`TrafficLedger`]'s
-/// *accounted* view: the ledger stays framing-independent by design (so
-/// fig5/fig6 byte totals are comparable across every exchange shape),
-/// while these counters measure what serialization actually costs —
-/// the thing the packed layout exists to shrink. Virtual payloads carry
-/// no wire payload bytes, only their headers.
+/// *accounted* view: the ledger counts tokens moved, not how they were
+/// framed, while these counters measure what serialization actually
+/// costs. Virtual payloads carry no wire payload bytes, only their
+/// headers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireStats {
     /// Header bytes of master→worker activation/gradient frames.
@@ -628,10 +449,8 @@ impl MasterHub {
         }
     }
 
-    /// Protocol frames shipped and drained since construction, counted at
-    /// the wire-frame granularity (one coalesced group = one frame). The
-    /// transport bench uses this to show coalescing shrinking frame
-    /// counts while [`TrafficLedger`] bytes stay identical.
+    /// Protocol frames shipped and drained since construction (a packed
+    /// dispatch carrying many expert batches is one frame).
     pub fn frame_counts(&self) -> (u64, u64) {
         (self.frames_out, self.frames_in)
     }
@@ -915,7 +734,7 @@ pub fn build_star(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Payload;
+    use crate::message::{GroupPass, PackedData, PackedGroup, PackedReply};
     use vela_cluster::Topology;
 
     fn setup() -> (Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>) {
@@ -948,14 +767,12 @@ mod tests {
     #[test]
     fn traffic_is_recorded_per_link() {
         let (ledger, mut hub, mut ports) = setup();
-        let msg = Message::TokenBatch {
-            block: 0,
-            expert: 0,
-            payload: Payload::Virtual {
-                rows: 10,
-                bytes_per_token: 100,
-            },
-        };
+        let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+            0,
+            GroupPass::Forward,
+            100,
+            std::iter::once((0, 10)),
+        ));
         hub.send(0, &msg).unwrap(); // master → worker on the same device: free
         hub.send(1, &msg).unwrap(); // same node: internal
         hub.send(2, &msg).unwrap(); // cross-node: external
@@ -1051,42 +868,29 @@ mod tests {
     fn exchange_config_constructors() {
         // Pure constructors only — env vars are process-global.
         let d = ExchangeConfig::default();
-        assert!(d.coalesce);
-        assert_eq!(d.microbatch, Microbatch::Fixed(1));
-        assert_eq!(d.depth, 2);
-        let p = ExchangeConfig::per_batch();
-        assert!(!p.coalesce);
-        assert_eq!(p.microbatch, Microbatch::Fixed(1));
-        assert_eq!(p.depth, 1);
-        let c = ExchangeConfig::chunked(4);
-        assert!(c.coalesce);
-        assert_eq!(c.microbatch, Microbatch::Fixed(4));
-        assert_eq!(c.depth, 2);
-        assert_eq!(d.wire, WireFormat::Legacy);
         assert_eq!(d.quant, Quant::Off);
-        let q = ExchangeConfig::packed(Quant::Int8);
-        assert_eq!(q.wire, WireFormat::Packed);
+        assert_eq!(d.migration, MigrationMode::Sync);
+        assert!(!d.quantized());
+        let q = ExchangeConfig {
+            quant: Quant::Int8,
+            ..d
+        };
         assert!(q.quantized());
-        assert!(!ExchangeConfig::packed(Quant::Off).quantized());
-        // int8 without packed framing never engages.
-        assert!(!d.with_wire(WireFormat::Legacy, Quant::Int8).quantized());
-        assert_eq!(Microbatch::Fixed(4).label(), "4");
-        assert_eq!(Microbatch::Auto.label(), "auto");
-        assert_eq!(Microbatch::Fixed(4).fixed(), Some(4));
-        assert_eq!(Microbatch::Auto.fixed(), None);
-        assert_eq!(WireFormat::Packed.label(), "packed");
         assert_eq!(Quant::Int8.label(), "int8");
+        assert_eq!(MigrationMode::Overlap.label(), "overlap");
     }
 
     #[test]
     fn wire_stats_split_header_from_payload_per_kind() {
         let (_, mut hub, mut ports) = setup();
-        let t = vela_tensor::Tensor::ones((2, 3));
-        let msg = Message::TokenBatch {
-            block: 0,
-            expert: 0,
-            payload: Payload::from_tensor(&t),
-        };
+        let rows = [1.0f32; 6];
+        let msg = Message::PackedDispatch(PackedGroup::pack(
+            0,
+            GroupPass::Forward,
+            3,
+            false,
+            std::iter::once((0, &rows[..])),
+        ));
         hub.send(1, &msg).unwrap();
         let w = hub.wire_stats();
         assert_eq!(w.dispatch_payload, 24);
@@ -1095,11 +899,14 @@ mod tests {
 
         ports[1].recv().unwrap();
         ports[1]
-            .send(&Message::ExpertResult {
+            .send(&Message::PackedResult(PackedReply {
                 block: 0,
-                expert: 0,
-                payload: Payload::from_tensor(&t),
-            })
+                pass: GroupPass::Forward,
+                width: 3,
+                items: 1,
+                rows: 2,
+                data: PackedData::F32(rows.to_vec()),
+            }))
             .unwrap();
         hub.recv().unwrap();
         let w = hub.wire_stats();

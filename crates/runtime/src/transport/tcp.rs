@@ -706,7 +706,7 @@ mod tests {
         // into one growing reassembly buffer.
         let (_, mut hub, mut ports) = setup();
         let data: Vec<f32> = (0..4_000_000).map(|i| i as f32 * 0.5 - 7.0).collect();
-        let msg = Message::TokenBatch {
+        let msg = Message::GradState {
             block: 1,
             expert: 2,
             payload: Payload::Real {
@@ -725,7 +725,7 @@ mod tests {
     #[test]
     fn ledger_accounts_identically_to_channel() {
         let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
-        let msg = Message::TokenBatch {
+        let msg = Message::GradState {
             block: 0,
             expert: 0,
             payload: Payload::Virtual {

@@ -23,21 +23,13 @@ use vela_model::MoeSpec;
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::rng::DetRng;
 
-use vela_obs::FlowPhase;
-
-use crate::broker::{
-    exchange_corr, group_pass, pass_name, route_experts, sync_grads_over, worker_src,
-    MigrationState, Pass, PhaseLog,
-};
+use crate::broker::{sync_grads_over, MigrationState, Pass};
 use crate::launch::{launch_process_star, WorkerHandle};
-use crate::message::{GroupItem, Message, PackedData, PackedGroup, Payload};
+use crate::message::{GroupPass, Message, PackedData, PackedGroup};
 use crate::metrics::{backbone_flops_per_token, master_worker_time, StepMetrics};
-use crate::pipeline::{AutoTuner, ChunkPlan, ExchangeTimer};
-use crate::pipeline::{SPAN_INFLIGHT, SPAN_SERIALIZE, STALLS};
+use crate::pipeline::{self, DispatchPlan, Link, Rows};
 use crate::routing::sample_expert_counts;
-use crate::transport::{
-    build_star, ExchangeConfig, MasterHub, Microbatch, TransportConfig, WireFormat, WireStats,
-};
+use crate::transport::{build_star, MasterHub, TransportConfig, TransportError, WireStats};
 use crate::worker::{ExpertManager, WorkerBootstrap};
 
 /// Scale parameters of a virtual evaluation run.
@@ -132,9 +124,7 @@ pub struct VirtualEngine {
     worker_devices: Vec<DeviceId>,
     rng: DetRng,
     step: usize,
-    exchange_cfg: ExchangeConfig,
-    plan: ChunkPlan,
-    tuner: AutoTuner,
+    plan: DispatchPlan,
 }
 
 impl VirtualEngine {
@@ -251,9 +241,7 @@ impl VirtualEngine {
             worker_devices,
             rng,
             step: 0,
-            exchange_cfg: ExchangeConfig::from_env(),
-            plan: ChunkPlan::default(),
-            tuner: AutoTuner::default(),
+            plan: DispatchPlan::default(),
         }
     }
 
@@ -286,13 +274,6 @@ impl VirtualEngine {
         }
     }
 
-    /// Overrides the exchange shape (coalescing / microbatching) chosen
-    /// from the environment at launch. Ledger windows are byte-identical
-    /// for every shape; only wire frame counts change.
-    pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
-        self.exchange_cfg = cfg;
-    }
-
     /// Wire frames shipped/drained by the hub so far (out, in).
     pub fn frame_counts(&self) -> (u64, u64) {
         self.hub.frame_counts()
@@ -320,6 +301,11 @@ impl VirtualEngine {
     /// # Panics
     /// Panics if the transport fails mid-step.
     pub fn step(&mut self) -> StepMetrics {
+        self.try_step()
+            .unwrap_or_else(|e| panic!("transport failed mid-step: {e}"))
+    }
+
+    fn try_step(&mut self) -> Result<StepMetrics, TransportError> {
         self.step += 1;
         // Process-unique trace step: broadcast so worker-side correlation
         // keys match the master's and never collide across engine runs.
@@ -327,18 +313,46 @@ impl VirtualEngine {
         let _span = vela_obs::span("runtime.virtual.step");
         self.ledger.take_step();
         self.hub
-            .broadcast(&Message::StepBegin { step: trace_step })
-            .unwrap_or_else(|e| panic!("transport failed at step begin: {e}"));
+            .broadcast(&Message::StepBegin { step: trace_step })?;
 
         let spec = self.scale.spec;
         let tokens = self.scale.tokens();
-        let bytes_per_token = spec.token_bytes() as u32;
+        // The virtual engine never migrates: every drain runs over an
+        // empty lane table.
+        let mut no_lanes = MigrationState::default();
         let mut logs = Vec::with_capacity(spec.blocks * 2);
         for block in 0..spec.blocks {
             let counts =
                 sample_expert_counts(&self.profile, block, tokens, spec.top_k, &mut self.rng);
-            logs.push(self.exchange(block, Pass::Forward, &counts, bytes_per_token));
-            logs.push(self.exchange(block, Pass::Backward, &counts, bytes_per_token));
+            // Virtual token (or gradient) rows to each expert's worker,
+            // echoed back.
+            let mut rows = VirtualRows {
+                sends: counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &rows)| rows > 0)
+                    .map(|(expert, &rows)| (expert, rows as u32))
+                    .collect(),
+                bytes_per_token: spec.token_bytes() as u32,
+            };
+            for (pass, span) in [
+                (Pass::Forward, "runtime.virtual.fwd"),
+                (Pass::Backward, "runtime.virtual.bwd"),
+            ] {
+                logs.push(pipeline::exchange(
+                    Link {
+                        hub: &mut self.hub,
+                        lanes: &mut no_lanes,
+                        placement: &self.placement,
+                        routes: &mut self.routes,
+                        plan: &mut self.plan,
+                    },
+                    span,
+                    block,
+                    pass,
+                    &mut rows,
+                )?);
+            }
         }
         for log in &logs {
             for (t, &r) in self.row_totals.iter_mut().zip(&log.rows) {
@@ -352,32 +366,24 @@ impl VirtualEngine {
         let sync_flows = {
             let _sync = vela_obs::span("runtime.virtual.grad_sync");
             let grad_bytes = expert_lora_grad_bytes(&spec, self.scale.lora_rank) as u32;
-            // The virtual engine never migrates, so it syncs over an
-            // empty lane table; the overlap knob still applies.
-            let mut no_lanes = MigrationState::default();
             sync_grads_over(
                 &mut self.hub,
                 &self.placement,
                 &self.routes,
                 grad_bytes,
-                self.exchange_cfg.sync_overlap,
                 &mut no_lanes,
-            )
-            .unwrap_or_else(|e| panic!("transport failed during grad sync: {e}"))
+            )?
         };
 
         // Step end: workers ack their (empty) optimizer step.
-        self.hub
-            .broadcast(&Message::StepEnd)
-            .unwrap_or_else(|e| panic!("transport failed at step end: {e}"));
-        let mut pending = self.hub.worker_count();
-        while pending > 0 {
-            let (_, msg) = self
-                .hub
-                .recv()
-                .unwrap_or_else(|e| panic!("transport failed awaiting StepDone: {e}"));
-            assert_eq!(msg, Message::StepDone);
-            pending -= 1;
+        self.hub.broadcast(&Message::StepEnd)?;
+        for _ in 0..self.hub.worker_count() {
+            let (w, msg) = self.hub.recv()?;
+            if msg != Message::StepDone {
+                return Err(TransportError::Protocol(format!(
+                    "worker {w}: expected StepDone, got {msg:?}"
+                )));
+            }
         }
 
         let traffic = self.ledger.take_step();
@@ -398,12 +404,12 @@ impl VirtualEngine {
             })
             .sum::<f64>();
         self.profile.sharpen(self.scale.drift);
-        StepMetrics {
+        Ok(StepMetrics {
             step: self.step,
             loss: None,
             traffic,
             time,
-        }
+        })
     }
 
     /// Runs `steps` steps.
@@ -422,265 +428,49 @@ impl VirtualEngine {
         }
         vela_obs::flush();
     }
+}
 
-    /// One dispatch + gather round for a block: virtual token (or
-    /// gradient) groups to each expert's worker, echoes back.
-    fn exchange(
-        &mut self,
-        block: usize,
-        pass: Pass,
-        counts: &[usize],
-        bytes_per_token: u32,
-    ) -> PhaseLog {
-        let _span = vela_obs::span(match pass {
-            Pass::Forward => "runtime.virtual.fwd",
-            Pass::Backward => "runtime.virtual.bwd",
-        });
-        let workers = self.hub.worker_count();
-        let mut log = PhaseLog {
-            block,
-            pass,
-            bytes_out: vec![0; workers],
-            bytes_back: vec![0; workers],
-            rows: vec![0; workers],
-        };
-        let sends: Vec<(usize, u32)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &rows)| rows > 0)
-            .map(|(expert, &rows)| (expert, rows as u32))
-            .collect();
-        // The same bounded ring as `BrokerClient::exchange`: each worker's
-        // sends are split into per-worker chunks (so chunking composes with
-        // coalescing), up to `depth` ticks ride the wire at once, and
-        // before shipping tick c the master drains every frame owed
-        // through tick c − depth.
-        let cfg = self.exchange_cfg;
-        let backward = matches!(pass, Pass::Backward);
-        let loads: Vec<(usize, u64)> = sends
+/// Size-only rows: `(expert, rows)` per dispatched expert, nothing to
+/// pack and nothing to deliver — the echo only has to be an echo.
+struct VirtualRows {
+    sends: Vec<(usize, u32)>,
+    bytes_per_token: u32,
+}
+
+impl Rows for VirtualRows {
+    fn loads(&self) -> Vec<(usize, u64)> {
+        self.sends
             .iter()
             .map(|&(e, rows)| (e, u64::from(rows)))
-            .collect();
-        let routes = route_experts(&self.placement, &mut self.routes, block, backward, &loads);
-        let (chunks, probe) = match cfg.microbatch {
-            Microbatch::Fixed(n) => (n, false),
-            Microbatch::Auto => self.tuner.plan(block, backward),
-        };
-        self.plan.build(workers, chunks, routes.iter().copied());
-        let ticks = self.plan.ticks();
-        let depth = cfg.depth.max(1);
-        let mut timer = ExchangeTimer::new(probe || vela_obs::enabled());
-        let mut owed_after: Vec<usize> = Vec::with_capacity(ticks);
-        let mut sent = 0usize;
-        let mut received = 0usize;
-        for tick in 0..ticks {
-            if tick >= depth {
-                let owed = owed_after[tick - depth];
-                if received < owed {
-                    STALLS.add(1);
-                }
-                while received < owed {
-                    received += self.drain_virtual(pass, &mut log, &mut timer);
-                    timer.drained(received);
-                }
-            }
-            {
-                let _g = vela_obs::span(SPAN_SERIALIZE);
-                let t0 = timer.mark();
-                sent +=
-                    self.send_virtual_tick(block, pass, tick, &sends, bytes_per_token, &mut log);
-                timer.add_serialize(t0);
-            }
-            timer.tick_sent(sent);
-            owed_after.push(sent);
-        }
-        while received < sent {
-            received += self.drain_virtual(pass, &mut log, &mut timer);
-            timer.drained(received);
-        }
-        if let Some((serialize_us, wait_us)) = timer.finish() {
-            if probe {
-                self.tuner.record(block, backward, serialize_us, wait_us);
-            }
-        }
-        if vela_obs::enabled() {
-            let rows: Vec<(usize, usize)> = counts
+            .collect()
+    }
+
+    fn width(&self) -> u32 {
+        self.bytes_per_token
+    }
+
+    fn pack(&self, block: u32, pass: GroupPass, items: &[usize]) -> PackedGroup {
+        PackedGroup::pack_virtual(
+            block,
+            pass,
+            self.bytes_per_token,
+            items
                 .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(e, &c)| (e, c))
-                .collect();
-            crate::broker::observe_phase(&log, &rows);
-            if !self.placement.is_degree_one() {
-                for w in 0..workers {
-                    let wrows: Vec<(usize, usize)> = sends
-                        .iter()
-                        .zip(&routes)
-                        .filter(|&(_, &r)| r == w)
-                        .map(|(&(e, n), _)| (e, n as usize))
-                        .collect();
-                    vela_obs::expert_rows(worker_src(w), pass_name(pass), block, &wrows);
-                }
-            }
-        }
-        log
+                .map(|&i| (self.sends[i].0 as u32, self.sends[i].1)),
+        )
     }
 
-    /// Ships ring tick `tick`: one coalesced group per worker carrying
-    /// that worker's chunk of virtual sends (or per-batch frames with
-    /// coalescing off). Returns the wire frames dispatched.
-    fn send_virtual_tick(
+    fn deliver(
         &mut self,
-        block: usize,
-        pass: Pass,
-        tick: usize,
-        sends: &[(usize, u32)],
-        bytes_per_token: u32,
-        log: &mut PhaseLog,
-    ) -> usize {
-        let payload_for = |rows: u32| Payload::Virtual {
-            rows,
-            bytes_per_token,
-        };
-        let mut frames = 0usize;
-        for w in 0..self.hub.worker_count() {
-            let indices = self.plan.chunk_items(w, tick);
-            if indices.is_empty() {
-                continue;
-            }
-            if self.exchange_cfg.coalesce && self.exchange_cfg.wire == WireFormat::Packed {
-                // Column-packed framing: one span table, no per-item
-                // Payload headers. Virtual rows carry no data region, so
-                // quantization does not apply here.
-                for &i in indices {
-                    log.rows[w] += u64::from(sends[i].1);
-                }
-                let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
-                    block as u32,
-                    group_pass(pass),
-                    tick as u32,
-                    bytes_per_token,
-                    indices.iter().map(|&i| (sends[i].0 as u32, sends[i].1)),
-                ));
-                log.bytes_out[w] += msg.accounted_bytes();
-                vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-                self.hub
-                    .send(w, &msg)
-                    .unwrap_or_else(|e| panic!("transport failed during dispatch: {e}"));
-                frames += 1;
-            } else if self.exchange_cfg.coalesce {
-                let items: Vec<GroupItem> = indices
-                    .iter()
-                    .map(|&i| {
-                        let (expert, rows) = sends[i];
-                        log.rows[w] += u64::from(rows);
-                        GroupItem {
-                            expert: expert as u32,
-                            payload: payload_for(rows),
-                        }
-                    })
-                    .collect();
-                let msg = Message::DispatchGroup {
-                    block: block as u32,
-                    pass: group_pass(pass),
-                    chunk: tick as u32,
-                    items,
-                };
-                log.bytes_out[w] += msg.accounted_bytes();
-                vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass, tick));
-                self.hub
-                    .send(w, &msg)
-                    .unwrap_or_else(|e| panic!("transport failed during dispatch: {e}"));
-                frames += 1;
-            } else {
-                for &i in indices {
-                    let (expert, rows) = sends[i];
-                    let payload = payload_for(rows);
-                    let msg = match pass {
-                        Pass::Forward => Message::TokenBatch {
-                            block: block as u32,
-                            expert: expert as u32,
-                            payload,
-                        },
-                        Pass::Backward => Message::GradBatch {
-                            block: block as u32,
-                            expert: expert as u32,
-                            payload,
-                        },
-                    };
-                    log.bytes_out[w] += msg.accounted_bytes();
-                    log.rows[w] += u64::from(rows);
-                    self.hub
-                        .send(w, &msg)
-                        .unwrap_or_else(|e| panic!("transport failed during dispatch: {e}"));
-                    frames += 1;
-                }
-            }
+        _layout: impl Iterator<Item = (usize, usize, usize)>,
+        data: PackedData,
+    ) -> Result<(), TransportError> {
+        if !matches!(data, PackedData::Virtual) {
+            return Err(TransportError::Protocol(
+                "real packed reply in a virtual exchange".into(),
+            ));
         }
-        frames
-    }
-
-    /// Drains one reply frame (per-batch echo or a `ResultGroup`),
-    /// accounting its uplink bytes. Returns the frames consumed (1).
-    fn drain_virtual(
-        &mut self,
-        pass: Pass,
-        log: &mut PhaseLog,
-        timer: &mut ExchangeTimer,
-    ) -> usize {
-        let (w, msg) = {
-            let _g = vela_obs::span(SPAN_INFLIGHT);
-            let t0 = timer.mark();
-            let r = self
-                .hub
-                .recv()
-                .unwrap_or_else(|e| panic!("transport failed during gather: {e}"));
-            timer.add_wait(t0);
-            r
-        };
-        log.bytes_back[w] += msg.accounted_bytes();
-        match (pass, msg) {
-            (Pass::Forward, Message::ExpertResult { .. })
-            | (Pass::Backward, Message::GradResult { .. }) => {}
-            (
-                _,
-                Message::ResultGroup {
-                    block,
-                    pass: rp,
-                    chunk,
-                    ref items,
-                },
-            ) if rp == group_pass(pass) => {
-                let expected = self.plan.chunk_items(w, chunk as usize).len();
-                assert_eq!(
-                    items.len(),
-                    expected,
-                    "worker {w} echoed chunk {chunk} with wrong item count"
-                );
-                vela_obs::flow(
-                    FlowPhase::Finish,
-                    exchange_corr(w, block as usize, pass, chunk as usize),
-                );
-            }
-            (_, Message::PackedResult(ref reply)) if reply.pass == group_pass(pass) => {
-                assert!(
-                    matches!(reply.data, PackedData::Virtual),
-                    "real packed reply in a virtual exchange"
-                );
-                let expected = self.plan.chunk_items(w, reply.chunk as usize).len();
-                assert_eq!(
-                    reply.items as usize, expected,
-                    "worker {w} echoed packed chunk {} with wrong item count",
-                    reply.chunk
-                );
-                vela_obs::flow(
-                    FlowPhase::Finish,
-                    exchange_corr(w, reply.block as usize, pass, reply.chunk as usize),
-                );
-            }
-            (_, other) => panic!("unexpected reply {other:?}"),
-        }
-        1
+        Ok(())
     }
 }
 
@@ -793,30 +583,17 @@ mod tests {
             ..ScaleConfig::paper_default(spec)
         };
         let profile = LocalityProfile::synthetic("p", spec.blocks, spec.experts, 1.2, 2);
-        let run = |wire: WireFormat| {
-            let mut engine = launch(seq_placement(&spec, 6), profile.clone(), scale.clone());
-            engine.set_exchange(ExchangeConfig {
-                wire,
-                microbatch: Microbatch::Fixed(2),
-                ..ExchangeConfig::default()
-            });
-            let metrics = engine.run(3);
-            let stats = engine.wire_stats();
-            engine.shutdown();
-            let bytes: Vec<u64> = metrics.iter().map(|m| m.traffic.total_bytes).collect();
-            (bytes, stats)
-        };
-        let (legacy, legacy_stats) = run(WireFormat::Legacy);
-        let (packed, packed_stats) = run(WireFormat::Packed);
-        // The accounted ledger is identical by construction; the actual
-        // encoded bytes shrink because span tables replace Payload headers.
-        assert_eq!(legacy, packed);
-        assert!(
-            packed_stats.dispatch_total() < legacy_stats.dispatch_total(),
-            "packed {} vs legacy {}",
-            packed_stats.dispatch_total(),
-            legacy_stats.dispatch_total()
-        );
+        let mut engine = launch(seq_placement(&spec, 6), profile, scale);
+        let bytes: Vec<u64> = engine
+            .run(3)
+            .iter()
+            .map(|m| m.traffic.total_bytes)
+            .collect();
+        engine.shutdown();
+        // What the per-item legacy frames accounted for these three steps
+        // at the commit that retired them (8456ee6): the ledger must not
+        // learn that framing changed.
+        assert_eq!(bytes, [11_436_951, 11_142_039, 11_142_039]);
     }
 
     #[test]

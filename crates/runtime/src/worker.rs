@@ -16,8 +16,7 @@ use std::collections::HashMap;
 use std::thread::JoinHandle;
 
 use vela_model::checkpoint;
-use vela_model::provider::ExpertBatch;
-use vela_model::{ExpertProvider, LocalExpertStore};
+use vela_model::LocalExpertStore;
 use vela_nn::optim::{AdamW, AdamWConfig};
 use vela_nn::param::Module;
 use vela_nn::swiglu::SwiGlu;
@@ -27,17 +26,17 @@ use vela_tensor::Tensor;
 use vela_obs::{FlowPhase, LazyCounter};
 
 use crate::message::{
-    chunk_expert_state, quantize_rows, ChunkAssembler, GroupItem, GroupPass, Message, PackedData,
-    PackedGroup, PackedReply, Payload,
+    chunk_expert_state, quantize_rows, ChunkAssembler, GroupPass, Message, PackedData, PackedGroup,
+    PackedReply, Payload,
 };
 use crate::transport::{TransportError, WorkerPort};
 use crate::wire::{ByteReader, ByteWriter, WireError};
 
-/// Wall time spent inside [`serve_group`]/[`serve_packed`] — the
-/// worker-compute term of the step-time attribution.
+/// Wall time spent inside [`serve_packed`] — the worker-compute term of
+/// the step-time attribution.
 static SERVE_US: LazyCounter = LazyCounter::new("runtime.worker.serve_us");
 
-/// The worker-side span wrapping one coalesced serve (+ its reply send).
+/// The worker-side span wrapping one serve (+ its reply send).
 const SPAN_SERVE: &str = "runtime.worker.serve";
 
 /// Flattens an expert's trainable-parameter gradients into one row, in
@@ -173,16 +172,16 @@ struct MigrationTable {
     installed: HashMap<(u32, u32), Vec<(String, Option<(Tensor, Tensor)>)>>,
 }
 
-/// The correlation key of a coalesced dispatch as seen from the worker:
-/// the step comes from the last `StepBegin` (per-link FIFO order makes
-/// that the step the frame belongs to), the worker index from the port.
-fn serve_corr(index: usize, block: u32, pass: GroupPass, chunk: u32) -> u64 {
+/// The correlation key of a dispatch as seen from the worker: the step
+/// comes from the last `StepBegin` (per-link FIFO order makes that the
+/// step the frame belongs to), the worker index from the port.
+fn serve_corr(index: usize, block: u32, pass: GroupPass) -> u64 {
     vela_obs::corr::pack(
         vela_obs::current_step(),
         index as u64,
         u64::from(block),
         matches!(pass, GroupPass::Backward) as u64,
-        u64::from(chunk),
+        0,
     )
 }
 
@@ -249,7 +248,10 @@ pub struct WorkerBootstrap {
     pub template: Option<ExpertTemplate>,
 }
 
-const BOOTSTRAP_VERSION: u8 = 1;
+/// Bumped whenever the [`Message`] codec changes shape, so a stale
+/// `vela_worker` binary is turned away at bootstrap instead of misparsing
+/// frames (2: the packed frames lost their chunk id).
+const BOOTSTRAP_VERSION: u8 = 2;
 
 impl WorkerBootstrap {
     /// Serializes the bootstrap frame.
@@ -352,8 +354,8 @@ pub struct ExpertManager {
 impl ExpertManager {
     /// Spawns a worker thread serving `shard` over `port`.
     ///
-    /// The worker answers [`Message::TokenBatch`]/[`Message::GradBatch`]
-    /// requests (virtual payloads are echoed with matching sizes), zeroes
+    /// The worker answers [`Message::PackedDispatch`] requests (virtual
+    /// rows are echoed with matching sizes), zeroes
     /// gradients on [`Message::StepBegin`], steps its optimizer on
     /// [`Message::StepEnd`] (acknowledged with [`Message::StepDone`]),
     /// serves expert migration ([`Message::FetchExpert`] /
@@ -473,103 +475,11 @@ fn handle(
             let t3 = vela_obs::now_us();
             port.send(&Message::ClockReply { t1, t2, t3 })?;
         }
-        Message::TokenBatch {
-            block,
-            expert,
-            payload,
-        } => {
-            let reply = match payload {
-                Payload::Real { .. } => {
-                    let xs = payload.to_tensor();
-                    let out = shard
-                        .forward_block(
-                            block as usize,
-                            &[ExpertBatch {
-                                expert: expert as usize,
-                                xs,
-                            }],
-                        )
-                        .pop()
-                        .expect("one output per batch");
-                    Payload::from_tensor(&out)
-                }
-                Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                } => Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                },
-            };
-            port.send(&Message::ExpertResult {
-                block,
-                expert,
-                payload: reply,
-            })?;
-        }
-        Message::GradBatch {
-            block,
-            expert,
-            payload,
-        } => {
-            let reply = match payload {
-                Payload::Real { .. } => {
-                    let g = payload.to_tensor();
-                    let gin = shard
-                        .backward_block(
-                            block as usize,
-                            &[ExpertBatch {
-                                expert: expert as usize,
-                                xs: g,
-                            }],
-                        )
-                        .pop()
-                        .expect("one gradient per batch");
-                    Payload::from_tensor(&gin)
-                }
-                Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                } => Payload::Virtual {
-                    rows,
-                    bytes_per_token,
-                },
-            };
-            port.send(&Message::GradResult {
-                block,
-                expert,
-                payload: reply,
-            })?;
-        }
-        Message::DispatchGroup {
-            block,
-            pass,
-            chunk,
-            items,
-        } => {
-            let corr = serve_corr(port.index, block, pass, chunk);
+        Message::PackedDispatch(group) => {
+            let corr = serve_corr(port.index, group.block, group.pass);
             let _serve = vela_obs::span(SPAN_SERVE);
             // The flow pair bounds the compute; the reply send after the
             // second endpoint is wire time from the master's viewpoint.
-            vela_obs::flow(FlowPhase::Step, corr);
-            let t0 = vela_obs::enabled().then(vela_obs::now_us);
-            let items = serve_group(shard, block as usize, pass, items);
-            if let Some(t0) = t0 {
-                SERVE_US.add(vela_obs::now_us() - t0);
-            }
-            vela_obs::flow(FlowPhase::Step, corr);
-            // Echo the chunk id so the master can slot this reply while
-            // other chunks of the same block-pass are still in flight.
-            port.send(&Message::ResultGroup {
-                block,
-                pass,
-                chunk,
-                items,
-            })?;
-        }
-        Message::PackedDispatch(group) => {
-            let corr = serve_corr(port.index, group.block, group.pass, group.chunk);
-            let _serve = vela_obs::span(SPAN_SERVE);
             vela_obs::flow(FlowPhase::Step, corr);
             let t0 = vela_obs::enabled().then(vela_obs::now_us);
             let reply = serve_packed(shard, group);
@@ -841,59 +751,17 @@ fn finalize_install(
     port.send(&Message::InstallDone { block, expert })
 }
 
-/// Serves one coalesced dispatch: all real payloads go through a *single*
-/// `forward_block`/`backward_block` call (the same per-expert kernels the
-/// per-batch path runs, so results are bit-identical), virtual payloads
-/// are echoed, and replies come back in item order.
-fn serve_group(
-    shard: &mut LocalExpertStore,
-    block: usize,
-    pass: GroupPass,
-    items: Vec<GroupItem>,
-) -> Vec<GroupItem> {
-    let batches: Vec<ExpertBatch> = items
-        .iter()
-        .filter(|item| matches!(item.payload, Payload::Real { .. }))
-        .map(|item| ExpertBatch {
-            expert: item.expert as usize,
-            xs: item.payload.to_tensor(),
-        })
-        .collect();
-    let outs = if batches.is_empty() {
-        Vec::new()
-    } else {
-        match pass {
-            GroupPass::Forward => shard.forward_block(block, &batches),
-            GroupPass::Backward => shard.backward_block(block, &batches),
-        }
-    };
-    let mut outs = outs.into_iter();
-    items
-        .into_iter()
-        .map(|item| GroupItem {
-            expert: item.expert,
-            payload: match item.payload {
-                Payload::Real { .. } => {
-                    Payload::from_tensor(&outs.next().expect("one output per real batch"))
-                }
-                virt @ Payload::Virtual { .. } => virt,
-            },
-        })
-        .collect()
-}
-
-/// Serves one column-packed dispatch: the frame's single row region goes
-/// through one `forward_rows`/`backward_rows` call — the same per-expert
-/// kernels and grouping as [`serve_group`], so exact (f32) frames stay
-/// bit-identical to the legacy path — and the reply is again one
-/// contiguous region with no per-item headers. An int8 dispatch is
-/// dequantized once on the way in and the reply re-quantized, keeping the
-/// lossy encoding symmetric in both directions.
+/// Serves one dispatch: the frame's single row region goes through one
+/// `forward_rows`/`backward_rows` call — the same per-expert kernels a
+/// local `forward_block`/`backward_block` over the same batches runs, so
+/// exact (f32) frames are bit-identical to single-process compute — and
+/// the reply is again one contiguous region with no per-item headers. An
+/// int8 dispatch is dequantized once on the way in and the reply
+/// re-quantized, keeping the lossy encoding symmetric in both directions.
 fn serve_packed(shard: &mut LocalExpertStore, group: PackedGroup) -> PackedReply {
     let PackedGroup {
         block,
         pass,
-        chunk,
         width,
         spans,
         data,
@@ -938,7 +806,6 @@ fn serve_packed(shard: &mut LocalExpertStore, group: PackedGroup) -> PackedReply
     PackedReply {
         block,
         pass,
-        chunk,
         width,
         items,
         rows,
@@ -952,7 +819,8 @@ mod tests {
     use crate::transport::star;
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
-    use vela_model::ModelConfig;
+    use vela_model::provider::ExpertBatch;
+    use vela_model::{ExpertProvider, ModelConfig};
     use vela_tensor::rng::DetRng;
     use vela_tensor::Tensor;
 
@@ -965,6 +833,31 @@ mod tests {
         (hub, manager, cfg)
     }
 
+    /// Ships `parts` as one dispatch frame and returns the worker's reply.
+    fn dispatch(
+        hub: &mut crate::transport::MasterHub,
+        block: u32,
+        pass: GroupPass,
+        parts: &[(u32, &Tensor)],
+    ) -> PackedReply {
+        let width = parts[0].1.cols() as u32;
+        hub.send(
+            0,
+            &Message::PackedDispatch(PackedGroup::pack(
+                block,
+                pass,
+                width,
+                false,
+                parts.iter().map(|&(e, t)| (e, t.as_slice())),
+            )),
+        )
+        .unwrap();
+        match hub.recv().unwrap() {
+            (0, Message::PackedResult(reply)) => reply,
+            other => panic!("expected PackedResult from worker 0, got {other:?}"),
+        }
+    }
+
     #[test]
     fn serves_forward_and_backward() {
         let (mut hub, manager, cfg) = spawn_one();
@@ -972,39 +865,19 @@ mod tests {
         let xs = Tensor::uniform((3, cfg.dim), -1.0, 1.0, &mut rng);
 
         hub.send(0, &Message::StepBegin { step: 0 }).unwrap();
-        hub.send(
-            0,
-            &Message::TokenBatch {
-                block: 0,
-                expert: 1,
-                payload: Payload::from_tensor(&xs),
-            },
-        )
-        .unwrap();
-        let (_, reply) = hub.recv().unwrap();
-        let Message::ExpertResult {
-            block,
-            expert,
-            payload,
-        } = reply
-        else {
-            panic!("expected ExpertResult");
-        };
-        assert_eq!((block, expert), (0, 1));
-        let out = payload.to_tensor();
-        assert_eq!(out.shape().as_2d(), (3, cfg.dim));
+        let reply = dispatch(&mut hub, 0, GroupPass::Forward, &[(1, &xs)]);
+        assert_eq!((reply.block, reply.pass), (0, GroupPass::Forward));
+        assert_eq!((reply.items, reply.rows), (1, 3));
+        assert_eq!(reply.width as usize, cfg.dim);
+        assert_eq!(reply.data.as_f32().unwrap().len(), 3 * cfg.dim);
 
-        hub.send(
+        let reply = dispatch(
+            &mut hub,
             0,
-            &Message::GradBatch {
-                block: 0,
-                expert: 1,
-                payload: Payload::from_tensor(&Tensor::ones((3, cfg.dim))),
-            },
-        )
-        .unwrap();
-        let (_, reply) = hub.recv().unwrap();
-        assert!(matches!(reply, Message::GradResult { .. }));
+            GroupPass::Backward,
+            &[(1, &Tensor::ones((3, cfg.dim)))],
+        );
+        assert_eq!((reply.pass, reply.rows), (GroupPass::Backward, 3));
 
         hub.send(0, &Message::StepEnd).unwrap();
         let (_, done) = hub.recv().unwrap();
@@ -1020,27 +893,25 @@ mod tests {
         let (mut hub, manager, _) = spawn_one();
         hub.send(
             0,
-            &Message::TokenBatch {
-                block: 3,
-                expert: 2,
-                payload: Payload::Virtual {
-                    rows: 77,
-                    bytes_per_token: 8192,
-                },
-            },
+            &Message::PackedDispatch(PackedGroup::pack_virtual(
+                3,
+                GroupPass::Forward,
+                8192,
+                [(2, 77), (5, 4)].into_iter(),
+            )),
         )
         .unwrap();
         let (_, reply) = hub.recv().unwrap();
         assert_eq!(
             reply,
-            Message::ExpertResult {
+            Message::PackedResult(PackedReply {
                 block: 3,
-                expert: 2,
-                payload: Payload::Virtual {
-                    rows: 77,
-                    bytes_per_token: 8192,
-                },
-            }
+                pass: GroupPass::Forward,
+                width: 8192,
+                items: 2,
+                rows: 81,
+                data: PackedData::Virtual,
+            })
         );
         hub.send(0, &Message::Shutdown).unwrap();
         manager.join();
@@ -1066,29 +937,20 @@ mod tests {
             .pop()
             .unwrap();
 
-        hub.send(
-            0,
-            &Message::TokenBatch {
-                block: 1,
-                expert: 0,
-                payload: Payload::from_tensor(&xs),
-            },
-        )
-        .unwrap();
-        let (_, reply) = hub.recv().unwrap();
-        let Message::ExpertResult { payload, .. } = reply else {
-            panic!()
-        };
-        assert_eq!(payload.to_tensor(), local_out, "bit-exact parity");
+        let reply = dispatch(&mut hub, 1, GroupPass::Forward, &[(0, &xs)]);
+        assert_eq!(
+            reply.data.as_f32().unwrap(),
+            local_out.as_slice(),
+            "bit-exact parity"
+        );
         hub.send(0, &Message::Shutdown).unwrap();
         manager.join();
     }
 
     #[test]
     fn dispatch_group_matches_per_batch_replies_bitwise() {
-        // The same two batches, once as individual TokenBatch frames and
-        // once coalesced: the worker must produce bit-identical outputs
-        // and reply in item order. Virtual items are echoed in place.
+        // Two batches in one frame: the reply region must be, bit for bit,
+        // what serving each batch on its own produces, in dispatch order.
         let cfg = ModelConfig::test_small();
         let mut local = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
         let (mut hub, manager, _) = spawn_one(); // same seed inside
@@ -1096,72 +958,21 @@ mod tests {
         let xs0 = Tensor::uniform((3, cfg.dim), -1.0, 1.0, &mut rng);
         let xs1 = Tensor::uniform((2, cfg.dim), -1.0, 1.0, &mut rng);
 
-        let expect: Vec<Tensor> = local
-            .forward_block(
-                0,
-                &[
-                    ExpertBatch {
-                        expert: 0,
-                        xs: xs0.clone(),
-                    },
-                    ExpertBatch {
-                        expert: 2,
-                        xs: xs1.clone(),
-                    },
-                ],
-            )
+        let expect: Vec<f32> = [(0, &xs0), (2, &xs1)]
             .into_iter()
+            .flat_map(|(expert, xs)| {
+                let batch = ExpertBatch {
+                    expert,
+                    xs: xs.clone(),
+                };
+                local.forward_block(0, &[batch]).remove(0).into_vec()
+            })
             .collect();
 
-        hub.send(
-            0,
-            &Message::DispatchGroup {
-                block: 0,
-                pass: GroupPass::Forward,
-                chunk: 5,
-                items: vec![
-                    GroupItem {
-                        expert: 0,
-                        payload: Payload::from_tensor(&xs0),
-                    },
-                    GroupItem {
-                        expert: 2,
-                        payload: Payload::from_tensor(&xs1),
-                    },
-                    GroupItem {
-                        expert: 5,
-                        payload: Payload::Virtual {
-                            rows: 4,
-                            bytes_per_token: 64,
-                        },
-                    },
-                ],
-            },
-        )
-        .unwrap();
-        let (_, reply) = hub.recv().unwrap();
-        let Message::ResultGroup {
-            block,
-            pass,
-            chunk,
-            items,
-        } = reply
-        else {
-            panic!("expected ResultGroup, got {reply:?}");
-        };
-        assert_eq!((block, pass), (0, GroupPass::Forward));
-        assert_eq!(chunk, 5, "the reply must echo the dispatch chunk id");
-        assert_eq!(items.len(), 3);
-        assert_eq!(items[0].expert, 0);
-        assert_eq!(items[0].payload.to_tensor(), expect[0], "bit-exact parity");
-        assert_eq!(items[1].payload.to_tensor(), expect[1], "bit-exact parity");
-        assert_eq!(
-            items[2].payload,
-            Payload::Virtual {
-                rows: 4,
-                bytes_per_token: 64
-            }
-        );
+        let reply = dispatch(&mut hub, 0, GroupPass::Forward, &[(0, &xs0), (2, &xs1)]);
+        assert_eq!((reply.block, reply.pass), (0, GroupPass::Forward));
+        assert_eq!((reply.items, reply.rows), (2, 5));
+        assert_eq!(reply.data.as_f32().unwrap(), expect, "bit-exact parity");
         hub.send(0, &Message::Shutdown).unwrap();
         manager.join();
     }

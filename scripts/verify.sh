@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository verification: tier-1 build+test, formatting, the release-mode
-# gates (simplex pivot path, parity grids), and the micro-benches (the kernel
+# Repository verification: tier-1 build+test, formatting, the knob-list
+# check, the release-mode gates (simplex pivot path, exchange golden pin,
+# parity grids), and the micro-benches (the kernel
 # one emits BENCH_kernels.json in the repo root and its log names the GEMM
 # SIMD level the host dispatched to; the placement-LP one is echoed only).
 #
@@ -23,6 +24,20 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> knob list: VELA_* names in README.md == names read in crates/"
+# What the code reads: env::var("VELA_...") call sites plus the
+# launch::env_keys constants the worker binary reads through.
+readme_knobs=$(grep -oE 'VELA_[A-Z_]+' README.md | sort -u)
+code_knobs=$({
+    grep -rhoE 'var(_os)?\("VELA_[A-Z_]+"' crates --include='*.rs'
+    sed -n '/^pub mod env_keys/,/^}/p' crates/runtime/src/launch.rs
+} | grep -oE 'VELA_[A-Z_]+' | sort -u)
+if [ "$readme_knobs" != "$code_knobs" ]; then
+    echo "FAIL: README.md (<) and crates/ (>) disagree on the VELA_* variables:" >&2
+    diff <(echo "$readme_knobs") <(echo "$code_knobs") >&2 || true
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -32,7 +47,7 @@ cargo test -q
 echo "==> simplex pivot path (release): every pricing pass vs the column-wise reference, iterations + solution hash vs the recorded parent solver"
 cargo test --release -q -p vela-placement
 
-echo "==> exchange parity grid (release): {transport x coalesce x microbatch x depth x wire}, single-owner + replicated arms"
+echo "==> exchange golden pin (release): loss bits, ledger bytes and frame counts recorded at 8456ee6 on {channel, tcp-threads, tcp}, single-owner + replicated arms"
 cargo test --release -q --test transport_parity
 
 echo "==> replication gate (release): degree-1 bitwise identity + loss-for-loss replicated training"
@@ -89,7 +104,7 @@ if [ "$run_bench" = 1 ]; then
     cargo run --release -p vela-bench --bin bench_kernels -- --quick --check BENCH_kernels.json | tee "$bench_log"
     echo "    simd: $(sed -n 's/.*simd: \([a-z0-9]*\).*/\1/p' "$bench_log" | head -n 1) (cpu has avx512f: $(grep -qw avx512f /proc/cpuinfo 2>/dev/null && echo yes || echo no))"
 
-    echo "==> transport bench check: frame coalescing + ledger invariants + replication straggler gate + migration overlap gate (>=50% of sync blocking hidden at equal ledger bytes)"
+    echo "==> transport bench check: closed-form frames + ledger invariants + recorded wire bytes + replication straggler gate + migration overlap gate (>=50% of sync blocking hidden at equal ledger bytes)"
     # Needs target/release/vela_worker for the tcp rows; the tier-1 build
     # above produced it.
     cargo run --release -p vela-bench --bin bench_transport -- --quick --check BENCH_transport.json

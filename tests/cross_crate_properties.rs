@@ -75,7 +75,7 @@ fn message_roundtrip() {
         let block = rng.below(64) as u32;
         let expert = rng.below(8) as u32;
         let t = Tensor::uniform((rows, cols), -10.0, 10.0, &mut rng);
-        let msg = Message::TokenBatch {
+        let msg = Message::GradState {
             block,
             expert,
             payload: Payload::from_tensor(&t),

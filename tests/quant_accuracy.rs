@@ -3,8 +3,9 @@
 //! `VELA_QUANT=int8` is the one exchange knob that is *allowed* to change
 //! numbers: activations and gradients cross the wire as int8 codes with
 //! per-row f32 scales, so expert inputs are reconstructed to within
-//! `amax/254` of the exact values. The transport-parity grid pins every
-//! exact shape bit for bit; this test pins the lossy one to a tolerance —
+//! `amax/254` of the exact values. The transport-parity golden pin holds
+//! the exact exchange bit for bit; this test pins the lossy one to a
+//! tolerance —
 //! quantized training must still learn, and its loss curve must track the
 //! exact curve closely, step by step.
 
@@ -37,7 +38,10 @@ fn loss_curve(quant: Quant) -> Vec<f32> {
             ..AdamWConfig::default()
         },
     );
-    rt.set_exchange(ExchangeConfig::packed(quant));
+    rt.set_exchange(ExchangeConfig {
+        quant,
+        ..ExchangeConfig::default()
+    });
 
     let mut data_rng = DetRng::new(2);
     let n = 2 * cfg.seq_len;
@@ -61,7 +65,7 @@ fn int8_wire_training_tracks_the_exact_loss_curve() {
     let exact = loss_curve(Quant::Off);
     let lossy = loss_curve(Quant::Int8);
 
-    // Exact packed training learns (sanity — also pinned elsewhere).
+    // Exact training learns (sanity — also pinned elsewhere).
     assert!(
         exact.last().unwrap() < exact.first().unwrap(),
         "exact curve must decrease: {exact:?}"

@@ -71,16 +71,9 @@ fn replicated(cfg: &ModelConfig) -> ReplicatedPlacement {
 }
 
 /// Runs `steps` fine-tuning steps from identical pretrain + data seeds
-/// and returns the per-step metrics. `overlap` picks the grad-sync wire
-/// schedule: sequential round-trips (the seed protocol) or all fetches
-/// issued up front (`VELA_SYNC_OVERLAP=on`).
-fn train_with(
-    placement: impl Into<ReplicatedPlacement>,
-    steps: usize,
-    overlap: bool,
-) -> Vec<StepMetrics> {
+/// and returns the per-step metrics.
+fn train(placement: impl Into<ReplicatedPlacement>, steps: usize) -> Vec<StepMetrics> {
     let (mut rt, cfg, data) = launch(placement);
-    rt.set_sync_overlap(overlap);
     let mut rng = DetRng::new(5);
     let metrics = (0..steps)
         .map(|_| {
@@ -91,10 +84,6 @@ fn train_with(
         .collect();
     rt.shutdown();
     metrics
-}
-
-fn train(placement: impl Into<ReplicatedPlacement>, steps: usize) -> Vec<StepMetrics> {
-    train_with(placement, steps, false)
 }
 
 #[test]
@@ -184,41 +173,4 @@ fn budget_replication_from_the_knob_stays_transparent() {
         assert_eq!(s.loss, m.loss, "cost-model degrees must stay transparent");
     }
     assert!(multi.iter().all(|m| m.traffic.sync_bytes > 0));
-}
-
-#[test]
-fn overlapped_grad_sync_is_bitwise_identical_to_sequential() {
-    // The VELA_SYNC_OVERLAP=on path restructures the per-target
-    // round-trips into flows issued up front; workers only apply peer
-    // gradients at StepEnd, so the training run — and the canonicalized
-    // ledger — must not move by a bit.
-    let cfg = ModelConfig::test_small();
-    let base = seq_placement(&cfg);
-    let profile = LocalityProfile::synthetic("skew", cfg.blocks, cfg.experts, 1.5, 3);
-    let problem = PlacementProblem::new(
-        Topology::paper_testbed(),
-        DeviceId(0),
-        (0..6).map(DeviceId).collect(),
-        profile.to_matrix(),
-        (2 * cfg.seq_len * cfg.top_k) as f64,
-        (cfg.dim * 4) as u64,
-        PlacementProblem::even_capacities(cfg.blocks, cfg.experts, 6, 2),
-    );
-    let rep = ReplicationConfig::parse("budget:0.25").apply(&base, &problem);
-    assert!(rep.max_degree() > 1, "the budget should admit replicas");
-
-    let sequential = train_with(rep.clone(), 5, false);
-    let overlapped = train_with(rep, 5, true);
-    for (s, o) in sequential.iter().zip(&overlapped) {
-        assert_eq!(
-            s.loss, o.loss,
-            "step {}: overlapped sync must stay loss-for-loss identical",
-            s.step
-        );
-    }
-    assert_eq!(
-        sequential, overlapped,
-        "overlapped sync must leave every step metric bitwise unchanged"
-    );
-    assert!(sequential.iter().all(|m| m.traffic.sync_bytes > 0));
 }

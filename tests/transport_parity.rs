@@ -1,5 +1,6 @@
 //! Transport parity: the pluggable transport seam must be invisible in
-//! every number the system reports.
+//! every number the system reports — and the one surviving exchange must
+//! report the numbers its retired siblings did.
 //!
 //! The same VirtualEngine workload runs once over in-process channels and
 //! once over loopback TCP sockets; every [`StepMetrics`] — ledger traffic
@@ -7,19 +8,86 @@
 //! identical, because the hub accounts protocol bytes identically no
 //! matter what carries the frames.
 //!
-//! The exchange pipeline adds four more axes that must be equally
-//! invisible: per-worker frame coalescing (`VELA_COALESCE`), microbatched
-//! dispatch (`VELA_MICROBATCH`, including `auto`), the ring depth
-//! (`VELA_PIPELINE_DEPTH`), and the column-packed wire layout
-//! (`VELA_WIRE=packed`). The full
-//! {transport × coalesce × microbatch × depth × wire} grid must reproduce
-//! the per-batch, unpipelined baseline bit for bit. (Only `VELA_QUANT=int8`
-//! is allowed to change anything, and it is gated separately by the
-//! `quant_accuracy` loss-curve test.)
+//! The exchange used to come in a {coalesce × microbatch × depth × wire}
+//! grid of framings proven identical to a per-batch baseline. Only the
+//! packed, one-frame-per-worker arm is left; what the grid compared it
+//! against survives as [`Golden`] constants recorded at the last commit
+//! that had the other arms. (Only `VELA_QUANT=int8` is allowed to change
+//! anything, and it is gated separately by the `quant_accuracy` loss-curve
+//! test.)
 
 use vela::placement::ReplicatedPlacement;
 use vela::prelude::*;
-use vela::runtime::{ExchangeConfig, Microbatch, WireFormat};
+
+/// What a run reported at commit `8456ee6`, on `channel`, under both
+/// `ExchangeConfig::default()` (legacy group frames, sequential grad sync)
+/// and `ExchangeConfig::per_batch()` — the two agreed on everything but
+/// the frame count, which is the coalesced one. Recorded by running this
+/// file's workloads through a scratch test there
+/// (`cargo test --release --test golden_record -- --nocapture`).
+struct Golden {
+    /// Hub frames (out, in) over the run's steps.
+    frames: (u64, u64),
+    /// Per step: loss bits (0 for a virtual run), ledger total bytes,
+    /// cross-node bytes, replica-sync bytes, modelled step time bits.
+    steps: &'static [(u32, u64, u64, u64, u64)],
+}
+
+const VIRTUAL: Golden = Golden {
+    frames: (300, 270),
+    steps: &[
+        (0x00000000, 13575063, 10003052, 0, 0x3f78856be03b31b6),
+        (0x00000000, 13673367, 9863788, 0, 0x3f77671719c8aa6a),
+        (0x00000000, 13632407, 10109548, 0, 0x3f79023b7ef06620),
+        (0x00000000, 13566871, 9888364, 0, 0x3f7825fa48bfaf46),
+        (0x00000000, 13648791, 10166892, 0, 0x3f791842045bab9c),
+    ],
+};
+
+const VIRTUAL_REPLICATED: Golden = Golden {
+    frames: (400, 370),
+    steps: &[
+        (0x00000000, 22324463, 16032668, 7864628, 0x3f89237c881400e2),
+        (0x00000000, 22422767, 14582644, 7864628, 0x3f86a10f1ad76f3e),
+        (0x00000000, 22357231, 14639988, 7864628, 0x3f876ea14d6b4d19),
+        (0x00000000, 23078167, 15213468, 7864632, 0x3f8754f39dc9f262),
+        (0x00000000, 22275311, 14623604, 7864628, 0x3f8779a49020efd7),
+    ],
+};
+
+const REAL_REPLICATED: Golden = Golden {
+    frames: (84, 75),
+    steps: &[
+        (0x40948f91, 71425, 54846, 46276, 0x3f6454869376831a),
+        (0x4087e6ec, 71461, 54078, 46276, 0x3f6453262b1fcec2),
+        (0x40829a19, 71461, 54334, 46276, 0x3f6451d647ad2adf),
+    ],
+};
+
+impl Golden {
+    fn assert_matches(&self, what: &str, metrics: &[StepMetrics], frames: (u64, u64)) {
+        let got: Vec<_> = metrics
+            .iter()
+            .map(|m| {
+                (
+                    m.loss.map_or(0, f32::to_bits),
+                    m.traffic.total_bytes,
+                    m.traffic.external_total(),
+                    m.traffic.sync_bytes,
+                    m.time.total().to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, self.steps, "{what}: step metrics left the golden pin");
+        assert_eq!(frames, self.frames, "{what}: hub frame counts moved");
+    }
+}
+
+const TRANSPORTS: [(&str, fn() -> TransportConfig); 3] = [
+    ("channel", TransportConfig::channel),
+    ("tcp-threads", TransportConfig::tcp_threads),
+    ("tcp", TransportConfig::tcp_processes),
+];
 
 fn parity_spec() -> MoeSpec {
     MoeSpec {
@@ -56,11 +124,11 @@ fn replicated_parity_placement() -> ReplicatedPlacement {
     rep
 }
 
+/// Five virtual steps; returns the metrics and the hub's frame counts.
 fn workload_on(
     transport: TransportConfig,
-    exchange: ExchangeConfig,
     placement: impl Into<ReplicatedPlacement>,
-) -> Vec<StepMetrics> {
+) -> (Vec<StepMetrics>, (u64, u64)) {
     let spec = parity_spec();
     let scale = ScaleConfig {
         batch: 4,
@@ -78,20 +146,71 @@ fn workload_on(
         profile,
         scale,
     );
-    engine.set_exchange(exchange);
     let metrics = engine.run(5);
+    let frames = engine.frame_counts();
     engine.shutdown();
-    metrics
+    (metrics, frames)
 }
 
-fn workload(transport: TransportConfig, exchange: ExchangeConfig) -> Vec<StepMetrics> {
-    workload_on(transport, exchange, parity_placement())
+fn workload(transport: TransportConfig) -> Vec<StepMetrics> {
+    workload_on(transport, parity_placement()).0
+}
+
+/// Three real-tensor steps on a replicated placement where every worker
+/// hosts several experts (so one frame carries several batches) and none
+/// shares the master's device (so every byte is on the ledger). Frame
+/// counts are taken over the steps only: process mode seeds its workers
+/// over the same hub.
+fn real_workload(transport: TransportConfig) -> (Vec<StepMetrics>, (u64, u64)) {
+    let cfg = ModelConfig {
+        experts: 8,
+        ..ModelConfig::test_small()
+    };
+    let (model, experts) = MoeModel::new(&cfg, &mut DetRng::new(11));
+    let mut placement = ReplicatedPlacement::from(&Placement::new(
+        (0..cfg.blocks)
+            .map(|_| (0..cfg.experts).map(|e| e % 3).collect())
+            .collect(),
+        3,
+    ));
+    for l in 0..cfg.blocks {
+        placement.add_replica(l, 0, 1);
+        placement.add_replica(l, 0, 2);
+        placement.add_replica(l, 1, 2);
+    }
+    let mut rt = RealRuntime::launch_with(
+        transport,
+        model,
+        experts,
+        placement,
+        Topology::paper_testbed(),
+        DeviceId(0),
+        vec![DeviceId(1), DeviceId(2), DeviceId(4)],
+        AdamWConfig {
+            lr: 3e-3,
+            ..AdamWConfig::default()
+        },
+    );
+    let before = rt.frame_counts();
+    let mut rng = DetRng::new(2);
+    let n = 2 * cfg.seq_len;
+    let inputs: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
+    let targets: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
+    let metrics = (0..3)
+        .map(|_| {
+            rt.train_step(&inputs, &targets, 2, cfg.seq_len)
+                .expect("transport failed mid-step")
+        })
+        .collect();
+    let after = rt.frame_counts();
+    rt.shutdown();
+    (metrics, (after.0 - before.0, after.1 - before.1))
 }
 
 #[test]
 fn ledger_windows_are_bitwise_identical_across_transports() {
-    let over_channel = workload(TransportConfig::channel(), ExchangeConfig::default());
-    let over_tcp = workload(TransportConfig::tcp_threads(), ExchangeConfig::default());
+    let over_channel = workload(TransportConfig::channel());
+    let over_tcp = workload(TransportConfig::tcp_threads());
     assert_eq!(
         over_channel, over_tcp,
         "every StepMetrics field must be transport-independent"
@@ -103,187 +222,76 @@ fn ledger_windows_are_bitwise_identical_across_transports() {
 
 #[test]
 fn run_summaries_agree_except_for_the_label() {
-    let a = RunSummary::from_steps(&workload(
-        TransportConfig::channel(),
-        ExchangeConfig::default(),
-    ))
-    .with_transport("channel");
-    let b = RunSummary::from_steps(&workload(
-        TransportConfig::tcp_threads(),
-        ExchangeConfig::default(),
-    ))
-    .with_transport("channel");
+    let a = RunSummary::from_steps(&workload(TransportConfig::channel())).with_transport("channel");
+    let b =
+        RunSummary::from_steps(&workload(TransportConfig::tcp_threads())).with_transport("channel");
     assert_eq!(a, b, "aggregates must be transport-independent");
     assert_eq!(a.steps, 5);
     assert!(a.total_bytes > 0);
 }
 
-/// The full {transport × coalesce × microbatch × depth × wire} grid is
-/// bitwise-identical to the legacy shape (channel, per-batch frames, no
-/// pipelining): the pipeline changes how frames move, never what they say
-/// or cost. `auto` rides along — whatever chunk count the tuner picks
-/// from its timings must be just as invisible — and so does the packed
-/// wire layout, whose span-table framing accounts the same bytes the
-/// per-item headers did.
+/// The surviving exchange reports, on the in-process transports, exactly
+/// what the parent's arms did: ledger windows and modelled time of the
+/// virtual workload, and — on real tensors, with replicas syncing
+/// gradients every step — the loss bits too.
 #[test]
-fn exchange_grid_is_bitwise_identical_to_per_batch_baseline() {
-    let baseline = workload(TransportConfig::channel(), ExchangeConfig::per_batch());
-    assert!(baseline.iter().all(|m| m.traffic.total_bytes > 0));
-    let transports: [(&str, fn() -> TransportConfig); 2] = [
-        ("channel", TransportConfig::channel),
-        ("tcp-threads", TransportConfig::tcp_threads),
-    ];
-    for (label, transport) in transports {
-        for wire in [WireFormat::Legacy, WireFormat::Packed] {
-            for coalesce in [false, true] {
-                for microbatch in [Microbatch::Fixed(1), Microbatch::Fixed(4), Microbatch::Auto] {
-                    for depth in [1usize, 2, 4] {
-                        let cfg = ExchangeConfig {
-                            coalesce,
-                            microbatch,
-                            depth,
-                            wire,
-                            ..ExchangeConfig::default()
-                        };
-                        let metrics = workload(transport(), cfg);
-                        assert_eq!(
-                            baseline, metrics,
-                            "({label}, wire={wire:?}, coalesce={coalesce}, \
-                             microbatch={microbatch}, depth={depth}) diverged from the \
-                             per-batch baseline"
-                        );
-                    }
-                }
-            }
-        }
+fn surviving_exchange_reproduces_the_parent_golden_pin() {
+    for (label, transport) in &TRANSPORTS[..2] {
+        let (metrics, frames) = workload_on(transport(), parity_placement());
+        VIRTUAL.assert_matches(label, &metrics, frames);
+        let (metrics, frames) = real_workload(transport());
+        REAL_REPLICATED.assert_matches(label, &metrics, frames);
     }
 }
 
 /// Degree 1 is the identity refactor: a [`ReplicatedPlacement`] built
 /// from the seed placement (one replica everywhere) must reproduce the
-/// single-owner baseline bit for bit across the
-/// {transport × wire × coalesce × microbatch} grid — and move zero
-/// gradient-sync bytes, because there are no peers to keep in sync.
+/// single-owner run bit for bit — and move zero gradient-sync bytes,
+/// because there are no peers to keep in sync.
 #[test]
 fn degree_one_replication_is_bitwise_identical_to_the_single_owner_seed() {
-    let baseline = workload(TransportConfig::channel(), ExchangeConfig::per_batch());
+    let baseline = workload(TransportConfig::channel());
     assert!(
         baseline.iter().all(|m| m.traffic.sync_bytes == 0),
         "degree 1 must not move sync bytes"
     );
-    let transports: [(&str, fn() -> TransportConfig); 2] = [
-        ("channel", TransportConfig::channel),
-        ("tcp-threads", TransportConfig::tcp_threads),
-    ];
-    for (label, transport) in transports {
-        for wire in [WireFormat::Legacy, WireFormat::Packed] {
-            for coalesce in [false, true] {
-                for microbatch in [Microbatch::Fixed(1), Microbatch::Fixed(4), Microbatch::Auto] {
-                    let cfg = ExchangeConfig {
-                        coalesce,
-                        microbatch,
-                        wire,
-                        ..ExchangeConfig::default()
-                    };
-                    let metrics = workload_on(
-                        transport(),
-                        cfg,
-                        ReplicatedPlacement::from(&parity_placement()),
-                    );
-                    assert_eq!(
-                        baseline, metrics,
-                        "degree-1 replication diverged from the seed at \
-                         ({label}, wire={wire:?}, coalesce={coalesce}, microbatch={microbatch})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A placement with real replicas must itself be a fixed point of the
-/// parity grid: least-loaded routing and the replica gradient-sync round
-/// are deterministic, so every {transport × shape} combination — OS
-/// worker processes included — reports bitwise-identical metrics, with
-/// the sync traffic honestly on the ledger.
-#[test]
-fn replicated_arm_is_bitwise_identical_across_transports_and_shapes() {
-    let baseline = workload_on(
-        TransportConfig::channel(),
-        ExchangeConfig::per_batch(),
-        replicated_parity_placement(),
-    );
-    for m in &baseline {
-        assert!(m.traffic.sync_bytes > 0, "replicas must sync every step");
-        assert!(
-            m.traffic.sync_bytes < m.traffic.total_bytes,
-            "sync traffic is a strict subset of the ledger"
-        );
-        assert!(m.time.sync_s > 0.0, "sync time must be modeled");
-    }
-    let transports: [(&str, fn() -> TransportConfig); 2] = [
-        ("channel", TransportConfig::channel),
-        ("tcp-threads", TransportConfig::tcp_threads),
-    ];
-    for (label, transport) in transports {
-        for wire in [WireFormat::Legacy, WireFormat::Packed] {
-            for (coalesce, microbatch) in [
-                (false, Microbatch::Fixed(1)),
-                (true, Microbatch::Fixed(4)),
-                (true, Microbatch::Auto),
-            ] {
-                let cfg = ExchangeConfig {
-                    coalesce,
-                    microbatch,
-                    wire,
-                    ..ExchangeConfig::default()
-                };
-                let metrics = workload_on(transport(), cfg, replicated_parity_placement());
-                assert_eq!(
-                    baseline, metrics,
-                    "replicated arm diverged at ({label}, wire={wire:?}, \
-                     coalesce={coalesce}, microbatch={microbatch})"
-                );
-            }
-        }
-    }
-    // And over real OS worker processes on the default shape.
-    let metrics = workload_on(
-        TransportConfig::tcp_processes(),
-        ExchangeConfig::default(),
-        replicated_parity_placement(),
-    );
-    assert_eq!(
-        baseline, metrics,
-        "replicated arm diverged over OS worker processes"
-    );
-}
-
-/// The same grid over real OS worker processes, on a representative
-/// subset (process spawns are expensive): shallow unchunked, the default
-/// chunked ring, and a deep auto-tuned ring. Process transport must be
-/// exactly as invisible as the in-process backends.
-#[test]
-fn process_transport_matches_the_per_batch_baseline() {
-    let baseline = workload(TransportConfig::channel(), ExchangeConfig::per_batch());
-    let shapes = [
-        (Microbatch::Fixed(1), 1usize, WireFormat::Legacy),
-        (Microbatch::Fixed(4), 2, WireFormat::Packed),
-        (Microbatch::Auto, 4, WireFormat::Packed),
-    ];
-    for (microbatch, depth, wire) in shapes {
-        let cfg = ExchangeConfig {
-            coalesce: true,
-            microbatch,
-            depth,
-            wire,
-            ..ExchangeConfig::default()
-        };
-        let metrics = workload(TransportConfig::tcp_processes(), cfg);
+    for (label, transport) in &TRANSPORTS[..2] {
+        let (metrics, _) = workload_on(transport(), ReplicatedPlacement::from(&parity_placement()));
         assert_eq!(
             baseline, metrics,
-            "(tcp, wire={wire:?}, coalesce=true, microbatch={microbatch}, depth={depth}) \
-             diverged from the per-batch baseline"
+            "degree-1 replication diverged from the seed on {label}"
         );
     }
+}
+
+/// A placement with real replicas must itself be a fixed point: least-
+/// loaded routing and the replica gradient-sync round are deterministic,
+/// so every transport — OS worker processes included — reports the
+/// parent's metrics, with the sync traffic honestly on the ledger.
+#[test]
+fn replicated_arm_is_bitwise_identical_across_transports_and_shapes() {
+    for (label, transport) in TRANSPORTS {
+        let (metrics, frames) = workload_on(transport(), replicated_parity_placement());
+        for m in &metrics {
+            assert!(m.traffic.sync_bytes > 0, "replicas must sync every step");
+            assert!(
+                m.traffic.sync_bytes < m.traffic.total_bytes,
+                "sync traffic is a strict subset of the ledger"
+            );
+            assert!(m.time.sync_s > 0.0, "sync time must be modeled");
+        }
+        VIRTUAL_REPLICATED.assert_matches(label, &metrics, frames);
+    }
+}
+
+/// The golden pin over real OS worker processes (process spawns are
+/// expensive, hence their own test). The constants are the per-batch
+/// baseline's: process transport must be exactly as invisible as the
+/// in-process backends.
+#[test]
+fn process_transport_matches_the_per_batch_baseline() {
+    let (metrics, frames) = workload_on(TransportConfig::tcp_processes(), parity_placement());
+    VIRTUAL.assert_matches("tcp", &metrics, frames);
+    let (metrics, frames) = real_workload(TransportConfig::tcp_processes());
+    REAL_REPLICATED.assert_matches("tcp", &metrics, frames);
 }

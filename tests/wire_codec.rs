@@ -6,9 +6,7 @@
 //! back as [`WireError`]s — never a panic, never a bogus allocation.
 
 use vela::prelude::*;
-use vela::runtime::message::{
-    GroupItem, GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload,
-};
+use vela::runtime::message::{GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload};
 use vela::runtime::wire::WireError;
 
 const CASES: u64 = 200;
@@ -19,15 +17,6 @@ fn random_pass(rng: &mut DetRng) -> GroupPass {
     } else {
         GroupPass::Backward
     }
-}
-
-fn random_items(rng: &mut DetRng) -> Vec<GroupItem> {
-    (0..rng.below(6))
-        .map(|_| GroupItem {
-            expert: rng.below(1 << 8) as u32,
-            payload: random_payload(rng),
-        })
-        .collect()
 }
 
 fn random_payload(rng: &mut DetRng) -> Payload {
@@ -67,14 +56,12 @@ fn random_packed_dispatch(rng: &mut DetRng) -> Message {
     let width = 1 + rng.below(8) as u32;
     let block = rng.below(1 << 10) as u32;
     let pass = random_pass(rng);
-    let chunk = rng.below(1 << 8) as u32;
     match rng.below(3) {
         0 => {
             let parts = random_parts(rng, width);
             Message::PackedDispatch(PackedGroup::pack(
                 block,
                 pass,
-                chunk,
                 width,
                 false,
                 parts.iter().map(|(e, v)| (*e, v.as_slice())),
@@ -85,7 +72,6 @@ fn random_packed_dispatch(rng: &mut DetRng) -> Message {
             Message::PackedDispatch(PackedGroup::pack(
                 block,
                 pass,
-                chunk,
                 width,
                 true,
                 parts.iter().map(|(e, v)| (*e, v.as_slice())),
@@ -94,7 +80,6 @@ fn random_packed_dispatch(rng: &mut DetRng) -> Message {
         _ => Message::PackedDispatch(PackedGroup::pack_virtual(
             block,
             pass,
-            chunk,
             width,
             (0..1 + rng.below(5)).map(|e| (e as u32, 1 + rng.below(1 << 10) as u32)),
         )),
@@ -122,7 +107,6 @@ fn random_packed_result(rng: &mut DetRng) -> Message {
     Message::PackedResult(PackedReply {
         block: rng.below(1 << 10) as u32,
         pass: random_pass(rng),
-        chunk: rng.below(1 << 8) as u32,
         width,
         items,
         rows,
@@ -133,55 +117,47 @@ fn random_packed_result(rng: &mut DetRng) -> Message {
 fn random_message(rng: &mut DetRng) -> Message {
     let block = rng.below(1 << 10) as u32;
     let expert = rng.below(1 << 8) as u32;
-    match rng.below(15) {
+    match rng.below(11) {
         0 => Message::StepBegin {
             step: rng.below(usize::MAX / 2) as u64,
         },
-        1 => Message::TokenBatch {
+        1 => Message::GradState {
             block,
             expert,
             payload: random_payload(rng),
         },
-        2 => Message::ExpertResult {
+        2 => Message::OptimState {
             block,
             expert,
             payload: random_payload(rng),
         },
-        3 => Message::GradBatch {
-            block,
-            expert,
-            payload: random_payload(rng),
-        },
-        4 => Message::GradResult {
-            block,
-            expert,
-            payload: random_payload(rng),
-        },
-        5 => Message::StepEnd,
-        6 => Message::StepDone,
-        7 => Message::Shutdown,
-        8 => Message::FetchExpert { block, expert },
-        9 => Message::ExpertState {
+        3 => Message::StepEnd,
+        4 => Message::StepDone,
+        5 => Message::Shutdown,
+        6 => Message::FetchExpert { block, expert },
+        7 => Message::ExpertState {
             block,
             expert,
             data: (0..rng.below(256)).map(|_| rng.below(256) as u8).collect(),
         },
-        10 => Message::InstallDone { block, expert },
-        11 => Message::DispatchGroup {
-            block,
-            pass: random_pass(rng),
-            chunk: rng.below(1 << 8) as u32,
-            items: random_items(rng),
-        },
-        12 => Message::ResultGroup {
-            block,
-            pass: random_pass(rng),
-            chunk: rng.below(1 << 8) as u32,
-            items: random_items(rng),
-        },
-        13 => random_packed_dispatch(rng),
+        8 => Message::InstallDone { block, expert },
+        9 => random_packed_dispatch(rng),
         _ => random_packed_result(rng),
     }
+}
+
+/// Tags of the retired per-batch (2–5) and per-item group (12, 13)
+/// framings. They are never reassigned, so whatever a stale peer puts
+/// behind one, the decoder must answer with a [`WireError`] before it
+/// reads — let alone allocates for — a single length field.
+const RETIRED_TAGS: [u8; 6] = [2, 3, 4, 5, 12, 13];
+
+/// A frame a stale peer might send: a retired tag in front of the body of
+/// some valid message.
+fn retired_frame(rng: &mut DetRng) -> Vec<u8> {
+    let mut frame = random_message(rng).encode();
+    frame[0] = RETIRED_TAGS[rng.below(RETIRED_TAGS.len())];
+    frame
 }
 
 /// Every message kind round-trips bit-for-bit.
@@ -229,6 +205,19 @@ fn corrupted_frames_never_panic() {
             frame[at] ^= 1 << rng.below(8);
             let _ = Message::decode(&frame);
         }
+        // A retired tag is a clean error whatever follows it, flipped
+        // bits included.
+        let mut stale = retired_frame(&mut rng);
+        for _ in 0..8 {
+            assert!(
+                matches!(Message::decode(&stale), Err(WireError::BadTag { .. })),
+                "seed {seed}"
+            );
+            if stale.len() > 1 {
+                let at = 1 + rng.below(stale.len() - 1);
+                stale[at] ^= 1 << rng.below(8);
+            }
+        }
         // Appended garbage is caught by the trailing-bytes check.
         let mut padded = random_message(&mut rng).encode();
         padded.push(rng.below(256) as u8);
@@ -254,7 +243,6 @@ fn packed_f32_regions_roundtrip_bitwise() {
         let msg = Message::PackedDispatch(PackedGroup::pack(
             7,
             GroupPass::Forward,
-            0,
             width,
             false,
             parts.iter().map(|(e, v)| (*e, v.as_slice())),
@@ -290,7 +278,6 @@ fn int8_reconstruction_error_is_bounded() {
         let group = PackedGroup::pack(
             0,
             GroupPass::Forward,
-            0,
             width,
             true,
             std::iter::once((0u32, vals.as_slice())),
@@ -327,13 +314,12 @@ fn int8_reconstruction_error_is_bounded() {
 fn bad_span_tables_are_rejected_before_allocation() {
     use vela::runtime::wire::ByteWriter;
     // A syntactically valid packed-dispatch prefix: tag, block, pass,
-    // chunk, f32 encoding, the given width.
+    // f32 encoding, the given width.
     let header = |width: u32, count: u16| {
         let mut w = ByteWriter::with_capacity(64);
         w.put_u8(14); // PackedDispatch tag
         w.put_u32(3);
         w.put_u8(0); // forward
-        w.put_u32(0);
         w.put_u8(0); // f32 encoding
         w.put_u32(width);
         w.put_u16(count);
@@ -386,7 +372,6 @@ fn bad_span_tables_are_rejected_before_allocation() {
     w.put_u8(15); // PackedResult tag
     w.put_u32(3);
     w.put_u8(0);
-    w.put_u32(0);
     w.put_u8(0); // f32 encoding
     w.put_u32(u32::MAX); // width
     w.put_u16(1); // items
@@ -415,7 +400,7 @@ fn implausible_length_fields_do_not_allocate() {
 
         // A Real payload declaring a huge rows × cols grid.
         let mut w = ByteWriter::with_capacity(32);
-        w.put_u8(2); // TokenBatch tag
+        w.put_u8(19); // GradState tag
         w.put_u32(0);
         w.put_u32(0);
         w.put_u8(0); // Payload::Real tag
@@ -424,18 +409,22 @@ fn implausible_length_fields_do_not_allocate() {
         let frame = w.into_vec();
         assert!(Message::decode(&frame).is_err(), "seed {seed}");
 
-        // A group frame declaring more items than the frame could hold.
-        let mut w = ByteWriter::with_capacity(32);
-        w.put_u8(12 + rng.below(2) as u8); // DispatchGroup / ResultGroup tag
-        w.put_u32(0);
-        w.put_u8(rng.below(2) as u8); // pass
-        w.put_u32(rng.below(8) as u32); // chunk
-        w.put_u32(u32::MAX - rng.below(1 << 16) as u32);
-        let frame = w.into_vec();
-        assert!(
-            matches!(Message::decode(&frame), Err(WireError::BadLength { .. })),
-            "seed {seed}"
-        );
+        // The retired framings' own worst cases — a per-batch frame
+        // declaring a huge rows × cols grid, a group frame declaring
+        // more items than any frame could hold — now die on the tag.
+        for tag in RETIRED_TAGS {
+            let mut w = ByteWriter::with_capacity(32);
+            w.put_u8(tag);
+            w.put_u32(0);
+            w.put_u8(rng.below(2) as u8);
+            w.put_u32(u32::MAX - rng.below(1 << 16) as u32);
+            w.put_u32(u32::MAX - rng.below(1 << 16) as u32);
+            let frame = w.into_vec();
+            assert!(
+                matches!(Message::decode(&frame), Err(WireError::BadTag { tag: t, .. }) if t == tag),
+                "seed {seed}"
+            );
+        }
     }
 }
 
