@@ -84,7 +84,7 @@ pub use logger::Level;
 pub use span::{expert_rows, flow, span, FlowPhase, SpanGuard};
 
 /// Compact correlation key identifying one dispatch frame of one
-/// exchange: `(step, worker, block, pass, chunk)` packed into a `u64`.
+/// exchange: `(step, worker, block, pass)` packed into a `u64`.
 ///
 /// The layout is part of the trace schema (readers decode it without
 /// the runtime):
@@ -94,22 +94,22 @@ pub use span::{expert_rows, flow, span, FlowPhase, SpanGuard};
 /// bits 37..33   worker (mod 2^5)
 /// bits 32..17   block  (mod 2^16)
 /// bit  16       pass   (0 = forward, 1 = backward)
-/// bits 15..0    chunk  (mod 2^16)
+/// bits 15..0    zero   (the chunk index of the retired microbatch ring;
+///                       kept so traces written before and after parse alike)
 /// ```
 ///
-/// Within one run the tuple is unique per in-flight frame: the ring
-/// sends exactly one dispatch per `(worker, block, pass, chunk)` per
-/// step, and the step component keeps keys distinct for the lifetime
-/// of any realistic trace.
+/// Within one run the tuple is unique per in-flight frame: the exchange
+/// sends exactly one dispatch per `(worker, block, pass)` per step, and
+/// the step component keeps keys distinct for the lifetime of any
+/// realistic trace.
 pub mod corr {
     /// Pack a correlation key. `pass` is 0 for forward, 1 for backward.
     #[inline]
-    pub fn pack(step: u64, worker: u64, block: u64, pass: u64, chunk: u64) -> u64 {
+    pub fn pack(step: u64, worker: u64, block: u64, pass: u64) -> u64 {
         ((step & 0x3ff_ffff) << 38)
             | ((worker & 0x1f) << 33)
             | ((block & 0xffff) << 17)
             | ((pass & 1) << 16)
-            | (chunk & 0xffff)
     }
 
     /// The step component of a packed key.

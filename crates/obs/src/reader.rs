@@ -960,8 +960,8 @@ mod tests {
 
     #[test]
     fn attribution_decomposes_exchange_time() {
-        let corr0 = crate::corr::pack(1, 0, 0, 0, 0);
-        let corr1 = crate::corr::pack(1, 1, 0, 0, 0);
+        let corr0 = crate::corr::pack(1, 0, 0, 0);
+        let corr1 = crate::corr::pack(1, 1, 0, 0);
         let mut trace = vec![
             ev(r#"{"ev":"b","t":0,"tid":1,"step":1,"name":"runtime.broker.fwd"}"#),
             ev(r#"{"ev":"b","t":0,"tid":1,"step":1,"name":"runtime.pipeline.serialize"}"#),

@@ -18,10 +18,10 @@ use vela_obs::{Counter, LazyCounter};
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::Tensor;
 
-use crate::message::{GroupPass, Message, PackedData, PackedGroup};
+use crate::message::{Message, PackedData, PackedGroup};
 use crate::pipeline::{
-    self, DispatchPlan, Link, Rows, COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS,
-    MIGRATION_COMMITS, MIGRATION_FLUSH_US, MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_MIGRATION_PUMP,
+    DispatchPlan, Rows, COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS,
+    MIGRATION_FLUSH_US, MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_MIGRATION_PUMP,
 };
 use crate::transport::{ExchangeConfig, MasterHub, TransportError, WireStats};
 
@@ -195,7 +195,7 @@ const MAX_ACTIVE_LANES: usize = 2;
 /// Book-keeping for background migrations (overlap mode). Empty in sync
 /// mode, in which case every routed drain degenerates to a plain `recv`.
 #[derive(Debug, Default)]
-pub(crate) struct MigrationState {
+struct MigrationState {
     lanes: Vec<Lane>,
     /// Requested moves waiting for an active-lane slot, in request order:
     /// `(block, expert, from, to)`. Queued experts keep training at their
@@ -203,15 +203,13 @@ pub(crate) struct MigrationState {
     queued: VecDeque<(usize, usize, usize, usize)>,
     /// Parameter bytes moved by committed lanes.
     bytes: u64,
-    /// Lanes committed (cut over) so far.
-    committed: u64,
     /// Engine step of the most recent cutover (0 = none yet).
     last_commit_step: u64,
 }
 
 impl MigrationState {
     /// Moves still streaming, awaiting cutover, or queued for a slot.
-    pub(crate) fn in_flight(&self) -> usize {
+    fn in_flight(&self) -> usize {
         self.lanes.len() + self.queued.len()
     }
 
@@ -230,89 +228,6 @@ impl MigrationState {
     }
 }
 
-/// Inspects a drained frame: if it belongs to an in-flight migration
-/// lane it is serviced here — source chunks (`ExpertChunk`/`OptimState`)
-/// relay to the destination over the accounted hub path, `InstallDone`
-/// from the destination marks the lane ready for cutover — and `None` is
-/// returned. Any other frame is handed back to the caller's protocol
-/// loop untouched.
-fn route_lane_frame(
-    hub: &mut MasterHub,
-    st: &mut MigrationState,
-    w: usize,
-    msg: Message,
-) -> Result<Option<(usize, Message)>, TransportError> {
-    let key = match &msg {
-        Message::ExpertChunk { block, expert, .. }
-        | Message::OptimState { block, expert, .. }
-        | Message::InstallDone { block, expert } => (*block as usize, *expert as usize),
-        _ => return Ok(Some((w, msg))),
-    };
-    let Some(lane) = st.lanes.iter_mut().find(|l| (l.block, l.expert) == key) else {
-        // Not lane traffic (e.g. the sync-mode install ack) — the
-        // caller's own protocol validation deals with it.
-        return Ok(Some((w, msg)));
-    };
-    match msg {
-        Message::ExpertChunk { ref data, .. } => {
-            if w != lane.from {
-                return Err(TransportError::Protocol(format!(
-                    "migration chunk for expert ({},{}) arrived from worker {w}, \
-                     lane source is {}",
-                    key.0, key.1, lane.from
-                )));
-            }
-            lane.forwarded += data.len() as u64;
-            MIGRATION_CHUNKS.add(1);
-            MIGRATION_BYTES.add(data.len() as u64);
-            let to = lane.to;
-            hub.send(to, &msg)?;
-            Ok(None)
-        }
-        Message::OptimState { .. } => {
-            if w != lane.from {
-                return Err(TransportError::Protocol(format!(
-                    "migration optimizer state for expert ({},{}) arrived from \
-                     worker {w}, lane source is {}",
-                    key.0, key.1, lane.from
-                )));
-            }
-            let to = lane.to;
-            hub.send(to, &msg)?;
-            Ok(None)
-        }
-        Message::InstallDone { .. } => {
-            if w != lane.to {
-                return Err(TransportError::Protocol(format!(
-                    "install ack for migrating expert ({},{}) arrived from worker \
-                     {w}, lane destination is {}",
-                    key.0, key.1, lane.to
-                )));
-            }
-            lane.installed = true;
-            Ok(None)
-        }
-        _ => unreachable!("key extraction and servicing must cover the same variants"),
-    }
-}
-
-/// `hub.recv()` that transparently services migration-lane traffic:
-/// chunk relays interleave with whatever protocol frames the caller is
-/// actually waiting on. Every blocking drain in the broker goes through
-/// here, so a background migration makes progress at any point of the
-/// step — not just at boundaries.
-pub(crate) fn recv_routed(
-    hub: &mut MasterHub,
-    st: &mut MigrationState,
-) -> Result<(usize, Message), TransportError> {
-    loop {
-        let (w, msg) = hub.recv()?;
-        if let Some(out) = route_lane_frame(hub, st, w, msg)? {
-            return Ok(out);
-        }
-    }
-}
-
 /// One gradient-sync target: the serving worker's gradients for
 /// `(block, expert)` are copied into each peer.
 struct SyncTarget {
@@ -322,170 +237,8 @@ struct SyncTarget {
     peers: Vec<usize>,
 }
 
-/// The sync fan-out for this step: every replicated pair, plus every
-/// in-flight migration lane — the shadow install must see each window
-/// step's gradients to stay in lockstep with the source.
-fn sync_targets(
-    placement: &ReplicatedPlacement,
-    routes: &HashMap<(usize, usize), usize>,
-    st: &MigrationState,
-) -> Vec<SyncTarget> {
-    let mut targets: Vec<SyncTarget> = placement
-        .replicated_pairs()
-        .into_iter()
-        .map(|(block, expert)| {
-            let serving = routes
-                .get(&(block, expert))
-                .copied()
-                .unwrap_or_else(|| placement.primary(block, expert));
-            let peers = placement
-                .replicas_of(block, expert)
-                .iter()
-                .copied()
-                .filter(|&w| w != serving)
-                .collect();
-            SyncTarget {
-                block,
-                expert,
-                serving,
-                peers,
-            }
-        })
-        .collect();
-    for lane in &st.lanes {
-        let key = (lane.block, lane.expert);
-        if let Some(t) = targets.iter_mut().find(|t| (t.block, t.expert) == key) {
-            if !t.peers.contains(&lane.to) {
-                t.peers.push(lane.to);
-            }
-        } else {
-            targets.push(SyncTarget {
-                block: lane.block,
-                expert: lane.expert,
-                serving: routes.get(&key).copied().unwrap_or(lane.from),
-                peers: vec![lane.to],
-            });
-        }
-    }
-    targets
-}
-
-/// The replica gradient-sync round shared by the real and virtual
-/// engines: for each sync target (replicated pairs plus migration
-/// lanes), fetch the serving worker's gradients and install them into
-/// every peer, frame by frame over the accounted hub. See
-/// [`BrokerClient::sync_replica_grads`] for the protocol contract.
-///
-/// Every `FetchGrads` is issued up front, gradient states are forwarded to
-/// peers as they arrive and acks are collected last, so per-target
-/// round-trips ride the wire concurrently. Workers only *apply* synced
-/// gradients on `StepEnd`, so arrival order cannot reach the result. Flow
-/// accounting is slotted per target, so the returned list comes out in
-/// canonical per-target order (fetch, state, then install + ack per peer)
-/// no matter how replies interleave, keeping the modeled sync time
-/// deterministic.
-pub(crate) fn sync_grads_over(
-    hub: &mut MasterHub,
-    placement: &ReplicatedPlacement,
-    routes: &HashMap<(usize, usize), usize>,
-    grad_bytes: u32,
-    st: &mut MigrationState,
-) -> Result<Vec<(usize, u64)>, TransportError> {
-    let targets = sync_targets(placement, routes, st);
-    let mut slots: Vec<Vec<(usize, u64)>> = Vec::with_capacity(targets.len());
-    let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-    for (i, t) in targets.iter().enumerate() {
-        index.insert((t.block, t.expert), i);
-        let req = Message::FetchGrads {
-            block: t.block as u32,
-            expert: t.expert as u32,
-            grad_bytes,
-        };
-        slots.push(vec![(t.serving, req.accounted_bytes())]);
-        hub.send(t.serving, &req)?;
-    }
-    let mut states_left = targets.len();
-    // Acks still owed, tracked per target by peer index so duplicates
-    // and strangers are protocol errors, not miscounts.
-    let mut acks_owed: Vec<Vec<usize>> = targets.iter().map(|t| t.peers.clone()).collect();
-    let mut total_acks: usize = acks_owed.iter().map(Vec::len).sum();
-    while states_left > 0 || total_acks > 0 {
-        let (w, msg) = recv_routed(hub, st)?;
-        let bytes = msg.accounted_bytes();
-        match msg {
-            Message::GradState {
-                block,
-                expert,
-                payload,
-            } => {
-                let key = (block as usize, expert as usize);
-                let &i = index.get(&key).ok_or_else(|| {
-                    TransportError::Protocol(format!(
-                        "grad state for unsynced expert ({block},{expert})"
-                    ))
-                })?;
-                let t = &targets[i];
-                if w != t.serving {
-                    return Err(TransportError::Protocol(format!(
-                        "grad state arrived from worker {w}, expected {}",
-                        t.serving
-                    )));
-                }
-                if slots[i].len() > 1 {
-                    return Err(TransportError::Protocol(format!(
-                        "duplicate grad state for expert ({block},{expert})"
-                    )));
-                }
-                slots[i].push((w, bytes));
-                for &p in &t.peers {
-                    let install = Message::GradState {
-                        block,
-                        expert,
-                        payload: payload.clone(),
-                    };
-                    slots[i].push((p, install.accounted_bytes()));
-                    hub.send(p, &install)?;
-                    // The fixed-size ack is appended now so the flow
-                    // list comes out in canonical per-target order.
-                    let ack = Message::GradSyncDone { block, expert };
-                    slots[i].push((p, ack.accounted_bytes()));
-                }
-                states_left -= 1;
-            }
-            Message::GradSyncDone { block, expert } => {
-                let key = (block as usize, expert as usize);
-                let &i = index.get(&key).ok_or_else(|| {
-                    TransportError::Protocol(format!(
-                        "grad sync ack for unsynced expert ({block},{expert})"
-                    ))
-                })?;
-                let Some(pos) = acks_owed[i].iter().position(|&p| p == w) else {
-                    return Err(TransportError::Protocol(format!(
-                        "unexpected grad sync ack from worker {w} for expert \
-                         ({block},{expert})"
-                    )));
-                };
-                acks_owed[i].swap_remove(pos);
-                total_acks -= 1;
-            }
-            other => {
-                return Err(TransportError::Protocol(format!(
-                    "unexpected frame during grad sync: {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(slots.concat())
-}
-
-/// Which half of the step a phase belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pass {
-    /// Token dispatch + result gather.
-    Forward,
-    /// Gradient dispatch + gradient gather.
-    Backward,
-}
+/// Which half of the step a phase belongs to: the pass its frames carry.
+pub use crate::message::GroupPass as Pass;
 
 /// Communication log of one MoE block's dispatch/gather for one pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -506,19 +259,28 @@ pub struct PhaseLog {
 /// placement — a [`ReplicatedPlacement`], so each expert batch goes to
 /// the least-loaded live replica (degree 1 reduces to the single-owner
 /// mapping bit-for-bit).
+///
+/// It is the only master-side speaker of the protocol: both engines drive
+/// their steps, exchanges, gradient sync, installs and teardown through
+/// it, and nothing else holds the [`MasterHub`].
 #[derive(Debug)]
 pub struct BrokerClient {
-    hub: MasterHub,
-    placement: ReplicatedPlacement,
+    // The first five fields are what `pipeline.rs`'s exchange drives.
+    pub(crate) hub: MasterHub,
+    pub(crate) placement: ReplicatedPlacement,
     /// The replica that served each `(block, expert)`'s last forward —
     /// backward must follow it (the replica holds the cached activations).
-    routes: HashMap<(usize, usize), usize>,
-    phase_logs: Vec<PhaseLog>,
+    pub(crate) routes: HashMap<(usize, usize), usize>,
+    pub(crate) phase_logs: Vec<PhaseLog>,
+    pub(crate) plan: DispatchPlan,
     step: u64,
     exchange_cfg: ExchangeConfig,
-    plan: DispatchPlan,
-    /// Background migration lanes (overlap mode); empty in sync mode.
+    /// Background migration lanes (overlap mode); empty in sync mode and
+    /// in the virtual engine, which never migrates.
     migrations: MigrationState,
+    /// `(worker, block, expert)` of every `ExpertState` install shipped
+    /// and not yet acknowledged.
+    installs_owed: Vec<(usize, usize, usize)>,
 }
 
 impl BrokerClient {
@@ -547,6 +309,7 @@ impl BrokerClient {
             exchange_cfg: ExchangeConfig::default(),
             plan: DispatchPlan::default(),
             migrations: MigrationState::default(),
+            installs_owed: Vec::new(),
         }
     }
 
@@ -615,7 +378,7 @@ impl BrokerClient {
     pub fn wait_step_done(&mut self) -> Result<(), TransportError> {
         let mut pending = self.hub.worker_count();
         while pending > 0 {
-            let (w, msg) = recv_routed(&mut self.hub, &mut self.migrations)?;
+            let (w, msg) = self.recv_routed()?;
             if msg != Message::StepDone {
                 return Err(TransportError::Protocol(format!(
                     "worker {w}: expected StepDone, got {msg:?}"
@@ -647,7 +410,7 @@ impl BrokerClient {
                 expert: expert as u32,
             },
         )?;
-        let (src, msg) = recv_routed(&mut self.hub, &mut self.migrations)?;
+        let (src, msg) = self.recv_routed()?;
         if src != from {
             return Err(TransportError::Protocol(format!(
                 "expert state arrived from worker {src}, expected {from}"
@@ -671,6 +434,71 @@ impl BrokerClient {
         Ok(data)
     }
 
+    /// Ships one serialized expert to each worker in `to` as an accounted
+    /// `ExpertState` install — the one install path, shared by migration
+    /// and process-mode seeding — and returns the blob's size on the wire.
+    /// The acks are collected by [`wait_installs`](Self::wait_installs), so
+    /// a caller with many experts to place pipelines every install before
+    /// it waits once.
+    ///
+    /// Only this master → worker leg rides the lossy encoding: under
+    /// `VELA_QUANT=int8` the blob crosses as a `VELQ` checkpoint at roughly
+    /// a quarter of the f32 size and the worker installs the dequantized
+    /// weights, while worker → master fetches stay f32, so a master that
+    /// keeps the fetched bytes keeps an exact copy.
+    pub fn install_expert(
+        &mut self,
+        block: usize,
+        expert: usize,
+        to: &[usize],
+        data: Vec<u8>,
+    ) -> Result<u64, TransportError> {
+        let data = if self.exchange_cfg.quantized() {
+            checkpoint::quantize(&data).map_err(|e| {
+                TransportError::Protocol(format!(
+                    "quantizing expert ({block},{expert}) for install: {e}"
+                ))
+            })?
+        } else {
+            data
+        };
+        let bytes = data.len() as u64;
+        // Every replica receives the same blob, so copies start
+        // bit-identical on whichever worker hosts them.
+        let msg = Message::ExpertState {
+            block: block as u32,
+            expert: expert as u32,
+            data,
+        };
+        for &w in to {
+            self.hub.send(w, &msg)?;
+            self.installs_owed.push((w, block, expert));
+        }
+        Ok(bytes)
+    }
+
+    /// Waits for the `InstallDone` of every install shipped so far. An ack
+    /// from a worker that owes none for that expert is a protocol error.
+    pub fn wait_installs(&mut self) -> Result<(), TransportError> {
+        while !self.installs_owed.is_empty() {
+            let (w, ack) = self.recv_routed()?;
+            let Message::InstallDone { block, expert } = ack else {
+                return Err(TransportError::Protocol(format!(
+                    "expected InstallDone, got {ack:?}"
+                )));
+            };
+            let key = (w, block as usize, expert as usize);
+            let Some(pos) = self.installs_owed.iter().position(|&owed| owed == key) else {
+                return Err(TransportError::Protocol(format!(
+                    "install ack for expert ({block},{expert}) arrived from worker {w}, \
+                     which owes none"
+                )));
+            };
+            self.installs_owed.swap_remove(pos);
+        }
+        Ok(())
+    }
+
     /// Migrates one expert to worker `to` (no-op if already there),
     /// routing its serialized parameters through the master exactly like
     /// the framework's other flows. Must be called *between* steps.
@@ -690,47 +518,14 @@ impl BrokerClient {
         if from == to {
             return Ok(0);
         }
-        if self.placement.replicas_of(block, expert).contains(&to) {
-            // `to` already holds a bit-identical replica (gradient sync
-            // keeps copies equal), so re-rooting the primary needs only
-            // the eviction fetch, no install transfer.
-            self.fetch_expert(block, expert)?;
-            self.placement.set_primary(block, expert, to);
-            self.routes.remove(&(block, expert));
-            return Ok(0);
-        }
         let data = self.fetch_expert(block, expert)?;
-        // Only the master → worker install rides the lossy encoding:
-        // worker → master fetches stay f32, so a master that keeps the
-        // fetched bytes keeps an exact copy.
-        let data = if self.exchange_cfg.quantized() {
-            checkpoint::quantize(&data).map_err(|e| {
-                TransportError::Protocol(format!(
-                    "quantizing expert ({block},{expert}) for migration: {e}"
-                ))
-            })?
-        } else {
-            data
-        };
-        let bytes = data.len() as u64;
-        self.hub.send(
-            to,
-            &Message::ExpertState {
-                block: block as u32,
-                expert: expert as u32,
-                data,
-            },
-        )?;
-        let (dst, ack) = recv_routed(&mut self.hub, &mut self.migrations)?;
-        if dst != to {
-            return Err(TransportError::Protocol(format!(
-                "install ack arrived from worker {dst}, expected {to}"
-            )));
-        }
-        if !matches!(ack, Message::InstallDone { .. }) {
-            return Err(TransportError::Protocol(format!(
-                "expected InstallDone, got {ack:?}"
-            )));
+        // If `to` already holds a bit-identical replica (gradient sync
+        // keeps copies equal), re-rooting the primary needs only that
+        // eviction fetch, no install transfer.
+        let mut bytes = 0;
+        if !self.placement.replicas_of(block, expert).contains(&to) {
+            bytes = self.install_expert(block, expert, &[to], data)?;
+            self.wait_installs()?;
         }
         self.placement.set_primary(block, expert, to);
         // The evicted copy is gone; make sure backward never follows a
@@ -777,13 +572,7 @@ impl BrokerClient {
             )));
         }
         if self.placement.replicas_of(block, expert).contains(&to) {
-            // `to` already holds a bit-identical replica (gradient sync
-            // keeps copies equal), so re-rooting the primary needs only
-            // the eviction fetch.
-            self.fetch_expert(block, expert)?;
-            self.placement.set_primary(block, expert, to);
-            self.routes.remove(&(block, expert));
-            return Ok(());
+            return self.migrate_expert(block, expert, to).map(drop);
         }
         if self.migrations.streaming() >= MAX_ACTIVE_LANES || !self.migrations.queued.is_empty() {
             // No free streaming slot (or earlier moves are already
@@ -808,14 +597,13 @@ impl BrokerClient {
         // The announce must precede any relayed frame on the
         // master → destination FIFO (a forwarded gradient state can
         // otherwise outrun the first chunk). It moves no parameters, so
-        // it rides the unaccounted control path.
-        self.hub.send_control(
+        // the frame table keeps it off the books.
+        self.hub.send(
             to,
-            Message::ShadowBegin {
+            &Message::ShadowBegin {
                 block: block as u32,
                 expert: expert as u32,
-            }
-            .encode(),
+            },
         )?;
         self.hub.send(
             from,
@@ -862,9 +650,7 @@ impl BrokerClient {
         loop {
             match self.hub.recv_timeout(Duration::ZERO) {
                 Ok((w, msg)) => {
-                    if let Some((w, msg)) =
-                        route_lane_frame(&mut self.hub, &mut self.migrations, w, msg)?
-                    {
+                    if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
                         // Not lane traffic — put it back for the next
                         // real drain.
                         self.hub.push_pending(w, msg);
@@ -899,9 +685,7 @@ impl BrokerClient {
             self.admit_queued()?;
             while self.migrations.lanes.iter().any(|l| !l.installed) {
                 let (w, msg) = self.hub.recv()?;
-                if let Some((w, msg)) =
-                    route_lane_frame(&mut self.hub, &mut self.migrations, w, msg)?
-                {
+                if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
                     return Err(TransportError::Protocol(format!(
                         "unexpected frame from worker {w} while flushing migrations: {msg:?}"
                     )));
@@ -923,7 +707,7 @@ impl BrokerClient {
     /// stop-the-world migration. Holding installed lanes in gradient
     /// lockstep until the group is complete keeps the single-boundary
     /// equivalence exact. Each cutover is `Evict` to the source and
-    /// `MigrationCommit` to the destination (control-plane frames — the
+    /// `MigrationCommit` to the destination (unaccounted frames — the
     /// cutover itself moves no parameters), then the primary flips and
     /// any cached route to the evicted copy is dropped. FIFO links order
     /// both frames before the next step's traffic, so each side switches
@@ -935,26 +719,23 @@ impl BrokerClient {
         let mut committed = 0usize;
         for lane in std::mem::take(&mut self.migrations.lanes) {
             let (b, e) = (lane.block as u32, lane.expert as u32);
-            self.hub.send_control(
+            self.hub.send(
                 lane.from,
-                Message::Evict {
+                &Message::Evict {
                     block: b,
                     expert: e,
-                }
-                .encode(),
+                },
             )?;
-            self.hub.send_control(
+            self.hub.send(
                 lane.to,
-                Message::MigrationCommit {
+                &Message::MigrationCommit {
                     block: b,
                     expert: e,
-                }
-                .encode(),
+                },
             )?;
             self.placement.set_primary(lane.block, lane.expert, lane.to);
             self.routes.remove(&(lane.block, lane.expert));
             self.migrations.bytes += lane.forwarded;
-            self.migrations.committed += 1;
             self.migrations.last_commit_step = step;
             MIGRATION_COMMITS.add(1);
             committed += 1;
@@ -970,11 +751,6 @@ impl BrokerClient {
     /// Parameter bytes moved by committed background lanes so far.
     pub fn migration_bytes(&self) -> u64 {
         self.migrations.bytes
-    }
-
-    /// Background lanes committed (cut over) so far.
-    pub fn migrations_committed(&self) -> u64 {
-        self.migrations.committed
     }
 
     /// Engine step of the most recent background cutover (0 = none yet).
@@ -1004,31 +780,237 @@ impl BrokerClient {
     /// Returns the `(worker, accounted bytes)` flows in protocol order —
     /// the input to the cost model's sync-time term. Empty at degree 1:
     /// the sync is free exactly when replication is off.
+    ///
+    /// Every `FetchGrads` is issued up front, gradient states are forwarded
+    /// to peers as they arrive and acks are collected last, so per-target
+    /// round-trips ride the wire concurrently. Workers only *apply* synced
+    /// gradients on `StepEnd`, so arrival order cannot reach the result.
+    /// Flow accounting is slotted per target, so the returned list comes
+    /// out in canonical per-target order (fetch, state, then install + ack
+    /// per peer) no matter how replies interleave, keeping the modeled sync
+    /// time deterministic.
     pub fn sync_replica_grads(
         &mut self,
         grad_bytes: u32,
     ) -> Result<Vec<(usize, u64)>, TransportError> {
-        sync_grads_over(
-            &mut self.hub,
-            &self.placement,
-            &self.routes,
-            grad_bytes,
-            &mut self.migrations,
-        )
+        let targets = self.sync_targets();
+        let mut slots: Vec<Vec<(usize, u64)>> = Vec::with_capacity(targets.len());
+        let mut index: HashMap<(usize, usize), usize> = HashMap::new();
+        for (i, t) in targets.iter().enumerate() {
+            index.insert((t.block, t.expert), i);
+            let req = Message::FetchGrads {
+                block: t.block as u32,
+                expert: t.expert as u32,
+                grad_bytes,
+            };
+            slots.push(vec![(t.serving, req.accounted_bytes())]);
+            self.hub.send(t.serving, &req)?;
+        }
+        let mut states_left = targets.len();
+        // Acks still owed, tracked per target by peer index so duplicates
+        // and strangers are protocol errors, not miscounts.
+        let mut acks_owed: Vec<Vec<usize>> = targets.iter().map(|t| t.peers.clone()).collect();
+        let mut total_acks: usize = acks_owed.iter().map(Vec::len).sum();
+        while states_left > 0 || total_acks > 0 {
+            let (w, msg) = self.recv_routed()?;
+            let bytes = msg.accounted_bytes();
+            match msg {
+                Message::GradState {
+                    block,
+                    expert,
+                    payload,
+                } => {
+                    let key = (block as usize, expert as usize);
+                    let &i = index.get(&key).ok_or_else(|| {
+                        TransportError::Protocol(format!(
+                            "grad state for unsynced expert ({block},{expert})"
+                        ))
+                    })?;
+                    let t = &targets[i];
+                    if w != t.serving {
+                        return Err(TransportError::Protocol(format!(
+                            "grad state arrived from worker {w}, expected {}",
+                            t.serving
+                        )));
+                    }
+                    if slots[i].len() > 1 {
+                        return Err(TransportError::Protocol(format!(
+                            "duplicate grad state for expert ({block},{expert})"
+                        )));
+                    }
+                    slots[i].push((w, bytes));
+                    let install = Message::GradState {
+                        block,
+                        expert,
+                        payload,
+                    };
+                    let ack = Message::GradSyncDone { block, expert };
+                    for &p in &t.peers {
+                        slots[i].push((p, install.accounted_bytes()));
+                        self.hub.send(p, &install)?;
+                        // The fixed-size ack is appended now so the flow
+                        // list comes out in canonical per-target order.
+                        slots[i].push((p, ack.accounted_bytes()));
+                    }
+                    states_left -= 1;
+                }
+                Message::GradSyncDone { block, expert } => {
+                    let key = (block as usize, expert as usize);
+                    let &i = index.get(&key).ok_or_else(|| {
+                        TransportError::Protocol(format!(
+                            "grad sync ack for unsynced expert ({block},{expert})"
+                        ))
+                    })?;
+                    let Some(pos) = acks_owed[i].iter().position(|&p| p == w) else {
+                        return Err(TransportError::Protocol(format!(
+                            "unexpected grad sync ack from worker {w} for expert \
+                             ({block},{expert})"
+                        )));
+                    };
+                    acks_owed[i].swap_remove(pos);
+                    total_acks -= 1;
+                }
+                other => {
+                    return Err(TransportError::Protocol(format!(
+                        "unexpected frame during grad sync: {other:?}"
+                    )))
+                }
+            }
+        }
+        Ok(slots.concat())
     }
 
-    /// Dispatch + gather for one block and pass through
-    /// [`pipeline::exchange`]: one packed frame of tensor rows per worker,
-    /// int8-encoded when quantization is on. `sink` is called with the
-    /// completed *ascending prefix* of batch indices as soon as it exists,
-    /// so delivery order is the same whichever worker answers first.
-    fn exchange(
+    /// The sync fan-out for this step: every replicated pair, plus every
+    /// in-flight migration lane — the shadow install must see each window
+    /// step's gradients to stay in lockstep with the source.
+    fn sync_targets(&self) -> Vec<SyncTarget> {
+        let (placement, routes) = (&self.placement, &self.routes);
+        let mut targets: Vec<SyncTarget> = placement
+            .replicated_pairs()
+            .into_iter()
+            .map(|(block, expert)| {
+                let serving = routes
+                    .get(&(block, expert))
+                    .copied()
+                    .unwrap_or_else(|| placement.primary(block, expert));
+                let peers = placement
+                    .replicas_of(block, expert)
+                    .iter()
+                    .copied()
+                    .filter(|&w| w != serving)
+                    .collect();
+                SyncTarget {
+                    block,
+                    expert,
+                    serving,
+                    peers,
+                }
+            })
+            .collect();
+        for lane in &self.migrations.lanes {
+            let key = (lane.block, lane.expert);
+            if let Some(t) = targets.iter_mut().find(|t| (t.block, t.expert) == key) {
+                if !t.peers.contains(&lane.to) {
+                    t.peers.push(lane.to);
+                }
+            } else {
+                targets.push(SyncTarget {
+                    block: lane.block,
+                    expert: lane.expert,
+                    serving: routes.get(&key).copied().unwrap_or(lane.from),
+                    peers: vec![lane.to],
+                });
+            }
+        }
+        targets
+    }
+
+    /// `hub.recv()` that transparently services migration-lane traffic:
+    /// chunk relays interleave with whatever protocol frames the caller is
+    /// actually waiting on. Every blocking drain of a step goes through
+    /// here, so a background migration makes progress at any point of the
+    /// step — not just at boundaries. With no lane in flight it is a plain
+    /// `recv`.
+    pub(crate) fn recv_routed(&mut self) -> Result<(usize, Message), TransportError> {
+        loop {
+            let (w, msg) = self.hub.recv()?;
+            if let Some(out) = self.route_lane_frame(w, msg)? {
+                return Ok(out);
+            }
+        }
+    }
+
+    /// Inspects a drained frame: if it belongs to an in-flight migration
+    /// lane it is serviced here — source chunks (`ExpertChunk`/`OptimState`)
+    /// relay to the destination over the accounted hub path, `InstallDone`
+    /// from the destination marks the lane ready for cutover — and `None`
+    /// is returned. Any other frame is handed back to the caller's protocol
+    /// loop untouched.
+    fn route_lane_frame(
+        &mut self,
+        w: usize,
+        msg: Message,
+    ) -> Result<Option<(usize, Message)>, TransportError> {
+        let key = match &msg {
+            Message::ExpertChunk { block, expert, .. }
+            | Message::OptimState { block, expert, .. }
+            | Message::InstallDone { block, expert } => (*block as usize, *expert as usize),
+            _ => return Ok(Some((w, msg))),
+        };
+        let lanes = &mut self.migrations.lanes;
+        let Some(lane) = lanes.iter_mut().find(|l| (l.block, l.expert) == key) else {
+            // Not lane traffic (e.g. the sync-mode install ack) — the
+            // caller's own protocol validation deals with it.
+            return Ok(Some((w, msg)));
+        };
+        // The source streams chunks and moments; only the destination acks.
+        let (what, expected) = match msg {
+            Message::InstallDone { .. } => ("install ack", lane.to),
+            Message::OptimState { .. } => ("optimizer state", lane.from),
+            _ => ("chunk", lane.from),
+        };
+        if w != expected {
+            return Err(TransportError::Protocol(format!(
+                "migration {what} for expert ({},{}) arrived from worker {w}, expected {expected}",
+                key.0, key.1
+            )));
+        }
+        match &msg {
+            Message::InstallDone { .. } => lane.installed = true,
+            relayed => {
+                if let Message::ExpertChunk { data, .. } = relayed {
+                    lane.forwarded += data.len() as u64;
+                    MIGRATION_CHUNKS.add(1);
+                    MIGRATION_BYTES.add(data.len() as u64);
+                }
+                self.hub.send(lane.to, relayed)?;
+            }
+        }
+        Ok(None)
+    }
+
+    /// Dispatch + gather of real tensors for one block and pass through
+    /// the shared [`exchange`](Self::exchange): one packed frame of tensor
+    /// rows per worker, int8-encoded when quantization is on. `sink` is
+    /// called with the completed *ascending prefix* of batch indices as
+    /// soon as it exists, so delivery order is the same whichever worker
+    /// answers first.
+    ///
+    /// # Panics
+    /// [`ExpertProvider`] is an infallible seam (the model crate knows
+    /// nothing about transports), so a transport failure mid-exchange
+    /// surfaces here as a panic with the underlying error. Control-plane
+    /// methods (`step_begin`/`step_end`/`wait_step_done`/`shutdown`/
+    /// `migrate_expert`) propagate `TransportError` instead, which is where
+    /// disconnects actually occur in practice (between steps, or while
+    /// waiting on acks).
+    fn exchange_tensors(
         &mut self,
         block: usize,
         pass: Pass,
         batches: &[ExpertBatch],
         sink: &mut dyn FnMut(usize, Tensor),
-    ) -> Result<(), TransportError> {
+    ) {
         let mut rows = TensorRows {
             batches,
             quantize: self.exchange_cfg.quantized(),
@@ -1036,24 +1018,14 @@ impl BrokerClient {
             next_emit: 0,
             sink,
         };
-        let log = pipeline::exchange(
-            Link {
-                hub: &mut self.hub,
-                lanes: &mut self.migrations,
-                placement: &self.placement,
-                routes: &mut self.routes,
-                plan: &mut self.plan,
-            },
-            match pass {
-                Pass::Forward => "runtime.broker.fwd",
-                Pass::Backward => "runtime.broker.bwd",
-            },
-            block,
-            pass,
-            &mut rows,
-        )?;
-        self.phase_logs.push(log);
-        Ok(())
+        let span = match pass {
+            Pass::Forward => "runtime.broker.fwd",
+            Pass::Backward => "runtime.broker.bwd",
+        };
+        self.exchange(span, block, pass, &mut rows)
+            .unwrap_or_else(|e| {
+                panic!("transport failed during {} exchange: {e}", pass_name(pass))
+            });
     }
 }
 
@@ -1082,7 +1054,7 @@ impl Rows for TensorRows<'_> {
         self.batches.first().map_or(0, |b| b.xs.cols() as u32)
     }
 
-    fn pack(&self, block: u32, pass: GroupPass, items: &[usize]) -> PackedGroup {
+    fn pack(&self, block: u32, pass: Pass, items: &[usize]) -> PackedGroup {
         PackedGroup::pack(
             block,
             pass,
@@ -1140,12 +1112,6 @@ impl TensorRows<'_> {
     }
 }
 
-// [`ExpertProvider`] is an infallible seam (the model crate knows nothing
-// about transports), so a transport failure mid-exchange surfaces as a
-// panic with the underlying error. Control-plane methods
-// (`step_begin`/`step_end`/`wait_step_done`/`shutdown`/`migrate_expert`)
-// propagate `TransportError` instead, which is where disconnects actually
-// occur in practice (between steps, or while waiting on acks).
 impl ExpertProvider for BrokerClient {
     fn replica_degree(&self, block: usize, expert: usize) -> usize {
         self.placement.degree(block, expert)
@@ -1173,8 +1139,7 @@ impl ExpertProvider for BrokerClient {
         batches: &[ExpertBatch],
         emit: &mut dyn FnMut(usize, Tensor),
     ) {
-        self.exchange(block, Pass::Forward, batches, emit)
-            .unwrap_or_else(|e| panic!("transport failed during forward exchange: {e}"));
+        self.exchange_tensors(block, Pass::Forward, batches, emit);
     }
 
     fn backward_block_streamed(
@@ -1183,8 +1148,7 @@ impl ExpertProvider for BrokerClient {
         grads: &[ExpertBatch],
         emit: &mut dyn FnMut(usize, Tensor),
     ) {
-        self.exchange(block, Pass::Backward, grads, emit)
-            .unwrap_or_else(|e| panic!("transport failed during backward exchange: {e}"));
+        self.exchange_tensors(block, Pass::Backward, grads, emit);
     }
 }
 

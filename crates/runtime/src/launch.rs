@@ -1,8 +1,9 @@
-//! Process-mode launch plumbing: spawning `vela_worker` OS processes and
-//! wiring them into a TCP star.
+//! Launch plumbing: bringing up the star and its workers over any transport
+//! ([`launch_star`]), and what process mode needs on top — spawning
+//! `vela_worker` OS processes and wiring them into a TCP star.
 //!
 //! Thread mode and process mode share every protocol byte; the only extra
-//! machinery here is (a) locating the worker binary, (b) handing each
+//! machinery process mode adds is (a) locating the worker binary, (b) handing each
 //! child its connect coordinates via environment variables, and (c) the
 //! bootstrap control frame that tells a fresh process what shard shape and
 //! optimizer it serves. Worker processes are always reaped — teardown
@@ -18,7 +19,7 @@ use vela_cluster::{DeviceId, TrafficLedger};
 use vela_model::LocalExpertStore;
 
 use crate::transport::tcp::ACCEPT_DEADLINE;
-use crate::transport::{MasterHub, TcpStarBuilder, TransportError};
+use crate::transport::{build_star, MasterHub, TcpStarBuilder, TransportConfig, TransportError};
 use crate::worker::{ExpertManager, WorkerBootstrap};
 
 /// Environment variables a `vela_worker` process reads at startup.
@@ -185,6 +186,42 @@ pub fn launch_process_star(
             Err(e)
         }
     }
+}
+
+/// Brings up the star between `master` and `workers` over `transport`,
+/// with one Expert Manager behind every port — the bring-up both engines
+/// share. Thread-backed transports call `shards` for one store per worker
+/// and hand each worker its shard by value, with the bootstrap's optimizer
+/// and template. Process mode never calls it: it spawns `vela_worker`
+/// children that start from the bootstrap frame with empty shards, and the
+/// caller seeds whatever they should hold over the wire.
+pub(crate) fn launch_star(
+    transport: TransportConfig,
+    ledger: Arc<TrafficLedger>,
+    master: DeviceId,
+    workers: &[DeviceId],
+    bootstrap: &WorkerBootstrap,
+    shards: impl FnOnce() -> Vec<LocalExpertStore>,
+) -> Result<(MasterHub, Vec<WorkerHandle>), TransportError> {
+    if transport.is_process_mode() {
+        let (hub, children) = launch_process_star(ledger, master, workers, bootstrap)?;
+        let handles = children.into_iter().map(WorkerHandle::Process).collect();
+        return Ok((hub, handles));
+    }
+    let (hub, ports) = build_star(transport, ledger, master, workers)?;
+    let handles = ports
+        .into_iter()
+        .zip(shards())
+        .map(|(port, shard)| {
+            WorkerHandle::Thread(ExpertManager::spawn_with_template(
+                port,
+                shard,
+                bootstrap.optim,
+                bootstrap.template,
+            ))
+        })
+        .collect();
+    Ok((hub, handles))
 }
 
 #[cfg(test)]

@@ -39,8 +39,9 @@ pub mod worker;
 pub use broker::BrokerClient;
 pub use ep_engine::EpEngine;
 pub use message::{
-    chunk_expert_state, ChunkAssembler, FrameKind, GroupPass, Message, PackedData, PackedGroup,
-    PackedReply, Payload, RowSpan, EXPERT_CHUNK_BYTES,
+    chunk_expert_state, Bucket, ChunkAssembler, Direction, FrameInfo, FrameKind, FrameSpec,
+    GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload, RowSpan, EXPERT_CHUNK_BYTES,
+    FRAMES,
 };
 pub use metrics::{
     routing_straggler_index, PhaseAttribution, ReplicationSummary, RunSummary, StepMetrics,

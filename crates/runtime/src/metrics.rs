@@ -273,6 +273,29 @@ pub fn master_worker_time(
     time
 }
 
+/// The modelled time of one master–worker step: [`master_worker_time`]
+/// over the step's phase logs, plus the replica gradient-sync flows
+/// (`(worker, accounted bytes)` in protocol order, from
+/// [`BrokerClient::sync_replica_grads`](crate::BrokerClient::sync_replica_grads)).
+/// Every sync flow crosses the master's one link to its worker, so the
+/// sync term is the sum of the per-flow transfer times.
+pub fn step_time(
+    cost: &CostModel,
+    master: DeviceId,
+    worker_devices: &[DeviceId],
+    logs: &[PhaseLog],
+    sync_flows: &[(usize, u64)],
+    spec: &MoeSpec,
+    master_flops: f64,
+) -> TimeBreakdown {
+    let mut time = master_worker_time(cost, master, worker_devices, logs, spec, master_flops);
+    time.sync_s += sync_flows
+        .iter()
+        .map(|&(w, bytes)| cost.transfer_time(master, worker_devices[w], bytes))
+        .sum::<f64>();
+    time
+}
+
 /// Approximate backbone FLOPs per token (forward): the four attention
 /// projections plus score/context mat-muls at sequence length `seq`.
 pub fn backbone_flops_per_token(spec: &MoeSpec, seq: usize) -> f64 {

@@ -1,7 +1,8 @@
-//! The block-pass exchange shared by the real broker and the virtual
-//! engine: route → plan → one [`Message::PackedDispatch`] per worker with
-//! rows → drain and validate one [`Message::PackedResult`] per frame sent →
-//! phase log, spans and flow events.
+//! The block-pass exchange, [`BrokerClient::exchange`], which both engines
+//! run on their broker's own hub, placement, routes and lanes: route → plan
+//! → one [`Message::PackedDispatch`] per worker with rows → drain and
+//! validate one [`Message::PackedResult`] per frame sent → phase log, spans
+//! and flow events.
 //!
 //! One frame per worker per block-pass is the whole schedule. The master
 //! has nothing to compute while a frame is in flight — this communication
@@ -11,18 +12,15 @@
 //! engine's [`Rows`] hands results on as an ascending prefix of batch
 //! indices, so float accumulation order is the same however workers race.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use vela_obs::{FlowPhase, LazyCounter};
-use vela_placement::ReplicatedPlacement;
 
 use crate::broker::{
-    observe_phase, pass_name, recv_routed, route_experts, worker_src, MigrationState, Pass,
-    PhaseLog,
+    observe_phase, pass_name, route_experts, worker_src, BrokerClient, Pass, PhaseLog,
 };
-use crate::message::{GroupPass, Message, PackedData, PackedGroup};
-use crate::transport::{MasterHub, TransportError};
+use crate::message::{Message, PackedData, PackedGroup};
+use crate::transport::TransportError;
 
 /// Span around encoding + shipping the block-pass's dispatch frames.
 const SPAN_SERIALIZE: &str = "runtime.pipeline.serialize";
@@ -102,7 +100,7 @@ impl DispatchPlan {
     }
 }
 
-/// What one engine feeds [`exchange`]: where each worker's row region
+/// What one engine feeds [`BrokerClient::exchange`]: where each worker's row region
 /// comes from and where its reply goes. Items are the block-pass's expert
 /// batches in dispatch order.
 pub(crate) trait Rows {
@@ -111,7 +109,7 @@ pub(crate) trait Rows {
     /// Features per row (declared bytes per token for virtual rows).
     fn width(&self) -> u32;
     /// Packs the given items' rows, in order, into one dispatch frame.
-    fn pack(&self, block: u32, pass: GroupPass, items: &[usize]) -> PackedGroup;
+    fn pack(&self, block: u32, pass: Pass, items: &[usize]) -> PackedGroup;
     /// Takes one worker's reply region, already validated against the
     /// dispatch's item count, row total and width. `layout` yields
     /// `(item, first_row, rows)` over that worker's items.
@@ -122,159 +120,138 @@ pub(crate) trait Rows {
     ) -> Result<(), TransportError>;
 }
 
-/// The engine state one exchange borrows.
-pub(crate) struct Link<'a> {
-    pub(crate) hub: &'a mut MasterHub,
-    /// Background migration lanes whose frames the drain relays; an empty
-    /// table for an engine that never migrates.
-    pub(crate) lanes: &'a mut MigrationState,
-    pub(crate) placement: &'a ReplicatedPlacement,
-    pub(crate) routes: &'a mut HashMap<(usize, usize), usize>,
-    pub(crate) plan: &'a mut DispatchPlan,
-}
-
-fn group_pass(pass: Pass) -> GroupPass {
-    match pass {
-        Pass::Forward => GroupPass::Forward,
-        Pass::Backward => GroupPass::Backward,
-    }
-}
-
-/// Correlation key tying this master-side dispatch (and its reply) to the
-/// worker's serve span. Both sides derive the step component from their
-/// own [`vela_obs::current_step`], which agree because `StepBegin` frames
-/// precede dispatches on every per-link FIFO.
-fn exchange_corr(w: usize, block: usize, pass: Pass) -> u64 {
+/// Correlation key tying the master-side dispatch to worker `w` (and its
+/// reply) to the worker's serve span. Both sides call this, each deriving
+/// the step component from its own [`vela_obs::current_step`]; those agree
+/// because `StepBegin` frames precede dispatches on every per-link FIFO.
+pub(crate) fn exchange_corr(w: usize, block: usize, pass: Pass) -> u64 {
     vela_obs::corr::pack(
         vela_obs::current_step(),
         w as u64,
         block as u64,
         matches!(pass, Pass::Backward) as u64,
-        0,
     )
 }
 
-/// Dispatch + gather for one block and pass. `span` names the engine's
-/// exchange span. Replies may arrive in any order across workers; each is
-/// checked against what its worker was sent — wrong kinds, blocks, passes,
-/// shapes, strangers and duplicates are protocol errors, not panics —
-/// before `rows` sees it.
-pub(crate) fn exchange<R: Rows>(
-    link: Link<'_>,
-    span: &'static str,
-    block: usize,
-    pass: Pass,
-    rows: &mut R,
-) -> Result<PhaseLog, TransportError> {
-    let _span = vela_obs::span(span);
-    let Link {
-        hub,
-        lanes,
-        placement,
-        routes,
-        plan,
-    } = link;
-    let workers = hub.worker_count();
-    let mut log = PhaseLog {
-        block,
-        pass,
-        bytes_out: vec![0; workers],
-        bytes_back: vec![0; workers],
-        rows: vec![0; workers],
-    };
-    let loads = rows.loads();
-    let assigned = route_experts(
-        placement,
-        routes,
-        block,
-        matches!(pass, Pass::Backward),
-        &loads,
-    );
-    plan.build(workers, assigned.iter().copied());
-    let started = vela_obs::enabled().then(Instant::now);
-
-    let mut owed = vec![false; workers];
-    {
-        let _g = vela_obs::span(SPAN_SERIALIZE);
-        for (w, owes) in owed.iter_mut().enumerate() {
-            let items = plan.items(w);
-            if items.is_empty() {
-                continue;
-            }
-            log.rows[w] = items.iter().map(|&i| loads[i].1).sum();
-            let msg = Message::PackedDispatch(rows.pack(block as u32, group_pass(pass), items));
-            log.bytes_out[w] = msg.accounted_bytes();
-            vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass));
-            hub.send(w, &msg)?;
-            *owes = true;
-        }
-    }
-    let sent = started.map(|_| Instant::now());
-
-    while owed.contains(&true) {
-        let (w, msg) = {
-            let _g = vela_obs::span(SPAN_INFLIGHT);
-            recv_routed(hub, lanes)?
+impl BrokerClient {
+    /// Dispatch + gather for one block and pass; the phase log is kept for
+    /// [`take_phase_logs`](Self::take_phase_logs). `span` names the
+    /// engine's exchange span. Replies may arrive in any order across
+    /// workers (background-migration lane frames that surface meanwhile
+    /// are relayed); each is checked against what its worker was sent —
+    /// wrong kinds, blocks, passes, shapes, strangers and duplicates are
+    /// protocol errors, not panics — before `rows` sees it.
+    pub(crate) fn exchange<R: Rows>(
+        &mut self,
+        span: &'static str,
+        block: usize,
+        pass: Pass,
+        rows: &mut R,
+    ) -> Result<(), TransportError> {
+        let _span = vela_obs::span(span);
+        let workers = self.hub.worker_count();
+        let mut log = PhaseLog {
+            block,
+            pass,
+            bytes_out: vec![0; workers],
+            bytes_back: vec![0; workers],
+            rows: vec![0; workers],
         };
-        log.bytes_back[w] = msg.accounted_bytes();
-        let Message::PackedResult(reply) = msg else {
-            return Err(TransportError::Protocol(format!(
-                "unexpected reply during {} exchange: {msg:?}",
-                pass_name(pass)
-            )));
-        };
-        if !std::mem::take(&mut owed[w]) {
-            return Err(TransportError::Protocol(format!(
-                "worker {w} sent a {} reply for block {block} it does not owe",
-                pass_name(pass)
-            )));
-        }
-        // A reply must mirror the dispatch it answers.
-        if reply.block as usize != block || reply.pass != group_pass(pass) {
-            return Err(TransportError::Protocol(format!(
-                "{:?} reply for block {} during the {} exchange of block {block}",
-                reply.pass,
-                reply.block,
-                pass_name(pass)
-            )));
-        }
-        let (items, sent_rows, width) = (plan.items(w).len(), log.rows[w], rows.width());
-        if reply.items as usize != items
-            || u64::from(reply.rows) != sent_rows
-            || reply.width != width
+        let loads = rows.loads();
+        let assigned = route_experts(
+            &self.placement,
+            &mut self.routes,
+            block,
+            matches!(pass, Pass::Backward),
+            &loads,
+        );
+        self.plan.build(workers, assigned.iter().copied());
+        let started = vela_obs::enabled().then(Instant::now);
+
+        let mut owed = vec![false; workers];
         {
-            return Err(TransportError::Protocol(format!(
-                "worker {w} answered with {} items × {} rows of width {}, dispatch had \
-                 {items} items × {sent_rows} rows of width {width}",
-                reply.items, reply.rows, reply.width
-            )));
-        }
-        vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass));
-        rows.deliver(plan.regions(w, |i| loads[i].1 as usize), reply.data)?;
-    }
-    if let (Some(started), Some(sent)) = (started, sent) {
-        SERIALIZE_US.add((sent - started).as_micros() as u64);
-        INFLIGHT_US.add(sent.elapsed().as_micros() as u64);
-        EXCHANGE_US.add(started.elapsed().as_micros() as u64);
-    }
-
-    if vela_obs::enabled() {
-        let expert_rows: Vec<(usize, usize)> =
-            loads.iter().map(|&(e, n)| (e, n as usize)).collect();
-        observe_phase(&log, &expert_rows);
-        // Per-worker `(expert, rows)` events are what `trace_summary`'s
-        // replication section aggregates into per-replica token shares.
-        // Only emitted for placements with actual replication, so
-        // degree-1 traces stay identical to the seed's.
-        if !placement.is_degree_one() {
-            for w in (0..workers).filter(|&w| !plan.items(w).is_empty()) {
-                let served: Vec<(usize, usize)> =
-                    plan.items(w).iter().map(|&i| expert_rows[i]).collect();
-                vela_obs::expert_rows(worker_src(w), pass_name(pass), block, &served);
+            let _g = vela_obs::span(SPAN_SERIALIZE);
+            for (w, owes) in owed.iter_mut().enumerate() {
+                let items = self.plan.items(w);
+                if items.is_empty() {
+                    continue;
+                }
+                log.rows[w] = items.iter().map(|&i| loads[i].1).sum();
+                let msg = Message::PackedDispatch(rows.pack(block as u32, pass, items));
+                log.bytes_out[w] = msg.accounted_bytes();
+                vela_obs::flow(FlowPhase::Start, exchange_corr(w, block, pass));
+                self.hub.send(w, &msg)?;
+                *owes = true;
             }
         }
+        let sent = started.map(|_| Instant::now());
+
+        while owed.contains(&true) {
+            let (w, msg) = {
+                let _g = vela_obs::span(SPAN_INFLIGHT);
+                self.recv_routed()?
+            };
+            log.bytes_back[w] = msg.accounted_bytes();
+            let Message::PackedResult(reply) = msg else {
+                return Err(TransportError::Protocol(format!(
+                    "unexpected reply during {} exchange: {msg:?}",
+                    pass_name(pass)
+                )));
+            };
+            if !std::mem::take(&mut owed[w]) {
+                return Err(TransportError::Protocol(format!(
+                    "worker {w} sent a {} reply for block {block} it does not owe",
+                    pass_name(pass)
+                )));
+            }
+            // A reply must mirror the dispatch it answers.
+            if reply.block as usize != block || reply.pass != pass {
+                return Err(TransportError::Protocol(format!(
+                    "{:?} reply for block {} during the {} exchange of block {block}",
+                    reply.pass,
+                    reply.block,
+                    pass_name(pass)
+                )));
+            }
+            let (items, sent_rows, width) = (self.plan.items(w).len(), log.rows[w], rows.width());
+            if reply.items as usize != items
+                || u64::from(reply.rows) != sent_rows
+                || reply.width != width
+            {
+                return Err(TransportError::Protocol(format!(
+                    "worker {w} answered with {} items × {} rows of width {}, dispatch had \
+                     {items} items × {sent_rows} rows of width {width}",
+                    reply.items, reply.rows, reply.width
+                )));
+            }
+            vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass));
+            rows.deliver(self.plan.regions(w, |i| loads[i].1 as usize), reply.data)?;
+        }
+        if let (Some(started), Some(sent)) = (started, sent) {
+            SERIALIZE_US.add((sent - started).as_micros() as u64);
+            INFLIGHT_US.add(sent.elapsed().as_micros() as u64);
+            EXCHANGE_US.add(started.elapsed().as_micros() as u64);
+        }
+
+        if vela_obs::enabled() {
+            let expert_rows: Vec<(usize, usize)> =
+                loads.iter().map(|&(e, n)| (e, n as usize)).collect();
+            observe_phase(&log, &expert_rows);
+            // Per-worker `(expert, rows)` events are what `trace_summary`'s
+            // replication section aggregates into per-replica token shares.
+            // Only emitted for placements with actual replication, so
+            // degree-1 traces stay identical to the seed's.
+            if !self.placement.is_degree_one() {
+                for w in (0..workers).filter(|&w| !self.plan.items(w).is_empty()) {
+                    let served: Vec<(usize, usize)> =
+                        self.plan.items(w).iter().map(|&i| expert_rows[i]).collect();
+                    vela_obs::expert_rows(worker_src(w), pass_name(pass), block, &served);
+                }
+            }
+        }
+        self.phase_logs.push(log);
+        Ok(())
     }
-    Ok(log)
 }
 
 #[cfg(test)]
@@ -288,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn chunks_are_per_worker_and_order_preserving() {
+    fn items_are_grouped_per_worker_in_dispatch_order() {
         // 8 items alternating between 2 workers (the bench placement):
         // each worker's frame carries its own items, in dispatch order.
         let assign: Vec<usize> = (0..8).map(|e| e % 2).collect();
@@ -298,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn single_chunk_plan_is_the_coalesced_baseline() {
+    fn every_item_lands_on_its_assigned_worker() {
         let p = plan(3, &[2, 0, 2, 1]);
         assert_eq!(p.items(0), &[1]);
         assert_eq!(p.items(1), &[3]);
@@ -306,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_without_items_ship_no_chunks() {
+    fn workers_without_items_get_no_frame() {
         let p = plan(3, &[1, 1]);
         assert!(p.items(0).is_empty());
         assert!(p.items(2).is_empty());
@@ -319,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_regions_tile_the_packed_layout_densely() {
+    fn regions_tile_each_workers_frame_densely() {
         // Items 0,2,4 on worker 0 with 1,3,5 rows: offsets run on from one
         // item to the next and restart per worker, because every worker's
         // rows are their own packed frame.

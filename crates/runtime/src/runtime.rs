@@ -27,13 +27,10 @@ use vela_nn::optim::{AdamW, AdamWConfig};
 use vela_placement::{Placement, ReplicatedPlacement};
 
 use crate::broker::BrokerClient;
-use crate::launch::{launch_process_star, WorkerHandle};
-use crate::message::Message;
-use crate::metrics::{backbone_flops_per_token, master_worker_time, StepMetrics};
-use crate::transport::{
-    build_star, ExchangeConfig, MasterHub, MigrationMode, TransportConfig, TransportError,
-};
-use crate::worker::{expert_grads, ExpertManager, ExpertTemplate, WorkerBootstrap};
+use crate::launch::{launch_star, WorkerHandle};
+use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
+use crate::transport::{ExchangeConfig, MigrationMode, TransportConfig, TransportError};
+use crate::worker::{expert_grads, ExpertTemplate, WorkerBootstrap};
 
 /// What one [`RealRuntime::apply_placement`] call set in motion.
 ///
@@ -156,80 +153,33 @@ impl RealRuntime {
         let grad_bytes = (expert_grads(experts.expert_mut(0, 0)).len() * 4) as u32;
         let ledger = Arc::new(TrafficLedger::new(topology.clone()));
         let cost = CostModel::new(topology);
-        // Read once: process-mode seeding and the broker must agree on
-        // whether expert state crosses the wire quantized.
-        let exchange = ExchangeConfig::from_env();
+        let bootstrap = WorkerBootstrap {
+            blocks: cfg.blocks,
+            experts: cfg.experts,
+            optim,
+            template: Some(template),
+        };
+        let (hub, workers) = launch_star(
+            transport,
+            ledger.clone(),
+            master,
+            &worker_devices,
+            &bootstrap,
+            || shard_experts(&mut experts, &placement, &template, worker_devices.len()),
+        )
+        .unwrap_or_else(|e| panic!("bringing up the {} star failed: {e}", transport.label()));
 
-        let (hub, workers) = if transport.is_process_mode() {
-            let bootstrap = WorkerBootstrap {
-                blocks: cfg.blocks,
-                experts: cfg.experts,
-                optim,
-                template: Some(template),
-            };
-            let (mut hub, children) =
-                launch_process_star(ledger.clone(), master, &worker_devices, &bootstrap)
-                    .unwrap_or_else(|e| panic!("launching worker processes failed: {e}"));
-            seed_processes(
-                &mut hub,
-                &mut experts,
-                &placement,
-                &cfg,
-                exchange.quantized(),
-            );
+        let mut broker = BrokerClient::new(hub, placement);
+        // Read once: process-mode seeding and the exchange must agree on
+        // whether expert state crosses the wire quantized.
+        broker.set_exchange(ExchangeConfig::from_env());
+        if transport.is_process_mode() {
+            seed_processes(&mut broker, &mut experts)
+                .unwrap_or_else(|e| panic!("seeding worker processes failed: {e}"));
             // Seeding crossed real sockets; drop its ledger window so step
             // traffic starts clean and matches the thread-backed transports.
             ledger.take_step();
-            (
-                hub,
-                children.into_iter().map(WorkerHandle::Process).collect(),
-            )
-        } else {
-            // Shard the expert population and hand each worker its shard.
-            // The primary gets the expert itself; any extra replicas get
-            // exact f32 checkpoint clones, so every copy starts
-            // bit-identical.
-            let mut shards: Vec<LocalExpertStore> = (0..worker_devices.len())
-                .map(|_| LocalExpertStore::empty(cfg.blocks, cfg.experts))
-                .collect();
-            for l in 0..cfg.blocks {
-                for e in 0..cfg.experts {
-                    let mut ffn = experts.take(l, e);
-                    let replicas = placement.replicas_of(l, e).to_vec();
-                    if replicas.len() > 1 {
-                        let mut data = Vec::new();
-                        checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
-                        for &w in &replicas[1..] {
-                            let mut copy = template.instantiate(l, e);
-                            checkpoint::load(&mut copy, &mut data.as_slice())
-                                .expect("in-memory load");
-                            shards[w].insert(l, e, copy);
-                        }
-                    }
-                    shards[replicas[0]].insert(l, e, ffn);
-                }
-            }
-            let (hub, ports) = build_star(transport, ledger.clone(), master, &worker_devices)
-                .unwrap_or_else(|e| {
-                    panic!("bringing up {} transport failed: {e}", transport.label())
-                });
-            let workers = ports
-                .into_iter()
-                .zip(shards)
-                .map(|(port, shard)| {
-                    WorkerHandle::Thread(ExpertManager::spawn_with_template(
-                        port,
-                        shard,
-                        optim,
-                        Some(template),
-                    ))
-                })
-                .collect();
-            (hub, workers)
-        };
-
-        let mut broker = BrokerClient::new(hub, placement);
-        broker.set_exchange(exchange);
+        }
         RealRuntime {
             spec: cfg.spec(),
             model,
@@ -430,23 +380,15 @@ impl RealRuntime {
         let traffic = self.ledger.take_step();
         let logs = self.broker.take_phase_logs();
         let master_flops = inputs.len() as f64 * backbone_flops_per_token(&self.spec, seq) * 3.0;
-        let mut time = master_worker_time(
+        let time = step_time(
             &self.cost,
             self.master,
             &self.worker_devices,
             &logs,
+            &sync_flows,
             &self.spec,
             master_flops,
         );
-        // Every sync flow crosses the master's one link to its worker, so
-        // the modeled time is the sum of the per-flow transfer times.
-        time.sync_s += sync_flows
-            .iter()
-            .map(|&(w, bytes)| {
-                self.cost
-                    .transfer_time(self.master, self.worker_devices[w], bytes)
-            })
-            .sum::<f64>();
         Ok(StepMetrics {
             step: self.step,
             loss: Some(stats.loss),
@@ -527,55 +469,57 @@ impl RealRuntime {
     }
 }
 
-/// Ships every expert to its placed worker process as an accounted
-/// `ExpertState` frame and waits for all install acks.
-///
-/// When the session is `quantized` (`VELA_QUANT=int8`) the blobs cross
-/// the wire as `VELQ` checkpoints at roughly a quarter of the f32 size;
-/// workers install the dequantized weights (the lossy opt-in), while
-/// teardown fetch-back always rides exact f32.
-fn seed_processes(
-    hub: &mut MasterHub,
+/// Shards the expert population for thread-backed workers, one store per
+/// worker. The primary gets the expert itself; any extra replicas get
+/// exact f32 checkpoint clones, so every copy starts bit-identical.
+fn shard_experts(
     experts: &mut LocalExpertStore,
     placement: &ReplicatedPlacement,
-    cfg: &vela_model::ModelConfig,
-    quantized: bool,
-) {
-    let mut outstanding = 0usize;
-    for l in 0..cfg.blocks {
-        for e in 0..cfg.experts {
+    template: &ExpertTemplate,
+    workers: usize,
+) -> Vec<LocalExpertStore> {
+    let (blocks, per_block) = (placement.blocks(), placement.experts());
+    let mut shards: Vec<LocalExpertStore> = (0..workers)
+        .map(|_| LocalExpertStore::empty(blocks, per_block))
+        .collect();
+    for l in 0..blocks {
+        for e in 0..per_block {
             let mut ffn = experts.take(l, e);
-            let mut data = Vec::new();
-            checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
-            if quantized {
-                data = checkpoint::quantize(&data).expect("in-memory transcode");
+            let replicas = placement.replicas_of(l, e);
+            if replicas.len() > 1 {
+                let mut data = Vec::new();
+                checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
+                for &w in &replicas[1..] {
+                    let mut copy = template.instantiate(l, e);
+                    checkpoint::load(&mut copy, &mut data.as_slice()).expect("in-memory load");
+                    shards[w].insert(l, e, copy);
+                }
             }
-            // Every replica receives the same blob, so copies start
-            // bit-identical on whichever worker hosts them.
-            for &w in placement.replicas_of(l, e) {
-                hub.send(
-                    w,
-                    &Message::ExpertState {
-                        block: l as u32,
-                        expert: e as u32,
-                        data: data.clone(),
-                    },
-                )
-                .unwrap_or_else(|err| panic!("seeding expert ({l},{e}) failed: {err}"));
-                outstanding += 1;
-            }
+            shards[replicas[0]].insert(l, e, ffn);
         }
     }
-    while outstanding > 0 {
-        let (_, ack) = hub
-            .recv()
-            .unwrap_or_else(|err| panic!("waiting for install acks failed: {err}"));
-        assert!(
-            matches!(ack, Message::InstallDone { .. }),
-            "expected InstallDone, got {ack:?}"
-        );
-        outstanding -= 1;
+    shards
+}
+
+/// Seeds worker processes, which start empty: every expert goes to each
+/// of its placed replicas through the broker's install path (int8 when
+/// the session is quantized — the lossy opt-in — while teardown
+/// fetch-back always rides exact f32), all installs in flight before the
+/// acks are collected.
+fn seed_processes(
+    broker: &mut BrokerClient,
+    experts: &mut LocalExpertStore,
+) -> Result<(), TransportError> {
+    let (blocks, per_block) = (broker.placement().blocks(), broker.placement().experts());
+    for l in 0..blocks {
+        for e in 0..per_block {
+            let mut data = Vec::new();
+            checkpoint::save(&mut experts.take(l, e), &mut data).expect("in-memory save");
+            let replicas = broker.placement().replicas_of(l, e).to_vec();
+            broker.install_expert(l, e, &replicas, data)?;
+        }
     }
+    broker.wait_installs()
 }
 
 #[cfg(test)]

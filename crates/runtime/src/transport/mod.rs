@@ -35,9 +35,12 @@ use std::time::Duration;
 use vela_cluster::{DeviceId, TrafficLedger};
 use vela_obs::LazyCounter;
 
-use crate::message::{FrameKind, Message};
+use crate::message::{Bucket, FrameKind, Message};
 use crate::wire::WireError;
 
+/// The in-process mpsc star — the original transport, now one backend
+/// among several.
+pub use channel::channel_star as star;
 pub use tcp::{connect_worker, tcp_star, TcpStarBuilder};
 
 /// A transport-layer failure. Unlike the original mpsc star, which
@@ -484,28 +487,12 @@ impl MasterHub {
         self.transport
     }
 
-    /// Sends a message to worker `index`, recording its bytes. Clock
-    /// probes skip *all* accounting (ledger, frame counts, wire stats):
-    /// they are observability traffic, and a traced run must stay
-    /// byte- and frame-identical to an untraced one.
+    /// Sends a message to worker `index`, recording its bytes.
     pub fn send(&mut self, index: usize, msg: &Message) -> Result<(), TransportError> {
-        if msg.is_clock() {
-            return self.backend.send(index, msg.encode());
-        }
-        if msg.is_grad_sync() {
-            self.ledger
-                .record_sync(self.device, self.workers[index], msg.accounted_bytes());
-        } else if msg.is_migration() {
-            self.ledger
-                .record_migration(self.device, self.workers[index], msg.accounted_bytes());
-        } else {
-            self.ledger
-                .record(self.device, self.workers[index], msg.accounted_bytes());
-        }
-        self.frames_out += 1;
         let frame = msg.encode();
-        let (kind, header, payload) = msg.wire_cost(frame.len());
-        self.wire_stats.record(kind, header, payload);
+        if self.account(self.device, self.workers[index], msg, frame.len()) {
+            self.frames_out += 1;
+        }
         self.backend.send(index, frame)
     }
 
@@ -521,20 +508,27 @@ impl MasterHub {
     /// `(worker_index, message)`. Frames stashed by an earlier
     /// out-of-order drain are delivered first.
     pub fn recv(&mut self) -> Result<(usize, Message), TransportError> {
-        if let Some(stashed) = self.pending.pop_front() {
-            return Ok(stashed);
-        }
-        let (index, frame) = self.backend.recv()?;
-        self.account_up(index, &frame)
+        self.recv_with(|backend| backend.recv())
     }
 
     /// Like [`recv`](Self::recv) with a deadline.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<(usize, Message), TransportError> {
+        self.recv_with(|backend| backend.recv_timeout(timeout))
+    }
+
+    fn recv_with(
+        &mut self,
+        next: impl FnOnce(&mut dyn HubBackend) -> Result<(usize, Vec<u8>), TransportError>,
+    ) -> Result<(usize, Message), TransportError> {
         if let Some(stashed) = self.pending.pop_front() {
             return Ok(stashed);
         }
-        let (index, frame) = self.backend.recv_timeout(timeout)?;
-        self.account_up(index, &frame)
+        let (index, frame) = next(self.backend.as_mut())?;
+        let msg = Message::decode(&frame)?;
+        if self.account(self.workers[index], self.device, &msg, frame.len()) {
+            self.frames_in += 1;
+        }
+        Ok((index, msg))
     }
 
     /// Stashes an already-received (and already-accounted) message for
@@ -544,38 +538,35 @@ impl MasterHub {
         self.pending.push_back((index, msg));
     }
 
-    /// Ships a raw control frame (e.g. the process-mode
-    /// [`WorkerBootstrap`](crate::worker::WorkerBootstrap)) outside the
-    /// [`Message`] protocol. Control frames are setup plumbing that does
-    /// not exist in thread mode, so they carry **no accounted bytes** —
-    /// accounting them would make ledger totals transport-dependent.
+    /// Ships a raw frame outside the [`Message`] protocol: the
+    /// process-mode [`WorkerBootstrap`](crate::worker::WorkerBootstrap),
+    /// which a fresh worker needs before it can decode anything else.
+    /// Bootstrap is setup plumbing that does not exist in thread mode, so
+    /// it carries **no accounted bytes** — accounting it would make ledger
+    /// totals transport-dependent. (Protocol frames that must stay off the
+    /// books say so in the frame table and go through [`send`](Self::send).)
     pub fn send_control(&mut self, index: usize, frame: Vec<u8>) -> Result<(), TransportError> {
         self.backend.send(index, frame)
     }
 
-    fn account_up(
-        &mut self,
-        index: usize,
-        frame: &[u8],
-    ) -> Result<(usize, Message), TransportError> {
-        let msg = Message::decode(frame)?;
-        if msg.is_clock() {
-            return Ok((index, msg));
+    /// The only traffic accounting in the system, shared by both
+    /// directions: records the frame's accounted bytes in its ledger
+    /// bucket against the `(src, dst)` device pair and splits its encoded
+    /// length into the wire counters. Returns whether the frame counts at
+    /// all: `Unaccounted` frames skip the ledger, the frame counters *and*
+    /// the wire stats, so a traced run (clock probes) and an overlap
+    /// migration's announce/cutover frames leave every total as it was.
+    fn account(&mut self, src: DeviceId, dst: DeviceId, msg: &Message, encoded_len: usize) -> bool {
+        let info = msg.info();
+        match info.bucket {
+            Bucket::Unaccounted => return false,
+            Bucket::Plain => self.ledger.record(src, dst, info.accounted),
+            Bucket::Sync => self.ledger.record_sync(src, dst, info.accounted),
+            Bucket::Migration => self.ledger.record_migration(src, dst, info.accounted),
         }
-        if msg.is_grad_sync() {
-            self.ledger
-                .record_sync(self.workers[index], self.device, msg.accounted_bytes());
-        } else if msg.is_migration() {
-            self.ledger
-                .record_migration(self.workers[index], self.device, msg.accounted_bytes());
-        } else {
-            self.ledger
-                .record(self.workers[index], self.device, msg.accounted_bytes());
-        }
-        self.frames_in += 1;
-        let (kind, header, payload) = msg.wire_cost(frame.len());
-        self.wire_stats.record(kind, header, payload);
-        Ok((index, msg))
+        let header = (encoded_len as u64).saturating_sub(info.payload);
+        self.wire_stats.record(info.kind, header, info.payload);
+        true
     }
 
     /// Runs `rounds` NTP-style clock probes against every worker and
@@ -602,7 +593,7 @@ impl MasterHub {
                         }
                         // A stale reply from an earlier, timed-out
                         // round is clock traffic too — keep draining.
-                        Ok((_, msg)) if msg.is_clock() => continue,
+                        Ok((_, Message::ClockReply { .. })) => continue,
                         Ok((i, msg)) => {
                             // A background migration frame can surface
                             // during the probe window; stash it for the
@@ -693,20 +684,6 @@ impl WorkerPort {
     pub fn shutdown(&mut self) {
         self.backend.shutdown();
     }
-}
-
-/// Builds the in-process mpsc star between `master` and `workers`,
-/// accounting all traffic in `ledger` — the original transport, now one
-/// backend among several.
-///
-/// # Panics
-/// Panics if `workers` is empty.
-pub fn star(
-    ledger: Arc<TrafficLedger>,
-    master: DeviceId,
-    workers: &[DeviceId],
-) -> (MasterHub, Vec<WorkerPort>) {
-    channel::channel_star(ledger, master, workers)
 }
 
 /// Builds the star for an in-process `config` (`Channel` or
@@ -862,6 +839,41 @@ mod tests {
             hub.recv().unwrap();
         }
         assert_eq!(hub.frame_counts(), (6, 6));
+    }
+
+    #[test]
+    fn unaccounted_frames_leave_every_total_untouched() {
+        // Clock probes and a background migration's announce/cutover
+        // frames travel like any other frame and decode on the far side,
+        // but no accounting layer may see them: not the ledger, not the
+        // frame counters, not the wire stats.
+        let (ledger, mut hub, mut ports) = setup();
+        let (block, expert) = (1, 2);
+        let frames = [
+            Message::ShadowBegin { block, expert },
+            Message::Evict { block, expert },
+            Message::MigrationCommit { block, expert },
+            Message::ClockProbe { t1: 7 },
+        ];
+        for frame in &frames {
+            hub.send(2, frame).unwrap();
+            assert_eq!(&ports[2].recv().unwrap(), frame);
+        }
+        ports[2]
+            .send(&Message::ClockReply {
+                t1: 7,
+                t2: 8,
+                t3: 9,
+            })
+            .unwrap();
+        hub.recv().unwrap();
+        assert_eq!(hub.frame_counts(), (0, 0));
+        assert_eq!(hub.wire_stats(), WireStats::default());
+        assert_eq!(ledger.peek().total_bytes, 0);
+        // The same link does count an ordinary frame.
+        hub.send(2, &Message::StepEnd).unwrap();
+        assert_eq!(hub.frame_counts(), (1, 0));
+        assert_eq!(ledger.peek().total_bytes, 1);
     }
 
     #[test]

@@ -14,23 +14,23 @@
 //! byte-identical across channel, TCP-thread and TCP-process backends
 //! (pinned by the `transport_parity` integration test).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use vela_cluster::{CostModel, DeviceId, Topology, TrafficLedger};
 use vela_locality::LocalityProfile;
-use vela_model::MoeSpec;
+use vela_model::{LocalExpertStore, MoeSpec};
+use vela_nn::optim::AdamWConfig;
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::rng::DetRng;
 
-use crate::broker::{sync_grads_over, MigrationState, Pass};
-use crate::launch::{launch_process_star, WorkerHandle};
-use crate::message::{GroupPass, Message, PackedData, PackedGroup};
-use crate::metrics::{backbone_flops_per_token, master_worker_time, StepMetrics};
-use crate::pipeline::{self, DispatchPlan, Link, Rows};
+use crate::broker::{BrokerClient, Pass};
+use crate::launch::{launch_star, WorkerHandle};
+use crate::message::{PackedData, PackedGroup};
+use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
+use crate::pipeline::Rows;
 use crate::routing::sample_expert_counts;
-use crate::transport::{build_star, MasterHub, TransportConfig, TransportError, WireStats};
-use crate::worker::{ExpertManager, WorkerBootstrap};
+use crate::transport::{TransportConfig, TransportError, WireStats};
+use crate::worker::WorkerBootstrap;
 
 /// Scale parameters of a virtual evaluation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,10 +111,8 @@ pub fn capacity_from_memory(
 /// A live scale-virtual master–worker session.
 #[derive(Debug)]
 pub struct VirtualEngine {
-    hub: MasterHub,
+    broker: BrokerClient,
     workers: Vec<WorkerHandle>,
-    placement: ReplicatedPlacement,
-    routes: HashMap<(usize, usize), usize>,
     row_totals: Vec<u64>,
     profile: LocalityProfile,
     scale: ScaleConfig,
@@ -124,7 +122,6 @@ pub struct VirtualEngine {
     worker_devices: Vec<DeviceId>,
     rng: DetRng,
     step: usize,
-    plan: DispatchPlan,
 }
 
 impl VirtualEngine {
@@ -194,44 +191,32 @@ impl VirtualEngine {
         );
         let ledger = Arc::new(TrafficLedger::new(topology.clone()));
         let cost = CostModel::new(topology);
-        let (hub, workers) = if transport.is_process_mode() {
-            let bootstrap = WorkerBootstrap {
-                blocks: scale.spec.blocks,
-                experts: scale.spec.experts,
-                optim: vela_nn::optim::AdamWConfig::default(),
-                template: None,
-            };
-            let (hub, children) =
-                launch_process_star(ledger.clone(), master, &worker_devices, &bootstrap)
-                    .unwrap_or_else(|e| panic!("launching worker processes failed: {e}"));
-            (
-                hub,
-                children.into_iter().map(WorkerHandle::Process).collect(),
-            )
-        } else {
-            let (hub, ports) = build_star(transport, ledger.clone(), master, &worker_devices)
-                .unwrap_or_else(|e| {
-                    panic!("bringing up {} transport failed: {e}", transport.label())
-                });
-            let workers = ports
-                .into_iter()
-                .map(|port| {
-                    WorkerHandle::Thread(ExpertManager::spawn(
-                        port,
-                        vela_model::LocalExpertStore::empty(scale.spec.blocks, scale.spec.experts),
-                        vela_nn::optim::AdamWConfig::default(),
-                    ))
-                })
-                .collect();
-            (hub, workers)
+        // Echo workers: no template, empty shards, an optimizer with
+        // nothing to step.
+        let bootstrap = WorkerBootstrap {
+            blocks: scale.spec.blocks,
+            experts: scale.spec.experts,
+            optim: AdamWConfig::default(),
+            template: None,
         };
+        let (hub, workers) = launch_star(
+            transport,
+            ledger.clone(),
+            master,
+            &worker_devices,
+            &bootstrap,
+            || {
+                (0..worker_devices.len())
+                    .map(|_| LocalExpertStore::empty(bootstrap.blocks, bootstrap.experts))
+                    .collect()
+            },
+        )
+        .unwrap_or_else(|e| panic!("bringing up the {} star failed: {e}", transport.label()));
         let rng = DetRng::new(scale.seed);
         let row_totals = vec![0; worker_devices.len()];
         VirtualEngine {
-            hub,
+            broker: BrokerClient::new(hub, placement),
             workers,
-            placement,
-            routes: HashMap::new(),
             row_totals,
             profile,
             scale,
@@ -241,13 +226,12 @@ impl VirtualEngine {
             worker_devices,
             rng,
             step: 0,
-            plan: DispatchPlan::default(),
         }
     }
 
     /// The placement driving this session.
     pub fn placement(&self) -> &ReplicatedPlacement {
-        &self.placement
+        self.broker.placement()
     }
 
     /// Total token rows routed to experts across every step so far
@@ -276,12 +260,12 @@ impl VirtualEngine {
 
     /// Wire frames shipped/drained by the hub so far (out, in).
     pub fn frame_counts(&self) -> (u64, u64) {
-        self.hub.frame_counts()
+        self.broker.frame_counts()
     }
 
     /// Actual encoded wire bytes by frame kind (headers vs payloads).
     pub fn wire_stats(&self) -> WireStats {
-        self.hub.wire_stats()
+        self.broker.wire_stats()
     }
 
     /// The (drifting) locality profile.
@@ -291,7 +275,7 @@ impl VirtualEngine {
 
     /// Label of the transport backend carrying this session's traffic.
     pub fn transport_label(&self) -> &'static str {
-        self.hub.transport()
+        self.broker.transport()
     }
 
     /// Runs one virtual fine-tuning step: for every block, forward token
@@ -307,20 +291,14 @@ impl VirtualEngine {
 
     fn try_step(&mut self) -> Result<StepMetrics, TransportError> {
         self.step += 1;
-        // Process-unique trace step: broadcast so worker-side correlation
-        // keys match the master's and never collide across engine runs.
-        let trace_step = vela_obs::next_trace_step();
-        let _span = vela_obs::span("runtime.virtual.step");
         self.ledger.take_step();
-        self.hub
-            .broadcast(&Message::StepBegin { step: trace_step })?;
+        // `step_begin` advances the process-unique trace step, so it must
+        // precede the span open for the span to be tagged with this step.
+        self.broker.step_begin()?;
+        let _span = vela_obs::span("runtime.virtual.step");
 
         let spec = self.scale.spec;
         let tokens = self.scale.tokens();
-        // The virtual engine never migrates: every drain runs over an
-        // empty lane table.
-        let mut no_lanes = MigrationState::default();
-        let mut logs = Vec::with_capacity(spec.blocks * 2);
         for block in 0..spec.blocks {
             let counts =
                 sample_expert_counts(&self.profile, block, tokens, spec.top_k, &mut self.rng);
@@ -335,25 +313,12 @@ impl VirtualEngine {
                     .collect(),
                 bytes_per_token: spec.token_bytes() as u32,
             };
-            for (pass, span) in [
-                (Pass::Forward, "runtime.virtual.fwd"),
-                (Pass::Backward, "runtime.virtual.bwd"),
-            ] {
-                logs.push(pipeline::exchange(
-                    Link {
-                        hub: &mut self.hub,
-                        lanes: &mut no_lanes,
-                        placement: &self.placement,
-                        routes: &mut self.routes,
-                        plan: &mut self.plan,
-                    },
-                    span,
-                    block,
-                    pass,
-                    &mut rows,
-                )?);
-            }
+            self.broker
+                .exchange("runtime.virtual.fwd", block, Pass::Forward, &mut rows)?;
+            self.broker
+                .exchange("runtime.virtual.bwd", block, Pass::Backward, &mut rows)?;
         }
+        let logs = self.broker.take_phase_logs();
         for log in &logs {
             for (t, &r) in self.row_totals.iter_mut().zip(&log.rows) {
                 *t += r;
@@ -366,43 +331,24 @@ impl VirtualEngine {
         let sync_flows = {
             let _sync = vela_obs::span("runtime.virtual.grad_sync");
             let grad_bytes = expert_lora_grad_bytes(&spec, self.scale.lora_rank) as u32;
-            sync_grads_over(
-                &mut self.hub,
-                &self.placement,
-                &self.routes,
-                grad_bytes,
-                &mut no_lanes,
-            )?
+            self.broker.sync_replica_grads(grad_bytes)?
         };
 
         // Step end: workers ack their (empty) optimizer step.
-        self.hub.broadcast(&Message::StepEnd)?;
-        for _ in 0..self.hub.worker_count() {
-            let (w, msg) = self.hub.recv()?;
-            if msg != Message::StepDone {
-                return Err(TransportError::Protocol(format!(
-                    "worker {w}: expected StepDone, got {msg:?}"
-                )));
-            }
-        }
+        self.broker.step_end()?;
+        self.broker.wait_step_done()?;
 
         let traffic = self.ledger.take_step();
         let master_flops = tokens as f64 * backbone_flops_per_token(&spec, self.scale.seq) * 3.0;
-        let mut time = master_worker_time(
+        let time = step_time(
             &self.cost,
             self.master,
             &self.worker_devices,
             &logs,
+            &sync_flows,
             &spec,
             master_flops,
         );
-        time.sync_s += sync_flows
-            .iter()
-            .map(|&(w, bytes)| {
-                self.cost
-                    .transfer_time(self.master, self.worker_devices[w], bytes)
-            })
-            .sum::<f64>();
         self.profile.sharpen(self.scale.drift);
         Ok(StepMetrics {
             step: self.step,
@@ -419,10 +365,9 @@ impl VirtualEngine {
 
     /// Shuts the workers down (threads joined, processes reaped).
     pub fn shutdown(mut self) {
-        if let Err(e) = self.hub.broadcast(&Message::Shutdown) {
+        if let Err(e) = self.broker.shutdown() {
             vela_obs::warn!("shutdown broadcast failed (workers already gone?): {e}");
         }
-        self.hub.shutdown();
         for w in self.workers {
             w.finish();
         }
@@ -449,7 +394,7 @@ impl Rows for VirtualRows {
         self.bytes_per_token
     }
 
-    fn pack(&self, block: u32, pass: GroupPass, items: &[usize]) -> PackedGroup {
+    fn pack(&self, block: u32, pass: Pass, items: &[usize]) -> PackedGroup {
         PackedGroup::pack_virtual(
             block,
             pass,

@@ -29,6 +29,7 @@ use crate::message::{
     chunk_expert_state, quantize_rows, ChunkAssembler, GroupPass, Message, PackedData, PackedGroup,
     PackedReply, Payload,
 };
+use crate::pipeline::exchange_corr;
 use crate::transport::{TransportError, WorkerPort};
 use crate::wire::{ByteReader, ByteWriter, WireError};
 
@@ -170,19 +171,6 @@ struct MigrationTable {
     /// final state matches a stop-the-world migration (whose destination
     /// starts with fresh moments).
     installed: HashMap<(u32, u32), Vec<(String, Option<(Tensor, Tensor)>)>>,
-}
-
-/// The correlation key of a dispatch as seen from the worker: the step
-/// comes from the last `StepBegin` (per-link FIFO order makes that the
-/// step the frame belongs to), the worker index from the port.
-fn serve_corr(index: usize, block: u32, pass: GroupPass) -> u64 {
-    vela_obs::corr::pack(
-        vela_obs::current_step(),
-        index as u64,
-        u64::from(block),
-        matches!(pass, GroupPass::Backward) as u64,
-        0,
-    )
 }
 
 /// Architectural description of an expert, enough for a worker to rebuild
@@ -476,7 +464,10 @@ fn handle(
             port.send(&Message::ClockReply { t1, t2, t3 })?;
         }
         Message::PackedDispatch(group) => {
-            let corr = serve_corr(port.index, group.block, group.pass);
+            // The same key the master derived: the step comes from the last
+            // `StepBegin` (per-link FIFO order makes that the step this
+            // frame belongs to), the worker index from the port.
+            let corr = exchange_corr(port.index, group.block as usize, group.pass);
             let _serve = vela_obs::span(SPAN_SERVE);
             // The flow pair bounds the compute; the reply send after the
             // second endpoint is wire time from the master's viewpoint.
@@ -494,6 +485,13 @@ fn handle(
             port.send(&Message::StepDone)?;
         }
         Message::FetchExpert { block, expert } => {
+            if !shard.contains(block as usize, expert as usize) {
+                vela_obs::error!(
+                    "worker {}: fetch for absent expert ({block}, {expert}), exiting",
+                    port.index
+                );
+                return Ok(Flow::Stop);
+            }
             // Evict the expert and ship its parameters to the master.
             let mut ffn = shard.take(block as usize, expert as usize);
             let mut data = Vec::new();
@@ -509,11 +507,16 @@ fn handle(
             expert,
             data,
         } => {
-            let template = template.expect("worker without template cannot receive experts");
-            let mut ffn = template.instantiate(block as usize, expert as usize);
-            // load_any dispatches on the blob's magic, so both exact f32
-            // checkpoints and int8-quantized transfer blobs install.
-            checkpoint::load_any(&mut ffn, &mut data.as_slice()).expect("valid expert checkpoint");
+            let ffn = match rebuild_expert(template, block, expert, &data) {
+                Ok(ffn) => ffn,
+                Err(why) => {
+                    vela_obs::error!(
+                        "worker {}: cannot install expert ({block}, {expert}): {why}, exiting",
+                        port.index
+                    );
+                    return Ok(Flow::Stop);
+                }
+            };
             shard.insert(block as usize, expert as usize, ffn);
             port.send(&Message::InstallDone { block, expert })?;
         }
@@ -571,6 +574,13 @@ fn handle(
             port.send(&Message::GradSyncDone { block, expert })?;
         }
         Message::FetchShadow { block, expert } => {
+            if !shard.contains(block as usize, expert as usize) {
+                vela_obs::error!(
+                    "worker {}: shadow fetch for absent expert ({block}, {expert}), exiting",
+                    port.index
+                );
+                return Ok(Flow::Stop);
+            }
             // Serialize the expert *without evicting it*: the source keeps
             // serving until cutover. The checkpoint plus the optimizer
             // moments form the pinned snapshot the shadow replays forward
@@ -622,7 +632,7 @@ fn handle(
                 vela_obs::error!("worker {}: rejected expert chunk: {e}, exiting", port.index);
                 return Ok(Flow::Stop);
             }
-            finalize_install(port, shard, opt, template, migrations, block, expert)?;
+            return finalize_install(port, shard, opt, template, migrations, block, expert);
         }
         Message::OptimState {
             block,
@@ -646,7 +656,7 @@ fn handle(
                     return Ok(Flow::Stop);
                 }
             }
-            finalize_install(port, shard, opt, template, migrations, block, expert)?;
+            return finalize_install(port, shard, opt, template, migrations, block, expert);
         }
         Message::Evict { block, expert } => {
             // Cutover: drop the stale source copy. Its moment entries stay
@@ -692,6 +702,24 @@ fn handle(
     Ok(Flow::Continue)
 }
 
+/// Rebuilds an expert that arrived as checkpoint bytes. `load_any`
+/// dispatches on the blob's magic, so both exact f32 checkpoints and
+/// int8-quantized transfer blobs install. A worker launched without a
+/// template, or bytes no loader accepts, are the peer's protocol
+/// violation: the reason comes back for the caller's log-and-stop exit.
+fn rebuild_expert(
+    template: Option<&ExpertTemplate>,
+    block: u32,
+    expert: u32,
+    data: &[u8],
+) -> Result<SwiGlu, String> {
+    let template = template.ok_or("this worker has no expert template")?;
+    let mut ffn = template.instantiate(block as usize, expert as usize);
+    checkpoint::load_any(&mut ffn, &mut &data[..])
+        .map_err(|e| format!("checkpoint rejected: {e}"))?;
+    Ok(ffn)
+}
+
 /// Completes a shadow install if every chunk and the moment snapshot have
 /// arrived: rebuild the expert, install the pinned snapshot, replay
 /// buffered gradients, and ack with [`Message::InstallDone`].
@@ -709,13 +737,13 @@ fn finalize_install(
     migrations: &mut MigrationTable,
     block: u32,
     expert: u32,
-) -> Result<(), TransportError> {
+) -> Result<Flow, TransportError> {
     let ready = migrations
         .pending
         .get(&(block, expert))
         .map_or(false, |p| p.asm.is_complete() && p.moments.is_some());
     if !ready {
-        return Ok(());
+        return Ok(Flow::Continue);
     }
     let PendingInstall {
         asm,
@@ -725,10 +753,16 @@ fn finalize_install(
         .pending
         .remove(&(block, expert))
         .expect("pending install present");
-    let template = template.expect("worker without template cannot receive experts");
-    let mut ffn = template.instantiate(block as usize, expert as usize);
-    checkpoint::load_any(&mut ffn, &mut asm.into_bytes().as_slice())
-        .expect("valid expert checkpoint");
+    let mut ffn = match rebuild_expert(template, block, expert, &asm.into_bytes()) {
+        Ok(ffn) => ffn,
+        Err(why) => {
+            vela_obs::error!(
+                "worker {}: cannot install shadow ({block}, {expert}): {why}, exiting",
+                port.index
+            );
+            return Ok(Flow::Stop);
+        }
+    };
     let saved = stash_expert_moments(opt, &mut ffn);
     install_expert_moments(opt, &mut ffn, &moments.expect("moments present"));
     let applied = opt.steps();
@@ -748,7 +782,8 @@ fn finalize_install(
     }
     shard.insert(block as usize, expert as usize, ffn);
     migrations.installed.insert((block, expert), saved);
-    port.send(&Message::InstallDone { block, expert })
+    port.send(&Message::InstallDone { block, expert })?;
+    Ok(Flow::Continue)
 }
 
 /// Serves one dispatch: the frame's single row region goes through one
@@ -948,7 +983,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_group_matches_per_batch_replies_bitwise() {
+    fn one_frame_of_two_batches_matches_serving_each_alone_bitwise() {
         // Two batches in one frame: the reply region must be, bit for bit,
         // what serving each batch on its own produces, in dispatch order.
         let cfg = ModelConfig::test_small();
@@ -975,6 +1010,106 @@ mod tests {
         assert_eq!(reply.data.as_f32().unwrap(), expect, "bit-exact parity");
         hub.send(0, &Message::Shutdown).unwrap();
         manager.join();
+    }
+
+    /// Sends `frames` to a lone worker holding `shard` and checks the
+    /// unhappy path's contract: the worker logs and leaves its loop — so
+    /// `join` hands back the shard instead of propagating a panic — and the
+    /// master's next receive is a typed error, not a hang.
+    fn assert_clean_stop(
+        shard: LocalExpertStore,
+        template: Option<ExpertTemplate>,
+        frames: &[Message],
+    ) {
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let (mut hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(2)]);
+        let held = shard.present_count();
+        let manager = ExpertManager::spawn_with_template(
+            ports.remove(0),
+            shard,
+            AdamWConfig::default(),
+            template,
+        );
+        for frame in frames {
+            hub.send(0, frame).unwrap();
+        }
+        assert_eq!(manager.join().present_count(), held, "{frames:?}");
+        let next = hub.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            matches!(next, Err(TransportError::Disconnected)),
+            "{frames:?}: master saw {next:?}"
+        );
+    }
+
+    fn small_template() -> (ExpertTemplate, Vec<u8>) {
+        let cfg = ModelConfig::test_small();
+        let mut store = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
+        let ffn = store.expert_mut(0, 0);
+        let mut blob = Vec::new();
+        checkpoint::save(ffn, &mut blob).unwrap();
+        (ExpertTemplate::from_expert(ffn), blob)
+    }
+
+    fn empty_shard() -> LocalExpertStore {
+        let cfg = ModelConfig::test_small();
+        LocalExpertStore::empty(cfg.blocks, cfg.experts)
+    }
+
+    #[test]
+    fn fetch_for_an_absent_expert_stops_the_worker_cleanly() {
+        let (block, expert) = (0, 1);
+        assert_clean_stop(
+            empty_shard(),
+            None,
+            &[Message::FetchExpert { block, expert }],
+        );
+    }
+
+    #[test]
+    fn shadow_fetch_for_an_absent_expert_stops_the_worker_cleanly() {
+        let (block, expert) = (0, 1);
+        assert_clean_stop(
+            empty_shard(),
+            None,
+            &[Message::FetchShadow { block, expert }],
+        );
+    }
+
+    #[test]
+    fn uninstallable_expert_state_stops_the_worker_cleanly() {
+        let (template, blob) = small_template();
+        // A worker launched without a template cannot rebuild any expert;
+        // one with a template still refuses bytes no loader accepts.
+        for (template, data) in [(None, blob), (Some(template), b"not a checkpoint".to_vec())] {
+            let install = Message::ExpertState {
+                block: 0,
+                expert: 1,
+                data,
+            };
+            assert_clean_stop(empty_shard(), template, &[install]);
+        }
+    }
+
+    #[test]
+    fn uninstallable_shadow_stops_the_worker_cleanly() {
+        let (template, blob) = small_template();
+        // Same two violations through the chunked path: the install only
+        // materialises once the last of chunks + moments has arrived.
+        for (template, data) in [(None, blob), (Some(template), b"not a checkpoint".to_vec())] {
+            let (block, expert) = (0, 1);
+            let mut frames = vec![Message::ShadowBegin { block, expert }];
+            frames.extend(chunk_expert_state(block, expert, &data));
+            frames.push(Message::OptimState {
+                block,
+                expert,
+                payload: Payload::Real {
+                    rows: 1,
+                    cols: 0,
+                    data: Vec::new(),
+                },
+            });
+            assert_clean_stop(empty_shard(), template, &frames);
+        }
     }
 
     #[test]

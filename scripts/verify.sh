@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Repository verification: tier-1 build+test, formatting, the knob-list
-# check, the release-mode gates (simplex pivot path, exchange golden pin,
+# check (which also prints, ungated, the two sizes a simplicity PR quotes:
+# the VELA_* count and vela-runtime's non-test line count), the
+# release-mode gates (simplex pivot path, exchange golden pin,
 # parity grids), and the micro-benches (the kernel
 # one emits BENCH_kernels.json in the repo root and its log names the GEMM
 # SIMD level the host dispatched to; the placement-LP one is echoed only).
@@ -37,6 +39,11 @@ if [ "$readme_knobs" != "$code_knobs" ]; then
     diff <(echo "$readme_knobs") <(echo "$code_knobs") >&2 || true
     exit 1
 fi
+# Reported, not gated. Non-test lines of a file are the ones before its
+# first `#[cfg(test)]`.
+runtime_lines=$(find crates/runtime/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }')
+echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); vela-runtime non-test lines: $runtime_lines"
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

@@ -6,7 +6,9 @@
 //! back as [`WireError`]s — never a panic, never a bogus allocation.
 
 use vela::prelude::*;
-use vela::runtime::message::{GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload};
+use vela::runtime::message::{
+    GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload, FRAMES,
+};
 use vela::runtime::wire::WireError;
 
 const CASES: u64 = 200;
@@ -114,35 +116,70 @@ fn random_packed_result(rng: &mut DetRng) -> Message {
     })
 }
 
+/// A random instance of a uniformly drawn row of the frame table. The
+/// generator is keyed by the table's own names, so a frame added to the
+/// protocol fails here until it is fuzzed too.
 fn random_message(rng: &mut DetRng) -> Message {
     let block = rng.below(1 << 10) as u32;
     let expert = rng.below(1 << 8) as u32;
-    match rng.below(11) {
-        0 => Message::StepBegin {
-            step: rng.below(usize::MAX / 2) as u64,
+    let clock = |rng: &mut DetRng| rng.below(usize::MAX / 2) as u64;
+    let blob = |rng: &mut DetRng| -> Vec<u8> {
+        (0..rng.below(256)).map(|_| rng.below(256) as u8).collect()
+    };
+    match FRAMES[rng.below(FRAMES.len())].name {
+        "StepBegin" => Message::StepBegin { step: clock(rng) },
+        "StepEnd" => Message::StepEnd,
+        "StepDone" => Message::StepDone,
+        "Shutdown" => Message::Shutdown,
+        "FetchExpert" => Message::FetchExpert { block, expert },
+        "ExpertState" => Message::ExpertState {
+            block,
+            expert,
+            data: blob(rng),
         },
-        1 => Message::GradState {
+        "InstallDone" => Message::InstallDone { block, expert },
+        "PackedDispatch" => random_packed_dispatch(rng),
+        "PackedResult" => random_packed_result(rng),
+        "ClockProbe" => Message::ClockProbe { t1: clock(rng) },
+        "ClockReply" => Message::ClockReply {
+            t1: clock(rng),
+            t2: clock(rng),
+            t3: clock(rng),
+        },
+        "FetchGrads" => Message::FetchGrads {
+            block,
+            expert,
+            grad_bytes: rng.below(1 << 24) as u32,
+        },
+        "GradState" => Message::GradState {
             block,
             expert,
             payload: random_payload(rng),
         },
-        2 => Message::OptimState {
+        "GradSyncDone" => Message::GradSyncDone { block, expert },
+        "FetchShadow" => Message::FetchShadow { block, expert },
+        "ExpertChunk" => {
+            // Any span inside the declared total is a valid chunk.
+            let data = blob(rng);
+            let offset = rng.below(1 << 20) as u64;
+            let total = offset + data.len() as u64 + rng.below(1 << 20) as u64;
+            Message::ExpertChunk {
+                block,
+                expert,
+                offset,
+                total,
+                data,
+            }
+        }
+        "OptimState" => Message::OptimState {
             block,
             expert,
             payload: random_payload(rng),
         },
-        3 => Message::StepEnd,
-        4 => Message::StepDone,
-        5 => Message::Shutdown,
-        6 => Message::FetchExpert { block, expert },
-        7 => Message::ExpertState {
-            block,
-            expert,
-            data: (0..rng.below(256)).map(|_| rng.below(256) as u8).collect(),
-        },
-        8 => Message::InstallDone { block, expert },
-        9 => random_packed_dispatch(rng),
-        _ => random_packed_result(rng),
+        "ShadowBegin" => Message::ShadowBegin { block, expert },
+        "Evict" => Message::Evict { block, expert },
+        "MigrationCommit" => Message::MigrationCommit { block, expert },
+        other => panic!("frame {other} is in the table but has no fuzz generator"),
     }
 }
 
@@ -160,15 +197,48 @@ fn retired_frame(rng: &mut DetRng) -> Vec<u8> {
     frame
 }
 
-/// Every message kind round-trips bit-for-bit.
+/// Every message kind round-trips bit-for-bit — and "every" is the frame
+/// table's word, not this file's: the tags drawn over the seed range are
+/// exactly the table's.
 #[test]
 fn random_messages_roundtrip() {
+    let mut drawn = std::collections::BTreeSet::new();
     for seed in 0..CASES {
         let mut rng = DetRng::new(seed);
         let msg = random_message(&mut rng);
         let frame = msg.encode();
         assert_eq!(Message::decode(&frame).unwrap(), msg, "seed {seed}");
+        drawn.insert(frame[0]);
     }
+    let table: std::collections::BTreeSet<u8> = FRAMES.iter().map(|f| f.tag).collect();
+    assert_eq!(drawn, table, "the fuzz generator must reach every frame");
+}
+
+/// Every first byte that is not a tag in the table — the retired 2–5 and
+/// 12–13 included — is a `BadTag`, whatever follows it.
+#[test]
+fn every_tag_outside_the_table_is_a_bad_tag() {
+    let mut rng = DetRng::new(0x7A6);
+    for tag in 0..=u8::MAX {
+        if FRAMES.iter().any(|f| f.tag == tag) {
+            continue;
+        }
+        let mut frame = random_message(&mut rng).encode();
+        frame[0] = tag;
+        for cut in [1, frame.len()] {
+            assert_eq!(
+                Message::decode(&frame[..cut]),
+                Err(WireError::BadTag {
+                    what: "message",
+                    tag
+                }),
+                "tag {tag}"
+            );
+        }
+    }
+    assert!(RETIRED_TAGS
+        .iter()
+        .all(|t| FRAMES.iter().all(|f| f.tag != *t)));
 }
 
 /// Any strict prefix of a valid frame is an error — the codec's length
