@@ -37,17 +37,17 @@
 //! deterministic, so the gate is enforced on every run.
 //!
 //! A fourth sweep (`migration_rows`) moves a full LoRA expert population
-//! between workers on every transport, stop-the-world vs streamed through
-//! the writer lanes under training steps (`VELA_MIGRATION=overlap`), and
-//! reports how much of the blocking migration wall time the overlap lane
-//! keeps off the training loop (`hidden_frac`): sync blocks inside
-//! `apply_placement` for the whole transfer, overlap blocks only for the
-//! plan announce plus the per-boundary pump/cutover service. The movement
-//! work riding inside the window steps is reported separately
-//! (`window_overhead_secs`) — behind worker compute when cores are free,
-//! visible in that column on a saturated host. The ledger-byte equality
-//! of the two modes is deterministic and enforced on every run; the ≥50%
-//! hiding gate runs under `--check`.
+//! between workers on every transport on two schedules of the one mover —
+//! `flushed` (`apply_placement` + `finish_migrations`, stop-the-world) and
+//! `streamed` (`apply_placement`, then training steps) — and reports how
+//! much of the flushed blocking wall time streaming keeps off the training
+//! loop (`hidden_frac`): a flush blocks for every frozen-tensor stream and
+//! every cutover, streaming blocks only for the plan's admission plus the
+//! per-boundary cutovers. The movement work riding inside the window steps
+//! is reported separately (`window_overhead_secs`) — behind worker compute
+//! when cores are free, visible in that column on a saturated host. The
+//! ledger-byte equality of the two schedules is deterministic and enforced
+//! on every run; the ≥50% hiding gate runs under `--check`.
 //!
 //! A second, real-tensor sweep (`wire_rows`) runs a fine-grained broker
 //! workload — one single-row batch per expert, so framing overhead is at
@@ -266,10 +266,7 @@ fn run_wire_row(label: &'static str, quant: Quant) -> WireRow {
         WORKERS,
     );
     let mut broker = BrokerClient::new(hub, placement);
-    broker.set_exchange(ExchangeConfig {
-        quant,
-        ..ExchangeConfig::default()
-    });
+    broker.set_exchange(ExchangeConfig { quant });
 
     let mut mk_batches = || -> Vec<ExpertBatch> {
         (0..cfg.experts)
@@ -494,23 +491,22 @@ const MIG_BASELINE_STEPS: usize = 3;
 /// Migration cycles per arm: every cycle moves the whole population to
 /// the other worker and the timing keeps the best (least noisy) cycle.
 const MIG_CYCLES: usize = 2;
-/// Safety cap on the overlap window (lanes that never install are a bug).
+/// Safety cap on the window (a move that never completes is a bug).
 const MIG_WINDOW_CAP: usize = 64;
 
-/// One migration-sweep row: the same full-population move executed
-/// stop-the-world (`sync`) or streamed through the writer lanes under
-/// training steps (`overlap`).
+/// One migration-sweep row: the same full-population move completed at
+/// once (`flushed`) or under training steps (`streamed`).
 struct MigRow {
     transport: &'static str,
-    mode: &'static str,
+    schedule: &'static str,
     /// Pre-migration step time, min over `MIG_BASELINE_STEPS` steps.
     baseline_secs_per_step: f64,
     /// Wall time inside `apply_placement` (best cycle).
     apply_secs: f64,
     /// Wall time the training loop was *blocked* on parameter movement
-    /// (best cycle): the whole transfer in sync mode; the apply call plus
-    /// the per-boundary pump/cutover service in overlap mode, read from
-    /// `RealRuntime::migration_blocked_secs`. The chunk streams ride the
+    /// (best cycle), read from `RealRuntime::migration_blocked_secs`: the
+    /// apply call plus the whole flush when flushed; the apply call plus
+    /// the per-boundary cutovers when streamed. The chunk streams ride the
     /// step windows and are charged to `window_overhead_secs` instead.
     exposed_secs: f64,
     /// Over-baseline wall time of the window steps, summed (best cycle):
@@ -518,22 +514,23 @@ struct MigRow {
     /// multi-core host this hides behind worker compute; on a saturated
     /// single core it shows up here — reported so nothing is concealed.
     window_overhead_secs: f64,
-    /// Steps the install window spanned, averaged over cycles.
+    /// Steps the moves spanned, averaged over cycles.
     window_steps: f64,
+    /// Fewest moves still in flight when an `apply_placement` returned.
+    in_flight_on_return: usize,
     /// Migration-bucket ledger bytes summed over all cycles
-    /// (deterministic — must match the other mode exactly).
+    /// (deterministic — must match the other schedule exactly).
     migration_bytes: u64,
-    /// Overlap rows: `1 − exposed/sync_exposed` for the same transport —
-    /// the fraction of the stop-the-world blocking time that no longer
-    /// blocks the training loop (training proceeds while the lanes
-    /// stream).
+    /// Streamed rows: `1 − exposed/flushed_exposed` for the same transport
+    /// — the fraction of the stop-the-world blocking time that no longer
+    /// blocks the training loop.
     hidden_frac: f64,
 }
 
 /// A model heavy enough that moving its experts is measurable: each
 /// expert's FFN weights are several hundred KiB, so a full-population
 /// move streams megabytes through the chunked lanes. LoRA fine-tuning
-/// keeps the per-step gradient (and lane lockstep) traffic small — the
+/// keeps what trains — and so what a cutover must ship — small: the
 /// regime the paper targets.
 fn mig_cfg() -> ModelConfig {
     ModelConfig {
@@ -550,7 +547,7 @@ fn mig_cfg() -> ModelConfig {
     }
 }
 
-fn run_mig_arm(transport: TransportConfig, label: &'static str, overlap: bool) -> MigRow {
+fn run_mig_arm(transport: TransportConfig, label: &'static str, streamed: bool) -> MigRow {
     use vela::model::finetune::prepare_for_finetune;
     let cfg = mig_cfg();
     let mut rng = DetRng::new(60);
@@ -585,9 +582,7 @@ fn run_mig_arm(transport: TransportConfig, label: &'static str, overlap: bool) -
         vec![DeviceId(1), DeviceId(2)],
         AdamWConfig::default(),
     );
-    if overlap {
-        rt.set_migration(MigrationMode::Overlap);
-    }
+    let schedule = if streamed { "streamed" } else { "flushed" };
     let n = 2 * cfg.seq_len;
     let inputs: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
     let targets: Vec<usize> = (0..n).map(|_| rng.below(cfg.vocab)).collect();
@@ -604,10 +599,10 @@ fn run_mig_arm(transport: TransportConfig, label: &'static str, overlap: bool) -
         baseline = baseline.min(step(&mut rt).0);
     }
 
-    let mut bytes = 0u64;
     let mut best_apply = f64::INFINITY;
     let mut best_exposed = f64::INFINITY;
     let mut best_overhead = f64::INFINITY;
+    let mut in_flight_on_return = usize::MAX;
     let mut windows = 0usize;
     for cycle in 0..MIG_CYCLES {
         let target = place(cycle % 2 == 0);
@@ -615,104 +610,111 @@ fn run_mig_arm(transport: TransportConfig, label: &'static str, overlap: bool) -
         let t0 = Instant::now();
         let handle = rt.apply_placement(&target).expect("migration failed");
         let apply = t0.elapsed().as_secs_f64();
-        bytes += handle.traffic.migration_bytes;
+        in_flight_on_return = in_flight_on_return.min(handle.in_flight);
+        if !streamed {
+            rt.finish_migrations().expect("flush failed");
+        }
         let mut overhead = 0.0;
         let mut window = 0usize;
         while rt.migrations_in_flight() > 0 {
-            assert!(window < MIG_WINDOW_CAP, "lanes never finished installing");
+            assert!(window < MIG_WINDOW_CAP, "the moves never completed");
             let (t, m) = step(&mut rt);
             if std::env::var_os("MIG_DEBUG").is_some() {
                 eprintln!(
-                    "  [mig {label} {}] cycle {cycle} window step {window}: {:.1}ms (baseline {:.1}ms) mig {} sync {}",
-                    if overlap { "overlap" } else { "sync" },
+                    "  [mig {label} {schedule}] cycle {cycle} window step {window}: {:.1}ms (baseline {:.1}ms) mig {} sync {}",
                     t * 1e3,
                     baseline * 1e3,
                     m.traffic.migration_bytes,
                     m.traffic.sync_bytes,
                 );
             }
-            bytes += m.traffic.migration_bytes;
             overhead += (t - baseline).max(0.0);
             window += 1;
         }
-        // Blocked time: the sync transfer runs entirely inside apply; the
-        // overlap arm adds only the per-boundary pump/cutover service the
-        // runtime clocked while the lanes streamed under the steps above.
-        let exposed = apply + (rt.migration_blocked_secs() - blocked0 - apply).max(0.0);
         windows += window;
         best_apply = best_apply.min(apply);
-        best_exposed = best_exposed.min(exposed);
+        best_exposed = best_exposed.min(rt.migration_blocked_secs() - blocked0);
         best_overhead = best_overhead.min(overhead);
     }
+    let migration_bytes = rt.migration_bytes();
     rt.shutdown();
     MigRow {
         transport: label,
-        mode: if overlap { "overlap" } else { "sync" },
+        schedule,
         baseline_secs_per_step: baseline,
         apply_secs: best_apply,
         exposed_secs: best_exposed,
         window_overhead_secs: best_overhead,
         window_steps: windows as f64 / MIG_CYCLES as f64,
-        migration_bytes: bytes,
+        in_flight_on_return,
+        migration_bytes,
         hidden_frac: 0.0,
     }
 }
 
-/// The sync/overlap migration sweep per transport. Each overlap row's
-/// `hidden_frac` compares its exposed time against the sync row on the
+/// The flushed/streamed migration sweep per transport. Each streamed row's
+/// `hidden_frac` compares its exposed time against the flushed row on the
 /// same transport.
 fn run_mig_rows() -> Vec<MigRow> {
     let mut rows = Vec::new();
     for (label, transport) in TRANSPORTS {
-        let sync = run_mig_arm(transport(), label, false);
-        let mut over = run_mig_arm(transport(), label, true);
-        over.hidden_frac = 1.0 - over.exposed_secs / sync.exposed_secs.max(1e-12);
-        rows.push(sync);
-        rows.push(over);
+        let flushed = run_mig_arm(transport(), label, false);
+        let mut streamed = run_mig_arm(transport(), label, true);
+        streamed.hidden_frac = 1.0 - streamed.exposed_secs / flushed.exposed_secs.max(1e-12);
+        rows.push(flushed);
+        rows.push(streamed);
     }
     rows
 }
 
-/// Deterministic migration invariants, enforced on every run: the
-/// overlap lane must move exactly the ledger bytes the stop-the-world
-/// path moves (the lane protocol is accounted frame for frame), it must
-/// actually overlap (a window of ≥1 training step), and the sync path
-/// must finish inside `apply_placement` (no window at all).
+/// Deterministic migration invariants, enforced on every run: both
+/// schedules move exactly the same ledger bytes (they are the same frames,
+/// accounted one by one), a streamed `apply_placement` returns with moves
+/// still in flight and spans ≥1 training step, and a flush leaves nothing
+/// for the steps.
 fn migration_violations(rows: &[MigRow]) -> Vec<String> {
     let mut bad = Vec::new();
     for transport in ["channel", "tcp-threads", "tcp"] {
-        let find = |mode: &str| {
+        let find = |schedule: &str| {
             rows.iter()
-                .find(|r| r.transport == transport && r.mode == mode)
+                .find(|r| r.transport == transport && r.schedule == schedule)
         };
-        let (Some(sync), Some(over)) = (find("sync"), find("overlap")) else {
-            bad.push(format!("{transport}: missing sync/overlap migration rows"));
+        let (Some(flushed), Some(streamed)) = (find("flushed"), find("streamed")) else {
+            bad.push(format!(
+                "{transport}: missing flushed/streamed migration rows"
+            ));
             continue;
         };
-        if sync.migration_bytes != over.migration_bytes {
+        if flushed.migration_bytes != streamed.migration_bytes {
             bad.push(format!(
-                "{transport}: overlap migration moved {} ledger bytes, sync moved {} — the \
-                 lane protocol must account identically",
-                over.migration_bytes, sync.migration_bytes
+                "{transport}: the streamed schedule moved {} ledger bytes, the flushed one {} — \
+                 one mover must account identically however it is scheduled",
+                streamed.migration_bytes, flushed.migration_bytes
             ));
         }
-        if sync.migration_bytes == 0 {
+        if flushed.migration_bytes == 0 {
             bad.push(format!(
                 "{transport}: migration sweep moved no ledger bytes"
             ));
         }
-        if sync.window_steps != 0.0 {
+        if flushed.window_steps != 0.0 {
             bad.push(format!(
-                "{transport}: sync migration left {} window steps; it must complete inside \
-                 apply_placement",
-                sync.window_steps
+                "{transport}: a flush left {} window steps; finish_migrations must complete \
+                 every move",
+                flushed.window_steps
             ));
         }
-        if over.window_steps < 1.0 {
+        if streamed.in_flight_on_return == 0 {
             bad.push(format!(
-                "{transport}: overlap migration installed without spanning a training step \
+                "{transport}: a streamed apply_placement returned with nothing in flight — it \
+                 blocked for the whole move"
+            ));
+        }
+        if streamed.window_steps < 1.0 {
+            bad.push(format!(
+                "{transport}: the streamed moves completed without spanning a training step \
                  ({} window steps) — nothing overlapped",
-                over.window_steps
+                streamed.window_steps
             ));
         }
     }
@@ -720,21 +722,21 @@ fn migration_violations(rows: &[MigRow]) -> Vec<String> {
 }
 
 /// The `--check` migration gate: streaming the move under training steps
-/// must take at least half of the stop-the-world blocking time off the
-/// training loop — overlap `exposed` (apply + boundary pump/cutover
-/// stalls) vs the sync arm's blocking `apply_placement`. The movement
-/// work that rides inside the window steps is reported separately as
+/// must take at least half of the flushed blocking time off the training
+/// loop — streamed `exposed` (apply + boundary cutovers) vs the flushed
+/// `apply_placement` + `finish_migrations`. The movement work that rides
+/// inside the window steps is reported separately as
 /// `window_overhead_secs` (it hides behind worker compute when cores are
 /// free and is visible in that column when they are not). Byte equality
 /// is enforced unconditionally in [`migration_violations`]; only this
 /// timing half lives behind `--check`.
 fn migration_timing_violations(rows: &[MigRow]) -> Vec<String> {
     let mut bad = Vec::new();
-    for r in rows.iter().filter(|r| r.mode == "overlap") {
+    for r in rows.iter().filter(|r| r.schedule == "streamed") {
         if r.hidden_frac < 0.5 {
             bad.push(format!(
-                "{}: overlap migration keeps {:.1}% of the sync blocking time off the \
-                 training loop ({:.3} ms still exposed), need >=50%",
+                "{}: streaming keeps {:.1}% of the flushed blocking time off the training loop \
+                 ({:.3} ms still exposed), need >=50%",
                 r.transport,
                 100.0 * r.hidden_frac,
                 r.exposed_secs * 1e3
@@ -789,8 +791,8 @@ fn emit_json(
     for (i, r) in mig_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"transport\": \"{}\", \"mode\": \"{}\", \"baseline_secs_per_step\": {:.9}, \"apply_secs\": {:.9}, \"exposed_secs\": {:.9}, \"window_overhead_secs\": {:.9}, \"window_steps\": {:.1}, \"migration_bytes\": {}, \"hidden_frac\": {:.3}}}",
-            r.transport, r.mode, r.baseline_secs_per_step, r.apply_secs, r.exposed_secs, r.window_overhead_secs, r.window_steps, r.migration_bytes, r.hidden_frac
+            "    {{\"transport\": \"{}\", \"schedule\": \"{}\", \"baseline_secs_per_step\": {:.9}, \"apply_secs\": {:.9}, \"exposed_secs\": {:.9}, \"window_overhead_secs\": {:.9}, \"window_steps\": {:.1}, \"migration_bytes\": {}, \"hidden_frac\": {:.3}}}",
+            r.transport, r.schedule, r.baseline_secs_per_step, r.apply_secs, r.exposed_secs, r.window_overhead_secs, r.window_steps, r.migration_bytes, r.hidden_frac
         );
         json.push_str(if i + 1 < mig_rows.len() { ",\n" } else { "\n" });
     }
@@ -798,30 +800,22 @@ fn emit_json(
     json
 }
 
-/// Extracts `(transport, mode)` keys of the `migration_rows` section from
-/// a `BENCH_transport.json` file. Migration rows are the only lines that
-/// carry both a `transport` and a `mode` field (exchange rows have no
-/// mode; replication rows have no transport).
+/// Extracts `(transport, schedule)` keys of the `migration_rows` section
+/// from a `BENCH_transport.json` file — the only lines that carry a
+/// `schedule` field.
 fn parse_reference_migration_keys(text: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(tpos) = line.find("\"transport\": \"") else {
-            continue;
-        };
-        let trest = &line[tpos + 14..];
-        let Some(tend) = trest.find('"') else {
-            continue;
-        };
-        let Some(mpos) = line.find("\"mode\": \"") else {
-            continue;
-        };
-        let mrest = &line[mpos + 9..];
-        let Some(mend) = mrest.find('"') else {
-            continue;
-        };
-        out.push((trest[..tend].to_string(), mrest[..mend].to_string()));
-    }
-    out
+    let field = |line: &str, key: &str| {
+        let rest = &line[line.find(key)? + key.len()..];
+        Some(rest[..rest.find('"')?].to_string())
+    };
+    text.lines()
+        .filter_map(|line| {
+            Some((
+                field(line, "\"transport\": \"")?,
+                field(line, "\"schedule\": \"")?,
+            ))
+        })
+        .collect()
 }
 
 /// Extracts `(wire, total_bytes_per_step)` of the `wire_rows` section
@@ -957,12 +951,12 @@ fn main() {
         );
     }
 
-    println!("migration sweep ({MIG_CYCLES} full-population moves per arm, LoRA experts):");
+    println!("migration sweep ({MIG_CYCLES} full-population moves per schedule, LoRA experts):");
     for r in &mig_rows {
         println!(
             "{:<12} {:<8} baseline {:>8.1}µs/step  apply {:>9.1}µs  exposed {:>9.1}µs  in-window {:>9.1}µs  window {:>4.1} steps  {:>9} bytes  hidden {:>5.1}%",
             r.transport,
-            r.mode,
+            r.schedule,
             r.baseline_secs_per_step * 1e6,
             r.apply_secs * 1e6,
             r.exposed_secs * 1e6,
@@ -1012,7 +1006,7 @@ fn main() {
         let mut want_mig = parse_reference_migration_keys(&text);
         let mut have_mig: Vec<(String, String)> = mig_rows
             .iter()
-            .map(|r| (r.transport.to_string(), r.mode.to_string()))
+            .map(|r| (r.transport.to_string(), r.schedule.to_string()))
             .collect();
         want_mig.sort();
         have_mig.sort();
@@ -1030,8 +1024,8 @@ fn main() {
                 "transport bench check OK: frames match the closed form, ledger bytes \
                  identical, wire bytes as recorded and int8 dispatch >=45% smaller, \
                  replication cuts the skewed-routing straggler index >=20% at equal routed \
-                 rows, and overlap migration hides >=50% of sync migration wall time at equal \
-                 ledger bytes"
+                 rows, and streaming a re-placement under steps hides >=50% of its flushed \
+                 blocking time at equal ledger bytes, returning with moves in flight"
             );
         } else {
             eprintln!("transport bench check FAILED:");

@@ -592,9 +592,8 @@ fn summarize(events: &[RawEvent], top: usize) {
         }
     }
 
-    // Background migration: the chunked shadow-install lane's counters
-    // and the step-boundary pump span, when the run moved experts with
-    // `VELA_MIGRATION=overlap`.
+    // Migration: the chunk relay's counters and the step-boundary pump
+    // span, when the run moved experts.
     let mig = |field: &str| {
         counters
             .get(format!("runtime.migration.{field}").as_str())
@@ -603,18 +602,17 @@ fn summarize(events: &[RawEvent], top: usize) {
     };
     let (chunks, mig_bytes, commits) = (mig("chunks"), mig("bytes"), mig("commits"));
     if chunks + mig_bytes + commits > 0 {
-        println!("\n-- background migration --");
+        println!("\n-- migration --");
         println!(
             "  {commits} cutover(s); {chunks} chunk frame(s), {mig_bytes} payload bytes relayed"
         );
         println!(
-            "  boundary pump {:.3} ms, shutdown flush {:.3} ms",
-            mig("pump_us") as f64 / 1e3,
-            mig("flush_us") as f64 / 1e3
+            "  boundary pumps and flushes {:.3} ms",
+            mig("pump_us") as f64 / 1e3
         );
         if let Some(s) = stats.get("runtime.migration.pump") {
             println!(
-                "  pump span: {} boundary drain(s), mean {:.1} µs",
+                "  pump span: {} boundary service(s), mean {:.1} µs",
                 s.count,
                 s.total_us as f64 / s.count.max(1) as f64
             );

@@ -27,7 +27,7 @@
 
 use std::io::{self, Read, Write};
 
-use vela_nn::param::Module;
+use vela_nn::param::{Module, Param};
 
 const MAGIC: &[u8; 4] = b"VELA";
 const QMAGIC: &[u8; 4] = b"VELQ";
@@ -43,8 +43,33 @@ pub const QUANT_GROUP: usize = 64;
 /// # Errors
 /// Returns any I/O error from the writer.
 pub fn save(module: &mut dyn Module, writer: &mut dyn Write) -> io::Result<()> {
+    save_where(module, writer, &|_| true)
+}
+
+/// Serializes only the parameters that are trainable (`trainable: true`)
+/// or only the frozen ones (`false`), as a blob [`load`] accepts like any
+/// other: it leaves the parameters a blob lacks untouched, so loading the
+/// two halves in either order restores the module. Expert migration ships
+/// the frozen half while the expert keeps training and the trainable half
+/// at the cutover.
+///
+/// # Errors
+/// Returns any I/O error from the writer.
+pub fn save_part(
+    module: &mut dyn Module,
+    writer: &mut dyn Write,
+    trainable: bool,
+) -> io::Result<()> {
+    save_where(module, writer, &|p| p.is_trainable() == trainable)
+}
+
+fn save_where(
+    module: &mut dyn Module,
+    writer: &mut dyn Write,
+    keep: &dyn Fn(&Param) -> bool,
+) -> io::Result<()> {
     let mut count: u32 = 0;
-    module.visit_params(&mut |_| count += 1);
+    module.visit_params(&mut |p| count += u32::from(keep(p)));
     writer.write_all(MAGIC)?;
     writer.write_all(&VERSION.to_le_bytes())?;
     writer.write_all(&count.to_le_bytes())?;
@@ -54,7 +79,7 @@ pub fn save(module: &mut dyn Module, writer: &mut dyn Write) -> io::Result<()> {
     // megabytes through this path on the step critical path).
     let mut result = Ok(());
     module.visit_params(&mut |p| {
-        if result.is_err() {
+        if result.is_err() || !keep(p) {
             return;
         }
         let name = p.name();
@@ -362,6 +387,41 @@ mod tests {
         let (mut target, _) = MoeModel::new(&small, &mut DetRng::new(9));
         let err = load(&mut target, &mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn the_two_parts_restore_an_expert_in_either_order() {
+        use vela_nn::swiglu::SwiGlu;
+        let lora_expert = |seed| {
+            let mut rng = DetRng::new(seed);
+            let mut ffn = SwiGlu::new("block0.expert0", 8, 16, &mut rng);
+            ffn.freeze_base();
+            ffn.attach_lora(2, 4.0, &mut rng);
+            ffn
+        };
+        let mut source = lora_expert(1);
+        let (mut whole, mut frozen, mut trained) = (Vec::new(), Vec::new(), Vec::new());
+        save(&mut source, &mut whole).unwrap();
+        save_part(&mut source, &mut frozen, false).unwrap();
+        save_part(&mut source, &mut trained, true).unwrap();
+        // Same entries, split over two headers (magic, version, count).
+        assert_eq!(frozen.len() + trained.len(), whole.len() + 12);
+        assert!(frozen.len() > trained.len(), "LoRA trains the small part");
+
+        for order in [[&frozen, &trained], [&trained, &frozen]] {
+            let mut copy = lora_expert(2);
+            load(&mut copy, &mut order[0].as_slice()).unwrap();
+            assert_ne!(fingerprint(&mut copy), fingerprint(&mut source));
+            load(&mut copy, &mut order[1].as_slice()).unwrap();
+            assert_eq!(fingerprint(&mut copy), fingerprint(&mut source));
+        }
+
+        // With nothing frozen the frozen part is a header and no entries.
+        let mut dense = SwiGlu::new("block0.expert1", 8, 16, &mut DetRng::new(3));
+        let mut empty = Vec::new();
+        save_part(&mut dense, &mut empty, false).unwrap();
+        assert_eq!(empty.len(), 12);
+        load(&mut dense, &mut empty.as_slice()).unwrap();
     }
 
     #[test]

@@ -124,26 +124,7 @@ impl AdamW {
     /// Applies one AdamW step to every trainable parameter.
     pub fn step(&mut self, module: &mut dyn Module) {
         self.t += 1;
-        let t = self.t;
-        self.step_with(module, t);
-    }
-
-    /// Applies one AdamW update to `module` using bias corrections for an
-    /// explicit step index `t`, without advancing the optimizer's own
-    /// counter. Shadow-install migration uses this to *replay* buffered
-    /// gradients on a freshly installed expert: each buffered gradient is
-    /// applied at the step index the serving copy applied it at, so the
-    /// replica lands bit-identical to the original.
-    ///
-    /// # Panics
-    /// Panics if `t` is zero (bias correction divides by `1 - βᵗ`).
-    pub fn step_at(&mut self, module: &mut dyn Module, t: u64) {
-        assert!(t > 0, "step index must be positive");
-        self.step_with(module, t);
-    }
-
-    fn step_with(&mut self, module: &mut dyn Module, t: u64) {
-        let t = t as i32;
+        let t = self.t as i32;
         let cfg = self.cfg;
         let bc1 = 1.0 - cfg.beta1.powi(t);
         let bc2 = 1.0 - cfg.beta2.powi(t);
@@ -180,21 +161,6 @@ impl AdamW {
     /// get moment entries lazily on their first [`AdamW::step`].
     pub fn moments(&self, name: &str) -> Option<(&Tensor, &Tensor)> {
         self.state.get(name).map(|(m, v)| (m, v))
-    }
-
-    /// Installs an explicit moment pair for a parameter, replacing any
-    /// existing entry. Used when migrating an expert's optimizer state
-    /// alongside its weights.
-    ///
-    /// # Panics
-    /// Panics if `m` and `v` have different element counts.
-    pub fn set_moments(&mut self, name: &str, m: Tensor, v: Tensor) {
-        assert_eq!(
-            m.len(),
-            v.len(),
-            "moment tensors for {name} disagree on length"
-        );
-        self.state.insert(name.to_string(), (m, v));
     }
 
     /// Removes and returns the stored moment pair for a parameter, if any.
@@ -308,58 +274,22 @@ mod tests {
     }
 
     #[test]
-    fn step_at_replay_matches_live_steps_bitwise() {
-        // Live optimizer takes 3 steps. Replay optimizer starts from the
-        // same initial weights, installs nothing, and replays the same
-        // gradients via step_at(t) — it must land bit-identical.
-        let grads = [vec![0.3f32, -1.0], vec![-0.2, 0.4], vec![0.9, 0.1]];
-        let mut live = vec![Param::new("w", Tensor::from_vec(2usize, vec![1.0, -2.0]))];
-        let mut opt_live = AdamW::new(AdamWConfig::default());
-        for g in &grads {
-            live[0].zero_grad();
-            live[0].accumulate(&Tensor::from_vec(2usize, g.clone()));
-            opt_live.step(&mut live);
-        }
-
-        let mut replay = vec![Param::new("w", Tensor::from_vec(2usize, vec![1.0, -2.0]))];
-        let mut opt_replay = AdamW::new(AdamWConfig::default());
-        for (i, g) in grads.iter().enumerate() {
-            replay[0].zero_grad();
-            replay[0].accumulate(&Tensor::from_vec(2usize, g.clone()));
-            opt_replay.step_at(&mut replay, (i + 1) as u64);
-        }
-
-        assert_eq!(live[0].value.as_slice(), replay[0].value.as_slice());
-        let (lm, lv) = opt_live.moments("w").unwrap();
-        let (rm, rv) = opt_replay.moments("w").unwrap();
-        assert_eq!(lm.as_slice(), rm.as_slice());
-        assert_eq!(lv.as_slice(), rv.as_slice());
-        // step_at does not advance the counter.
-        assert_eq!(opt_live.steps(), 3);
-        assert_eq!(opt_replay.steps(), 0);
-    }
-
-    #[test]
-    fn moments_can_be_moved_between_optimizers() {
+    fn taken_moments_leave_the_parameter_fresh() {
+        // What a worker does when an expert leaves it: once the entry is
+        // taken, the parameter's next step starts from zero moments again.
         let mut params = vec![Param::new("w", Tensor::from_vec(1usize, vec![2.0]))];
-        let mut a = AdamW::new(AdamWConfig::default());
+        let mut opt = AdamW::new(AdamWConfig::default());
         params[0].accumulate(&Tensor::ones(1usize));
-        a.step(&mut params);
-        let (m, v) = a.take_moments("w").unwrap();
-        assert!(a.moments("w").is_none());
+        opt.step(&mut params);
+        let (m, v) = opt.take_moments("w").unwrap();
+        assert!(m.at(0) > 0.0 && v.at(0) > 0.0);
+        assert!(opt.moments("w").is_none());
+        assert!(opt.take_moments("w").is_none());
 
-        let mut b = AdamW::new(AdamWConfig::default());
-        b.set_moments("w", m.clone(), v.clone());
-        let (bm, bv) = b.moments("w").unwrap();
-        assert_eq!(bm.as_slice(), m.as_slice());
-        assert_eq!(bv.as_slice(), v.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "step index must be positive")]
-    fn step_at_rejects_zero() {
-        let mut params = vec![Param::new("w", Tensor::ones(1usize))];
-        AdamW::new(AdamWConfig::default()).step_at(&mut params, 0);
+        params[0].zero_grad();
+        opt.step(&mut params);
+        let (m, v) = opt.moments("w").unwrap();
+        assert_eq!((m.at(0), v.at(0)), (0.0, 0.0), "restarted from zero");
     }
 
     #[test]

@@ -10,9 +10,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
-use std::time::Duration;
 
-use vela_model::checkpoint;
 use vela_model::provider::{ExpertBatch, ExpertProvider};
 use vela_obs::{Counter, LazyCounter};
 use vela_placement::ReplicatedPlacement;
@@ -21,7 +19,7 @@ use vela_tensor::Tensor;
 use crate::message::{Message, PackedData, PackedGroup};
 use crate::pipeline::{
     DispatchPlan, Rows, COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS,
-    MIGRATION_FLUSH_US, MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_MIGRATION_PUMP,
+    MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_MIGRATION_PUMP,
 };
 use crate::transport::{ExchangeConfig, MasterHub, TransportError, WireStats};
 
@@ -161,70 +159,48 @@ pub(crate) fn route_experts(
     out
 }
 
-/// One in-flight background migration: expert `(block, expert)` is being
-/// shadow-installed on `to` while `from` keeps serving it. The master
-/// relays the source's chunk stream to the destination from whatever
-/// drain loop happens to be running, so the transfer rides the per-link
-/// writer threads underneath training compute.
+/// One requested change of primary: expert `(block, expert)` leaves worker
+/// `from` for worker `to`. Queued until a lane slot frees; once admitted,
+/// `from` streams the expert's frozen tensors to `to` through the master
+/// relay while it keeps serving and training it, and the move completes at
+/// the next step boundary with the cutover (see
+/// [`BrokerClient::pump_migrations`]).
 #[derive(Debug)]
 struct Lane {
     block: usize,
     expert: usize,
     from: usize,
     to: usize,
-    /// Serialized parameter bytes relayed so far (payload, not framing) —
-    /// what the synchronous `migrate_expert` would have reported.
-    forwarded: u64,
-    /// Destination acked `InstallDone`: the shadow now tracks the source
-    /// in lockstep (forwarded gradients step it through the same
-    /// updates), waiting for the rest of the plan so the whole placement
-    /// change cuts over at one boundary.
-    installed: bool,
+    /// The destination acked `InstallDone`: every chunk arrived and the
+    /// shadow is built. Nothing keeps it current meanwhile — the tensors it
+    /// holds are the ones no step changes.
+    landed: bool,
 }
 
-/// How many lanes may *stream* concurrently. A full re-placement can
-/// move the whole population; letting every source serialize at once
-/// would dump all of it onto one step's critical path (the destination
-/// ingests and installs megabytes inside a single window). Capping the
-/// streaming lanes spreads the movement across several step boundaries,
-/// so each step only carries a slice small enough to hide in worker idle
-/// time — the queue drains as installs complete. Installed lanes hold no
-/// slot: they sit in cheap gradient lockstep until the group cutover.
+/// How many lanes may be admitted at once, which is also how many shadows
+/// can be resident on the workers: a shadow is a second copy of most of an
+/// expert, so the memory a re-placement may occupy is bounded by this
+/// constant and not by the size of the plan. It also spreads a
+/// full-population move over several step boundaries, so each step carries
+/// a slice of the stream small enough to hide in worker idle time.
 const MAX_ACTIVE_LANES: usize = 2;
 
-/// Book-keeping for background migrations (overlap mode). Empty in sync
-/// mode, in which case every routed drain degenerates to a plain `recv`.
+/// Book-keeping for migrations. Empty between re-placements (and always,
+/// in the virtual engine), in which case every routed drain degenerates to
+/// a plain `recv`.
 #[derive(Debug, Default)]
 struct MigrationState {
+    /// Admitted lanes in admission order, at most [`MAX_ACTIVE_LANES`].
     lanes: Vec<Lane>,
-    /// Requested moves waiting for an active-lane slot, in request order:
-    /// `(block, expert, from, to)`. Queued experts keep training at their
-    /// source untouched — their shadow window only opens on admission.
-    queued: VecDeque<(usize, usize, usize, usize)>,
-    /// Parameter bytes moved by committed lanes.
-    bytes: u64,
-    /// Engine step of the most recent cutover (0 = none yet).
-    last_commit_step: u64,
+    /// Requested moves waiting for a slot, in request order. Their experts
+    /// keep training at their source untouched.
+    queued: VecDeque<Lane>,
 }
 
 impl MigrationState {
-    /// Moves still streaming, awaiting cutover, or queued for a slot.
+    /// Moves admitted or queued.
     fn in_flight(&self) -> usize {
         self.lanes.len() + self.queued.len()
-    }
-
-    /// Lanes still streaming chunks (not yet installed) — the admission
-    /// cap counts these, not installed lanes awaiting the group cutover.
-    fn streaming(&self) -> usize {
-        self.lanes.iter().filter(|l| !l.installed).count()
-    }
-
-    /// The whole plan has landed: every requested move is installed and
-    /// nothing waits in the queue. Only then may the cutover fire — all
-    /// lanes commit at one step boundary, so the placement change is
-    /// atomic and bit-identical to a stop-the-world migration there.
-    fn group_ready(&self) -> bool {
-        !self.lanes.is_empty() && self.queued.is_empty() && self.lanes.iter().all(|l| l.installed)
     }
 }
 
@@ -275,8 +251,7 @@ pub struct BrokerClient {
     pub(crate) plan: DispatchPlan,
     step: u64,
     exchange_cfg: ExchangeConfig,
-    /// Background migration lanes (overlap mode); empty in sync mode and
-    /// in the virtual engine, which never migrates.
+    /// Migration lanes; empty in the virtual engine, which never migrates.
     migrations: MigrationState,
     /// `(worker, block, expert)` of every `ExpertState` install shipped
     /// and not yet acknowledged.
@@ -318,7 +293,7 @@ impl BrokerClient {
         &self.placement
     }
 
-    /// Sets row quantization and the migration mode.
+    /// Sets row quantization.
     pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
         self.exchange_cfg = cfg;
     }
@@ -410,6 +385,17 @@ impl BrokerClient {
                 expert: expert as u32,
             },
         )?;
+        self.recv_expert_state(from, block, expert)
+    }
+
+    /// Waits for the `ExpertState` worker `from` owes for `(block, expert)`
+    /// and returns its blob.
+    fn recv_expert_state(
+        &mut self,
+        from: usize,
+        block: usize,
+        expert: usize,
+    ) -> Result<Vec<u8>, TransportError> {
         let (src, msg) = self.recv_routed()?;
         if src != from {
             return Err(TransportError::Protocol(format!(
@@ -435,17 +421,17 @@ impl BrokerClient {
     }
 
     /// Ships one serialized expert to each worker in `to` as an accounted
-    /// `ExpertState` install — the one install path, shared by migration
-    /// and process-mode seeding — and returns the blob's size on the wire.
-    /// The acks are collected by [`wait_installs`](Self::wait_installs), so
-    /// a caller with many experts to place pipelines every install before
-    /// it waits once.
+    /// `ExpertState` install — the one install path, shared by a
+    /// migration's cutover and process-mode seeding — and returns the
+    /// blob's size on the wire. The acks are collected by
+    /// [`wait_installs`](Self::wait_installs), so a caller with many
+    /// experts to place pipelines every install before it waits once.
     ///
-    /// Only this master → worker leg rides the lossy encoding: under
-    /// `VELA_QUANT=int8` the blob crosses as a `VELQ` checkpoint at roughly
-    /// a quarter of the f32 size and the worker installs the dequantized
-    /// weights, while worker → master fetches stay f32, so a master that
-    /// keeps the fetched bytes keeps an exact copy.
+    /// The bytes cross as given. A cutover forwards the source's exact f32
+    /// blob, so a move is exact under every `VELA_QUANT`; seeding worker
+    /// processes under `int8` hands over a `VELQ` transcoding
+    /// ([`checkpoint::quantize`](vela_model::checkpoint::quantize)) at
+    /// roughly a quarter of the size, which the worker dequantizes.
     pub fn install_expert(
         &mut self,
         block: usize,
@@ -453,15 +439,6 @@ impl BrokerClient {
         to: &[usize],
         data: Vec<u8>,
     ) -> Result<u64, TransportError> {
-        let data = if self.exchange_cfg.quantized() {
-            checkpoint::quantize(&data).map_err(|e| {
-                TransportError::Protocol(format!(
-                    "quantizing expert ({block},{expert}) for install: {e}"
-                ))
-            })?
-        } else {
-            data
-        };
         let bytes = data.len() as u64;
         // Every replica receives the same blob, so copies start
         // bit-identical on whichever worker hosts them.
@@ -499,53 +476,23 @@ impl BrokerClient {
         Ok(())
     }
 
-    /// Migrates one expert to worker `to` (no-op if already there),
-    /// routing its serialized parameters through the master exactly like
-    /// the framework's other flows. Must be called *between* steps.
+    /// Requests that worker `to` become the primary of one expert and
+    /// returns at once (a no-op when it already is). Must be called
+    /// *between* steps. The move queues for one of the
+    /// [`MAX_ACTIVE_LANES`] lane slots; once admitted, the source is asked
+    /// (`FetchShadow`) to stream the expert's frozen tensors, which
+    /// whatever routed drain runs next relays to the destination — the
+    /// transfer rides the per-link writer threads underneath training
+    /// compute — and the old placement keeps serving until the lane is cut
+    /// over at a step boundary (see [`Self::pump_migrations`]).
     ///
-    /// Returns the parameter bytes moved (0 for a no-op).
+    /// When `to` already holds a replica there is nothing to ship: replicas
+    /// are bit-identical at step boundaries, so the old primary's copy is
+    /// dropped (`Evict`) and the primary re-rooted on the spot.
     ///
     /// # Panics
     /// Panics if indices are out of range. A misbehaving worker surfaces
     /// as [`TransportError::Protocol`], not a panic.
-    pub fn migrate_expert(
-        &mut self,
-        block: usize,
-        expert: usize,
-        to: usize,
-    ) -> Result<u64, TransportError> {
-        let from = self.placement.primary(block, expert);
-        if from == to {
-            return Ok(0);
-        }
-        let data = self.fetch_expert(block, expert)?;
-        // If `to` already holds a bit-identical replica (gradient sync
-        // keeps copies equal), re-rooting the primary needs only that
-        // eviction fetch, no install transfer.
-        let mut bytes = 0;
-        if !self.placement.replicas_of(block, expert).contains(&to) {
-            bytes = self.install_expert(block, expert, &[to], data)?;
-            self.wait_installs()?;
-        }
-        self.placement.set_primary(block, expert, to);
-        // The evicted copy is gone; make sure backward never follows a
-        // stale forward route to it.
-        self.routes.remove(&(block, expert));
-        Ok(bytes)
-    }
-
-    /// Starts a background migration of one expert to worker `to` and
-    /// returns immediately: the destination is told to expect a shadow
-    /// install (`ShadowBegin`, control plane), the source is told to
-    /// stream a boundary snapshot (`FetchShadow`), and the chunk stream
-    /// is relayed by whatever routed drain runs next — the transfer rides
-    /// the per-link writer threads underneath training compute. The old
-    /// placement keeps serving until the lane cuts over at a step
-    /// boundary (see [`Self::pump_migrations`]).
-    ///
-    /// No-ops when `to` is already the primary; the replica fast path
-    /// re-roots the primary synchronously, exactly like
-    /// [`Self::migrate_expert`] — there is nothing to stream.
     pub fn start_migration(
         &mut self,
         block: usize,
@@ -556,206 +503,146 @@ impl BrokerClient {
         if from == to {
             return Ok(());
         }
-        if self
-            .migrations
-            .lanes
+        let (lanes, queued) = (&self.migrations.lanes, &self.migrations.queued);
+        if lanes
             .iter()
+            .chain(queued)
             .any(|l| (l.block, l.expert) == (block, expert))
-            || self
-                .migrations
-                .queued
-                .iter()
-                .any(|&(b, e, ..)| (b, e) == (block, expert))
         {
             return Err(TransportError::Protocol(format!(
-                "expert ({block},{expert}) already has a migration lane in flight"
+                "expert ({block},{expert}) already has a migration in flight"
             )));
         }
         if self.placement.replicas_of(block, expert).contains(&to) {
-            return self.migrate_expert(block, expert, to).map(drop);
-        }
-        if self.migrations.streaming() >= MAX_ACTIVE_LANES || !self.migrations.queued.is_empty() {
-            // No free streaming slot (or earlier moves are already
-            // waiting): the move queues so the per-step slice stays
-            // small enough to hide. Admitted in request order as
-            // installs complete.
-            self.migrations.queued.push_back((block, expert, from, to));
+            self.hub.send(
+                from,
+                &Message::Evict {
+                    block: block as u32,
+                    expert: expert as u32,
+                },
+            )?;
+            self.re_root(block, expert, to);
             return Ok(());
         }
-        self.begin_lane(block, expert, from, to)
-    }
-
-    /// Opens the shadow window for one admitted move: announce, snapshot
-    /// request, lane record.
-    fn begin_lane(
-        &mut self,
-        block: usize,
-        expert: usize,
-        from: usize,
-        to: usize,
-    ) -> Result<(), TransportError> {
-        // The announce must precede any relayed frame on the
-        // master → destination FIFO (a forwarded gradient state can
-        // otherwise outrun the first chunk). It moves no parameters, so
-        // the frame table keeps it off the books.
-        self.hub.send(
-            to,
-            &Message::ShadowBegin {
-                block: block as u32,
-                expert: expert as u32,
-            },
-        )?;
-        self.hub.send(
-            from,
-            &Message::FetchShadow {
-                block: block as u32,
-                expert: expert as u32,
-            },
-        )?;
-        self.migrations.lanes.push(Lane {
+        self.migrations.queued.push_back(Lane {
             block,
             expert,
             from,
             to,
-            forwarded: 0,
-            installed: false,
+            landed: false,
         });
-        Ok(())
+        self.admit_queued()
     }
 
-    /// Fills freed streaming slots from the admission queue.
+    /// Fills free lane slots from the queue, in request order: each
+    /// admitted source is asked for its frozen-tensor stream.
     fn admit_queued(&mut self) -> Result<(), TransportError> {
-        while self.migrations.streaming() < MAX_ACTIVE_LANES {
-            let Some((block, expert, from, to)) = self.migrations.queued.pop_front() else {
+        while self.migrations.lanes.len() < MAX_ACTIVE_LANES {
+            let Some(lane) = self.migrations.queued.pop_front() else {
                 break;
             };
-            self.begin_lane(block, expert, from, to)?;
+            self.hub.send(
+                lane.from,
+                &Message::FetchShadow {
+                    block: lane.block as u32,
+                    expert: lane.expert as u32,
+                },
+            )?;
+            self.migrations.lanes.push(lane);
         }
         Ok(())
     }
 
-    /// Boundary service for background lanes: drains already-arrived lane
-    /// frames without blocking, refills the streaming slots from the
-    /// queue, and — once the *entire* plan is installed — cuts every lane
-    /// over together. Returns the number of lanes committed. Must be
-    /// called between steps — the next `StepBegin` on each link fences
-    /// the cutover so both sides switch placement at the same step
-    /// boundary.
-    pub fn pump_migrations(&mut self, step: u64) -> Result<usize, TransportError> {
+    /// Boundary service, called between steps: cuts every admitted lane
+    /// over, in admission order, then admits the next lanes from the queue.
+    /// Returns the number of lanes cut over.
+    ///
+    /// A lane is cut over at the first boundary after its admission. Its
+    /// stream has had a whole step to hide under by then and has normally
+    /// landed; when it has not, the master waits for the ack here. That
+    /// makes the boundary each expert moves at a function of the plan
+    /// alone, never of thread timing — which it must be, because optimizer
+    /// moments do not travel (an expert restarts from fresh ones on its new
+    /// worker), so the boundary is visible in every later loss.
+    ///
+    /// The cutover itself is a stop-the-world exchange of the tensors that
+    /// train: the source evicts the expert and replies with them
+    /// (`FetchTrained` → `ExpertState`), the master forwards the blob, the
+    /// destination loads it onto its shadow, starts serving and acks, and
+    /// the primary flips. FIFO links order all of it before the next
+    /// step's traffic, so both sides switch exactly at the boundary.
+    pub fn pump_migrations(&mut self) -> Result<usize, TransportError> {
         if self.migrations.in_flight() == 0 {
             return Ok(0);
         }
         let _g = vela_obs::span(SPAN_MIGRATION_PUMP);
         let t0 = vela_obs::enabled().then(vela_obs::now_us);
-        loop {
-            match self.hub.recv_timeout(Duration::ZERO) {
-                Ok((w, msg)) => {
-                    if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
-                        // Not lane traffic — put it back for the next
-                        // real drain.
-                        self.hub.push_pending(w, msg);
-                        break;
-                    }
-                }
-                Err(TransportError::Timeout) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        self.admit_queued()?;
-        let committed = self.commit_installed(step)?;
-        if let Some(t0) = t0 {
-            MIGRATION_PUMP_US.add(vela_obs::now_us().saturating_sub(t0));
-        }
-        Ok(committed)
-    }
-
-    /// Blocks until every in-flight lane has installed, then commits them
-    /// all. Returns the number of lanes committed. Called before
-    /// re-planning placement (a new `apply_placement` must observe the
-    /// previous one's final state) and at shutdown.
-    pub fn finish_migrations(&mut self, step: u64) -> Result<usize, TransportError> {
-        if self.migrations.in_flight() == 0 {
-            return Ok(0);
-        }
-        let t0 = vela_obs::enabled().then(vela_obs::now_us);
-        let mut committed = 0usize;
-        while self.migrations.in_flight() > 0 {
-            // Keep the streaming slots full — a flush is stop-the-world
-            // anyway, so the queue drains without steps to hide under.
-            self.admit_queued()?;
-            while self.migrations.lanes.iter().any(|l| !l.installed) {
+        let mut cut_over = 0;
+        while !self.migrations.lanes.is_empty() {
+            while !self.migrations.lanes[0].landed {
+                // Between steps the workers owe nothing but lane frames.
                 let (w, msg) = self.hub.recv()?;
                 if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
                     return Err(TransportError::Protocol(format!(
-                        "unexpected frame from worker {w} while flushing migrations: {msg:?}"
+                        "unexpected frame from worker {w} while a shadow was landing: {msg:?}"
                     )));
                 }
             }
-            committed += self.commit_installed(step)?;
-        }
-        if let Some(t0) = t0 {
-            MIGRATION_FLUSH_US.add(vela_obs::now_us().saturating_sub(t0));
-        }
-        Ok(committed)
-    }
-
-    /// Cuts the whole plan over at once — but only when every lane is
-    /// installed and the admission queue is empty. Committing lanes
-    /// piecemeal as they land would reset each expert's destination
-    /// optimizer moments at a *different* boundary, and AdamW is
-    /// path-dependent: the result would diverge bitwise from a
-    /// stop-the-world migration. Holding installed lanes in gradient
-    /// lockstep until the group is complete keeps the single-boundary
-    /// equivalence exact. Each cutover is `Evict` to the source and
-    /// `MigrationCommit` to the destination (unaccounted frames — the
-    /// cutover itself moves no parameters), then the primary flips and
-    /// any cached route to the evicted copy is dropped. FIFO links order
-    /// both frames before the next step's traffic, so each side switches
-    /// exactly at the boundary.
-    fn commit_installed(&mut self, step: u64) -> Result<usize, TransportError> {
-        if !self.migrations.group_ready() {
-            return Ok(0);
-        }
-        let mut committed = 0usize;
-        for lane in std::mem::take(&mut self.migrations.lanes) {
-            let (b, e) = (lane.block as u32, lane.expert as u32);
+            // Off the table first: the cutover's own `InstallDone` must
+            // reach `wait_installs`, not be taken for a shadow landing.
+            let Lane {
+                block,
+                expert,
+                from,
+                to,
+                ..
+            } = self.migrations.lanes.remove(0);
             self.hub.send(
-                lane.from,
-                &Message::Evict {
-                    block: b,
-                    expert: e,
+                from,
+                &Message::FetchTrained {
+                    block: block as u32,
+                    expert: expert as u32,
                 },
             )?;
-            self.hub.send(
-                lane.to,
-                &Message::MigrationCommit {
-                    block: b,
-                    expert: e,
-                },
-            )?;
-            self.placement.set_primary(lane.block, lane.expert, lane.to);
-            self.routes.remove(&(lane.block, lane.expert));
-            self.migrations.bytes += lane.forwarded;
-            self.migrations.last_commit_step = step;
+            let trained = self.recv_expert_state(from, block, expert)?;
+            self.install_expert(block, expert, &[to], trained)?;
+            self.wait_installs()?;
+            self.re_root(block, expert, to);
             MIGRATION_COMMITS.add(1);
-            committed += 1;
+            cut_over += 1;
         }
-        Ok(committed)
+        self.admit_queued()?;
+        if let Some(t0) = t0 {
+            MIGRATION_PUMP_US.add(vela_obs::now_us().saturating_sub(t0));
+        }
+        Ok(cut_over)
     }
 
-    /// Lanes still streaming or awaiting cutover.
+    /// Completes every requested move now — boundary service with no steps
+    /// in between, so each stream is waited for instead of hidden — and
+    /// returns the number of lanes cut over. Stop-the-world migration is
+    /// this after [`start_migration`](Self::start_migration); it also runs
+    /// before re-planning (a new plan must diff against settled state) and
+    /// at shutdown.
+    pub fn finish_migrations(&mut self) -> Result<usize, TransportError> {
+        let mut cut_over = 0;
+        while self.migrations.in_flight() > 0 {
+            cut_over += self.pump_migrations()?;
+        }
+        Ok(cut_over)
+    }
+
+    /// Makes `to` the primary of an expert whose old primary's copy is
+    /// gone, and forgets the forward route to it so backward never follows
+    /// a stale one.
+    fn re_root(&mut self, block: usize, expert: usize, to: usize) {
+        self.placement.set_primary(block, expert, to);
+        self.routes.remove(&(block, expert));
+    }
+
+    /// Moves requested and not yet cut over (streaming or queued).
     pub fn migrations_in_flight(&self) -> usize {
         self.migrations.in_flight()
-    }
-
-    /// Parameter bytes moved by committed background lanes so far.
-    pub fn migration_bytes(&self) -> u64 {
-        self.migrations.bytes
-    }
-
-    /// Engine step of the most recent background cutover (0 = none yet).
-    pub fn last_commit_step(&self) -> u64 {
-        self.migrations.last_commit_step
     }
 
     /// Drains the per-block communication logs accumulated since the last
@@ -880,12 +767,11 @@ impl BrokerClient {
         Ok(slots.concat())
     }
 
-    /// The sync fan-out for this step: every replicated pair, plus every
-    /// in-flight migration lane — the shadow install must see each window
-    /// step's gradients to stay in lockstep with the source.
+    /// The sync fan-out for this step: every replicated pair. Migration
+    /// lanes are not in it — a shadow holds no tensor a gradient changes.
     fn sync_targets(&self) -> Vec<SyncTarget> {
         let (placement, routes) = (&self.placement, &self.routes);
-        let mut targets: Vec<SyncTarget> = placement
+        placement
             .replicated_pairs()
             .into_iter()
             .map(|(block, expert)| {
@@ -906,23 +792,7 @@ impl BrokerClient {
                     peers,
                 }
             })
-            .collect();
-        for lane in &self.migrations.lanes {
-            let key = (lane.block, lane.expert);
-            if let Some(t) = targets.iter_mut().find(|t| (t.block, t.expert) == key) {
-                if !t.peers.contains(&lane.to) {
-                    t.peers.push(lane.to);
-                }
-            } else {
-                targets.push(SyncTarget {
-                    block: lane.block,
-                    expert: lane.expert,
-                    serving: routes.get(&key).copied().unwrap_or(lane.from),
-                    peers: vec![lane.to],
-                });
-            }
-        }
-        targets
+            .collect()
     }
 
     /// `hub.recv()` that transparently services migration-lane traffic:
@@ -940,33 +810,31 @@ impl BrokerClient {
         }
     }
 
-    /// Inspects a drained frame: if it belongs to an in-flight migration
-    /// lane it is serviced here — source chunks (`ExpertChunk`/`OptimState`)
-    /// relay to the destination over the accounted hub path, `InstallDone`
-    /// from the destination marks the lane ready for cutover — and `None`
-    /// is returned. Any other frame is handed back to the caller's protocol
-    /// loop untouched.
+    /// Inspects a drained frame: if it belongs to an admitted lane it is
+    /// serviced here — the source's `ExpertChunk`s relay to the destination
+    /// over the accounted hub path, the destination's `InstallDone` marks
+    /// the lane landed — and `None` is returned. Any other frame is handed
+    /// back to the caller's protocol loop untouched.
     fn route_lane_frame(
         &mut self,
         w: usize,
         msg: Message,
     ) -> Result<Option<(usize, Message)>, TransportError> {
         let key = match &msg {
-            Message::ExpertChunk { block, expert, .. }
-            | Message::OptimState { block, expert, .. }
-            | Message::InstallDone { block, expert } => (*block as usize, *expert as usize),
+            Message::ExpertChunk { block, expert, .. } | Message::InstallDone { block, expert } => {
+                (*block as usize, *expert as usize)
+            }
             _ => return Ok(Some((w, msg))),
         };
         let lanes = &mut self.migrations.lanes;
         let Some(lane) = lanes.iter_mut().find(|l| (l.block, l.expert) == key) else {
-            // Not lane traffic (e.g. the sync-mode install ack) — the
-            // caller's own protocol validation deals with it.
+            // Not lane traffic (e.g. a seeding or cutover install ack) —
+            // the caller's own protocol validation deals with it.
             return Ok(Some((w, msg)));
         };
-        // The source streams chunks and moments; only the destination acks.
+        // The source streams chunks; only the destination acks.
         let (what, expected) = match msg {
             Message::InstallDone { .. } => ("install ack", lane.to),
-            Message::OptimState { .. } => ("optimizer state", lane.from),
             _ => ("chunk", lane.from),
         };
         if w != expected {
@@ -976,15 +844,12 @@ impl BrokerClient {
             )));
         }
         match &msg {
-            Message::InstallDone { .. } => lane.installed = true,
-            relayed => {
-                if let Message::ExpertChunk { data, .. } = relayed {
-                    lane.forwarded += data.len() as u64;
-                    MIGRATION_CHUNKS.add(1);
-                    MIGRATION_BYTES.add(data.len() as u64);
-                }
-                self.hub.send(lane.to, relayed)?;
+            Message::ExpertChunk { data, .. } => {
+                MIGRATION_CHUNKS.add(1);
+                MIGRATION_BYTES.add(data.len() as u64);
+                self.hub.send(lane.to, &msg)?;
             }
+            _ => lane.landed = true,
         }
         Ok(None)
     }
@@ -1001,7 +866,7 @@ impl BrokerClient {
     /// nothing about transports), so a transport failure mid-exchange
     /// surfaces here as a panic with the underlying error. Control-plane
     /// methods (`step_begin`/`step_end`/`wait_step_done`/`shutdown`/
-    /// `migrate_expert`) propagate `TransportError` instead, which is where
+    /// `pump_migrations`) propagate `TransportError` instead, which is where
     /// disconnects actually occur in practice (between steps, or while
     /// waiting on acks).
     fn exchange_tensors(
@@ -1157,7 +1022,7 @@ mod tests {
     use super::*;
     use crate::message::PackedReply;
     use crate::transport::star;
-    use crate::worker::ExpertManager;
+    use crate::worker::{ExpertManager, ExpertTemplate};
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
     use vela_model::{LocalExpertStore, ModelConfig};
@@ -1178,6 +1043,7 @@ mod tests {
 
         let reference = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
         let mut source = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
+        let template = Some(ExpertTemplate::from_expert(source.expert_mut(0, 0)));
         let mut shard0 = LocalExpertStore::empty(cfg.blocks, cfg.experts);
         let mut shard1 = LocalExpertStore::empty(cfg.blocks, cfg.experts);
         let mut assign = Vec::new();
@@ -1197,11 +1063,13 @@ mod tests {
         }
         let placement = Placement::new(assign, 2);
 
-        let mut ports = ports.into_iter();
-        let managers = vec![
-            ExpertManager::spawn(ports.next().unwrap(), shard0, AdamWConfig::default()),
-            ExpertManager::spawn(ports.next().unwrap(), shard1, AdamWConfig::default()),
-        ];
+        let managers = ports
+            .into_iter()
+            .zip([shard0, shard1])
+            .map(|(port, shard)| {
+                ExpertManager::spawn_with_template(port, shard, AdamWConfig::default(), template)
+            })
+            .collect();
         (BrokerClient::new(hub, placement), managers, reference, cfg)
     }
 
@@ -1506,6 +1374,93 @@ mod tests {
         assert_eq!(broker.replica_degree(0, 0), 2);
         assert_eq!(broker.replica_degree(cfg.blocks - 1, 1), 1);
         teardown(&mut broker, managers);
+    }
+
+    #[test]
+    fn a_full_population_move_holds_at_most_two_shadows_and_syncs_nothing() {
+        let (mut broker, managers, mut reference, cfg) = setup();
+        let mut ref_opt = vela_nn::optim::AdamW::new(AdamWConfig::default());
+        let moves = cfg.blocks * cfg.experts;
+        let before = broker.placement().primaries();
+        for l in 0..cfg.blocks {
+            for e in 0..cfg.experts {
+                let to = 1 - before.worker_of(l, e);
+                broker.start_migration(l, e, to).unwrap();
+            }
+        }
+        assert_eq!(broker.migrations_in_flight(), moves);
+        assert!(broker.start_migration(0, 0, 1).is_err(), "already moving");
+
+        let mut rng = DetRng::new(17);
+        let mut boundaries = 0;
+        while broker.migrations_in_flight() > 0 {
+            // Between steps the lane table is what can be resident on the
+            // workers as shadows; everything else waits in the queue.
+            let lanes = broker.migrations.lanes.len();
+            assert!((1..=MAX_ACTIVE_LANES).contains(&lanes), "{lanes} lanes");
+            assert_eq!(
+                lanes + broker.migrations.queued.len(),
+                moves - MAX_ACTIVE_LANES * boundaries
+            );
+
+            // The old owners serve the step while the streams ride it.
+            broker.step_begin().unwrap();
+            let batches: Vec<ExpertBatch> = (0..cfg.experts)
+                .map(|e| ExpertBatch {
+                    expert: e,
+                    xs: vela_tensor::Tensor::uniform((2, cfg.dim), -1.0, 1.0, &mut rng),
+                })
+                .collect();
+            for l in 0..cfg.blocks {
+                assert_eq!(
+                    broker.forward_block(l, &batches),
+                    reference.forward_block(l, &batches)
+                );
+            }
+            // A shadow holds nothing a gradient changes: no lane syncs.
+            assert!(broker.sync_replica_grads(64).unwrap().is_empty());
+            broker.step_end().unwrap();
+            ref_opt.step(&mut reference);
+            broker.wait_step_done().unwrap();
+            assert_eq!(broker.pump_migrations().unwrap(), lanes);
+            boundaries += 1;
+        }
+        assert_eq!(boundaries, moves.div_ceil(MAX_ACTIVE_LANES));
+        for l in 0..cfg.blocks {
+            for e in 0..cfg.experts {
+                assert_eq!(broker.placement().primary(l, e), 1 - before.worker_of(l, e));
+            }
+        }
+        teardown(&mut broker, managers);
+    }
+
+    #[test]
+    fn a_move_onto_a_replica_ships_nothing() {
+        let (mut broker, managers, mut reference, cfg) = setup_replicated();
+        // Expert 0 lives on both workers, rooted on worker 0.
+        assert_eq!(broker.placement().replicas_of(0, 0), [0, 1]);
+        let shipped = broker.wire_stats();
+        broker.start_migration(0, 0, 1).unwrap();
+        assert_eq!(broker.migrations_in_flight(), 0);
+        assert_eq!(broker.placement().replicas_of(0, 0), [1]);
+        assert_eq!(broker.wire_stats(), shipped, "an evict is off the books");
+        assert_eq!(broker.frame_counts(), (0, 0));
+        let mut rng = DetRng::new(23);
+        let batches = vec![ExpertBatch {
+            expert: 0,
+            xs: vela_tensor::Tensor::uniform((3, cfg.dim), -1.0, 1.0, &mut rng),
+        }];
+        assert_eq!(
+            broker.forward_block(0, &batches),
+            reference.forward_block(0, &batches)
+        );
+        // The old primary gives its copy up: one copy of (0, 0) comes back.
+        broker.shutdown().unwrap();
+        let held: usize = managers
+            .into_iter()
+            .map(|m| usize::from(m.join().contains(0, 0)))
+            .sum();
+        assert_eq!(held, 1);
     }
 
     #[test]

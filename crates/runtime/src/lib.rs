@@ -48,7 +48,7 @@ pub use metrics::{
 };
 pub use runtime::{MigrationHandle, RealRuntime};
 pub use transport::{
-    ExchangeConfig, MigrationMode, Quant, TransportConfig, TransportError, TransportMode, WireStats,
+    ExchangeConfig, Quant, TransportConfig, TransportError, TransportMode, WireStats,
 };
 pub use virtual_engine::{ScaleConfig, VirtualEngine};
 pub use wire::WireError;

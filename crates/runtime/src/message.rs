@@ -580,8 +580,9 @@ macro_rules! frames {
     };
 }
 
-// Tags 2–5 (per-batch frames) and 12–13 (per-item group frames) belonged
-// to retired framings and are never reused: a stale peer that still sends
+// Tags 2–5 (per-batch frames), 12–13 (per-item group frames) and 23, 24,
+// 26 (the lockstep shadow's moment snapshot, announce and commit) belonged
+// to retired designs and are never reused: a stale peer that still sends
 // one gets `WireError::BadTag`, not a misparse.
 frames! {
     /// Marks the start of a step; workers zero their gradients.
@@ -609,7 +610,9 @@ frames! {
     } => ToWorker, Migration, accounts 9, wire Control;
 
     /// Serialized expert parameters in transit (worker → master and
-    /// master → destination worker; the destination installs them).
+    /// master → destination worker). A destination holding a shadow of the
+    /// expert loads the blob onto it — the cutover's trainable tensors —
+    /// and any other builds the expert from the blob alone.
     10 ExpertState {
         /// MoE block index.
         block: u32,
@@ -708,13 +711,13 @@ frames! {
         expert: u32,
     } => ToMaster, Sync, accounts 9, wire Control;
 
-    /// Asks the worker to serialize one expert *without evicting it*
-    /// (master → source worker, background migration). The worker streams
-    /// the checkpoint back as bounded [`Message::ExpertChunk`] frames
-    /// followed by one [`Message::OptimState`] frame, then keeps serving
-    /// the expert until it receives [`Message::Evict`] at cutover.
-    // Mirrors FetchExpert's 9 bytes, so a full shadow migration's ledger
-    // bytes equal a stop-the-world migration's by construction.
+    /// Asks the worker to serialize the *frozen* tensors of one expert
+    /// without evicting it (master → source worker, the background phase
+    /// of a migration). No step changes those tensors, so the worker
+    /// streams them as bounded [`Message::ExpertChunk`] frames and keeps
+    /// serving and training the expert; what trains is fetched at the
+    /// cutover by [`Message::FetchTrained`].
+    // Mirrors FetchExpert's 9 bytes.
     21 FetchShadow {
         /// MoE block index.
         block: u32,
@@ -722,14 +725,16 @@ frames! {
         expert: u32,
     } => ToWorker, Migration, accounts 9, wire Control;
 
-    /// One bounded chunk of a serialized expert in transit (source →
-    /// master → destination). Chunks are emitted in offset order on one
-    /// link, so the receiver enforces contiguity (`offset` must equal the
-    /// bytes received so far) instead of allocating `total` up front.
-    // A chunked expert transfer accounts exactly what the single
-    // ExpertState frame it replaces would have (17 + blob bytes): the first
-    // chunk carries the 17-byte header charge, later chunks account data
-    // only.
+    /// One bounded chunk of an expert's serialized frozen tensors in
+    /// transit (source → master → destination). Chunks are emitted in
+    /// offset order on one link, so the receiver enforces contiguity
+    /// (`offset` must equal the bytes received so far) instead of
+    /// allocating `total` up front. The chunk at offset 0 opens the
+    /// destination's install; the one that completes the blob makes it
+    /// build the shadow and answer [`Message::InstallDone`].
+    // A chunked transfer accounts exactly what a single ExpertState frame
+    // with the same blob would have (17 + blob bytes): the first chunk
+    // carries the 17-byte header charge, later chunks account data only.
     22 ExpertChunk {
         /// MoE block index.
         block: u32,
@@ -746,40 +751,11 @@ frames! {
         wire ExpertState(data.len() as u64),
         check chunk_span(offset, total, data.len() as u64);
 
-    /// Flattened Adam moment estimates for one expert (source → master →
-    /// destination): for each trainable parameter in visit order, the
-    /// first-moment row then the second-moment row. Part of the pinned
-    /// snapshot a shadow install replays forward from.
-    // Optimizer moments ride the sync bucket, not the migration bucket:
-    // they are extra state the overlap path ships to keep the shadow in
-    // lockstep, priced honestly but kept out of the migration-byte parity
-    // between sync and overlap modes.
-    23 OptimState {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// `1 × 2N` row of moments (virtual in the simulated engine).
-        payload: Payload,
-    } => Both, Sync, accounts 9 + payload.accounted_bytes(),
-        wire ExpertState(payload.wire_bytes());
-
-    /// Announces an incoming shadow install (master → destination,
-    /// control plane): the destination starts buffering chunks and any
-    /// gradients forwarded for the expert before its install completes.
-    // The announce and the two cutover frames below move no parameters and
-    // have no stop-the-world counterpart, so accounting them would break
-    // the byte parity between the two movers; `accounts` is their header
-    // size, for completeness.
-    24 ShadowBegin {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-    } => ToWorker, Unaccounted, accounts 9, wire Control;
-
-    /// Cutover control frame (master → source): drop the now-stale source
-    /// copy of a migrated expert.
+    /// Drops a worker's copy of an expert together with its optimizer
+    /// moments, with no reply (master → worker): how a move onto a worker
+    /// that already holds a replica retires the old primary.
+    // Moves no parameters, so it stays off the books; `accounts` is its
+    // header size, for completeness.
     25 Evict {
         /// MoE block index.
         block: u32,
@@ -787,17 +763,18 @@ frames! {
         expert: u32,
     } => ToWorker, Unaccounted, accounts 9, wire Control;
 
-    /// Cutover control frame (master → destination): the shadow install
-    /// becomes the serving copy; the destination restores whatever
-    /// optimizer-moment entries the expert's parameters had before the
-    /// install, so its state is exactly what a stop-the-world migration
-    /// at the cutover step would have produced.
-    26 MigrationCommit {
+    /// The cutover request (master → source worker): evict the expert,
+    /// drop its optimizer moments, and answer with an
+    /// [`Message::ExpertState`] holding only its *trainable* tensors. The
+    /// master forwards that blob to the destination, which loads it onto
+    /// the shadow the chunk stream built and starts serving.
+    // Mirrors FetchExpert's 9 bytes.
+    27 FetchTrained {
         /// MoE block index.
         block: u32,
         /// Expert index within the block.
         expert: u32,
-    } => ToWorker, Unaccounted, accounts 9, wire Control;
+    } => ToWorker, Migration, accounts 9, wire Control;
 }
 
 impl Message {
@@ -1290,12 +1267,12 @@ mod tests {
             Message::GradState {
                 block,
                 expert,
-                payload: real.clone(),
+                payload: real,
             },
             Message::GradState {
                 block,
                 expert,
-                payload: virt.clone(),
+                payload: virt,
             },
             Message::GradSyncDone { block, expert },
             Message::FetchShadow { block, expert },
@@ -1313,19 +1290,8 @@ mod tests {
                 total: 200,
                 data: vec![9; 32],
             },
-            Message::OptimState {
-                block,
-                expert,
-                payload: real,
-            },
-            Message::OptimState {
-                block,
-                expert,
-                payload: virt,
-            },
-            Message::ShadowBegin { block, expert },
             Message::Evict { block, expert },
-            Message::MigrationCommit { block, expert },
+            Message::FetchTrained { block, expert },
         ]
     }
 
@@ -1334,13 +1300,16 @@ mod tests {
         // What the seven hand-synchronised per-tag matches did for these
         // instances at the last commit that had them (aecb432): tag byte,
         // encoded length, accounted bytes, ledger bucket, and the
-        // (kind, header, payload) wire split. The one deliberate
-        // difference is the bucket of the last three rows: that commit
-        // classified them `Plain` but shipped them through the
+        // (kind, header, payload) wire split, for every row that commit
+        // had and the table still has. One deliberate difference: that
+        // commit classified `Evict` `Plain` but shipped it through the
         // unaccounted `send_control`, which is what `Unaccounted` says.
+        // `FetchTrained` (27) is younger than that commit; its row is
+        // pinned to `FetchExpert`'s, the request it is the cutover's
+        // version of. Rows 23, 24 and 26 left with the lockstep shadow.
         use Bucket::{Migration, Plain, Sync, Unaccounted};
         use FrameKind::{Control, Dispatch, ExpertState, Result as Reply};
-        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 25] = [
+        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 22] = [
             (1, 9, 9, Plain, Control, 9, 0),
             (6, 1, 1, Plain, Control, 1, 0),
             (7, 1, 1, Plain, Control, 1, 0),
@@ -1361,11 +1330,8 @@ mod tests {
             (21, 9, 9, Migration, Control, 9, 0),
             (22, 65, 49, Migration, ExpertState, 33, 32),
             (22, 65, 32, Migration, ExpertState, 33, 32),
-            (23, 30, 21, Sync, ExpertState, 18, 12),
-            (23, 18, 57, Sync, ExpertState, 18, 0),
-            (24, 9, 9, Unaccounted, Control, 9, 0),
             (25, 9, 9, Unaccounted, Control, 9, 0),
-            (26, 9, 9, Unaccounted, Control, 9, 0),
+            (27, 9, 9, Migration, Control, 9, 0),
         ];
         let instances = fixed_instances();
         assert_eq!(instances.len(), recorded.len());
@@ -1440,7 +1406,7 @@ mod tests {
                 expert: 3,
                 payload: Payload::from_tensor(&t),
             },
-            Message::OptimState {
+            Message::GradState {
                 block: 0,
                 expert: 0,
                 payload: Payload::Virtual {
@@ -1921,24 +1887,11 @@ mod tests {
                 total: 200,
                 data: vec![9u8; 32],
             },
-            Message::OptimState {
-                block: 0,
-                expert: 5,
-                payload: Payload::Real {
-                    rows: 1,
-                    cols: 4,
-                    data: vec![0.5, -1.0, 2.0, 0.25],
-                },
-            },
-            Message::ShadowBegin {
-                block: 2,
-                expert: 9,
-            },
             Message::Evict {
                 block: 4,
                 expert: 0,
             },
-            Message::MigrationCommit {
+            Message::FetchTrained {
                 block: 4,
                 expert: 0,
             },
@@ -1951,7 +1904,7 @@ mod tests {
     #[test]
     fn migration_classification_and_bucket_split() {
         // The migration bucket sees exactly the frames that move
-        // parameter bytes (plus their fetch/ack), in both modes.
+        // parameter bytes, plus their requests and acks.
         for msg in [
             Message::FetchExpert {
                 block: 0,
@@ -1977,22 +1930,14 @@ mod tests {
                 total: 3,
                 data: vec![1, 2, 3],
             },
+            Message::FetchTrained {
+                block: 0,
+                expert: 0,
+            },
         ] {
             assert_eq!(msg.info().bucket, Bucket::Migration, "{msg:?}");
         }
-        // Moments ride the sync bucket so migration-byte parity between
-        // sync and overlap modes holds by construction.
-        let optim = Message::OptimState {
-            block: 0,
-            expert: 0,
-            payload: Payload::Real {
-                rows: 1,
-                cols: 1,
-                data: vec![1.0],
-            },
-        };
-        assert_eq!(optim.info().bucket, Bucket::Sync);
-        // Control-plane cutover frames are in no bucket at all.
+        // Dropping a copy moves nothing and is in no bucket at all.
         let evict = Message::Evict {
             block: 0,
             expert: 0,
@@ -2012,20 +1957,28 @@ mod tests {
         assert_eq!(frames.len(), 4);
         let chunked: u64 = frames.iter().map(|f| f.accounted_bytes()).sum();
         assert_eq!(chunked, whole.accounted_bytes());
-        // FetchShadow accounts like FetchExpert, so the full shadow
-        // transfer's ledger bytes equal a stop-the-world migration's.
-        assert_eq!(
+        // Both halves of a move are requested at FetchExpert's price, so
+        // a move accounts one whole-expert transfer plus one more
+        // request/ack pair and blob header.
+        for request in [
             Message::FetchShadow {
                 block: 0,
-                expert: 0
-            }
-            .accounted_bytes(),
-            Message::FetchExpert {
+                expert: 0,
+            },
+            Message::FetchTrained {
                 block: 0,
-                expert: 0
-            }
-            .accounted_bytes(),
-        );
+                expert: 0,
+            },
+        ] {
+            assert_eq!(
+                request.accounted_bytes(),
+                Message::FetchExpert {
+                    block: 0,
+                    expert: 0
+                }
+                .accounted_bytes(),
+            );
+        }
     }
 
     #[test]

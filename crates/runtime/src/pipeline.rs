@@ -28,22 +28,20 @@ const SPAN_SERIALIZE: &str = "runtime.pipeline.serialize";
 const SPAN_INFLIGHT: &str = "runtime.pipeline.inflight";
 /// Span around streamed-combine delivery of a completed batch prefix.
 pub(crate) const SPAN_COMBINE: &str = "runtime.pipeline.combine";
-/// Span around the boundary migration pump (non-blocking lane service).
+/// Span around the boundary migration pump (lane cutovers and admissions).
 pub(crate) const SPAN_MIGRATION_PUMP: &str = "runtime.migration.pump";
 
 /// Master time spent in streamed-combine delivery, µs.
 pub(crate) static COMBINE_US: LazyCounter = LazyCounter::new("runtime.pipeline.combine_us");
-/// Background migration chunk frames relayed master → destination.
+/// Migration chunk frames relayed master → destination.
 pub(crate) static MIGRATION_CHUNKS: LazyCounter = LazyCounter::new("runtime.migration.chunks");
-/// Background migration parameter bytes relayed master → destination.
+/// Migration chunk bytes relayed master → destination.
 pub(crate) static MIGRATION_BYTES: LazyCounter = LazyCounter::new("runtime.migration.bytes");
-/// Background migrations cut over at a step boundary.
+/// Migration lanes cut over at a step boundary.
 pub(crate) static MIGRATION_COMMITS: LazyCounter = LazyCounter::new("runtime.migration.commits");
-/// Master time in the boundary migration pump, µs (lane relays that did
-/// not overlap compute — the visible cost of background migration).
+/// Master time in the boundary migration pump, µs (the cutovers, plus any
+/// wait for a stream that had not landed — the visible cost of a move).
 pub(crate) static MIGRATION_PUMP_US: LazyCounter = LazyCounter::new("runtime.migration.pump_us");
-/// Master time blocked flushing in-flight lanes (`finish_migrations`), µs.
-pub(crate) static MIGRATION_FLUSH_US: LazyCounter = LazyCounter::new("runtime.migration.flush_us");
 /// Master time spent encoding + enqueueing frames, µs.
 static SERIALIZE_US: LazyCounter = LazyCounter::new("runtime.pipeline.serialize_us");
 /// Last frame sent → last reply drained, µs.

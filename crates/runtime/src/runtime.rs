@@ -29,32 +29,26 @@ use vela_placement::{Placement, ReplicatedPlacement};
 use crate::broker::BrokerClient;
 use crate::launch::{launch_star, WorkerHandle};
 use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
-use crate::transport::{ExchangeConfig, MigrationMode, TransportConfig, TransportError};
+use crate::transport::{ExchangeConfig, TransportConfig, TransportError};
 use crate::worker::{expert_grads, ExpertTemplate, WorkerBootstrap};
 
 /// What one [`RealRuntime::apply_placement`] call set in motion.
 ///
-/// In sync mode everything already happened: the parameters moved inside
-/// the call and `traffic` holds the whole transfer. In overlap mode the
-/// call only planned and announced the lanes — the chunk streams ride
-/// subsequent step windows, `in_flight` lanes are still streaming, and
-/// the runtime cuts each one over at the first step boundary after its
-/// install acks (see [`RealRuntime::migrations_in_flight`] /
-/// [`RealRuntime::finish_migrations`]).
+/// The call plans and admits; it moves no parameters itself. Each admitted
+/// lane streams its expert's frozen tensors under the training steps that
+/// follow and is cut over at the next step boundary, `in_flight` counts
+/// the moves still to complete, and [`RealRuntime::finish_migrations`]
+/// completes them at once instead.
 #[derive(Debug, Clone)]
 pub struct MigrationHandle {
     /// Experts whose primary changes under the target placement.
     pub moved: usize,
-    /// Parameter bytes already moved when the call returned (the full
-    /// transfer in sync mode; replica fast-path moves are always 0).
-    pub bytes: u64,
-    /// Lanes still streaming in the background (always 0 in sync mode).
+    /// Moves still streaming or queued when the call returned (a move onto
+    /// a worker that already held a replica completes inside the call).
     pub in_flight: usize,
-    /// The migration mode that produced this handle.
-    pub mode: MigrationMode,
-    /// Ledger window of the apply call itself: the whole transfer in sync
-    /// mode, just the snapshot requests in overlap mode — in-flight chunk
-    /// traffic lands in the step windows it actually overlaps.
+    /// Ledger window of the apply call itself: the stream requests of the
+    /// lanes it admitted. The chunks and the cutovers land in the step
+    /// windows they ride in.
     pub traffic: vela_cluster::StepTraffic,
 }
 
@@ -77,10 +71,12 @@ pub struct RealRuntime {
     grad_bytes: u32,
     step: usize,
     /// Cumulative wall seconds the training loop has been *blocked* on
-    /// parameter movement: the sync-mode transfer loop, boundary pumps,
-    /// and migration flushes. Overlap-mode chunk relays that ride inside
-    /// step drains are not blocked time and are not counted here.
+    /// parameter movement: apply calls, boundary cutovers and flushes.
+    /// Chunk relays that ride inside step drains are not blocked time and
+    /// are not counted here.
     migration_blocked: f64,
+    /// Migration-bucket ledger bytes of every window taken so far.
+    migration_bytes: u64,
 }
 
 impl RealRuntime {
@@ -195,6 +191,7 @@ impl RealRuntime {
             grad_bytes,
             step: 0,
             migration_blocked: 0.0,
+            migration_bytes: 0,
         }
     }
 
@@ -216,19 +213,8 @@ impl RealRuntime {
 
     /// Overrides the configuration read from the environment at launch.
     /// Process-mode seeding has already happened by then, so a `quant`
-    /// set here applies to dispatch rows and sync-mode migration installs
-    /// only.
+    /// set here applies to dispatch rows only.
     pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
-        self.broker.set_exchange(cfg);
-    }
-
-    /// Overrides how `apply_placement` moves parameters (the
-    /// `VELA_MIGRATION` knob): stop-the-world inside the call, or
-    /// streamed in the background with a boundary cutover. Both end
-    /// states are bit-identical.
-    pub fn set_migration(&mut self, mode: MigrationMode) {
-        let mut cfg = self.broker.exchange_config();
-        cfg.migration = mode;
         self.broker.set_exchange(cfg);
     }
 
@@ -244,20 +230,33 @@ impl RealRuntime {
         self.broker.wire_stats()
     }
 
-    /// Migrates experts so the session matches `target`, between steps.
+    /// Closes the ledger window, keeping count of the migration bytes
+    /// that fell in it.
+    fn take_traffic(&mut self) -> vela_cluster::StepTraffic {
+        let traffic = self.ledger.take_step();
+        self.migration_bytes += traffic.migration_bytes;
+        traffic
+    }
+
+    /// Starts moving experts so the session matches `target`, between
+    /// steps, and returns as soon as the plan is admitted.
     ///
-    /// In sync mode (`VELA_MIGRATION=sync`, the default) each expert is
-    /// moved with a stop-the-world fetch/install round inside this call.
-    /// In overlap mode (`VELA_MIGRATION=overlap`) the call returns as
-    /// soon as the shadow installs are announced: parameter chunks stream
-    /// through the per-link writer threads underneath the following
-    /// training steps, the old placement keeps serving, and each expert
-    /// cuts over at the first step boundary after its install acks — at
-    /// which point it is bit-identical to a stop-the-world migration
-    /// performed at that boundary.
+    /// At most two experts move at a time. Each one's frozen tensors
+    /// stream through the per-link writer threads underneath the next
+    /// training step while the old placement keeps serving and training
+    /// it; at the boundary after that step the expert is cut over — its
+    /// trainable tensors cross in a stop-the-world exchange, the
+    /// destination starts serving, the primary flips — and the next queued
+    /// move is admitted. Optimizer moments do not travel: an expert
+    /// restarts from fresh ones on its new worker, so a run is bitwise the
+    /// run that performs the same moves stop-the-world at the same
+    /// boundaries, which is `apply_placement` followed by
+    /// [`finish_migrations`](Self::finish_migrations). A move onto a worker
+    /// that already holds a replica ships nothing and completes inside
+    /// the call. Every byte moved is exact f32 under any `VELA_QUANT`.
     ///
-    /// Any background lanes still in flight from a previous call are
-    /// flushed first, so the plan always diffs against settled state.
+    /// Moves still in flight from a previous call are completed first, so
+    /// the plan always diffs against settled state.
     ///
     /// # Panics
     /// Panics if `target`'s shape disagrees with the session. Transport
@@ -267,60 +266,51 @@ impl RealRuntime {
         target: &Placement,
     ) -> Result<MigrationHandle, TransportError> {
         self.finish_migrations()?;
-        self.ledger.take_step();
         let plan = self.broker.placement().primaries().diff(target);
-        let mode = self.broker.exchange_config().migration;
-        let mut bytes = 0;
         let moved = plan.len();
         let t0 = std::time::Instant::now();
         for (block, expert, _, to) in plan {
-            match mode {
-                MigrationMode::Sync => bytes += self.broker.migrate_expert(block, expert, to)?,
-                MigrationMode::Overlap => self.broker.start_migration(block, expert, to)?,
-            }
+            self.broker.start_migration(block, expert, to)?;
         }
         self.migration_blocked += t0.elapsed().as_secs_f64();
         Ok(MigrationHandle {
             moved,
-            bytes,
             in_flight: self.broker.migrations_in_flight(),
-            mode,
-            traffic: self.ledger.take_step(),
+            traffic: self.take_traffic(),
         })
     }
 
-    /// Background migration lanes still streaming or awaiting cutover.
+    /// Moves requested by [`apply_placement`](Self::apply_placement) and
+    /// not yet cut over.
     pub fn migrations_in_flight(&self) -> usize {
         self.broker.migrations_in_flight()
     }
 
-    /// Parameter bytes moved by committed background lanes so far.
+    /// Migration-bucket ledger bytes accounted since launch, whichever
+    /// window they fell in: an apply call, a training step or a flush.
     pub fn migration_bytes(&self) -> u64 {
-        self.broker.migration_bytes()
+        self.migration_bytes
     }
 
-    /// Engine step at which the most recent background lane cut over
-    /// (0 = none yet). Post-cutover steps are bit-identical to a run that
-    /// stop-the-world-migrated at this boundary.
-    pub fn last_cutover_step(&self) -> u64 {
-        self.broker.last_commit_step()
-    }
-
-    /// Blocks until every background lane has installed and cuts them all
-    /// over. Returns the number of experts committed by this flush; 0
-    /// when nothing was in flight.
+    /// Completes every move in flight now, without steps to hide the
+    /// streams under, and returns how many experts it cut over (0 when
+    /// nothing was in flight). After an `apply_placement` this is
+    /// stop-the-world migration.
     pub fn finish_migrations(&mut self) -> Result<usize, TransportError> {
         let t0 = std::time::Instant::now();
-        let committed = self.broker.finish_migrations(self.step as u64)?;
+        let cut_over = self.broker.finish_migrations()?;
         self.migration_blocked += t0.elapsed().as_secs_f64();
-        Ok(committed)
+        // The flush is a ledger window of its own (a step would discard
+        // whatever it found open).
+        self.take_traffic();
+        Ok(cut_over)
     }
 
     /// Cumulative wall seconds the training loop has been blocked on
-    /// parameter movement (sync transfers, boundary pumps, flushes) since
-    /// launch. In overlap mode the chunk streams ride the step windows,
-    /// so only the apply call and the per-boundary pump/cutover service
-    /// accrue here — the benchmark's exposed-time column reads this.
+    /// parameter movement since launch: the apply calls, the cutovers at
+    /// step boundaries (with any wait for a stream that had not landed)
+    /// and the flushes. The chunk streams ride the step windows and do
+    /// not accrue here — the benchmark's exposed-time column reads this.
     pub fn migration_blocked_secs(&self) -> f64 {
         self.migration_blocked
     }
@@ -341,7 +331,7 @@ impl RealRuntime {
         seq: usize,
     ) -> Result<StepMetrics, TransportError> {
         self.step += 1;
-        self.ledger.take_step();
+        self.take_traffic();
         // `BrokerClient::step_begin` advances the process-unique trace
         // step, so it must precede the span open for the span to be
         // tagged with this step.
@@ -353,8 +343,6 @@ impl RealRuntime {
         // Replica gradient sync rides between backward and StepEnd: the
         // workers' optimizers only run on StepEnd, so every replica steps
         // on the serving replica's gradients and copies stay bit-identical.
-        // In-flight migration destinations ride the same window, keeping
-        // each shadow install in lockstep with its source.
         let sync_flows = {
             let _sync = vela_obs::span("runtime.grad_sync");
             self.broker.sync_replica_grads(self.grad_bytes)?
@@ -367,17 +355,16 @@ impl RealRuntime {
             self.opt_model.step(&mut self.model);
         }
         self.broker.wait_step_done()?;
-        // Step boundary: relay any lane chunks that already arrived,
-        // refill the streaming slots, and — once the whole plan has
-        // installed — cut every lane over together; both sides observe
-        // the flip before the next `StepBegin` on their FIFO links.
+        // Step boundary: cut over the lanes that streamed under this step
+        // and admit the next ones; both sides observe the flip before the
+        // next `StepBegin` on their FIFO links.
         if self.broker.migrations_in_flight() > 0 {
             let t0 = std::time::Instant::now();
-            self.broker.pump_migrations(self.step as u64)?;
+            self.broker.pump_migrations()?;
             self.migration_blocked += t0.elapsed().as_secs_f64();
         }
 
-        let traffic = self.ledger.take_step();
+        let traffic = self.take_traffic();
         let logs = self.broker.take_phase_logs();
         let master_flops = inputs.len() as f64 * backbone_flops_per_token(&self.spec, seq) * 3.0;
         let time = step_time(
@@ -424,13 +411,11 @@ impl RealRuntime {
             workers,
             template,
             process_mode,
-            step,
             ..
         } = self;
-        // Settle any background lanes first: a half-streamed expert must
-        // either finish installing or stay owned by its source before the
-        // population is reassembled.
-        if let Err(e) = broker.finish_migrations(step as u64) {
+        // Complete any move in flight first: a shadow is not an expert,
+        // and only its source's copy would be reassembled.
+        if let Err(e) = broker.finish_migrations() {
             vela_obs::warn!("flushing in-flight migrations at shutdown failed: {e}");
         }
         let cfg = model.config().clone();
@@ -502,10 +487,10 @@ fn shard_experts(
 }
 
 /// Seeds worker processes, which start empty: every expert goes to each
-/// of its placed replicas through the broker's install path (int8 when
-/// the session is quantized — the lossy opt-in — while teardown
-/// fetch-back always rides exact f32), all installs in flight before the
-/// acks are collected.
+/// of its placed replicas through the broker's install path, all installs
+/// in flight before the acks are collected. This is the one place expert
+/// state crosses lossy: a quantized session seeds with int8 blobs (the
+/// opt-in), while migration and teardown fetch-back always ride exact f32.
 fn seed_processes(
     broker: &mut BrokerClient,
     experts: &mut LocalExpertStore,
@@ -515,6 +500,11 @@ fn seed_processes(
         for e in 0..per_block {
             let mut data = Vec::new();
             checkpoint::save(&mut experts.take(l, e), &mut data).expect("in-memory save");
+            if broker.exchange_config().quantized() {
+                data = checkpoint::quantize(&data).map_err(|why| {
+                    TransportError::Protocol(format!("quantizing expert ({l},{e}): {why}"))
+                })?;
+            }
             let replicas = broker.placement().replicas_of(l, e).to_vec();
             broker.install_expert(l, e, &replicas, data)?;
         }

@@ -190,17 +190,19 @@ impl TransportConfig {
     }
 }
 
-/// Opt-in lossy compression of dispatch/result rows and expert-state
-/// installs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Opt-in lossy compression of dispatch/result rows and of the
+/// expert-state installs that seed worker processes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Quant {
     /// Exact f32 everywhere (default).
+    #[default]
     Off,
     /// int8 rows with per-row f32 scales for activations crossing the
-    /// wire and for master→worker expert-state installs. Deliberately
-    /// lossy on activations — gated by its own loss-curve accuracy test,
-    /// not the bitwise parity grid. Master-side f32 copies stay exact, so
-    /// optimizer state is never quantized.
+    /// wire, and int8 blobs for the installs that seed worker processes at
+    /// launch. Deliberately lossy on activations — gated by its own
+    /// loss-curve accuracy test, not the bitwise parity grid. Migration
+    /// moves exact f32 bytes regardless, and optimizer state is never
+    /// quantized.
     Int8,
 }
 
@@ -214,54 +216,17 @@ impl Quant {
     }
 }
 
-/// How `apply_placement` moves expert parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationMode {
-    /// Stop-the-world: every `ExpertState` transfer completes between
-    /// steps before `apply_placement` returns (default).
-    Sync,
-    /// Background shadow install: `apply_placement` returns immediately
-    /// and chunked transfers interleave with training traffic through the
-    /// per-link writer threads; cutover happens at the first step boundary
-    /// after the destination acks, bit-identical to a stop-the-world
-    /// migration performed at that boundary.
-    Overlap,
-}
-
-impl MigrationMode {
-    /// Stable label for bench output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MigrationMode::Sync => "sync",
-            MigrationMode::Overlap => "overlap",
-        }
-    }
-}
-
-/// The two choices a session makes about its data plane. Everything else
-/// about the exchange is fixed: one packed frame per worker per block-pass,
-/// replica gradient flows issued up front.
+/// The one choice a session makes about its data plane. Everything else
+/// is fixed: one packed frame per worker per block-pass, replica gradient
+/// flows issued up front, one way to move an expert.
 ///
-/// Orthogonal to [`TransportConfig`]: both fields run over any transport.
-/// `migration` never changes results (pinned by `tests/migration.rs`);
+/// Orthogonal to [`TransportConfig`]: it runs over any transport.
 /// `quant: Int8` is deliberately lossy on activations and carries its own
 /// accuracy gate (`tests/quant_accuracy.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExchangeConfig {
     /// Opt-in int8 row quantization.
     pub quant: Quant,
-    /// How expert migration moves parameters (stop-the-world or
-    /// background shadow install).
-    pub migration: MigrationMode,
-}
-
-impl Default for ExchangeConfig {
-    fn default() -> Self {
-        ExchangeConfig {
-            quant: Quant::Off,
-            migration: MigrationMode::Sync,
-        }
-    }
 }
 
 impl ExchangeConfig {
@@ -270,9 +235,8 @@ impl ExchangeConfig {
         self.quant == Quant::Int8
     }
 
-    /// Reads `VELA_QUANT` (`off` — default — or `int8`) and
-    /// `VELA_MIGRATION` (`sync` — default — or `overlap`). Unknown values
-    /// warn and fall back rather than aborting a long run.
+    /// Reads `VELA_QUANT` (`off` — default — or `int8`). An unknown value
+    /// warns and falls back rather than aborting a long run.
     pub fn from_env() -> Self {
         let mut cfg = ExchangeConfig::default();
         match std::env::var("VELA_QUANT").as_deref() {
@@ -281,22 +245,6 @@ impl ExchangeConfig {
             Ok(other) => {
                 vela_obs::warn!("unknown VELA_QUANT={other:?}, staying exact");
             }
-        }
-        match std::env::var("VELA_MIGRATION").as_deref() {
-            Ok("overlap") => cfg.migration = MigrationMode::Overlap,
-            Ok("sync") | Err(_) => {}
-            Ok(other) => {
-                vela_obs::warn!("unknown VELA_MIGRATION={other:?}, using sync migration");
-            }
-        }
-        if cfg.migration == MigrationMode::Overlap && cfg.quantized() {
-            // Sync-mode migration quantizes the master→destination install
-            // when VELA_QUANT=int8; the shadow lane is always exact, so the
-            // two modes would not be byte-identical. Overlap wins.
-            vela_obs::warn!(
-                "VELA_MIGRATION=overlap streams exact expert chunks; int8 expert-state \
-                 installs do not apply to migration in this mode"
-            );
         }
         cfg
     }
@@ -531,13 +479,6 @@ impl MasterHub {
         Ok((index, msg))
     }
 
-    /// Stashes an already-received (and already-accounted) message for
-    /// re-delivery by the next `recv`/`recv_timeout`. Used by drain loops
-    /// that pull a frame belonging to a different protocol exchange.
-    pub fn push_pending(&mut self, index: usize, msg: Message) {
-        self.pending.push_back((index, msg));
-    }
-
     /// Ships a raw frame outside the [`Message`] protocol: the
     /// process-mode [`WorkerBootstrap`](crate::worker::WorkerBootstrap),
     /// which a fresh worker needs before it can decode anything else.
@@ -554,8 +495,8 @@ impl MasterHub {
     /// bucket against the `(src, dst)` device pair and splits its encoded
     /// length into the wire counters. Returns whether the frame counts at
     /// all: `Unaccounted` frames skip the ledger, the frame counters *and*
-    /// the wire stats, so a traced run (clock probes) and an overlap
-    /// migration's announce/cutover frames leave every total as it was.
+    /// the wire stats, so a traced run (clock probes) and a replica
+    /// re-root's `Evict` leave every total as it was.
     fn account(&mut self, src: DeviceId, dst: DeviceId, msg: &Message, encoded_len: usize) -> bool {
         let info = msg.info();
         match info.bucket {
@@ -843,16 +784,16 @@ mod tests {
 
     #[test]
     fn unaccounted_frames_leave_every_total_untouched() {
-        // Clock probes and a background migration's announce/cutover
-        // frames travel like any other frame and decode on the far side,
-        // but no accounting layer may see them: not the ledger, not the
-        // frame counters, not the wire stats.
+        // Clock probes and a replica re-root's `Evict` travel like any
+        // other frame and decode on the far side, but no accounting layer
+        // may see them: not the ledger, not the frame counters, not the
+        // wire stats.
         let (ledger, mut hub, mut ports) = setup();
-        let (block, expert) = (1, 2);
         let frames = [
-            Message::ShadowBegin { block, expert },
-            Message::Evict { block, expert },
-            Message::MigrationCommit { block, expert },
+            Message::Evict {
+                block: 1,
+                expert: 2,
+            },
             Message::ClockProbe { t1: 7 },
         ];
         for frame in &frames {
@@ -881,15 +822,10 @@ mod tests {
         // Pure constructors only — env vars are process-global.
         let d = ExchangeConfig::default();
         assert_eq!(d.quant, Quant::Off);
-        assert_eq!(d.migration, MigrationMode::Sync);
         assert!(!d.quantized());
-        let q = ExchangeConfig {
-            quant: Quant::Int8,
-            ..d
-        };
+        let q = ExchangeConfig { quant: Quant::Int8 };
         assert!(q.quantized());
         assert_eq!(Quant::Int8.label(), "int8");
-        assert_eq!(MigrationMode::Overlap.label(), "overlap");
     }
 
     #[test]

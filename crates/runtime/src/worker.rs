@@ -21,7 +21,6 @@ use vela_nn::optim::{AdamW, AdamWConfig};
 use vela_nn::param::Module;
 use vela_nn::swiglu::SwiGlu;
 use vela_tensor::rng::DetRng;
-use vela_tensor::Tensor;
 
 use vela_obs::{FlowPhase, LazyCounter};
 
@@ -78,99 +77,30 @@ pub(crate) fn install_expert_grads(ffn: &mut SwiGlu, grads: &[f32]) {
     );
 }
 
-/// Flattens an expert's AdamW moment estimates into one row: for each
-/// trainable parameter in `visit_params` order, the first-moment values
-/// then the second-moment values. Parameters the optimizer has not
-/// touched yet contribute zeros — exactly the state a lazily-initialized
-/// entry would start from.
-pub(crate) fn expert_moments(opt: &AdamW, ffn: &mut SwiGlu) -> Vec<f32> {
-    let mut out = Vec::new();
-    ffn.visit_params(&mut |p| {
-        if !p.is_trainable() {
-            return;
-        }
-        match opt.moments(p.name()) {
-            Some((m, v)) => {
-                out.extend_from_slice(m.as_slice());
-                out.extend_from_slice(v.as_slice());
-            }
-            None => out.extend(std::iter::repeat(0.0).take(2 * p.value.len())),
-        }
-    });
-    out
-}
-
-/// Installs an [`expert_moments`] row into the optimizer for an expert's
-/// trainable parameters, replacing any existing entries.
-///
-/// # Panics
-/// Panics if the blob's length does not match `2 ×` the expert's
-/// trainable parameter count.
-pub(crate) fn install_expert_moments(opt: &mut AdamW, ffn: &mut SwiGlu, moments: &[f32]) {
-    let mut cursor = 0;
-    ffn.visit_params(&mut |p| {
-        if !p.is_trainable() {
-            return;
-        }
-        let n = p.value.len();
-        let m = moments
-            .get(cursor..cursor + n)
-            .expect("moment blob shorter than expert's trainable parameters");
-        let v = moments
-            .get(cursor + n..cursor + 2 * n)
-            .expect("moment blob shorter than expert's trainable parameters");
-        opt.set_moments(
-            p.name(),
-            Tensor::from_vec(p.value.shape().clone(), m.to_vec()),
-            Tensor::from_vec(p.value.shape().clone(), v.to_vec()),
-        );
-        cursor += 2 * n;
-    });
-    assert_eq!(
-        cursor,
-        moments.len(),
-        "moment blob longer than expert's trainable parameters"
-    );
-}
-
-/// Removes the optimizer's moment entries for an expert's trainable
-/// parameters, returning them (absent entries return `None`) so a
-/// later [`Message::MigrationCommit`] can restore the pre-install state.
-fn stash_expert_moments(
-    opt: &mut AdamW,
-    ffn: &mut SwiGlu,
-) -> Vec<(String, Option<(Tensor, Tensor)>)> {
-    let mut out = Vec::new();
+/// Takes an expert out of the shard and its AdamW entries out of the
+/// optimizer. An expert that later returns to this worker then starts from
+/// fresh moments, as it does on any other destination, instead of resuming
+/// the ones its last stay left behind.
+fn evict(shard: &mut LocalExpertStore, opt: &mut AdamW, block: u32, expert: u32) -> SwiGlu {
+    let mut ffn = shard.take(block as usize, expert as usize);
     ffn.visit_params(&mut |p| {
         if p.is_trainable() {
-            out.push((p.name().to_string(), opt.take_moments(p.name())));
+            opt.take_moments(p.name());
         }
     });
-    out
+    ffn
 }
 
-/// One in-flight shadow install on the destination worker: the chunk
-/// reassembly buffer, the pinned-snapshot moments once they arrive, and
-/// every gradient row forwarded for the expert before its install
-/// completed, tagged with the optimizer step index it must be replayed
-/// at.
-#[derive(Debug)]
-struct PendingInstall {
-    asm: ChunkAssembler,
-    moments: Option<Vec<f32>>,
-    grads: Vec<(u64, Vec<f32>)>,
-}
-
-/// Worker-side migration bookkeeping, keyed by `(block, expert)`.
+/// The migrations this worker is the destination of, keyed by
+/// `(block, expert)`.
 #[derive(Debug, Default)]
-struct MigrationTable {
-    /// Shadow installs still streaming in.
-    pending: HashMap<(u32, u32), PendingInstall>,
-    /// Installed-but-uncommitted shadows: the moment entries the expert's
-    /// parameters had *before* the install, restored at commit so the
-    /// final state matches a stop-the-world migration (whose destination
-    /// starts with fresh moments).
-    installed: HashMap<(u32, u32), Vec<(String, Option<(Tensor, Tensor)>)>>,
+struct Shadows {
+    /// Frozen-tensor chunk streams still arriving.
+    streaming: HashMap<(u32, u32), ChunkAssembler>,
+    /// Experts built from a completed stream: resident, but neither served
+    /// nor trained until the cutover's [`Message::ExpertState`] brings the
+    /// trainable tensors.
+    resident: HashMap<(u32, u32), SwiGlu>,
 }
 
 /// Architectural description of an expert, enough for a worker to rebuild
@@ -238,8 +168,9 @@ pub struct WorkerBootstrap {
 
 /// Bumped whenever the [`Message`] codec changes shape, so a stale
 /// `vela_worker` binary is turned away at bootstrap instead of misparsing
-/// frames (2: the packed frames lost their chunk id).
-const BOOTSTRAP_VERSION: u8 = 2;
+/// frames (2: the packed frames lost their chunk id; 3: the lockstep
+/// shadow's three frames left and `FetchTrained` came).
+const BOOTSTRAP_VERSION: u8 = 3;
 
 impl WorkerBootstrap {
     /// Serializes the bootstrap frame.
@@ -346,7 +277,8 @@ impl ExpertManager {
     /// rows are echoed with matching sizes), zeroes
     /// gradients on [`Message::StepBegin`], steps its optimizer on
     /// [`Message::StepEnd`] (acknowledged with [`Message::StepDone`]),
-    /// serves expert migration ([`Message::FetchExpert`] /
+    /// serves both ends of expert migration ([`Message::FetchShadow`] /
+    /// [`Message::ExpertChunk`], then [`Message::FetchTrained`] /
     /// [`Message::ExpertState`]) and returns its shard on
     /// [`Message::Shutdown`] or master disconnect.
     pub fn spawn(port: WorkerPort, shard: LocalExpertStore, optim: AdamWConfig) -> Self {
@@ -407,7 +339,7 @@ pub(crate) fn worker_loop(
     template: Option<ExpertTemplate>,
 ) -> LocalExpertStore {
     let mut opt = AdamW::new(optim);
-    let mut migrations = MigrationTable::default();
+    let mut shadows = Shadows::default();
     loop {
         match port.recv() {
             Ok(msg) => match handle(
@@ -415,7 +347,7 @@ pub(crate) fn worker_loop(
                 &mut shard,
                 &mut opt,
                 template.as_ref(),
-                &mut migrations,
+                &mut shadows,
                 msg,
             ) {
                 Ok(Flow::Continue) => {}
@@ -448,7 +380,7 @@ fn handle(
     shard: &mut LocalExpertStore,
     opt: &mut AdamW,
     template: Option<&ExpertTemplate>,
-    migrations: &mut MigrationTable,
+    shadows: &mut Shadows,
     msg: Message,
 ) -> Result<Flow, TransportError> {
     match msg {
@@ -484,7 +416,7 @@ fn handle(
             opt.step(shard);
             port.send(&Message::StepDone)?;
         }
-        Message::FetchExpert { block, expert } => {
+        Message::FetchExpert { block, expert } | Message::FetchTrained { block, expert } => {
             if !shard.contains(block as usize, expert as usize) {
                 vela_obs::error!(
                     "worker {}: fetch for absent expert ({block}, {expert}), exiting",
@@ -492,10 +424,16 @@ fn handle(
                 );
                 return Ok(Flow::Stop);
             }
-            // Evict the expert and ship its parameters to the master.
-            let mut ffn = shard.take(block as usize, expert as usize);
+            // Evict the expert and ship its parameters to the master: all
+            // of them, or at a cutover only the trainable ones — the
+            // frozen ones went ahead as chunks.
+            let mut ffn = evict(shard, opt, block, expert);
             let mut data = Vec::new();
-            checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
+            if matches!(msg, Message::FetchTrained { .. }) {
+                checkpoint::save_part(&mut ffn, &mut data, true).expect("in-memory save");
+            } else {
+                checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
+            }
             port.send(&Message::ExpertState {
                 block,
                 expert,
@@ -507,7 +445,11 @@ fn handle(
             expert,
             data,
         } => {
-            let ffn = match rebuild_expert(template, block, expert, &data) {
+            // With a shadow resident this is a cutover and the blob holds
+            // the tensors the shadow lacks; without one it is a whole
+            // expert (process-mode seeding).
+            let shadow = shadows.resident.remove(&(block, expert));
+            let ffn = match build_expert(template, shadow, block, expert, &data) {
                 Ok(ffn) => ffn,
                 Err(why) => {
                     vela_obs::error!(
@@ -554,22 +496,14 @@ fn handle(
             payload,
         } => {
             if let Payload::Real { data, .. } = &payload {
-                if let Some(pending) = migrations.pending.get_mut(&(block, expert)) {
-                    // The shadow install has not finished streaming in;
-                    // buffer the gradients with the step index the serving
-                    // copy applies them at (the step after the steps this
-                    // optimizer has run — gradients sync before StepEnd),
-                    // for replay once the weights land.
-                    pending.grads.push((opt.steps() + 1, data.clone()));
-                } else if !shard.contains(block as usize, expert as usize) {
+                if !shard.contains(block as usize, expert as usize) {
                     vela_obs::error!(
                         "worker {}: grad state for absent expert ({block}, {expert}), exiting",
                         port.index
                     );
                     return Ok(Flow::Stop);
-                } else {
-                    install_expert_grads(shard.expert_mut(block as usize, expert as usize), data);
                 }
+                install_expert_grads(shard.expert_mut(block as usize, expert as usize), data);
             }
             port.send(&Message::GradSyncDone { block, expert })?;
         }
@@ -581,38 +515,15 @@ fn handle(
                 );
                 return Ok(Flow::Stop);
             }
-            // Serialize the expert *without evicting it*: the source keeps
-            // serving until cutover. The checkpoint plus the optimizer
-            // moments form the pinned snapshot the shadow replays forward
-            // from; chunks stay exact (never quantized) so the cutover
-            // state is bit-identical to a stop-the-world migration.
-            let mut ffn = shard.take(block as usize, expert as usize);
+            // Serialize the tensors no step changes and keep serving: what
+            // the destination builds from them now is still exact at the
+            // cutover, whenever that comes. Chunks are never quantized.
+            let ffn = shard.expert_mut(block as usize, expert as usize);
             let mut data = Vec::new();
-            checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
-            let moments = expert_moments(opt, &mut ffn);
-            shard.insert(block as usize, expert as usize, ffn);
+            checkpoint::save_part(ffn, &mut data, false).expect("in-memory save");
             for frame in chunk_expert_state(block, expert, &data) {
                 port.send(&frame)?;
             }
-            port.send(&Message::OptimState {
-                block,
-                expert,
-                payload: Payload::Real {
-                    rows: 1,
-                    cols: moments.len() as u32,
-                    data: moments,
-                },
-            })?;
-        }
-        Message::ShadowBegin { block, expert } => {
-            migrations.pending.insert(
-                (block, expert),
-                PendingInstall {
-                    asm: ChunkAssembler::new(block, expert),
-                    moments: None,
-                    grads: Vec::new(),
-                },
-            );
         }
         Message::ExpertChunk {
             block,
@@ -621,73 +532,56 @@ fn handle(
             total,
             data,
         } => {
-            let Some(pending) = migrations.pending.get_mut(&(block, expert)) else {
+            let key = (block, expert);
+            // The chunk at offset 0 opens the install (the assembler
+            // rejects any other first offset), but never over a copy this
+            // worker already holds.
+            if !shadows.streaming.contains_key(&key)
+                && (shadows.resident.contains_key(&key)
+                    || shard.contains(block as usize, expert as usize))
+            {
                 vela_obs::error!(
-                    "worker {}: expert chunk for unannounced install ({block}, {expert}), exiting",
+                    "worker {}: expert chunk for ({block}, {expert}), already held here, exiting",
                     port.index
                 );
                 return Ok(Flow::Stop);
-            };
-            if let Err(e) = pending.asm.accept(offset, total, &data) {
+            }
+            let asm = shadows
+                .streaming
+                .entry(key)
+                .or_insert_with(|| ChunkAssembler::new(block, expert));
+            if let Err(e) = asm.accept(offset, total, &data) {
                 vela_obs::error!("worker {}: rejected expert chunk: {e}, exiting", port.index);
                 return Ok(Flow::Stop);
             }
-            return finalize_install(port, shard, opt, template, migrations, block, expert);
-        }
-        Message::OptimState {
-            block,
-            expert,
-            payload,
-        } => {
-            let Some(pending) = migrations.pending.get_mut(&(block, expert)) else {
-                vela_obs::error!(
-                    "worker {}: optim state for unannounced install ({block}, {expert}), exiting",
-                    port.index
-                );
-                return Ok(Flow::Stop);
-            };
-            match payload {
-                Payload::Real { data, .. } => pending.moments = Some(data),
-                Payload::Virtual { .. } => {
-                    vela_obs::error!(
-                        "worker {}: virtual optim state cannot be installed, exiting",
-                        port.index
-                    );
-                    return Ok(Flow::Stop);
-                }
+            if asm.is_complete() {
+                let blob = shadows
+                    .streaming
+                    .remove(&key)
+                    .expect("assembler present")
+                    .into_bytes();
+                match build_expert(template, None, block, expert, &blob) {
+                    Ok(shadow) => shadows.resident.insert(key, shadow),
+                    Err(why) => {
+                        vela_obs::error!(
+                            "worker {}: cannot install shadow ({block}, {expert}): {why}, exiting",
+                            port.index
+                        );
+                        return Ok(Flow::Stop);
+                    }
+                };
+                port.send(&Message::InstallDone { block, expert })?;
             }
-            return finalize_install(port, shard, opt, template, migrations, block, expert);
         }
         Message::Evict { block, expert } => {
-            // Cutover: drop the stale source copy. Its moment entries stay
-            // behind exactly as a sync-mode FetchExpert leaves them.
+            // The primary moved onto a replica: drop this copy.
             if shard.contains(block as usize, expert as usize) {
-                drop(shard.take(block as usize, expert as usize));
+                drop(evict(shard, opt, block, expert));
             } else {
                 vela_obs::warn!(
                     "worker {}: evict for absent expert ({block}, {expert})",
                     port.index
                 );
-            }
-        }
-        Message::MigrationCommit { block, expert } => {
-            // Cutover: the shadow becomes the serving copy. Restore the
-            // moment entries its parameters had before the install so the
-            // optimizer state matches a stop-the-world migration's
-            // fresh-destination semantics.
-            match migrations.installed.remove(&(block, expert)) {
-                Some(saved) => {
-                    for (name, prior) in saved {
-                        opt.take_moments(&name);
-                        if let Some((m, v)) = prior {
-                            opt.set_moments(&name, m, v);
-                        }
-                    }
-                }
-                None => vela_obs::warn!(
-                    "worker {}: commit for unknown shadow install ({block}, {expert})",
-                    port.index
-                ),
             }
         }
         Message::Shutdown => return Ok(Flow::Stop),
@@ -702,88 +596,29 @@ fn handle(
     Ok(Flow::Continue)
 }
 
-/// Rebuilds an expert that arrived as checkpoint bytes. `load_any`
-/// dispatches on the blob's magic, so both exact f32 checkpoints and
-/// int8-quantized transfer blobs install. A worker launched without a
-/// template, or bytes no loader accepts, are the peer's protocol
+/// Builds the expert a blob of checkpoint bytes describes: loaded onto
+/// `shadow` when a chunk stream already built one (the blob then holds the
+/// tensors the shadow lacks), else onto a blank instance of the template.
+/// `load_any` dispatches on the blob's magic, so both exact f32
+/// checkpoints and int8-quantized seeding blobs install. A worker launched
+/// without a template, or bytes no loader accepts, are the peer's protocol
 /// violation: the reason comes back for the caller's log-and-stop exit.
-fn rebuild_expert(
+fn build_expert(
     template: Option<&ExpertTemplate>,
+    shadow: Option<SwiGlu>,
     block: u32,
     expert: u32,
     data: &[u8],
 ) -> Result<SwiGlu, String> {
-    let template = template.ok_or("this worker has no expert template")?;
-    let mut ffn = template.instantiate(block as usize, expert as usize);
+    let mut ffn = match shadow {
+        Some(shadow) => shadow,
+        None => template
+            .ok_or("this worker has no expert template")?
+            .instantiate(block as usize, expert as usize),
+    };
     checkpoint::load_any(&mut ffn, &mut &data[..])
         .map_err(|e| format!("checkpoint rejected: {e}"))?;
     Ok(ffn)
-}
-
-/// Completes a shadow install if every chunk and the moment snapshot have
-/// arrived: rebuild the expert, install the pinned snapshot, replay
-/// buffered gradients, and ack with [`Message::InstallDone`].
-///
-/// Buffered gradients split by their step index: steps whose `StepEnd`
-/// this worker has already run are replayed via [`AdamW::step_at`] (the
-/// serving copy applied them at those indices); a gradient for the
-/// *current* step is only installed into the gradient tensors — the
-/// upcoming `StepEnd` applies it, exactly once, like any live replica.
-fn finalize_install(
-    port: &mut WorkerPort,
-    shard: &mut LocalExpertStore,
-    opt: &mut AdamW,
-    template: Option<&ExpertTemplate>,
-    migrations: &mut MigrationTable,
-    block: u32,
-    expert: u32,
-) -> Result<Flow, TransportError> {
-    let ready = migrations
-        .pending
-        .get(&(block, expert))
-        .map_or(false, |p| p.asm.is_complete() && p.moments.is_some());
-    if !ready {
-        return Ok(Flow::Continue);
-    }
-    let PendingInstall {
-        asm,
-        moments,
-        grads,
-    } = migrations
-        .pending
-        .remove(&(block, expert))
-        .expect("pending install present");
-    let mut ffn = match rebuild_expert(template, block, expert, &asm.into_bytes()) {
-        Ok(ffn) => ffn,
-        Err(why) => {
-            vela_obs::error!(
-                "worker {}: cannot install shadow ({block}, {expert}): {why}, exiting",
-                port.index
-            );
-            return Ok(Flow::Stop);
-        }
-    };
-    let saved = stash_expert_moments(opt, &mut ffn);
-    install_expert_moments(opt, &mut ffn, &moments.expect("moments present"));
-    let applied = opt.steps();
-    for (t, row) in &grads {
-        if *t <= applied {
-            install_expert_grads(&mut ffn, row);
-            opt.step_at(&mut ffn, *t);
-        }
-    }
-    ffn.visit_params(&mut |p| p.zero_grad());
-    for (t, row) in &grads {
-        if *t > applied {
-            // Current-step gradients: the StepEnd that applies them has
-            // not run here yet.
-            install_expert_grads(&mut ffn, row);
-        }
-    }
-    shard.insert(block as usize, expert as usize, ffn);
-    migrations.installed.insert((block, expert), saved);
-    port.send(&Message::InstallDone { block, expert })?;
-    Ok(Flow::Continue)
 }
 
 /// Serves one dispatch: the frame's single row region goes through one
@@ -1093,23 +928,140 @@ mod tests {
     #[test]
     fn uninstallable_shadow_stops_the_worker_cleanly() {
         let (template, blob) = small_template();
-        // Same two violations through the chunked path: the install only
-        // materialises once the last of chunks + moments has arrived.
+        // Same two violations through the chunked path: the shadow only
+        // materialises once the last chunk has arrived.
         for (template, data) in [(None, blob), (Some(template), b"not a checkpoint".to_vec())] {
-            let (block, expert) = (0, 1);
-            let mut frames = vec![Message::ShadowBegin { block, expert }];
-            frames.extend(chunk_expert_state(block, expert, &data));
-            frames.push(Message::OptimState {
-                block,
-                expert,
-                payload: Payload::Real {
-                    rows: 1,
-                    cols: 0,
-                    data: Vec::new(),
-                },
-            });
+            let frames = chunk_expert_state(0, 1, &data);
             assert_clean_stop(empty_shard(), template, &frames);
         }
+    }
+
+    #[test]
+    fn a_chunk_that_cannot_open_an_install_stops_the_worker_cleanly() {
+        let (template, blob) = small_template();
+        let cfg = ModelConfig::test_small();
+        // A stream must start at offset 0...
+        let late = Message::ExpertChunk {
+            block: 0,
+            expert: 1,
+            offset: 8,
+            total: 16,
+            data: vec![0; 8],
+        };
+        assert_clean_stop(empty_shard(), Some(template), &[late]);
+        // ...and never lands on a copy the worker already serves.
+        let held = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
+        let frames = chunk_expert_state(0, 0, &blob);
+        assert_clean_stop(held, Some(template), &frames[..1]);
+    }
+
+    /// One worker's state, with [`handle`] run on the test's own thread so
+    /// the optimizer stays in reach (the channel transport never blocks a
+    /// sender, so no second thread is needed).
+    struct Inline {
+        index: usize,
+        port: WorkerPort,
+        shard: LocalExpertStore,
+        opt: AdamW,
+        shadows: Shadows,
+        template: ExpertTemplate,
+    }
+
+    impl Inline {
+        /// Handles the next frame the hub queued for this worker.
+        fn serve(&mut self) {
+            let msg = self.port.recv().unwrap();
+            let flow = handle(
+                &mut self.port,
+                &mut self.shard,
+                &mut self.opt,
+                Some(&self.template),
+                &mut self.shadows,
+                msg,
+            );
+            assert!(matches!(flow, Ok(Flow::Continue)));
+        }
+
+        fn holds_moments_for(&self, names: &[String]) -> bool {
+            names.iter().any(|n| self.opt.moments(n).is_some())
+        }
+    }
+
+    /// Moves expert `(0, 0)` between two inline workers, playing the
+    /// master: stream request, chunk relay, landing ack, cutover.
+    fn migrate(hub: &mut crate::transport::MasterHub, from: &mut Inline, to: &mut Inline) {
+        let (block, expert) = (0, 0);
+        hub.send(from.index, &Message::FetchShadow { block, expert })
+            .unwrap();
+        from.serve();
+        loop {
+            let (w, msg) = hub.recv().unwrap();
+            if msg == (Message::InstallDone { block, expert }) {
+                assert_eq!(w, to.index);
+                break;
+            }
+            assert!(matches!(msg, Message::ExpertChunk { .. }), "{msg:?}");
+            hub.send(to.index, &msg).unwrap();
+            to.serve();
+        }
+        assert!(!to.shard.contains(0, 0), "a shadow is not served");
+        hub.send(from.index, &Message::FetchTrained { block, expert })
+            .unwrap();
+        from.serve();
+        let (_, trained) = hub.recv().unwrap();
+        hub.send(to.index, &trained).unwrap();
+        to.serve();
+        let ack = (to.index, Message::InstallDone { block, expert });
+        assert_eq!(hub.recv().unwrap(), ack);
+        assert!(to.shard.contains(0, 0) && !from.shard.contains(0, 0));
+    }
+
+    #[test]
+    fn an_expert_that_returns_finds_no_moments_from_its_last_stay() {
+        // Expert (0, 0) trains on A, moves to B, trains there, moves back.
+        // Between the two stays A's optimizer must hold nothing for it.
+        let cfg = ModelConfig::test_small();
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let (mut hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+        let mut full = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
+        let template = ExpertTemplate::from_expert(full.expert_mut(0, 0));
+        let mut names = Vec::new();
+        full.expert_mut(0, 0).visit_params(&mut |p| {
+            if p.is_trainable() {
+                names.push(p.name().to_string());
+            }
+        });
+        assert!(!names.is_empty());
+        let shards = [full, LocalExpertStore::empty(cfg.blocks, cfg.experts)];
+        let mut sides = ports.into_iter().zip(shards).map(|(port, shard)| Inline {
+            index: port.index,
+            port,
+            shard,
+            opt: AdamW::new(AdamWConfig::default()),
+            shadows: Shadows::default(),
+            template,
+        });
+        let (mut a, mut b) = (sides.next().unwrap(), sides.next().unwrap());
+
+        a.opt.step(&mut a.shard);
+        assert!(a.holds_moments_for(&names));
+        migrate(&mut hub, &mut a, &mut b);
+        assert!(
+            !a.holds_moments_for(&names),
+            "the source kept moments for an expert it no longer holds"
+        );
+        b.opt.step(&mut b.shard);
+        assert!(b.holds_moments_for(&names));
+        migrate(&mut hub, &mut b, &mut a);
+        assert!(!a.holds_moments_for(&names) && !b.holds_moments_for(&names));
+
+        // `FetchExpert` (teardown) evicts the same way.
+        a.opt.step(&mut a.shard);
+        let (block, expert) = (0, 0);
+        hub.send(0, &Message::FetchExpert { block, expert })
+            .unwrap();
+        a.serve();
+        assert!(!a.holds_moments_for(&names));
     }
 
     #[test]

@@ -84,21 +84,17 @@ fn main() {
         PlacementProblem::even_capacities(cfg.blocks, cfg.experts, 6, 2),
     );
     let optimized = Strategy::Vela.place(&problem);
+    // The call only admits the plan: two experts at a time stream their
+    // frozen base weights under the steps below and are cut over at the
+    // next step boundary, where the LoRA adapters cross.
     let handle = rt
         .apply_placement(&optimized)
         .expect("transport failed mid-migration");
-    match handle.in_flight {
-        0 => println!(
-            "migrated {} experts ({:.2} MB of parameters) while the session stayed live",
-            handle.moved,
-            handle.bytes as f64 / 1048576.0
-        ),
-        lanes => println!(
-            "migrating {} experts in the background ({lanes} lanes streaming \
-             under the next steps)",
-            handle.moved
-        ),
-    }
+    println!(
+        "moving {} experts while the session stays live ({} still to complete \
+         under the next steps)",
+        handle.moved, handle.in_flight
+    );
 
     println!("\nphase 2: locality-aware placement");
     let mut optimized_external = 0u64;
@@ -121,11 +117,16 @@ fn main() {
         optimized_external as f64 / 1048576.0,
         (optimized_external as f64 / naive_external as f64 - 1.0) * 100.0
     );
+    // A plan too long for phase 2 completes here, stop-the-world.
     if rt.migrations_in_flight() > 0 {
-        let committed = rt
+        let cut_over = rt
             .finish_migrations()
             .expect("transport failed flushing migrations");
-        println!("flushed {committed} background migrations before shutdown");
+        println!("completed the last {cut_over} moves before shutdown");
     }
+    println!(
+        "migration moved {:.2} MB through the master",
+        rt.migration_bytes() as f64 / 1048576.0
+    );
     rt.shutdown();
 }

@@ -60,7 +60,7 @@ cargo test --release -q --test transport_parity
 echo "==> replication gate (release): degree-1 bitwise identity + loss-for-loss replicated training"
 cargo test --release -q --test replication
 
-echo "==> migration/overlap parity grid (release): background shadow-install cutover bitwise identical to stop-the-world sync on {channel, tcp-threads, tcp}, incl. replicated arm"
+echo "==> migration parity grid (release): one mover — a re-placement streamed under steps bitwise identical to the same moves flushed at the same boundaries on {channel, tcp-threads, tcp}; LoRA, replicated and trainable-base arms"
 cargo test --release -q --test migration
 
 echo "==> int8 wire accuracy gate (release): quantized loss curve tracks exact"
@@ -111,7 +111,7 @@ if [ "$run_bench" = 1 ]; then
     cargo run --release -p vela-bench --bin bench_kernels -- --quick --check BENCH_kernels.json | tee "$bench_log"
     echo "    simd: $(sed -n 's/.*simd: \([a-z0-9]*\).*/\1/p' "$bench_log" | head -n 1) (cpu has avx512f: $(grep -qw avx512f /proc/cpuinfo 2>/dev/null && echo yes || echo no))"
 
-    echo "==> transport bench check: closed-form frames + ledger invariants + recorded wire bytes + replication straggler gate + migration overlap gate (>=50% of sync blocking hidden at equal ledger bytes)"
+    echo "==> transport bench check: closed-form frames + ledger invariants + recorded wire bytes + replication straggler gate + migration gate (streaming hides >=50% of the flushed blocking at equal ledger bytes and returns with moves in flight)"
     # Needs target/release/vela_worker for the tcp rows; the tier-1 build
     # above produced it.
     cargo run --release -p vela-bench --bin bench_transport -- --quick --check BENCH_transport.json

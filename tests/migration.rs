@@ -4,16 +4,24 @@
 //!
 //! These tests verify migration is *semantically invisible* — the model
 //! computes identical results before and after experts move — and that
-//! moved parameter bytes are accounted as real traffic. The parity arm at
-//! the bottom proves the background (overlap) migration lane is bitwise
-//! identical to stop-the-world migration on every transport.
+//! moved parameter bytes are accounted as real traffic. There is one
+//! mover: an expert's frozen tensors stream while it keeps training, its
+//! trainable ones cross at a step boundary. The parity grid at the bottom
+//! proves that a move overlapped with training steps is, bit for bit, the
+//! same moves done synchronously (`apply_placement` + `finish_migrations`)
+//! at the boundaries the overlapped run cut over at, on every transport.
 
 use vela::model::finetune::prepare_for_finetune;
 use vela::prelude::*;
+use vela::runtime::{ExchangeConfig, Quant};
 
+/// Launches the micro model on `placement`. With `lora` the experts are
+/// prepared as in fine-tuning (frozen base, trainable adapters); without,
+/// every expert tensor trains and a move has nothing frozen to stream.
 fn launch_on(
     transport: TransportConfig,
-    placement: Placement,
+    placement: impl Into<ReplicatedPlacement>,
+    lora: bool,
 ) -> (RealRuntime, ModelConfig, TokenDataset) {
     let mut cfg = ModelConfig::test_small();
     cfg.vocab = CharTokenizer::new().vocab_size();
@@ -28,12 +36,14 @@ fn launch_on(
         },
     );
     let (mut model, mut experts) = (pre.model, pre.experts);
-    prepare_for_finetune(
-        &mut model,
-        &mut experts,
-        LoraConfig::default(),
-        &mut DetRng::new(2),
-    );
+    if lora {
+        prepare_for_finetune(
+            &mut model,
+            &mut experts,
+            LoraConfig::default(),
+            &mut DetRng::new(2),
+        );
+    }
     let topology = Topology::paper_testbed();
     let workers: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
     let runtime = RealRuntime::launch_with(
@@ -52,7 +62,7 @@ fn launch_on(
 }
 
 fn launch(placement: Placement) -> (RealRuntime, ModelConfig, TokenDataset) {
-    launch_on(TransportConfig::from_env(), placement)
+    launch_on(TransportConfig::from_env(), placement, true)
 }
 
 fn seq_placement(cfg: &ModelConfig) -> Placement {
@@ -79,38 +89,43 @@ fn scatter_target(rt: &RealRuntime, cfg: &ModelConfig) -> Placement {
 
 #[test]
 fn migration_preserves_computation_exactly() {
-    let (mut rt, cfg, data) = launch(seq_placement(&ModelConfig::test_small()));
-    let batch = data.sample_batch(2, cfg.seq_len, &mut DetRng::new(1));
+    // Exact under every `VELA_QUANT`: int8 rows are lossy on activations
+    // but deterministic, and a move ships f32 bytes either way, so the loss
+    // does not change by a bit when the experts change workers.
+    for quant in [Quant::Off, Quant::Int8] {
+        let (mut rt, cfg, data) = launch(seq_placement(&ModelConfig::test_small()));
+        rt.set_exchange(ExchangeConfig { quant });
+        let batch = data.sample_batch(2, cfg.seq_len, &mut DetRng::new(1));
 
-    let loss_before = rt.evaluate(
-        &batch.inputs,
-        &batch.targets,
-        batch.batch_size,
-        batch.seq_len,
-    );
+        let loss_before = rt.evaluate(
+            &batch.inputs,
+            &batch.targets,
+            batch.batch_size,
+            batch.seq_len,
+        );
 
-    // Scatter every expert somewhere else.
-    let target = scatter_target(&rt, &cfg);
-    let handle = rt.apply_placement(&target).expect("migration failed");
-    assert!(handle.moved > 0, "the shuffle should move something");
-    assert!(handle.bytes > 0, "moved experts carry parameter bytes");
-    assert_eq!(
-        handle.in_flight, 0,
-        "sync migration completes before returning"
-    );
-    assert_eq!(rt.placement().primaries(), target);
+        // Scatter every expert somewhere else.
+        let target = scatter_target(&rt, &cfg);
+        let handle = rt.apply_placement(&target).expect("migration failed");
+        assert!(handle.moved > 0, "the shuffle should move something");
+        assert!(handle.in_flight > 0, "apply_placement only admits the plan");
+        assert_eq!(rt.finish_migrations().expect("flush failed"), handle.moved);
+        assert_eq!(rt.placement().primaries(), target);
+        assert!(rt.migration_bytes() > 0, "moved experts carry bytes");
 
-    let loss_after = rt.evaluate(
-        &batch.inputs,
-        &batch.targets,
-        batch.batch_size,
-        batch.seq_len,
-    );
-    assert_eq!(
-        loss_before, loss_after,
-        "migration must be computation-invisible"
-    );
-    rt.shutdown();
+        let loss_after = rt.evaluate(
+            &batch.inputs,
+            &batch.targets,
+            batch.batch_size,
+            batch.seq_len,
+        );
+        assert_eq!(
+            loss_before.to_bits(),
+            loss_after.to_bits(),
+            "migration must be computation-invisible under {quant:?}"
+        );
+        rt.shutdown();
+    }
 }
 
 #[test]
@@ -131,7 +146,10 @@ fn training_continues_after_migration() {
 
     // Consolidate everything onto worker 3 mid-run.
     let target = Placement::new(vec![vec![3; cfg.experts]; cfg.blocks], 6);
-    rt.apply_placement(&target).expect("migration failed");
+    let handle = rt.apply_placement(&target).expect("migration failed");
+    assert!(handle.in_flight > 0);
+    rt.finish_migrations().expect("flush failed");
+    assert_eq!(rt.migrations_in_flight(), 0);
 
     let mut last = first;
     for _ in 0..5 {
@@ -162,38 +180,34 @@ fn apply_placement_is_idempotent() {
     let (mut rt, _, _) = launch(seq_placement(&ModelConfig::test_small()));
     let same = rt.placement().primaries();
     let handle = rt.apply_placement(&same).expect("migration failed");
-    assert_eq!((handle.moved, handle.bytes), (0, 0));
+    assert_eq!((handle.moved, handle.in_flight), (0, 0));
     assert_eq!(handle.traffic.total_bytes, 0);
+    assert_eq!(rt.finish_migrations().expect("flush failed"), 0);
+    assert_eq!(rt.migration_bytes(), 0);
     rt.shutdown();
 }
 
 #[test]
 fn migration_bytes_are_accounted_as_traffic() {
-    let (mut rt, _cfg, _data) = launch(seq_placement(&ModelConfig::test_small()));
-    // Move one expert from worker 1 (node 0) to worker 2 (node 1): the
-    // serialized parameters cross a node boundary (master -> worker 2),
-    // while the fetch leg (worker 1 -> master) stays on-node.
+    let (mut rt, cfg, _data) = launch(seq_placement(&ModelConfig::test_small()));
+    // Move one expert from worker 1 to worker 2.
     let mut target = rt.placement().primaries();
     target.set_worker(0, 1, 2);
     let handle = rt.apply_placement(&target).expect("migration failed");
-    let (moved, bytes, traffic) = (handle.moved, handle.bytes, handle.traffic);
-    assert_eq!(moved, 1);
+    assert_eq!((handle.moved, handle.in_flight), (1, 1));
+    // The call itself asks the source for its stream and moves nothing.
+    let request = handle.traffic.migration_bytes;
+    assert!((1..64).contains(&request), "{request} bytes in the call");
+    assert_eq!(handle.traffic.total_bytes, request);
+    assert_eq!(rt.migration_bytes(), request);
+
+    assert_eq!(rt.finish_migrations().expect("flush failed"), 1);
+    // The three base projections alone are this many f32 bytes.
+    let base = (3 * cfg.dim * cfg.ffn_hidden * 4) as u64;
     assert!(
-        traffic.total_bytes >= 2 * bytes,
-        "parameters move twice (via the master): {} vs {bytes}",
-        traffic.total_bytes
-    );
-    assert!(
-        traffic.external_total() >= bytes,
-        "the install leg is cross-node"
-    );
-    assert!(
-        traffic.internal_bytes >= bytes,
-        "the fetch leg is intra-node"
-    );
-    assert!(
-        traffic.migration_bytes >= 2 * bytes,
-        "both legs land in the migration bucket"
+        rt.migration_bytes() >= 2 * base,
+        "parameters move twice (via the master), both legs in the migration bucket: {} vs {base}",
+        rt.migration_bytes()
     );
     rt.shutdown();
 }
@@ -243,7 +257,9 @@ fn dynamic_replanning_improves_traffic_mid_run() {
     );
     let better = Strategy::Vela.place(&problem);
     let handle = rt.apply_placement(&better).expect("migration failed");
+    assert!(handle.in_flight > 0);
     assert!(handle.traffic.total_bytes > 0);
+    rt.finish_migrations().expect("flush failed");
     let b2 = data.sample_batch(4, cfg.seq_len, &mut rng);
     rt.train_step(&b2.inputs, &b2.targets, b2.batch_size, b2.seq_len)
         .expect("transport failed mid-step");
@@ -262,104 +278,148 @@ fn dynamic_replanning_improves_traffic_mid_run() {
 }
 
 // ---------------------------------------------------------------------------
-// Overlap ≡ sync parity: the background migration lane must produce the
-// same training run, bit for bit, as stopping the world at the cutover
-// boundary — and must move exactly the same migration-bucket bytes.
+// Overlapped ≡ synchronous: a re-placement streamed under training steps
+// must produce the same training run, bit for bit, as flushing the same
+// moves at the boundaries it cut over at — and must move exactly the same
+// migration-bucket bytes.
 // ---------------------------------------------------------------------------
 
 /// Steps taken before the placement change is requested.
 const PRE_STEPS: usize = 2;
-/// Steps compared after the cutover commits.
+/// Steps compared after the last cutover.
 const POST_STEPS: usize = 3;
-/// Safety cap on the overlap window (lanes that never install are a bug).
+/// Safety cap on the window (a move that never completes is a bug).
 const MAX_WINDOW: usize = 32;
 
-struct ArmResult {
-    /// Loss of every training step, in order.
-    losses: Vec<f32>,
-    /// Full metrics of the `POST_STEPS` steps after the cutover.
-    post: Vec<StepMetrics>,
-    /// Migration-bucket bytes summed over the apply window and every
-    /// step window (overlap mode spreads them across steps).
-    migration_bytes: u64,
-    /// The 1-based step index whose boundary committed the move.
-    cutover: u64,
-    /// Loss of a fixed eval batch after the run: final-weight parity.
-    final_eval: f32,
+/// Which session the grid runs.
+#[derive(Clone, Copy, Debug)]
+enum Arm {
+    /// LoRA experts, one copy each.
+    Lora,
+    /// LoRA experts with `budget:0.25` replicas: gradient sync runs beside
+    /// the streams, and a move onto a replica ships nothing.
+    Replicated,
+    /// Nothing frozen: the stream is empty and the cutover carries all.
+    TrainableBase,
 }
 
-/// Runs one arm of the parity experiment. `cutover_at: None` runs the
-/// overlap arm (apply early, let lanes stream, observe the boundary);
-/// `Some(t)` runs the sync arm, replaying the stop-the-world migration
-/// at the boundary the overlap arm actually cut over at.
-fn run_arm(transport: TransportConfig, cutover_at: Option<u64>) -> ArmResult {
-    let (mut rt, cfg, data) = launch_on(transport, seq_placement(&ModelConfig::test_small()));
-    if cutover_at.is_none() {
-        rt.set_migration(MigrationMode::Overlap);
+fn launch_arm(transport: TransportConfig, arm: Arm) -> (RealRuntime, ModelConfig, TokenDataset) {
+    let cfg = ModelConfig::test_small();
+    let base = seq_placement(&cfg);
+    let lora = !matches!(arm, Arm::TrainableBase);
+    if !matches!(arm, Arm::Replicated) {
+        return launch_on(transport, base, lora);
     }
-    let target = scatter_target(&rt, &cfg);
+    let profile = LocalityProfile::synthetic("skew", cfg.blocks, cfg.experts, 1.5, 3);
+    let problem = PlacementProblem::new(
+        Topology::paper_testbed(),
+        DeviceId(0),
+        (0..6).map(DeviceId).collect(),
+        profile.to_matrix(),
+        (2 * cfg.seq_len * cfg.top_k) as f64,
+        (cfg.dim * 4) as u64,
+        PlacementProblem::even_capacities(cfg.blocks, cfg.experts, 6, 2),
+    );
+    let placed = ReplicationConfig::parse("budget:0.25").apply(&base, &problem);
+    assert!(placed.max_degree() > 1, "the budget should admit replicas");
+    launch_on(transport, placed, lora)
+}
+
+struct Run {
+    /// Loss of every training step, in order.
+    losses: Vec<f32>,
+    /// Gradient-sync ledger bytes of every training step, in order.
+    sync_bytes: Vec<u64>,
+    /// Full metrics of the `POST_STEPS` steps after the last cutover.
+    post: Vec<StepMetrics>,
+    /// Migration-bucket ledger bytes of the whole run.
+    migration_bytes: u64,
+    /// Loss of a fixed eval batch after the run: final-weight parity.
+    final_eval: f32,
+    /// Every boundary the primaries changed at, as (steps taken so far,
+    /// primaries from then on).
+    boundaries: Vec<(usize, Placement)>,
+}
+
+/// Runs one side of the parity experiment. `replay: None` is the
+/// overlapped run: request the whole re-placement after `PRE_STEPS` steps,
+/// let it stream under the following ones and record each boundary at
+/// which experts changed workers. `Some(boundaries)` replays that record
+/// synchronously: at each boundary, the same moves flushed at once.
+fn run(transport: TransportConfig, arm: Arm, replay: Option<&[(usize, Placement)]>) -> Run {
+    let (mut rt, cfg, data) = launch_arm(transport, arm);
+    let mut target = scatter_target(&rt, &cfg);
+    if let Some(&(l, e)) = rt.placement().replicated_pairs().first() {
+        // Make sure one move lands on a worker that holds a replica.
+        target.set_worker(l, e, rt.placement().replicas_of(l, e)[1]);
+    }
     let mut rng = DetRng::new(11);
     let mut losses = Vec::new();
-    let mut migration_bytes = 0u64;
-
-    let step = |rt: &mut RealRuntime, rng: &mut DetRng| -> StepMetrics {
-        let b = data.sample_batch(2, cfg.seq_len, rng);
-        rt.train_step(&b.inputs, &b.targets, b.batch_size, b.seq_len)
-            .expect("transport failed mid-step")
+    let mut sync_bytes = Vec::new();
+    let mut boundaries = Vec::new();
+    let mut step = |rt: &mut RealRuntime, losses: &mut Vec<f32>| -> StepMetrics {
+        let b = data.sample_batch(2, cfg.seq_len, &mut rng);
+        let m = rt
+            .train_step(&b.inputs, &b.targets, b.batch_size, b.seq_len)
+            .expect("transport failed mid-step");
+        losses.push(m.loss.unwrap());
+        sync_bytes.push(m.traffic.sync_bytes);
+        m
     };
 
     for _ in 0..PRE_STEPS {
-        let m = step(&mut rt, &mut rng);
-        migration_bytes += m.traffic.migration_bytes;
-        losses.push(m.loss.unwrap());
+        step(&mut rt, &mut losses);
     }
 
-    let cutover = match cutover_at {
+    match replay {
         None => {
-            // Overlap arm: apply returns immediately; lanes stream and
-            // commit under the following steps.
+            let before = rt.placement().primaries();
             let handle = rt.apply_placement(&target).expect("migration failed");
             assert!(handle.moved > 0, "the shuffle should move something");
             assert!(
                 handle.in_flight > 0,
-                "overlap migration must not block in apply_placement"
+                "apply_placement must return with the streams still to run"
             );
-            migration_bytes += handle.traffic.migration_bytes;
+            if matches!(arm, Arm::Replicated) {
+                // The move onto a replica completed inside the call, and
+                // only stream requests were accounted there.
+                assert!(handle.in_flight < handle.moved);
+                assert!(handle.traffic.total_bytes <= 9 * handle.in_flight as u64);
+                assert_ne!(rt.placement().primaries(), before);
+            }
+            let mut current = before;
             let mut window = 0;
-            while rt.migrations_in_flight() > 0 {
-                assert!(window < MAX_WINDOW, "lanes never finished installing");
-                let m = step(&mut rt, &mut rng);
-                migration_bytes += m.traffic.migration_bytes;
-                losses.push(m.loss.unwrap());
+            loop {
+                let now = rt.placement().primaries();
+                if now != current {
+                    boundaries.push((losses.len(), now.clone()));
+                    current = now;
+                }
+                if rt.migrations_in_flight() == 0 {
+                    break;
+                }
+                assert!(window < MAX_WINDOW, "the moves never completed");
+                step(&mut rt, &mut losses);
                 window += 1;
             }
-            rt.last_cutover_step()
+            assert!(window > 1, "the plan should span several boundaries");
         }
-        Some(t) => {
-            // Sync arm: train up to the observed boundary, then stop the
-            // world and move everything at once.
-            while (losses.len() as u64) < t {
-                let m = step(&mut rt, &mut rng);
-                migration_bytes += m.traffic.migration_bytes;
-                losses.push(m.loss.unwrap());
+        Some(recorded) => {
+            for (at, primaries) in recorded {
+                while losses.len() < *at {
+                    step(&mut rt, &mut losses);
+                }
+                rt.apply_placement(primaries).expect("migration failed");
+                rt.finish_migrations().expect("flush failed");
+                assert_eq!(&rt.placement().primaries(), primaries);
             }
-            let handle = rt.apply_placement(&target).expect("migration failed");
-            assert!(handle.moved > 0, "the shuffle should move something");
-            assert_eq!(handle.in_flight, 0, "sync migration blocks to completion");
-            migration_bytes += handle.traffic.migration_bytes;
-            t
         }
-    };
+    }
     assert_eq!(rt.placement().primaries(), target);
 
-    let mut post = Vec::new();
-    for _ in 0..POST_STEPS {
-        let m = step(&mut rt, &mut rng);
-        migration_bytes += m.traffic.migration_bytes;
-        losses.push(m.loss.unwrap());
-        post.push(m);
-    }
-
+    let post = (0..POST_STEPS)
+        .map(|_| step(&mut rt, &mut losses))
+        .collect();
     let eval_batch = data.sample_batch(2, cfg.seq_len, &mut DetRng::new(13));
     let final_eval = rt.evaluate(
         &eval_batch.inputs,
@@ -367,53 +427,68 @@ fn run_arm(transport: TransportConfig, cutover_at: Option<u64>) -> ArmResult {
         eval_batch.batch_size,
         eval_batch.seq_len,
     );
+    let migration_bytes = rt.migration_bytes();
     rt.shutdown();
-    ArmResult {
+    Run {
         losses,
+        sync_bytes,
         post,
         migration_bytes,
-        cutover,
         final_eval,
+        boundaries,
     }
 }
 
 fn overlap_matches_sync_on(transport: fn() -> TransportConfig) {
-    let overlap = run_arm(transport(), None);
-    assert!(
-        overlap.cutover > PRE_STEPS as u64,
-        "cutover must land on a later step boundary, got {}",
-        overlap.cutover
-    );
-    let sync = run_arm(transport(), Some(overlap.cutover));
+    for arm in [Arm::Lora, Arm::Replicated, Arm::TrainableBase] {
+        let overlapped = run(transport(), arm, None);
+        let last = overlapped.boundaries.last().expect("experts moved").0;
+        assert!(
+            last > PRE_STEPS,
+            "{arm:?}: cutovers must land on later step boundaries, got {last}"
+        );
+        let flushed = run(transport(), arm, Some(&overlapped.boundaries));
 
-    assert_eq!(
-        overlap.losses.len(),
-        sync.losses.len(),
-        "arms must train the same number of steps"
-    );
-    for (i, (a, b)) in overlap.losses.iter().zip(&sync.losses).enumerate() {
         assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "loss diverged at step {} ({a} vs {b}): the lockstep window leaked",
-            i + 1
+            overlapped.losses.len(),
+            flushed.losses.len(),
+            "{arm:?}: both runs must train the same number of steps"
+        );
+        for (i, (a, b)) in overlapped.losses.iter().zip(&flushed.losses).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{arm:?}: loss diverged at step {} ({a} vs {b})",
+                i + 1
+            );
+        }
+        // No lane is ever open during a step of the flushed run, so this
+        // is "a lane adds no gradient sync to the steps it rides".
+        assert_eq!(
+            overlapped.sync_bytes, flushed.sync_bytes,
+            "{arm:?}: streaming changed some step's gradient-sync bytes"
+        );
+        assert_eq!(
+            overlapped.sync_bytes.iter().any(|&b| b > 0),
+            matches!(arm, Arm::Replicated)
+        );
+        assert_eq!(
+            overlapped.post, flushed.post,
+            "{arm:?}: post-cutover step metrics must be bitwise identical"
+        );
+        assert_eq!(
+            overlapped.migration_bytes, flushed.migration_bytes,
+            "{arm:?}: both schedules must move the same migration-bucket bytes"
+        );
+        assert!(overlapped.migration_bytes > 0);
+        assert_eq!(
+            overlapped.final_eval.to_bits(),
+            flushed.final_eval.to_bits(),
+            "{arm:?}: final weights diverged ({} vs {})",
+            overlapped.final_eval,
+            flushed.final_eval
         );
     }
-    assert_eq!(
-        overlap.post, sync.post,
-        "post-cutover step metrics must be bitwise identical"
-    );
-    assert_eq!(
-        overlap.migration_bytes, sync.migration_bytes,
-        "overlap must move exactly the sync ledger's migration bytes"
-    );
-    assert_eq!(
-        overlap.final_eval.to_bits(),
-        sync.final_eval.to_bits(),
-        "final weights diverged ({} vs {})",
-        overlap.final_eval,
-        sync.final_eval
-    );
 }
 
 #[test]

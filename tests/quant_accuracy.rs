@@ -38,10 +38,7 @@ fn loss_curve(quant: Quant) -> Vec<f32> {
             ..AdamWConfig::default()
         },
     );
-    rt.set_exchange(ExchangeConfig {
-        quant,
-        ..ExchangeConfig::default()
-    });
+    rt.set_exchange(ExchangeConfig { quant });
 
     let mut data_rng = DetRng::new(2);
     let n = 2 * cfg.seq_len;

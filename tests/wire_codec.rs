@@ -171,23 +171,18 @@ fn random_message(rng: &mut DetRng) -> Message {
                 data,
             }
         }
-        "OptimState" => Message::OptimState {
-            block,
-            expert,
-            payload: random_payload(rng),
-        },
-        "ShadowBegin" => Message::ShadowBegin { block, expert },
         "Evict" => Message::Evict { block, expert },
-        "MigrationCommit" => Message::MigrationCommit { block, expert },
+        "FetchTrained" => Message::FetchTrained { block, expert },
         other => panic!("frame {other} is in the table but has no fuzz generator"),
     }
 }
 
 /// Tags of the retired per-batch (2–5) and per-item group (12, 13)
-/// framings. They are never reassigned, so whatever a stale peer puts
-/// behind one, the decoder must answer with a [`WireError`] before it
-/// reads — let alone allocates for — a single length field.
-const RETIRED_TAGS: [u8; 6] = [2, 3, 4, 5, 12, 13];
+/// framings, and of the lockstep shadow's moment snapshot, announce and
+/// commit (23, 24, 26). They are never reassigned, so whatever a stale
+/// peer puts behind one, the decoder must answer with a [`WireError`]
+/// before it reads — let alone allocates for — a single length field.
+const RETIRED_TAGS: [u8; 9] = [2, 3, 4, 5, 12, 13, 23, 24, 26];
 
 /// A frame a stale peer might send: a retired tag in front of the body of
 /// some valid message.
@@ -214,8 +209,8 @@ fn random_messages_roundtrip() {
     assert_eq!(drawn, table, "the fuzz generator must reach every frame");
 }
 
-/// Every first byte that is not a tag in the table — the retired 2–5 and
-/// 12–13 included — is a `BadTag`, whatever follows it.
+/// Every first byte that is not a tag in the table — the retired ones
+/// included — is a `BadTag`, whatever follows it.
 #[test]
 fn every_tag_outside_the_table_is_a_bad_tag() {
     let mut rng = DetRng::new(0x7A6);
