@@ -47,7 +47,6 @@ fn main() {
             );
             let mut ep_time = None;
             for strategy in eval_strategies() {
-                let probe = vela_bench::AttributionProbe::start();
                 let (metrics, repl) = vela_bench::run_strategy_with(
                     strategy,
                     replication,
@@ -57,9 +56,6 @@ fn main() {
                     steps,
                 );
                 let mut summary = vela_bench::summarize_strategy(strategy, &metrics);
-                if let Some(attribution) = probe.finish(metrics.len()) {
-                    summary = summary.with_attribution(attribution);
-                }
                 if let Some(r) = repl {
                     summary = summary.with_replication(r);
                 }
@@ -98,20 +94,6 @@ fn main() {
                         r.avg_degree,
                         vela_bench::mb(r.sync_bytes_per_step),
                         r.straggler_index,
-                    );
-                }
-                if let Some(a) = summary.attribution {
-                    println!(
-                        "{:>10} | measured µs/step: serialize {:.1} | inflight {:.1} \
-                         (compute {:.1}, wire {:.1}) | combine {:.1} | \
-                         exchange wall {:.1}",
-                        "",
-                        a.serialize_us,
-                        a.inflight_us,
-                        a.compute_us,
-                        a.wire_us(),
-                        a.combine_us,
-                        a.exchange_us,
                     );
                 }
             }

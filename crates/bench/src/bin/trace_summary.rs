@@ -23,10 +23,11 @@
 //! offset samples, every record gains a process lane (`pid`), and the
 //! result is written both as mergeable JSONL (`FILE.merged`) and as a
 //! Chrome trace (`FILE.merged.json`) whose flow arrows connect each
-//! dispatch to its worker compute span and result. A per-step phase
-//! attribution report (serialize / wire / worker compute / stall /
-//! combine, per-worker busy time, straggler index) is printed after the
-//! merge.
+//! dispatch to its worker compute span and result. A single-process
+//! trace (no siblings) merges as the master lane alone, which is how to
+//! get its Chrome view. A per-step phase attribution report (serialize /
+//! wire / worker compute / stall / combine, per-worker busy time,
+//! straggler index) is printed after the merge.
 //!
 //! Usage: `trace_summary [--check | merge] [--top N] FILE`
 
@@ -36,7 +37,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
 use vela_obs::reader::{
-    attribute, clock_table, merge_traces, parse_line, to_jsonl, validate, Attribution, RawEvent,
+    attribute, clock_table, merge_traces, parse_line, to_chrome, to_jsonl, validate, Attribution,
+    RawEvent,
 };
 
 fn usage() -> ExitCode {
@@ -154,13 +156,6 @@ fn run_merge(path: &str, master: Vec<RawEvent>) -> ExitCode {
             }
         }
     }
-    if workers.is_empty() {
-        eprintln!(
-            "trace_summary: no {path}.worker0 sibling trace found — merge needs the \
-             per-worker traces a traced process-mode (VELA_TRANSPORT=tcp) run writes"
-        );
-        return ExitCode::FAILURE;
-    }
     let clocks = clock_table(&master);
     let n_workers = workers.len();
     let merged = match merge_traces(master, workers) {
@@ -172,7 +167,7 @@ fn run_merge(path: &str, master: Vec<RawEvent>) -> ExitCode {
     };
     let out_jsonl = format!("{path}.merged");
     let out_chrome = format!("{path}.merged.json");
-    if let Err(e) = write_merged(&out_jsonl, &out_chrome, &merged, n_workers) {
+    if let Err(e) = write_merged(&out_jsonl, &out_chrome, &merged) {
         eprintln!("trace_summary: {e}");
         return ExitCode::FAILURE;
     }
@@ -190,85 +185,16 @@ fn run_merge(path: &str, master: Vec<RawEvent>) -> ExitCode {
 
 /// Writes the merged timeline as (a) JSONL in the trace's own schema
 /// (with `pid` lanes, so `--check` and a re-merge both accept it) and
-/// (b) a Chrome `chrome://tracing` / Perfetto JSON array with one
-/// process lane per original process and flow arrows between them.
-fn write_merged(
-    out_jsonl: &str,
-    out_chrome: &str,
-    merged: &[RawEvent],
-    n_workers: usize,
-) -> Result<(), String> {
+/// (b) its Chrome `chrome://tracing` / Perfetto view.
+fn write_merged(out_jsonl: &str, out_chrome: &str, merged: &[RawEvent]) -> Result<(), String> {
     let mut jf = File::create(out_jsonl).map_err(|e| format!("cannot create {out_jsonl}: {e}"))?;
     for ev in merged {
         jf.write_all(to_jsonl(ev).as_bytes())
             .and_then(|_| jf.write_all(b"\n"))
             .map_err(|e| format!("writing {out_jsonl}: {e}"))?;
     }
-
-    let mut out = String::from("[");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{\"name\":\"master\"}}",
-    );
-    for w in 0..n_workers {
-        out.push_str(&format!(
-            ",\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"worker {w}\"}}}}",
-            w + 1
-        ));
-    }
-    for ev in merged {
-        if let Some(line) = chrome_record(ev) {
-            out.push_str(",\n");
-            out.push_str(&line);
-        }
-    }
-    out.push_str("]\n");
-    std::fs::write(out_chrome, out).map_err(|e| format!("cannot write {out_chrome}: {e}"))
-}
-
-/// One merged record as a Chrome trace event, if it has a Chrome
-/// counterpart (histogram and expert-rows records do not).
-fn chrome_record(ev: &RawEvent) -> Option<String> {
-    let name = ev.name.replace('\\', "\\\\").replace('"', "\\\"");
-    match ev.ev.as_str() {
-        "b" | "e" => {
-            let ph = if ev.ev == "b" { "B" } else { "E" };
-            Some(format!(
-                "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                ev.pid, ev.tid, ev.t
-            ))
-        }
-        "c" => Some(format!(
-            "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\
-             \"args\":{{\"value\":{}}}}}",
-            ev.pid,
-            ev.t,
-            ev.value.unwrap_or(0)
-        )),
-        "f" => {
-            let ph = ev.ph.as_deref()?;
-            let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-            Some(format!(
-                "{{\"name\":\"exchange\",\"cat\":\"exchange\",\"ph\":\"{ph}\",\"id\":{},\
-                 \"pid\":{},\"tid\":{},\"ts\":{}{bp}}}",
-                ev.corr.unwrap_or(0),
-                ev.pid,
-                ev.tid,
-                ev.t
-            ))
-        }
-        "k" => Some(format!(
-            "{{\"name\":\"clock sample\",\"ph\":\"i\",\"s\":\"g\",\"pid\":{},\"tid\":0,\
-             \"ts\":{},\"args\":{{\"worker\":{},\"offset_us\":{},\"rtt_us\":{}}}}}",
-            ev.pid,
-            ev.t,
-            ev.worker.unwrap_or(0),
-            ev.offset.unwrap_or(0),
-            ev.rtt.unwrap_or(0)
-        )),
-        _ => None,
-    }
+    std::fs::write(out_chrome, to_chrome(merged))
+        .map_err(|e| format!("cannot write {out_chrome}: {e}"))
 }
 
 fn print_attribution(attr: &Attribution) {

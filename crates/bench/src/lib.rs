@@ -273,60 +273,6 @@ pub fn summarize_strategy(strategy: Strategy, metrics: &[StepMetrics]) -> RunSum
     }
 }
 
-/// The counters a [`PhaseAttribution`] is built from, in struct field
-/// order ending with the exchange wall clock.
-const ATTRIBUTION_COUNTERS: [&str; 5] = [
-    "runtime.pipeline.serialize_us",
-    "runtime.pipeline.inflight_us",
-    "runtime.worker.serve_us",
-    "runtime.pipeline.combine_us",
-    "runtime.pipeline.exchange_us",
-];
-
-/// Captures the pipeline/worker timing counters before a run so their
-/// deltas can be folded into the run's [`RunSummary`] as a measured
-/// [`PhaseAttribution`]. The counters are process-global: do not overlap
-/// two probed runs.
-pub struct AttributionProbe {
-    base: Vec<u64>,
-}
-
-impl AttributionProbe {
-    /// Snapshots the attribution counters now.
-    pub fn start() -> Self {
-        AttributionProbe {
-            base: ATTRIBUTION_COUNTERS
-                .iter()
-                .map(|n| vela_obs::counter(n).get())
-                .collect(),
-        }
-    }
-
-    /// Per-step counter deltas since [`AttributionProbe::start`]. `None`
-    /// when observability is off or no timed exchange ran (the counters
-    /// never advanced).
-    pub fn finish(self, steps: usize) -> Option<PhaseAttribution> {
-        if !vela_obs::enabled() || steps == 0 {
-            return None;
-        }
-        let delta: Vec<f64> = ATTRIBUTION_COUNTERS
-            .iter()
-            .zip(&self.base)
-            .map(|(n, &base)| vela_obs::counter(n).get().saturating_sub(base) as f64 / steps as f64)
-            .collect();
-        if delta[4] == 0.0 {
-            return None; // no exchange wall time measured
-        }
-        Some(PhaseAttribution {
-            serialize_us: delta[0],
-            inflight_us: delta[1],
-            compute_us: delta[2],
-            combine_us: delta[3],
-            exchange_us: delta[4],
-        })
-    }
-}
-
 /// The placement problem of the solver micro-bench: the paper's six
 /// workers, Mixtral's 8 experts per block, a Zipf(1.2) profile and 5 spare
 /// slots per worker. `blocks = 32` is the paper-size instance whose pivot

@@ -23,10 +23,9 @@
 //! ## Knobs
 //!
 //! * `VELA_TRACE` — `0`/unset: off; `counters`: counters only, no file;
-//!   `jsonl`/`1`: JSONL event stream; `chrome`: Chrome `trace_event`
-//!   JSON (load in `chrome://tracing` / Perfetto).
-//! * `VELA_TRACE_OUT` — output path (default `vela-trace.jsonl` or
-//!   `vela-trace.json` for chrome mode).
+//!   `jsonl`/`1`: JSONL event stream. Any other value warns and turns
+//!   tracing off.
+//! * `VELA_TRACE_OUT` — output path (default `vela-trace.jsonl`).
 //! * `VELA_METRICS_ADDR` — serve a live plain-text counter/histogram
 //!   snapshot on this TCP address (see [`endpoint`]); implies at least
 //!   [`TraceMode::Counters`].
@@ -59,11 +58,9 @@
 //! every record (0 = master, `i + 1` = worker `i`); unmerged
 //! single-process traces omit it.
 //!
-//! Chrome mode maps `b`/`e` to `ph:"B"/"E"`, counters to `ph:"C"`,
-//! expert rows and clock samples to instant events, and flow endpoints
-//! to `ph:"s"/"t"/"f"` flow events. The chrome file is a JSON array
-//! that is intentionally left unterminated (the format tolerates it,
-//! and it lets us stream without an exit hook).
+//! The Chrome `trace_event` view (`chrome://tracing` / Perfetto) is
+//! rendered from a finished trace by [`reader::to_chrome`], which
+//! `trace_summary merge` writes next to the merged JSONL.
 
 pub mod counters;
 pub mod endpoint;
@@ -141,8 +138,6 @@ pub enum TraceMode {
     Counters = 2,
     /// Counters plus span/row events streamed as JSONL.
     Jsonl = 3,
-    /// Counters plus span/row events in Chrome `trace_event` JSON.
-    Chrome = 4,
 }
 
 /// 0 = not yet initialised from the environment.
@@ -153,7 +148,6 @@ fn init_mode_from_env() -> TraceMode {
         None | Some("") | Some("0") | Some("off") => TraceMode::Off,
         Some("counters") => TraceMode::Counters,
         Some("jsonl") | Some("1") => TraceMode::Jsonl,
-        Some("chrome") => TraceMode::Chrome,
         Some(other) => {
             logger::log(
                 Level::Warn,
@@ -190,7 +184,6 @@ pub fn mode() -> TraceMode {
     match mode_raw() {
         2 => TraceMode::Counters,
         3 => TraceMode::Jsonl,
-        4 => TraceMode::Chrome,
         _ => TraceMode::Off,
     }
 }
@@ -208,7 +201,7 @@ pub fn enabled() -> bool {
     mode_raw() >= TraceMode::Counters as u8
 }
 
-/// Are span/row *events* being recorded (Jsonl or Chrome mode)?
+/// Are span/row *events* being recorded (Jsonl mode)?
 #[inline]
 pub fn tracing() -> bool {
     mode_raw() >= TraceMode::Jsonl as u8

@@ -1,8 +1,11 @@
 //! Reading side of the JSONL trace schema: a minimal JSON parser (the
-//! workspace is hermetic — no serde), typed [`RawEvent`] decoding, and
-//! the structural validator behind `trace_summary --check`.
+//! workspace is hermetic — no serde), typed [`RawEvent`] decoding, the
+//! structural validator behind `trace_summary --check`, the cross-process
+//! merge and span/flow attribution, and the two writers of a decoded
+//! trace — JSONL ([`to_jsonl`]) and the Chrome view ([`to_chrome`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{Display, Write as _};
 
 /// A parsed JSON value. Numbers are kept as `f64`; every integer the
 /// trace schema emits (µs timestamps, row counts, byte totals) is well
@@ -50,13 +53,17 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
+    /// Always on a char boundary: everything but string contents is
+    /// ASCII, and string contents advance a whole scalar at a time.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -211,10 +218,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. Slicing `src` costs O(1);
+                    // re-validating the rest of the input per character
+                    // would make a whole-file parse (a Chrome trace)
+                    // quadratic.
+                    let c = self.src[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -572,8 +580,10 @@ pub fn merge_traces(
     Ok(merged)
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
+/// Appends `s` as the body of a JSON string literal. The one escaper of
+/// the crate: the sink, [`to_jsonl`] and [`to_chrome`] all write through
+/// it.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -589,11 +599,23 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// Appends `[[a,b],...]` — the schema's pair arrays (expert rows,
+/// histogram buckets).
+pub(crate) fn write_pairs<A: Display, B: Display>(out: &mut String, pairs: &[(A, B)]) {
+    out.push('[');
+    for (i, (a, b)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "[{a},{b}]");
+    }
+    out.push(']');
+}
+
 /// Re-encode an event as one JSONL line (no trailing newline). Merged
 /// traces round-trip through [`parse_line`]; the `pid` field is always
 /// written so process lanes survive.
 pub fn to_jsonl(ev: &RawEvent) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(96);
     let _ = write!(
         out,
@@ -623,14 +645,8 @@ pub fn to_jsonl(ev: &RawEvent) -> String {
         if pairs.is_empty() {
             continue;
         }
-        let _ = write!(out, ",\"{key}\":[");
-        for (i, (a, b)) in pairs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{a},{b}]");
-        }
-        out.push(']');
+        let _ = write!(out, ",\"{key}\":");
+        write_pairs(&mut out, pairs);
     }
     if let Some(ph) = &ev.ph {
         let _ = write!(out, ",\"ph\":\"{ph}\"");
@@ -648,6 +664,102 @@ pub fn to_jsonl(ev: &RawEvent) -> String {
         let _ = write!(out, ",\"rtt\":{rtt}");
     }
     out.push('}');
+    out
+}
+
+/// Render a decoded (usually merged) trace as one Chrome `trace_event`
+/// JSON array for `chrome://tracing` / Perfetto: a named process lane per
+/// `pid` (0 = master, `i + 1` = worker `i`), spans as `B`/`E` slices,
+/// counters as `C` tracks, flow endpoints as `s`/`t`/`f` arrows
+/// (dispatch → worker compute → result), and expert rows, histograms and
+/// clock samples as instant events carrying their payload in `args`.
+pub fn to_chrome(events: &[RawEvent]) -> String {
+    let mut out = String::from("[");
+    let pids: BTreeSet<u64> = events.iter().map(|ev| ev.pid).collect();
+    for pid in pids {
+        let lane = match pid {
+            0 => "master".to_string(),
+            w => format!("worker {}", w - 1),
+        };
+        let _ = write!(
+            out,
+            "\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{lane}\"}}}},"
+        );
+    }
+    for ev in events {
+        let name = match ev.ev.as_str() {
+            "x" => format!(
+                "rows.{}.{}.b{}",
+                ev.src.as_deref().unwrap_or(""),
+                ev.name,
+                ev.block.unwrap_or(0)
+            ),
+            "f" => "exchange".to_string(),
+            "k" => "clock sample".to_string(),
+            _ => ev.name.clone(),
+        };
+        let ph = match ev.ev.as_str() {
+            "b" => "B",
+            "e" => "E",
+            "c" => "C",
+            "f" => ev.ph.as_deref().unwrap_or("t"),
+            _ => "i",
+        };
+        out.push_str("\n{\"name\":\"");
+        escape_into(&mut out, &name);
+        let _ = write!(
+            out,
+            "\",\"ph\":\"{ph}\",\"pid\":{},\"tid\":{},\"ts\":{}",
+            ev.pid, ev.tid, ev.t
+        );
+        match ev.ev.as_str() {
+            "b" => {
+                if let Some(step) = ev.step {
+                    let _ = write!(out, ",\"args\":{{\"step\":{step}}}");
+                }
+            }
+            "c" => {
+                let _ = write!(out, ",\"args\":{{\"value\":{}}}", ev.value.unwrap_or(0));
+            }
+            "h" => {
+                out.push_str(",\"s\":\"g\",\"args\":{\"buckets\":");
+                write_pairs(&mut out, &ev.buckets);
+                out.push('}');
+            }
+            "x" => {
+                let _ = write!(
+                    out,
+                    ",\"s\":\"t\",\"args\":{{\"step\":{},\"rows\":",
+                    ev.step.unwrap_or(0)
+                );
+                write_pairs(&mut out, &ev.rows);
+                out.push('}');
+            }
+            "f" => {
+                // Chrome binds a flow endpoint to the slice enclosing
+                // (tid, ts); `bp:"e"` keeps the finish on its slice.
+                let _ = write!(out, ",\"cat\":\"exchange\",\"id\":{}", ev.corr.unwrap_or(0));
+                if ph == "f" {
+                    out.push_str(",\"bp\":\"e\"");
+                }
+            }
+            "k" => {
+                let _ = write!(
+                    out,
+                    ",\"s\":\"g\",\"args\":{{\"worker\":{},\"offset_us\":{},\"rtt_us\":{}}}",
+                    ev.worker.unwrap_or(0),
+                    ev.offset.unwrap_or(0),
+                    ev.rtt.unwrap_or(0)
+                );
+            }
+            _ => {}
+        }
+        out.push_str("},");
+    }
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str("\n]\n");
     out
 }
 
@@ -723,7 +835,7 @@ pub const EXCHANGE_SPANS: [&str; 4] = [
 /// skipped, not errors — [`validate`] is where incompleteness fails.
 pub fn attribute(events: &[RawEvent]) -> Attribution {
     let mut a = Attribution::default();
-    let mut steps: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+    let mut steps = BTreeSet::new();
     let mut stacks: BTreeMap<(u64, u64), Vec<(&str, u64)>> = BTreeMap::new();
     // corr → (start, first serve, last serve, finish) timestamps.
     type Chain = (Option<u64>, Option<u64>, Option<u64>, Option<u64>);
@@ -956,6 +1068,91 @@ mod tests {
             let second = parse_line(&to_jsonl(&first)).unwrap();
             assert_eq!(to_jsonl(&first), to_jsonl(&second), "stable for {line}");
         }
+    }
+
+    #[test]
+    fn chrome_renders_every_record_kind() {
+        let trace = [
+            r#"{"ev":"b","t":12,"tid":1,"step":3,"name":"run \"x\""}"#,
+            r#"{"ev":"e","t":90,"tid":1,"name":"run \"x\""}"#,
+            r#"{"ev":"c","t":99,"tid":0,"name":"c.n","value":42}"#,
+            r#"{"ev":"h","t":99,"tid":0,"name":"h.n","buckets":[[16,7],[32,3]]}"#,
+            r#"{"ev":"x","t":50,"tid":1,"step":3,"name":"fwd","src":"runtime","block":2,"rows":[[0,128],[3,64]]}"#,
+            r#"{"ev":"f","t":60,"tid":1,"step":3,"ph":"s","corr":7}"#,
+            r#"{"ev":"f","t":61,"tid":4,"pid":1,"step":3,"ph":"t","corr":7}"#,
+            r#"{"ev":"f","t":70,"tid":1,"step":3,"ph":"f","corr":7}"#,
+            r#"{"ev":"k","t":80,"tid":0,"worker":0,"offset":-1423,"rtt":88}"#,
+        ]
+        .map(ev);
+        let Json::Arr(records) = parse_json(&to_chrome(&trace)).unwrap() else {
+            panic!("a Chrome trace is one JSON array")
+        };
+        // One named lane per pid, then one record per event in order.
+        assert_eq!(records.len(), 2 + trace.len());
+        let lanes: Vec<(Option<u64>, Option<&str>)> = records[..2]
+            .iter()
+            .map(|r| {
+                assert_eq!(r.get("ph").and_then(Json::as_str), Some("M"));
+                let name = r.get("args").and_then(|a| a.get("name"));
+                (
+                    r.get("pid").and_then(Json::as_u64),
+                    name.and_then(Json::as_str),
+                )
+            })
+            .collect();
+        assert_eq!(
+            lanes,
+            [(Some(0), Some("master")), (Some(1), Some("worker 0"))]
+        );
+
+        let r = &records[2..];
+        let field = |i: usize, key: &str| r[i].get(key).cloned();
+        let arg = |i: usize, key: &str| r[i].get("args").and_then(|a| a.get(key)).cloned();
+        let s = |v: &str| Some(Json::Str(v.to_string()));
+        let n = |v: f64| Some(Json::Num(v));
+        let pairs = |p: &[(f64, f64)]| {
+            Some(Json::Arr(
+                p.iter()
+                    .map(|&(a, b)| Json::Arr(vec![Json::Num(a), Json::Num(b)]))
+                    .collect(),
+            ))
+        };
+        // Spans: B/E slices on the span's own lane; names survive escaping.
+        assert_eq!(field(0, "ph"), s("B"));
+        assert_eq!(field(0, "name"), s("run \"x\""));
+        assert_eq!((field(0, "tid"), field(0, "ts")), (n(1.0), n(12.0)));
+        assert_eq!(arg(0, "step"), n(3.0));
+        assert_eq!((field(1, "ph"), field(1, "ts")), (s("E"), n(90.0)));
+        // Counter track.
+        assert_eq!((field(2, "ph"), field(2, "name")), (s("C"), s("c.n")));
+        assert_eq!(arg(2, "value"), n(42.0));
+        // Histogram and expert rows: instants carrying their pairs.
+        assert_eq!((field(3, "ph"), field(3, "name")), (s("i"), s("h.n")));
+        assert_eq!(arg(3, "buckets"), pairs(&[(16.0, 7.0), (32.0, 3.0)]));
+        assert_eq!(
+            (field(4, "ph"), field(4, "name")),
+            (s("i"), s("rows.runtime.fwd.b2"))
+        );
+        assert_eq!(arg(4, "step"), n(3.0));
+        assert_eq!(arg(4, "rows"), pairs(&[(0.0, 128.0), (3.0, 64.0)]));
+        // Flow arrows: one id across the master and worker lanes, the
+        // finish bound to its enclosing slice.
+        for (i, ph, pid) in [(5, "s", 0.0), (6, "t", 1.0), (7, "f", 0.0)] {
+            assert_eq!((field(i, "ph"), field(i, "pid")), (s(ph), n(pid)));
+            assert_eq!((field(i, "cat"), field(i, "id")), (s("exchange"), n(7.0)));
+            assert_eq!(field(i, "bp"), (ph == "f").then(|| Json::Str("e".into())));
+        }
+        // Clock sample.
+        assert_eq!(
+            (field(8, "ph"), field(8, "name")),
+            (s("i"), s("clock sample"))
+        );
+        assert_eq!(
+            (arg(8, "worker"), arg(8, "offset_us"), arg(8, "rtt_us")),
+            (n(0.0), n(-1423.0), n(88.0))
+        );
+
+        assert_eq!(to_chrome(&[]), "[\n]\n");
     }
 
     #[test]

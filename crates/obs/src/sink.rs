@@ -1,14 +1,14 @@
 //! The process-global trace sink: serialises drained events as JSONL
-//! or Chrome `trace_event` JSON into a file (or an in-memory buffer
-//! for tests). Write errors are swallowed after downgrading the sink
-//! to discard — observability must never take the workload down.
+//! into a file (or an in-memory buffer for tests). Write errors are
+//! swallowed after downgrading the sink to discard — observability must
+//! never take the workload down.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::Mutex;
 
+use crate::reader::{escape_into, write_pairs};
 use crate::span::Event;
-use crate::TraceMode;
 
 enum Target {
     File(std::io::BufWriter<std::fs::File>),
@@ -16,16 +16,9 @@ enum Target {
     Discard,
 }
 
-struct Sink {
-    target: Target,
-    chrome: bool,
-    /// Chrome mode: has the opening `[` been written yet?
-    wrote_any: bool,
-}
-
-impl Sink {
+impl Target {
     fn write(&mut self, bytes: &[u8]) {
-        let failed = match &mut self.target {
+        let failed = match self {
             Target::File(w) => w.write_all(bytes).is_err(),
             Target::Memory(buf) => {
                 buf.extend_from_slice(bytes);
@@ -34,45 +27,33 @@ impl Sink {
             Target::Discard => false,
         };
         if failed {
-            self.target = Target::Discard;
+            *self = Target::Discard;
         }
     }
 
     fn flush(&mut self) {
-        if let Target::File(w) = &mut self.target {
+        if let Target::File(w) = self {
             if w.flush().is_err() {
-                self.target = Target::Discard;
+                *self = Target::Discard;
             }
         }
     }
 }
 
-static SINK: Mutex<Option<Sink>> = Mutex::new(None);
+static SINK: Mutex<Option<Target>> = Mutex::new(None);
 
-fn open_default() -> Sink {
-    let chrome = crate::mode() == TraceMode::Chrome;
-    let path = std::env::var("VELA_TRACE_OUT").unwrap_or_else(|_| {
-        if chrome {
-            "vela-trace.json".to_string()
-        } else {
-            "vela-trace.jsonl".to_string()
-        }
-    });
-    let target = match std::fs::File::create(&path) {
+fn open_default() -> Target {
+    let path = std::env::var("VELA_TRACE_OUT").unwrap_or_else(|_| "vela-trace.jsonl".to_string());
+    match std::fs::File::create(&path) {
         Ok(f) => Target::File(std::io::BufWriter::new(f)),
         Err(e) => {
             crate::warn!("cannot open trace output {path}: {e}; trace events discarded");
             Target::Discard
         }
-    };
-    Sink {
-        target,
-        chrome,
-        wrote_any: false,
     }
 }
 
-fn with_sink<R>(f: impl FnOnce(&mut Sink) -> R) -> R {
+fn with_sink<R>(f: impl FnOnce(&mut Target) -> R) -> R {
     let mut guard = SINK.lock().unwrap();
     let sink = guard.get_or_insert_with(open_default);
     f(sink)
@@ -81,11 +62,7 @@ fn with_sink<R>(f: impl FnOnce(&mut Sink) -> R) -> R {
 /// Redirect the sink to an in-memory buffer (tests). Replaces any
 /// already-open sink.
 pub fn set_memory_sink() {
-    *SINK.lock().unwrap() = Some(Sink {
-        target: Target::Memory(Vec::new()),
-        chrome: crate::mode() == TraceMode::Chrome,
-        wrote_any: false,
-    });
+    *SINK.lock().unwrap() = Some(Target::Memory(Vec::new()));
 }
 
 /// Take everything the in-memory sink captured so far. Empty when the
@@ -93,39 +70,9 @@ pub fn set_memory_sink() {
 pub fn take_memory() -> String {
     let mut guard = SINK.lock().unwrap();
     match guard.as_mut() {
-        Some(Sink {
-            target: Target::Memory(buf),
-            ..
-        }) => String::from_utf8(std::mem::take(buf)).unwrap_or_default(),
+        Some(Target::Memory(buf)) => String::from_utf8(std::mem::take(buf)).unwrap_or_default(),
         _ => String::new(),
     }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn fmt_rows(out: &mut String, rows: &[(u32, u64)]) {
-    out.push('[');
-    for (i, (e, r)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{e},{r}]");
-    }
-    out.push(']');
 }
 
 fn fmt_jsonl(out: &mut String, tid: u64, ev: &Event) {
@@ -161,71 +108,11 @@ fn fmt_jsonl(out: &mut String, tid: u64, ev: &Event) {
                 out,
                 "{{\"ev\":\"x\",\"t\":{t},\"tid\":{tid},\"step\":{step},\"name\":\"{pass}\",\"src\":\"{src}\",\"block\":{block},\"rows\":"
             );
-            fmt_rows(out, rows);
+            write_pairs(out, rows);
             out.push('}');
         }
     }
     out.push('\n');
-}
-
-fn chrome_sep(out: &mut String, wrote_any: &mut bool) {
-    if *wrote_any {
-        out.push_str(",\n");
-    } else {
-        out.push_str("[\n");
-        *wrote_any = true;
-    }
-}
-
-fn fmt_chrome(out: &mut String, tid: u64, ev: &Event, wrote_any: &mut bool) {
-    chrome_sep(out, wrote_any);
-    match ev {
-        Event::Enter { name, t, step } => {
-            let _ = write!(
-                out,
-                "{{\"ph\":\"B\",\"ts\":{t},\"pid\":1,\"tid\":{tid},\"name\":\"{name}\",\"args\":{{\"step\":{step}}}}}"
-            );
-        }
-        Event::Exit { name, t } => {
-            let _ = write!(
-                out,
-                "{{\"ph\":\"E\",\"ts\":{t},\"pid\":1,\"tid\":{tid},\"name\":\"{name}\"}}"
-            );
-        }
-        Event::Flow { ph, corr, t, .. } => {
-            // Chrome flow events bind to the slice enclosing (tid, ts);
-            // `bp:"e"` on the finish keeps the arrow attached to it.
-            let bp = match ph {
-                crate::span::FlowPhase::Finish => ",\"bp\":\"e\"",
-                _ => "",
-            };
-            let _ = write!(
-                out,
-                "{{\"ph\":\"{}\",\"ts\":{t},\"pid\":1,\"tid\":{tid},\"cat\":\"exchange\",\"name\":\"exchange\",\"id\":{corr}{bp}}}",
-                ph.letter()
-            );
-        }
-        Event::ExpertRows {
-            pass,
-            src,
-            block,
-            t,
-            step,
-            rows,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"ph\":\"i\",\"ts\":{t},\"pid\":1,\"tid\":{tid},\"name\":\"rows.{src}.{pass}.b{block}\",\"s\":\"t\",\"args\":{{\"step\":{step},\"rows\":\""
-            );
-            for (i, (e, r)) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                let _ = write!(out, "{e}:{r}");
-            }
-            out.push_str("\"}}");
-        }
-    }
 }
 
 pub(crate) fn write_events(tid: u64, events: &[Event]) {
@@ -235,13 +122,7 @@ pub(crate) fn write_events(tid: u64, events: &[Event]) {
     with_sink(|s| {
         let mut out = String::with_capacity(events.len() * 64);
         for ev in events {
-            if s.chrome {
-                let mut wrote_any = s.wrote_any;
-                fmt_chrome(&mut out, tid, ev, &mut wrote_any);
-                s.wrote_any = wrote_any;
-            } else {
-                fmt_jsonl(&mut out, tid, ev);
-            }
+            fmt_jsonl(&mut out, tid, ev);
         }
         s.write(out.as_bytes());
     });
@@ -263,52 +144,16 @@ pub(crate) fn write_snapshots() {
         let t = crate::now_us();
         let mut out = String::new();
         for (name, value) in &counters {
-            if s.chrome {
-                let mut wrote_any = s.wrote_any;
-                chrome_sep(&mut out, &mut wrote_any);
-                s.wrote_any = wrote_any;
-                out.push_str("{\"ph\":\"C\",\"ts\":");
-                let _ = write!(out, "{t},\"pid\":1,\"tid\":0,\"name\":\"");
-                escape_into(&mut out, name);
-                let _ = write!(out, "\",\"args\":{{\"value\":{value}}}}}");
-            } else {
-                out.push_str("{\"ev\":\"c\",\"t\":");
-                let _ = write!(out, "{t},\"tid\":0,\"name\":\"");
-                escape_into(&mut out, name);
-                let _ = write!(out, "\",\"value\":{value}}}");
-                out.push('\n');
-            }
+            let _ = write!(out, "{{\"ev\":\"c\",\"t\":{t},\"tid\":0,\"name\":\"");
+            escape_into(&mut out, name);
+            let _ = writeln!(out, "\",\"value\":{value}}}");
         }
         for (name, buckets) in &hists {
-            if s.chrome {
-                let mut wrote_any = s.wrote_any;
-                chrome_sep(&mut out, &mut wrote_any);
-                s.wrote_any = wrote_any;
-                out.push_str("{\"ph\":\"i\",\"ts\":");
-                let _ = write!(out, "{t},\"pid\":1,\"tid\":0,\"name\":\"");
-                escape_into(&mut out, name);
-                out.push_str("\",\"s\":\"g\",\"args\":{\"buckets\":\"");
-                for (i, (lo, count)) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    let _ = write!(out, "{lo}:{count}");
-                }
-                out.push_str("\"}}");
-            } else {
-                out.push_str("{\"ev\":\"h\",\"t\":");
-                let _ = write!(out, "{t},\"tid\":0,\"name\":\"");
-                escape_into(&mut out, name);
-                out.push_str("\",\"buckets\":[");
-                for (i, (lo, count)) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "[{lo},{count}]");
-                }
-                out.push_str("]}");
-                out.push('\n');
-            }
+            let _ = write!(out, "{{\"ev\":\"h\",\"t\":{t},\"tid\":0,\"name\":\"");
+            escape_into(&mut out, name);
+            out.push_str("\",\"buckets\":");
+            write_pairs(&mut out, buckets);
+            out.push_str("}\n");
         }
         s.write(out.as_bytes());
     });
@@ -320,22 +165,10 @@ pub(crate) fn write_snapshots() {
 pub(crate) fn write_clock(worker: u64, offset_us: i64, rtt_us: u64) {
     with_sink(|s| {
         let t = crate::now_us();
-        let mut out = String::new();
-        if s.chrome {
-            let mut wrote_any = s.wrote_any;
-            chrome_sep(&mut out, &mut wrote_any);
-            s.wrote_any = wrote_any;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"i\",\"ts\":{t},\"pid\":1,\"tid\":0,\"name\":\"clock.worker{worker}\",\"s\":\"g\",\"args\":{{\"offset_us\":{offset_us},\"rtt_us\":{rtt_us}}}}}"
-            );
-        } else {
-            let _ = write!(
-                out,
-                "{{\"ev\":\"k\",\"t\":{t},\"tid\":0,\"worker\":{worker},\"offset\":{offset_us},\"rtt\":{rtt_us}}}\n"
-            );
-        }
-        s.write(out.as_bytes());
+        let line = format!(
+            "{{\"ev\":\"k\",\"t\":{t},\"tid\":0,\"worker\":{worker},\"offset\":{offset_us},\"rtt\":{rtt_us}}}\n"
+        );
+        s.write(line.as_bytes());
     });
 }
 

@@ -21,7 +21,7 @@ use crate::pipeline::{
     DispatchPlan, Rows, COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS,
     MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_MIGRATION_PUMP,
 };
-use crate::transport::{ExchangeConfig, MasterHub, TransportError, WireStats};
+use crate::transport::{MasterHub, Quant, TransportError, WireStats};
 
 /// Aggregate dispatch/gather telemetry across all phases and engines.
 static PHASE_BYTES_OUT: LazyCounter = LazyCounter::new("runtime.phase.bytes_out");
@@ -250,7 +250,7 @@ pub struct BrokerClient {
     pub(crate) phase_logs: Vec<PhaseLog>,
     pub(crate) plan: DispatchPlan,
     step: u64,
-    exchange_cfg: ExchangeConfig,
+    quant: Quant,
     /// Migration lanes; empty in the virtual engine, which never migrates.
     migrations: MigrationState,
     /// `(worker, block, expert)` of every `ExpertState` install shipped
@@ -260,9 +260,9 @@ pub struct BrokerClient {
 
 impl BrokerClient {
     /// Creates a broker over `hub` using `placement` (a plain
-    /// [`Placement`] converts to the degree-1 relation), with the default
-    /// [`ExchangeConfig`]; sessions that read the environment do so at
-    /// launch and pass it through [`set_exchange`](Self::set_exchange).
+    /// [`Placement`] converts to the degree-1 relation), with exact rows;
+    /// sessions that read `VELA_QUANT` do so at launch and pass it through
+    /// [`set_quant`](Self::set_quant).
     ///
     /// # Panics
     /// Panics if the placement's worker count differs from the hub's.
@@ -281,7 +281,7 @@ impl BrokerClient {
             routes: HashMap::new(),
             phase_logs: Vec::new(),
             step: 0,
-            exchange_cfg: ExchangeConfig::default(),
+            quant: Quant::Off,
             plan: DispatchPlan::default(),
             migrations: MigrationState::default(),
             installs_owed: Vec::new(),
@@ -294,13 +294,8 @@ impl BrokerClient {
     }
 
     /// Sets row quantization.
-    pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
-        self.exchange_cfg = cfg;
-    }
-
-    /// The exchange configuration in force.
-    pub fn exchange_config(&self) -> ExchangeConfig {
-        self.exchange_cfg
+    pub fn set_quant(&mut self, quant: Quant) {
+        self.quant = quant;
     }
 
     /// Wire frames shipped/drained by the underlying hub so far.
@@ -878,7 +873,7 @@ impl BrokerClient {
     ) {
         let mut rows = TensorRows {
             batches,
-            quantize: self.exchange_cfg.quantized(),
+            quantize: self.quant == Quant::Int8,
             pending: batches.iter().map(|_| None).collect(),
             next_emit: 0,
             sink,

@@ -43,12 +43,8 @@ pub use message::{
     GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload, RowSpan, EXPERT_CHUNK_BYTES,
     FRAMES,
 };
-pub use metrics::{
-    routing_straggler_index, PhaseAttribution, ReplicationSummary, RunSummary, StepMetrics,
-};
+pub use metrics::{ReplicationSummary, RunSummary, StepMetrics};
 pub use runtime::{MigrationHandle, RealRuntime};
-pub use transport::{
-    ExchangeConfig, Quant, TransportConfig, TransportError, TransportMode, WireStats,
-};
+pub use transport::{Quant, TransportConfig, TransportError, TransportMode, WireStats};
 pub use virtual_engine::{ScaleConfig, VirtualEngine};
 pub use wire::WireError;

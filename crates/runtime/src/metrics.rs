@@ -18,34 +18,6 @@ pub struct StepMetrics {
     pub time: TimeBreakdown,
 }
 
-/// Where a run's *measured* exchange wall time went, in µs per step —
-/// averaged from the `runtime.pipeline.*` and `runtime.worker.serve_us`
-/// counters, so it reflects real elapsed time on this host, unlike the
-/// simulated [`TimeBreakdown`] columns.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PhaseAttribution {
-    /// Master time encoding + enqueueing dispatch frames.
-    pub serialize_us: f64,
-    /// Master time blocked draining replies (frames in flight).
-    pub inflight_us: f64,
-    /// Worker expert-serve time. Zero when workers run in separate
-    /// processes (their counters live in the worker traces, not here).
-    pub compute_us: f64,
-    /// Master time delivering completed batch prefixes to the sink.
-    pub combine_us: f64,
-    /// Exchange wall time (dispatch through last reply).
-    pub exchange_us: f64,
-}
-
-impl PhaseAttribution {
-    /// The wire share of the inflight window: what remains after worker
-    /// compute, clamped at zero. Only meaningful when `compute_us` was
-    /// measured in this process (threaded modes).
-    pub fn wire_us(&self) -> f64 {
-        (self.inflight_us - self.compute_us).max(0.0)
-    }
-}
-
 /// Replication facts attached to a run when `VELA_REPLICATION` places
 /// extra expert copies — the fig6 `replication` column.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,22 +34,12 @@ pub struct ReplicationSummary {
     pub straggler_index: f64,
 }
 
-/// Max/mean per-worker routed rows across one or more steps' phase
-/// logs — the routing-skew straggler index replication is meant to
-/// flatten. Returns 1.0 (balanced) for empty input or an idle fleet.
-pub fn routing_straggler_index(logs: &[PhaseLog]) -> f64 {
-    let workers = logs.first().map_or(0, |l| l.rows.len());
-    if workers == 0 {
-        return 1.0;
-    }
-    let mut totals = vec![0u64; workers];
-    for log in logs {
-        for (t, &r) in totals.iter_mut().zip(&log.rows) {
-            *t += r;
-        }
-    }
-    let max = *totals.iter().max().expect("workers > 0") as f64;
-    let mean = totals.iter().sum::<u64>() as f64 / workers as f64;
+/// Max/mean of per-worker routed-row totals — the routing-skew straggler
+/// index replication is meant to flatten. Returns 1.0 (balanced) for an
+/// empty or idle fleet.
+pub(crate) fn straggler_index(row_totals: &[u64]) -> f64 {
+    let max = row_totals.iter().copied().max().unwrap_or(0) as f64;
+    let mean = row_totals.iter().sum::<u64>() as f64 / row_totals.len().max(1) as f64;
     if mean == 0.0 {
         1.0
     } else {
@@ -113,9 +75,6 @@ pub struct RunSummary {
     /// baseline). Purely descriptive — the byte and time columns are
     /// transport-independent.
     pub transport: &'static str,
-    /// Measured per-step phase attribution, when the engine captured
-    /// counter deltas around the run (requires `VELA_TRACE`).
-    pub attribution: Option<PhaseAttribution>,
     /// Replication facts, when the run placed extra expert copies.
     pub replication: Option<ReplicationSummary>,
 }
@@ -154,7 +113,6 @@ impl RunSummary {
             total_bytes: steps.iter().map(|s| s.traffic.total_bytes).sum(),
             steps: steps.len(),
             transport: crate::transport::TransportConfig::from_env().label(),
-            attribution: None,
             replication: None,
         }
     }
@@ -173,13 +131,6 @@ impl RunSummary {
     /// which moves no bytes through a transport at all).
     pub fn with_transport(mut self, label: &'static str) -> Self {
         self.transport = label;
-        self
-    }
-
-    /// Attaches a measured phase attribution (counter deltas captured by
-    /// the harness around the run).
-    pub fn with_attribution(mut self, attribution: PhaseAttribution) -> Self {
-        self.attribution = Some(attribution);
         self
     }
 
@@ -370,23 +321,14 @@ mod tests {
 
     #[test]
     fn straggler_index_measures_row_skew() {
-        let log = |rows: Vec<u64>| PhaseLog {
-            block: 0,
-            pass: Pass::Forward,
-            bytes_out: vec![0; rows.len()],
-            bytes_back: vec![0; rows.len()],
-            rows,
-        };
         // Balanced fleet: index 1.0.
-        assert!((routing_straggler_index(&[log(vec![10, 10, 10, 10])]) - 1.0).abs() < 1e-12);
+        assert!((straggler_index(&[10, 10, 10, 10]) - 1.0).abs() < 1e-12);
         // One worker takes everything: max/mean = 4 over 4 workers.
-        assert!((routing_straggler_index(&[log(vec![40, 0, 0, 0])]) - 4.0).abs() < 1e-12);
-        // Totals accumulate across logs before the ratio is taken.
-        let two = [log(vec![30, 10]), log(vec![10, 30])];
-        assert!((routing_straggler_index(&two) - 1.0).abs() < 1e-12);
+        assert!((straggler_index(&[40, 0, 0, 0]) - 4.0).abs() < 1e-12);
+        assert!((straggler_index(&[30, 10]) - 1.5).abs() < 1e-12);
         // Degenerate inputs read as balanced.
-        assert_eq!(routing_straggler_index(&[]), 1.0);
-        assert_eq!(routing_straggler_index(&[log(vec![0, 0])]), 1.0);
+        assert_eq!(straggler_index(&[]), 1.0);
+        assert_eq!(straggler_index(&[0, 0]), 1.0);
     }
 
     #[test]

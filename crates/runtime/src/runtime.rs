@@ -29,7 +29,7 @@ use vela_placement::{Placement, ReplicatedPlacement};
 use crate::broker::BrokerClient;
 use crate::launch::{launch_star, WorkerHandle};
 use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
-use crate::transport::{ExchangeConfig, TransportConfig, TransportError};
+use crate::transport::{Quant, TransportConfig, TransportError};
 use crate::worker::{expert_grads, ExpertTemplate, WorkerBootstrap};
 
 /// What one [`RealRuntime::apply_placement`] call set in motion.
@@ -168,9 +168,10 @@ impl RealRuntime {
         let mut broker = BrokerClient::new(hub, placement);
         // Read once: process-mode seeding and the exchange must agree on
         // whether expert state crosses the wire quantized.
-        broker.set_exchange(ExchangeConfig::from_env());
+        let quant = Quant::from_env();
+        broker.set_quant(quant);
         if transport.is_process_mode() {
-            seed_processes(&mut broker, &mut experts)
+            seed_processes(&mut broker, &mut experts, quant)
                 .unwrap_or_else(|e| panic!("seeding worker processes failed: {e}"));
             // Seeding crossed real sockets; drop its ledger window so step
             // traffic starts clean and matches the thread-backed transports.
@@ -211,11 +212,11 @@ impl RealRuntime {
         self.broker.transport()
     }
 
-    /// Overrides the configuration read from the environment at launch.
-    /// Process-mode seeding has already happened by then, so a `quant`
-    /// set here applies to dispatch rows only.
-    pub fn set_exchange(&mut self, cfg: ExchangeConfig) {
-        self.broker.set_exchange(cfg);
+    /// Overrides the `VELA_QUANT` read at launch. Process-mode seeding has
+    /// already happened by then, so a `quant` set here applies to dispatch
+    /// rows only.
+    pub fn set_quant(&mut self, quant: Quant) {
+        self.broker.set_quant(quant);
     }
 
     /// Wire frames shipped/drained by the master hub so far (out, in).
@@ -494,13 +495,14 @@ fn shard_experts(
 fn seed_processes(
     broker: &mut BrokerClient,
     experts: &mut LocalExpertStore,
+    quant: Quant,
 ) -> Result<(), TransportError> {
     let (blocks, per_block) = (broker.placement().blocks(), broker.placement().experts());
     for l in 0..blocks {
         for e in 0..per_block {
             let mut data = Vec::new();
             checkpoint::save(&mut experts.take(l, e), &mut data).expect("in-memory save");
-            if broker.exchange_config().quantized() {
+            if quant == Quant::Int8 {
                 data = checkpoint::quantize(&data).map_err(|why| {
                     TransportError::Protocol(format!("quantizing expert ({l},{e}): {why}"))
                 })?;

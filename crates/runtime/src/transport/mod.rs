@@ -191,7 +191,8 @@ impl TransportConfig {
 }
 
 /// Opt-in lossy compression of dispatch/result rows and of the
-/// expert-state installs that seed worker processes.
+/// expert-state installs that seed worker processes — the one choice a
+/// session makes about its data plane, over any transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Quant {
     /// Exact f32 everywhere (default).
@@ -207,46 +208,17 @@ pub enum Quant {
 }
 
 impl Quant {
-    /// Stable label for bench output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Quant::Off => "off",
-            Quant::Int8 => "int8",
-        }
-    }
-}
-
-/// The one choice a session makes about its data plane. Everything else
-/// is fixed: one packed frame per worker per block-pass, replica gradient
-/// flows issued up front, one way to move an expert.
-///
-/// Orthogonal to [`TransportConfig`]: it runs over any transport.
-/// `quant: Int8` is deliberately lossy on activations and carries its own
-/// accuracy gate (`tests/quant_accuracy.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExchangeConfig {
-    /// Opt-in int8 row quantization.
-    pub quant: Quant,
-}
-
-impl ExchangeConfig {
-    /// Whether data-plane rows are int8-quantized on the wire.
-    pub fn quantized(&self) -> bool {
-        self.quant == Quant::Int8
-    }
-
     /// Reads `VELA_QUANT` (`off` — default — or `int8`). An unknown value
     /// warns and falls back rather than aborting a long run.
     pub fn from_env() -> Self {
-        let mut cfg = ExchangeConfig::default();
         match std::env::var("VELA_QUANT").as_deref() {
-            Ok("int8") => cfg.quant = Quant::Int8,
-            Ok("off") | Err(_) => {}
+            Ok("int8") => Quant::Int8,
+            Ok("off") | Err(_) => Quant::Off,
             Ok(other) => {
                 vela_obs::warn!("unknown VELA_QUANT={other:?}, staying exact");
+                Quant::Off
             }
         }
-        cfg
     }
 }
 
@@ -322,11 +294,6 @@ impl WireStats {
             + self.expert_state_header
             + self.expert_state_payload
             + self.control
-    }
-
-    /// Total encoded bytes of the master→worker dispatch path.
-    pub fn dispatch_total(&self) -> u64 {
-        self.dispatch_header + self.dispatch_payload
     }
 
     fn record(&mut self, kind: FrameKind, header: u64, payload: u64) {
@@ -818,17 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_config_constructors() {
-        // Pure constructors only — env vars are process-global.
-        let d = ExchangeConfig::default();
-        assert_eq!(d.quant, Quant::Off);
-        assert!(!d.quantized());
-        let q = ExchangeConfig { quant: Quant::Int8 };
-        assert!(q.quantized());
-        assert_eq!(Quant::Int8.label(), "int8");
-    }
-
-    #[test]
     fn wire_stats_split_header_from_payload_per_kind() {
         let (_, mut hub, mut ports) = setup();
         let rows = [1.0f32; 6];
@@ -877,7 +833,8 @@ mod tests {
         assert_eq!(w.control, 1);
         assert_eq!(
             w.total(),
-            w.dispatch_total()
+            w.dispatch_header
+                + w.dispatch_payload
                 + w.result_header
                 + w.result_payload
                 + w.expert_state_header
@@ -895,5 +852,14 @@ mod tests {
         assert_eq!(TransportConfig::tcp_processes().label(), "tcp");
         assert!(TransportConfig::tcp_processes().is_process_mode());
         assert!(!TransportConfig::channel().is_process_mode());
+    }
+
+    #[test]
+    fn exchange_config_constructors() {
+        // Pure constructors only — env vars are process-global. The
+        // exchange choice is `Quant` itself: rows cross exact unless
+        // `VELA_QUANT=int8` opts in.
+        assert_eq!(Quant::default(), Quant::Off);
+        assert_ne!(Quant::Int8, Quant::Off);
     }
 }

@@ -26,7 +26,7 @@ use vela_tensor::rng::DetRng;
 use crate::broker::{BrokerClient, Pass};
 use crate::launch::{launch_star, WorkerHandle};
 use crate::message::{PackedData, PackedGroup};
-use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
+use crate::metrics::{backbone_flops_per_token, step_time, straggler_index, StepMetrics};
 use crate::pipeline::Rows;
 use crate::routing::sample_expert_counts;
 use crate::transport::{TransportConfig, TransportError, WireStats};
@@ -234,28 +234,11 @@ impl VirtualEngine {
         self.broker.placement()
     }
 
-    /// Total token rows routed to experts across every step so far
-    /// (summed over workers, both passes). Replication rebalances *where*
-    /// rows go, never how many there are, so two engines running the same
-    /// workload must agree on this exactly whatever their placements —
-    /// the correctness witness the bench_transport replication gate uses
-    /// (ledger bytes are not placement-independent: traffic to a worker
-    /// sharing the master's device is unaccounted).
-    pub fn routed_rows(&self) -> u64 {
-        self.row_totals.iter().sum()
-    }
-
     /// Max/mean routed token rows per worker, accumulated over every
-    /// step so far — the straggler index the fig6/bench replication
-    /// column reports. 1.0 before any step has run.
+    /// step so far — the straggler index the fig6 replication column
+    /// reports. 1.0 before any step has run.
     pub fn straggler_index(&self) -> f64 {
-        let max = self.row_totals.iter().copied().max().unwrap_or(0) as f64;
-        let mean = self.row_totals.iter().sum::<u64>() as f64 / self.row_totals.len().max(1) as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
+        straggler_index(&self.row_totals)
     }
 
     /// Wire frames shipped/drained by the hub so far (out, in).
@@ -586,6 +569,68 @@ mod tests {
             straggler < single_straggler,
             "replicated {straggler} vs single {single_straggler}"
         );
+
+        // The pinned cut: four workers owning `e % 4`, a Zipf-1.5 profile,
+        // every spare slot spent on replicas. Replicas change where rows go,
+        // never how many there are, so the routed-row total is the
+        // equal-correctness witness (ledger bytes are not: traffic to the
+        // worker sharing the master's device is unaccounted).
+        let spec = MoeSpec {
+            blocks: 2,
+            experts: 8,
+            top_k: 2,
+            hidden: 1024,
+            ffn: 4096,
+            bits: 16,
+        };
+        let scale = ScaleConfig {
+            batch: 4,
+            seq: 64,
+            drift: 1e-3,
+            ..ScaleConfig::paper_default(spec)
+        };
+        let profile = LocalityProfile::synthetic("skew", spec.blocks, spec.experts, 1.5, 3);
+        let workers: Vec<DeviceId> = (0..4).map(DeviceId).collect();
+        let base = seq_placement(&spec, 4);
+        let problem = PlacementProblem::new(
+            Topology::paper_testbed(),
+            DeviceId(0),
+            workers.clone(),
+            profile.to_matrix(),
+            (scale.tokens() * spec.top_k) as f64,
+            spec.token_bytes(),
+            vec![spec.blocks * spec.experts / 4 + 4; 4],
+        );
+        let run = |placement: ReplicatedPlacement| {
+            let mut engine = VirtualEngine::launch_with(
+                TransportConfig::channel(),
+                Topology::paper_testbed(),
+                DeviceId(0),
+                workers.clone(),
+                placement,
+                profile.clone(),
+                scale.clone(),
+            );
+            let sync: u64 = engine.run(6).iter().map(|m| m.traffic.sync_bytes).sum();
+            let rows = engine.row_totals.clone();
+            let straggler = engine.straggler_index();
+            engine.shutdown();
+            (rows, straggler, sync)
+        };
+        let (single_rows, single, single_sync) = run(ReplicatedPlacement::from(&base));
+        let (multi_rows, multi, multi_sync) =
+            run(ReplicationConfig::Budget { frac: 1.0 }.apply(&base, &problem));
+        assert_eq!(single_rows.iter().sum::<u64>(), 12_288);
+        assert_eq!(multi_rows.iter().sum::<u64>(), 12_288);
+        assert_eq!(single_sync, 0);
+        assert!(multi_sync > 0);
+        // 5 914 and 4 258 rows on the busiest worker, against a mean of 3 072.
+        assert!(
+            (single - 1.925).abs() < 1e-3,
+            "single-copy straggler {single}"
+        );
+        assert!((multi - 1.386).abs() < 1e-3, "replicated straggler {multi}");
+        assert!(1.0 - multi / single >= 0.20, "{single} -> {multi}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 # check (which also prints, ungated, the two sizes a simplicity PR quotes:
 # the VELA_* count and vela-runtime's non-test line count), the
 # release-mode gates (simplex pivot path, exchange golden pin,
-# parity grids), and the micro-benches (the kernel
-# one emits BENCH_kernels.json in the repo root and its log names the GEMM
-# SIMD level the host dispatched to; the placement-LP one is echoed only).
+# parity grids, int8 wire bytes), the trace smokes, and the benches (the
+# kernel one emits BENCH_kernels.json in the repo root and its log names the
+# GEMM SIMD level the host dispatched to; the placement-LP one is echoed
+# only). Exchange and migration timing is benchmark/'s job, not this script's.
 #
 # Usage: scripts/verify.sh [--no-bench]
 set -euo pipefail
@@ -63,15 +64,21 @@ cargo test --release -q --test replication
 echo "==> migration parity grid (release): one mover — a re-placement streamed under steps bitwise identical to the same moves flushed at the same boundaries on {channel, tcp-threads, tcp}; LoRA, replicated and trainable-base arms"
 cargo test --release -q --test migration
 
-echo "==> int8 wire accuracy gate (release): quantized loss curve tracks exact"
+echo "==> int8 wire gate (release): quantized loss curve tracks exact; encoded bytes/step pinned, int8 dispatch >=45% below exact"
 cargo test --release -q --test quant_accuracy
 
-echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check"
+echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check, then its Chrome view via merge"
 trace_out=target/quickstart-trace.jsonl
-rm -f "$trace_out"
+rm -f "$trace_out" "$trace_out".merged*
 VELA_TRACE=jsonl VELA_TRACE_OUT="$trace_out" \
     cargo run --release -p vela --example quickstart >/dev/null
 cargo run --release -p vela-bench --bin trace_summary -- --check "$trace_out"
+# A single-process trace has no .worker{i} siblings; merge renders it alone.
+cargo run --release -p vela-bench --bin trace_summary -- merge "$trace_out" >/dev/null
+test -s "$trace_out".merged.json || {
+    echo "FAIL: trace_summary merge wrote no $trace_out.merged.json" >&2
+    exit 1
+}
 
 echo "==> multi-process smoke: master + worker processes over TCP loopback"
 cargo run --release -p vela --example tcp_smoke
@@ -110,11 +117,6 @@ if [ "$run_bench" = 1 ]; then
     bench_log=target/bench_kernels-check.log
     cargo run --release -p vela-bench --bin bench_kernels -- --quick --check BENCH_kernels.json | tee "$bench_log"
     echo "    simd: $(sed -n 's/.*simd: \([a-z0-9]*\).*/\1/p' "$bench_log" | head -n 1) (cpu has avx512f: $(grep -qw avx512f /proc/cpuinfo 2>/dev/null && echo yes || echo no))"
-
-    echo "==> transport bench check: closed-form frames + ledger invariants + recorded wire bytes + replication straggler gate + migration gate (streaming hides >=50% of the flushed blocking at equal ledger bytes and returns with moves in flight)"
-    # Needs target/release/vela_worker for the tcp rows; the tier-1 build
-    # above produced it.
-    cargo run --release -p vela-bench --bin bench_transport -- --quick --check BENCH_transport.json
 
     echo "==> placement LP micro-bench (reported, not gated: iteration counts and bit hashes are the gate)"
     cargo bench -q -p vela-bench --bench simplex | grep -E '^placement_lp/(vela_solve|simplex)/32 ' | sed 's/^/    /'

@@ -13,7 +13,7 @@
 
 use vela::model::finetune::prepare_for_finetune;
 use vela::prelude::*;
-use vela::runtime::{ExchangeConfig, Quant};
+use vela::runtime::Quant;
 
 /// Launches the micro model on `placement`. With `lora` the experts are
 /// prepared as in fine-tuning (frozen base, trainable adapters); without,
@@ -94,7 +94,7 @@ fn migration_preserves_computation_exactly() {
     // does not change by a bit when the experts change workers.
     for quant in [Quant::Off, Quant::Int8] {
         let (mut rt, cfg, data) = launch(seq_placement(&ModelConfig::test_small()));
-        rt.set_exchange(ExchangeConfig { quant });
+        rt.set_quant(quant);
         let batch = data.sample_batch(2, cfg.seq_len, &mut DetRng::new(1));
 
         let loss_before = rt.evaluate(

@@ -19,9 +19,9 @@
 use vela::placement::ReplicatedPlacement;
 use vela::prelude::*;
 
-/// What a run reported at commit `8456ee6`, on `channel`, under both
-/// `ExchangeConfig::default()` (legacy group frames, sequential grad sync)
-/// and `ExchangeConfig::per_batch()` — the two agreed on everything but
+/// What a run reported at commit `8456ee6`, on `channel`, under both the
+/// then-default exchange (legacy group frames, sequential grad sync) and
+/// its per-batch framing — the two agreed on everything but
 /// the frame count, which is the coalesced one. Recorded by running this
 /// file's workloads through a scratch test there
 /// (`cargo test --release --test golden_record -- --nocapture`).
