@@ -149,6 +149,11 @@ impl LocalityProfile {
     /// to the profile probabilities (weighted sampling without
     /// replacement).
     ///
+    /// This is the reference implementation of routing sampling. The
+    /// scale-virtual engines draw through a table-driven sampler
+    /// (`vela_runtime::routing`) whose tests hold it to the same picks,
+    /// from the same `rng` stream, as this function.
+    ///
     /// # Panics
     /// Panics if `k > experts`.
     pub fn sample_topk(&self, block: usize, k: usize, rng: &mut DetRng) -> Vec<usize> {

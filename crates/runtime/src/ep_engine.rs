@@ -92,7 +92,9 @@ impl EpEngine {
     /// Runs one EP fine-tuning step.
     pub fn step(&mut self) -> StepMetrics {
         self.step += 1;
-        vela_obs::step_begin(self.step as u64);
+        // A process-unique trace step, as the master-worker engines take:
+        // `self.step` restarts at 1 for every engine in the process.
+        vela_obs::next_trace_step();
         let _span = vela_obs::span("runtime.ep.step");
         self.ledger.take_step();
         let spec = self.scale.spec;
@@ -102,8 +104,10 @@ impl EpEngine {
         let mut time = TimeBreakdown::default();
 
         for block in 0..spec.blocks {
-            let counts =
-                sample_sharded_counts(&self.profile, block, &shards, spec.top_k, &mut self.rng);
+            let counts = {
+                let _route = vela_obs::span("runtime.ep.route");
+                sample_sharded_counts(&self.profile, block, &shards, spec.top_k, &mut self.rng)
+            };
 
             // Per ordered (src, host) pair: bytes of tokens moving for this
             // block (forward dispatch direction).

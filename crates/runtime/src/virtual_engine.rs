@@ -283,8 +283,10 @@ impl VirtualEngine {
         let spec = self.scale.spec;
         let tokens = self.scale.tokens();
         for block in 0..spec.blocks {
-            let counts =
-                sample_expert_counts(&self.profile, block, tokens, spec.top_k, &mut self.rng);
+            let counts = {
+                let _route = vela_obs::span("runtime.virtual.route");
+                sample_expert_counts(&self.profile, block, tokens, spec.top_k, &mut self.rng)
+            };
             // Virtual token (or gradient) rows to each expert's worker,
             // echoed back.
             let mut rows = VirtualRows {

@@ -64,6 +64,7 @@ impl DetRng {
     }
 
     /// A uniform `u64` (one xoshiro256++ step).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -77,9 +78,16 @@ impl DetRng {
         result
     }
 
+    /// The top 24 bits of one [`next_u64`](Self::next_u64): the draw
+    /// [`unit`](Self::unit) scales and a [`CategoricalTable`] looks up.
+    #[inline]
+    fn next_bits(&mut self) -> u32 {
+        (self.next_u64() >> 40) as u32
+    }
+
     /// A standard-uniform sample from `[0, 1)` with 24 bits of mantissa.
     pub fn unit(&mut self) -> f32 {
-        ((self.next_u64() >> 40) as f32) * (1.0 / (1u64 << 24) as f32)
+        unit_from_bits(self.next_bits())
     }
 
     /// A uniform sample from `[lo, hi)`.
@@ -145,20 +153,12 @@ impl DetRng {
     /// # Panics
     /// Panics if `weights` is empty or sums to a non-positive value.
     pub fn categorical(&mut self, weights: &[f32]) -> usize {
-        assert!(!weights.is_empty(), "categorical requires weights");
-        let total: f32 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "categorical requires positive finite total weight, got {total}"
-        );
-        let mut target = self.uniform(0.0, total);
-        for (i, &w) in weights.iter().enumerate() {
-            if target < w {
+        let total = categorical_total(weights);
+        loop {
+            if let Some(i) = categorical_index(weights, total, self.next_bits()) {
                 return i;
             }
-            target -= w;
         }
-        weights.len() - 1
     }
 
     /// Fisher–Yates shuffle of a slice, in place.
@@ -179,6 +179,169 @@ impl DetRng {
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f32) -> bool {
         self.unit() < p.clamp(0.0, 1.0)
+    }
+}
+
+/// The number of distinct [`DetRng::next_bits`] draws, `2^24`.
+const BITS_RANGE: u32 = 1 << 24;
+
+/// The uniform in `[0, 1)` that the 24 bits `m` stand for.
+fn unit_from_bits(m: u32) -> f32 {
+    (m as f32) * (1.0 / BITS_RANGE as f32)
+}
+
+/// The total weight [`DetRng::categorical`] scales its draw by.
+///
+/// # Panics
+/// Panics if `weights` is empty or sums to a non-positive value.
+fn categorical_total(weights: &[f32]) -> f32 {
+    assert!(!weights.is_empty(), "categorical requires weights");
+    let total: f32 = weights.iter().sum();
+    assert!(
+        total > 0.0 && total.is_finite(),
+        "categorical requires positive finite total weight, got {total}"
+    );
+    total
+}
+
+/// The index one 24-bit draw `m` selects from `weights`, or `None` when
+/// the draw is redrawn. This is the one definition of the mapping:
+/// [`DetRng::categorical`] applies it per draw and [`CategoricalTable`]
+/// tabulates it.
+///
+/// It is `uniform(0, total)` followed by a scan that subtracts each
+/// weight in turn. The product and every subtraction are rounded, but
+/// rounding is monotone, so the index never decreases as `m` grows and
+/// the redrawn draws form a suffix of `[0, 2^24)`.
+fn categorical_index(weights: &[f32], total: f32, m: u32) -> Option<usize> {
+    // `uniform(0.0, total)` computes `0.0 + (total - 0.0) · u`, which is
+    // `total · u` exactly.
+    let mut target = total * unit_from_bits(m);
+    if target >= total {
+        return None;
+    }
+    for (i, &w) in weights.iter().enumerate() {
+        if target < w {
+            return Some(i);
+        }
+        target -= w;
+    }
+    // Rounding can leave the target past the last weight, even when that
+    // weight is zero.
+    Some(weights.len() - 1)
+}
+
+/// The least `m` in `[0, 2^24]` for which `holds(m)`, where `holds` is
+/// monotone in `m` and taken to hold at `2^24`. Gallops outwards from
+/// `guess`, then bisects, so a guess within a few draws of the answer
+/// costs a handful of evaluations.
+fn least_bits(guess: u32, holds: impl Fn(u32) -> bool) -> u32 {
+    let top = i64::from(BITS_RANGE);
+    let holds = |m: i64| m >= top || holds(m as u32);
+    // Invariant once bracketed: `holds(hi)`, and `lo == -1` or `!holds(lo)`.
+    let guess = i64::from(guess.min(BITS_RANGE));
+    let mut step = 8;
+    let (mut lo, mut hi): (i64, i64);
+    if holds(guess) {
+        hi = guess;
+        loop {
+            lo = hi - step;
+            if lo < 0 || !holds(lo) {
+                break;
+            }
+            hi = lo;
+            step *= 2;
+        }
+        lo = lo.max(-1);
+    } else {
+        lo = guess;
+        loop {
+            hi = (lo + step).min(top);
+            if holds(hi) {
+                break;
+            }
+            lo = hi;
+            step *= 2;
+        }
+    }
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi as u32
+}
+
+/// [`DetRng::categorical`] over one fixed weight vector, as a lookup
+/// table.
+///
+/// A categorical draw consumes 24 bits `m` per attempt, and its index is
+/// a non-decreasing function of `m` up to a bound past which `m` is
+/// redrawn (see `categorical_index`). So `E − 1` cut points and that bound
+/// describe every draw exactly. [`draw`](Self::draw) consumes the same
+/// `next_u64` stream as `categorical(weights)` and returns the same index,
+/// without summing or scanning the weights.
+///
+/// # Example
+/// ```
+/// use vela_tensor::rng::{CategoricalTable, DetRng};
+///
+/// let weights = [0.5, 0.0, 1.5, 2.0];
+/// let table = CategoricalTable::new(&weights);
+/// let (mut a, mut b) = (DetRng::new(3), DetRng::new(3));
+/// for _ in 0..100 {
+///     assert_eq!(table.draw(&mut a), b.categorical(&weights));
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CategoricalTable {
+    /// `cuts[i]`: the least `m` that selects an index past `i` or is
+    /// redrawn.
+    cuts: Vec<u32>,
+    /// The least `m` that is redrawn; `2^24` when none is.
+    redraw: u32,
+}
+
+impl CategoricalTable {
+    /// Tabulates `categorical(weights)`: each cut is found by a search
+    /// that starts at its analytic position, the cumulative weight.
+    ///
+    /// # Panics
+    /// Panics if `weights` is empty or sums to a non-positive value, as
+    /// [`DetRng::categorical`] does.
+    pub fn new(weights: &[f32]) -> Self {
+        let total = categorical_total(weights);
+        let index = |m| categorical_index(weights, total, m);
+        let mut cumulative = 0.0f64;
+        let cuts = (0..weights.len() - 1)
+            .map(|i| {
+                cumulative += f64::from(weights[i]);
+                let guess = (cumulative / f64::from(total) * f64::from(BITS_RANGE)) as u32;
+                least_bits(guess, |m| index(m).is_none_or(|j| j > i))
+            })
+            .collect();
+        let redraw = least_bits(BITS_RANGE - 1, |m| index(m).is_none());
+        CategoricalTable { cuts, redraw }
+    }
+
+    /// The index the 24 bits `m` select, or `None` when they are redrawn.
+    #[inline]
+    fn index(&self, m: u32) -> Option<usize> {
+        (m < self.redraw).then(|| self.cuts.iter().filter(|&&c| c <= m).count())
+    }
+
+    /// One draw, equal to `rng.categorical(weights)` and leaving `rng` in
+    /// the same state.
+    #[inline]
+    pub fn draw(&self, rng: &mut DetRng) -> usize {
+        loop {
+            if let Some(i) = self.index(rng.next_bits()) {
+                return i;
+            }
+        }
     }
 }
 
@@ -301,5 +464,80 @@ mod tests {
     #[should_panic(expected = "positive finite")]
     fn categorical_zero_total_panics() {
         DetRng::new(0).categorical(&[0.0, 0.0]);
+    }
+
+    /// Weight vectors at the edges of the bits → index mapping.
+    fn edge_weights() -> Vec<Vec<f32>> {
+        vec![
+            // An interior zero.
+            vec![
+                0.541_813_7,
+                0.539_487_9,
+                0.0,
+                0.085_665_71,
+                0.149_563_57,
+                0.310_705_84,
+            ],
+            // A leading zero.
+            vec![0.0, 0.604_148_3, 0.665_133_5, 0.308_133_3],
+            // A sum that rounds: the scan falls through at the top draws and
+            // selects the last index, whose weight is zero.
+            vec![0.327_112_38, 0.426_671_03, 0.822_098_73, 0.0],
+            // A subnormal total: the top draws round up to the total and
+            // are redrawn.
+            vec![f32::from_bits(1), f32::from_bits(2), 0.0],
+            // A Zipf-1.2 row over 8 experts, as the routing profiles hold.
+            (1..=8).map(|r| 1.0 / (r as f32).powf(1.2)).collect(),
+        ]
+    }
+
+    /// `categorical` as it was written before it shared its mapping with
+    /// [`CategoricalTable`].
+    fn categorical_by_uniform(rng: &mut DetRng, weights: &[f32]) -> usize {
+        let total: f32 = weights.iter().sum();
+        let mut target = rng.uniform(0.0, total);
+        for (i, &w) in weights.iter().enumerate() {
+            if target < w {
+                return i;
+            }
+            target -= w;
+        }
+        weights.len() - 1
+    }
+
+    #[test]
+    fn categorical_table_matches_every_draw() {
+        let mut fell_through = false;
+        let mut redrew = false;
+        for weights in edge_weights() {
+            let total = categorical_total(&weights);
+            let table = CategoricalTable::new(&weights);
+            for m in 0..BITS_RANGE {
+                let expected = categorical_index(&weights, total, m);
+                assert_eq!(table.index(m), expected, "{weights:?} at m = {m}");
+                fell_through |= expected.is_some_and(|i| weights[i] == 0.0);
+                redrew |= expected.is_none();
+            }
+        }
+        assert!(fell_through, "no vector reached the scan's fall-through");
+        assert!(redrew, "no vector reached the redraw");
+    }
+
+    #[test]
+    fn categorical_table_draws_the_categorical_stream() {
+        for (seed, weights) in edge_weights().into_iter().enumerate() {
+            let table = CategoricalTable::new(&weights);
+            let mut by_table = DetRng::new(seed as u64);
+            let mut by_scan = DetRng::new(seed as u64);
+            let mut by_uniform = DetRng::new(seed as u64);
+            for _ in 0..20_000 {
+                let i = table.draw(&mut by_table);
+                assert_eq!(i, by_scan.categorical(&weights), "{weights:?}");
+                assert_eq!(i, categorical_by_uniform(&mut by_uniform, &weights));
+            }
+            let next = by_table.next_u64();
+            assert_eq!(next, by_scan.next_u64(), "streams left in step");
+            assert_eq!(next, by_uniform.next_u64(), "streams left in step");
+        }
     }
 }

@@ -55,6 +55,9 @@ cargo test -q
 echo "==> simplex pivot path (release): every pricing pass vs the column-wise reference, iterations + solution hash vs the recorded parent solver"
 cargo test --release -q -p vela-placement
 
+echo "==> routing table exactness (release): CategoricalTable vs categorical on all 2^24 draws of each edge weight vector (interior/leading zero, scan fall-through, subnormal redraw, Zipf row)"
+cargo test --release -q -p vela-tensor --lib rng::tests::categorical_table
+
 echo "==> exchange golden pin (release): loss bits, ledger bytes and frame counts recorded at 8456ee6 on {channel, tcp-threads, tcp}, single-owner + replicated arms"
 cargo test --release -q --test transport_parity
 
