@@ -7,11 +7,15 @@
 //!   attribution the paper's breakdowns are built from;
 //! * per-expert token counts per MoE block, re-deriving the Fig. 3
 //!   locality heat rows from the `"x"` (expert-rows) events;
-//! * final counter values and histogram snapshots.
+//! * final counter values and histogram snapshots (every span is also a
+//!   histogram of its durations, with its count and total µs).
 //!
 //! With `--check` it instead validates the trace — schema-valid lines,
 //! per-lane monotone timestamps, balanced enter/exit, complete dispatch →
-//! compute → result flow chains, (whenever the trace contains
+//! compute → result flow chains, the reconciliation of the two views of
+//! every span (per process lane and span name, the last histogram
+//! snapshot's count and total equal the closed enter/exit pairs and
+//! their summed durations, exactly), (whenever the trace contains
 //! broker/virtual exchange spans) the presence of the
 //! `runtime.pipeline.*` spans, and (on merged distributed
 //! traces) ≥90% attribution coverage of exchange wall time — exiting
@@ -19,10 +23,10 @@
 //!
 //! With `merge` it joins a process-mode run's master trace with its
 //! `FILE.worker{i}` siblings into one timeline: worker timestamps are
-//! rebased onto the master clock using the handshake's minimum-RTT
-//! offset samples, every record gains a process lane (`pid`), and the
-//! result is written both as mergeable JSONL (`FILE.merged`) and as a
-//! Chrome trace (`FILE.merged.json`) whose flow arrows connect each
+//! rebased onto the master clock using the minimum-RTT offset samples of
+//! the master's clock probes, every record gains a process lane (`pid`),
+//! and the result is written both as mergeable JSONL (`FILE.merged`) and
+//! as a Chrome trace (`FILE.merged.json`) whose flow arrows connect each
 //! dispatch to its worker compute span and result. A single-process
 //! trace (no siblings) merges as the master lane alone, which is how to
 //! get its Chrome view. A per-step phase attribution report (serialize /
@@ -37,8 +41,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
 use vela_obs::reader::{
-    attribute, clock_table, merge_traces, parse_line, to_chrome, to_jsonl, validate, Attribution,
-    RawEvent,
+    attribute, clock_table, merge_traces, parse_line, reconcile_spans, to_chrome, to_jsonl,
+    validate, Attribution, RawEvent, EXCHANGE_SPANS,
 };
 
 fn usage() -> ExitCode {
@@ -107,14 +111,16 @@ fn run_check(events: &[RawEvent]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = check_pipeline_instrumentation(events) {
-        eprintln!("trace INVALID: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = check_replica_shares(events) {
-        eprintln!("trace INVALID: {e}");
-        return ExitCode::FAILURE;
-    }
+    let reconciled = match check_pipeline_instrumentation(events)
+        .and_then(|()| check_replica_shares(events))
+        .and_then(|()| reconcile_spans(events))
+    {
+        Ok(reconciled) => reconciled,
+        Err(e) => {
+            eprintln!("trace INVALID: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     // A merged distributed trace (multiple process lanes, flow-correlated
     // exchanges) must attribute ≥90% of the exchange wall time to the
     // serialize/inflight/combine phases; less means the pipeline
@@ -131,7 +137,8 @@ fn run_check(events: &[RawEvent]) -> ExitCode {
         }
     }
     println!(
-        "trace OK: {} events, {} spans, {} flows, {} threads, {:.3} ms span of wall time",
+        "trace OK: {} events, {} spans, {} flows, {} threads, {:.3} ms span of wall time; \
+         {reconciled} span histograms reconcile with their enter/exit pairs",
         stats.events,
         stats.spans,
         stats.flows,
@@ -292,32 +299,17 @@ fn check_replica_shares(events: &[RawEvent]) -> Result<(), String> {
 }
 
 /// Any trace that records an exchange (a broker or virtual fwd/bwd span)
-/// must also record the exchange's serialize spans and the
-/// exchange-time counter — otherwise the phase instrumentation has
-/// silently regressed.
+/// must also record the exchange's serialize spans — otherwise the phase
+/// instrumentation has silently regressed.
 fn check_pipeline_instrumentation(events: &[RawEvent]) -> Result<(), String> {
     let span_present = |name: &str| events.iter().any(|ev| ev.ev == "b" && ev.name == name);
-    let exchanges = [
-        "runtime.broker.fwd",
-        "runtime.broker.bwd",
-        "runtime.virtual.fwd",
-        "runtime.virtual.bwd",
-    ];
-    if !exchanges.iter().any(|s| span_present(s)) {
+    if !EXCHANGE_SPANS.iter().any(|s| span_present(s)) {
         return Ok(()); // no exchanges traced, nothing to require
     }
     if !span_present("runtime.pipeline.serialize") {
         return Err(
             "trace has exchange spans but no runtime.pipeline.serialize spans \
              (exchange phase instrumentation missing)"
-                .into(),
-        );
-    }
-    let counter_present = |name: &str| events.iter().any(|ev| ev.ev == "c" && ev.name == name);
-    if !counter_present("runtime.pipeline.exchange_us") {
-        return Err(
-            "trace has exchange spans but no runtime.pipeline.exchange_us counter \
-             (pipeline timing counters missing)"
                 .into(),
         );
     }
@@ -532,10 +524,6 @@ fn summarize(events: &[RawEvent], top: usize) {
         println!(
             "  {commits} cutover(s); {chunks} chunk frame(s), {mig_bytes} payload bytes relayed"
         );
-        println!(
-            "  boundary pumps and flushes {:.3} ms",
-            mig("pump_us") as f64 / 1e3
-        );
         if let Some(s) = stats.get("runtime.migration.pump") {
             println!(
                 "  pump span: {} boundary service(s), mean {:.1} µs",
@@ -552,6 +540,8 @@ fn summarize(events: &[RawEvent], top: usize) {
         }
     }
 
+    // A span's histogram is the span-totals row above in bucket form.
+    histograms.retain(|name, _| !stats.contains_key(name));
     if !histograms.is_empty() {
         println!("\n-- histograms (power-of-two buckets) --");
         for (name, buckets) in &histograms {

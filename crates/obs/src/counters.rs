@@ -65,6 +65,7 @@ pub fn reset_counters() {
         for b in h.buckets.iter() {
             b.store(0, Ordering::Relaxed);
         }
+        h.total.store(0, Ordering::Relaxed);
     }
 }
 
@@ -94,9 +95,12 @@ impl LazyCounter {
 
 /// Power-of-two bucket histogram: bucket `i` counts values whose bit
 /// length is `i` (bucket 0 holds zeros), i.e. value `v` lands in the
-/// bucket whose lower bound is the largest power of two `<= v`.
+/// bucket whose lower bound is the largest power of two `<= v`. `total`
+/// is the sum of every recorded value, so a span's histogram carries its
+/// count *and* its total µs.
 struct HistSlot {
     buckets: [AtomicU64; 65],
+    total: AtomicU64,
 }
 
 fn histogram_registry() -> &'static Mutex<BTreeMap<String, &'static HistSlot>> {
@@ -113,6 +117,7 @@ impl Histogram {
     pub fn record(self, v: u64) {
         let idx = (64 - v.leading_zeros()) as usize;
         self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.0.total.fetch_add(v, Ordering::Relaxed);
     }
 }
 
@@ -124,14 +129,18 @@ pub fn histogram(name: &str) -> Histogram {
     }
     let slot: &'static HistSlot = Box::leak(Box::new(HistSlot {
         buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        total: AtomicU64::new(0),
     }));
     reg.insert(name.to_string(), slot);
     Histogram(slot)
 }
 
-/// Non-empty buckets of every histogram, as `(name, [(bucket lower
-/// bound, count)])`, sorted by name.
-pub fn histogram_snapshot() -> Vec<(String, Vec<(u64, u64)>)> {
+/// One histogram in a snapshot: `(name, total, [(bucket lower bound,
+/// count)])`; its count is the sum of the bucket counts.
+pub type HistogramEntry = (String, u64, Vec<(u64, u64)>);
+
+/// Every non-empty histogram, sorted by name.
+pub fn histogram_snapshot() -> Vec<HistogramEntry> {
     histogram_registry()
         .lock()
         .unwrap()
@@ -153,7 +162,7 @@ pub fn histogram_snapshot() -> Vec<(String, Vec<(u64, u64)>)> {
             if buckets.is_empty() {
                 None
             } else {
-                Some((n.clone(), buckets))
+                Some((n.clone(), h.total.load(Ordering::Relaxed), buckets))
             }
         })
         .collect()
@@ -215,15 +224,15 @@ mod tests {
         histogram("hsnaptest.b").record(17); // bucket ≥16
         histogram("hsnaptest.a").record(0); // bucket ≥0
         histogram("hsnaptest.a").record(5); // bucket ≥4
-        let snap: Vec<(String, Vec<(u64, u64)>)> = histogram_snapshot()
+        let snap: Vec<HistogramEntry> = histogram_snapshot()
             .into_iter()
-            .filter(|(n, _)| n.starts_with("hsnaptest."))
+            .filter(|(n, _, _)| n.starts_with("hsnaptest."))
             .collect();
         assert_eq!(
             snap,
             vec![
-                ("hsnaptest.a".to_string(), vec![(0, 1), (4, 1)]),
-                ("hsnaptest.b".to_string(), vec![(16, 1)]),
+                ("hsnaptest.a".to_string(), 5, vec![(0, 1), (4, 1)]),
+                ("hsnaptest.b".to_string(), 17, vec![(16, 1)]),
             ],
             "snapshot must be name-sorted with ascending bucket bounds"
         );

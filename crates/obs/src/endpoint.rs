@@ -4,12 +4,16 @@
 //! listener thread serves a point-in-time counter + histogram snapshot
 //! to every connection and closes it — `nc 127.0.0.1 9188` mid-run
 //! prints the current state of a long job without waiting for trace
-//! files. The output is plain text, one metric per line, sorted by
-//! name, so two snapshots diff cleanly:
+//! files. Every span is a histogram of its durations in µs (its count
+//! and total are the span's call count and wall time), so the snapshot
+//! is also the live timing view. The output is plain text, one metric
+//! per line, counters then histograms, each sorted by name, so two
+//! snapshots diff cleanly:
 //!
 //! ```text
-//! counter runtime.pipeline.exchange_us 18734
-//! histogram model.moe.group_rows 16:7 32:3
+//! counter runtime.migration.chunks 62
+//! histogram model.moe.group_rows count=10 total=208 16:7 32:3
+//! histogram runtime.pipeline.serialize count=96 total=1874 8:30 16:61 32:5
 //! ```
 //!
 //! Everything is `std`-only: one `TcpListener`, one thread, no HTTP.
@@ -30,8 +34,9 @@ pub fn render() -> String {
     for (name, value) in crate::counter_snapshot() {
         let _ = writeln!(out, "counter {name} {value}");
     }
-    for (name, buckets) in crate::histogram_snapshot() {
-        let _ = write!(out, "histogram {name}");
+    for (name, total, buckets) in crate::histogram_snapshot() {
+        let count: u64 = buckets.iter().map(|&(_, n)| n).sum();
+        let _ = write!(out, "histogram {name} count={count} total={total}");
         for (lo, count) in buckets {
             let _ = write!(out, " {lo}:{count}");
         }
@@ -93,5 +98,33 @@ mod tests {
             let zz = body.find("counter endpoint.test.zz 7").expect("zz line");
             assert!(aa < zz, "metrics must be sorted by name:\n{body}");
         }
+    }
+
+    #[test]
+    fn span_closes_are_served_with_count_and_total() {
+        crate::set_mode(crate::TraceMode::Counters);
+        for _ in 0..2 {
+            let _s = crate::span("endpoint.test.span.zz");
+        }
+        {
+            let _s = crate::span("endpoint.test.span.aa");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let body = super::render();
+        let line_at = |name: &str, count: u64| {
+            let (_, total, _) = crate::histogram_snapshot()
+                .into_iter()
+                .find(|(n, _, _)| n == name)
+                .expect("span histogram");
+            let line = format!("histogram {name} count={count} total={total} ");
+            let at = body
+                .find(&line)
+                .unwrap_or_else(|| panic!("no `{line}` in:\n{body}"));
+            (at, total)
+        };
+        let (aa, aa_total) = line_at("endpoint.test.span.aa", 1);
+        let (zz, _) = line_at("endpoint.test.span.zz", 2);
+        assert!(aa_total >= 2000, "the slept span's total is its µs");
+        assert!(aa < zz, "metrics must be sorted by name:\n{body}");
     }
 }

@@ -7,14 +7,19 @@
 //!
 //! ## Model
 //!
-//! * **Spans** ([`span`]) record wall-clock enter/exit pairs tagged with
-//!   the current *logical step* (a process-global counter advanced by
-//!   [`step_begin`]). Events land in thread-local buffers that are
-//!   drained to the process-global sink either when a buffer fills or
-//!   when [`flush`] is called.
+//! * **Spans** ([`span`]) are the one timing instrument. Whenever
+//!   anything is recorded (`counters` or `jsonl`), a span's close adds
+//!   its `exit − enter` µs to the histogram named after the span, so the
+//!   live endpoint and the trace snapshot carry every span's count and
+//!   total. Under `jsonl` the same two stamps are also written as
+//!   enter/exit events tagged with the current *logical step* (a
+//!   process-global counter advanced by [`step_begin`]). Events land in
+//!   thread-local buffers that are drained to the process-global sink
+//!   either when a buffer fills or when [`flush`] is called.
 //! * **Counters / histograms** ([`counter`], [`histogram`]) are named
-//!   process-global atomics; recording is a relaxed `fetch_add`.
-//!   Snapshots are emitted into the trace at every [`flush`] as
+//!   process-global atomics; recording is a relaxed `fetch_add`, and a
+//!   histogram keeps the running total of what it recorded beside its
+//!   buckets. Snapshots are emitted into the trace at every [`flush`] as
 //!   cumulative values (readers keep the last value per name).
 //! * **Expert-row events** ([`expert_rows`]) attribute per-expert token
 //!   counts to a (step, block, pass) triple — the raw material for
@@ -27,8 +32,8 @@
 //!   tracing off.
 //! * `VELA_TRACE_OUT` — output path (default `vela-trace.jsonl`).
 //! * `VELA_METRICS_ADDR` — serve a live plain-text counter/histogram
-//!   snapshot on this TCP address (see [`endpoint`]); implies at least
-//!   [`TraceMode::Counters`].
+//!   snapshot, span histograms included, on this TCP address (see
+//!   [`endpoint`]); implies at least [`TraceMode::Counters`].
 //! * `VELA_LOG` — stderr logger level: `error`, `warn` (default),
 //!   `info`, `debug`.
 //!
@@ -41,7 +46,7 @@
 //! {"ev":"b","t":12,"tid":1,"step":3,"name":"runtime.step"}      span enter
 //! {"ev":"e","t":90,"tid":1,"name":"runtime.step"}               span exit
 //! {"ev":"c","t":99,"tid":0,"name":"tensor.workspace.hit","value":42}
-//! {"ev":"h","t":99,"tid":0,"name":"model.moe.group_rows","buckets":[[16,7],[32,3]]}
+//! {"ev":"h","t":99,"tid":0,"name":"model.moe.group_rows","total":208,"buckets":[[16,7],[32,3]]}
 //! {"ev":"x","t":50,"tid":1,"step":3,"name":"fwd","src":"runtime","block":0,"rows":[[0,128],[3,64]]}
 //! {"ev":"f","t":60,"tid":1,"step":3,"ph":"s","corr":412317122560}   flow endpoint
 //! {"ev":"k","t":70,"tid":0,"worker":1,"offset":-1423,"rtt":88}      clock sample
@@ -54,7 +59,10 @@
 //! NTP-style clock samples (`offset` = worker clock − master clock,
 //! signed; `rtt` the round trip that measured it) that let
 //! `trace_summary merge` rebase a worker trace onto the master
-//! timeline. A merged trace additionally carries a `"pid"` field on
+//! timeline. An `"h"` record's `total` is the sum of the values it
+//! counted; for a span histogram that is the span's total µs, equal to
+//! Σ(exit − enter) over the span's `"b"`/`"e"` pairs in the same
+//! process. A merged trace additionally carries a `"pid"` field on
 //! every record (0 = master, `i + 1` = worker `i`); unmerged
 //! single-process traces omit it.
 //!
@@ -75,7 +83,7 @@ use std::time::Instant;
 
 pub use counters::{
     counter, counter_snapshot, histogram, histogram_snapshot, reset_counters, Counter, Histogram,
-    LazyCounter, LazyHistogram,
+    HistogramEntry, LazyCounter, LazyHistogram,
 };
 pub use logger::Level;
 pub use span::{expert_rows, flow, span, FlowPhase, SpanGuard};
@@ -134,7 +142,8 @@ pub mod corr {
 pub enum TraceMode {
     /// Nothing is recorded; every probe is a relaxed load + branch.
     Off = 1,
-    /// Counters/histograms accumulate but no event file is written.
+    /// Counters and histograms (span durations included) accumulate but
+    /// no event file is written.
     Counters = 2,
     /// Counters plus span/row events streamed as JSONL.
     Jsonl = 3,

@@ -1,8 +1,9 @@
 //! Reading side of the JSONL trace schema: a minimal JSON parser (the
 //! workspace is hermetic — no serde), typed [`RawEvent`] decoding, the
-//! structural validator behind `trace_summary --check`, the cross-process
-//! merge and span/flow attribution, and the two writers of a decoded
-//! trace — JSONL ([`to_jsonl`]) and the Chrome view ([`to_chrome`]).
+//! structural validator and the span/histogram reconciliation behind
+//! `trace_summary --check`, the cross-process merge and span/flow
+//! attribution, and the two writers of a decoded trace — JSONL
+//! ([`to_jsonl`]) and the Chrome view ([`to_chrome`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{Display, Write as _};
@@ -274,6 +275,9 @@ pub struct RawEvent {
     pub step: Option<u64>,
     /// Counter value (`"c"` events).
     pub value: Option<u64>,
+    /// Sum of every recorded value (`"h"` events); a span histogram's
+    /// total µs.
+    pub total: Option<u64>,
     /// Observing layer for `"x"` events (`"runtime"` / `"model"`).
     pub src: Option<String>,
     /// MoE block index for `"x"` events.
@@ -336,6 +340,7 @@ pub fn parse_line(line: &str) -> Result<RawEvent, String> {
     let name = v.get("name").and_then(Json::as_str).map(str::to_string);
     let step = v.get("step").and_then(Json::as_u64);
     let value = v.get("value").and_then(Json::as_u64);
+    let total = v.get("total").and_then(Json::as_u64);
     let src = v.get("src").and_then(Json::as_str).map(str::to_string);
     let block = v.get("block").and_then(Json::as_u64);
     let rows = match v.get("rows") {
@@ -363,6 +368,7 @@ pub fn parse_line(line: &str) -> Result<RawEvent, String> {
             value.ok_or("counter event missing \"value\"")?;
         }
         "h" => {
+            total.ok_or("histogram event missing \"total\"")?;
             if buckets.is_empty() {
                 return Err("histogram event missing \"buckets\"".to_string());
             }
@@ -399,6 +405,7 @@ pub fn parse_line(line: &str) -> Result<RawEvent, String> {
         pid,
         step,
         value,
+        total,
         src,
         block,
         rows,
@@ -535,11 +542,56 @@ pub fn clock_table(events: &[RawEvent]) -> BTreeMap<u64, (i64, u64)> {
     best
 }
 
+/// Reconciles the two views of every span's time. Per process lane and
+/// span name, the lane's last `"h"` snapshot must count exactly the
+/// closed `"b"`/`"e"` pairs, and its total must be exactly their summed
+/// `e.t − b.t`: a span close feeds its histogram from the same two stamps
+/// it writes as events, and a merge shifts a lane by one offset, so any
+/// difference is an instrument fault. Histograms no span feeds are not
+/// checked. Returns the number of `(lane, span)` pairs reconciled.
+pub fn reconcile_spans(events: &[RawEvent]) -> Result<usize, String> {
+    let mut stacks: BTreeMap<(u64, u64), Vec<(&str, u64)>> = BTreeMap::new();
+    // (pid, name) → (count, total µs), from the events and from the last
+    // histogram snapshot respectively.
+    let mut closed: BTreeMap<(u64, &str), (u64, u64)> = BTreeMap::new();
+    let mut hists: BTreeMap<(u64, &str), (u64, u64)> = BTreeMap::new();
+    for ev in events {
+        match ev.ev.as_str() {
+            "b" => stacks
+                .entry((ev.pid, ev.tid))
+                .or_default()
+                .push((&ev.name, ev.t)),
+            "e" => {
+                if let Some((name, start)) = stacks.entry((ev.pid, ev.tid)).or_default().pop() {
+                    let c = closed.entry((ev.pid, name)).or_default();
+                    c.0 += 1;
+                    c.1 += ev.t.saturating_sub(start);
+                }
+            }
+            "h" => {
+                let count = ev.buckets.iter().map(|&(_, n)| n).sum();
+                hists.insert((ev.pid, &ev.name), (count, ev.total.unwrap_or(0)));
+            }
+            _ => {}
+        }
+    }
+    for (&(pid, name), &(count, total)) in &closed {
+        let (h_count, h_total) = hists.get(&(pid, name)).copied().unwrap_or((0, 0));
+        if (h_count, h_total) != (count, total) {
+            return Err(format!(
+                "pid {pid}: span {name:?} has {count} closed pairs totalling {total} µs, \
+                 but its histogram counts {h_count} totalling {h_total} µs"
+            ));
+        }
+    }
+    Ok(closed.len())
+}
+
 /// Join a master trace with per-worker traces into one timeline.
 ///
 /// Each worker's timestamps are rebased onto the master clock using
-/// the minimum-RTT offset sample recorded during the transport
-/// handshake (`t_master = t_worker − offset`), every event is tagged
+/// the minimum-RTT offset sample from the master's clock probes
+/// (`t_master = t_worker − offset`), every event is tagged
 /// with its process lane (`pid` 0 = master, `i + 1` = worker `i`), and
 /// the result is stably sorted by time — per-lane order (and therefore
 /// span stack discipline) survives. A uniform shift keeps all
@@ -554,7 +606,10 @@ pub fn merge_traces(
     let mut lanes: Vec<(u64, i64, Vec<RawEvent>)> = Vec::new();
     for (w, events) in workers {
         let &(offset, _) = clocks.get(&w).ok_or_else(|| {
-            format!("worker {w}: no clock sample in the master trace (untraced handshake?)")
+            format!(
+                "worker {w}: no clock sample in the master trace \
+                 (the master probes every worker's clock at its first traced step)"
+            )
         })?;
         for ev in &events {
             earliest = earliest.min(ev.t as i64 - offset);
@@ -632,6 +687,9 @@ pub fn to_jsonl(ev: &RawEvent) -> String {
     }
     if let Some(value) = ev.value {
         let _ = write!(out, ",\"value\":{value}");
+    }
+    if let Some(total) = ev.total {
+        let _ = write!(out, ",\"total\":{total}");
     }
     if let Some(src) = &ev.src {
         out.push_str(",\"src\":\"");
@@ -722,7 +780,11 @@ pub fn to_chrome(events: &[RawEvent]) -> String {
                 let _ = write!(out, ",\"args\":{{\"value\":{}}}", ev.value.unwrap_or(0));
             }
             "h" => {
-                out.push_str(",\"s\":\"g\",\"args\":{\"buckets\":");
+                let _ = write!(
+                    out,
+                    ",\"s\":\"g\",\"args\":{{\"total\":{},\"buckets\":",
+                    ev.total.unwrap_or(0)
+                );
                 write_pairs(&mut out, &ev.buckets);
                 out.push('}');
             }
@@ -1038,6 +1100,46 @@ mod tests {
     }
 
     #[test]
+    fn reconciliation_matches_span_pairs_with_the_last_histogram_per_lane() {
+        let trace = |last: &str| {
+            [
+                r#"{"ev":"b","t":10,"tid":1,"step":0,"name":"a"}"#,
+                r#"{"ev":"e","t":13,"tid":1,"name":"a"}"#,
+                r#"{"ev":"h","t":14,"tid":0,"name":"a","total":3,"buckets":[[2,1]]}"#,
+                r#"{"ev":"b","t":5,"tid":2,"step":0,"name":"a"}"#,
+                r#"{"ev":"e","t":9,"tid":2,"name":"a"}"#,
+                r#"{"ev":"b","t":1,"tid":1,"pid":1,"step":0,"name":"a"}"#,
+                r#"{"ev":"e","t":2,"tid":1,"pid":1,"name":"a"}"#,
+                r#"{"ev":"h","t":20,"tid":0,"pid":1,"name":"a","total":1,"buckets":[[1,1]]}"#,
+                r#"{"ev":"h","t":30,"tid":0,"name":"not.a.span","total":208,"buckets":[[16,7]]}"#,
+                last,
+            ]
+            .map(ev)
+        };
+        // Lane 0 closed `a` twice for 3 + 4 µs; lane 1 once for 1 µs. The
+        // stale snapshot at t 14 is superseded by the last one.
+        let exact = r#"{"ev":"h","t":40,"tid":0,"name":"a","total":7,"buckets":[[2,1],[4,1]]}"#;
+        assert_eq!(reconcile_spans(&trace(exact)), Ok(2));
+        let off_by_one =
+            r#"{"ev":"h","t":40,"tid":0,"name":"a","total":8,"buckets":[[2,1],[4,1]]}"#;
+        let err = reconcile_spans(&trace(off_by_one)).unwrap_err();
+        assert!(
+            err.contains("totalling 7 µs") && err.contains("totalling 8 µs"),
+            "{err}"
+        );
+        let lost_close = r#"{"ev":"h","t":40,"tid":0,"name":"a","total":7,"buckets":[[4,1]]}"#;
+        assert!(reconcile_spans(&trace(lost_close)).is_err());
+        // A span with no histogram at all is an instrument fault too.
+        let unfed: Vec<RawEvent> = trace(exact)
+            .into_iter()
+            .filter(|e| !(e.ev == "h" && e.pid == 0 && e.name == "a"))
+            .collect();
+        assert!(reconcile_spans(&unfed)
+            .unwrap_err()
+            .contains("histogram counts 0"));
+    }
+
+    #[test]
     fn merge_shifts_negative_rebased_timestamps() {
         // Worker clock is *behind* rebasing: t 5 − offset 20 = −15, so
         // every timestamp shifts by +15 and stays u64.
@@ -1058,7 +1160,7 @@ mod tests {
             r#"{"ev":"b","t":12,"tid":1,"pid":2,"step":3,"name":"runtime.step"}"#,
             r#"{"ev":"e","t":90,"tid":1,"name":"run \"x\""}"#,
             r#"{"ev":"c","t":99,"tid":0,"name":"c.n","value":42}"#,
-            r#"{"ev":"h","t":99,"tid":0,"name":"h.n","buckets":[[16,7],[32,3]]}"#,
+            r#"{"ev":"h","t":99,"tid":0,"name":"h.n","total":208,"buckets":[[16,7],[32,3]]}"#,
             r#"{"ev":"x","t":50,"tid":1,"step":3,"name":"fwd","src":"runtime","block":0,"rows":[[0,128]]}"#,
             r#"{"ev":"f","t":60,"tid":1,"step":3,"ph":"s","corr":412317122560}"#,
             r#"{"ev":"k","t":70,"tid":0,"worker":1,"offset":-1423,"rtt":88}"#,
@@ -1076,7 +1178,7 @@ mod tests {
             r#"{"ev":"b","t":12,"tid":1,"step":3,"name":"run \"x\""}"#,
             r#"{"ev":"e","t":90,"tid":1,"name":"run \"x\""}"#,
             r#"{"ev":"c","t":99,"tid":0,"name":"c.n","value":42}"#,
-            r#"{"ev":"h","t":99,"tid":0,"name":"h.n","buckets":[[16,7],[32,3]]}"#,
+            r#"{"ev":"h","t":99,"tid":0,"name":"h.n","total":208,"buckets":[[16,7],[32,3]]}"#,
             r#"{"ev":"x","t":50,"tid":1,"step":3,"name":"fwd","src":"runtime","block":2,"rows":[[0,128],[3,64]]}"#,
             r#"{"ev":"f","t":60,"tid":1,"step":3,"ph":"s","corr":7}"#,
             r#"{"ev":"f","t":61,"tid":4,"pid":1,"step":3,"ph":"t","corr":7}"#,
@@ -1129,6 +1231,7 @@ mod tests {
         // Histogram and expert rows: instants carrying their pairs.
         assert_eq!((field(3, "ph"), field(3, "name")), (s("i"), s("h.n")));
         assert_eq!(arg(3, "buckets"), pairs(&[(16.0, 7.0), (32.0, 3.0)]));
+        assert_eq!(arg(3, "total"), n(208.0));
         assert_eq!(
             (field(4, "ph"), field(4, "name")),
             (s("i"), s("rows.runtime.fwd.b2"))

@@ -148,10 +148,10 @@ pub(crate) fn write_snapshots() {
             escape_into(&mut out, name);
             let _ = writeln!(out, "\",\"value\":{value}}}");
         }
-        for (name, buckets) in &hists {
+        for (name, total, buckets) in &hists {
             let _ = write!(out, "{{\"ev\":\"h\",\"t\":{t},\"tid\":0,\"name\":\"");
             escape_into(&mut out, name);
-            out.push_str("\",\"buckets\":");
+            let _ = write!(out, "\",\"total\":{total},\"buckets\":");
             write_pairs(&mut out, buckets);
             out.push_str("}\n");
         }

@@ -1,5 +1,5 @@
 //! Span events, thread-local buffers and the cross-thread drain
-//! registry.
+//! registry, and the per-name duration histograms span closes feed.
 //!
 //! Every recording thread owns an `Arc<Mutex<Vec<Event>>>` buffer that
 //! is also registered in a process-global list, so [`crate::flush`]
@@ -8,8 +8,11 @@
 //! events). The buffer mutex is uncontended in steady state: only the
 //! owning thread pushes, and drains swap the whole vector out.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::Histogram;
 
 /// Position of a flow record within its dispatch → worker-compute →
 /// result chain. The letters mirror the Chrome `trace_event` flow
@@ -114,38 +117,74 @@ pub(crate) fn drain_all() {
     }
 }
 
-/// RAII guard closing the span on drop. Inert (zero events) when the
-/// span was opened while tracing was disabled.
+thread_local! {
+    /// This thread's span histogram handles, keyed by the name's address:
+    /// each name takes the registry mutex once per thread, so a close on a
+    /// pool thread never contends on it.
+    static SPAN_HISTOGRAMS: RefCell<Vec<(&'static str, Histogram)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+fn span_histogram(name: &'static str) -> Histogram {
+    SPAN_HISTOGRAMS.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if let Some(&(_, h)) = cache.iter().find(|(n, _)| std::ptr::eq(*n, name)) {
+            return h;
+        }
+        let h = crate::histogram(name);
+        cache.push((name, h));
+        h
+    })
+}
+
+/// RAII guard closing the span on drop. Inert when the span was opened
+/// while observability was off.
 pub struct SpanGuard {
     name: &'static str,
-    active: bool,
+    /// The enter stamp, µs; `None` when the span was opened disabled.
+    enter: Option<u64>,
+    /// The enter event was written, so the exit must be too.
+    traced: bool,
 }
 
 /// Open a named span attributed to the current logical step. When
-/// tracing is off this is one relaxed load and returns an inert guard.
+/// observability is off this is one relaxed load and returns an inert
+/// guard. Otherwise the close records `exit − enter` µs into the
+/// histogram named after the span, and under [`crate::tracing`] the
+/// enter and exit also become `"b"`/`"e"` events carrying those same two
+/// stamps.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !crate::tracing() {
+    if !crate::enabled() {
         return SpanGuard {
             name,
-            active: false,
+            enter: None,
+            traced: false,
         };
     }
-    record(Event::Enter {
+    let t = crate::now_us();
+    let traced = crate::tracing();
+    if traced {
+        record(Event::Enter {
+            name,
+            t,
+            step: crate::current_step(),
+        });
+    }
+    SpanGuard {
         name,
-        t: crate::now_us(),
-        step: crate::current_step(),
-    });
-    SpanGuard { name, active: true }
+        enter: Some(t),
+        traced,
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.active {
-            record(Event::Exit {
-                name: self.name,
-                t: crate::now_us(),
-            });
+        let Some(enter) = self.enter else { return };
+        let t = crate::now_us();
+        span_histogram(self.name).record(t - enter);
+        if self.traced {
+            record(Event::Exit { name: self.name, t });
         }
     }
 }

@@ -57,7 +57,8 @@ fn counters_and_histograms_accumulate() {
     h.record(5); // bucket lo 4
     h.record(5);
     let hsnap = vela_obs::histogram_snapshot();
-    let buckets = &hsnap.iter().find(|(n, _)| n == "test.hist").unwrap().1;
+    let (_, total, buckets) = hsnap.iter().find(|(n, _, _)| n == "test.hist").unwrap();
+    assert_eq!(*total, 11);
     assert!(buckets.contains(&(0, 1)));
     assert!(buckets.contains(&(1, 1)));
     assert!(buckets.contains(&(4, 2)));
@@ -108,6 +109,70 @@ fn spans_roundtrip_through_jsonl_and_validate() {
         .find(|e| e.ev == "c" && e.name == "test.roundtrip")
         .expect("counter snapshot event");
     assert!(c.value.unwrap() >= 11);
+}
+
+/// `(count, total)` of the named histogram, if it has recorded anything.
+fn histogram_of(name: &str) -> Option<(u64, u64)> {
+    vela_obs::histogram_snapshot()
+        .into_iter()
+        .find(|(n, _, _)| n == name)
+        .map(|(_, total, buckets)| (buckets.iter().map(|&(_, c)| c).sum(), total))
+}
+
+#[test]
+fn span_closes_feed_a_histogram_in_every_enabled_mode() {
+    let _g = lock();
+    // Off: the guard is inert.
+    vela_obs::set_mode(TraceMode::Off);
+    {
+        let _s = vela_obs::span("test.hist.off");
+    }
+    assert_eq!(histogram_of("test.hist.off"), None);
+
+    // Counters: a histogram sample and no event.
+    vela_obs::set_mode(TraceMode::Counters);
+    {
+        let _s = vela_obs::span("test.hist.counters");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let (count, total) = histogram_of("test.hist.counters").expect("counters-mode histogram");
+    assert_eq!(count, 1);
+    assert!(total >= 1000, "total is the span's µs: {total}");
+
+    // Jsonl: both, from the same two stamps.
+    vela_obs::set_mode(TraceMode::Jsonl);
+    sink::set_memory_sink();
+    {
+        let _s = vela_obs::span("test.hist.jsonl");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    vela_obs::flush();
+    let text = sink::take_memory();
+    vela_obs::set_mode(TraceMode::Off);
+
+    let events: Vec<_> = text
+        .lines()
+        .map(|l| parse_line(l).expect("schema-valid line"))
+        .collect();
+    let named = |ev: &str, name: &str| {
+        events
+            .iter()
+            .filter(|e| e.ev == ev && e.name == name)
+            .collect::<Vec<_>>()
+    };
+    assert!(named("b", "test.hist.counters").is_empty());
+    assert!(named("e", "test.hist.counters").is_empty());
+    let (b, e) = (named("b", "test.hist.jsonl"), named("e", "test.hist.jsonl"));
+    assert_eq!((b.len(), e.len()), (1, 1));
+    let h = named("h", "test.hist.jsonl");
+    assert_eq!(h.len(), 1, "one snapshot record per flush");
+    assert_eq!(h[0].total, Some(e[0].t - b[0].t), "total = exit − enter");
+    assert_eq!(h[0].buckets.iter().map(|&(_, c)| c).sum::<u64>(), 1);
+    assert_eq!(
+        named("h", "test.hist.counters")[0].total,
+        Some(total),
+        "the counters-mode close is in the snapshot too"
+    );
 }
 
 #[test]

@@ -12,21 +12,16 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 use vela_model::provider::{ExpertBatch, ExpertProvider};
-use vela_obs::{Counter, LazyCounter};
+use vela_obs::Counter;
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::Tensor;
 
 use crate::message::{Message, PackedData, PackedGroup};
 use crate::pipeline::{
-    DispatchPlan, Rows, COMBINE_US, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS,
-    MIGRATION_PUMP_US, SPAN_COMBINE, SPAN_MIGRATION_PUMP,
+    DispatchPlan, Rows, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS, SPAN_COMBINE,
+    SPAN_MIGRATION_PUMP,
 };
 use crate::transport::{MasterHub, Quant, TransportError, WireStats};
-
-/// Aggregate dispatch/gather telemetry across all phases and engines.
-static PHASE_BYTES_OUT: LazyCounter = LazyCounter::new("runtime.phase.bytes_out");
-static PHASE_BYTES_BACK: LazyCounter = LazyCounter::new("runtime.phase.bytes_back");
-static PHASE_ROWS: LazyCounter = LazyCounter::new("runtime.phase.rows");
 
 /// One worker's byte/row counter handles, resolved once per worker index
 /// instead of re-registering `runtime.worker.{w}.*` by formatted name on
@@ -62,8 +57,8 @@ pub(crate) fn pass_name(pass: Pass) -> &'static str {
     }
 }
 
-/// Mirrors one completed [`PhaseLog`] into `vela-obs`: aggregate and
-/// per-worker byte/row counters plus a per-expert rows event
+/// Mirrors one completed [`PhaseLog`] into `vela-obs`: per-worker
+/// byte/row counters plus a per-expert rows event
 /// (`src: "runtime"` — the dispatch-level view of routing, which the
 /// trace summarizer prefers over the model-level view to avoid double
 /// counting).
@@ -71,9 +66,6 @@ pub(crate) fn observe_phase(log: &PhaseLog, expert_rows: &[(usize, usize)]) {
     if !vela_obs::enabled() {
         return;
     }
-    PHASE_BYTES_OUT.add(log.bytes_out.iter().sum());
-    PHASE_BYTES_BACK.add(log.bytes_back.iter().sum());
-    PHASE_ROWS.add(log.rows.iter().sum());
     for (w, ((&out, &back), &rows)) in log
         .bytes_out
         .iter()
@@ -322,13 +314,15 @@ impl BrokerClient {
     /// engine-local count): the master tags its own trace stream with it
     /// and the workers adopt it from the frame, so flow correlation keys
     /// agree across processes and never collide across engine launches.
-    /// Under tracing the master also periodically re-probes worker clocks
-    /// in the quiescent window between steps (the handshake sample alone
-    /// would drift on long runs).
+    /// Under tracing the master also probes worker clocks in the quiescent
+    /// window before the first step and every 64 steps after it (one
+    /// sample would drift on long runs); that probe is the only source of
+    /// the offsets `trace_summary merge` rebases worker traces with, on
+    /// every transport. Untraced runs send no probe frames.
     pub fn step_begin(&mut self) -> Result<(), TransportError> {
         self.step += 1;
         let trace_step = vela_obs::next_trace_step();
-        if vela_obs::tracing() && self.step > 1 && self.step % 64 == 1 {
+        if vela_obs::tracing() && self.step % 64 == 1 {
             self.hub.probe_clocks(4);
         }
         self.hub.broadcast(&Message::StepBegin { step: trace_step })
@@ -571,7 +565,6 @@ impl BrokerClient {
             return Ok(0);
         }
         let _g = vela_obs::span(SPAN_MIGRATION_PUMP);
-        let t0 = vela_obs::enabled().then(vela_obs::now_us);
         let mut cut_over = 0;
         while !self.migrations.lanes.is_empty() {
             while !self.migrations.lanes[0].landed {
@@ -607,9 +600,6 @@ impl BrokerClient {
             cut_over += 1;
         }
         self.admit_queued()?;
-        if let Some(t0) = t0 {
-            MIGRATION_PUMP_US.add(vela_obs::now_us().saturating_sub(t0));
-        }
         Ok(cut_over)
     }
 
@@ -961,13 +951,9 @@ impl TensorRows<'_> {
             return;
         }
         let _g = vela_obs::span(SPAN_COMBINE);
-        let t0 = vela_obs::enabled().then(vela_obs::now_us);
         while let Some(t) = self.pending.get_mut(self.next_emit).and_then(Option::take) {
             (self.sink)(self.next_emit, t);
             self.next_emit += 1;
-        }
-        if let Some(t0) = t0 {
-            COMBINE_US.add(vela_obs::now_us().saturating_sub(t0));
         }
     }
 }

@@ -12,8 +12,6 @@
 //! engine's [`Rows`] hands results on as an ascending prefix of batch
 //! indices, so float accumulation order is the same however workers race.
 
-use std::time::Instant;
-
 use vela_obs::{FlowPhase, LazyCounter};
 
 use crate::broker::{
@@ -28,26 +26,16 @@ const SPAN_SERIALIZE: &str = "runtime.pipeline.serialize";
 const SPAN_INFLIGHT: &str = "runtime.pipeline.inflight";
 /// Span around streamed-combine delivery of a completed batch prefix.
 pub(crate) const SPAN_COMBINE: &str = "runtime.pipeline.combine";
-/// Span around the boundary migration pump (lane cutovers and admissions).
+/// Span around the boundary migration pump: the cutovers, plus any wait
+/// for a stream that had not landed — the visible cost of a move.
 pub(crate) const SPAN_MIGRATION_PUMP: &str = "runtime.migration.pump";
 
-/// Master time spent in streamed-combine delivery, µs.
-pub(crate) static COMBINE_US: LazyCounter = LazyCounter::new("runtime.pipeline.combine_us");
 /// Migration chunk frames relayed master → destination.
 pub(crate) static MIGRATION_CHUNKS: LazyCounter = LazyCounter::new("runtime.migration.chunks");
 /// Migration chunk bytes relayed master → destination.
 pub(crate) static MIGRATION_BYTES: LazyCounter = LazyCounter::new("runtime.migration.bytes");
 /// Migration lanes cut over at a step boundary.
 pub(crate) static MIGRATION_COMMITS: LazyCounter = LazyCounter::new("runtime.migration.commits");
-/// Master time in the boundary migration pump, µs (the cutovers, plus any
-/// wait for a stream that had not landed — the visible cost of a move).
-pub(crate) static MIGRATION_PUMP_US: LazyCounter = LazyCounter::new("runtime.migration.pump_us");
-/// Master time spent encoding + enqueueing frames, µs.
-static SERIALIZE_US: LazyCounter = LazyCounter::new("runtime.pipeline.serialize_us");
-/// Last frame sent → last reply drained, µs.
-static INFLIGHT_US: LazyCounter = LazyCounter::new("runtime.pipeline.inflight_us");
-/// Exchange wall time, µs.
-static EXCHANGE_US: LazyCounter = LazyCounter::new("runtime.pipeline.exchange_us");
 
 /// Which worker serves which items of one block-pass.
 ///
@@ -164,7 +152,6 @@ impl BrokerClient {
             &loads,
         );
         self.plan.build(workers, assigned.iter().copied());
-        let started = vela_obs::enabled().then(Instant::now);
 
         let mut owed = vec![false; workers];
         {
@@ -182,7 +169,6 @@ impl BrokerClient {
                 *owes = true;
             }
         }
-        let sent = started.map(|_| Instant::now());
 
         while owed.contains(&true) {
             let (w, msg) = {
@@ -224,11 +210,6 @@ impl BrokerClient {
             }
             vela_obs::flow(FlowPhase::Finish, exchange_corr(w, block, pass));
             rows.deliver(self.plan.regions(w, |i| loads[i].1 as usize), reply.data)?;
-        }
-        if let (Some(started), Some(sent)) = (started, sent) {
-            SERIALIZE_US.add((sent - started).as_micros() as u64);
-            INFLIGHT_US.add(sent.elapsed().as_micros() as u64);
-            EXCHANGE_US.add(started.elapsed().as_micros() as u64);
         }
 
         if vela_obs::enabled() {

@@ -22,17 +22,9 @@
 //! expected roster and acknowledges with `"VELM"`; anything else (bad
 //! magic, duplicate index, a stray or self-connected socket) is dropped
 //! and the worker retries. Only an acknowledged connection becomes a link.
-//!
-//! After the ack, while the stream is still quiet, the pair runs
-//! [`CLOCK_PROBES`] NTP-style clock probe rounds: the master writes its
-//! send time `t1` (8 bytes BE), the worker answers with its receive and
-//! reply times `(t2, t3)` (16 bytes BE), and the master notes its receive
-//! time `t4`. The minimum-RTT round yields the worker's clock offset
-//! (`((t2-t1)+(t3-t4))/2`, worker-minus-master) which is recorded via
-//! [`vela_obs::clock_sample`] so worker trace timestamps can be rebased
-//! onto the master timeline. The probe exchange is an unconditional part
-//! of the handshake — both sides always run it, so the protocol never
-//! depends on either process's tracing configuration.
+//! The handshake is hello + ack and nothing else: a traced master measures
+//! worker clocks afterwards with `ClockProbe` frames
+//! ([`MasterHub::probe_clocks`]), the same way on every transport.
 //!
 //! ## Shutdown
 //!
@@ -60,10 +52,6 @@ pub const MAX_FRAME: usize = 1 << 30;
 const HELLO_MAGIC: &[u8; 4] = b"VELW";
 const ACK_MAGIC: &[u8; 4] = b"VELM";
 const HELLO_LEN: usize = 16;
-
-/// Clock probe rounds run after the connect ack. The best (minimum-RTT)
-/// round wins, so a few rounds are enough to dodge scheduler noise.
-pub const CLOCK_PROBES: usize = 8;
 
 /// Default budget for a worker to reach the master.
 pub const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
@@ -534,36 +522,9 @@ impl TcpStarBuilder {
         }
         sock.write_all(ACK_MAGIC).map_err(|e| e.to_string())?;
         sock.set_nodelay(true).map_err(|e| e.to_string())?;
-        probe_clock_master(&mut sock, index).map_err(|e| e.to_string())?;
         sock.set_read_timeout(None).map_err(|e| e.to_string())?;
         Ok((index, sock))
     }
-}
-
-/// Master half of the handshake clock probe: [`CLOCK_PROBES`] rounds of
-/// `t1 -> (t2, t3)`, keeping the minimum-RTT round's offset estimate.
-/// Runs while the admit read timeout is still armed, so a stalled peer
-/// fails the handshake instead of wedging accept.
-fn probe_clock_master(sock: &mut TcpStream, index: usize) -> Result<(), std::io::Error> {
-    let mut best: Option<(u64, i64)> = None;
-    for _ in 0..CLOCK_PROBES {
-        let t1 = vela_obs::now_us();
-        sock.write_all(&t1.to_be_bytes())?;
-        let mut reply = [0u8; 16];
-        sock.read_exact(&mut reply)?;
-        let t4 = vela_obs::now_us();
-        let t2 = u64::from_be_bytes(reply[..8].try_into().unwrap());
-        let t3 = u64::from_be_bytes(reply[8..].try_into().unwrap());
-        let rtt = (t4 - t1).saturating_sub(t3.saturating_sub(t2));
-        let offset = ((t2 as i64 - t1 as i64) + (t3 as i64 - t4 as i64)) / 2;
-        if best.map_or(true, |(r, _)| rtt < r) {
-            best = Some((rtt, offset));
-        }
-    }
-    if let Some((rtt, offset)) = best {
-        vela_obs::clock_sample(index, offset, rtt);
-    }
-    Ok(())
 }
 
 /// Dials the master at `addr` as worker `index` on `device`, retrying
@@ -635,17 +596,6 @@ fn try_connect(addr: SocketAddr, index: usize, device: DeviceId) -> Result<TcpSt
         return Err(format!("bad ack magic {ack:?}"));
     }
     sock.set_nodelay(true).map_err(|e| e.to_string())?;
-    // Worker half of the handshake clock probe: answer each of the
-    // master's t1 probes with our receive/reply times (t2, t3).
-    for _ in 0..CLOCK_PROBES {
-        let mut probe = [0u8; 8];
-        sock.read_exact(&mut probe).map_err(|e| e.to_string())?;
-        let t2 = vela_obs::now_us();
-        let mut reply = [0u8; 16];
-        reply[..8].copy_from_slice(&t2.to_be_bytes());
-        reply[8..].copy_from_slice(&vela_obs::now_us().to_be_bytes());
-        sock.write_all(&reply).map_err(|e| e.to_string())?;
-    }
     sock.set_read_timeout(None).map_err(|e| e.to_string())?;
     Ok(sock)
 }

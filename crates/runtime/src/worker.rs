@@ -22,7 +22,7 @@ use vela_nn::param::Module;
 use vela_nn::swiglu::SwiGlu;
 use vela_tensor::rng::DetRng;
 
-use vela_obs::{FlowPhase, LazyCounter};
+use vela_obs::FlowPhase;
 
 use crate::message::{
     chunk_expert_state, quantize_rows, ChunkAssembler, GroupPass, Message, PackedData, PackedGroup,
@@ -31,10 +31,6 @@ use crate::message::{
 use crate::pipeline::exchange_corr;
 use crate::transport::{TransportError, WorkerPort};
 use crate::wire::{ByteReader, ByteWriter, WireError};
-
-/// Wall time spent inside [`serve_packed`] — the worker-compute term of
-/// the step-time attribution.
-static SERVE_US: LazyCounter = LazyCounter::new("runtime.worker.serve_us");
 
 /// The worker-side span wrapping one serve (+ its reply send).
 const SPAN_SERVE: &str = "runtime.worker.serve";
@@ -404,11 +400,7 @@ fn handle(
             // The flow pair bounds the compute; the reply send after the
             // second endpoint is wire time from the master's viewpoint.
             vela_obs::flow(FlowPhase::Step, corr);
-            let t0 = vela_obs::enabled().then(vela_obs::now_us);
             let reply = serve_packed(shard, group);
-            if let Some(t0) = t0 {
-                SERVE_US.add(vela_obs::now_us() - t0);
-            }
             vela_obs::flow(FlowPhase::Step, corr);
             port.send(&Message::PackedResult(reply))?;
         }

@@ -70,7 +70,7 @@ cargo test --release -q --test migration
 echo "==> int8 wire gate (release): quantized loss curve tracks exact; encoded bytes/step pinned, int8 dispatch >=45% below exact"
 cargo test --release -q --test quant_accuracy
 
-echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check, then its Chrome view via merge"
+echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check (schema, span balance, and the reconciliation gate: every span histogram's count and total == its enter/exit pairs), then its Chrome view via merge"
 trace_out=target/quickstart-trace.jsonl
 rm -f "$trace_out" "$trace_out".merged*
 VELA_TRACE=jsonl VELA_TRACE_OUT="$trace_out" \
@@ -104,8 +104,11 @@ for worker_trace in "$tcp_trace".worker*; do
         exit 1
     fi
 done
-# The merged trace rebases worker clocks onto the master timeline and
-# completes every flow chain; --check also gates attribution coverage.
+# The merged trace rebases worker clocks onto the master timeline — merge
+# fails unless the master's step-1 ClockProbe (the only clock probe; the
+# handshake has none) sampled every worker — and completes every flow
+# chain; --check also gates attribution coverage and reconciles each
+# process lane's span histograms with its enter/exit pairs.
 cargo run --release -p vela-bench --bin trace_summary -- merge "$tcp_trace"
 cargo run --release -p vela-bench --bin trace_summary -- --check "$tcp_trace".merged
 
