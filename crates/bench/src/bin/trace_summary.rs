@@ -478,8 +478,8 @@ fn summarize(events: &[RawEvent], top: usize) {
     }
 
     // Wire-format economics: encoded bytes by frame kind, split into
-    // framing headers vs data payloads (the split the packed layout and
-    // int8 quantization exist to shrink).
+    // framing headers vs exact data payloads (the header share is what the
+    // packed layout exists to shrink).
     let wire_rows: Vec<(&str, u64, u64)> = ["dispatch", "result", "expert_state"]
         .iter()
         .map(|kind| {

@@ -12,31 +12,15 @@
 //!   per param: u32 name_len | name bytes | u32 value_len | f32 values...
 //! ```
 //!
-//! A second, deliberately lossy *transfer* encoding exists for opt-in
-//! quantized expert migration (`VELA_QUANT=int8`): [`quantize`] transcodes
-//! a "VELA" blob into a "VELQ" blob whose values are int8 codes in groups
-//! of [`QUANT_GROUP`] with one f32 scale each. [`load_any`] dispatches on
-//! the magic, so a worker installs either encoding; exact master-side
-//! copies are always kept/fetched as "VELA".
-//!
-//! ```text
-//! magic "VELQ" | u32 version | u32 param_count |
-//!   per param: u32 name_len | name bytes | u32 value_len |
-//!     per QUANT_GROUP values: f32 scale | i8 codes...
-//! ```
+//! It is the only encoding: every expert that crosses between processes —
+//! seeded, streamed or cut over — crosses as these exact f32 bytes.
 
 use std::io::{self, Read, Write};
 
 use vela_nn::param::{Module, Param};
 
 const MAGIC: &[u8; 4] = b"VELA";
-const QMAGIC: &[u8; 4] = b"VELQ";
 const VERSION: u32 = 1;
-
-/// Values per scale group of the "VELQ" int8 transfer encoding. Group-wise
-/// (rather than per-tensor) scales keep the reconstruction error local:
-/// one outlier only coarsens its own group.
-pub const QUANT_GROUP: usize = 64;
 
 /// Serializes every parameter of `module` into `writer`.
 ///
@@ -129,92 +113,12 @@ pub fn load(module: &mut dyn Module, reader: &mut dyn Read) -> io::Result<()> {
     if &magic != MAGIC {
         return Err(bad("not a VELA checkpoint"));
     }
-    apply_entries(module, read_entries(reader, false)?)
+    apply_entries(module, read_entries(reader)?)
 }
 
-/// Restores parameters from either encoding, dispatching on the magic:
-/// exact "VELA" blobs load losslessly, "VELQ" transfer blobs are
-/// dequantized on the way in. Same matching rules as [`load`].
-///
-/// # Errors
-/// Returns an error on malformed input, unknown parameters, or shape
-/// mismatches.
-pub fn load_any(module: &mut dyn Module, reader: &mut dyn Read) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    match &magic {
-        m if m == MAGIC => apply_entries(module, read_entries(reader, false)?),
-        m if m == QMAGIC => apply_entries(module, read_entries(reader, true)?),
-        _ => Err(bad("not a VELA/VELQ checkpoint")),
-    }
-}
-
-/// Transcodes an exact "VELA" blob into the int8 "VELQ" transfer
-/// encoding: values are quantized in groups of [`QUANT_GROUP`] with one
-/// f32 scale each (`scale = amax/127`, codes clamped to ±127; an all-zero
-/// group gets scale 0). Deterministic and deliberately lossy — used only
-/// for opt-in quantized expert transfer, never for master-side copies.
-///
-/// # Errors
-/// Returns an error if `data` is not a well-formed "VELA" blob.
-pub fn quantize(data: &[u8]) -> io::Result<Vec<u8>> {
-    let reader: &mut &[u8] = &mut &data[..];
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a VELA checkpoint"));
-    }
-    let version = read_u32(reader)?;
-    if version != VERSION {
-        return Err(bad(&format!("unsupported checkpoint version {version}")));
-    }
-    let count = read_u32(reader)?;
-    // ~1 byte per value + a scale per group, vs 4 bytes per value.
-    let mut out = Vec::with_capacity(data.len() / 3);
-    out.extend_from_slice(QMAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    for _ in 0..count {
-        let name_len = read_u32(reader)? as usize;
-        if name_len > 4096 {
-            return Err(bad("parameter name too long"));
-        }
-        let mut name = vec![0u8; name_len];
-        reader.read_exact(&mut name)?;
-        out.extend_from_slice(&(name_len as u32).to_le_bytes());
-        out.extend_from_slice(&name);
-        let value_len = read_u32(reader)? as usize;
-        out.extend_from_slice(&(value_len as u32).to_le_bytes());
-        let mut raw = vec![0u8; value_len * 4];
-        reader.read_exact(&mut raw)?;
-        let values = le_bytes_to_f32s(&raw);
-        for group in values.chunks(QUANT_GROUP) {
-            let amax = group.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let scale = if amax > 0.0 { amax / 127.0 } else { 0.0 };
-            out.extend_from_slice(&scale.to_le_bytes());
-            for v in group {
-                let code = if scale > 0.0 {
-                    (v / scale).round().clamp(-127.0, 127.0) as i8
-                } else {
-                    0
-                };
-                out.push(code as u8);
-            }
-        }
-    }
-    if !reader.is_empty() {
-        return Err(bad("trailing bytes after checkpoint"));
-    }
-    Ok(out)
-}
-
-/// Reads the body (everything after the magic) of either encoding into
-/// name → f32-values entries; `quantized` selects the "VELQ" group
-/// layout, dequantizing on the way in.
-fn read_entries(
-    reader: &mut dyn Read,
-    quantized: bool,
-) -> io::Result<std::collections::HashMap<String, Vec<f32>>> {
+/// Reads the body (everything after the magic) into name → f32-values
+/// entries.
+fn read_entries(reader: &mut dyn Read) -> io::Result<std::collections::HashMap<String, Vec<f32>>> {
     let version = read_u32(reader)?;
     if version != VERSION {
         return Err(bad(&format!("unsupported checkpoint version {version}")));
@@ -231,33 +135,18 @@ fn read_entries(
         reader.read_exact(&mut name)?;
         let name = String::from_utf8(name).map_err(|_| bad("non-UTF8 parameter name"))?;
         let value_len = read_u32(reader)? as usize;
-        let values = if quantized {
-            let mut values = Vec::with_capacity(value_len);
-            let mut buf = [0u8; 4];
-            while values.len() < value_len {
-                reader.read_exact(&mut buf)?;
-                let scale = f32::from_le_bytes(buf);
-                let group = QUANT_GROUP.min(value_len - values.len());
-                let mut codes = vec![0u8; group];
-                reader.read_exact(&mut codes)?;
-                values.extend(codes.iter().map(|&c| f32::from(c as i8) * scale));
-            }
-            values
-        } else {
-            // One bulk read per tensor, then a vectorizable conversion —
-            // the element-at-a-time loop this replaces paid a virtual
-            // `read_exact` per value.
-            let mut raw = vec![0u8; value_len * 4];
-            reader.read_exact(&mut raw)?;
-            le_bytes_to_f32s(&raw)
-        };
-        entries.insert(name, values);
+        // One bulk read per tensor, then a vectorizable conversion — the
+        // element-at-a-time loop this replaces paid a virtual `read_exact`
+        // per value.
+        let mut raw = vec![0u8; value_len * 4];
+        reader.read_exact(&mut raw)?;
+        entries.insert(name, le_bytes_to_f32s(&raw));
     }
     Ok(entries)
 }
 
 /// Applies decoded checkpoint entries to `module` — the matching rules of
-/// [`load`], shared by both encodings.
+/// [`load`].
 fn apply_entries(
     module: &mut dyn Module,
     mut entries: std::collections::HashMap<String, Vec<f32>>,
@@ -440,82 +329,6 @@ mod tests {
         let (mut model, _) = MoeModel::new(&cfg, &mut DetRng::new(11));
         let err = load(&mut model, &mut b"NOPE....".as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn quantized_transfer_reconstructs_within_group_error() {
-        let cfg = ModelConfig::test_small();
-        let mut store = LocalExpertStore::new(&cfg, &mut DetRng::new(21));
-        let mut exact = Vec::new();
-        save(&mut store, &mut exact).unwrap();
-
-        let lossy = quantize(&exact).unwrap();
-        assert!(
-            (lossy.len() as f64) < exact.len() as f64 * 0.35,
-            "int8 transfer must be well under half the f32 size \
-             ({} vs {} bytes)",
-            lossy.len(),
-            exact.len()
-        );
-
-        let mut restored = LocalExpertStore::new(&cfg, &mut DetRng::new(22));
-        load_any(&mut restored, &mut lossy.as_slice()).unwrap();
-
-        // Every reconstructed value sits within half a quantization step
-        // of its group's amax.
-        let mut originals = std::collections::HashMap::new();
-        store.visit_params(&mut |p| {
-            originals.insert(p.name().to_string(), p.value.as_slice().to_vec());
-        });
-        restored.visit_params(&mut |p| {
-            let orig = &originals[p.name()];
-            for (o_group, g_group) in orig
-                .chunks(QUANT_GROUP)
-                .zip(p.value.as_slice().chunks(QUANT_GROUP))
-            {
-                let amax = o_group.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                for (o, g) in o_group.iter().zip(g_group) {
-                    assert!(
-                        (o - g).abs() <= amax / 254.0 + 1e-6,
-                        "{}: {o} reconstructed as {g} (group amax {amax})",
-                        p.name()
-                    );
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn load_any_accepts_both_encodings_and_rejects_garbage() {
-        let cfg = ModelConfig::test_small();
-        let mut store = LocalExpertStore::new(&cfg, &mut DetRng::new(23));
-        let before = fingerprint(&mut store);
-        let mut exact = Vec::new();
-        save(&mut store, &mut exact).unwrap();
-
-        let mut other = LocalExpertStore::new(&cfg, &mut DetRng::new(24));
-        load_any(&mut other, &mut exact.as_slice()).unwrap();
-        assert_eq!(fingerprint(&mut other), before, "VELA path stays exact");
-
-        let err = load_any(&mut other, &mut b"NOPE....".as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // Plain `load` keeps rejecting the quantized encoding.
-        let lossy = quantize(&exact).unwrap();
-        assert!(load(&mut other, &mut lossy.as_slice()).is_err());
-    }
-
-    #[test]
-    fn quantize_rejects_malformed_blobs() {
-        assert!(quantize(b"NOPE....").is_err());
-        let cfg = ModelConfig::test_small();
-        let mut store = LocalExpertStore::new(&cfg, &mut DetRng::new(25));
-        let mut exact = Vec::new();
-        save(&mut store, &mut exact).unwrap();
-        let truncated = &exact[..exact.len() / 2];
-        assert!(quantize(truncated).is_err());
-        let mut trailing = exact.clone();
-        trailing.push(0);
-        assert!(quantize(&trailing).is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::pipeline::{
     DispatchPlan, Rows, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS, SPAN_COMBINE,
     SPAN_MIGRATION_PUMP,
 };
-use crate::transport::{MasterHub, Quant, TransportError, WireStats};
+use crate::transport::{MasterHub, TransportError, WireStats};
 
 /// One worker's byte/row counter handles, resolved once per worker index
 /// instead of re-registering `runtime.worker.{w}.*` by formatted name on
@@ -242,7 +242,6 @@ pub struct BrokerClient {
     pub(crate) phase_logs: Vec<PhaseLog>,
     pub(crate) plan: DispatchPlan,
     step: u64,
-    quant: Quant,
     /// Migration lanes; empty in the virtual engine, which never migrates.
     migrations: MigrationState,
     /// `(worker, block, expert)` of every `ExpertState` install shipped
@@ -252,9 +251,7 @@ pub struct BrokerClient {
 
 impl BrokerClient {
     /// Creates a broker over `hub` using `placement` (a plain
-    /// [`Placement`] converts to the degree-1 relation), with exact rows;
-    /// sessions that read `VELA_QUANT` do so at launch and pass it through
-    /// [`set_quant`](Self::set_quant).
+    /// [`Placement`] converts to the degree-1 relation).
     ///
     /// # Panics
     /// Panics if the placement's worker count differs from the hub's.
@@ -273,7 +270,6 @@ impl BrokerClient {
             routes: HashMap::new(),
             phase_logs: Vec::new(),
             step: 0,
-            quant: Quant::Off,
             plan: DispatchPlan::default(),
             migrations: MigrationState::default(),
             installs_owed: Vec::new(),
@@ -285,11 +281,6 @@ impl BrokerClient {
         &self.placement
     }
 
-    /// Sets row quantization.
-    pub fn set_quant(&mut self, quant: Quant) {
-        self.quant = quant;
-    }
-
     /// Wire frames shipped/drained by the underlying hub so far.
     pub fn frame_counts(&self) -> (u64, u64) {
         self.hub.frame_counts()
@@ -298,8 +289,7 @@ impl BrokerClient {
     /// Actual encoded wire bytes shipped/received so far, split per frame
     /// kind into header vs payload. Distinct from the phase-log ledgers,
     /// which account tokens moved rather than how they were framed; these
-    /// are the bytes the encoding (`VELA_QUANT` included) really put on
-    /// the wire.
+    /// are the bytes the encoding really put on the wire.
     pub fn wire_stats(&self) -> WireStats {
         self.hub.wire_stats()
     }
@@ -416,11 +406,8 @@ impl BrokerClient {
     /// [`wait_installs`](Self::wait_installs), so a caller with many
     /// experts to place pipelines every install before it waits once.
     ///
-    /// The bytes cross as given. A cutover forwards the source's exact f32
-    /// blob, so a move is exact under every `VELA_QUANT`; seeding worker
-    /// processes under `int8` hands over a `VELQ` transcoding
-    /// ([`checkpoint::quantize`](vela_model::checkpoint::quantize)) at
-    /// roughly a quarter of the size, which the worker dequantizes.
+    /// The bytes cross as given: a cutover forwards the source's exact f32
+    /// blob, and seeding worker processes ships the master's.
     pub fn install_expert(
         &mut self,
         block: usize,
@@ -840,8 +827,8 @@ impl BrokerClient {
     }
 
     /// Dispatch + gather of real tensors for one block and pass through
-    /// the shared [`exchange`](Self::exchange): one packed frame of tensor
-    /// rows per worker, int8-encoded when quantization is on. `sink` is
+    /// the shared [`exchange`](Self::exchange): one packed frame of exact
+    /// f32 tensor rows per worker. `sink` is
     /// called with the completed *ascending prefix* of batch indices as
     /// soon as it exists, so delivery order is the same whichever worker
     /// answers first.
@@ -863,7 +850,6 @@ impl BrokerClient {
     ) {
         let mut rows = TensorRows {
             batches,
-            quantize: self.quant == Quant::Int8,
             pending: batches.iter().map(|_| None).collect(),
             next_emit: 0,
             sink,
@@ -884,7 +870,6 @@ impl BrokerClient {
 /// batch and handed to the sink.
 struct TensorRows<'a> {
     batches: &'a [ExpertBatch],
-    quantize: bool,
     /// Replies slotted by batch index, waiting for everything before them.
     pending: Vec<Option<Tensor>>,
     /// The ascending prefix already handed to the sink.
@@ -909,7 +894,6 @@ impl Rows for TensorRows<'_> {
             block,
             pass,
             self.width(),
-            self.quantize,
             items
                 .iter()
                 .map(|&i| (self.batches[i].expert as u32, self.batches[i].xs.as_slice())),
@@ -923,18 +907,16 @@ impl Rows for TensorRows<'_> {
     ) -> Result<(), TransportError> {
         // A virtual region here means the peer is running a different
         // engine.
-        if matches!(data, PackedData::Virtual) {
+        let PackedData::F32(region) = data else {
             return Err(TransportError::Protocol(
                 "virtual packed reply in a real exchange".into(),
             ));
-        }
+        };
         // The reply region's layout is implied by the dispatch plan:
-        // re-slice it per batch in dispatch order, dequantizing int8 rows
-        // on the way in.
+        // re-slice it per batch in dispatch order.
         let width = self.width() as usize;
         for (index, lo, rows) in layout {
-            let mut vals = Vec::with_capacity(rows * width);
-            data.unpack_rows(width, lo, lo + rows, &mut vals);
+            let vals = region[lo * width..(lo + rows) * width].to_vec();
             self.pending[index] = Some(Tensor::from_vec((rows, width), vals));
         }
         self.flush_prefix();

@@ -45,6 +45,6 @@ pub use message::{
 };
 pub use metrics::{ReplicationSummary, RunSummary, StepMetrics};
 pub use runtime::{MigrationHandle, RealRuntime};
-pub use transport::{Quant, TransportConfig, TransportError, TransportMode, WireStats};
+pub use transport::{TransportConfig, TransportError, TransportMode, WireStats};
 pub use virtual_engine::{ScaleConfig, VirtualEngine};
 pub use wire::WireError;

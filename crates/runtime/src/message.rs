@@ -124,27 +124,18 @@ pub struct RowSpan {
 pub enum PackedData {
     /// Bit-exact row-major `f32` rows (`total_rows · width` values).
     F32(Vec<f32>),
-    /// Quantized rows: one `f32` scale per row plus `total_rows · width`
-    /// int8 codes (`value ≈ code · scale`).
-    Int8 {
-        /// Per-row dequantization scales.
-        scales: Vec<f32>,
-        /// Row-major int8 codes.
-        codes: Vec<i8>,
-    },
     /// Size-only virtual rows; the region carries no bytes at all.
     Virtual,
 }
 
 impl PackedData {
     /// Accounted bytes per row for a region of this encoding: actual data
-    /// bytes for real rows (so the lossy mode's ledger reduction is
-    /// honest), the declared token size for virtual rows. `width` is
-    /// features per row for real data, bytes per token for virtual.
+    /// bytes for real rows, the declared token size for virtual rows.
+    /// `width` is features per row for real data, bytes per token for
+    /// virtual.
     pub fn row_cost(&self, width: u32) -> u64 {
         match self {
             PackedData::F32(_) => u64::from(width) * 4,
-            PackedData::Int8 { .. } => u64::from(width) + 4,
             PackedData::Virtual => u64::from(width),
         }
     }
@@ -153,7 +144,6 @@ impl PackedData {
     pub fn wire_bytes(&self) -> u64 {
         match self {
             PackedData::F32(values) => (values.len() * 4) as u64,
-            PackedData::Int8 { scales, codes } => (scales.len() * 4 + codes.len()) as u64,
             PackedData::Virtual => 0,
         }
     }
@@ -162,54 +152,9 @@ impl PackedData {
     pub fn as_f32(&self) -> Option<&[f32]> {
         match self {
             PackedData::F32(data) => Some(data),
-            _ => None,
+            PackedData::Virtual => None,
         }
     }
-
-    /// Appends rows `lo..hi` to `out` as f32: exact rows are copied
-    /// verbatim, int8 rows are dequantized. `width` is features per row.
-    ///
-    /// # Panics
-    /// Panics on virtual data or an out-of-range row range.
-    pub fn unpack_rows(&self, width: usize, lo: usize, hi: usize, out: &mut Vec<f32>) {
-        match self {
-            PackedData::F32(data) => out.extend_from_slice(&data[lo * width..hi * width]),
-            PackedData::Int8 { scales, codes } => {
-                out.reserve((hi - lo) * width);
-                for r in lo..hi {
-                    let scale = scales[r];
-                    for &code in &codes[r * width..(r + 1) * width] {
-                        out.push(f32::from(code) * scale);
-                    }
-                }
-            }
-            PackedData::Virtual => panic!("virtual packed data carries no rows"),
-        }
-    }
-}
-
-/// Quantizes `rows × width` f32 values to int8 with one scale per row
-/// (`scale = amax/127`, codes clamped to ±127; an all-zero row gets scale
-/// 0). Deterministic, so quantized runs stay bitwise reproducible.
-pub fn quantize_rows(data: &[f32], width: usize) -> (Vec<f32>, Vec<i8>) {
-    assert!(width > 0 && data.len() % width == 0, "ragged row region");
-    let rows = data.len() / width;
-    let mut scales = Vec::with_capacity(rows);
-    let mut codes = Vec::with_capacity(data.len());
-    for row in data.chunks_exact(width) {
-        let amax = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let scale = if amax > 0.0 { amax / 127.0 } else { 0.0 };
-        scales.push(scale);
-        if scale == 0.0 {
-            codes.extend(std::iter::repeat(0).take(width));
-        } else {
-            codes.extend(
-                row.iter()
-                    .map(|v| (v / scale).round().clamp(-127.0, 127.0) as i8),
-            );
-        }
-    }
-    (scales, codes)
 }
 
 /// A column-packed dispatch frame (master → worker): every row bound for
@@ -232,8 +177,7 @@ pub struct PackedGroup {
 
 impl PackedGroup {
     /// Packs per-expert row slices into one contiguous frame. `parts`
-    /// yields `(expert, rows)` where each slice is `rows · width` long;
-    /// `quantize` selects int8 encoding.
+    /// yields `(expert, rows)` where each slice is `rows · width` long.
     ///
     /// # Panics
     /// Panics on ragged slices or more than 65535 rows/expert index per
@@ -242,7 +186,6 @@ impl PackedGroup {
         block: u32,
         pass: GroupPass,
         width: u32,
-        quantize: bool,
         parts: impl Iterator<Item = (u32, &'a [f32])>,
     ) -> PackedGroup {
         let mut spans = Vec::new();
@@ -262,18 +205,12 @@ impl PackedGroup {
             offset += n;
             region.extend_from_slice(rows);
         }
-        let data = if quantize {
-            let (scales, codes) = quantize_rows(&region, width as usize);
-            PackedData::Int8 { scales, codes }
-        } else {
-            PackedData::F32(region)
-        };
         PackedGroup {
             block,
             pass,
             width,
             spans,
-            data,
+            data: PackedData::F32(region),
         }
     }
 
@@ -400,9 +337,8 @@ pub struct FrameInfo {
     pub accounted: u64,
     /// The `wire.*` counter lane of the frame's variant.
     pub kind: FrameKind,
-    /// Data bytes actually on the wire (f32 values, int8 scales + codes,
-    /// expert-state blobs — virtual rows carry none); the rest of the
-    /// encoded frame is header.
+    /// Data bytes actually on the wire (f32 values, expert-state blobs —
+    /// virtual rows carry none); the rest of the encoded frame is header.
     pub payload: u64,
 }
 
@@ -636,8 +572,7 @@ frames! {
     // A dispatch accounts a 9-byte routing header per item plus the actual
     // data bytes per row — what one frame per expert batch would cost — so
     // the ledger counts tokens moved, not how they were framed (the span
-    // table is local framing, never accounted), while int8's smaller rows
-    // show up honestly.
+    // table is local framing, never accounted).
     14 PackedDispatch(group: PackedGroup) => ToWorker, Plain,
         accounts 9 * group.spans.len() as u64
             + u64::from(group.total_rows()) * group.data.row_cost(group.width),
@@ -797,8 +732,9 @@ const PAYLOAD_VIRTUAL: u8 = 1;
 const PASS_FORWARD: u8 = 0;
 const PASS_BACKWARD: u8 = 1;
 
+// Encoding 1 (int8 rows) is retired and never reused: a stale peer's
+// int8 region is a clean `BadTag`.
 const ENC_F32: u8 = 0;
-const ENC_INT8: u8 = 1;
 const ENC_VIRTUAL: u8 = 2;
 
 /// Encoded bytes of one packed span table entry
@@ -956,23 +892,13 @@ fn get_pass(bytes: &mut ByteReader<'_>) -> Result<GroupPass, WireError> {
 fn encoding_tag(data: &PackedData) -> u8 {
     match data {
         PackedData::F32(_) => ENC_F32,
-        PackedData::Int8 { .. } => ENC_INT8,
         PackedData::Virtual => ENC_VIRTUAL,
     }
 }
 
 fn encode_packed_region(buf: &mut ByteWriter, data: &PackedData) {
     match data {
-        PackedData::F32(values) => {
-            buf.put_f32s(values);
-        }
-        PackedData::Int8 { scales, codes } => {
-            buf.put_f32s(scales);
-            buf.reserve(codes.len());
-            for &c in codes {
-                buf.put_u8(c as u8);
-            }
-        }
+        PackedData::F32(values) => buf.put_f32s(values),
         PackedData::Virtual => {}
     }
 }
@@ -1000,23 +926,6 @@ fn decode_packed_region(
             }
             let n = total_rows as usize * width as usize;
             Ok(PackedData::F32(bytes.get_f32s(n)?))
-        }
-        ENC_INT8 => {
-            let declared = total_rows
-                .checked_mul(u64::from(width) + 4)
-                .unwrap_or(u64::MAX);
-            if declared > bytes.remaining() as u64 {
-                return Err(WireError::BadLength {
-                    what: "packed int8 region",
-                    declared,
-                    available: bytes.remaining(),
-                });
-            }
-            let rows = total_rows as usize;
-            let scales = bytes.get_f32s(rows)?;
-            let raw = bytes.get_bytes(rows * width as usize)?;
-            let codes = raw.iter().map(|&b| b as i8).collect();
-            Ok(PackedData::Int8 { scales, codes })
         }
         ENC_VIRTUAL => Ok(PackedData::Virtual),
         other => Err(WireError::BadTag {
@@ -1229,15 +1138,7 @@ mod tests {
                 2,
                 GroupPass::Forward,
                 3,
-                false,
                 [(1u32, &rows[..3]), (4u32, &rows[3..])].into_iter(),
-            )),
-            Message::PackedDispatch(PackedGroup::pack(
-                2,
-                GroupPass::Backward,
-                3,
-                true,
-                [(1u32, &rows[..])].into_iter(),
             )),
             Message::PackedDispatch(PackedGroup::pack_virtual(
                 2,
@@ -1306,10 +1207,11 @@ mod tests {
         // unaccounted `send_control`, which is what `Unaccounted` says.
         // `FetchTrained` (27) is younger than that commit; its row is
         // pinned to `FetchExpert`'s, the request it is the cutover's
-        // version of. Rows 23, 24 and 26 left with the lockstep shadow.
+        // version of. Rows 23, 24 and 26 left with the lockstep shadow,
+        // and the int8 `PackedDispatch` instance with packed encoding 1.
         use Bucket::{Migration, Plain, Sync, Unaccounted};
         use FrameKind::{Control, Dispatch, ExpertState, Result as Reply};
-        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 22] = [
+        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 21] = [
             (1, 9, 9, Plain, Control, 9, 0),
             (6, 1, 1, Plain, Control, 1, 0),
             (7, 1, 1, Plain, Control, 1, 0),
@@ -1318,7 +1220,6 @@ mod tests {
             (10, 117, 117, Migration, ExpertState, 17, 100),
             (11, 9, 9, Migration, Control, 9, 0),
             (14, 53, 42, Plain, Dispatch, 29, 24),
-            (14, 35, 23, Plain, Dispatch, 21, 14),
             (14, 29, 245_778, Plain, Dispatch, 29, 0),
             (15, 41, 42, Plain, Reply, 17, 24),
             (16, 9, 0, Unaccounted, Control, 9, 0),
@@ -1620,26 +1521,23 @@ mod tests {
         );
     }
 
-    fn sample_packed(quantize: bool) -> PackedGroup {
+    fn sample_packed() -> PackedGroup {
         let a: Vec<f32> = (0..8).map(|i| i as f32 * 0.25 - 1.0).collect();
         let b: Vec<f32> = (0..4).map(|i| -(i as f32) * 0.5).collect();
         PackedGroup::pack(
             3,
             GroupPass::Forward,
             4,
-            quantize,
             vec![(2u32, a.as_slice()), (5u32, b.as_slice())].into_iter(),
         )
     }
 
     #[test]
     fn packed_frames_roundtrip() {
-        for quantize in [false, true] {
-            let group = sample_packed(quantize);
-            assert_eq!(group.total_rows(), 3);
-            let msg = Message::PackedDispatch(group);
-            assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
-        }
+        let group = sample_packed();
+        assert_eq!(group.total_rows(), 3);
+        let msg = Message::PackedDispatch(group);
+        assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         let reply = Message::PackedResult(PackedReply {
             block: 3,
             pass: GroupPass::Backward,
@@ -1660,7 +1558,7 @@ mod tests {
 
     #[test]
     fn packed_f32_region_survives_bitwise() {
-        let group = sample_packed(false);
+        let group = sample_packed();
         let before: Vec<u32> = group
             .data
             .as_f32()
@@ -1699,7 +1597,6 @@ mod tests {
             0,
             GroupPass::Forward,
             4,
-            false,
             tensors
                 .iter()
                 .enumerate()
@@ -1724,34 +1621,6 @@ mod tests {
             data: PackedData::F32(vec![0.0; 24]),
         });
         assert_eq!(reply.accounted_bytes(), 123);
-    }
-
-    #[test]
-    fn int8_reconstruction_error_is_bounded() {
-        let mut rng = DetRng::new(7);
-        let t = Tensor::uniform((6, 16), -3.0, 3.0, &mut rng);
-        let (scales, codes) = quantize_rows(t.as_slice(), 16);
-        let data = PackedData::Int8 { scales, codes };
-        let mut out = Vec::new();
-        data.unpack_rows(16, 0, 6, &mut out);
-        for (row, (orig, got)) in t.as_slice().chunks(16).zip(out.chunks(16)).enumerate() {
-            let amax = orig.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            for (o, g) in orig.iter().zip(got) {
-                assert!(
-                    (o - g).abs() <= amax / 254.0 + 1e-6,
-                    "row {row}: {o} reconstructed as {g} (amax {amax})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn int8_accounts_actual_quantized_bytes() {
-        let group = sample_packed(true);
-        let msg = Message::PackedDispatch(group);
-        // 2 items × 9-byte routing header + 3 rows × (width 4 codes + 4
-        // scale bytes).
-        assert_eq!(msg.accounted_bytes(), 2 * 9 + 3 * (4 + 4));
     }
 
     #[test]
@@ -1810,14 +1679,14 @@ mod tests {
         w.put_u8(15);
         w.put_u32(0);
         w.put_u8(0);
-        w.put_u8(1); // int8
+        w.put_u8(0); // f32
         w.put_u32(4096);
         w.put_u16(1);
         w.put_u32(u32::MAX);
         assert!(matches!(
             Message::decode(&w.into_vec()),
             Err(WireError::BadLength {
-                what: "packed int8 region",
+                what: "packed f32 region",
                 ..
             })
         ));
@@ -1825,7 +1694,7 @@ mod tests {
 
     #[test]
     fn wire_cost_splits_header_from_payload() {
-        let packed = Message::PackedDispatch(sample_packed(false));
+        let packed = Message::PackedDispatch(sample_packed());
         let (kind, header, payload) = wire_cost(&packed);
         assert_eq!(kind, FrameKind::Dispatch);
         assert_eq!(payload, 12 * 4);

@@ -29,7 +29,7 @@ use vela_placement::{Placement, ReplicatedPlacement};
 use crate::broker::BrokerClient;
 use crate::launch::{launch_star, WorkerHandle};
 use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
-use crate::transport::{Quant, TransportConfig, TransportError};
+use crate::transport::{TransportConfig, TransportError};
 use crate::worker::{expert_grads, ExpertTemplate, WorkerBootstrap};
 
 /// What one [`RealRuntime::apply_placement`] call set in motion.
@@ -166,12 +166,8 @@ impl RealRuntime {
         .unwrap_or_else(|e| panic!("bringing up the {} star failed: {e}", transport.label()));
 
         let mut broker = BrokerClient::new(hub, placement);
-        // Read once: process-mode seeding and the exchange must agree on
-        // whether expert state crosses the wire quantized.
-        let quant = Quant::from_env();
-        broker.set_quant(quant);
         if transport.is_process_mode() {
-            seed_processes(&mut broker, &mut experts, quant)
+            seed_processes(&mut broker, &mut experts)
                 .unwrap_or_else(|e| panic!("seeding worker processes failed: {e}"));
             // Seeding crossed real sockets; drop its ledger window so step
             // traffic starts clean and matches the thread-backed transports.
@@ -212,21 +208,13 @@ impl RealRuntime {
         self.broker.transport()
     }
 
-    /// Overrides the `VELA_QUANT` read at launch. Process-mode seeding has
-    /// already happened by then, so a `quant` set here applies to dispatch
-    /// rows only.
-    pub fn set_quant(&mut self, quant: Quant) {
-        self.broker.set_quant(quant);
-    }
-
     /// Wire frames shipped/drained by the master hub so far (out, in).
     pub fn frame_counts(&self) -> (u64, u64) {
         self.broker.frame_counts()
     }
 
-    /// Actual encoded wire bytes by frame kind (headers vs payloads) —
-    /// the quantity `VELA_QUANT` exists to shrink. Unlike the traffic
-    /// ledger this *does* depend on the wire encoding.
+    /// Actual encoded wire bytes by frame kind (headers vs payloads).
+    /// Unlike the traffic ledger this *does* depend on the wire framing.
     pub fn wire_stats(&self) -> crate::transport::WireStats {
         self.broker.wire_stats()
     }
@@ -254,7 +242,7 @@ impl RealRuntime {
     /// boundaries, which is `apply_placement` followed by
     /// [`finish_migrations`](Self::finish_migrations). A move onto a worker
     /// that already holds a replica ships nothing and completes inside
-    /// the call. Every byte moved is exact f32 under any `VELA_QUANT`.
+    /// the call. Every byte moved is exact f32.
     ///
     /// Moves still in flight from a previous call are completed first, so
     /// the plan always diffs against settled state.
@@ -489,24 +477,18 @@ fn shard_experts(
 
 /// Seeds worker processes, which start empty: every expert goes to each
 /// of its placed replicas through the broker's install path, all installs
-/// in flight before the acks are collected. This is the one place expert
-/// state crosses lossy: a quantized session seeds with int8 blobs (the
-/// opt-in), while migration and teardown fetch-back always ride exact f32.
+/// in flight before the acks are collected. The blobs are exact f32
+/// checkpoints, so worker processes install the same tensors the thread
+/// transports hand over by value.
 fn seed_processes(
     broker: &mut BrokerClient,
     experts: &mut LocalExpertStore,
-    quant: Quant,
 ) -> Result<(), TransportError> {
     let (blocks, per_block) = (broker.placement().blocks(), broker.placement().experts());
     for l in 0..blocks {
         for e in 0..per_block {
             let mut data = Vec::new();
             checkpoint::save(&mut experts.take(l, e), &mut data).expect("in-memory save");
-            if quant == Quant::Int8 {
-                data = checkpoint::quantize(&data).map_err(|why| {
-                    TransportError::Protocol(format!("quantizing expert ({l},{e}): {why}"))
-                })?;
-            }
             let replicas = broker.placement().replicas_of(l, e).to_vec();
             broker.install_expert(l, e, &replicas, data)?;
         }

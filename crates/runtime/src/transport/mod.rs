@@ -190,38 +190,6 @@ impl TransportConfig {
     }
 }
 
-/// Opt-in lossy compression of dispatch/result rows and of the
-/// expert-state installs that seed worker processes — the one choice a
-/// session makes about its data plane, over any transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Quant {
-    /// Exact f32 everywhere (default).
-    #[default]
-    Off,
-    /// int8 rows with per-row f32 scales for activations crossing the
-    /// wire, and int8 blobs for the installs that seed worker processes at
-    /// launch. Deliberately lossy on activations — gated by its own
-    /// loss-curve accuracy test, not the bitwise parity grid. Migration
-    /// moves exact f32 bytes regardless, and optimizer state is never
-    /// quantized.
-    Int8,
-}
-
-impl Quant {
-    /// Reads `VELA_QUANT` (`off` — default — or `int8`). An unknown value
-    /// warns and falls back rather than aborting a long run.
-    pub fn from_env() -> Self {
-        match std::env::var("VELA_QUANT").as_deref() {
-            Ok("int8") => Quant::Int8,
-            Ok("off") | Err(_) => Quant::Off,
-            Ok(other) => {
-                vela_obs::warn!("unknown VELA_QUANT={other:?}, staying exact");
-                Quant::Off
-            }
-        }
-    }
-}
-
 /// Master-side raw frame mover. Implementations ship opaque frames; all
 /// message encoding and traffic accounting happens in [`MasterHub`].
 pub trait HubBackend: Send + fmt::Debug {
@@ -792,7 +760,6 @@ mod tests {
             0,
             GroupPass::Forward,
             3,
-            false,
             std::iter::once((0, &rows[..])),
         ));
         hub.send(1, &msg).unwrap();
@@ -852,14 +819,5 @@ mod tests {
         assert_eq!(TransportConfig::tcp_processes().label(), "tcp");
         assert!(TransportConfig::tcp_processes().is_process_mode());
         assert!(!TransportConfig::channel().is_process_mode());
-    }
-
-    #[test]
-    fn exchange_config_constructors() {
-        // Pure constructors only — env vars are process-global. The
-        // exchange choice is `Quant` itself: rows cross exact unless
-        // `VELA_QUANT=int8` opts in.
-        assert_eq!(Quant::default(), Quant::Off);
-        assert_ne!(Quant::Int8, Quant::Off);
     }
 }

@@ -25,8 +25,8 @@ use vela_tensor::rng::DetRng;
 use vela_obs::FlowPhase;
 
 use crate::message::{
-    chunk_expert_state, quantize_rows, ChunkAssembler, GroupPass, Message, PackedData, PackedGroup,
-    PackedReply, Payload,
+    chunk_expert_state, ChunkAssembler, GroupPass, Message, PackedData, PackedGroup, PackedReply,
+    Payload,
 };
 use crate::pipeline::exchange_corr;
 use crate::transport::{TransportError, WorkerPort};
@@ -165,8 +165,10 @@ pub struct WorkerBootstrap {
 /// Bumped whenever the [`Message`] codec changes shape, so a stale
 /// `vela_worker` binary is turned away at bootstrap instead of misparsing
 /// frames (2: the packed frames lost their chunk id; 3: the lockstep
-/// shadow's three frames left and `FetchTrained` came).
-const BOOTSTRAP_VERSION: u8 = 3;
+/// shadow's three frames left and `FetchTrained` came; 4: packed
+/// encoding 1, int8 rows, was retired and seeding blobs are exact "VELA"
+/// checkpoints only).
+const BOOTSTRAP_VERSION: u8 = 4;
 
 impl WorkerBootstrap {
     /// Serializes the bootstrap frame.
@@ -509,7 +511,7 @@ fn handle(
             }
             // Serialize the tensors no step changes and keep serving: what
             // the destination builds from them now is still exact at the
-            // cutover, whenever that comes. Chunks are never quantized.
+            // cutover, whenever that comes.
             let ffn = shard.expert_mut(block as usize, expert as usize);
             let mut data = Vec::new();
             checkpoint::save_part(ffn, &mut data, false).expect("in-memory save");
@@ -591,10 +593,9 @@ fn handle(
 /// Builds the expert a blob of checkpoint bytes describes: loaded onto
 /// `shadow` when a chunk stream already built one (the blob then holds the
 /// tensors the shadow lacks), else onto a blank instance of the template.
-/// `load_any` dispatches on the blob's magic, so both exact f32
-/// checkpoints and int8-quantized seeding blobs install. A worker launched
-/// without a template, or bytes no loader accepts, are the peer's protocol
-/// violation: the reason comes back for the caller's log-and-stop exit.
+/// A worker launched without a template, or bytes the loader rejects, are
+/// the peer's protocol violation: the reason comes back for the caller's
+/// log-and-stop exit.
 fn build_expert(
     template: Option<&ExpertTemplate>,
     shadow: Option<SwiGlu>,
@@ -608,18 +609,15 @@ fn build_expert(
             .ok_or("this worker has no expert template")?
             .instantiate(block as usize, expert as usize),
     };
-    checkpoint::load_any(&mut ffn, &mut &data[..])
-        .map_err(|e| format!("checkpoint rejected: {e}"))?;
+    checkpoint::load(&mut ffn, &mut &data[..]).map_err(|e| format!("checkpoint rejected: {e}"))?;
     Ok(ffn)
 }
 
 /// Serves one dispatch: the frame's single row region goes through one
 /// `forward_rows`/`backward_rows` call — the same per-expert kernels a
 /// local `forward_block`/`backward_block` over the same batches runs, so
-/// exact (f32) frames are bit-identical to single-process compute — and
-/// the reply is again one contiguous region with no per-item headers. An
-/// int8 dispatch is dequantized once on the way in and the reply
-/// re-quantized, keeping the lossy encoding symmetric in both directions.
+/// the reply is bit-identical to single-process compute — and it is again
+/// one contiguous region with no per-item headers.
 fn serve_packed(shard: &mut LocalExpertStore, group: PackedGroup) -> PackedReply {
     let PackedGroup {
         block,
@@ -632,37 +630,18 @@ fn serve_packed(shard: &mut LocalExpertStore, group: PackedGroup) -> PackedReply
     let rows: u32 = spans.iter().map(|s| s.rows).sum();
     let data = match data {
         PackedData::Virtual => PackedData::Virtual,
-        real => {
+        PackedData::F32(region) => {
             let parts: Vec<(usize, usize)> = spans
                 .iter()
                 .map(|s| (s.expert as usize, s.rows as usize))
                 .collect();
+            let (block, width) = (block as usize, width as usize);
             let mut out = Vec::new();
-            let run = |shard: &mut LocalExpertStore, region: &[f32], out: &mut Vec<f32>| match pass
-            {
-                GroupPass::Forward => {
-                    shard.forward_rows(block as usize, width as usize, &parts, region, out)
-                }
-                GroupPass::Backward => {
-                    shard.backward_rows(block as usize, width as usize, &parts, region, out)
-                }
-            };
-            let quantized = matches!(real, PackedData::Int8 { .. });
-            match &real {
-                PackedData::F32(region) => run(shard, region, &mut out),
-                PackedData::Int8 { .. } => {
-                    let mut dequantized = Vec::with_capacity(rows as usize * width as usize);
-                    real.unpack_rows(width as usize, 0, rows as usize, &mut dequantized);
-                    run(shard, &dequantized, &mut out);
-                }
-                PackedData::Virtual => unreachable!(),
+            match pass {
+                GroupPass::Forward => shard.forward_rows(block, width, &parts, &region, &mut out),
+                GroupPass::Backward => shard.backward_rows(block, width, &parts, &region, &mut out),
             }
-            if quantized {
-                let (scales, codes) = quantize_rows(&out, width as usize);
-                PackedData::Int8 { scales, codes }
-            } else {
-                PackedData::F32(out)
-            }
+            PackedData::F32(out)
         }
     };
     PackedReply {
@@ -709,7 +688,6 @@ mod tests {
                 block,
                 pass,
                 width,
-                false,
                 parts.iter().map(|&(e, t)| (e, t.as_slice())),
             )),
         )

@@ -735,7 +735,7 @@ fn par_rows(
     cols: usize,
     kernel: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
-    if rows * work_per_row.max(1) < parallel::par_cutoff() || parallel::current_threads() <= 1 {
+    if rows * work_per_row.max(1) < parallel::PAR_CUTOFF || parallel::current_threads() <= 1 {
         GEMM_SERIAL.add(1);
         kernel(0..rows, out);
         return;

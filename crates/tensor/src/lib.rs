@@ -12,7 +12,7 @@
 //! across a deterministic pool ([`parallel`]) that partitions work over
 //! output rows — so results stay bitwise-identical at any thread count
 //! (`VELA_THREADS` selects the pool size; `1` reproduces the serial kernels
-//! exactly; `VELA_PAR_CUTOFF` tunes the serial-fallback threshold). Tensor
+//! exactly; work below [`parallel::PAR_CUTOFF`] runs inline). Tensor
 //! buffers recycle through a thread-local pool ([`workspace`]), keeping
 //! steady-state training steps allocation-free.
 //!

@@ -283,39 +283,25 @@ impl Drop for ThreadPool {
 /// kernels split work into chunks of at least this much each.
 pub const PAR_MIN_WORK: usize = 16 * 1024;
 
-/// Default serial-fallback cutoff (in inner-loop operations, e.g.
-/// `rows * k * cols` for a matmul): dispatches smaller than this skip the
-/// pool entirely. On small or oversubscribed hosts the pool's wake/sync
-/// overhead exceeds the kernel time well past this point, which is what
-/// made PR 1's "parallel" MoE dispatch slower than serial.
-pub const DEFAULT_PAR_CUTOFF: usize = 1 << 18;
-
-/// The serial-fallback cutoff, read once from `VELA_PAR_CUTOFF`.
-///
-/// Work totals **below** the cutoff run inline on the calling thread.
-/// `VELA_PAR_CUTOFF=0` disables the fallback (everything goes to the
-/// pool); an unset or unparsable value means [`DEFAULT_PAR_CUTOFF`].
-pub fn par_cutoff() -> usize {
-    static CUTOFF: OnceLock<usize> = OnceLock::new();
-    *CUTOFF.get_or_init(|| parse_cutoff(std::env::var("VELA_PAR_CUTOFF").ok().as_deref()))
-}
-
-fn parse_cutoff(raw: Option<&str>) -> usize {
-    match raw {
-        Some(v) => v.trim().parse::<usize>().unwrap_or(DEFAULT_PAR_CUTOFF),
-        None => DEFAULT_PAR_CUTOFF,
-    }
-}
+/// Serial-fallback cutoff (in inner-loop operations, e.g.
+/// `rows * k * cols` for a matmul): work totals **below** it run inline on
+/// the calling thread and skip the pool entirely. On small or
+/// oversubscribed hosts the pool's wake/sync overhead exceeds the kernel
+/// time well past this point, which once made the "parallel" MoE dispatch
+/// slower than serial. Any value is bit-neutral by the parity
+/// contract; retuning it is a kernel change measured with `bench_kernels`
+/// on a pool of more than one lane.
+pub const PAR_CUTOFF: usize = 1 << 18;
 
 /// [`par_map`] with a total-work hint: runs inline (no pool, no per-slot
-/// bookkeeping) when `total_work` is below [`par_cutoff`] or there is only
+/// bookkeeping) when `total_work` is below [`PAR_CUTOFF`] or there is only
 /// one item.
 pub fn par_map_hinted<R: Send, F: Fn(usize) -> R + Sync>(
     n: usize,
     total_work: usize,
     f: F,
 ) -> Vec<R> {
-    if n <= 1 || total_work < par_cutoff() || current_threads() <= 1 {
+    if n <= 1 || total_work < PAR_CUTOFF || current_threads() <= 1 {
         PAR_INLINE.add(1);
         return (0..n).map(f).collect();
     }
@@ -324,14 +310,14 @@ pub fn par_map_hinted<R: Send, F: Fn(usize) -> R + Sync>(
 }
 
 /// [`par_map_mut`] with a total-work hint: runs inline when `total_work` is
-/// below [`par_cutoff`] or there is only one item.
+/// below [`PAR_CUTOFF`] or there is only one item.
 pub fn par_map_mut_hinted<T, R, F>(items: &mut [T], total_work: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    if items.len() <= 1 || total_work < par_cutoff() || current_threads() <= 1 {
+    if items.len() <= 1 || total_work < PAR_CUTOFF || current_threads() <= 1 {
         PAR_INLINE.add(1);
         return items.iter_mut().enumerate().map(|(i, v)| f(i, v)).collect();
     }
@@ -629,15 +615,6 @@ mod tests {
     #[test]
     fn env_default_is_at_least_one() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn cutoff_parsing() {
-        assert_eq!(parse_cutoff(None), DEFAULT_PAR_CUTOFF);
-        assert_eq!(parse_cutoff(Some("4096")), 4096);
-        assert_eq!(parse_cutoff(Some(" 0 ")), 0);
-        assert_eq!(parse_cutoff(Some("banana")), DEFAULT_PAR_CUTOFF);
-        assert_eq!(parse_cutoff(Some("")), DEFAULT_PAR_CUTOFF);
     }
 
     #[test]

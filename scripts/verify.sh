@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repository verification: tier-1 build+test, formatting, the knob-list
-# check (which also prints, ungated, the two sizes a simplicity PR quotes:
-# the VELA_* count and vela-runtime's non-test line count), the
-# release-mode gates (simplex pivot path, exchange golden pin,
-# parity grids, int8 wire bytes), the trace smokes, and the benches (the
+# check (which also prints, ungated, the sizes a simplicity PR quotes: the
+# VELA_* count and the non-test line counts of vela-runtime, vela-model and
+# vela-tensor), the release-mode gates (simplex pivot path, exchange golden
+# pin and exact wire bytes, parity grids), the trace smokes, and the benches (the
 # kernel one emits BENCH_kernels.json in the repo root and its log names the
 # GEMM SIMD level the host dispatched to; the placement-LP one is echoed
 # only). Exchange and migration timing is benchmark/'s job, not this script's.
@@ -42,9 +42,11 @@ if [ "$readme_knobs" != "$code_knobs" ]; then
 fi
 # Reported, not gated. Non-test lines of a file are the ones before its
 # first `#[cfg(test)]`.
-runtime_lines=$(find crates/runtime/src -name '*.rs' -print0 | sort -z |
-    xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }')
-echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); vela-runtime non-test lines: $runtime_lines"
+non_test_lines() {
+    find "crates/$1/src" -name '*.rs' -print0 | sort -z |
+        xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }'
+}
+echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); non-test lines: vela-runtime $(non_test_lines runtime), vela-model $(non_test_lines model), vela-tensor $(non_test_lines tensor)"
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
@@ -58,7 +60,7 @@ cargo test --release -q -p vela-placement
 echo "==> routing table exactness (release): CategoricalTable vs categorical on all 2^24 draws of each edge weight vector (interior/leading zero, scan fall-through, subnormal redraw, Zipf row)"
 cargo test --release -q -p vela-tensor --lib rng::tests::categorical_table
 
-echo "==> exchange golden pin (release): loss bits, ledger bytes and frame counts recorded at 8456ee6 on {channel, tcp-threads, tcp}, single-owner + replicated arms"
+echo "==> exchange golden pin (release): loss bits, ledger bytes and frame counts recorded at 8456ee6 on {channel, tcp-threads, tcp}, single-owner + replicated arms; exact encoded wire bytes/step pinned (exact_wire_bytes_are_pinned)"
 cargo test --release -q --test transport_parity
 
 echo "==> replication gate (release): degree-1 bitwise identity + loss-for-loss replicated training"
@@ -66,9 +68,6 @@ cargo test --release -q --test replication
 
 echo "==> migration parity grid (release): one mover — a re-placement streamed under steps bitwise identical to the same moves flushed at the same boundaries on {channel, tcp-threads, tcp}; LoRA, replicated and trainable-base arms"
 cargo test --release -q --test migration
-
-echo "==> int8 wire gate (release): quantized loss curve tracks exact; encoded bytes/step pinned, int8 dispatch >=45% below exact"
-cargo test --release -q --test quant_accuracy
 
 echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check (schema, span balance, and the reconciliation gate: every span histogram's count and total == its enter/exit pairs), then its Chrome view via merge"
 trace_out=target/quickstart-trace.jsonl

@@ -13,7 +13,6 @@
 
 use vela::model::finetune::prepare_for_finetune;
 use vela::prelude::*;
-use vela::runtime::Quant;
 
 /// Launches the micro model on `placement`. With `lora` the experts are
 /// prepared as in fine-tuning (frozen base, trainable adapters); without,
@@ -89,43 +88,39 @@ fn scatter_target(rt: &RealRuntime, cfg: &ModelConfig) -> Placement {
 
 #[test]
 fn migration_preserves_computation_exactly() {
-    // Exact under every `VELA_QUANT`: int8 rows are lossy on activations
-    // but deterministic, and a move ships f32 bytes either way, so the loss
-    // does not change by a bit when the experts change workers.
-    for quant in [Quant::Off, Quant::Int8] {
-        let (mut rt, cfg, data) = launch(seq_placement(&ModelConfig::test_small()));
-        rt.set_quant(quant);
-        let batch = data.sample_batch(2, cfg.seq_len, &mut DetRng::new(1));
+    // A move ships exact f32 bytes, so the loss does not change by a bit
+    // when the experts change workers.
+    let (mut rt, cfg, data) = launch(seq_placement(&ModelConfig::test_small()));
+    let batch = data.sample_batch(2, cfg.seq_len, &mut DetRng::new(1));
 
-        let loss_before = rt.evaluate(
-            &batch.inputs,
-            &batch.targets,
-            batch.batch_size,
-            batch.seq_len,
-        );
+    let loss_before = rt.evaluate(
+        &batch.inputs,
+        &batch.targets,
+        batch.batch_size,
+        batch.seq_len,
+    );
 
-        // Scatter every expert somewhere else.
-        let target = scatter_target(&rt, &cfg);
-        let handle = rt.apply_placement(&target).expect("migration failed");
-        assert!(handle.moved > 0, "the shuffle should move something");
-        assert!(handle.in_flight > 0, "apply_placement only admits the plan");
-        assert_eq!(rt.finish_migrations().expect("flush failed"), handle.moved);
-        assert_eq!(rt.placement().primaries(), target);
-        assert!(rt.migration_bytes() > 0, "moved experts carry bytes");
+    // Scatter every expert somewhere else.
+    let target = scatter_target(&rt, &cfg);
+    let handle = rt.apply_placement(&target).expect("migration failed");
+    assert!(handle.moved > 0, "the shuffle should move something");
+    assert!(handle.in_flight > 0, "apply_placement only admits the plan");
+    assert_eq!(rt.finish_migrations().expect("flush failed"), handle.moved);
+    assert_eq!(rt.placement().primaries(), target);
+    assert!(rt.migration_bytes() > 0, "moved experts carry bytes");
 
-        let loss_after = rt.evaluate(
-            &batch.inputs,
-            &batch.targets,
-            batch.batch_size,
-            batch.seq_len,
-        );
-        assert_eq!(
-            loss_before.to_bits(),
-            loss_after.to_bits(),
-            "migration must be computation-invisible under {quant:?}"
-        );
-        rt.shutdown();
-    }
+    let loss_after = rt.evaluate(
+        &batch.inputs,
+        &batch.targets,
+        batch.batch_size,
+        batch.seq_len,
+    );
+    assert_eq!(
+        loss_before.to_bits(),
+        loss_after.to_bits(),
+        "migration must be computation-invisible"
+    );
+    rt.shutdown();
 }
 
 #[test]

@@ -12,12 +12,20 @@
 //! grid of framings proven identical to a per-batch baseline. Only the
 //! packed, one-frame-per-worker arm is left; what the grid compared it
 //! against survives as [`Golden`] constants recorded at the last commit
-//! that had the other arms. (Only `VELA_QUANT=int8` is allowed to change
-//! anything, and it is gated separately by the `quant_accuracy` loss-curve
-//! test.)
+//! that had the other arms. Every row crosses as exact f32 on every
+//! transport, so nothing is exempt; the encoded bytes of that one framing
+//! are pinned here too.
 
+use std::sync::Arc;
+
+use vela::cluster::TrafficLedger;
+use vela::model::provider::ExpertBatch;
 use vela::placement::ReplicatedPlacement;
 use vela::prelude::*;
+use vela::runtime::launch::WorkerHandle;
+use vela::runtime::transport::build_star;
+use vela::runtime::worker::ExpertManager;
+use vela::runtime::{BrokerClient, WireStats};
 
 /// What a run reported at commit `8456ee6`, on `channel`, under both the
 /// then-default exchange (legacy group frames, sequential grad sync) and
@@ -294,4 +302,94 @@ fn process_transport_matches_the_per_batch_baseline() {
     VIRTUAL.assert_matches("tcp", &metrics, frames);
     let (metrics, frames) = real_workload(TransportConfig::tcp_processes());
     REAL_REPLICATED.assert_matches("tcp", &metrics, frames);
+}
+
+/// Steps of the wire-byte workload; byte counts are deterministic, so a
+/// few suffice.
+const WIRE_STEPS: u64 = 4;
+
+/// Encoded bytes of a fine-grained broker workload — 32 single-row expert
+/// batches × 2 blocks at width 8 over two channel workers, forward and
+/// backward — where per-item framing is at its worst. Unlike the ledger's
+/// accounted bytes these depend on the framing.
+fn wire_stats() -> WireStats {
+    const WORKERS: usize = 2;
+    let cfg = ModelConfig {
+        vocab: 32,
+        dim: 8,
+        heads: 1,
+        kv_heads: 1,
+        ffn_hidden: 8,
+        blocks: 2,
+        experts: 32,
+        top_k: 2,
+        seq_len: 8,
+        aux_loss_weight: 0.0,
+    };
+    let mut rng = DetRng::new(40);
+    let mut population = LocalExpertStore::new(&cfg, &mut rng);
+    let mut shards: Vec<LocalExpertStore> = (0..WORKERS)
+        .map(|_| LocalExpertStore::empty(cfg.blocks, cfg.experts))
+        .collect();
+    for l in 0..cfg.blocks {
+        for e in 0..cfg.experts {
+            shards[e % WORKERS].insert(l, e, population.take(l, e));
+        }
+    }
+    let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+    let devices: Vec<DeviceId> = (0..WORKERS).map(DeviceId).collect();
+    let (hub, ports) = build_star(TransportConfig::channel(), ledger, DeviceId(0), &devices)
+        .expect("channel star");
+    let workers: Vec<WorkerHandle> = ports
+        .into_iter()
+        .zip(shards)
+        .map(|(port, shard)| {
+            WorkerHandle::Thread(ExpertManager::spawn(port, shard, AdamWConfig::default()))
+        })
+        .collect();
+    let placement = Placement::new(
+        (0..cfg.blocks)
+            .map(|_| (0..cfg.experts).map(|e| e % WORKERS).collect())
+            .collect(),
+        WORKERS,
+    );
+    let mut broker = BrokerClient::new(hub, placement);
+
+    let mut batches = || -> Vec<ExpertBatch> {
+        (0..cfg.experts)
+            .map(|e| ExpertBatch {
+                expert: e,
+                xs: Tensor::uniform((1, cfg.dim), -1.0, 1.0, &mut rng),
+            })
+            .collect()
+    };
+    let (xs, grads) = (batches(), batches());
+    for _ in 0..WIRE_STEPS {
+        broker.step_begin().expect("step begin");
+        for block in 0..cfg.blocks {
+            let _ = broker.forward_block(block, &xs);
+            let _ = broker.backward_block(block, &grads);
+        }
+        broker.step_end().expect("step end");
+        broker.wait_step_done().expect("step done");
+    }
+    let stats = broker.wire_stats();
+    broker.shutdown().expect("worker shutdown");
+    for w in workers {
+        w.finish();
+    }
+    stats
+}
+
+/// `(dispatch, result, total)` encoded bytes per step of the exact
+/// exchange, recorded when the packed frame became the only framing.
+#[test]
+fn exact_wire_bytes_are_pinned() {
+    let w = wire_stats();
+    let per_step = (
+        (w.dispatch_header + w.dispatch_payload) / WIRE_STEPS,
+        (w.result_header + w.result_payload) / WIRE_STEPS,
+        w.total() / WIRE_STEPS,
+    );
+    assert_eq!(per_step, (5_224, 4_232, 9_478));
 }

@@ -58,24 +58,13 @@ fn random_packed_dispatch(rng: &mut DetRng) -> Message {
     let width = 1 + rng.below(8) as u32;
     let block = rng.below(1 << 10) as u32;
     let pass = random_pass(rng);
-    match rng.below(3) {
+    match rng.below(2) {
         0 => {
             let parts = random_parts(rng, width);
             Message::PackedDispatch(PackedGroup::pack(
                 block,
                 pass,
                 width,
-                false,
-                parts.iter().map(|(e, v)| (*e, v.as_slice())),
-            ))
-        }
-        1 => {
-            let parts = random_parts(rng, width);
-            Message::PackedDispatch(PackedGroup::pack(
-                block,
-                pass,
-                width,
-                true,
                 parts.iter().map(|(e, v)| (*e, v.as_slice())),
             ))
         }
@@ -92,18 +81,12 @@ fn random_packed_result(rng: &mut DetRng) -> Message {
     let width = 1 + rng.below(8) as u32;
     let rows = 1 + rng.below(8) as u32;
     let items = 1 + rng.below(6) as u32;
-    let data = match rng.below(3) {
+    let data = match rng.below(2) {
         0 => PackedData::F32(
             (0..rows * width)
                 .map(|_| rng.uniform(-100.0, 100.0))
                 .collect(),
         ),
-        1 => PackedData::Int8 {
-            scales: (0..rows).map(|_| rng.uniform(0.0, 2.0)).collect(),
-            codes: (0..rows * width)
-                .map(|_| rng.below(256) as u8 as i8)
-                .collect(),
-        },
         _ => PackedData::Virtual,
     };
     Message::PackedResult(PackedReply {
@@ -236,6 +219,33 @@ fn every_tag_outside_the_table_is_a_bad_tag() {
         .all(|t| FRAMES.iter().all(|f| f.tag != *t)));
 }
 
+/// Packed encoding 1 (int8 rows with per-row scales) is retired and never
+/// reused: a packed dispatch or result carrying it is a `BadTag`, whatever
+/// region follows.
+#[test]
+fn retired_packed_encoding_is_a_bad_tag() {
+    for seed in 0..CASES {
+        let mut rng = DetRng::new(0xE1 + seed);
+        let msg = if rng.below(2) == 0 {
+            random_packed_dispatch(&mut rng)
+        } else {
+            random_packed_result(&mut rng)
+        };
+        let mut frame = msg.encode();
+        // tag · u32 block · u8 pass, then the encoding byte.
+        assert!(frame[6] == 0 || frame[6] == 2, "seed {seed}");
+        frame[6] = 1;
+        assert_eq!(
+            Message::decode(&frame),
+            Err(WireError::BadTag {
+                what: "packed encoding",
+                tag: 1
+            }),
+            "seed {seed}"
+        );
+    }
+}
+
 /// Any strict prefix of a valid frame is an error — the codec's length
 /// and trailing-byte checks make partial reads impossible to mistake for
 /// complete messages.
@@ -309,7 +319,6 @@ fn packed_f32_regions_roundtrip_bitwise() {
             7,
             GroupPass::Forward,
             width,
-            false,
             parts.iter().map(|(e, v)| (*e, v.as_slice())),
         ));
         let decoded = Message::decode(&msg.encode()).unwrap();
@@ -325,50 +334,6 @@ fn packed_f32_regions_roundtrip_bitwise() {
             .collect();
         let survived: Vec<u32> = region.iter().map(|x| x.to_bits()).collect();
         assert_eq!(original, survived, "seed {seed}");
-    }
-}
-
-/// Int8 quantization reconstructs every value within the scheme's bound:
-/// per-row scale is `amax / 127`, codes round to nearest, so the error
-/// is at most half a quantization step (`amax / 254`).
-#[test]
-fn int8_reconstruction_error_is_bounded() {
-    for seed in 0..CASES {
-        let mut rng = DetRng::new(0x18 + seed);
-        let width = 1 + rng.below(12) as u32;
-        let rows = 1 + rng.below(8);
-        let vals: Vec<f32> = (0..rows * width as usize)
-            .map(|_| rng.uniform(-50.0, 50.0))
-            .collect();
-        let group = PackedGroup::pack(
-            0,
-            GroupPass::Forward,
-            width,
-            true,
-            std::iter::once((0u32, vals.as_slice())),
-        );
-        let Message::PackedDispatch(group) =
-            Message::decode(&Message::PackedDispatch(group).encode()).unwrap()
-        else {
-            panic!("seed {seed}: wrong message kind");
-        };
-        let mut rebuilt = Vec::new();
-        group
-            .data
-            .unpack_rows(width as usize, 0, rows, &mut rebuilt);
-        assert_eq!(rebuilt.len(), vals.len(), "seed {seed}");
-        for r in 0..rows {
-            let lo = r * width as usize;
-            let hi = lo + width as usize;
-            let amax = vals[lo..hi].iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let bound = amax / 254.0 + 1e-6;
-            for (a, b) in vals[lo..hi].iter().zip(&rebuilt[lo..hi]) {
-                assert!(
-                    (a - b).abs() <= bound,
-                    "seed {seed}: |{a} - {b}| > {bound} (amax {amax})"
-                );
-            }
-        }
     }
 }
 
