@@ -1,7 +1,6 @@
 //! Virtual time accounting.
 
 use std::fmt;
-use std::sync::Mutex;
 
 /// Simulated seconds spent per activity category within a window (usually
 /// one fine-tuning step).
@@ -45,74 +44,9 @@ impl fmt::Display for TimeBreakdown {
     }
 }
 
-/// A thread-safe accumulator of simulated time.
-///
-/// The distributed runtime's threads advance the clock as they account for
-/// transfers and compute; [`VirtualClock::take`] drains the accumulated
-/// window (one fine-tuning step in the evaluation).
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    inner: Mutex<TimeBreakdown>,
-}
-
-impl VirtualClock {
-    /// A clock at zero.
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// Adds communication time.
-    pub fn add_comm(&self, secs: f64) {
-        self.inner.lock().unwrap().comm_s += secs;
-    }
-
-    /// Adds compute time.
-    pub fn add_compute(&self, secs: f64) {
-        self.inner.lock().unwrap().compute_s += secs;
-    }
-
-    /// Adds synchronization time.
-    pub fn add_sync(&self, secs: f64) {
-        self.inner.lock().unwrap().sync_s += secs;
-    }
-
-    /// Current accumulated window.
-    pub fn peek(&self) -> TimeBreakdown {
-        *self.inner.lock().unwrap()
-    }
-
-    /// Drains and returns the accumulated window, resetting to zero.
-    pub fn take(&self) -> TimeBreakdown {
-        std::mem::take(&mut *self.inner.lock().unwrap())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulates_per_category() {
-        let clock = VirtualClock::new();
-        clock.add_comm(1.0);
-        clock.add_compute(2.0);
-        clock.add_sync(0.5);
-        clock.add_comm(0.5);
-        let t = clock.peek();
-        assert_eq!(t.comm_s, 1.5);
-        assert_eq!(t.compute_s, 2.0);
-        assert_eq!(t.sync_s, 0.5);
-        assert_eq!(t.total(), 4.0);
-    }
-
-    #[test]
-    fn take_resets() {
-        let clock = VirtualClock::new();
-        clock.add_comm(1.0);
-        let first = clock.take();
-        assert_eq!(first.total(), 1.0);
-        assert_eq!(clock.peek().total(), 0.0);
-    }
 
     #[test]
     fn merged_adds_componentwise() {
@@ -135,24 +69,5 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("comm"));
         assert!(s.contains("0.3"));
-    }
-
-    #[test]
-    fn concurrent_updates() {
-        let clock = std::sync::Arc::new(VirtualClock::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = clock.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.add_comm(0.001);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!((clock.peek().comm_s - 8.0).abs() < 1e-6);
     }
 }

@@ -1,5 +1,5 @@
-//! Cluster topology, bandwidth, communication cost model, virtual clock and
-//! traffic ledger.
+//! Cluster topology, bandwidth, communication cost model, simulated time
+//! and traffic ledger.
 //!
 //! This crate is the testbed substitute: the paper evaluates on 3 nodes ×
 //! 2 NVIDIA V100s with 18.3 GB/s intra-node and 1.17 GB/s inter-node links;
@@ -12,8 +12,8 @@
 //!   status-synchronization round), ring all-reduce, and compute time;
 //! * [`TrafficLedger`] — byte-accurate accounting of every transfer,
 //!   aggregated per node into the *external traffic* metric of Fig. 5;
-//! * [`VirtualClock`] — accumulates simulated seconds per category so
-//!   Fig. 6's step-time numbers are deterministic and hardware-independent.
+//! * [`TimeBreakdown`] — simulated seconds per category, so Fig. 6's
+//!   step-time numbers are deterministic and hardware-independent.
 
 pub mod bandwidth;
 pub mod clock;
@@ -22,7 +22,7 @@ pub mod ledger;
 pub mod topology;
 
 pub use bandwidth::Bandwidth;
-pub use clock::{TimeBreakdown, VirtualClock};
+pub use clock::TimeBreakdown;
 pub use cost::CostModel;
 pub use ledger::{StepTraffic, TrafficLedger};
 pub use topology::{DeviceId, NodeId, Topology};

@@ -230,18 +230,6 @@ impl Topology {
             self.inter_latency_s
         }
     }
-
-    /// Simulated `iperf`-style measurement: the effective bandwidth seen by
-    /// a probe of `probe_bytes` between two devices, including latency.
-    ///
-    /// # Panics
-    /// Panics if `probe_bytes` is zero or the devices are equal.
-    pub fn measure_bandwidth(&self, a: DeviceId, b: DeviceId, probe_bytes: u64) -> Bandwidth {
-        assert!(probe_bytes > 0, "probe needs bytes");
-        assert_ne!(a, b, "cannot measure a device against itself");
-        let t = self.latency(a, b) + self.bandwidth(a, b).transfer_secs(probe_bytes);
-        Bandwidth::from_bytes_per_sec(probe_bytes as f64 / t)
-    }
 }
 
 #[cfg(test)]
@@ -273,17 +261,6 @@ mod tests {
         let t = Topology::paper_testbed();
         assert_eq!(t.latency(DeviceId(0), DeviceId(0)), 0.0);
         assert!(t.latency(DeviceId(0), DeviceId(1)) < t.latency(DeviceId(0), DeviceId(2)));
-    }
-
-    #[test]
-    fn measured_bandwidth_approaches_nominal_for_large_probes() {
-        let t = Topology::paper_testbed();
-        let m = t.measure_bandwidth(DeviceId(0), DeviceId(2), 1 << 30);
-        let nominal = t.bandwidth(DeviceId(0), DeviceId(2));
-        assert!((m.gbytes_per_sec() - nominal.gbytes_per_sec()).abs() < 0.01);
-        // A tiny probe is latency-dominated and measures much lower.
-        let tiny = t.measure_bandwidth(DeviceId(0), DeviceId(2), 1024);
-        assert!(tiny.bytes_per_sec() < 0.5 * nominal.bytes_per_sec());
     }
 
     #[test]

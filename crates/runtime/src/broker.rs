@@ -544,9 +544,11 @@ impl BrokerClient {
     /// The cutover itself is a stop-the-world exchange of the tensors that
     /// train: the source evicts the expert and replies with them
     /// (`FetchTrained` → `ExpertState`), the master forwards the blob, the
-    /// destination loads it onto its shadow, starts serving and acks, and
-    /// the primary flips. FIFO links order all of it before the next
-    /// step's traffic, so both sides switch exactly at the boundary.
+    /// destination loads it onto its shadow, starts serving and acks, any
+    /// surviving replica drops its moments (`DropMoments`, so every copy
+    /// restarts alike), and the primary flips. FIFO links order all of it
+    /// before the next step's traffic, so both sides switch exactly at the
+    /// boundary.
     pub fn pump_migrations(&mut self) -> Result<usize, TransportError> {
         if self.migrations.in_flight() == 0 {
             return Ok(0);
@@ -582,6 +584,18 @@ impl BrokerClient {
             let trained = self.recv_expert_state(from, block, expert)?;
             self.install_expert(block, expert, &[to], trained)?;
             self.wait_installs()?;
+            // The destination starts from fresh moments; so must every
+            // surviving replica, or the copies stop being clones.
+            let peers = self.placement.replicas_of(block, expert)[1..].to_vec();
+            for p in peers {
+                self.hub.send(
+                    p,
+                    &Message::DropMoments {
+                        block: block as u32,
+                        expert: expert as u32,
+                    },
+                )?;
+            }
             self.re_root(block, expert, to);
             MIGRATION_COMMITS.add(1);
             cut_over += 1;
@@ -990,6 +1004,7 @@ mod tests {
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
     use vela_model::{LocalExpertStore, ModelConfig};
     use vela_nn::optim::AdamWConfig;
+    use vela_nn::param::Module;
     use vela_placement::Placement;
     use vela_tensor::rng::DetRng;
 
@@ -1424,6 +1439,83 @@ mod tests {
             .map(|m| usize::from(m.join().contains(0, 0)))
             .sum();
         assert_eq!(held, 1);
+    }
+
+    #[test]
+    fn a_lane_move_of_a_replicated_expert_keeps_its_copies_clones() {
+        // Expert (0, 0) lives on workers 0 and 1; a lane moves it from 0 to
+        // 2. The new primary starts from fresh moments, so the surviving
+        // peer must too, or the two copies part after the next step.
+        let cfg = ModelConfig::test_small();
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let (hub, ports) = star(
+            ledger,
+            DeviceId(0),
+            &[DeviceId(1), DeviceId(2), DeviceId(3)],
+        );
+        let mut source = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
+        let mut clone = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
+        let template = Some(ExpertTemplate::from_expert(source.expert_mut(0, 0)));
+        let mut shards: Vec<LocalExpertStore> = (0..3)
+            .map(|_| LocalExpertStore::empty(cfg.blocks, cfg.experts))
+            .collect();
+        let mut replicas = vec![vec![Vec::new(); cfg.experts]; cfg.blocks];
+        for (l, row) in replicas.iter_mut().enumerate() {
+            for (e, reps) in row.iter_mut().enumerate() {
+                shards[e % 3].insert(l, e, source.take(l, e));
+                reps.push(e % 3);
+            }
+        }
+        shards[1].insert(0, 0, clone.take(0, 0));
+        replicas[0][0].push(1);
+        let managers: Vec<ExpertManager> = ports
+            .into_iter()
+            .zip(shards)
+            .map(|(port, shard)| {
+                ExpertManager::spawn_with_template(port, shard, AdamWConfig::default(), template)
+            })
+            .collect();
+        let mut broker = BrokerClient::new(hub, ReplicatedPlacement::new(replicas, 3));
+
+        let mut rng = DetRng::new(29);
+        for step in 0..6 {
+            if step == 3 {
+                broker.start_migration(0, 0, 2).unwrap();
+            }
+            broker.step_begin().unwrap();
+            for l in 0..cfg.blocks {
+                let batches: Vec<ExpertBatch> = (0..cfg.experts)
+                    .map(|e| ExpertBatch {
+                        expert: e,
+                        xs: vela_tensor::Tensor::uniform((2 + e, cfg.dim), -1.0, 1.0, &mut rng),
+                    })
+                    .collect();
+                broker.forward_block(l, &batches);
+                broker.backward_block(l, &batches);
+            }
+            broker.sync_replica_grads(64).unwrap();
+            broker.step_end().unwrap();
+            broker.wait_step_done().unwrap();
+            broker.pump_migrations().unwrap();
+        }
+        assert_eq!(broker.placement().replicas_of(0, 0), [2, 1]);
+        broker.shutdown().unwrap();
+        let mut copies: Vec<Vec<u32>> = managers
+            .into_iter()
+            .map(|m| m.join())
+            .filter(|shard| shard.contains(0, 0))
+            .map(|mut shard| {
+                let mut bits = Vec::new();
+                shard.expert_mut(0, 0).visit_params(&mut |p| {
+                    bits.extend(p.value.as_slice().iter().map(|v| v.to_bits()));
+                });
+                bits
+            })
+            .collect();
+        assert_eq!(copies.len(), 2, "workers 1 and 2 hold the copies");
+        let (on_2, on_1) = (copies.pop().unwrap(), copies.pop().unwrap());
+        let differ = on_1.iter().zip(&on_2).filter(|(a, b)| a != b).count();
+        assert_eq!(differ, 0, "{differ} of {} values differ", on_1.len());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! * [`RealRuntime`] — real tensors at micro scale; bit-identical to
 //!   single-process fine-tuning (the paper's §V-A parity claim, verified in
-//!   `tests/parity.rs`);
+//!   `tests/contract.rs`);
 //! * [`VirtualEngine`] — the same master–worker message flow carrying
 //!   *virtual* payloads at Mixtral-8x7B scale, driven by measured locality
 //!   profiles (generates Figs. 5–6's VELA/Sequential/Random series);

@@ -710,6 +710,18 @@ frames! {
         /// Expert index within the block.
         expert: u32,
     } => ToWorker, Migration, accounts 9, wire Control;
+
+    /// Drops a replica's optimizer moments for one expert and keeps the
+    /// copy, with no reply (master → worker): sent at a cutover to every
+    /// surviving peer of the expert moved, whose new primary starts from
+    /// fresh moments, so all its copies step alike from then on.
+    // Moves no parameters, so it stays off the books, like `Evict`.
+    28 DropMoments {
+        /// MoE block index.
+        block: u32,
+        /// Expert index within the block.
+        expert: u32,
+    } => ToWorker, Unaccounted, accounts 9, wire Control;
 }
 
 impl Message {
@@ -1193,6 +1205,7 @@ mod tests {
             },
             Message::Evict { block, expert },
             Message::FetchTrained { block, expert },
+            Message::DropMoments { block, expert },
         ]
     }
 
@@ -1207,11 +1220,13 @@ mod tests {
         // unaccounted `send_control`, which is what `Unaccounted` says.
         // `FetchTrained` (27) is younger than that commit; its row is
         // pinned to `FetchExpert`'s, the request it is the cutover's
-        // version of. Rows 23, 24 and 26 left with the lockstep shadow,
-        // and the int8 `PackedDispatch` instance with packed encoding 1.
+        // version of, and `DropMoments` (28), younger still, to `Evict`'s,
+        // the other reply-less frame that moves no parameters. Rows 23, 24
+        // and 26 left with the lockstep shadow, and the int8
+        // `PackedDispatch` instance with packed encoding 1.
         use Bucket::{Migration, Plain, Sync, Unaccounted};
         use FrameKind::{Control, Dispatch, ExpertState, Result as Reply};
-        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 21] = [
+        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 22] = [
             (1, 9, 9, Plain, Control, 9, 0),
             (6, 1, 1, Plain, Control, 1, 0),
             (7, 1, 1, Plain, Control, 1, 0),
@@ -1233,6 +1248,7 @@ mod tests {
             (22, 65, 32, Migration, ExpertState, 33, 32),
             (25, 9, 9, Unaccounted, Control, 9, 0),
             (27, 9, 9, Migration, Control, 9, 0),
+            (28, 9, 9, Unaccounted, Control, 9, 0),
         ];
         let instances = fixed_instances();
         assert_eq!(instances.len(), recorded.len());

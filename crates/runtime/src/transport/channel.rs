@@ -11,7 +11,7 @@
 //! receiver, so the master can always keep dispatching while replies
 //! queue in its inbox. No extra threads are needed.
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,21 +67,6 @@ impl PortBackend for ChannelPort {
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         self.rx.recv().map_err(|_| TransportError::Disconnected)
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        match self.rx.try_recv() {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
-        })
     }
 
     fn shutdown(&mut self) {}

@@ -3,9 +3,9 @@
 //!
 //! The paper's master–worker star (§IV-A) is a *topology*, not an
 //! implementation: the broker only needs hub/port endpoints with send,
-//! recv, try-recv/timeout-recv and shutdown semantics. This module defines
-//! that seam ([`HubBackend`] / [`PortBackend`]) and two std-only
-//! implementations:
+//! recv and shutdown semantics, plus a timeout-recv on the hub for clock
+//! probes. This module defines that seam ([`HubBackend`] /
+//! [`PortBackend`]) and two std-only implementations:
 //!
 //! * [`channel`] — the original in-process `std::sync::mpsc` star;
 //! * [`tcp`] — loopback `std::net` sockets with length-prefixed framing,
@@ -22,7 +22,7 @@
 //! (Workers cannot share the master's ledger once they live in another
 //! process, which is why the accounting lives here and not in the ports.)
 //! Fig. 5/6 traffic numbers are therefore byte-exact across transports —
-//! pinned by `tests/transport_parity.rs`.
+//! pinned by `tests/contract.rs`.
 
 pub mod channel;
 pub mod tcp;
@@ -211,10 +211,6 @@ pub trait PortBackend: Send + fmt::Debug {
     fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError>;
     /// Blocks for the next frame from the master.
     fn recv(&mut self) -> Result<Vec<u8>, TransportError>;
-    /// Returns a frame if one is ready, `None` otherwise.
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
-    /// Like [`recv`](Self::recv) with a deadline.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError>;
     /// Closes the link to the master (best effort).
     fn shutdown(&mut self);
 }
@@ -538,19 +534,6 @@ impl WorkerPort {
         Ok(Message::decode(&self.backend.recv()?)?)
     }
 
-    /// Returns a message if one is ready, `None` otherwise.
-    pub fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
-        match self.backend.try_recv()? {
-            Some(frame) => Ok(Some(Message::decode(&frame)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Like [`recv`](Self::recv) with a deadline.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, TransportError> {
-        Ok(Message::decode(&self.backend.recv_timeout(timeout)?)?)
-    }
-
     /// Sends a message to the master.
     pub fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
         self.backend.send(msg.encode())
@@ -690,16 +673,11 @@ mod tests {
 
     #[test]
     fn recv_timeout_expires_cleanly() {
-        let (_, mut hub, mut ports) = setup();
+        let (_, mut hub, _ports) = setup();
         assert!(matches!(
             hub.recv_timeout(Duration::from_millis(10)),
             Err(TransportError::Timeout)
         ));
-        assert!(matches!(
-            ports[0].recv_timeout(Duration::from_millis(10)),
-            Err(TransportError::Timeout)
-        ));
-        assert!(ports[0].try_recv().unwrap().is_none());
     }
 
     #[test]

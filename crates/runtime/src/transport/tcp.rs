@@ -97,10 +97,9 @@ fn write_frame(sock: &mut TcpStream, frame: &[u8]) -> Result<(), TransportError>
 /// Bytes of spare buffer a socket read is offered at least.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Accumulates raw socket bytes and extracts complete frames. Keeping the
-/// partial bytes here (not in the socket) is what makes timeouts safe: a
-/// read that deadlines mid-frame leaves the prefix buffered, and the next
-/// call resumes exactly where the stream stopped.
+/// Accumulates raw socket bytes and extracts complete frames. A read may
+/// end anywhere in a frame: the partial bytes stay buffered here, and the
+/// next read resumes exactly where the stream stopped.
 #[derive(Debug, Default)]
 struct FrameBuf {
     /// `data[start..end]` is what the socket delivered and no frame has
@@ -178,59 +177,11 @@ impl PortBackend for TcpPort {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.sock.set_read_timeout(None)?;
         loop {
             if let Some(frame) = self.buf.extract()? {
                 return Ok(frame);
             }
             self.fill()?;
-        }
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        if let Some(frame) = self.buf.extract()? {
-            return Ok(Some(frame));
-        }
-        self.sock.set_nonblocking(true)?;
-        let outcome = loop {
-            match self.fill() {
-                Ok(()) => match self.buf.extract() {
-                    Ok(Some(frame)) => break Ok(Some(frame)),
-                    Ok(None) => continue,
-                    Err(e) => break Err(e),
-                },
-                Err(e) if is_wait(&e) => break Ok(None),
-                Err(e) => break Err(e.into()),
-            }
-        };
-        self.sock.set_nonblocking(false)?;
-        outcome
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.buf.extract()? {
-                self.sock.set_read_timeout(None)?;
-                return Ok(frame);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                self.sock.set_read_timeout(None)?;
-                return Err(TransportError::Timeout);
-            }
-            self.sock.set_read_timeout(Some(left))?;
-            match self.fill() {
-                Ok(()) => {}
-                Err(e) if is_wait(&e) => {
-                    self.sock.set_read_timeout(None)?;
-                    return Err(TransportError::Timeout);
-                }
-                Err(e) => {
-                    let _ = self.sock.set_read_timeout(None);
-                    return Err(e.into());
-                }
-            }
         }
     }
 
@@ -700,24 +651,6 @@ mod tests {
         let (c, t) = (chan_ledger.peek(), tcp_ledger.peek());
         assert_eq!(c.internal_bytes, t.internal_bytes);
         assert_eq!(c.external_total(), t.external_total());
-    }
-
-    #[test]
-    fn timeout_mid_frame_does_not_corrupt_the_stream() {
-        let (_, mut hub, mut ports) = setup();
-        // Nothing sent yet: the port times out...
-        assert!(matches!(
-            ports[0].recv_timeout(Duration::from_millis(20)),
-            Err(TransportError::Timeout)
-        ));
-        assert!(ports[0].try_recv().unwrap().is_none());
-        // ...and the next full frame still parses cleanly.
-        hub.send(0, &Message::StepBegin { step: 11 }).unwrap();
-        assert_eq!(
-            ports[0].recv_timeout(Duration::from_secs(5)).unwrap(),
-            Message::StepBegin { step: 11 }
-        );
-        hub.shutdown();
     }
 
     #[test]

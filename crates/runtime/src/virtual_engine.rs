@@ -12,7 +12,7 @@
 //! Like [`RealRuntime`](crate::RealRuntime), the transport behind it is
 //! pluggable ([`TransportConfig`]) — the ledger windows it reports are
 //! byte-identical across channel, TCP-thread and TCP-process backends
-//! (pinned by the `transport_parity` integration test).
+//! (pinned by the `contract` integration test).
 
 use std::sync::Arc;
 

@@ -73,17 +73,23 @@ pub(crate) fn install_expert_grads(ffn: &mut SwiGlu, grads: &[f32]) {
     );
 }
 
+/// Takes an expert's AdamW entries out of the optimizer: its next step
+/// starts from fresh moments.
+fn drop_moments(ffn: &mut SwiGlu, opt: &mut AdamW) {
+    ffn.visit_params(&mut |p| {
+        if p.is_trainable() {
+            opt.take_moments(p.name());
+        }
+    });
+}
+
 /// Takes an expert out of the shard and its AdamW entries out of the
 /// optimizer. An expert that later returns to this worker then starts from
 /// fresh moments, as it does on any other destination, instead of resuming
 /// the ones its last stay left behind.
 fn evict(shard: &mut LocalExpertStore, opt: &mut AdamW, block: u32, expert: u32) -> SwiGlu {
     let mut ffn = shard.take(block as usize, expert as usize);
-    ffn.visit_params(&mut |p| {
-        if p.is_trainable() {
-            opt.take_moments(p.name());
-        }
-    });
+    drop_moments(&mut ffn, opt);
     ffn
 }
 
@@ -167,8 +173,8 @@ pub struct WorkerBootstrap {
 /// frames (2: the packed frames lost their chunk id; 3: the lockstep
 /// shadow's three frames left and `FetchTrained` came; 4: packed
 /// encoding 1, int8 rows, was retired and seeding blobs are exact "VELA"
-/// checkpoints only).
-const BOOTSTRAP_VERSION: u8 = 4;
+/// checkpoints only; 5: `DropMoments` came).
+const BOOTSTRAP_VERSION: u8 = 5;
 
 impl WorkerBootstrap {
     /// Serializes the bootstrap frame.
@@ -574,6 +580,18 @@ fn handle(
             } else {
                 vela_obs::warn!(
                     "worker {}: evict for absent expert ({block}, {expert})",
+                    port.index
+                );
+            }
+        }
+        Message::DropMoments { block, expert } => {
+            // A lane moved this replica's peer: its new primary restarts
+            // from fresh moments, so this copy does too.
+            if shard.contains(block as usize, expert as usize) {
+                drop_moments(shard.expert_mut(block as usize, expert as usize), opt);
+            } else {
+                vela_obs::warn!(
+                    "worker {}: moment drop for absent expert ({block}, {expert})",
                     port.index
                 );
             }

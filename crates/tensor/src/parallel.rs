@@ -27,7 +27,7 @@
 //!
 //! let pool = ThreadPool::new(2);
 //! let squares = parallel::with_pool(&pool, || {
-//!     parallel::par_map(4, |i| i * i)
+//!     parallel::par_map_hinted(4, usize::MAX, |i| i * i)
 //! });
 //! assert_eq!(squares, vec![0, 1, 4, 9]);
 //! ```
@@ -293,9 +293,10 @@ pub const PAR_MIN_WORK: usize = 16 * 1024;
 /// on a pool of more than one lane.
 pub const PAR_CUTOFF: usize = 1 << 18;
 
-/// [`par_map`] with a total-work hint: runs inline (no pool, no per-slot
-/// bookkeeping) when `total_work` is below [`PAR_CUTOFF`] or there is only
-/// one item.
+/// Computes `f(i)` for `i in 0..n` and returns the results in index order:
+/// inline (no pool, no per-slot bookkeeping) when `total_work` is below
+/// [`PAR_CUTOFF`] or there is only one item, otherwise in parallel with each
+/// result slot written by exactly one chunk.
 pub fn par_map_hinted<R: Send, F: Fn(usize) -> R + Sync>(
     n: usize,
     total_work: usize,
@@ -306,11 +307,27 @@ pub fn par_map_hinted<R: Send, F: Fn(usize) -> R + Sync>(
         return (0..n).map(f).collect();
     }
     PAR_POOL.add(1);
-    par_map(n, f)
+    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
+    results.resize_with(n, || None);
+    {
+        let slots = DisjointSlots::new(&mut results);
+        with_current(|pool| {
+            pool.run(n, &|i| {
+                // SAFETY: chunk `i` is the only writer of slot `i`.
+                unsafe { *slots.get(i) = Some(f(i)) };
+            });
+        });
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("parallel map chunk skipped"))
+        .collect()
 }
 
-/// [`par_map_mut`] with a total-work hint: runs inline when `total_work` is
-/// below [`PAR_CUTOFF`] or there is only one item.
+/// Applies `f` to every element of `items` and returns the per-element
+/// results in order: inline when `total_work` is below [`PAR_CUTOFF`] or
+/// there is only one item, otherwise in parallel with each element visited
+/// by exactly one chunk.
 pub fn par_map_mut_hinted<T, R, F>(items: &mut [T], total_work: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -322,7 +339,24 @@ where
         return items.iter_mut().enumerate().map(|(i, v)| f(i, v)).collect();
     }
     PAR_POOL.add(1);
-    par_map_mut(items, f)
+    let n = items.len();
+    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
+    results.resize_with(n, || None);
+    {
+        let slots = DisjointSlots::new(&mut results);
+        let targets = DisjointSlots::new(items);
+        with_current(|pool| {
+            pool.run(n, &|i| {
+                // SAFETY: chunk `i` is the only accessor of element `i` of
+                // both slices.
+                unsafe { *slots.get(i) = Some(f(i, &mut *targets.get(i))) };
+            });
+        });
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("parallel map chunk skipped"))
+        .collect()
 }
 
 /// Thread count requested via `VELA_THREADS`, falling back to the host's
@@ -408,55 +442,6 @@ pub fn par_ranges(rows: usize, min_rows: usize, f: impl Fn(Range<usize>) + Sync)
             }
         });
     });
-}
-
-/// Computes `f(i)` for `i in 0..n` in parallel and returns the results in
-/// index order. Each result slot is written by exactly one chunk.
-pub fn par_map<R: Send, F: Fn(usize) -> R + Sync>(n: usize, f: F) -> Vec<R> {
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    {
-        let slots = DisjointSlots::new(&mut results);
-        with_current(|pool| {
-            pool.run(n, &|i| {
-                // SAFETY: chunk `i` is the only writer of slot `i`.
-                unsafe { *slots.get(i) = Some(f(i)) };
-            });
-        });
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("parallel map chunk skipped"))
-        .collect()
-}
-
-/// Applies `f` to every element of `items` in parallel, each element
-/// visited by exactly one chunk, and returns the per-element results in
-/// order.
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    {
-        let slots = DisjointSlots::new(&mut results);
-        let targets = DisjointSlots::new(items);
-        with_current(|pool| {
-            pool.run(n, &|i| {
-                // SAFETY: chunk `i` is the only accessor of element `i` of
-                // both slices.
-                unsafe { *slots.get(i) = Some(f(i, &mut *targets.get(i))) };
-            });
-        });
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("parallel map chunk skipped"))
-        .collect()
 }
 
 /// A raw view over a mutable slice for index-disjoint parallel writes.
@@ -546,7 +531,7 @@ mod tests {
     #[test]
     fn par_map_preserves_index_order() {
         let pool = ThreadPool::new(4);
-        let out = with_pool(&pool, || par_map(100, |i| i * 3));
+        let out = with_pool(&pool, || par_map_hinted(100, usize::MAX, |i| i * 3));
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -555,7 +540,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let mut items = vec![0u64; 32];
         let doubles = with_pool(&pool, || {
-            par_map_mut(&mut items, |i, v| {
+            par_map_mut_hinted(&mut items, usize::MAX, |i, v| {
                 *v = i as u64 + 1;
                 *v * 2
             })

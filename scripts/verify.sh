@@ -2,8 +2,8 @@
 # Repository verification: tier-1 build+test, formatting, the knob-list
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
 # VELA_* count and the non-test line counts of vela-runtime, vela-model and
-# vela-tensor), the release-mode gates (simplex pivot path, exchange golden
-# pin and exact wire bytes, parity grids), the trace smokes, and the benches (the
+# vela-tensor), the release-mode gates (simplex pivot path, routing table,
+# the contract harness), the trace smokes, and the benches (the
 # kernel one emits BENCH_kernels.json in the repo root and its log names the
 # GEMM SIMD level the host dispatched to; the placement-LP one is echoed
 # only). Exchange and migration timing is benchmark/'s job, not this script's.
@@ -60,14 +60,10 @@ cargo test --release -q -p vela-placement
 echo "==> routing table exactness (release): CategoricalTable vs categorical on all 2^24 draws of each edge weight vector (interior/leading zero, scan fall-through, subnormal redraw, Zipf row)"
 cargo test --release -q -p vela-tensor --lib rng::tests::categorical_table
 
-echo "==> exchange golden pin (release): loss bits, ledger bytes and frame counts recorded at 8456ee6 on {channel, tcp-threads, tcp}, single-owner + replicated arms; exact encoded wire bytes/step pinned (exact_wire_bytes_are_pinned)"
-cargo test --release -q --test transport_parity
-
-echo "==> replication gate (release): degree-1 bitwise identity + loss-for-loss replicated training"
-cargo test --release -q --test replication
-
-echo "==> migration parity grid (release): one mover — a re-placement streamed under steps bitwise identical to the same moves flushed at the same boundaries on {channel, tcp-threads, tcp}; LoRA, replicated and trainable-base arms"
-cargo test --release -q --test migration
+# The release seed budget is the harness's own constant, not an option.
+contract_seeds=$(sed -n 's/^const SEEDS: u64 = .* else { \([0-9]*\) };$/\1/p' tests/contract.rs)
+echo "==> contract harness (release): seeds 0..${contract_seeds} drawn by tests/contract.rs (engine, shape, transport, placement, re-placement) vs the single-process oracle that replays moment resets, plus the named regression seeds, the exchange golden pin recorded at 8456ee6 on {channel, tcp-threads, tcp} and the exact wire bytes/step"
+cargo test --release -q --test contract
 
 echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check (schema, span balance, and the reconciliation gate: every span histogram's count and total == its enter/exit pairs), then its Chrome view via merge"
 trace_out=target/quickstart-trace.jsonl

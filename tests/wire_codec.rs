@@ -156,6 +156,7 @@ fn random_message(rng: &mut DetRng) -> Message {
         }
         "Evict" => Message::Evict { block, expert },
         "FetchTrained" => Message::FetchTrained { block, expert },
+        "DropMoments" => Message::DropMoments { block, expert },
         other => panic!("frame {other} is in the table but has no fuzz generator"),
     }
 }
