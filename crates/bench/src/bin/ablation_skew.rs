@@ -26,20 +26,11 @@ fn main() {
     for zipf in [0.0, 0.4, 0.8, 1.2, 1.6, 2.0] {
         let profile = LocalityProfile::synthetic("s", spec.blocks, spec.experts, zipf, 21);
         let _problem = scale_problem(&profile, &spec, &Topology::paper_testbed(), &scale);
-        let seq = RunSummary::from_steps(&run_strategy(
-            Strategy::Sequential,
-            &profile,
-            &spec,
-            &scale,
-            steps,
-        ));
-        let vela = RunSummary::from_steps(&run_strategy(
-            Strategy::Vela,
-            &profile,
-            &spec,
-            &scale,
-            steps,
-        ));
+        let seq = RunSummary::from_steps(
+            &run_strategy(Strategy::Sequential, &profile, &spec, &scale, steps).0,
+        );
+        let vela =
+            RunSummary::from_steps(&run_strategy(Strategy::Vela, &profile, &spec, &scale, steps).0);
         println!(
             "{zipf:>6.1} | {:>13.3} | {:>12} | {:>12} | {:>8.1}%",
             profile.mean_concentration(),

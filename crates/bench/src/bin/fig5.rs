@@ -37,7 +37,8 @@ fn main() {
             let mut ep_avg = None;
             let mut rows: Vec<(String, Vec<f64>, f64)> = Vec::new();
             for strategy in eval_strategies() {
-                let metrics = vela_bench::run_strategy(strategy, &profile, &spec, &scale, steps);
+                let (metrics, _) =
+                    vela_bench::run_strategy(strategy, &profile, &spec, &scale, steps);
                 let series: Vec<f64> = metrics
                     .iter()
                     .map(|s| s.traffic.external_avg_per_node())

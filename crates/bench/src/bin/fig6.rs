@@ -16,9 +16,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(200);
-    let replication = ReplicationConfig::from_env();
     println!("== Fig. 6: average time per fine-tuning step ({steps} steps) ==");
-    println!("replication: {}", replication.label());
 
     for model in EvalModel::ALL {
         let spec = model.spec();
@@ -32,7 +30,7 @@ fn main() {
             let profile = measured_profile(&mut m, &mut e, dataset, &spec, model.seed());
             println!("\n-- {} with {} --", model.name(), dataset.name());
             println!(
-                "{:>10} | {:>11} | {:>9} | {:>8} | {:>8} | {:>8} | {:>8} | {:>9} | {:>9} | {:>6} | {:>8}",
+                "{:>10} | {:>11} | {:>9} | {:>8} | {:>8} | {:>8} | {:>8} | {:>9} | {:>9} | {:>8}",
                 "strategy",
                 "transport",
                 "step (s)",
@@ -42,23 +40,13 @@ fn main() {
                 "p99",
                 "comm (s)",
                 "sync (s)",
-                "repl",
                 "vs EP"
             );
             let mut ep_time = None;
             for strategy in eval_strategies() {
-                let (metrics, repl) = vela_bench::run_strategy_with(
-                    strategy,
-                    replication,
-                    &profile,
-                    &spec,
-                    &scale,
-                    steps,
-                );
-                let mut summary = vela_bench::summarize_strategy(strategy, &metrics);
-                if let Some(r) = repl {
-                    summary = summary.with_replication(r);
-                }
+                let (metrics, transport) =
+                    vela_bench::run_strategy(strategy, &profile, &spec, &scale, steps);
+                let summary = RunSummary::from_steps(&metrics);
                 if strategy.label() == "EP" {
                     ep_time = Some(summary.avg_step_time);
                 }
@@ -66,17 +54,9 @@ fn main() {
                     RunSummary::reduction_vs(summary.avg_step_time, ep_time.expect("EP first"))
                         * 100.0;
                 let (p50, p95, p99) = summary.step_time_percentiles();
-                // The replication column: `-` for EP (no placement to
-                // replicate), `off` at degree 1, else the mean degree.
-                let repl_cell = match summary.replication {
-                    None => "-".to_string(),
-                    Some(r) if r.max_degree <= 1 => "off".to_string(),
-                    Some(r) => format!("x{:.2}", r.avg_degree),
-                };
                 println!(
-                    "{:>10} | {:>11} | {:>9.4} | {:>8.4} | {:>8.4} | {:>8.4} | {:>8.4} | {:>9.4} | {:>9.4} | {repl_cell:>6} | {speedup:+7.1}%",
+                    "{:>10} | {transport:>11} | {:>9.4} | {:>8.4} | {:>8.4} | {:>8.4} | {:>8.4} | {:>9.4} | {:>9.4} | {speedup:+7.1}%",
                     strategy.label(),
-                    summary.transport,
                     summary.avg_step_time,
                     summary.std_step_time,
                     p50,
@@ -85,17 +65,6 @@ fn main() {
                     summary.avg_comm_time,
                     summary.avg_sync_time,
                 );
-                if let Some(r) = summary.replication.filter(|r| r.max_degree > 1) {
-                    println!(
-                        "{:>10} | replication: max degree {}, avg {:.2}, {} sync/step, \
-                         straggler x{:.2}",
-                        "",
-                        r.max_degree,
-                        r.avg_degree,
-                        vela_bench::mb(r.sync_bytes_per_step),
-                        r.straggler_index,
-                    );
-                }
             }
             println!("(paper: VELA accelerates steps by 20.6%..28.2% vs EP)");
         }

@@ -152,14 +152,6 @@ pub fn measured_profile(
     micro.upscale(spec.blocks, spec.experts, seed ^ 0xBEEF)
 }
 
-/// Builds the full-scale locality profile for one evaluation setting
-/// (pre-trains the micro proxy internally; for multi-dataset use, prefer
-/// [`pretrain_micro`] + [`measured_profile`]).
-pub fn setting_profile(model: EvalModel, dataset: EvalDataset) -> LocalityProfile {
-    let (mut m, mut e) = pretrain_micro(model);
-    measured_profile(&mut m, &mut e, dataset, &model.spec(), model.seed())
-}
-
 /// The strategies compared in Figs. 5–6, in the paper's legend order.
 pub fn eval_strategies() -> Vec<Strategy> {
     vec![
@@ -191,85 +183,40 @@ pub fn scale_problem(
     )
 }
 
-/// Runs one strategy of one setting for `steps` steps and returns per-step
-/// metrics (EP runs its own engine; everything else runs the master–worker
-/// virtual engine). Single-owner placements only; the figure binaries use
-/// [`run_strategy_with`] to honor `VELA_REPLICATION`.
+/// Runs one strategy of one setting for `steps` steps on the paper's
+/// single-owner placement and returns the per-step metrics with the label
+/// of the transport the engine that ran reports: EP runs its own engine,
+/// which simulates its all-to-all locally (`local`); everything else runs
+/// the master–worker virtual engine.
 pub fn run_strategy(
     strategy: Strategy,
     profile: &LocalityProfile,
     spec: &MoeSpec,
     scale: &ScaleConfig,
     steps: usize,
-) -> Vec<StepMetrics> {
-    run_strategy_with(
-        strategy,
-        ReplicationConfig::Off,
-        profile,
-        spec,
-        scale,
-        steps,
-    )
-    .0
-}
-
-/// [`run_strategy`] with a replication knob: the strategy's single-owner
-/// placement is expanded into a [`ReplicatedPlacement`] by `replication`
-/// (degree 1 under [`ReplicationConfig::Off`] — bitwise-identical to the
-/// plain run) before the engine launches. Returns the per-step metrics
-/// and, for engine-backed strategies, the run's
-/// [`ReplicationSummary`] (replica degrees, sync bytes/step, and the
-/// routed-row straggler index). EP simulates its own all-to-all and has
-/// no expert placement to replicate, so its summary is `None`.
-pub fn run_strategy_with(
-    strategy: Strategy,
-    replication: ReplicationConfig,
-    profile: &LocalityProfile,
-    spec: &MoeSpec,
-    scale: &ScaleConfig,
-    steps: usize,
-) -> (Vec<StepMetrics>, Option<ReplicationSummary>) {
+) -> (Vec<StepMetrics>, &'static str) {
     let topology = Topology::paper_testbed();
+    let workers: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
     match strategy {
         Strategy::ExpertParallel => {
-            let devices: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
-            let mut ep = EpEngine::new(topology, devices, profile.clone(), scale.clone());
-            (ep.run(steps), None)
+            let mut ep = EpEngine::new(topology, workers, profile.clone(), scale.clone());
+            (ep.run(steps), ep.transport_label())
         }
         _ => {
             let problem = scale_problem(profile, spec, &topology, scale);
-            let placement = replication.apply(&strategy.place(&problem), &problem);
-            let (max_degree, avg_degree) = (placement.max_degree(), placement.avg_degree());
-            let workers: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
             let mut engine = VirtualEngine::launch(
                 topology,
                 DeviceId(0),
                 workers,
-                placement,
+                strategy.place(&problem),
                 profile.clone(),
                 scale.clone(),
             );
             let metrics = engine.run(steps);
-            let summary = ReplicationSummary {
-                max_degree,
-                avg_degree,
-                sync_bytes_per_step: RunSummary::avg_sync_bytes(&metrics),
-                straggler_index: engine.straggler_index(),
-            };
+            let transport = engine.transport_label();
             engine.shutdown();
-            (metrics, Some(summary))
+            (metrics, transport)
         }
-    }
-}
-
-/// Summarizes a strategy's run with the transport label it actually used:
-/// EP simulates its all-to-all locally (no pluggable backend), everything
-/// else rode whatever `VELA_TRANSPORT` selected.
-pub fn summarize_strategy(strategy: Strategy, metrics: &[StepMetrics]) -> RunSummary {
-    let summary = RunSummary::from_steps(metrics);
-    match strategy {
-        Strategy::ExpertParallel => summary.with_transport("local"),
-        _ => summary,
     }
 }
 

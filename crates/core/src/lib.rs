@@ -70,8 +70,8 @@ pub mod prelude {
         Placement, PlacementProblem, ReplicatedPlacement, ReplicationConfig, Strategy,
     };
     pub use vela_runtime::{
-        EpEngine, MigrationHandle, RealRuntime, ReplicationSummary, RunSummary, ScaleConfig,
-        StepMetrics, TransportConfig, VirtualEngine,
+        EpEngine, MigrationHandle, RealRuntime, RunSummary, ScaleConfig, StepMetrics,
+        TransportConfig, VirtualEngine,
     };
     pub use vela_tensor::rng::DetRng;
     pub use vela_tensor::Tensor;

@@ -82,11 +82,6 @@ impl Linear {
         &self.weight
     }
 
-    /// Mutable view of the base weight parameter (used by serialization).
-    pub fn weight_mut(&mut self) -> &mut Param {
-        &mut self.weight
-    }
-
     /// The attached LoRA adapter, if any.
     pub fn lora(&self) -> Option<&LoraAdapter> {
         self.lora.as_ref()

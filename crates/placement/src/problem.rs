@@ -1,6 +1,6 @@
 //! The expert-placement problem and placement representation.
 
-use vela_cluster::{CostModel, DeviceId, Topology};
+use vela_cluster::{DeviceId, Topology};
 
 /// An expert-to-worker assignment: `assign[l][e]` is the index (into the
 /// problem's worker list) hosting expert `e` of block `l`.
@@ -299,11 +299,6 @@ impl PlacementProblem {
             }
         }
         bytes
-    }
-
-    /// A cost model over this problem's topology.
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::new(self.topology.clone())
     }
 
     /// Uniform capacities that fit all experts with `slack` spare slots per

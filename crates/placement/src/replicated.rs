@@ -229,9 +229,9 @@ impl From<&Placement> for ReplicatedPlacement {
     }
 }
 
-/// The `VELA_REPLICATION` knob: `off` (default) keeps the single-owner
-/// mapping; `budget:<frac>` lets replication grow each worker's expert
-/// slots by up to `frac` of its capacity.
+/// How a single-owner placement grows replicas: `Off` keeps the
+/// single-owner mapping; `Budget { frac }` lets replication grow each
+/// worker's expert slots by up to `frac` of its capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplicationConfig {
     /// Degree 1 everywhere — bitwise-identical to the pre-replication code.
@@ -245,56 +245,8 @@ pub enum ReplicationConfig {
 }
 
 impl ReplicationConfig {
-    /// Reads `VELA_REPLICATION` (`off` | `budget:<frac>`; unset = `off`).
-    ///
-    /// # Panics
-    /// Panics on an unrecognised value — a silently ignored knob would
-    /// invalidate a benchmark run.
-    pub fn from_env() -> Self {
-        match std::env::var("VELA_REPLICATION") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Self::Off,
-        }
-    }
-
-    /// Parses a `VELA_REPLICATION` value.
-    ///
-    /// # Panics
-    /// Panics on anything other than `off` or `budget:<frac>` with
-    /// `frac ∈ (0, 8]`.
-    pub fn parse(value: &str) -> Self {
-        let v = value.trim();
-        if v.is_empty() || v.eq_ignore_ascii_case("off") {
-            return Self::Off;
-        }
-        if let Some(frac) = v.strip_prefix("budget:") {
-            let frac: f64 = frac.parse().unwrap_or_else(|_| {
-                panic!("VELA_REPLICATION=budget:<frac> needs a number, got {v:?}")
-            });
-            assert!(
-                frac > 0.0 && frac <= 8.0,
-                "VELA_REPLICATION budget fraction must be in (0, 8], got {frac}"
-            );
-            return Self::Budget { frac };
-        }
-        panic!("VELA_REPLICATION must be `off` or `budget:<frac>`, got {v:?}");
-    }
-
-    /// `true` for [`ReplicationConfig::Off`].
-    pub fn is_off(&self) -> bool {
-        matches!(self, Self::Off)
-    }
-
-    /// Label for summaries (`off` or `budget:<frac>`).
-    pub fn label(&self) -> String {
-        match self {
-            Self::Off => "off".to_string(),
-            Self::Budget { frac } => format!("budget:{frac}"),
-        }
-    }
-
-    /// Applies the knob to a base placement: [`ReplicationConfig::Off`]
-    /// yields the degree-1 identity; `budget:<frac>` runs
+    /// Applies the config to a base placement: [`ReplicationConfig::Off`]
+    /// yields the degree-1 identity; `Budget { frac }` runs
     /// [`replicate_by_cost`].
     pub fn apply(&self, base: &Placement, problem: &PlacementProblem) -> ReplicatedPlacement {
         match self {
@@ -493,24 +445,11 @@ mod tests {
     }
 
     #[test]
-    fn replication_config_parses_and_applies() {
-        assert!(ReplicationConfig::parse("off").is_off());
-        assert!(ReplicationConfig::parse("").is_off());
-        assert_eq!(
-            ReplicationConfig::parse("budget:0.5"),
-            ReplicationConfig::Budget { frac: 0.5 }
-        );
-        assert_eq!(ReplicationConfig::parse("budget:0.5").label(), "budget:0.5");
+    fn replication_config_applies() {
         let (base, problem) = base_and_problem();
         let off = ReplicationConfig::Off.apply(&base, &problem);
         assert!(off.is_degree_one());
         let on = ReplicationConfig::Budget { frac: 0.5 }.apply(&base, &problem);
         assert!(on.max_degree() > 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "VELA_REPLICATION")]
-    fn replication_config_rejects_garbage() {
-        ReplicationConfig::parse("always");
     }
 }

@@ -654,13 +654,14 @@ impl BrokerClient {
     /// the input to the cost model's sync-time term. Empty at degree 1:
     /// the sync is free exactly when replication is off.
     ///
-    /// Every `FetchGrads` is issued up front, gradient states are forwarded
-    /// to peers as they arrive and acks are collected last, so per-target
-    /// round-trips ride the wire concurrently. Workers only *apply* synced
-    /// gradients on `StepEnd`, so arrival order cannot reach the result.
-    /// Flow accounting is slotted per target, so the returned list comes
-    /// out in canonical per-target order (fetch, state, then install + ack
-    /// per peer) no matter how replies interleave, keeping the modeled sync
+    /// Every `FetchGrads` is issued up front and each gradient state is
+    /// forwarded to the peers as it arrives, so per-target round-trips
+    /// ride the wire concurrently. Installs are not acknowledged: each
+    /// link is FIFO, so a peer installs before it reads the `StepEnd` the
+    /// caller sends next, and its `StepDone` answers for both. Flow
+    /// accounting is slotted per target, so the returned list comes out in
+    /// canonical per-target order (fetch, state, then one install per
+    /// peer) no matter how replies interleave, keeping the modeled sync
     /// time deterministic.
     pub fn sync_replica_grads(
         &mut self,
@@ -679,75 +680,39 @@ impl BrokerClient {
             slots.push(vec![(t.serving, req.accounted_bytes())]);
             self.hub.send(t.serving, &req)?;
         }
-        let mut states_left = targets.len();
-        // Acks still owed, tracked per target by peer index so duplicates
-        // and strangers are protocol errors, not miscounts.
-        let mut acks_owed: Vec<Vec<usize>> = targets.iter().map(|t| t.peers.clone()).collect();
-        let mut total_acks: usize = acks_owed.iter().map(Vec::len).sum();
-        while states_left > 0 || total_acks > 0 {
+        for _ in 0..targets.len() {
             let (w, msg) = self.recv_routed()?;
-            let bytes = msg.accounted_bytes();
-            match msg {
-                Message::GradState {
-                    block,
-                    expert,
-                    payload,
-                } => {
-                    let key = (block as usize, expert as usize);
-                    let &i = index.get(&key).ok_or_else(|| {
-                        TransportError::Protocol(format!(
-                            "grad state for unsynced expert ({block},{expert})"
-                        ))
-                    })?;
-                    let t = &targets[i];
-                    if w != t.serving {
-                        return Err(TransportError::Protocol(format!(
-                            "grad state arrived from worker {w}, expected {}",
-                            t.serving
-                        )));
-                    }
-                    if slots[i].len() > 1 {
-                        return Err(TransportError::Protocol(format!(
-                            "duplicate grad state for expert ({block},{expert})"
-                        )));
-                    }
-                    slots[i].push((w, bytes));
-                    let install = Message::GradState {
-                        block,
-                        expert,
-                        payload,
-                    };
-                    let ack = Message::GradSyncDone { block, expert };
-                    for &p in &t.peers {
-                        slots[i].push((p, install.accounted_bytes()));
-                        self.hub.send(p, &install)?;
-                        // The fixed-size ack is appended now so the flow
-                        // list comes out in canonical per-target order.
-                        slots[i].push((p, ack.accounted_bytes()));
-                    }
-                    states_left -= 1;
-                }
-                Message::GradSyncDone { block, expert } => {
-                    let key = (block as usize, expert as usize);
-                    let &i = index.get(&key).ok_or_else(|| {
-                        TransportError::Protocol(format!(
-                            "grad sync ack for unsynced expert ({block},{expert})"
-                        ))
-                    })?;
-                    let Some(pos) = acks_owed[i].iter().position(|&p| p == w) else {
-                        return Err(TransportError::Protocol(format!(
-                            "unexpected grad sync ack from worker {w} for expert \
-                             ({block},{expert})"
-                        )));
-                    };
-                    acks_owed[i].swap_remove(pos);
-                    total_acks -= 1;
-                }
-                other => {
-                    return Err(TransportError::Protocol(format!(
-                        "unexpected frame during grad sync: {other:?}"
-                    )))
-                }
+            let Message::GradState { block, expert, row } = msg else {
+                return Err(TransportError::Protocol(format!(
+                    "unexpected frame during grad sync: {msg:?}"
+                )));
+            };
+            let key = (block as usize, expert as usize);
+            let &i = index.get(&key).ok_or_else(|| {
+                TransportError::Protocol(format!(
+                    "grad state for unsynced expert ({block},{expert})"
+                ))
+            })?;
+            let t = &targets[i];
+            if w != t.serving {
+                return Err(TransportError::Protocol(format!(
+                    "grad state arrived from worker {w}, expected {}",
+                    t.serving
+                )));
+            }
+            if slots[i].len() > 1 {
+                return Err(TransportError::Protocol(format!(
+                    "duplicate grad state for expert ({block},{expert})"
+                )));
+            }
+            // The relayed frame is the one received, so both legs account
+            // alike.
+            let install = Message::GradState { block, expert, row };
+            let bytes = install.accounted_bytes();
+            slots[i].push((w, bytes));
+            for &p in &t.peers {
+                slots[i].push((p, bytes));
+                self.hub.send(p, &install)?;
             }
         }
         Ok(slots.concat())
@@ -1336,12 +1301,45 @@ mod tests {
             broker.backward_block(0, &grads),
             reference.backward_block(0, &grads)
         );
-        // One replicated pair per block; each degree-2 sync is 4 flows
-        // (fetch + state from the serving replica, install + ack per
-        // peer), and every flow carries bytes the ledger will see.
+        // One replicated pair per block; each degree-2 sync is 3 flows
+        // (fetch + state from the serving replica, one install per peer),
+        // and every flow carries bytes the ledger will see.
         let flows = broker.sync_replica_grads(64).unwrap();
-        assert_eq!(flows.len(), cfg.blocks * 4);
+        assert_eq!(flows.len(), cfg.blocks * 3);
         assert!(flows.iter().all(|&(_, bytes)| bytes > 0));
+        teardown(&mut broker, managers);
+    }
+
+    #[test]
+    fn replica_sync_drains_one_grad_state_per_pair_and_no_ack() {
+        // One replicated channel step. Each block's expert 0 lives on both
+        // workers, so its sync is one fetch, one state and one install; the
+        // install lands ahead of `StepEnd` on the same FIFO link, and the
+        // peer's `StepDone` is the only answer the master waits for.
+        let (mut broker, managers, _, cfg) = setup_replicated();
+        let mut rng = DetRng::new(37);
+        broker.step_begin().unwrap();
+        for l in 0..cfg.blocks {
+            let batches: Vec<ExpertBatch> = (0..cfg.experts)
+                .map(|e| ExpertBatch {
+                    expert: e,
+                    xs: vela_tensor::Tensor::uniform((2, cfg.dim), -1.0, 1.0, &mut rng),
+                })
+                .collect();
+            broker.forward_block(l, &batches);
+            broker.backward_block(l, &batches);
+        }
+        let pairs = broker.placement().replicated_pairs().len() as u64;
+        assert_eq!(pairs, cfg.blocks as u64);
+        let (sent, drained) = broker.frame_counts();
+        broker.sync_replica_grads(64).unwrap();
+        broker.step_end().unwrap();
+        broker.wait_step_done().unwrap();
+        let (sent_after, drained_after) = broker.frame_counts();
+        // Out: a fetch and an install per pair, a `StepEnd` per worker.
+        assert_eq!(sent_after - sent, 2 * pairs + 2);
+        // In: one `GradState` per pair and a `StepDone` per worker.
+        assert_eq!(drained_after - drained, pairs + 2);
         teardown(&mut broker, managers);
     }
 

@@ -40,10 +40,10 @@ pub use broker::BrokerClient;
 pub use ep_engine::EpEngine;
 pub use message::{
     chunk_expert_state, Bucket, ChunkAssembler, Direction, FrameInfo, FrameKind, FrameSpec,
-    GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload, RowSpan, EXPERT_CHUNK_BYTES,
-    FRAMES,
+    GroupPass, Message, PackedData, PackedGroup, PackedReply, PackedRow, RowSpan,
+    EXPERT_CHUNK_BYTES, FRAMES,
 };
-pub use metrics::{ReplicationSummary, RunSummary, StepMetrics};
+pub use metrics::{RunSummary, StepMetrics};
 pub use runtime::{MigrationHandle, RealRuntime};
 pub use transport::{TransportConfig, TransportError, TransportMode, WireStats};
 pub use virtual_engine::{ScaleConfig, VirtualEngine};

@@ -3,93 +3,17 @@
 //!
 //! Messages are hand-serialized into plain byte vectors (via the in-tree
 //! [`crate::wire`] primitives) so the traffic ledger
-//! can account the exact on-wire size. Activation payloads come in two
-//! flavours:
+//! can account the exact on-wire size. Every data frame carries its rows
+//! as one packed region ([`PackedData`]) in one of two encodings:
 //!
-//! * [`Payload::Real`] — actual `f32` features (micro-scale runs);
-//! * [`Payload::Virtual`] — a size descriptor standing in for a tensor of
+//! * [`PackedData::F32`] — actual `f32` values (micro-scale runs);
+//! * [`PackedData::Virtual`] — a size descriptor standing in for rows of
 //!   the evaluation model's true dimensions (scale-virtual runs). The
 //!   declared byte count is what the ledger records, so Fig. 5's traffic is
 //!   computed at genuine Mixtral proportions without materializing 8 KiB
 //!   per token.
 
 use crate::wire::{ByteReader, ByteWriter, WireError};
-use vela_tensor::Tensor;
-
-/// An activation/gradient payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
-    /// Dense row-major `f32` data with shape `(rows, cols)`.
-    Real {
-        /// Row count (tokens).
-        rows: u32,
-        /// Column count (features).
-        cols: u32,
-        /// Row-major values, `rows·cols` long.
-        data: Vec<f32>,
-    },
-    /// A size-only stand-in for `rows` tokens of `bytes_per_token` each.
-    Virtual {
-        /// Token count.
-        rows: u32,
-        /// Declared bytes per token (`b·H/8` of the simulated model).
-        bytes_per_token: u32,
-    },
-}
-
-impl Payload {
-    /// Wraps a tensor's 2-D view.
-    pub fn from_tensor(t: &Tensor) -> Payload {
-        let (rows, cols) = t.shape().as_2d();
-        Payload::Real {
-            rows: rows as u32,
-            cols: cols as u32,
-            data: t.as_slice().to_vec(),
-        }
-    }
-
-    /// Recovers a tensor from a real payload.
-    ///
-    /// # Panics
-    /// Panics if the payload is virtual.
-    pub fn to_tensor(&self) -> Tensor {
-        match self {
-            Payload::Real { rows, cols, data } => {
-                Tensor::from_vec((*rows as usize, *cols as usize), data.clone())
-            }
-            Payload::Virtual { .. } => panic!("virtual payload carries no tensor"),
-        }
-    }
-
-    /// Number of token rows described.
-    pub fn rows(&self) -> u32 {
-        match self {
-            Payload::Real { rows, .. } | Payload::Virtual { rows, .. } => *rows,
-        }
-    }
-
-    /// The byte count the traffic ledger should record for this payload:
-    /// actual data bytes for real payloads, the declared size for virtual
-    /// ones.
-    pub fn accounted_bytes(&self) -> u64 {
-        match self {
-            Payload::Real { data, .. } => (data.len() * 4) as u64,
-            Payload::Virtual {
-                rows,
-                bytes_per_token,
-            } => u64::from(*rows) * u64::from(*bytes_per_token),
-        }
-    }
-
-    /// Data bytes this payload actually puts on the wire: a virtual
-    /// payload is a size descriptor and carries none.
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Payload::Real { data, .. } => (data.len() * 4) as u64,
-            Payload::Virtual { .. } => 0,
-        }
-    }
-}
 
 /// Which half of a block-pass a dispatch frame belongs to. The reply
 /// mirrors the pass so the master can check it is draining the exchange it
@@ -267,6 +191,17 @@ pub struct PackedReply {
     pub data: PackedData,
 }
 
+/// A single packed row: one expert's flattened gradients in
+/// [`Message::GradState`]. No span table and no row count — the region is
+/// exactly one row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedRow {
+    /// Values in the row for real data; declared bytes for a virtual row.
+    pub width: u32,
+    /// The row itself.
+    pub data: PackedData,
+}
+
 /// Frame classification for per-kind wire byte counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -414,9 +349,8 @@ macro_rules! label {
 /// enum, [`FRAMES`], [`Message::encode`], [`Message::decode`] and
 /// [`Message::info`] are all generated from it. A field's codec is its
 /// type's [`Field`] impl — `u32`, `u64`, `Vec<u8>` (length-checked, `as`
-/// the label its length error carries), [`Payload`] and the two packed
-/// bodies. The `accounts`, `wire` and `check` expressions see the row's
-/// fields by name.
+/// the label its length error carries) and the three packed bodies. The
+/// `accounts`, `wire` and `check` expressions see the row's fields by name.
 macro_rules! frames {
     ($(
         $(#[$doc:meta])*
@@ -516,10 +450,10 @@ macro_rules! frames {
     };
 }
 
-// Tags 2–5 (per-batch frames), 12–13 (per-item group frames) and 23, 24,
-// 26 (the lockstep shadow's moment snapshot, announce and commit) belonged
-// to retired designs and are never reused: a stale peer that still sends
-// one gets `WireError::BadTag`, not a misparse.
+// Tags 2–5 (per-batch frames), 12–13 (per-item group frames), 20 (the
+// replica-sync ack) and 23, 24, 26 (the lockstep shadow's moment snapshot,
+// announce and commit) belonged to retired designs and are never reused: a
+// stale peer that still sends one gets `WireError::BadTag`, not a misparse.
 frames! {
     /// Marks the start of a step; workers zero their gradients.
     1 StepBegin {
@@ -609,8 +543,8 @@ frames! {
     /// backward). `grad_bytes` is the real gradient size, carried so an
     /// echo (virtual) worker can size its reply honestly.
     // Replica gradient sync is real traffic the ledger must see: the state
-    // frame accounts like any payload frame, and the request/ack frames
-    // account their routing headers.
+    // frame accounts like any payload frame, and the request accounts its
+    // routing header.
     18 FetchGrads {
         /// MoE block index.
         block: u32,
@@ -624,7 +558,9 @@ frames! {
     /// replica → master, then master → each peer replica, which installs
     /// them before its optimizer step). Exactly one replica serves an
     /// expert per step, so sync is copy-and-install — no summation — and
-    /// replicas stay bitwise identical.
+    /// replicas stay bitwise identical. Unacknowledged: the peer's link is
+    /// FIFO, so the install lands before the `StepEnd` behind it, and that
+    /// step's `StepDone` is the ack.
     // Gradient state rides the expert-state lane of the wire counters:
     // like migration, it moves per-parameter tensors, not token batches.
     19 GradState {
@@ -632,19 +568,11 @@ frames! {
         block: u32,
         /// Expert index within the block.
         expert: u32,
-        /// `1 × N` row of gradients in parameter-visit order (virtual in
-        /// the simulated engine).
-        payload: Payload,
-    } => Both, Sync, accounts 9 + payload.accounted_bytes(),
-        wire ExpertState(payload.wire_bytes());
-
-    /// Worker acknowledgement that replica gradients were installed.
-    20 GradSyncDone {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-    } => ToMaster, Sync, accounts 9, wire Control;
+        /// The gradients in parameter-visit order (a virtual row in the
+        /// simulated engine).
+        row: PackedRow,
+    } => Both, Sync, accounts 9 + row.data.row_cost(row.width),
+        wire ExpertState(row.data.wire_bytes());
 
     /// Asks the worker to serialize the *frozen* tensors of one expert
     /// without evicting it (master → source worker, the background phase
@@ -737,9 +665,6 @@ impl Message {
 /// expert transfer interleaves with dispatch frames instead of
 /// head-of-line blocking them.
 pub const EXPERT_CHUNK_BYTES: usize = 64 * 1024;
-
-const PAYLOAD_REAL: u8 = 0;
-const PAYLOAD_VIRTUAL: u8 = 1;
 
 const PASS_FORWARD: u8 = 0;
 const PASS_BACKWARD: u8 = 1;
@@ -947,52 +872,18 @@ fn decode_packed_region(
     }
 }
 
-impl Field for Payload {
+/// `enc · width · one row`.
+impl Field for PackedRow {
     fn put(&self, buf: &mut ByteWriter) {
-        match self {
-            Payload::Real { rows, cols, data } => {
-                buf.put_u8(PAYLOAD_REAL);
-                buf.put_u32(*rows);
-                buf.put_u32(*cols);
-                buf.put_f32s(data);
-            }
-            Payload::Virtual {
-                rows,
-                bytes_per_token,
-            } => {
-                buf.put_u8(PAYLOAD_VIRTUAL);
-                buf.put_u32(*rows);
-                buf.put_u32(*bytes_per_token);
-            }
-        }
+        buf.put_u8(encoding_tag(&self.data));
+        buf.put_u32(self.width);
+        encode_packed_region(buf, &self.data);
     }
     fn get(bytes: &mut ByteReader<'_>, _: &'static str) -> Result<Self, WireError> {
-        match bytes.get_u8()? {
-            PAYLOAD_REAL => {
-                let rows = bytes.get_u32()?;
-                let cols = bytes.get_u32()?;
-                let n = u64::from(rows) * u64::from(cols);
-                // checked: rows and cols near u32::MAX would overflow n * 4.
-                let declared = n.checked_mul(4).unwrap_or(u64::MAX);
-                if declared > bytes.remaining() as u64 {
-                    return Err(WireError::BadLength {
-                        what: "real payload",
-                        declared,
-                        available: bytes.remaining(),
-                    });
-                }
-                let data = bytes.get_f32s(n as usize)?;
-                Ok(Payload::Real { rows, cols, data })
-            }
-            PAYLOAD_VIRTUAL => Ok(Payload::Virtual {
-                rows: bytes.get_u32()?,
-                bytes_per_token: bytes.get_u32()?,
-            }),
-            other => Err(WireError::BadTag {
-                what: "payload",
-                tag: other,
-            }),
-        }
+        let enc = bytes.get_u8()?;
+        let width = bytes.get_u32()?;
+        let data = decode_packed_region(bytes, enc, width, 1)?;
+        Ok(PackedRow { width, data })
     }
 }
 
@@ -1111,6 +1002,7 @@ impl Field for PackedReply {
 mod tests {
     use super::*;
     use vela_tensor::rng::DetRng;
+    use vela_tensor::Tensor;
 
     /// `(kind, header, payload)` of a message's own encoding, the split
     /// the hub feeds the `wire.*` counters.
@@ -1123,14 +1015,13 @@ mod tests {
     /// One fixed instance per variant (two where a frame's accounting has
     /// two arms), in table order.
     fn fixed_instances() -> Vec<Message> {
-        let real = Payload::Real {
-            rows: 1,
-            cols: 3,
-            data: vec![0.5, -1.0, 2.0],
+        let real = PackedRow {
+            width: 3,
+            data: PackedData::F32(vec![0.5, -1.0, 2.0]),
         };
-        let virt = Payload::Virtual {
-            rows: 1,
-            bytes_per_token: 48,
+        let virt = PackedRow {
+            width: 48,
+            data: PackedData::Virtual,
         };
         let rows = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
         let (block, expert) = (3, 5);
@@ -1180,14 +1071,13 @@ mod tests {
             Message::GradState {
                 block,
                 expert,
-                payload: real,
+                row: real,
             },
             Message::GradState {
                 block,
                 expert,
-                payload: virt,
+                row: virt,
             },
-            Message::GradSyncDone { block, expert },
             Message::FetchShadow { block, expert },
             Message::ExpertChunk {
                 block,
@@ -1222,11 +1112,14 @@ mod tests {
         // pinned to `FetchExpert`'s, the request it is the cutover's
         // version of, and `DropMoments` (28), younger still, to `Evict`'s,
         // the other reply-less frame that moves no parameters. Rows 23, 24
-        // and 26 left with the lockstep shadow, and the int8
-        // `PackedDispatch` instance with packed encoding 1.
+        // and 26 left with the lockstep shadow, the int8 `PackedDispatch`
+        // instance with packed encoding 1, and row 20 with the replica-sync
+        // ack. `GradState` now carries a packed row (`enc · width`, not
+        // `tag · rows · cols`), so both its instances encode, and so count
+        // as header, 4 bytes less; what they account is unchanged.
         use Bucket::{Migration, Plain, Sync, Unaccounted};
         use FrameKind::{Control, Dispatch, ExpertState, Result as Reply};
-        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 22] = [
+        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 21] = [
             (1, 9, 9, Plain, Control, 9, 0),
             (6, 1, 1, Plain, Control, 1, 0),
             (7, 1, 1, Plain, Control, 1, 0),
@@ -1240,9 +1133,8 @@ mod tests {
             (16, 9, 0, Unaccounted, Control, 9, 0),
             (17, 25, 0, Unaccounted, Control, 25, 0),
             (18, 13, 13, Sync, Control, 13, 0),
-            (19, 30, 21, Sync, ExpertState, 18, 12),
-            (19, 18, 57, Sync, ExpertState, 18, 0),
-            (20, 9, 9, Sync, Control, 9, 0),
+            (19, 26, 21, Sync, ExpertState, 14, 12),
+            (19, 14, 57, Sync, ExpertState, 14, 0),
             (21, 9, 9, Migration, Control, 9, 0),
             (22, 65, 49, Migration, ExpertState, 33, 32),
             (22, 65, 32, Migration, ExpertState, 33, 32),
@@ -1321,14 +1213,14 @@ mod tests {
             Message::GradState {
                 block: 7,
                 expert: 3,
-                payload: Payload::from_tensor(&t),
+                row: f32_row(&t),
             },
             Message::GradState {
                 block: 0,
                 expert: 0,
-                payload: Payload::Virtual {
-                    rows: 100,
-                    bytes_per_token: 8192,
+                row: PackedRow {
+                    width: 8192,
+                    data: PackedData::Virtual,
                 },
             },
             Message::StepEnd,
@@ -1362,24 +1254,44 @@ mod tests {
         assert_eq!(wire_cost(&probe).0, FrameKind::Control);
     }
 
+    /// A tensor's values as one packed f32 row.
+    fn f32_row(t: &Tensor) -> PackedRow {
+        PackedRow {
+            width: t.len() as u32,
+            data: PackedData::F32(t.as_slice().to_vec()),
+        }
+    }
+
     #[test]
     fn tensor_payload_roundtrip() {
+        // A tensor's values cross as one packed row, bit for bit.
         let mut rng = DetRng::new(2);
         let t = Tensor::uniform((5, 6), -2.0, 2.0, &mut rng);
-        let p = Payload::from_tensor(&t);
-        assert_eq!(p.to_tensor(), t);
-        assert_eq!(p.rows(), 5);
-        assert_eq!(p.accounted_bytes(), 5 * 6 * 4);
+        let msg = Message::GradState {
+            block: 0,
+            expert: 0,
+            row: f32_row(&t),
+        };
+        let Ok(Message::GradState { row, .. }) = Message::decode(&msg.encode()) else {
+            panic!("grad state did not decode to itself");
+        };
+        let back = Tensor::from_vec((5, 6), row.data.as_f32().unwrap().to_vec());
+        assert_eq!(back, t);
+        assert_eq!(msg.accounted_bytes(), 9 + 5 * 6 * 4);
     }
 
     #[test]
     fn virtual_payload_accounts_declared_size() {
-        let p = Payload::Virtual {
-            rows: 2600,
-            bytes_per_token: 8192,
-        };
-        // The paper's ~2600 tokens × 8 KiB ≈ 21 MB per block per direction.
-        assert_eq!(p.accounted_bytes(), 2600 * 8192);
+        let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+            0,
+            GroupPass::Forward,
+            8192,
+            [(0u32, 2600u32)].into_iter(),
+        ));
+        // The paper's ~2600 tokens × 8 KiB ≈ 21 MB per block per direction,
+        // plus one 9-byte routing header.
+        assert_eq!(msg.accounted_bytes(), 9 + 2600 * 8192);
+        assert_eq!(msg.info().payload, 0, "a virtual region carries no bytes");
     }
 
     #[test]
@@ -1388,11 +1300,11 @@ mod tests {
         let msg = Message::GradState {
             block: 0,
             expert: 0,
-            payload: Payload::from_tensor(&t),
+            row: f32_row(&t),
         };
-        // Header (1 tag + 4 block + 4 expert) + payload header (1 + 4 + 4)
-        // + 24 data bytes.
-        assert_eq!(msg.encode().len(), 9 + 9 + 24);
+        // Header (1 tag + 4 block + 4 expert) + row header (1 enc + 4
+        // width) + 24 data bytes.
+        assert_eq!(msg.encode().len(), 9 + 5 + 24);
         // Accounted bytes track payload + routing header, not the local
         // encoding details.
         assert_eq!(msg.accounted_bytes(), 9 + 24);
@@ -1433,31 +1345,26 @@ mod tests {
             Message::GradState {
                 block: 2,
                 expert: 4,
-                payload: Payload::from_tensor(&t),
+                row: f32_row(&t),
             },
             Message::GradState {
                 block: 2,
                 expert: 4,
-                payload: Payload::Virtual {
-                    rows: 1,
-                    bytes_per_token: 48,
+                row: PackedRow {
+                    width: 48,
+                    data: PackedData::Virtual,
                 },
-            },
-            Message::GradSyncDone {
-                block: 2,
-                expert: 4,
             },
         ];
         for msg in &msgs {
             assert_eq!(&Message::decode(&msg.encode()).unwrap(), msg);
             assert_eq!(msg.info().bucket, Bucket::Sync);
         }
-        // Request/ack account their headers; state frames account like any
+        // The request accounts its header; state frames account like any
         // payload frame (9-byte routing header + payload bytes).
         assert_eq!(msgs[0].accounted_bytes(), 13);
         assert_eq!(msgs[1].accounted_bytes(), 9 + 48);
         assert_eq!(msgs[2].accounted_bytes(), 9 + 48);
-        assert_eq!(msgs[3].accounted_bytes(), 9);
         // Gradient state rides the expert-state wire lane.
         let (kind, header, payload) = wire_cost(&msgs[1]);
         assert_eq!(kind, FrameKind::ExpertState);
@@ -1480,16 +1387,6 @@ mod tests {
         assert_eq!(Message::StepEnd.accounted_bytes(), 1);
         assert_eq!(Message::Shutdown.encode().len(), 1);
         assert_eq!(Message::StepBegin { step: 1 }.accounted_bytes(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "virtual payload carries no tensor")]
-    fn virtual_to_tensor_panics() {
-        Payload::Virtual {
-            rows: 1,
-            bytes_per_token: 1,
-        }
-        .to_tensor();
     }
 
     #[test]
@@ -1725,20 +1622,18 @@ mod tests {
 
     #[test]
     fn implausible_lengths_never_allocate() {
-        // Claims u32::MAX × u32::MAX f32 rows but carries no data: the
-        // decoder must reject the header instead of attempting a huge
-        // allocation.
+        // Claims a u32::MAX-wide f32 row but carries no data: the decoder
+        // must reject the header instead of attempting a huge allocation.
         let mut w = crate::wire::ByteWriter::with_capacity(16);
         w.put_u8(19); // GradState
         w.put_u32(0);
         w.put_u32(0);
-        w.put_u8(0); // Payload::Real
-        w.put_u32(u32::MAX);
+        w.put_u8(0); // f32
         w.put_u32(u32::MAX);
         assert!(matches!(
             Message::decode(&w.into_vec()),
             Err(WireError::BadLength {
-                what: "real payload",
+                what: "packed f32 region",
                 ..
             })
         ));

@@ -18,22 +18,6 @@ pub struct StepMetrics {
     pub time: TimeBreakdown,
 }
 
-/// Replication facts attached to a run when `VELA_REPLICATION` places
-/// extra expert copies — the fig6 `replication` column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicationSummary {
-    /// Maximum replica count over all (block, expert) pairs.
-    pub max_degree: usize,
-    /// Mean replica count over all (block, expert) pairs.
-    pub avg_degree: f64,
-    /// Mean replica gradient-sync bytes per step (subset of the total
-    /// byte columns, not an addition to them).
-    pub sync_bytes_per_step: f64,
-    /// Max/mean routed token rows per worker over the run; 1.0 is a
-    /// perfectly balanced fleet, higher means a straggler.
-    pub straggler_index: f64,
-}
-
 /// Max/mean of per-worker routed-row totals — the routing-skew straggler
 /// index replication is meant to flatten. Returns 1.0 (balanced) for an
 /// empty or idle fleet.
@@ -70,13 +54,6 @@ pub struct RunSummary {
     pub total_bytes: u64,
     /// Number of steps.
     pub steps: usize,
-    /// Label of the transport that carried the run's traffic (`channel`,
-    /// `tcp-threads`, `tcp`, or `local` for the transport-free EP
-    /// baseline). Purely descriptive — the byte and time columns are
-    /// transport-independent.
-    pub transport: &'static str,
-    /// Replication facts, when the run placed extra expert copies.
-    pub replication: Option<ReplicationSummary>,
 }
 
 impl RunSummary {
@@ -112,32 +89,7 @@ impl RunSummary {
             avg_sync_time: steps.iter().map(|s| s.time.sync_s).sum::<f64>() / n,
             total_bytes: steps.iter().map(|s| s.traffic.total_bytes).sum(),
             steps: steps.len(),
-            transport: crate::transport::TransportConfig::from_env().label(),
-            replication: None,
         }
-    }
-
-    /// Mean `sync_bytes` per step — replica gradient-sync traffic as the
-    /// ledger recorded it.
-    pub fn avg_sync_bytes(steps: &[StepMetrics]) -> f64 {
-        if steps.is_empty() {
-            return 0.0;
-        }
-        steps.iter().map(|s| s.traffic.sync_bytes).sum::<u64>() as f64 / steps.len() as f64
-    }
-
-    /// Replaces the transport label — for engines that know their backend
-    /// better than the `VELA_TRANSPORT` default (e.g. the EP baseline,
-    /// which moves no bytes through a transport at all).
-    pub fn with_transport(mut self, label: &'static str) -> Self {
-        self.transport = label;
-        self
-    }
-
-    /// Attaches the replication column.
-    pub fn with_replication(mut self, replication: ReplicationSummary) -> Self {
-        self.replication = Some(replication);
-        self
     }
 
     /// The step-time spread the percentiles describe, as a compact
@@ -329,16 +281,6 @@ mod tests {
         // Degenerate inputs read as balanced.
         assert_eq!(straggler_index(&[]), 1.0);
         assert_eq!(straggler_index(&[0, 0]), 1.0);
-    }
-
-    #[test]
-    fn avg_sync_bytes_averages_the_ledger_column() {
-        let mut a = dummy_step(100, 1.0);
-        a.traffic.sync_bytes = 30;
-        let mut b = dummy_step(100, 1.0);
-        b.traffic.sync_bytes = 50;
-        assert!((RunSummary::avg_sync_bytes(&[a, b]) - 40.0).abs() < 1e-12);
-        assert_eq!(RunSummary::avg_sync_bytes(&[]), 0.0);
     }
 
     #[test]

@@ -580,7 +580,7 @@ pub fn tcp_star(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Message, Payload};
+    use crate::message::{Message, PackedData, PackedRow};
     use vela_cluster::Topology;
 
     fn setup() -> (Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>) {
@@ -610,10 +610,9 @@ mod tests {
         let msg = Message::GradState {
             block: 1,
             expert: 2,
-            payload: Payload::Real {
-                rows: 2000,
-                cols: 2000,
-                data,
+            row: PackedRow {
+                width: 4_000_000,
+                data: PackedData::F32(data),
             },
         };
         hub.send(0, &msg).unwrap();
@@ -629,9 +628,9 @@ mod tests {
         let msg = Message::GradState {
             block: 0,
             expert: 0,
-            payload: Payload::Virtual {
-                rows: 10,
-                bytes_per_token: 100,
+            row: PackedRow {
+                width: 1000,
+                data: PackedData::Virtual,
             },
         };
         let drive = |mut hub: MasterHub, mut ports: Vec<WorkerPort>| {

@@ -235,8 +235,8 @@ impl VirtualEngine {
     }
 
     /// Max/mean routed token rows per worker, accumulated over every
-    /// step so far — the straggler index the fig6 replication column
-    /// reports. 1.0 before any step has run.
+    /// step so far — the straggler index replicas are placed to cut. 1.0
+    /// before any step has run.
     pub fn straggler_index(&self) -> f64 {
         straggler_index(&self.row_totals)
     }

@@ -213,12 +213,6 @@ impl<'a> ByteReader<'a> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    /// Borrows the next `n` bytes of the frame without copying. Packed
-    /// frames use this to hand decoded row regions out as slices.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
-    }
-
     /// Reads a big-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))

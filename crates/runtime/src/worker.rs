@@ -26,7 +26,7 @@ use vela_obs::FlowPhase;
 
 use crate::message::{
     chunk_expert_state, ChunkAssembler, GroupPass, Message, PackedData, PackedGroup, PackedReply,
-    Payload,
+    PackedRow,
 };
 use crate::pipeline::exchange_corr;
 use crate::transport::{TransportError, WorkerPort};
@@ -173,8 +173,9 @@ pub struct WorkerBootstrap {
 /// frames (2: the packed frames lost their chunk id; 3: the lockstep
 /// shadow's three frames left and `FetchTrained` came; 4: packed
 /// encoding 1, int8 rows, was retired and seeding blobs are exact "VELA"
-/// checkpoints only; 5: `DropMoments` came).
-const BOOTSTRAP_VERSION: u8 = 5;
+/// checkpoints only; 5: `DropMoments` came; 6: `GradSyncDone` left and
+/// `GradState` carries a packed row).
+const BOOTSTRAP_VERSION: u8 = 6;
 
 impl WorkerBootstrap {
     /// Serializes the bootstrap frame.
@@ -468,34 +469,27 @@ fn handle(
             grad_bytes,
         } => {
             // Replica sync: ship this replica's accumulated gradients to
-            // the master. Echo workers (no real experts) answer with a
-            // virtual payload of the declared size so simulated runs
+            // the master as one row. Echo workers (no real experts) answer
+            // with a virtual row of the declared size so simulated runs
             // account the same bytes a real run would.
-            let payload = if shard.contains(block as usize, expert as usize) {
+            let row = if shard.contains(block as usize, expert as usize) {
                 let grads = expert_grads(shard.expert_mut(block as usize, expert as usize));
-                Payload::Real {
-                    rows: 1,
-                    cols: grads.len() as u32,
-                    data: grads,
+                PackedRow {
+                    width: grads.len() as u32,
+                    data: PackedData::F32(grads),
                 }
             } else {
-                Payload::Virtual {
-                    rows: 1,
-                    bytes_per_token: grad_bytes,
+                PackedRow {
+                    width: grad_bytes,
+                    data: PackedData::Virtual,
                 }
             };
-            port.send(&Message::GradState {
-                block,
-                expert,
-                payload,
-            })?;
+            port.send(&Message::GradState { block, expert, row })?;
         }
-        Message::GradState {
-            block,
-            expert,
-            payload,
-        } => {
-            if let Payload::Real { data, .. } = &payload {
+        Message::GradState { block, expert, row } => {
+            // No reply: the `StepDone` this link carries after the install
+            // answers for it.
+            if let PackedData::F32(data) = &row.data {
                 if !shard.contains(block as usize, expert as usize) {
                     vela_obs::error!(
                         "worker {}: grad state for absent expert ({block}, {expert}), exiting",
@@ -505,7 +499,6 @@ fn handle(
                 }
                 install_expert_grads(shard.expert_mut(block as usize, expert as usize), data);
             }
-            port.send(&Message::GradSyncDone { block, expert })?;
         }
         Message::FetchShadow { block, expert } => {
             if !shard.contains(block as usize, expert as usize) {

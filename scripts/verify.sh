@@ -3,7 +3,8 @@
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
 # VELA_* count and the non-test line counts of vela-runtime, vela-model and
 # vela-tensor), the release-mode gates (simplex pivot path, routing table,
-# the contract harness), the trace smokes, and the benches (the
+# the contract harness), fig5 and fig6 regenerated from an empty pretraining
+# cache and diffed against results/, the trace smokes, and the benches (the
 # kernel one emits BENCH_kernels.json in the repo root and its log names the
 # GEMM SIMD level the host dispatched to; the placement-LP one is echoed
 # only). Exchange and migration timing is benchmark/'s job, not this script's.
@@ -64,6 +65,16 @@ cargo test --release -q -p vela-tensor --lib rng::tests::categorical_table
 contract_seeds=$(sed -n 's/^const SEEDS: u64 = .* else { \([0-9]*\) };$/\1/p' tests/contract.rs)
 echo "==> contract harness (release): seeds 0..${contract_seeds} drawn by tests/contract.rs (engine, shape, transport, placement, re-placement) vs the single-process oracle that replays moment resets, plus the named regression seeds, the exchange golden pin recorded at 8456ee6 on {channel, tcp-threads, tcp} and the exact wire bytes/step"
 cargo test --release -q --test contract
+
+echo "==> figures: fig5 and fig6 from an empty target/vela-cache (its key does not cover code changes), stdout diffed against results/"
+rm -rf target/vela-cache
+for fig in fig5 fig6; do
+    env -u VELA_TRANSPORT cargo run --release -q -p vela-bench --bin "$fig" >"target/$fig.txt"
+    diff -u "results/$fig.txt" "target/$fig.txt" || {
+        echo "FAIL: $fig stdout differs from results/$fig.txt: review the diff, then regenerate the file" >&2
+        exit 1
+    }
+done
 
 echo "==> trace smoke: quickstart under VELA_TRACE=jsonl + trace_summary --check (schema, span balance, and the reconciliation gate: every span histogram's count and total == its enter/exit pairs), then its Chrome view via merge"
 trace_out=target/quickstart-trace.jsonl

@@ -7,7 +7,7 @@
 use vela::locality::theorem::drift_bound_from_logits;
 use vela::placement::Strategy as Plan;
 use vela::prelude::{DetRng, DeviceId, LocalityProfile, PlacementProblem, Tensor, Topology};
-use vela::runtime::message::{Message, Payload};
+use vela::runtime::message::{GroupPass, Message, PackedData, PackedGroup, PackedRow};
 
 const CASES: u64 = 32;
 
@@ -65,7 +65,7 @@ fn lp_rounding_always_feasible() {
     }
 }
 
-/// Messages survive encode/decode for arbitrary real payload shapes.
+/// Messages survive encode/decode for arbitrary real tensor shapes.
 #[test]
 fn message_roundtrip() {
     for seed in 0..CASES {
@@ -78,24 +78,34 @@ fn message_roundtrip() {
         let msg = Message::GradState {
             block,
             expert,
-            payload: Payload::from_tensor(&t),
+            row: PackedRow {
+                width: t.len() as u32,
+                data: PackedData::F32(t.as_slice().to_vec()),
+            },
         };
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg, "seed {seed}");
     }
 }
 
-/// Virtual payloads account exactly rows × bytes_per_token.
+/// Virtual rows account exactly rows × bytes_per_token, plus the 9-byte
+/// routing header of their one batch.
 #[test]
 fn virtual_accounting() {
     for seed in 0..CASES {
         let mut rng = DetRng::new(seed);
         let rows = 1 + rng.below(100_000) as u32;
         let bpt = 1 + rng.below(16_384) as u32;
-        let p = Payload::Virtual {
-            rows,
-            bytes_per_token: bpt,
-        };
-        assert_eq!(p.accounted_bytes(), u64::from(rows) * u64::from(bpt));
+        let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+            0,
+            GroupPass::Forward,
+            bpt,
+            [(0, rows)].into_iter(),
+        ));
+        assert_eq!(
+            msg.accounted_bytes(),
+            9 + u64::from(rows) * u64::from(bpt),
+            "seed {seed}"
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 
 use vela::prelude::*;
 use vela::runtime::message::{
-    GroupPass, Message, PackedData, PackedGroup, PackedReply, Payload, FRAMES,
+    GroupPass, Message, PackedData, PackedGroup, PackedReply, PackedRow, FRAMES,
 };
 use vela::runtime::wire::WireError;
 
@@ -21,15 +21,19 @@ fn random_pass(rng: &mut DetRng) -> GroupPass {
     }
 }
 
-fn random_payload(rng: &mut DetRng) -> Payload {
+/// A gradient row: F32 values, or a virtual row declaring its bytes.
+fn random_row(rng: &mut DetRng) -> PackedRow {
     if rng.below(2) == 0 {
-        let rows = 1 + rng.below(12);
-        let cols = 1 + rng.below(12);
-        Payload::from_tensor(&Tensor::uniform((rows, cols), -100.0, 100.0, rng))
+        let width = 1 + rng.below(144);
+        let values = (0..width).map(|_| rng.uniform(-100.0, 100.0)).collect();
+        PackedRow {
+            width: width as u32,
+            data: PackedData::F32(values),
+        }
     } else {
-        Payload::Virtual {
-            rows: 1 + rng.below(1 << 20) as u32,
-            bytes_per_token: 1 + rng.below(1 << 14) as u32,
+        PackedRow {
+            width: 1 + rng.below(1 << 30) as u32,
+            data: PackedData::Virtual,
         }
     }
 }
@@ -137,9 +141,8 @@ fn random_message(rng: &mut DetRng) -> Message {
         "GradState" => Message::GradState {
             block,
             expert,
-            payload: random_payload(rng),
+            row: random_row(rng),
         },
-        "GradSyncDone" => Message::GradSyncDone { block, expert },
         "FetchShadow" => Message::FetchShadow { block, expert },
         "ExpertChunk" => {
             // Any span inside the declared total is a valid chunk.
@@ -162,11 +165,12 @@ fn random_message(rng: &mut DetRng) -> Message {
 }
 
 /// Tags of the retired per-batch (2–5) and per-item group (12, 13)
-/// framings, and of the lockstep shadow's moment snapshot, announce and
-/// commit (23, 24, 26). They are never reassigned, so whatever a stale
-/// peer puts behind one, the decoder must answer with a [`WireError`]
-/// before it reads — let alone allocates for — a single length field.
-const RETIRED_TAGS: [u8; 9] = [2, 3, 4, 5, 12, 13, 23, 24, 26];
+/// framings, of the replica-sync ack (20), and of the lockstep shadow's
+/// moment snapshot, announce and commit (23, 24, 26). They are never
+/// reassigned, so whatever a stale peer puts behind one, the decoder must
+/// answer with a [`WireError`] before it reads — let alone allocates for —
+/// a single length field.
+const RETIRED_TAGS: [u8; 10] = [2, 3, 4, 5, 12, 13, 20, 23, 24, 26];
 
 /// A frame a stale peer might send: a retired tag in front of the body of
 /// some valid message.
@@ -429,16 +433,18 @@ fn implausible_length_fields_do_not_allocate() {
         let frame = w.into_vec();
         assert!(Message::decode(&frame).is_err(), "seed {seed}");
 
-        // A Real payload declaring a huge rows × cols grid.
+        // An f32 gradient row declaring a huge width.
         let mut w = ByteWriter::with_capacity(32);
         w.put_u8(19); // GradState tag
         w.put_u32(0);
         w.put_u32(0);
-        w.put_u8(0); // Payload::Real tag
-        w.put_u32(u32::MAX - rng.below(1 << 16) as u32);
+        w.put_u8(0); // f32 encoding
         w.put_u32(u32::MAX - rng.below(1 << 16) as u32);
         let frame = w.into_vec();
-        assert!(Message::decode(&frame).is_err(), "seed {seed}");
+        assert!(
+            matches!(Message::decode(&frame), Err(WireError::BadLength { .. })),
+            "seed {seed}"
+        );
 
         // The retired framings' own worst cases — a per-batch frame
         // declaring a huge rows × cols grid, a group frame declaring
