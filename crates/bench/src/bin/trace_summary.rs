@@ -15,11 +15,11 @@
 //! compute → result flow chains, the reconciliation of the two views of
 //! every span (per process lane and span name, the last histogram
 //! snapshot's count and total equal the closed enter/exit pairs and
-//! their summed durations, exactly), (whenever the trace contains
-//! broker/virtual exchange spans) the presence of the
-//! `runtime.pipeline.*` spans, and (on merged distributed
-//! traces) ≥90% attribution coverage of exchange wall time — exiting
-//! non-zero on any violation (used by `scripts/verify.sh`).
+//! their summed durations, exactly), exchange spans
+//! (`reader::EXCHANGE_SPANS`) if and only if `runtime.pipeline.serialize`
+//! spans, and (on merged distributed traces) ≥90% attribution coverage of
+//! exchange wall time — exiting non-zero on any violation (used by
+//! `scripts/verify.sh`).
 //!
 //! With `merge` it joins a process-mode run's master trace with its
 //! `FILE.worker{i}` siblings into one timeline: worker timestamps are
@@ -298,22 +298,26 @@ fn check_replica_shares(events: &[RawEvent]) -> Result<(), String> {
     Ok(())
 }
 
-/// Any trace that records an exchange (a broker or virtual fwd/bwd span)
-/// must also record the exchange's serialize spans — otherwise the phase
-/// instrumentation has silently regressed.
+/// Exchange spans (`reader::EXCHANGE_SPANS`) and the serialize spans they
+/// enclose come together. Exchanges without serialize spans mean the phase
+/// instrumentation has silently regressed; serialize spans without a named
+/// exchange mean the exchange span was renamed and `EXCHANGE_SPANS` left
+/// behind, so attribution would count no exchange time at all.
 fn check_pipeline_instrumentation(events: &[RawEvent]) -> Result<(), String> {
     let span_present = |name: &str| events.iter().any(|ev| ev.ev == "b" && ev.name == name);
-    if !EXCHANGE_SPANS.iter().any(|s| span_present(s)) {
-        return Ok(()); // no exchanges traced, nothing to require
-    }
-    if !span_present("runtime.pipeline.serialize") {
-        return Err(
+    let exchange = EXCHANGE_SPANS.iter().any(|s| span_present(s));
+    match (exchange, span_present("runtime.pipeline.serialize")) {
+        (true, false) => Err(
             "trace has exchange spans but no runtime.pipeline.serialize spans \
              (exchange phase instrumentation missing)"
                 .into(),
-        );
+        ),
+        (false, true) => Err(format!(
+            "trace has runtime.pipeline.serialize spans but none of the exchange spans \
+             {EXCHANGE_SPANS:?} (exchange renamed without the reader)"
+        )),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Accumulated statistics for one span name.

@@ -881,12 +881,7 @@ impl Attribution {
 }
 
 /// Span names whose wall time counts as "the exchange".
-pub const EXCHANGE_SPANS: [&str; 4] = [
-    "runtime.broker.fwd",
-    "runtime.broker.bwd",
-    "runtime.virtual.fwd",
-    "runtime.virtual.bwd",
-];
+pub const EXCHANGE_SPANS: [&str; 2] = ["runtime.broker.fwd", "runtime.broker.bwd"];
 
 /// Derive the per-phase attribution report from a decoded trace.
 ///

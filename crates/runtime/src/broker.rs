@@ -228,9 +228,10 @@ pub struct PhaseLog {
 /// the least-loaded live replica (degree 1 reduces to the single-owner
 /// mapping bit-for-bit).
 ///
-/// It is the only master-side speaker of the protocol: both engines drive
-/// their steps, exchanges, gradient sync, installs and teardown through
-/// it, and nothing else holds the [`MasterHub`].
+/// It is the only master-side speaker of the protocol: the
+/// [`Session`](crate::Session) drives its steps, exchanges, gradient sync,
+/// installs and teardown through it, and nothing else holds the
+/// [`MasterHub`].
 #[derive(Debug)]
 pub struct BrokerClient {
     // The first five fields are what `pipeline.rs`'s exchange drives.
@@ -833,14 +834,9 @@ impl BrokerClient {
             next_emit: 0,
             sink,
         };
-        let span = match pass {
-            Pass::Forward => "runtime.broker.fwd",
-            Pass::Backward => "runtime.broker.bwd",
-        };
-        self.exchange(span, block, pass, &mut rows)
-            .unwrap_or_else(|e| {
-                panic!("transport failed during {} exchange: {e}", pass_name(pass))
-            });
+        self.exchange(block, pass, &mut rows).unwrap_or_else(|e| {
+            panic!("transport failed during {} exchange: {e}", pass_name(pass))
+        });
     }
 }
 

@@ -189,10 +189,10 @@ pub fn launch_process_star(
 }
 
 /// Brings up the star between `master` and `workers` over `transport`,
-/// with one Expert Manager behind every port — the bring-up both engines
-/// share. Thread-backed transports call `shards` for one store per worker
-/// and hand each worker its shard by value, with the bootstrap's optimizer
-/// and template. Process mode never calls it: it spawns `vela_worker`
+/// with one Expert Manager behind every port — the bring-up of every
+/// [`Session`](crate::Session). Thread-backed transports call `shards`
+/// for one store per worker and hand each worker its shard by value, with
+/// the bootstrap's optimizer and template. Process mode never calls it: it spawns `vela_worker`
 /// children that start from the bootstrap frame with empty shards, and the
 /// caller seeds whatever they should hold over the wire.
 pub(crate) fn launch_star(

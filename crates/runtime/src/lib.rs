@@ -11,17 +11,19 @@
 //!   [`transport`] links that record every byte in a
 //!   [`TrafficLedger`](vela_cluster::TrafficLedger).
 //!
-//! Three engines share this machinery:
+//! One [`Session`] brings that star up, steps it and shuts it down, over
+//! one of two step bodies:
 //!
 //! * [`RealRuntime`] — real tensors at micro scale; bit-identical to
 //!   single-process fine-tuning (the paper's §V-A parity claim, verified in
 //!   `tests/contract.rs`);
-//! * [`VirtualEngine`] — the same master–worker message flow carrying
-//!   *virtual* payloads at Mixtral-8x7B scale, driven by measured locality
-//!   profiles (generates Figs. 5–6's VELA/Sequential/Random series);
-//! * [`EpEngine`] — conventional expert parallelism: sharded inputs,
-//!   all-to-all exchange with its status-synchronization round, and
-//!   gradient all-reduce (the EP baseline series).
+//! * [`VirtualEngine`] — the same session carrying *virtual* payloads at
+//!   Mixtral-8x7B scale, driven by measured locality profiles (generates
+//!   Figs. 5–6's VELA/Sequential/Random series).
+//!
+//! [`EpEngine`], conventional expert parallelism (sharded inputs,
+//! all-to-all with its status-synchronization round, gradient all-reduce:
+//! the EP baseline series), shares the ledger and cost model.
 
 pub mod broker;
 pub mod ep_engine;
@@ -31,6 +33,7 @@ pub mod metrics;
 pub(crate) mod pipeline;
 pub mod routing;
 pub mod runtime;
+pub mod session;
 pub mod transport;
 pub mod virtual_engine;
 pub mod wire;
@@ -45,6 +48,7 @@ pub use message::{
 };
 pub use metrics::{RunSummary, StepMetrics};
 pub use runtime::{MigrationHandle, RealRuntime};
+pub use session::Session;
 pub use transport::{TransportConfig, TransportError, TransportMode, WireStats};
 pub use virtual_engine::{ScaleConfig, VirtualEngine};
 pub use wire::WireError;

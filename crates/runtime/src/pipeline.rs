@@ -1,8 +1,8 @@
-//! The block-pass exchange, [`BrokerClient::exchange`], which both engines
-//! run on their broker's own hub, placement, routes and lanes: route → plan
-//! → one [`Message::PackedDispatch`] per worker with rows → drain and
-//! validate one [`Message::PackedResult`] per frame sent → phase log, spans
-//! and flow events.
+//! The block-pass exchange, [`BrokerClient::exchange`], which both step
+//! bodies run on their broker's own hub, placement, routes and lanes:
+//! route → plan → one [`Message::PackedDispatch`] per worker with rows →
+//! drain and validate one [`Message::PackedResult`] per frame sent → phase
+//! log, spans and flow events.
 //!
 //! One frame per worker per block-pass is the whole schedule. The master
 //! has nothing to compute while a frame is in flight — this communication
@@ -121,20 +121,23 @@ pub(crate) fn exchange_corr(w: usize, block: usize, pass: Pass) -> u64 {
 
 impl BrokerClient {
     /// Dispatch + gather for one block and pass; the phase log is kept for
-    /// [`take_phase_logs`](Self::take_phase_logs). `span` names the
-    /// engine's exchange span. Replies may arrive in any order across
-    /// workers (background-migration lane frames that surface meanwhile
-    /// are relayed); each is checked against what its worker was sent —
-    /// wrong kinds, blocks, passes, shapes, strangers and duplicates are
-    /// protocol errors, not panics — before `rows` sees it.
+    /// [`take_phase_logs`](Self::take_phase_logs), and the whole call is
+    /// one `runtime.broker.{fwd,bwd}` span whichever body drives it.
+    /// Replies may arrive in any order across workers (background-migration
+    /// lane frames that surface meanwhile are relayed); each is checked
+    /// against what its worker was sent — wrong kinds, blocks, passes,
+    /// shapes, strangers and duplicates are protocol errors, not panics —
+    /// before `rows` sees it.
     pub(crate) fn exchange<R: Rows>(
         &mut self,
-        span: &'static str,
         block: usize,
         pass: Pass,
         rows: &mut R,
     ) -> Result<(), TransportError> {
-        let _span = vela_obs::span(span);
+        let _span = vela_obs::span(match pass {
+            Pass::Forward => "runtime.broker.fwd",
+            Pass::Backward => "runtime.broker.bwd",
+        });
         let workers = self.hub.worker_count();
         let mut log = PhaseLog {
             block,

@@ -1,12 +1,12 @@
-//! The real-tensor distributed runtime: master process + Expert Manager
-//! workers at micro scale.
+//! The real-tensor step body: master process + Expert Manager workers at
+//! micro scale, as a [`Session`] over [`TensorBody`].
 //!
 //! This is the paper's full system running end-to-end: the backbone trains
 //! on the master thread, experts live in workers per the placement, and
 //! every activation/gradient crosses the transport as serialized bytes.
 //! Because the broker is computation-transparent, a distributed run is
-//! bit-identical to a single-process run — the §V-A claim, verified in the
-//! `parity` integration test.
+//! bit-identical to a single-process run — the §V-A claim, verified by
+//! the `contract` integration test (`tests/contract.rs`).
 //!
 //! The transport behind the broker is pluggable
 //! ([`TransportConfig`]): in-process channels (default), TCP loopback with
@@ -17,20 +17,18 @@
 //! `Shutdown`, so [`RealRuntime::shutdown`] reassembles the identical
 //! population regardless of backend.
 
-use std::sync::Arc;
-
-use vela_cluster::{CostModel, DeviceId, Topology, TrafficLedger};
-use vela_model::{checkpoint, LocalExpertStore, MoeModel, MoeSpec};
+use vela_cluster::{DeviceId, Topology};
+use vela_model::{checkpoint, LocalExpertStore, MoeModel};
 use vela_nn::loss::cross_entropy;
 use vela_nn::optim::{AdamW, AdamWConfig};
 
 use vela_placement::{Placement, ReplicatedPlacement};
 
 use crate::broker::BrokerClient;
-use crate::launch::{launch_star, WorkerHandle};
-use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
+use crate::metrics::StepMetrics;
+use crate::session::Session;
 use crate::transport::{TransportConfig, TransportError};
-use crate::worker::{expert_grads, ExpertTemplate, WorkerBootstrap};
+use crate::worker::{expert_grads, ExpertTemplate};
 
 /// What one [`RealRuntime::apply_placement`] call set in motion.
 ///
@@ -52,32 +50,18 @@ pub struct MigrationHandle {
     pub traffic: vela_cluster::StepTraffic,
 }
 
-/// A live distributed fine-tuning session with real tensors.
+/// The real-tensor step body: the backbone and its optimizer on the
+/// master, and the expert template process-mode teardown rebuilds from.
 #[derive(Debug)]
-pub struct RealRuntime {
+pub struct TensorBody {
     model: MoeModel,
-    broker: BrokerClient,
-    workers: Vec<WorkerHandle>,
-    template: ExpertTemplate,
     opt_model: AdamW,
-    ledger: Arc<TrafficLedger>,
-    cost: CostModel,
-    master: DeviceId,
-    worker_devices: Vec<DeviceId>,
-    spec: MoeSpec,
+    template: ExpertTemplate,
     process_mode: bool,
-    /// Flattened trainable-gradient bytes of one expert — the payload
-    /// size of each replica gradient-sync transfer.
-    grad_bytes: u32,
-    step: usize,
-    /// Cumulative wall seconds the training loop has been *blocked* on
-    /// parameter movement: apply calls, boundary cutovers and flushes.
-    /// Chunk relays that ride inside step drains are not blocked time and
-    /// are not counted here.
-    migration_blocked: f64,
-    /// Migration-bucket ledger bytes of every window taken so far.
-    migration_bytes: u64,
 }
+
+/// A live distributed fine-tuning session with real tensors.
+pub type RealRuntime = Session<TensorBody>;
 
 impl RealRuntime {
     /// Distributes `experts` across workers per `placement` and launches
@@ -131,100 +115,41 @@ impl RealRuntime {
         worker_devices: Vec<DeviceId>,
         optim: AdamWConfig,
     ) -> Self {
-        let placement: ReplicatedPlacement = placement.into();
-        let cfg = model.config().clone();
-        assert_eq!(placement.blocks(), cfg.blocks, "placement block mismatch");
-        assert_eq!(
-            placement.experts(),
-            cfg.experts,
-            "placement expert mismatch"
-        );
-        assert_eq!(
-            placement.workers(),
-            worker_devices.len(),
-            "placement worker mismatch"
-        );
-
+        let spec = model.config().spec();
         let template = ExpertTemplate::from_expert(experts.expert_mut(0, 0));
         let grad_bytes = (expert_grads(experts.expert_mut(0, 0)).len() * 4) as u32;
-        let ledger = Arc::new(TrafficLedger::new(topology.clone()));
-        let cost = CostModel::new(topology);
-        let bootstrap = WorkerBootstrap {
-            blocks: cfg.blocks,
-            experts: cfg.experts,
-            optim,
-            template: Some(template),
+        let body = TensorBody {
+            model,
+            opt_model: AdamW::new(optim),
+            template,
+            process_mode: transport.is_process_mode(),
         };
-        let (hub, workers) = launch_star(
+        let mut rt = Session::bring_up(
             transport,
-            ledger.clone(),
+            topology,
             master,
-            &worker_devices,
-            &bootstrap,
-            || shard_experts(&mut experts, &placement, &template, worker_devices.len()),
-        )
-        .unwrap_or_else(|e| panic!("bringing up the {} star failed: {e}", transport.label()));
-
-        let mut broker = BrokerClient::new(hub, placement);
+            worker_devices,
+            placement.into(),
+            spec,
+            grad_bytes,
+            optim,
+            Some(template),
+            |placement| shard_experts(&mut experts, placement, &template),
+            body,
+        );
         if transport.is_process_mode() {
-            seed_processes(&mut broker, &mut experts)
+            seed_processes(&mut rt.broker, &mut experts)
                 .unwrap_or_else(|e| panic!("seeding worker processes failed: {e}"));
             // Seeding crossed real sockets; drop its ledger window so step
             // traffic starts clean and matches the thread-backed transports.
-            ledger.take_step();
+            rt.ledger.take_step();
         }
-        RealRuntime {
-            spec: cfg.spec(),
-            model,
-            broker,
-            workers,
-            template,
-            opt_model: AdamW::new(optim),
-            ledger,
-            cost,
-            master,
-            worker_devices,
-            process_mode: transport.is_process_mode(),
-            grad_bytes,
-            step: 0,
-            migration_blocked: 0.0,
-            migration_bytes: 0,
-        }
+        rt
     }
 
     /// The backbone model (e.g. for routing snapshots).
     pub fn model(&self) -> &MoeModel {
-        &self.model
-    }
-
-    /// The placement currently in force (the replica relation; degree 1
-    /// everywhere when replication is off).
-    pub fn placement(&self) -> &ReplicatedPlacement {
-        self.broker.placement()
-    }
-
-    /// Label of the transport backend carrying this session's traffic.
-    pub fn transport_label(&self) -> &'static str {
-        self.broker.transport()
-    }
-
-    /// Wire frames shipped/drained by the master hub so far (out, in).
-    pub fn frame_counts(&self) -> (u64, u64) {
-        self.broker.frame_counts()
-    }
-
-    /// Actual encoded wire bytes by frame kind (headers vs payloads).
-    /// Unlike the traffic ledger this *does* depend on the wire framing.
-    pub fn wire_stats(&self) -> crate::transport::WireStats {
-        self.broker.wire_stats()
-    }
-
-    /// Closes the ledger window, keeping count of the migration bytes
-    /// that fell in it.
-    fn take_traffic(&mut self) -> vela_cluster::StepTraffic {
-        let traffic = self.ledger.take_step();
-        self.migration_bytes += traffic.migration_bytes;
-        traffic
+        &self.body.model
     }
 
     /// Starts moving experts so the session matches `target`, between
@@ -257,11 +182,10 @@ impl RealRuntime {
         self.finish_migrations()?;
         let plan = self.broker.placement().primaries().diff(target);
         let moved = plan.len();
-        let t0 = std::time::Instant::now();
-        for (block, expert, _, to) in plan {
-            self.broker.start_migration(block, expert, to)?;
-        }
-        self.migration_blocked += t0.elapsed().as_secs_f64();
+        self.blocked(|broker| {
+            plan.into_iter()
+                .try_for_each(|(block, expert, _, to)| broker.start_migration(block, expert, to))
+        })?;
         Ok(MigrationHandle {
             moved,
             in_flight: self.broker.migrations_in_flight(),
@@ -286,9 +210,7 @@ impl RealRuntime {
     /// nothing was in flight). After an `apply_placement` this is
     /// stop-the-world migration.
     pub fn finish_migrations(&mut self) -> Result<usize, TransportError> {
-        let t0 = std::time::Instant::now();
-        let cut_over = self.broker.finish_migrations()?;
-        self.migration_blocked += t0.elapsed().as_secs_f64();
+        let cut_over = self.blocked(BrokerClient::finish_migrations)?;
         // The flush is a ledger window of its own (a step would discard
         // whatever it found open).
         self.take_traffic();
@@ -305,6 +227,7 @@ impl RealRuntime {
     }
 
     /// Runs one full distributed fine-tuning step and returns its metrics.
+    /// The master's AdamW step runs while the workers step theirs.
     ///
     /// # Panics
     /// Panics if `inputs.len() != batch * seq` (propagated from the model)
@@ -319,62 +242,22 @@ impl RealRuntime {
         batch: usize,
         seq: usize,
     ) -> Result<StepMetrics, TransportError> {
-        self.step += 1;
-        self.take_traffic();
-        // `BrokerClient::step_begin` advances the process-unique trace
-        // step, so it must precede the span open for the span to be
-        // tagged with this step.
-        self.broker.step_begin()?;
-        let _span = vela_obs::span("runtime.step");
-        let stats = self
-            .model
-            .train_step(inputs, targets, batch, seq, &mut self.broker);
-        // Replica gradient sync rides between backward and StepEnd: the
-        // workers' optimizers only run on StepEnd, so every replica steps
-        // on the serving replica's gradients and copies stay bit-identical.
-        let sync_flows = {
-            let _sync = vela_obs::span("runtime.grad_sync");
-            self.broker.sync_replica_grads(self.grad_bytes)?
-        };
-        // The master's optimizer and the workers' touch disjoint
-        // parameters, so they run side by side: StepEnd goes out first.
-        self.broker.step_end()?;
-        {
-            let _opt = vela_obs::span("runtime.optimizer");
-            self.opt_model.step(&mut self.model);
-        }
-        self.broker.wait_step_done()?;
-        // Step boundary: cut over the lanes that streamed under this step
-        // and admit the next ones; both sides observe the flip before the
-        // next `StepBegin` on their FIFO links.
-        if self.broker.migrations_in_flight() > 0 {
-            let t0 = std::time::Instant::now();
-            self.broker.pump_migrations()?;
-            self.migration_blocked += t0.elapsed().as_secs_f64();
-        }
-
-        let traffic = self.take_traffic();
-        let logs = self.broker.take_phase_logs();
-        let master_flops = inputs.len() as f64 * backbone_flops_per_token(&self.spec, seq) * 3.0;
-        let time = step_time(
-            &self.cost,
-            self.master,
-            &self.worker_devices,
-            &logs,
-            &sync_flows,
-            &self.spec,
-            master_flops,
-        );
-        Ok(StepMetrics {
-            step: self.step,
-            loss: Some(stats.loss),
-            traffic,
-            time,
-        })
+        self.run_step(
+            inputs.len(),
+            seq,
+            |body, broker| {
+                let stats = body.model.train_step(inputs, targets, batch, seq, broker);
+                Ok(Some(stats.loss))
+            },
+            |body| {
+                let _opt = vela_obs::span("runtime.optimizer");
+                body.opt_model.step(&mut body.model);
+            },
+        )
     }
 
-    /// Evaluates the loss on a batch without updating anything (used by
-    /// parity checks).
+    /// Evaluates the loss on a batch without updating anything (the
+    /// `contract` integration test reads it).
     pub fn evaluate(
         &mut self,
         inputs: &[usize],
@@ -382,7 +265,10 @@ impl RealRuntime {
         batch: usize,
         seq: usize,
     ) -> f32 {
-        let logits = self.model.forward(inputs, batch, seq, &mut self.broker);
+        let logits = self
+            .body
+            .model
+            .forward(inputs, batch, seq, &mut self.broker);
         self.broker.take_phase_logs();
         cross_entropy(&logits, targets).0
     }
@@ -393,53 +279,41 @@ impl RealRuntime {
     /// workers have theirs fetched over the wire (`FetchExpert` /
     /// `ExpertState`) before `Shutdown`, then the children are reaped.
     /// Either way the returned store holds every expert.
-    pub fn shutdown(self) -> (MoeModel, LocalExpertStore) {
-        let RealRuntime {
-            model,
-            mut broker,
-            workers,
-            template,
-            process_mode,
-            ..
-        } = self;
+    pub fn shutdown(mut self) -> (MoeModel, LocalExpertStore) {
         // Complete any move in flight first: a shadow is not an expert,
         // and only its source's copy would be reassembled.
-        if let Err(e) = broker.finish_migrations() {
+        if let Err(e) = self.broker.finish_migrations() {
             vela_obs::warn!("flushing in-flight migrations at shutdown failed: {e}");
         }
-        let cfg = model.config().clone();
-        let mut merged = LocalExpertStore::empty(cfg.blocks, cfg.experts);
-        if process_mode {
-            for l in 0..cfg.blocks {
-                for e in 0..cfg.experts {
-                    let data = broker
+        let (blocks, experts) = (self.placement().blocks(), self.placement().experts());
+        let mut merged = LocalExpertStore::empty(blocks, experts);
+        if self.body.process_mode {
+            for l in 0..blocks {
+                for e in 0..experts {
+                    let data = self
+                        .broker
                         .fetch_expert(l, e)
                         .unwrap_or_else(|err| panic!("fetching expert back failed: {err}"));
-                    let mut ffn = template.instantiate(l, e);
+                    let mut ffn = self.body.template.instantiate(l, e);
                     checkpoint::load(&mut ffn, &mut data.as_slice())
                         .expect("valid expert checkpoint");
                     merged.insert(l, e, ffn);
                 }
             }
         }
-        if let Err(e) = broker.shutdown() {
-            vela_obs::warn!("shutdown broadcast failed (workers already gone?): {e}");
-        }
-        for worker in workers {
-            if let Some(mut shard) = worker.finish() {
-                for l in 0..cfg.blocks {
-                    for e in 0..cfg.experts {
-                        // Replicas are bit-identical, so the first copy
-                        // seen wins and the rest are dropped.
-                        if shard.contains(l, e) && !merged.contains(l, e) {
-                            merged.insert(l, e, shard.take(l, e));
-                        }
+        let (body, shards) = self.close();
+        for mut shard in shards {
+            for l in 0..blocks {
+                for e in 0..experts {
+                    // Replicas are bit-identical, so the first copy seen
+                    // wins and the rest are dropped.
+                    if shard.contains(l, e) && !merged.contains(l, e) {
+                        merged.insert(l, e, shard.take(l, e));
                     }
                 }
             }
         }
-        vela_obs::flush();
-        (model, merged)
+        (body.model, merged)
     }
 }
 
@@ -450,10 +324,9 @@ fn shard_experts(
     experts: &mut LocalExpertStore,
     placement: &ReplicatedPlacement,
     template: &ExpertTemplate,
-    workers: usize,
 ) -> Vec<LocalExpertStore> {
     let (blocks, per_block) = (placement.blocks(), placement.experts());
-    let mut shards: Vec<LocalExpertStore> = (0..workers)
+    let mut shards: Vec<LocalExpertStore> = (0..placement.workers())
         .map(|_| LocalExpertStore::empty(blocks, per_block))
         .collect();
     for l in 0..blocks {

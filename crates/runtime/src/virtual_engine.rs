@@ -8,15 +8,15 @@
 //! every step — the drift the paper observes in Fig. 3(c)/Fig. 5(a).
 //!
 //! This engine produces the VELA / Sequential / Random series of
-//! Figs. 5–6; pick the series by the [`Placement`] you launch it with.
-//! Like [`RealRuntime`](crate::RealRuntime), the transport behind it is
-//! pluggable ([`TransportConfig`]) — the ledger windows it reports are
+//! Figs. 5–6; pick the series by the
+//! [`Placement`](vela_placement::Placement) you launch it with. It is the
+//! same [`Session`] as [`RealRuntime`](crate::RealRuntime) over another
+//! step body, so its transport is the same pluggable one
+//! ([`TransportConfig`]) — the ledger windows it reports are
 //! byte-identical across channel, TCP-thread and TCP-process backends
 //! (pinned by the `contract` integration test).
 
-use std::sync::Arc;
-
-use vela_cluster::{CostModel, DeviceId, Topology, TrafficLedger};
+use vela_cluster::{DeviceId, Topology};
 use vela_locality::LocalityProfile;
 use vela_model::{LocalExpertStore, MoeSpec};
 use vela_nn::optim::AdamWConfig;
@@ -24,13 +24,12 @@ use vela_placement::ReplicatedPlacement;
 use vela_tensor::rng::DetRng;
 
 use crate::broker::{BrokerClient, Pass};
-use crate::launch::{launch_star, WorkerHandle};
 use crate::message::{PackedData, PackedGroup};
-use crate::metrics::{backbone_flops_per_token, step_time, straggler_index, StepMetrics};
+use crate::metrics::StepMetrics;
 use crate::pipeline::Rows;
 use crate::routing::sample_expert_counts;
-use crate::transport::{TransportConfig, TransportError, WireStats};
-use crate::worker::WorkerBootstrap;
+use crate::session::Session;
+use crate::transport::{TransportConfig, TransportError};
 
 /// Scale parameters of a virtual evaluation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,21 +107,17 @@ pub fn capacity_from_memory(
         .collect()
 }
 
-/// A live scale-virtual master–worker session.
+/// The scale-virtual step body: routing sampled from a drifting locality
+/// profile, size-only rows at the evaluation model's dimensions.
 #[derive(Debug)]
-pub struct VirtualEngine {
-    broker: BrokerClient,
-    workers: Vec<WorkerHandle>,
-    row_totals: Vec<u64>,
+pub struct VirtualBody {
     profile: LocalityProfile,
     scale: ScaleConfig,
-    ledger: Arc<TrafficLedger>,
-    cost: CostModel,
-    master: DeviceId,
-    worker_devices: Vec<DeviceId>,
     rng: DetRng,
-    step: usize,
 }
+
+/// A live scale-virtual master–worker session.
+pub type VirtualEngine = Session<VirtualBody>;
 
 impl VirtualEngine {
     /// Launches echo workers over the transport selected by
@@ -163,125 +158,68 @@ impl VirtualEngine {
         profile: LocalityProfile,
         scale: ScaleConfig,
     ) -> Self {
-        let placement: ReplicatedPlacement = placement.into();
-        assert_eq!(
-            profile.blocks(),
-            scale.spec.blocks,
-            "profile block mismatch"
-        );
-        assert_eq!(
-            profile.experts(),
-            scale.spec.experts,
-            "profile expert mismatch"
-        );
-        assert_eq!(
-            placement.blocks(),
-            scale.spec.blocks,
-            "placement block mismatch"
-        );
-        assert_eq!(
-            placement.experts(),
-            scale.spec.experts,
-            "placement expert mismatch"
-        );
-        assert_eq!(
-            placement.workers(),
-            worker_devices.len(),
-            "placement worker mismatch"
-        );
-        let ledger = Arc::new(TrafficLedger::new(topology.clone()));
-        let cost = CostModel::new(topology);
+        let spec = scale.spec;
+        assert_eq!(profile.blocks(), spec.blocks, "profile block mismatch");
+        assert_eq!(profile.experts(), spec.experts, "profile expert mismatch");
         // Echo workers: no template, empty shards, an optimizer with
         // nothing to step.
-        let bootstrap = WorkerBootstrap {
-            blocks: scale.spec.blocks,
-            experts: scale.spec.experts,
-            optim: AdamWConfig::default(),
-            template: None,
-        };
-        let (hub, workers) = launch_star(
+        Session::bring_up(
             transport,
-            ledger.clone(),
-            master,
-            &worker_devices,
-            &bootstrap,
-            || {
-                (0..worker_devices.len())
-                    .map(|_| LocalExpertStore::empty(bootstrap.blocks, bootstrap.experts))
-                    .collect()
-            },
-        )
-        .unwrap_or_else(|e| panic!("bringing up the {} star failed: {e}", transport.label()));
-        let rng = DetRng::new(scale.seed);
-        let row_totals = vec![0; worker_devices.len()];
-        VirtualEngine {
-            broker: BrokerClient::new(hub, placement),
-            workers,
-            row_totals,
-            profile,
-            scale,
-            ledger,
-            cost,
+            topology,
             master,
             worker_devices,
-            rng,
-            step: 0,
-        }
-    }
-
-    /// The placement driving this session.
-    pub fn placement(&self) -> &ReplicatedPlacement {
-        self.broker.placement()
-    }
-
-    /// Max/mean routed token rows per worker, accumulated over every
-    /// step so far — the straggler index replicas are placed to cut. 1.0
-    /// before any step has run.
-    pub fn straggler_index(&self) -> f64 {
-        straggler_index(&self.row_totals)
-    }
-
-    /// Wire frames shipped/drained by the hub so far (out, in).
-    pub fn frame_counts(&self) -> (u64, u64) {
-        self.broker.frame_counts()
-    }
-
-    /// Actual encoded wire bytes by frame kind (headers vs payloads).
-    pub fn wire_stats(&self) -> WireStats {
-        self.broker.wire_stats()
+            placement.into(),
+            spec,
+            expert_lora_grad_bytes(&spec, scale.lora_rank) as u32,
+            AdamWConfig::default(),
+            None,
+            |p| {
+                (0..p.workers())
+                    .map(|_| LocalExpertStore::empty(p.blocks(), p.experts()))
+                    .collect()
+            },
+            VirtualBody {
+                rng: DetRng::new(scale.seed),
+                profile,
+                scale,
+            },
+        )
     }
 
     /// The (drifting) locality profile.
     pub fn profile(&self) -> &LocalityProfile {
-        &self.profile
-    }
-
-    /// Label of the transport backend carrying this session's traffic.
-    pub fn transport_label(&self) -> &'static str {
-        self.broker.transport()
+        &self.body.profile
     }
 
     /// Runs one virtual fine-tuning step: for every block, forward token
     /// dispatch + gather and backward gradient dispatch + gather through
     /// the real message path, with routing sampled from the profile.
+    /// Replica sync payloads are sized to one expert's LoRA gradients.
     ///
     /// # Panics
     /// Panics if the transport fails mid-step.
     pub fn step(&mut self) -> StepMetrics {
-        self.try_step()
+        let (tokens, seq) = (self.body.scale.tokens(), self.body.scale.seq);
+        self.run_step(tokens, seq, VirtualBody::passes, |_| {})
             .unwrap_or_else(|e| panic!("transport failed mid-step: {e}"))
     }
 
-    fn try_step(&mut self) -> Result<StepMetrics, TransportError> {
-        self.step += 1;
-        self.ledger.take_step();
-        // `step_begin` advances the process-unique trace step, so it must
-        // precede the span open for the span to be tagged with this step.
-        self.broker.step_begin()?;
-        let _span = vela_obs::span("runtime.virtual.step");
+    /// Runs `steps` steps.
+    pub fn run(&mut self, steps: usize) -> Vec<StepMetrics> {
+        (0..steps).map(|_| self.step()).collect()
+    }
 
-        let spec = self.scale.spec;
-        let tokens = self.scale.tokens();
+    /// Shuts the workers down (threads joined, processes reaped).
+    pub fn shutdown(self) {
+        self.close();
+    }
+}
+
+impl VirtualBody {
+    /// Every block's forward and backward exchange of virtual rows, then
+    /// one step of profile drift.
+    fn passes(&mut self, broker: &mut BrokerClient) -> Result<Option<f32>, TransportError> {
+        let (spec, tokens) = (self.scale.spec, self.scale.tokens());
         for block in 0..spec.blocks {
             let counts = {
                 let _route = vela_obs::span("runtime.virtual.route");
@@ -298,65 +236,11 @@ impl VirtualEngine {
                     .collect(),
                 bytes_per_token: spec.token_bytes() as u32,
             };
-            self.broker
-                .exchange("runtime.virtual.fwd", block, Pass::Forward, &mut rows)?;
-            self.broker
-                .exchange("runtime.virtual.bwd", block, Pass::Backward, &mut rows)?;
+            broker.exchange(block, Pass::Forward, &mut rows)?;
+            broker.exchange(block, Pass::Backward, &mut rows)?;
         }
-        let logs = self.broker.take_phase_logs();
-        for log in &logs {
-            for (t, &r) in self.row_totals.iter_mut().zip(&log.rows) {
-                *t += r;
-            }
-        }
-
-        // Replica gradient sync: the same protocol frames as the real
-        // runtime, with virtual payloads sized to one expert's LoRA
-        // gradients. A no-op (zero frames, zero bytes) at degree 1.
-        let sync_flows = {
-            let _sync = vela_obs::span("runtime.virtual.grad_sync");
-            let grad_bytes = expert_lora_grad_bytes(&spec, self.scale.lora_rank) as u32;
-            self.broker.sync_replica_grads(grad_bytes)?
-        };
-
-        // Step end: workers ack their (empty) optimizer step.
-        self.broker.step_end()?;
-        self.broker.wait_step_done()?;
-
-        let traffic = self.ledger.take_step();
-        let master_flops = tokens as f64 * backbone_flops_per_token(&spec, self.scale.seq) * 3.0;
-        let time = step_time(
-            &self.cost,
-            self.master,
-            &self.worker_devices,
-            &logs,
-            &sync_flows,
-            &spec,
-            master_flops,
-        );
         self.profile.sharpen(self.scale.drift);
-        Ok(StepMetrics {
-            step: self.step,
-            loss: None,
-            traffic,
-            time,
-        })
-    }
-
-    /// Runs `steps` steps.
-    pub fn run(&mut self, steps: usize) -> Vec<StepMetrics> {
-        (0..steps).map(|_| self.step()).collect()
-    }
-
-    /// Shuts the workers down (threads joined, processes reaped).
-    pub fn shutdown(mut self) {
-        if let Err(e) = self.broker.shutdown() {
-            vela_obs::warn!("shutdown broadcast failed (workers already gone?): {e}");
-        }
-        for w in self.workers {
-            w.finish();
-        }
-        vela_obs::flush();
+        Ok(None)
     }
 }
 

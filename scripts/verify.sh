@@ -4,7 +4,8 @@
 # VELA_* count and the non-test line counts of vela-runtime, vela-model and
 # vela-tensor), the release-mode gates (simplex pivot path, routing table,
 # the contract harness), fig5 and fig6 regenerated from an empty pretraining
-# cache and diffed against results/, the trace smokes, and the benches (the
+# cache and diffed against results/, the trace smokes (quickstart, the
+# virtual scale_simulation, a traced tcp run), and the benches (the
 # kernel one emits BENCH_kernels.json in the repo root and its log names the
 # GEMM SIMD level the host dispatched to; the placement-LP one is echoed
 # only). Exchange and migration timing is benchmark/'s job, not this script's.
@@ -88,6 +89,13 @@ test -s "$trace_out".merged.json || {
     echo "FAIL: trace_summary merge wrote no $trace_out.merged.json" >&2
     exit 1
 }
+
+echo "==> trace smoke: scale_simulation (the virtual session) under VELA_TRACE=jsonl + trace_summary --check (its exchanges must be the reader's EXCHANGE_SPANS)"
+virtual_trace=target/scale-simulation-trace.jsonl
+rm -f "$virtual_trace"
+VELA_TRACE=jsonl VELA_TRACE_OUT="$virtual_trace" \
+    cargo run --release -p vela --example scale_simulation >/dev/null
+cargo run --release -p vela-bench --bin trace_summary -- --check "$virtual_trace"
 
 echo "==> multi-process smoke: master + worker processes over TCP loopback"
 cargo run --release -p vela --example tcp_smoke
