@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p vela-bench --bin ablation_skew`
 
 use vela::prelude::*;
-use vela_bench::{run_strategy, scale_problem};
+use vela_bench::run_strategy;
 
 fn main() {
     println!("== Ablation: benefit vs routing concentration (Zipf sweep) ==");
@@ -25,7 +25,6 @@ fn main() {
     );
     for zipf in [0.0, 0.4, 0.8, 1.2, 1.6, 2.0] {
         let profile = LocalityProfile::synthetic("s", spec.blocks, spec.experts, zipf, 21);
-        let _problem = scale_problem(&profile, &spec, &Topology::paper_testbed(), &scale);
         let seq = RunSummary::from_steps(
             &run_strategy(Strategy::Sequential, &profile, &spec, &scale, steps).0,
         );

@@ -149,19 +149,6 @@ impl Linear {
         y
     }
 
-    /// Forward pass without caching activations (inference only).
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        let mut y = x.matmul(&self.weight.value);
-        if let Some(b) = &self.bias {
-            y = y.add_row_broadcast(b.value.as_slice());
-        }
-        if let Some(lora) = &self.lora {
-            let xa = x.matmul(&lora.a.value);
-            y.add_assign(&xa.matmul(&lora.b.value).scale(lora.scale()));
-        }
-        y
-    }
-
     /// Backward pass: accumulates parameter gradients and returns the input
     /// gradient.
     ///
@@ -331,21 +318,6 @@ mod tests {
             before.as_slice(),
             after.as_slice(),
             1e-4
-        ));
-    }
-
-    #[test]
-    fn forward_inference_matches_forward() {
-        let mut rng = DetRng::new(8);
-        let mut layer = Linear::with_bias("l", 4, 2, &mut rng);
-        layer.attach_lora(2, 4.0, &mut rng);
-        let x = Tensor::uniform((3, 4), -1.0, 1.0, &mut rng);
-        let inf = layer.forward_inference(&x);
-        let train = layer.forward(&x);
-        assert!(vela_tensor::approx_eq(
-            inf.as_slice(),
-            train.as_slice(),
-            1e-6
         ));
     }
 

@@ -104,15 +104,6 @@ impl ReplicatedPlacement {
             .unwrap_or(0)
     }
 
-    /// Mean replica count across all `(block, expert)` pairs.
-    pub fn avg_degree(&self) -> f64 {
-        let slots = self.blocks() * self.experts();
-        if slots == 0 {
-            return 0.0;
-        }
-        self.total_replicas() as f64 / slots as f64
-    }
-
     /// Total replica slots across all workers.
     pub fn total_replicas(&self) -> usize {
         self.replicas

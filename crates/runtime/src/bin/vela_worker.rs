@@ -1,11 +1,13 @@
 //! Standalone Expert Manager worker process.
 //!
 //! Spawned by the process-mode launcher (`VELA_TRANSPORT=tcp`): connects
-//! to the master's loopback listener, receives its
-//! [`WorkerBootstrap`](vela_runtime::worker::WorkerBootstrap) control
-//! frame, then serves the standard Expert Manager loop until `Shutdown`
-//! or master disconnect — either way exiting cleanly with flushed
-//! observability buffers.
+//! to the master's loopback listener and hands the link to
+//! [`run_worker`](vela_runtime::worker::run_worker), the entry every
+//! worker thread starts through too. That boots from the first frame, an
+//! ordinary `Message::Bootstrap`, and serves the Expert Manager loop until
+//! `Shutdown` or master disconnect — either way exiting cleanly with
+//! flushed observability buffers. A worker that never boots (a stale
+//! binary's version mismatch included) exits with a failure status.
 //!
 //! Reads `VELA_WORKER_CONNECT` (`host:port`), `VELA_WORKER_INDEX` and
 //! `VELA_WORKER_DEVICE` from the environment; the launcher sets all
@@ -17,7 +19,7 @@ use std::process::ExitCode;
 use vela_cluster::DeviceId;
 use vela_runtime::launch::env_keys;
 use vela_runtime::transport::connect_worker;
-use vela_runtime::worker::{run_worker, WorkerBootstrap};
+use vela_runtime::worker::run_worker;
 
 fn required(key: &str) -> Result<String, String> {
     std::env::var(key).map_err(|_| format!("{key} must be set (the launcher sets it)"))
@@ -34,19 +36,9 @@ fn run() -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad {}: {e}", env_keys::DEVICE))?;
 
-    let mut port = connect_worker(addr, index, DeviceId(device))
+    let port = connect_worker(addr, index, DeviceId(device))
         .map_err(|e| format!("connect to master at {addr} failed: {e}"))?;
-    let frame = port
-        .recv_control()
-        .map_err(|e| format!("waiting for bootstrap failed: {e}"))?;
-    let bootstrap =
-        WorkerBootstrap::decode(&frame).map_err(|e| format!("bad bootstrap frame: {e}"))?;
-    vela_obs::info!(
-        "vela_worker {index} (device {device}) serving {}x{} shard",
-        bootstrap.blocks,
-        bootstrap.experts
-    );
-    run_worker(port, &bootstrap);
+    run_worker(port, None).map_err(|e| format!("bootstrap failed: {e}"))?;
     Ok(())
 }
 

@@ -960,7 +960,8 @@ mod tests {
     use super::*;
     use crate::message::PackedReply;
     use crate::transport::star;
-    use crate::worker::{ExpertManager, ExpertTemplate};
+    use crate::transport::MasterHub;
+    use crate::worker::{ExpertManager, ExpertTemplate, WorkerBootstrap};
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
     use vela_model::{LocalExpertStore, ModelConfig};
@@ -968,6 +969,17 @@ mod tests {
     use vela_nn::param::Module;
     use vela_placement::Placement;
     use vela_tensor::rng::DetRng;
+
+    /// Sends every worker the bootstrap of a `cfg`-shaped shard.
+    fn boot(hub: &mut MasterHub, cfg: &ModelConfig, template: Option<ExpertTemplate>) {
+        let bootstrap = WorkerBootstrap {
+            blocks: cfg.blocks,
+            experts: cfg.experts,
+            optim: AdamWConfig::default(),
+            template,
+        };
+        hub.broadcast(&Message::Bootstrap(bootstrap)).unwrap();
+    }
 
     /// A full micro setup: 2 workers, experts split by expert parity.
     fn setup() -> (
@@ -978,7 +990,7 @@ mod tests {
     ) {
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+        let (mut hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
 
         let reference = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
         let mut source = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
@@ -1005,17 +1017,16 @@ mod tests {
         let managers = ports
             .into_iter()
             .zip([shard0, shard1])
-            .map(|(port, shard)| {
-                ExpertManager::spawn_with_template(port, shard, AdamWConfig::default(), template)
-            })
+            .map(|(port, shard)| ExpertManager::spawn(port, shard))
             .collect();
+        boot(&mut hub, &cfg, template);
         (BrokerClient::new(hub, placement), managers, reference, cfg)
     }
 
     fn teardown(broker: &mut BrokerClient, managers: Vec<ExpertManager>) {
         broker.shutdown().unwrap();
         for m in managers {
-            m.join();
+            m.join().unwrap();
         }
     }
 
@@ -1235,7 +1246,7 @@ mod tests {
     ) {
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+        let (mut hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
 
         let reference = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
         let mut a = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
@@ -1264,9 +1275,10 @@ mod tests {
 
         let mut ports = ports.into_iter();
         let managers = vec![
-            ExpertManager::spawn(ports.next().unwrap(), shard0, AdamWConfig::default()),
-            ExpertManager::spawn(ports.next().unwrap(), shard1, AdamWConfig::default()),
+            ExpertManager::spawn(ports.next().unwrap(), shard0),
+            ExpertManager::spawn(ports.next().unwrap(), shard1),
         ];
+        boot(&mut hub, &cfg, None);
         (BrokerClient::new(hub, placement), managers, reference, cfg)
     }
 
@@ -1430,7 +1442,7 @@ mod tests {
         broker.shutdown().unwrap();
         let held: usize = managers
             .into_iter()
-            .map(|m| usize::from(m.join().contains(0, 0)))
+            .map(|m| usize::from(m.join().unwrap().contains(0, 0)))
             .sum();
         assert_eq!(held, 1);
     }
@@ -1442,7 +1454,7 @@ mod tests {
         // peer must too, or the two copies part after the next step.
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, ports) = star(
+        let (mut hub, ports) = star(
             ledger,
             DeviceId(0),
             &[DeviceId(1), DeviceId(2), DeviceId(3)],
@@ -1465,10 +1477,9 @@ mod tests {
         let managers: Vec<ExpertManager> = ports
             .into_iter()
             .zip(shards)
-            .map(|(port, shard)| {
-                ExpertManager::spawn_with_template(port, shard, AdamWConfig::default(), template)
-            })
+            .map(|(port, shard)| ExpertManager::spawn(port, shard))
             .collect();
+        boot(&mut hub, &cfg, template);
         let mut broker = BrokerClient::new(hub, ReplicatedPlacement::new(replicas, 3));
 
         let mut rng = DetRng::new(29);
@@ -1496,7 +1507,7 @@ mod tests {
         broker.shutdown().unwrap();
         let mut copies: Vec<Vec<u32>> = managers
             .into_iter()
-            .map(|m| m.join())
+            .map(|m| m.join().unwrap())
             .filter(|shard| shard.contains(0, 0))
             .map(|mut shard| {
                 let mut bits = Vec::new();
@@ -1540,7 +1551,7 @@ mod tests {
         let (mut broker, managers, _, _) = setup();
         broker.shutdown().unwrap();
         for m in managers {
-            m.join();
+            m.join().unwrap();
         }
         // Workers are gone and links closed: control-plane calls must
         // report the disconnect instead of aborting.

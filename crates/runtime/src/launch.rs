@@ -2,13 +2,14 @@
 //! ([`launch_star`]), and what process mode needs on top — spawning
 //! `vela_worker` OS processes and wiring them into a TCP star.
 //!
-//! Thread mode and process mode share every protocol byte; the only extra
-//! machinery process mode adds is (a) locating the worker binary, (b) handing each
-//! child its connect coordinates via environment variables, and (c) the
-//! bootstrap control frame that tells a fresh process what shard shape and
-//! optimizer it serves. Worker processes are always reaped — teardown
-//! waits with a deadline and kills stragglers, so a crashed master never
-//! leaks children past [`WorkerHandle::finish`].
+//! Thread mode and process mode share every protocol byte, the first one
+//! included: [`launch_star`] sends each worker the same
+//! [`Message::Bootstrap`] on every transport. The only extra machinery
+//! process mode adds is locating the worker binary and handing each child
+//! its connect coordinates via environment variables; a thread worker is
+//! also handed its shard by value. Worker processes are always reaped —
+//! teardown waits with a deadline and kills stragglers, so a crashed
+//! master never leaks children past [`WorkerHandle::finish`].
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -18,6 +19,7 @@ use std::time::{Duration, Instant};
 use vela_cluster::{DeviceId, TrafficLedger};
 use vela_model::LocalExpertStore;
 
+use crate::message::Message;
 use crate::transport::tcp::ACCEPT_DEADLINE;
 use crate::transport::{build_star, MasterHub, TcpStarBuilder, TransportConfig, TransportError};
 use crate::worker::{ExpertManager, WorkerBootstrap};
@@ -44,13 +46,17 @@ pub enum WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Finishes the worker: joins a thread (returning its shard) or reaps
-    /// a process (returning `None` — process shards are fetched back over
-    /// the wire before shutdown). A process that ignores the shutdown is
-    /// killed after a 10 s grace period; none are ever leaked.
+    /// Finishes the worker: joins a thread (returning its shard, or `None`
+    /// if it never booted) or reaps a process (returning `None` — process
+    /// shards are fetched back over the wire before shutdown). A process
+    /// that ignores the shutdown is killed after a 10 s grace period; none
+    /// are ever leaked.
     pub fn finish(self) -> Option<LocalExpertStore> {
         match self {
-            WorkerHandle::Thread(manager) => Some(manager.join()),
+            WorkerHandle::Thread(manager) => manager
+                .join()
+                .map_err(|e| vela_obs::error!("expert manager never booted: {e}"))
+                .ok(),
             WorkerHandle::Process(mut child) => {
                 let deadline = Instant::now() + Duration::from_secs(10);
                 loop {
@@ -66,14 +72,12 @@ impl WorkerHandle {
                         }
                         Ok(None) => {
                             vela_obs::error!("vela_worker ignored shutdown; killing it");
-                            let _ = child.kill();
-                            let _ = child.wait();
+                            kill(&mut child);
                             return None;
                         }
                         Err(e) => {
                             vela_obs::error!("waiting on vela_worker failed: {e}; killing it");
-                            let _ = child.kill();
-                            let _ = child.wait();
+                            kill(&mut child);
                             return None;
                         }
                     }
@@ -158,69 +162,67 @@ pub fn spawn_worker_processes(
 }
 
 /// Builds a complete process-mode star: bind, spawn one `vela_worker` per
-/// device, accept them all, and ship each its bootstrap control frame.
-/// Children are killed if the star cannot be assembled.
+/// device and accept them all. Children are killed if the star cannot be
+/// assembled.
 pub fn launch_process_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
-    bootstrap: &WorkerBootstrap,
 ) -> Result<(MasterHub, Vec<Child>), TransportError> {
     let builder = TcpStarBuilder::bind(ledger, master, workers)?;
     let mut children = spawn_worker_processes(builder.addr(), workers)?;
-    let assemble: Result<MasterHub, TransportError> = (|| {
-        let mut hub = builder.accept_workers(ACCEPT_DEADLINE)?;
-        let frame = bootstrap.encode();
-        for index in 0..workers.len() {
-            hub.send_control(index, frame.clone())?;
-        }
-        Ok(hub)
-    })();
-    match assemble {
+    match builder.accept_workers(ACCEPT_DEADLINE) {
         Ok(hub) => Ok((hub, children)),
         Err(e) => {
-            for child in &mut children {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+            children.iter_mut().for_each(kill);
             Err(e)
         }
     }
 }
 
+/// Kills a child and reaps it.
+fn kill(child: &mut Child) {
+    let _ = child.kill();
+    let _ = child.wait();
+}
+
 /// Brings up the star between `master` and `workers` over `transport`,
-/// with one Expert Manager behind every port — the bring-up of every
-/// [`Session`](crate::Session). Thread-backed transports call `shards`
-/// for one store per worker and hand each worker its shard by value, with
-/// the bootstrap's optimizer and template. Process mode never calls it: it spawns `vela_worker`
-/// children that start from the bootstrap frame with empty shards, and the
-/// caller seeds whatever they should hold over the wire.
+/// with one Expert Manager behind every port, and sends each the
+/// `bootstrap` frame — the bring-up of every [`Session`](crate::Session).
+/// Thread-backed transports call `shards` for one store per worker and
+/// hand each worker its shard by value. Process mode never calls it: its
+/// `vela_worker` children start with empty shards, and the caller seeds
+/// whatever they should hold over the wire.
 pub(crate) fn launch_star(
     transport: TransportConfig,
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
-    bootstrap: &WorkerBootstrap,
+    bootstrap: WorkerBootstrap,
     shards: impl FnOnce() -> Vec<LocalExpertStore>,
 ) -> Result<(MasterHub, Vec<WorkerHandle>), TransportError> {
-    if transport.is_process_mode() {
-        let (hub, children) = launch_process_star(ledger, master, workers, bootstrap)?;
+    let (mut hub, handles) = if transport.is_process_mode() {
+        let (hub, children) = launch_process_star(ledger, master, workers)?;
         let handles = children.into_iter().map(WorkerHandle::Process).collect();
-        return Ok((hub, handles));
+        (hub, handles)
+    } else {
+        let (hub, ports) = build_star(transport, ledger, master, workers)?;
+        let threads = ports.into_iter().zip(shards());
+        let handles = threads
+            .map(|(port, shard)| WorkerHandle::Thread(ExpertManager::spawn(port, shard)))
+            .collect();
+        (hub, handles)
+    };
+    // A thread that never boots ends when the hub drops; a process is
+    // killed, like one the star could not seat.
+    if let Err(e) = hub.broadcast(&Message::Bootstrap(bootstrap)) {
+        for handle in handles {
+            if let WorkerHandle::Process(mut child) = handle {
+                kill(&mut child);
+            }
+        }
+        return Err(e);
     }
-    let (hub, ports) = build_star(transport, ledger, master, workers)?;
-    let handles = ports
-        .into_iter()
-        .zip(shards())
-        .map(|(port, shard)| {
-            WorkerHandle::Thread(ExpertManager::spawn_with_template(
-                port,
-                shard,
-                bootstrap.optim,
-                bootstrap.template,
-            ))
-        })
-        .collect();
     Ok((hub, handles))
 }
 

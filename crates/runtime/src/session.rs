@@ -85,7 +85,7 @@ impl<B> Session<B> {
             ledger.clone(),
             master,
             &worker_devices,
-            &bootstrap,
+            bootstrap,
             || shards(&placement),
         )
         .unwrap_or_else(|e| panic!("bringing up the {} star failed: {e}", transport.label()));

@@ -2,9 +2,10 @@
 //! re-expressed as a [`HubBackend`]/[`PortBackend`] pair.
 //!
 //! Frames never leave the process: the "wire" is the encoded `Vec<u8>`
-//! itself, moved through a channel without ever being copied. Disconnection maps onto channel hang-up, so a dead
-//! worker thread surfaces as [`TransportError::Disconnected`] rather than
-//! a panic.
+//! itself, moved through a channel without ever being copied. A dropped
+//! port posts its own hang-up into the shared inbox, as the TCP hub's
+//! reader does on EOF, so one dead worker thread among several surfaces as
+//! [`TransportError::Disconnected`] rather than a hang.
 //!
 //! The full-duplex contract the TCP hub earns with per-link writer
 //! threads holds here for free: an mpsc `send` never blocks on the
@@ -19,11 +20,15 @@ use vela_cluster::{DeviceId, TrafficLedger};
 
 use super::{HubBackend, MasterHub, PortBackend, TransportError, WorkerPort};
 
+/// What the shared inbox carries: a worker's frame, or its hang-up.
+type Inbound = (usize, Result<Vec<u8>, TransportError>);
+
 /// Master side: one sender per worker, one shared inbox.
 #[derive(Debug)]
 struct ChannelHub {
+    /// Emptied by `shutdown`, which is what closes the downlinks.
     to_workers: Vec<Sender<Vec<u8>>>,
-    inbox: Receiver<(usize, Vec<u8>)>,
+    inbox: Receiver<Inbound>,
 }
 
 /// Worker side: a receiver for the downlink, the shared inbox sender for
@@ -31,37 +36,44 @@ struct ChannelHub {
 #[derive(Debug)]
 struct ChannelPort {
     rx: Receiver<Vec<u8>>,
-    up: Sender<(usize, Vec<u8>)>,
+    up: Sender<Inbound>,
     index: usize,
 }
 
 impl HubBackend for ChannelHub {
     fn send(&mut self, index: usize, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.to_workers[index]
-            .send(frame)
-            .map_err(|_| TransportError::Disconnected)
+        match self.to_workers.get(index).map(|link| link.send(frame)) {
+            Some(Ok(())) => Ok(()),
+            _ => Err(TransportError::Disconnected),
+        }
     }
 
     fn recv(&mut self) -> Result<(usize, Vec<u8>), TransportError> {
-        self.inbox.recv().map_err(|_| TransportError::Disconnected)
+        let (index, frame) = self
+            .inbox
+            .recv()
+            .map_err(|_| TransportError::Disconnected)?;
+        Ok((index, frame?))
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(usize, Vec<u8>), TransportError> {
-        self.inbox.recv_timeout(timeout).map_err(|e| match e {
+        let (index, frame) = self.inbox.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => TransportError::Timeout,
             RecvTimeoutError::Disconnected => TransportError::Disconnected,
-        })
+        })?;
+        Ok((index, frame?))
     }
 
     fn shutdown(&mut self) {
-        // Channels close when their endpoints drop; nothing to do eagerly.
+        // Queued frames stay readable; the ports see the hang-up after them.
+        self.to_workers.clear();
     }
 }
 
 impl PortBackend for ChannelPort {
     fn send(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
         self.up
-            .send((self.index, frame))
+            .send((self.index, Ok(frame)))
             .map_err(|_| TransportError::Disconnected)
     }
 
@@ -70,6 +82,16 @@ impl PortBackend for ChannelPort {
     }
 
     fn shutdown(&mut self) {}
+}
+
+impl Drop for ChannelPort {
+    fn drop(&mut self) {
+        // The inbox outlives any one port while others hold a sender, so
+        // the hang-up is posted, not inferred from the channel closing.
+        let _ = self
+            .up
+            .send((self.index, Err(TransportError::Disconnected)));
+    }
 }
 
 /// Builds the mpsc star between `master` and `workers`, accounting all

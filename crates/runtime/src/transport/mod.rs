@@ -353,14 +353,6 @@ impl MasterHub {
         self.workers.len()
     }
 
-    /// The device of worker `index`.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range.
-    pub fn worker_device(&self, index: usize) -> DeviceId {
-        self.workers[index]
-    }
-
     /// Label of the backend in use (`channel`, `tcp-threads`, `tcp`).
     pub fn transport(&self) -> &'static str {
         self.transport
@@ -408,17 +400,6 @@ impl MasterHub {
             self.frames_in += 1;
         }
         Ok((index, msg))
-    }
-
-    /// Ships a raw frame outside the [`Message`] protocol: the
-    /// process-mode [`WorkerBootstrap`](crate::worker::WorkerBootstrap),
-    /// which a fresh worker needs before it can decode anything else.
-    /// Bootstrap is setup plumbing that does not exist in thread mode, so
-    /// it carries **no accounted bytes** — accounting it would make ledger
-    /// totals transport-dependent. (Protocol frames that must stay off the
-    /// books say so in the frame table and go through [`send`](Self::send).)
-    pub fn send_control(&mut self, index: usize, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.backend.send(index, frame)
     }
 
     /// The only traffic accounting in the system, shared by both
@@ -523,12 +504,6 @@ impl WorkerPort {
         }
     }
 
-    /// Blocks for the next raw control frame (see
-    /// [`MasterHub::send_control`]).
-    pub fn recv_control(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.backend.recv()
-    }
-
     /// Blocks for the next message from the master.
     pub fn recv(&mut self) -> Result<Message, TransportError> {
         Ok(Message::decode(&self.backend.recv()?)?)
@@ -569,54 +544,77 @@ pub fn build_star(
 
 #[cfg(test)]
 mod tests {
+    //! One backend suite: every case runs over [`build_star`] on `channel`
+    //! and on `tcp-threads`. What only TCP has — the handshake, connect
+    //! retry, stray connections, the writer queue, split reads and the
+    //! oversized header — is tested in `tcp.rs`.
+
     use super::*;
-    use crate::message::{GroupPass, PackedData, PackedGroup, PackedReply};
+    use crate::message::{GroupPass, PackedData, PackedGroup, PackedReply, PackedRow};
+    use crate::worker::WorkerBootstrap;
     use vela_cluster::Topology;
+    use vela_nn::optim::AdamWConfig;
 
-    fn setup() -> (Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>) {
-        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
-        let (hub, ports) = star(ledger.clone(), DeviceId(0), &workers);
-        (ledger, hub, ports)
-    }
-
-    #[test]
-    fn messages_flow_both_ways() {
-        let (_, mut hub, mut ports) = setup();
-        hub.send(2, &Message::StepBegin { step: 1 }).unwrap();
-        assert_eq!(ports[2].recv().unwrap(), Message::StepBegin { step: 1 });
-        ports[4].send(&Message::StepDone).unwrap();
-        let (idx, msg) = hub.recv().unwrap();
-        assert_eq!(idx, 4);
-        assert_eq!(msg, Message::StepDone);
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let (_, mut hub, mut ports) = setup();
-        hub.broadcast(&Message::StepEnd).unwrap();
-        for port in &mut ports {
-            assert_eq!(port.recv().unwrap(), Message::StepEnd);
+    /// Runs `case` once per in-process backend, on a star of six workers on
+    /// devices 0..6 around a master on device 0.
+    fn each_backend(
+        case: impl Fn(TransportConfig, Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>),
+    ) {
+        for config in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
+            let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+            let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
+            let (hub, ports) = build_star(config, ledger.clone(), DeviceId(0), &workers)
+                .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
+            case(config, ledger, hub, ports);
         }
     }
 
     #[test]
+    fn messages_flow_both_ways() {
+        each_backend(|config, _, mut hub, mut ports| {
+            hub.send(2, &Message::StepBegin { step: 1 }).unwrap();
+            assert_eq!(ports[2].recv().unwrap(), Message::StepBegin { step: 1 });
+            ports[4].send(&Message::StepDone).unwrap();
+            let got = hub.recv().unwrap();
+            assert_eq!(got, (4, Message::StepDone), "{}", config.label());
+        });
+    }
+
+    #[test]
+    fn broadcast_reaches_everyone() {
+        each_backend(|_, _, mut hub, mut ports| {
+            hub.broadcast(&Message::StepEnd).unwrap();
+            for port in &mut ports {
+                assert_eq!(port.recv().unwrap(), Message::StepEnd);
+            }
+        });
+    }
+
+    #[test]
     fn traffic_is_recorded_per_link() {
-        let (ledger, mut hub, mut ports) = setup();
-        let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
-            0,
-            GroupPass::Forward,
-            100,
-            std::iter::once((0, 10)),
-        ));
-        hub.send(0, &msg).unwrap(); // master → worker on the same device: free
-        hub.send(1, &msg).unwrap(); // same node: internal
-        hub.send(2, &msg).unwrap(); // cross-node: external
-        ports[2].send(&msg).unwrap(); // reply crosses back...
-        hub.recv().unwrap(); // ...accounted when the master receives it
-        let t = ledger.peek();
-        assert_eq!(t.internal_bytes, msg.accounted_bytes());
-        assert_eq!(t.external_total(), 2 * msg.accounted_bytes());
+        // The same figures on every backend: accounting is the hub's, not
+        // the wire's.
+        each_backend(|config, ledger, mut hub, mut ports| {
+            let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+                0,
+                GroupPass::Forward,
+                100,
+                std::iter::once((0, 10)),
+            ));
+            hub.send(0, &msg).unwrap(); // master → worker on the same device: free
+            hub.send(1, &msg).unwrap(); // same node: internal
+            hub.send(2, &msg).unwrap(); // cross-node: external
+            ports[2].send(&msg).unwrap(); // reply crosses back...
+            hub.recv().unwrap(); // ...accounted when the master receives it
+            let t = ledger.peek();
+            assert_eq!(
+                t.internal_bytes,
+                msg.accounted_bytes(),
+                "{}",
+                config.label()
+            );
+            assert_eq!(t.external_total(), 2 * msg.accounted_bytes());
+        });
     }
 
     #[test]
@@ -624,168 +622,257 @@ mod tests {
         // The worker side carries no ledger (it may live in another
         // process); nothing is recorded until the master drains the
         // message.
-        let (ledger, mut hub, mut ports) = setup();
-        ports[2].send(&Message::StepDone).unwrap();
-        assert_eq!(ledger.peek().external_total(), 0);
-        hub.recv().unwrap();
-        assert_eq!(
-            ledger.peek().external_total(),
-            Message::StepDone.accounted_bytes()
-        );
+        each_backend(|_, ledger, mut hub, mut ports| {
+            ports[2].send(&Message::StepDone).unwrap();
+            assert_eq!(ledger.peek().external_total(), 0);
+            hub.recv().unwrap();
+            assert_eq!(
+                ledger.peek().external_total(),
+                Message::StepDone.accounted_bytes()
+            );
+        });
     }
 
     #[test]
     fn worker_metadata() {
-        let (_, hub, ports) = setup();
-        assert_eq!(hub.worker_count(), 6);
-        assert_eq!(hub.device(), DeviceId(0));
-        assert_eq!(hub.worker_device(3), DeviceId(3));
-        assert_eq!(hub.transport(), "channel");
-        assert_eq!(ports[5].index, 5);
-        assert_eq!(ports[5].device, DeviceId(5));
+        each_backend(|config, _, hub, ports| {
+            assert_eq!(hub.worker_count(), 6);
+            assert_eq!(hub.device(), DeviceId(0));
+            assert!(config.label().starts_with(hub.transport()));
+            assert_eq!(ports[5].index, 5);
+            assert_eq!(ports[5].device, DeviceId(5));
+        });
     }
 
     #[test]
     fn cross_thread_usage() {
-        let (_, mut hub, mut ports) = setup();
-        let mut port = ports.remove(0);
-        let handle = std::thread::spawn(move || {
-            let msg = port.recv().unwrap();
-            port.send(&Message::StepDone).unwrap();
-            msg
+        each_backend(|_, _, mut hub, mut ports| {
+            let mut port = ports.remove(0);
+            let handle = std::thread::spawn(move || {
+                let msg = port.recv().unwrap();
+                port.send(&Message::StepDone).unwrap();
+                msg
+            });
+            hub.send(0, &Message::StepBegin { step: 9 }).unwrap();
+            let (idx, reply) = hub.recv().unwrap();
+            assert_eq!((idx, reply), (0, Message::StepDone));
+            assert_eq!(handle.join().unwrap(), Message::StepBegin { step: 9 });
         });
-        hub.send(0, &Message::StepBegin { step: 9 }).unwrap();
-        let (idx, reply) = hub.recv().unwrap();
-        assert_eq!((idx, reply), (0, Message::StepDone));
-        assert_eq!(handle.join().unwrap(), Message::StepBegin { step: 9 });
+    }
+
+    #[test]
+    fn large_real_payload_roundtrips() {
+        // 16 MB each way: past any socket buffer, and hundreds of reads
+        // into one growing reassembly buffer on TCP.
+        each_backend(|_, _, mut hub, mut ports| {
+            let data: Vec<f32> = (0..4_000_000).map(|i| i as f32 * 0.5 - 7.0).collect();
+            let msg = Message::GradState {
+                block: 1,
+                expert: 2,
+                row: PackedRow {
+                    width: 4_000_000,
+                    data: PackedData::F32(data),
+                },
+            };
+            hub.send(0, &msg).unwrap();
+            assert_eq!(ports[0].recv().unwrap(), msg);
+            ports[0].send(&msg).unwrap();
+            assert_eq!(hub.recv().unwrap(), (0, msg));
+            hub.shutdown();
+        });
     }
 
     #[test]
     fn disconnect_is_an_error_not_a_panic() {
-        let (_, mut hub, ports) = setup();
-        drop(ports);
-        assert!(matches!(hub.recv(), Err(TransportError::Disconnected)));
-        assert!(matches!(
-            hub.send(0, &Message::StepEnd),
-            Err(TransportError::Disconnected)
-        ));
+        each_backend(|config, _, mut hub, ports| {
+            drop(ports);
+            assert!(matches!(hub.recv(), Err(TransportError::Disconnected)));
+            // A TCP writer learns of the hang-up from a failed write, so
+            // the send side may take a few frames to see it.
+            let refused = (0..200).find_map(|_| {
+                let sent = hub.send(0, &Message::StepEnd).err();
+                if sent.is_none() {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                sent
+            });
+            assert!(
+                matches!(refused, Some(TransportError::Disconnected)),
+                "{}: {refused:?}",
+                config.label()
+            );
+        });
+    }
+
+    #[test]
+    fn worker_disconnect_surfaces_as_error() {
+        // One of several workers dies — its thread exits, dropping its
+        // port — while the others live on: the master's next receive is a
+        // typed error within the deadline, not a hang, and the survivors'
+        // frames still arrive.
+        each_backend(|config, _, mut hub, mut ports| {
+            let dead = ports.remove(3);
+            std::thread::spawn(move || drop(dead)).join().unwrap();
+            let next = hub.recv_timeout(Duration::from_secs(3));
+            assert!(
+                matches!(next, Err(TransportError::Disconnected)),
+                "{}: {next:?}",
+                config.label()
+            );
+            ports[0].send(&Message::StepDone).unwrap();
+            assert_eq!(hub.recv().unwrap(), (0, Message::StepDone));
+        });
+    }
+
+    #[test]
+    fn master_disconnect_surfaces_as_error() {
+        each_backend(|_, _, mut hub, mut ports| {
+            hub.shutdown();
+            assert!(matches!(ports[0].recv(), Err(TransportError::Disconnected)));
+        });
+    }
+
+    #[test]
+    fn queued_frames_are_flushed_on_shutdown() {
+        // Frames accepted by send() reach the worker before the hang-up
+        // (TCP joins its writer threads before closing the sockets).
+        each_backend(|_, _, mut hub, mut ports| {
+            for step in 0..10 {
+                hub.send(1, &Message::StepBegin { step }).unwrap();
+            }
+            hub.shutdown();
+            for step in 0..10 {
+                assert_eq!(ports[1].recv().unwrap(), Message::StepBegin { step });
+            }
+            assert!(matches!(ports[1].recv(), Err(TransportError::Disconnected)));
+        });
     }
 
     #[test]
     fn recv_timeout_expires_cleanly() {
-        let (_, mut hub, _ports) = setup();
-        assert!(matches!(
-            hub.recv_timeout(Duration::from_millis(10)),
-            Err(TransportError::Timeout)
-        ));
+        each_backend(|_, _, mut hub, _ports| {
+            assert!(matches!(
+                hub.recv_timeout(Duration::from_millis(10)),
+                Err(TransportError::Timeout)
+            ));
+        });
     }
 
     #[test]
     fn frames_are_counted_per_wire_frame() {
-        let (_, mut hub, mut ports) = setup();
-        assert_eq!(hub.frame_counts(), (0, 0));
-        hub.broadcast(&Message::StepEnd).unwrap();
-        for port in &mut ports {
-            port.recv().unwrap();
-            port.send(&Message::StepDone).unwrap();
-        }
-        for _ in 0..ports.len() {
-            hub.recv().unwrap();
-        }
-        assert_eq!(hub.frame_counts(), (6, 6));
+        each_backend(|_, _, mut hub, mut ports| {
+            assert_eq!(hub.frame_counts(), (0, 0));
+            hub.broadcast(&Message::StepEnd).unwrap();
+            for port in &mut ports {
+                port.recv().unwrap();
+                port.send(&Message::StepDone).unwrap();
+            }
+            for _ in 0..ports.len() {
+                hub.recv().unwrap();
+            }
+            assert_eq!(hub.frame_counts(), (6, 6));
+        });
     }
 
     #[test]
     fn unaccounted_frames_leave_every_total_untouched() {
-        // Clock probes and a replica re-root's `Evict` travel like any
-        // other frame and decode on the far side, but no accounting layer
-        // may see them: not the ledger, not the frame counters, not the
-        // wire stats.
-        let (ledger, mut hub, mut ports) = setup();
-        let frames = [
-            Message::Evict {
-                block: 1,
-                expert: 2,
-            },
-            Message::ClockProbe { t1: 7 },
-        ];
-        for frame in &frames {
-            hub.send(2, frame).unwrap();
-            assert_eq!(&ports[2].recv().unwrap(), frame);
-        }
-        ports[2]
-            .send(&Message::ClockReply {
-                t1: 7,
-                t2: 8,
-                t3: 9,
-            })
-            .unwrap();
-        hub.recv().unwrap();
-        assert_eq!(hub.frame_counts(), (0, 0));
-        assert_eq!(hub.wire_stats(), WireStats::default());
-        assert_eq!(ledger.peek().total_bytes, 0);
-        // The same link does count an ordinary frame.
-        hub.send(2, &Message::StepEnd).unwrap();
-        assert_eq!(hub.frame_counts(), (1, 0));
-        assert_eq!(ledger.peek().total_bytes, 1);
+        // The bootstrap, clock probes and a replica re-root's `Evict`
+        // travel like any other frame and decode on the far side, but no
+        // accounting layer may see them: not the ledger, not the frame
+        // counters, not the wire stats.
+        each_backend(|_, ledger, mut hub, mut ports| {
+            let frames = [
+                Message::Bootstrap(WorkerBootstrap {
+                    blocks: 4,
+                    experts: 8,
+                    optim: AdamWConfig::default(),
+                    template: None,
+                }),
+                Message::Evict {
+                    block: 1,
+                    expert: 2,
+                },
+                Message::ClockProbe { t1: 7 },
+            ];
+            for frame in &frames {
+                hub.send(2, frame).unwrap();
+                assert_eq!(&ports[2].recv().unwrap(), frame);
+            }
+            ports[2]
+                .send(&Message::ClockReply {
+                    t1: 7,
+                    t2: 8,
+                    t3: 9,
+                })
+                .unwrap();
+            hub.recv().unwrap();
+            assert_eq!(hub.frame_counts(), (0, 0));
+            assert_eq!(hub.wire_stats(), WireStats::default());
+            assert_eq!(ledger.peek().total_bytes, 0);
+            // The same link does count an ordinary frame.
+            hub.send(2, &Message::StepEnd).unwrap();
+            assert_eq!(hub.frame_counts(), (1, 0));
+            assert_eq!(ledger.peek().total_bytes, 1);
+        });
     }
 
     #[test]
     fn wire_stats_split_header_from_payload_per_kind() {
-        let (_, mut hub, mut ports) = setup();
-        let rows = [1.0f32; 6];
-        let msg = Message::PackedDispatch(PackedGroup::pack(
-            0,
-            GroupPass::Forward,
-            3,
-            std::iter::once((0, &rows[..])),
-        ));
-        hub.send(1, &msg).unwrap();
-        let w = hub.wire_stats();
-        assert_eq!(w.dispatch_payload, 24);
-        assert_eq!(w.dispatch_header, msg.encode().len() as u64 - 24);
-        assert_eq!(w.result_header + w.result_payload, 0);
+        each_backend(|_, _, mut hub, mut ports| {
+            let rows = [1.0f32; 6];
+            let msg = Message::PackedDispatch(PackedGroup::pack(
+                0,
+                GroupPass::Forward,
+                3,
+                std::iter::once((0, &rows[..])),
+            ));
+            hub.send(1, &msg).unwrap();
+            let w = hub.wire_stats();
+            assert_eq!(w.dispatch_payload, 24);
+            assert_eq!(w.dispatch_header, msg.encode().len() as u64 - 24);
+            assert_eq!(w.result_header + w.result_payload, 0);
 
-        ports[1].recv().unwrap();
-        ports[1]
-            .send(&Message::PackedResult(PackedReply {
-                block: 0,
-                pass: GroupPass::Forward,
-                width: 3,
-                items: 1,
-                rows: 2,
-                data: PackedData::F32(rows.to_vec()),
-            }))
+            ports[1].recv().unwrap();
+            ports[1]
+                .send(&Message::PackedResult(PackedReply {
+                    block: 0,
+                    pass: GroupPass::Forward,
+                    width: 3,
+                    items: 1,
+                    rows: 2,
+                    data: PackedData::F32(rows.to_vec()),
+                }))
+                .unwrap();
+            hub.recv().unwrap();
+            let w = hub.wire_stats();
+            assert_eq!(w.result_payload, 24);
+            assert!(w.result_header > 0);
+
+            hub.send(
+                2,
+                &Message::ExpertState {
+                    block: 0,
+                    expert: 0,
+                    data: vec![7; 100],
+                },
+            )
             .unwrap();
-        hub.recv().unwrap();
-        let w = hub.wire_stats();
-        assert_eq!(w.result_payload, 24);
-        assert!(w.result_header > 0);
-
-        hub.send(
-            2,
-            &Message::ExpertState {
-                block: 0,
-                expert: 0,
-                data: vec![7; 100],
-            },
-        )
-        .unwrap();
-        hub.send(2, &Message::StepEnd).unwrap();
-        let w = hub.wire_stats();
-        assert_eq!(w.expert_state_payload, 100);
-        assert_eq!(w.expert_state_header, 17);
-        assert_eq!(w.control, 1);
-        assert_eq!(
-            w.total(),
-            w.dispatch_header
-                + w.dispatch_payload
-                + w.result_header
-                + w.result_payload
-                + w.expert_state_header
-                + w.expert_state_payload
-                + w.control
-        );
+            hub.send(2, &Message::StepEnd).unwrap();
+            let w = hub.wire_stats();
+            assert_eq!(w.expert_state_payload, 100);
+            assert_eq!(w.expert_state_header, 17);
+            assert_eq!(w.control, 1);
+            assert_eq!(
+                w.total(),
+                w.dispatch_header
+                    + w.dispatch_payload
+                    + w.result_header
+                    + w.result_payload
+                    + w.expert_state_header
+                    + w.expert_state_payload
+                    + w.control
+            );
+        });
     }
 
     #[test]

@@ -38,9 +38,6 @@ pub mod workspace;
 pub use shape::Shape;
 pub use tensor::Tensor;
 
-/// Absolute tolerance used by the test helpers in this workspace.
-pub const TEST_EPS: f32 = 1e-4;
-
 /// Returns `true` if `a` and `b` are element-wise equal within `tol`.
 ///
 /// Intended for tests; both slices must have the same length.

@@ -153,12 +153,6 @@ pub fn topk_rows_into(t: &Tensor, k: usize, indices: &mut Vec<usize>, values: &m
     }
 }
 
-/// Index of the maximum entry in each row (ties broken by lower index).
-pub fn argmax_rows(t: &Tensor) -> Vec<usize> {
-    let (indices, _) = topk_rows(t, 1);
-    indices
-}
-
 /// Sum over rows: returns a vector of length `cols` where entry `j` is the
 /// sum of column `j`.
 pub fn sum_rows(t: &Tensor) -> Vec<f32> {
@@ -170,12 +164,6 @@ pub fn sum_rows(t: &Tensor) -> Vec<f32> {
         }
     }
     out
-}
-
-/// Sum over columns: returns a vector of length `rows` where entry `i` is
-/// the sum of row `i`.
-pub fn sum_cols(t: &Tensor) -> Vec<f32> {
-    (0..t.rows()).map(|i| t.row(i).iter().sum()).collect()
 }
 
 /// SiLU (a.k.a. swish) activation `x * sigmoid(x)`, element-wise.
@@ -190,15 +178,6 @@ pub fn silu_grad(t: &Tensor) -> Tensor {
         let s = sigmoid(x);
         s * (1.0 + x * (1.0 - s))
     })
-}
-
-/// SiLU derivative into a caller-owned tensor, reusing its buffer (see
-/// [`Tensor::map_into`]).
-pub fn silu_grad_into(t: &Tensor, out: &mut Tensor) {
-    t.map_into(out, |x| {
-        let s = sigmoid(x);
-        s * (1.0 + x * (1.0 - s))
-    });
 }
 
 /// The logistic function `1 / (1 + e^{-x})`.
@@ -335,16 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_rows_picks_max() {
-        let t = Tensor::from_rows(&[&[0.0, 2.0, 1.0], &[9.0, 3.0, 4.0]]);
-        assert_eq!(argmax_rows(&t), vec![1, 0]);
-    }
-
-    #[test]
-    fn row_and_col_sums() {
+    fn sum_rows_sums_each_column() {
         let t = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(sum_rows(&t), vec![4.0, 6.0]);
-        assert_eq!(sum_cols(&t), vec![3.0, 7.0]);
     }
 
     #[test]
@@ -367,15 +339,6 @@ mod tests {
                 ((x + eps) * sigmoid(x + eps) - (x - eps) * sigmoid(x - eps)) / (2.0 * eps);
             assert!((numeric - g.at(i)).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn silu_grad_into_matches_silu_grad_bitwise() {
-        let mut rng = DetRng::new(14);
-        let t = Tensor::uniform((3, 5), -4.0, 4.0, &mut rng);
-        let mut out = Tensor::zeros((1, 1));
-        silu_grad_into(&t, &mut out);
-        assert_eq!(out, silu_grad(&t));
     }
 
     #[test]

@@ -278,16 +278,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element, writing into `out` (reshaped to match;
-    /// its buffer is reused).
-    pub fn map_into(&self, out: &mut Tensor, f: impl Fn(f32) -> f32) {
-        out.shape = self.shape;
-        resize_for(&mut out.data, self.data.len());
-        for (o, &x) in out.data.iter_mut().zip(&self.data) {
-            *o = f(x);
-        }
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for x in &mut self.data {
@@ -336,24 +326,6 @@ impl Tensor {
         Tensor {
             shape: self.shape,
             data: out,
-        }
-    }
-
-    /// Element-wise combination written into `out` (reshaped to match; its
-    /// buffer is reused).
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn zip_into(&self, other: &Tensor, out: &mut Tensor, f: impl Fn(f32, f32) -> f32) {
-        assert_eq!(
-            self.shape, other.shape,
-            "shape mismatch: {} vs {}",
-            self.shape, other.shape
-        );
-        out.shape = self.shape;
-        resize_for(&mut out.data, self.data.len());
-        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
-            *o = f(a, b);
         }
     }
 
@@ -782,18 +754,6 @@ mod tests {
         let smaller = Tensor::from_vec(2usize, vec![9.0, 8.0]);
         dst.copy_from(&smaller);
         assert_eq!(dst, smaller);
-    }
-
-    #[test]
-    fn map_and_zip_into_reuse_buffers() {
-        let a = Tensor::from_vec(3usize, vec![1.0, 2.0, 3.0]);
-        let b = Tensor::from_vec(3usize, vec![4.0, 5.0, 6.0]);
-        let mut out = Tensor::zeros((9, 9));
-        a.map_into(&mut out, |x| x * 10.0);
-        assert_eq!(out.as_slice(), &[10.0, 20.0, 30.0]);
-        a.zip_into(&b, &mut out, |x, y| x + y);
-        assert_eq!(out.as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(out.shape().dims(), &[3]);
     }
 
     #[test]

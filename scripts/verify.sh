@@ -4,7 +4,8 @@
 # VELA_* count and the non-test line counts of vela-runtime, vela-model and
 # vela-tensor), the release-mode gates (simplex pivot path, routing table,
 # the contract harness), fig5 and fig6 regenerated from an empty pretraining
-# cache and diffed against results/, the trace smokes (quickstart, the
+# cache and the four synthetic-profile ablations, all diffed against
+# results/, the trace smokes (quickstart, the
 # virtual scale_simulation, a traced tcp run), and the benches (the
 # kernel one emits BENCH_kernels.json in the repo root and its log names the
 # GEMM SIMD level the host dispatched to; the placement-LP one is echoed
@@ -67,9 +68,9 @@ contract_seeds=$(sed -n 's/^const SEEDS: u64 = .* else { \([0-9]*\) };$/\1/p' te
 echo "==> contract harness (release): seeds 0..${contract_seeds} drawn by tests/contract.rs (engine, shape, transport, placement, re-placement) vs the single-process oracle that replays moment resets, plus the named regression seeds, the exchange golden pin recorded at 8456ee6 on {channel, tcp-threads, tcp} and the exact wire bytes/step"
 cargo test --release -q --test contract
 
-echo "==> figures: fig5 and fig6 from an empty target/vela-cache (its key does not cover code changes), stdout diffed against results/"
+echo "==> figures: fig5 and fig6 from an empty target/vela-cache (its key does not cover code changes) and the four ablations built on synthetic profiles (skew, bandwidth, capacity, heterogeneous), stdout diffed against results/"
 rm -rf target/vela-cache
-for fig in fig5 fig6; do
+for fig in fig5 fig6 ablation_skew ablation_bandwidth ablation_capacity ablation_heterogeneous; do
     env -u VELA_TRANSPORT cargo run --release -q -p vela-bench --bin "$fig" >"target/$fig.txt"
     diff -u "results/$fig.txt" "target/$fig.txt" || {
         echo "FAIL: $fig stdout differs from results/$fig.txt: review the diff, then regenerate the file" >&2

@@ -22,8 +22,8 @@ use vela::model::RoutingInfo;
 use vela::nn::param::Module;
 use vela::prelude::*;
 use vela::runtime::transport::build_star;
-use vela::runtime::worker::ExpertManager;
-use vela::runtime::{BrokerClient, WireStats};
+use vela::runtime::worker::{ExpertManager, WorkerBootstrap};
+use vela::runtime::{BrokerClient, Message, WireStats};
 
 /// Seeds the sweep draws: a property of the build, not an option.
 const SEEDS: u64 = if cfg!(debug_assertions) { 64 } else { 512 };
@@ -726,13 +726,20 @@ fn wire_stats() -> WireStats {
     }
     let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
     let devices: Vec<DeviceId> = (0..WORKERS).map(DeviceId).collect();
-    let (hub, ports) = build_star(TransportConfig::channel(), ledger, DeviceId(0), &devices)
+    let (mut hub, ports) = build_star(TransportConfig::channel(), ledger, DeviceId(0), &devices)
         .expect("channel star");
     let workers: Vec<ExpertManager> = ports
         .into_iter()
         .zip(shards)
-        .map(|(port, shard)| ExpertManager::spawn(port, shard, AdamWConfig::default()))
+        .map(|(port, shard)| ExpertManager::spawn(port, shard))
         .collect();
+    let bootstrap = WorkerBootstrap {
+        blocks: cfg.blocks,
+        experts: cfg.experts,
+        optim: AdamWConfig::default(),
+        template: None,
+    };
+    hub.broadcast(&Message::Bootstrap(bootstrap)).unwrap();
     let placement = Placement::new(vec![(0..cfg.experts).map(|e| e % WORKERS).collect(); 2], 2);
     let mut broker = BrokerClient::new(hub, placement);
     let mut batches = || -> Vec<ExpertBatch> {
@@ -755,7 +762,7 @@ fn wire_stats() -> WireStats {
     }
     let stats = broker.wire_stats();
     broker.shutdown().expect("worker shutdown");
-    workers.into_iter().for_each(|w| drop(w.join()));
+    workers.into_iter().for_each(|w| drop(w.join().unwrap()));
     stats
 }
 

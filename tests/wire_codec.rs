@@ -5,11 +5,13 @@
 //! a round trip bit-for-bit, and truncated or corrupted frames must come
 //! back as [`WireError`]s — never a panic, never a bogus allocation.
 
+use vela::nn::optim::AdamWConfig;
 use vela::prelude::*;
 use vela::runtime::message::{
     GroupPass, Message, PackedData, PackedGroup, PackedReply, PackedRow, FRAMES,
 };
 use vela::runtime::wire::WireError;
+use vela::runtime::worker::{ExpertTemplate, WorkerBootstrap};
 
 const CASES: u64 = 200;
 
@@ -103,6 +105,30 @@ fn random_packed_result(rng: &mut DetRng) -> Message {
     })
 }
 
+/// A worker bootstrap with or without an expert template, LoRA or not.
+fn random_bootstrap(rng: &mut DetRng) -> WorkerBootstrap {
+    let positive = |rng: &mut DetRng| rng.uniform(1e-9, 1.0);
+    let optim = AdamWConfig {
+        lr: positive(rng),
+        beta1: positive(rng),
+        beta2: positive(rng),
+        eps: positive(rng),
+        weight_decay: positive(rng),
+    };
+    let template = (rng.below(2) == 0).then(|| ExpertTemplate {
+        dim: 1 + rng.below(1 << 12),
+        ffn_hidden: 1 + rng.below(1 << 14),
+        lora: (rng.below(2) == 0).then(|| (1 + rng.below(64), rng.uniform(0.5, 64.0))),
+        base_frozen: rng.below(2) == 0,
+    });
+    WorkerBootstrap {
+        blocks: 1 + rng.below(64),
+        experts: 1 + rng.below(256),
+        optim,
+        template,
+    }
+}
+
 /// A random instance of a uniformly drawn row of the frame table. The
 /// generator is keyed by the table's own names, so a frame added to the
 /// protocol fails here until it is fuzzed too.
@@ -160,6 +186,7 @@ fn random_message(rng: &mut DetRng) -> Message {
         "Evict" => Message::Evict { block, expert },
         "FetchTrained" => Message::FetchTrained { block, expert },
         "DropMoments" => Message::DropMoments { block, expert },
+        "Bootstrap" => Message::Bootstrap(random_bootstrap(rng)),
         other => panic!("frame {other} is in the table but has no fuzz generator"),
     }
 }
@@ -271,6 +298,52 @@ fn truncated_frames_are_errors_not_panics() {
                 frame.len()
             );
         }
+        // A cut inside the tag, or inside the first field behind it (every
+        // row's first field is fixed-width), is an `Underflow`.
+        for cut in 0..frame.len().min(2) {
+            assert!(
+                matches!(
+                    Message::decode(&frame[..cut]),
+                    Err(WireError::Underflow { .. })
+                ),
+                "seed {seed}: {cut}-byte prefix"
+            );
+        }
+    }
+}
+
+/// The bootstrap's first field is the codec version, and any version but
+/// the current one is a `BadTag` raised before a later field is read: with
+/// nothing behind the version byte the error is still the version's, not
+/// an `Underflow`. Before version 7 the bootstrap was a raw frame outside
+/// the protocol, version byte first; 6 is `StepEnd`'s tag, so such a frame
+/// decodes to a `StepEnd` followed by trailing bytes, an error too.
+#[test]
+fn stale_bootstrap_versions_are_turned_away_first() {
+    let mut rng = DetRng::new(0xB007);
+    for _ in 0..4 {
+        let frame = Message::Bootstrap(random_bootstrap(&mut rng)).encode();
+        let current = frame[1];
+        for version in (0..=u8::MAX).filter(|&v| v != current) {
+            let mut stale = frame.clone();
+            stale[1] = version;
+            for cut in [2, stale.len()] {
+                assert_eq!(
+                    Message::decode(&stale[..cut]),
+                    Err(WireError::BadTag {
+                        what: "bootstrap version",
+                        tag: version
+                    }),
+                    "version {version}"
+                );
+            }
+        }
+        let mut raw_v6 = frame[1..].to_vec();
+        raw_v6[0] = 6;
+        assert!(matches!(
+            Message::decode(&raw_v6),
+            Err(WireError::TrailingBytes { .. })
+        ));
     }
 }
 
@@ -389,7 +462,10 @@ fn bad_span_tables_are_rejected_before_allocation() {
     let w = header(4, u16::MAX);
     assert!(matches!(
         Message::decode(&w.into_vec()),
-        Err(WireError::BadLength { .. })
+        Err(WireError::BadLength {
+            what: "packed span table",
+            ..
+        })
     ));
 
     // Dense spans whose implied f32 region dwarfs the frame: rejected
@@ -398,7 +474,10 @@ fn bad_span_tables_are_rejected_before_allocation() {
     span(&mut w, 0, 0, u16::MAX);
     assert!(matches!(
         Message::decode(&w.into_vec()),
-        Err(WireError::BadLength { .. })
+        Err(WireError::BadLength {
+            what: "packed f32 region",
+            ..
+        })
     ));
 
     // Same guard on the result path: a reply declaring a huge row count
@@ -413,7 +492,10 @@ fn bad_span_tables_are_rejected_before_allocation() {
     w.put_u32(u32::MAX); // rows
     assert!(matches!(
         Message::decode(&w.into_vec()),
-        Err(WireError::BadLength { .. })
+        Err(WireError::BadLength {
+            what: "packed f32 region",
+            ..
+        })
     ));
 }
 
@@ -431,7 +513,16 @@ fn implausible_length_fields_do_not_allocate() {
         w.put_u32(rng.below(8) as u32);
         w.put_u64(u64::MAX - rng.below(1 << 30) as u64);
         let frame = w.into_vec();
-        assert!(Message::decode(&frame).is_err(), "seed {seed}");
+        assert!(
+            matches!(
+                Message::decode(&frame),
+                Err(WireError::BadLength {
+                    what: "expert state",
+                    ..
+                })
+            ),
+            "seed {seed}"
+        );
 
         // An f32 gradient row declaring a huge width.
         let mut w = ByteWriter::with_capacity(32);
@@ -442,7 +533,13 @@ fn implausible_length_fields_do_not_allocate() {
         w.put_u32(u32::MAX - rng.below(1 << 16) as u32);
         let frame = w.into_vec();
         assert!(
-            matches!(Message::decode(&frame), Err(WireError::BadLength { .. })),
+            matches!(
+                Message::decode(&frame),
+                Err(WireError::BadLength {
+                    what: "packed f32 region",
+                    ..
+                })
+            ),
             "seed {seed}"
         );
 
@@ -539,7 +636,10 @@ fn chunk_assembler_rejects_gaps_overlaps_and_total_drift() {
     asm.accept(frames[0].0, frames[0].1, &frames[0].2).unwrap();
     assert!(matches!(
         asm.accept(frames[2].0, frames[2].1, &frames[2].2),
-        Err(WireError::BadSpan { .. })
+        Err(WireError::BadSpan {
+            what: "expert chunk offset",
+            ..
+        })
     ));
 
     // An overlap: frame 0 delivered twice.
@@ -547,7 +647,10 @@ fn chunk_assembler_rejects_gaps_overlaps_and_total_drift() {
     asm.accept(frames[0].0, frames[0].1, &frames[0].2).unwrap();
     assert!(matches!(
         asm.accept(frames[0].0, frames[0].1, &frames[0].2),
-        Err(WireError::BadSpan { .. })
+        Err(WireError::BadSpan {
+            what: "expert chunk offset",
+            ..
+        })
     ));
 
     // A drifting total: the second frame disagrees about the blob size.
@@ -555,15 +658,22 @@ fn chunk_assembler_rejects_gaps_overlaps_and_total_drift() {
     asm.accept(frames[0].0, frames[0].1, &frames[0].2).unwrap();
     assert!(matches!(
         asm.accept(frames[1].0, frames[1].1 + 1, &frames[1].2),
-        Err(WireError::BadSpan { .. })
+        Err(WireError::BadSpan {
+            what: "expert chunk total",
+            ..
+        })
     ));
 
     // An overrun: more data than the declared total.
     let mut asm = ChunkAssembler::new(0, 0);
     assert!(matches!(
         asm.accept(0, 10, &blob[..11]),
-        Err(WireError::BadLength { .. })
+        Err(WireError::BadLength {
+            what: "expert chunk span",
+            ..
+        })
     ));
+    assert_eq!(asm.received(), 0, "a rejected chunk leaves nothing behind");
 
     // And the happy path still assembles after a rejected frame: the
     // assembler state is untouched by errors.
@@ -594,7 +704,13 @@ fn implausible_chunk_lengths_do_not_allocate() {
         w.put_slice(&[0u8; 16]);
         let frame = w.into_vec();
         assert!(
-            matches!(Message::decode(&frame), Err(WireError::BadLength { .. })),
+            matches!(
+                Message::decode(&frame),
+                Err(WireError::BadLength {
+                    what: "expert chunk",
+                    ..
+                })
+            ),
             "seed {seed}"
         );
 
@@ -609,7 +725,13 @@ fn implausible_chunk_lengths_do_not_allocate() {
         w.put_slice(&[0u8; 8]);
         let frame = w.into_vec();
         assert!(
-            matches!(Message::decode(&frame), Err(WireError::BadLength { .. })),
+            matches!(
+                Message::decode(&frame),
+                Err(WireError::BadLength {
+                    what: "expert chunk span",
+                    ..
+                })
+            ),
             "seed {seed}"
         );
     }
