@@ -22,7 +22,9 @@
 //! `scripts/verify.sh`).
 //!
 //! With `merge` it joins a process-mode run's master trace with its
-//! `FILE.worker{i}` siblings into one timeline: worker timestamps are
+//! `FILE.worker{i}` siblings — looked up by the worker indices of the
+//! master's clock samples, since the worker the master serves on its own
+//! thread writes none — into one timeline: worker timestamps are
 //! rebased onto the master clock using the minimum-RTT offset samples of
 //! the master's clock probes, every record gains a process lane (`pid`),
 //! and the result is written both as mergeable JSONL (`FILE.merged`) and
@@ -149,21 +151,25 @@ fn run_check(events: &[RawEvent]) -> ExitCode {
 }
 
 fn run_merge(path: &str, master: Vec<RawEvent>) -> ExitCode {
+    // The master probes every worker's clock, so its clock table names the
+    // workers; only those in another process wrote a sibling (the one the
+    // master serves itself, and thread workers, did not). A sibling the
+    // table misses stays out, and its half of every flow fails `--check`.
+    let clocks = clock_table(&master);
     let mut workers: Vec<(u64, Vec<RawEvent>)> = Vec::new();
-    loop {
-        let wpath = format!("{path}.worker{}", workers.len());
+    for &w in clocks.keys() {
+        let wpath = format!("{path}.worker{w}");
         if !std::path::Path::new(&wpath).exists() {
-            break;
+            continue;
         }
         match load_trace(&wpath) {
-            Ok(events) => workers.push((workers.len() as u64, events)),
+            Ok(events) => workers.push((w, events)),
             Err(e) => {
                 eprintln!("trace_summary: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    let clocks = clock_table(&master);
     let n_workers = workers.len();
     let merged = match merge_traces(master, workers) {
         Ok(merged) => merged,

@@ -888,7 +888,9 @@ pub const EXCHANGE_SPANS: [&str; 2] = ["runtime.broker.fwd", "runtime.broker.bwd
 /// Phase totals come from the master's pipeline spans; worker compute
 /// and wire time come from the flow chains (compute = the serve pair,
 /// wire = chain wall time minus compute); stall is the in-flight
-/// remainder. Incomplete chains (e.g. in an unmerged trace) are
+/// remainder. Busy time goes to the worker index the flow key carries,
+/// whatever lane the serve pair is on: the worker the master serves on
+/// its own thread records it on the master's. Incomplete chains (e.g. in an unmerged trace) are
 /// skipped, not errors — [`validate`] is where incompleteness fails.
 pub fn attribute(events: &[RawEvent]) -> Attribution {
     let mut a = Attribution::default();
@@ -1271,7 +1273,10 @@ mod tests {
         //   → compute 30, wire (60−5)−30 = 25.
         // Chain 1: dispatch at 6, worker busy 20..30, result at 40
         //   → compute 10, wire (40−6)−10 = 24.
-        for (corr, s, t0, t1, f, pid) in [(corr0, 5, 20, 50, 60, 1), (corr1, 6, 20, 30, 40, 2)] {
+        // Worker 0 is the one the master serves on its own thread: its
+        // serve pair sits on the master's lane (pid 0), and still counts
+        // as worker 0's compute, by the worker index in the flow key.
+        for (corr, s, t0, t1, f, pid) in [(corr0, 5, 20, 50, 60, 0), (corr1, 6, 20, 30, 40, 2)] {
             trace.push(ev(&format!(
                 r#"{{"ev":"f","t":{s},"tid":2,"step":1,"ph":"s","corr":{corr}}}"#
             )));
@@ -1297,6 +1302,7 @@ mod tests {
         assert_eq!(a.flows, 2);
         assert!((a.coverage() - 0.95).abs() < 1e-9);
         // Worker 0 was busy 30 µs, worker 1 only 10: max/mean = 1.5.
+        assert_eq!(a.worker_busy_us, BTreeMap::from([(0, 30), (1, 10)]));
         assert!((a.straggler_index() - 1.5).abs() < 1e-9);
     }
 }

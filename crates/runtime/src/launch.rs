@@ -2,26 +2,37 @@
 //! ([`launch_star`]), and what process mode needs on top — spawning
 //! `vela_worker` OS processes and wiring them into a TCP star.
 //!
-//! Thread mode and process mode share every protocol byte, the first one
-//! included: [`launch_star`] sends each worker the same
-//! [`Message::Bootstrap`] on every transport. The only extra machinery
-//! process mode adds is locating the worker binary and handing each child
-//! its connect coordinates via environment variables; a thread worker is
-//! also handed its shard by value. Worker processes are always reaped —
-//! teardown waits with a deadline and kills stragglers, so a crashed
-//! master never leaks children past [`WorkerHandle::finish`].
+//! Every star has one worker the master serves on its own thread: the one
+//! on the master's device, else the one with the highest bandwidth to it
+//! (`hosted_worker`), chosen from the topology with no setting. The
+//! others run as threads (`channel`, `tcp-threads`) or as `vela_worker`
+//! children (`tcp`), so process mode spawns one process fewer than there
+//! are workers, and a one-worker star spawns none.
+//!
+//! Every mode shares every protocol byte, the first one included:
+//! [`launch_star`] sends each worker the same [`Message::Bootstrap`] on
+//! every transport, the hosted one too. The only extra machinery process
+//! mode adds is locating the worker binary and handing each child its
+//! connect coordinates via environment variables; a thread worker, and
+//! the hosted worker beside threads, is also handed its shard by value. Worker
+//! processes are always reaped — teardown waits with a deadline and kills
+//! stragglers, so a crashed master never leaks children past
+//! [`WorkerHandle::finish`].
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vela_cluster::{DeviceId, TrafficLedger};
+use vela_cluster::{DeviceId, Topology, TrafficLedger};
 use vela_model::LocalExpertStore;
 
 use crate::message::Message;
 use crate::transport::tcp::ACCEPT_DEADLINE;
-use crate::transport::{build_star, MasterHub, TcpStarBuilder, TransportConfig, TransportError};
+use crate::transport::{
+    build_star_around, MasterHub, TcpStarBuilder, TransportConfig, TransportError,
+};
 use crate::worker::{ExpertManager, WorkerBootstrap};
 
 /// Environment variables a `vela_worker` process reads at startup.
@@ -36,26 +47,37 @@ pub mod env_keys {
     pub const BIN: &str = "VELA_WORKER_BIN";
 }
 
-/// A launched worker: a thread in this process or a child OS process.
+/// A launched worker: a thread in this process, a child OS process, or
+/// the worker the master's hub serves on the master's thread.
 #[derive(Debug)]
 pub enum WorkerHandle {
     /// In-process Expert Manager thread.
     Thread(ExpertManager),
     /// `vela_worker` child process.
     Process(Child),
+    /// Served by the master's hub, which sends its shard (or why it never
+    /// booted) here when the worker stops, at the latest when the hub
+    /// shuts down.
+    Hosted(Receiver<Result<LocalExpertStore, TransportError>>),
 }
 
 impl WorkerHandle {
-    /// Finishes the worker: joins a thread (returning its shard, or `None`
-    /// if it never booted) or reaps a process (returning `None` — process
-    /// shards are fetched back over the wire before shutdown). A process
-    /// that ignores the shutdown is killed after a 10 s grace period; none
-    /// are ever leaked.
+    /// Finishes the worker: joins a thread or takes a hosted worker's
+    /// result (returning its shard, or `None` if it never booted), or
+    /// reaps a process (returning `None` — process shards are fetched back
+    /// over the wire before shutdown). A process that ignores the shutdown
+    /// is killed after a 10 s grace period; none are ever leaked. Shut the
+    /// hub down first: a hosted worker still running has no shard to give.
     pub fn finish(self) -> Option<LocalExpertStore> {
         match self {
             WorkerHandle::Thread(manager) => manager
                 .join()
                 .map_err(|e| vela_obs::error!("expert manager never booted: {e}"))
+                .ok(),
+            WorkerHandle::Hosted(shard) => shard
+                .try_recv()
+                .unwrap_or(Err(TransportError::Disconnected))
+                .map_err(|e| vela_obs::error!("hosted expert manager never booted: {e}"))
                 .ok(),
             WorkerHandle::Process(mut child) => {
                 let deadline = Instant::now() + Duration::from_secs(10);
@@ -124,18 +146,22 @@ pub fn worker_binary() -> Result<PathBuf, TransportError> {
     )))
 }
 
-/// Spawns one `vela_worker` process per device, pointed at `addr`.
+/// Spawns one `vela_worker` process per `(index, device)` link, pointed
+/// at `addr`; no links, no binary lookup.
 ///
 /// Children inherit this process's environment (so `VELA_THREADS`,
-/// `VELA_LOG` etc. apply), with `VELA_TRACE_OUT` suffixed per worker so
-/// tracing children never clobber the master's trace file.
-pub fn spawn_worker_processes(
+/// `VELA_LOG` etc. apply), with `VELA_TRACE_OUT` suffixed by the worker's
+/// index so tracing children never clobber the master's trace file.
+fn spawn_worker_processes(
     addr: std::net::SocketAddr,
-    workers: &[DeviceId],
+    links: &[(usize, DeviceId)],
 ) -> Result<Vec<Child>, TransportError> {
+    let mut children = Vec::with_capacity(links.len());
+    if links.is_empty() {
+        return Ok(children);
+    }
     let bin = worker_binary()?;
-    let mut children = Vec::with_capacity(workers.len());
-    for (index, &device) in workers.iter().enumerate() {
+    for &(index, device) in links {
         let mut cmd = Command::new(&bin);
         cmd.env(env_keys::CONNECT, addr.to_string())
             .env(env_keys::INDEX, index.to_string())
@@ -161,16 +187,27 @@ pub fn spawn_worker_processes(
     Ok(children)
 }
 
-/// Builds a complete process-mode star: bind, spawn one `vela_worker` per
-/// device and accept them all. Children are killed if the star cannot be
-/// assembled.
-pub fn launch_process_star(
+/// `(index, device)` of every worker but `hosted`: the ones with a link.
+fn linked(workers: &[DeviceId], hosted: usize) -> Vec<(usize, DeviceId)> {
+    workers
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(index, _)| index != hosted)
+        .collect()
+}
+
+/// Builds a process-mode star around worker `hosted`, which the master
+/// serves itself: bind, spawn one `vela_worker` per other worker and
+/// accept them all. Children are killed if the star cannot be assembled.
+fn launch_process_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
+    hosted: usize,
 ) -> Result<(MasterHub, Vec<Child>), TransportError> {
-    let builder = TcpStarBuilder::bind(ledger, master, workers)?;
-    let mut children = spawn_worker_processes(builder.addr(), workers)?;
+    let builder = TcpStarBuilder::bind(ledger, master, workers)?.hosting(Some(hosted));
+    let mut children = spawn_worker_processes(builder.addr(), &linked(workers, hosted))?;
     match builder.accept_workers(ACCEPT_DEADLINE) {
         Ok(hub) => Ok((hub, children)),
         Err(e) => {
@@ -186,13 +223,33 @@ fn kill(child: &mut Child) {
     let _ = child.wait();
 }
 
+/// The worker the master serves on its own thread: the one on the
+/// master's device if there is one, else the one with the highest
+/// bandwidth to it, the lowest index on ties.
+pub(crate) fn hosted_worker(topology: &Topology, master: DeviceId, workers: &[DeviceId]) -> usize {
+    if let Some(index) = workers.iter().position(|&device| device == master) {
+        return index;
+    }
+    let bandwidth = |index: usize| topology.bandwidth(master, workers[index]);
+    (1..workers.len()).fold(0, |best, index| {
+        if bandwidth(index) > bandwidth(best) {
+            index
+        } else {
+            best
+        }
+    })
+}
+
 /// Brings up the star between `master` and `workers` over `transport`,
-/// with one Expert Manager behind every port, and sends each the
-/// `bootstrap` frame — the bring-up of every [`Session`](crate::Session).
-/// Thread-backed transports call `shards` for one store per worker and
-/// hand each worker its shard by value. Process mode never calls it: its
-/// `vela_worker` children start with empty shards, and the caller seeds
-/// whatever they should hold over the wire.
+/// with one Expert Manager per worker, and sends each the `bootstrap`
+/// frame — the bring-up of every [`Session`](crate::Session). The
+/// [`hosted_worker`] is served on this thread by the returned hub; the
+/// others run behind ports. Thread-backed transports call `shards` for
+/// one store per worker and hand each worker, the hosted one included,
+/// its shard by value. Process mode never calls it: its `vela_worker`
+/// children and the hosted worker start with empty shards, and the caller
+/// seeds whatever they should hold over the wire. The handles come back
+/// in worker order.
 pub(crate) fn launch_star(
     transport: TransportConfig,
     ledger: Arc<TrafficLedger>,
@@ -201,18 +258,23 @@ pub(crate) fn launch_star(
     bootstrap: WorkerBootstrap,
     shards: impl FnOnce() -> Vec<LocalExpertStore>,
 ) -> Result<(MasterHub, Vec<WorkerHandle>), TransportError> {
-    let (mut hub, handles) = if transport.is_process_mode() {
-        let (hub, children) = launch_process_star(ledger, master, workers)?;
-        let handles = children.into_iter().map(WorkerHandle::Process).collect();
-        (hub, handles)
+    let hosted = hosted_worker(ledger.topology(), master, workers);
+    let (hub, mut handles, hosted_shard) = if transport.is_process_mode() {
+        let (hub, children) = launch_process_star(ledger, master, workers, hosted)?;
+        let handles: Vec<WorkerHandle> = children.into_iter().map(WorkerHandle::Process).collect();
+        (hub, handles, None)
     } else {
-        let (hub, ports) = build_star(transport, ledger, master, workers)?;
-        let threads = ports.into_iter().zip(shards());
+        let (hub, ports) = build_star_around(transport, ledger, master, workers, Some(hosted))?;
+        let mut shards = shards();
+        let hosted_shard = shards.remove(hosted);
+        let threads = ports.into_iter().zip(shards);
         let handles = threads
             .map(|(port, shard)| WorkerHandle::Thread(ExpertManager::spawn(port, shard)))
             .collect();
-        (hub, handles)
+        (hub, handles, Some(hosted_shard))
     };
+    let (mut hub, shard_back) = hub.host(hosted, hosted_shard);
+    handles.insert(hosted, WorkerHandle::Hosted(shard_back));
     // A thread that never boots ends when the hub drops; a process is
     // killed, like one the star could not seat.
     if let Err(e) = hub.broadcast(&Message::Bootstrap(bootstrap)) {
@@ -229,6 +291,159 @@ pub(crate) fn launch_star(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vela_nn::optim::AdamWConfig;
+
+    /// Launches a star of echo workers (empty `(2, 4)` shards, no
+    /// template) around a master on device 0 of the paper testbed.
+    fn launch(transport: TransportConfig, workers: &[DeviceId]) -> (MasterHub, Vec<WorkerHandle>) {
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let bootstrap = WorkerBootstrap {
+            blocks: 2,
+            experts: 4,
+            optim: AdamWConfig::default(),
+            template: None,
+        };
+        let shards = || {
+            workers
+                .iter()
+                .map(|_| LocalExpertStore::empty(2, 4))
+                .collect()
+        };
+        launch_star(transport, ledger, DeviceId(0), workers, bootstrap, shards)
+            .unwrap_or_else(|e| panic!("{}: {e}", transport.label()))
+    }
+
+    fn kind(handle: &WorkerHandle) -> &'static str {
+        match handle {
+            WorkerHandle::Thread(_) => "thread",
+            WorkerHandle::Process(_) => "process",
+            WorkerHandle::Hosted(_) => "hosted",
+        }
+    }
+
+    /// Steps every worker once, then shuts the star down in order.
+    fn step_and_close(mut hub: MasterHub, handles: Vec<WorkerHandle>) {
+        hub.broadcast(&Message::StepEnd).unwrap();
+        let mut done: Vec<usize> = (0..handles.len())
+            .map(|_| match hub.recv().unwrap() {
+                (w, Message::StepDone) => w,
+                other => panic!("expected StepDone, got {other:?}"),
+            })
+            .collect();
+        done.sort_unstable();
+        assert_eq!(done, (0..handles.len()).collect::<Vec<_>>());
+        hub.broadcast(&Message::Shutdown).unwrap();
+        hub.shutdown();
+        for handle in handles {
+            handle.finish();
+        }
+    }
+
+    #[test]
+    fn the_master_hosts_the_worker_on_its_device_else_its_widest_link() {
+        // Paper testbed: devices 0 and 1 share node 0, 2 and 3 node 1, 4
+        // and 5 node 2, and every cross-node link is the same.
+        let topology = Topology::paper_testbed();
+        let choose = |workers: &[usize]| {
+            let workers: Vec<DeviceId> = workers.iter().copied().map(DeviceId).collect();
+            hosted_worker(&topology, DeviceId(0), &workers)
+        };
+        assert_eq!(choose(&[1, 2]), 0, "same node beats cross-node");
+        assert_eq!(
+            choose(&[2, 0, 1]),
+            1,
+            "the master's own device beats its node"
+        );
+        assert_eq!(choose(&[2, 4]), 0, "ties go to the lowest index");
+        assert_eq!(choose(&[3, 2, 1]), 2);
+    }
+
+    #[test]
+    fn every_transport_hosts_one_worker_and_links_the_rest() {
+        let workers = [DeviceId(2), DeviceId(1), DeviceId(3)];
+        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
+            let (hub, handles) = launch(transport, &workers);
+            let kinds: Vec<&str> = handles.iter().map(kind).collect();
+            assert_eq!(
+                kinds,
+                ["thread", "hosted", "thread"],
+                "{}",
+                transport.label()
+            );
+            step_and_close(hub, handles);
+        }
+    }
+
+    #[test]
+    fn process_mode_spawns_a_child_per_worker_but_the_hosted_one() {
+        // A one-worker star spawns nothing (so needs no worker binary); a
+        // three-worker one spawns two `vela_worker` children.
+        for workers in [
+            vec![DeviceId(1)],
+            vec![DeviceId(1), DeviceId(2), DeviceId(3)],
+        ] {
+            let (hub, handles) = launch(TransportConfig::tcp_processes(), &workers);
+            let kinds: Vec<&str> = handles.iter().map(kind).collect();
+            let mut expected = vec!["hosted"];
+            expected.resize(workers.len(), "process");
+            assert_eq!(kinds, expected);
+            step_and_close(hub, handles);
+        }
+    }
+
+    #[test]
+    fn a_hosted_worker_that_stops_is_a_dead_worker() {
+        // A frame it cannot act on, a fetch for an expert it lacks, and
+        // `Shutdown` each stop the worker the master hosts. From then on
+        // a send to it and the receive that reaches it are `Disconnected`,
+        // never a hang, while a linked worker keeps serving.
+        let stops = [
+            Message::StepDone,
+            Message::FetchExpert {
+                block: 0,
+                expert: 1,
+            },
+            Message::Shutdown,
+        ];
+        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
+            for workers in [&[DeviceId(1)][..], &[DeviceId(1), DeviceId(2)]] {
+                for stop in &stops {
+                    let what = format!(
+                        "{} × {} workers, {stop:?}",
+                        transport.label(),
+                        workers.len()
+                    );
+                    let (mut hub, mut handles) = launch(transport, workers);
+                    hub.send(0, stop).unwrap();
+                    let next = hub.recv_timeout(Duration::from_secs(10));
+                    assert!(
+                        matches!(next, Err(TransportError::Disconnected)),
+                        "{what}: {next:?}"
+                    );
+                    let sent = hub.send(0, &Message::StepEnd);
+                    assert!(
+                        matches!(sent, Err(TransportError::Disconnected)),
+                        "{what}: {sent:?}"
+                    );
+                    if workers.len() == 1 {
+                        let again = hub.recv();
+                        assert!(matches!(again, Err(TransportError::Disconnected)), "{what}");
+                    } else {
+                        hub.send(1, &Message::StepEnd).unwrap();
+                        assert_eq!(hub.recv().unwrap(), (1, Message::StepDone), "{what}");
+                        hub.send(1, &Message::Shutdown).unwrap();
+                    }
+                    hub.shutdown();
+                    let shard = handles.remove(0).finish();
+                    assert!(
+                        shard.is_some(),
+                        "{what}: a stopped worker hands its shard back"
+                    );
+                    handles.into_iter().for_each(|h| drop(h.finish()));
+                }
+            }
+        }
+    }
 
     #[test]
     fn missing_worker_binary_is_a_clear_error() {

@@ -9,6 +9,10 @@
 //! The body `B` is real tensors ([`RealRuntime`](crate::RealRuntime)) or
 //! size-only rows sampled from a locality profile
 //! ([`VirtualEngine`](crate::VirtualEngine)).
+//!
+//! One of the workers runs on the master's own thread: the session's hub
+//! serves it whenever the master would otherwise wait for a reply (see
+//! `launch`). The others are threads or `vela_worker` processes.
 
 use std::sync::Arc;
 
@@ -47,9 +51,11 @@ pub struct Session<B> {
 }
 
 impl<B> Session<B> {
-    /// Launches the workers over `transport` — thread-backed ones take
-    /// `shards(&placement)` by value, processes boot empty — with `optim`
-    /// and `template` as their bootstrap, and wraps `body` around them.
+    /// Launches the workers over `transport` — one hosted on this thread,
+    /// the others threads or processes; beside threads every worker takes
+    /// its `shards(&placement)` store by value, in process mode every one
+    /// boots empty — with `optim` and `template` as their bootstrap, and
+    /// wraps `body` around them.
     ///
     /// # Panics
     /// Panics if the placement shape disagrees with `spec` or the worker
@@ -214,9 +220,10 @@ impl<B> Session<B> {
         })
     }
 
-    /// Broadcasts `Shutdown`, joins the worker threads (or reaps the
-    /// processes) and flushes the trace. Returns the body and the shards
-    /// thread-backed workers hand back.
+    /// Broadcasts `Shutdown`, which the hub's shutdown serves to the
+    /// hosted worker, joins the worker threads (or reaps the processes)
+    /// and flushes the trace. Returns the body and the shards the hosted
+    /// and thread workers hand back, in worker order.
     pub(crate) fn close(mut self) -> (B, Vec<LocalExpertStore>) {
         if let Err(e) = self.broker.shutdown() {
             vela_obs::warn!("shutdown broadcast failed (workers already gone?): {e}");

@@ -11,6 +11,9 @@
 //! threads holds here for free: an mpsc `send` never blocks on the
 //! receiver, so the master can always keep dispatching while replies
 //! queue in its inbox. No extra threads are needed.
+//!
+//! One such link, `link`, is also how the master reaches the worker it
+//! serves on its own thread (`transport::hosted`), on every transport.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -20,14 +23,15 @@ use vela_cluster::{DeviceId, TrafficLedger};
 
 use super::{HubBackend, MasterHub, PortBackend, TransportError, WorkerPort};
 
-/// What the shared inbox carries: a worker's frame, or its hang-up.
-type Inbound = (usize, Result<Vec<u8>, TransportError>);
+/// What an inbox carries: a worker's frame, or its hang-up.
+pub(super) type Inbound = (usize, Result<Vec<u8>, TransportError>);
 
-/// Master side: one sender per worker, one shared inbox.
+/// Master side: one sender per linked worker, one shared inbox.
 #[derive(Debug)]
 struct ChannelHub {
-    /// Emptied by `shutdown`, which is what closes the downlinks.
-    to_workers: Vec<Sender<Vec<u8>>>,
+    /// Indexed by worker; `None` for the worker the master hosts. Emptied
+    /// by `shutdown`, which is what closes the downlinks.
+    to_workers: Vec<Option<Sender<Vec<u8>>>>,
     inbox: Receiver<Inbound>,
 }
 
@@ -42,9 +46,9 @@ struct ChannelPort {
 
 impl HubBackend for ChannelHub {
     fn send(&mut self, index: usize, frame: Vec<u8>) -> Result<(), TransportError> {
-        match self.to_workers.get(index).map(|link| link.send(frame)) {
-            Some(Ok(())) => Ok(()),
-            _ => Err(TransportError::Disconnected),
+        match self.to_workers.get(index).and_then(Option::as_ref) {
+            Some(link) => link.send(frame).map_err(|_| TransportError::Disconnected),
+            None => Err(TransportError::Disconnected),
         }
     }
 
@@ -94,6 +98,23 @@ impl Drop for ChannelPort {
     }
 }
 
+/// One in-process link: the master's sender into worker `index`'s
+/// downlink, and that worker's port, whose uplink (its hang-up included,
+/// posted when the port drops) goes to `up`.
+pub(super) fn link(
+    up: Sender<Inbound>,
+    index: usize,
+    device: DeviceId,
+) -> (Sender<Vec<u8>>, WorkerPort) {
+    let (down_tx, down_rx) = channel();
+    let port = ChannelPort {
+        rx: down_rx,
+        up,
+        index,
+    };
+    (down_tx, WorkerPort::new(Box::new(port), index, device))
+}
+
 /// Builds the mpsc star between `master` and `workers`, accounting all
 /// traffic in `ledger`.
 ///
@@ -104,22 +125,29 @@ pub fn channel_star(
     master: DeviceId,
     workers: &[DeviceId],
 ) -> (MasterHub, Vec<WorkerPort>) {
+    channel_star_around(ledger, master, workers, None)
+}
+
+/// [`channel_star`] without a link for worker `hosted`, whose slot
+/// [`MasterHub::host`] fills. The ports keep their index in `workers`.
+pub(super) fn channel_star_around(
+    ledger: Arc<TrafficLedger>,
+    master: DeviceId,
+    workers: &[DeviceId],
+    hosted: Option<usize>,
+) -> (MasterHub, Vec<WorkerPort>) {
     assert!(!workers.is_empty(), "star needs at least one worker");
     let (up_tx, up_rx) = channel();
     let mut to_workers = Vec::with_capacity(workers.len());
     let mut ports = Vec::with_capacity(workers.len());
     for (index, &dev) in workers.iter().enumerate() {
-        let (down_tx, down_rx) = channel();
-        to_workers.push(down_tx);
-        ports.push(WorkerPort::new(
-            Box::new(ChannelPort {
-                rx: down_rx,
-                up: up_tx.clone(),
-                index,
-            }),
-            index,
-            dev,
-        ));
+        if Some(index) == hosted {
+            to_workers.push(None);
+            continue;
+        }
+        let (down, port) = link(up_tx.clone(), index, dev);
+        to_workers.push(Some(down));
+        ports.push(port);
     }
     let hub = MasterHub::new(
         Box::new(ChannelHub {

@@ -14,6 +14,12 @@
 //!   hermetic "tcp-threads" mode (workers as threads, sockets in between)
 //!   and true multi-process runs via the `vela_worker` binary.
 //!
+//! A session's star uses both around one more piece: `hosted`, which
+//! serves the worker nearest the master on the master's own thread, over
+//! a [`channel`] link, beside a backend that links the others
+//! (`MasterHub::host`). Its frames pass through the same
+//! [`MasterHub::send`]/[`MasterHub::recv`] as every other worker's.
+//!
 //! **Traffic accounting is transport-independent by construction**: every
 //! accounted byte is recorded by the *master-side* [`MasterHub`] wrapper —
 //! downlink bytes when it sends, uplink bytes when it receives — so the
@@ -25,14 +31,17 @@
 //! pinned by `tests/contract.rs`.
 
 pub mod channel;
+mod hosted;
 pub mod tcp;
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
 use vela_cluster::{DeviceId, TrafficLedger};
+use vela_model::LocalExpertStore;
 use vela_obs::LazyCounter;
 
 use crate::message::{Bucket, FrameKind, Message};
@@ -479,6 +488,30 @@ impl MasterHub {
     pub fn shutdown(&mut self) {
         self.backend.shutdown();
     }
+
+    /// Serves worker `index` on this thread from now on, as an Expert
+    /// Manager booting from `shard` (or empty, like a process, when
+    /// `None`). The backend must have left that worker's link out (see
+    /// [`build_star_around`]); frames to and from it still pass through
+    /// [`send`](Self::send) and [`recv`](Self::recv) and the codec, so
+    /// every count this hub keeps is the same as over a link. The
+    /// receiver gets its shard, or why it never booted, once it stops.
+    pub(crate) fn host(
+        self,
+        index: usize,
+        shard: Option<LocalExpertStore>,
+    ) -> (
+        MasterHub,
+        Receiver<Result<LocalExpertStore, TransportError>>,
+    ) {
+        let (backend, shard_back) =
+            hosted::HostedHub::new(self.backend, index, self.workers[index], shard);
+        let hub = MasterHub {
+            backend: Box::new(backend),
+            ..self
+        };
+        (hub, shard_back)
+    }
 }
 
 /// Worker-side endpoint.
@@ -533,9 +566,24 @@ pub fn build_star(
     master: DeviceId,
     workers: &[DeviceId],
 ) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
+    build_star_around(config, ledger, master, workers, None)
+}
+
+/// [`build_star`] without a link for worker `hosted`, whose slot
+/// [`MasterHub::host`] fills: no port is built for it, and the other ports
+/// keep their index in `workers`.
+pub(crate) fn build_star_around(
+    config: TransportConfig,
+    ledger: Arc<TrafficLedger>,
+    master: DeviceId,
+    workers: &[DeviceId],
+    hosted: Option<usize>,
+) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
     match config.mode {
-        TransportMode::Channel => Ok(star(ledger, master, workers)),
-        TransportMode::TcpThreads => tcp_star(ledger, master, workers),
+        TransportMode::Channel => Ok(channel::channel_star_around(
+            ledger, master, workers, hosted,
+        )),
+        TransportMode::TcpThreads => tcp::tcp_star_around(ledger, master, workers, hosted),
         TransportMode::TcpProcesses => {
             panic!("process mode builds its star via TcpStarBuilder, not build_star")
         }

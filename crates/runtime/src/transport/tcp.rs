@@ -216,6 +216,14 @@ struct LinkWriter {
 }
 
 impl LinkWriter {
+    /// The slot of a worker the master hosts: every send is refused.
+    fn absent() -> LinkWriter {
+        LinkWriter {
+            queue: None,
+            thread: None,
+        }
+    }
+
     fn spawn(index: usize, mut sock: TcpStream) -> LinkWriter {
         let (tx, rx) = sync_channel::<Vec<u8>>(WRITER_QUEUE_FRAMES);
         let thread = std::thread::Builder::new()
@@ -346,6 +354,8 @@ pub struct TcpStarBuilder {
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: Vec<DeviceId>,
+    /// The worker the master serves itself: it never dials in.
+    hosted: Option<usize>,
 }
 
 impl TcpStarBuilder {
@@ -368,7 +378,16 @@ impl TcpStarBuilder {
             ledger,
             master,
             workers: workers.to_vec(),
+            hosted: None,
         })
+    }
+
+    /// Leaves worker `hosted` out of the star: it is not accepted, and
+    /// its slot stays empty for [`MasterHub::host`] to fill. The others
+    /// keep their index in the roster.
+    pub(crate) fn hosting(mut self, hosted: Option<usize>) -> Self {
+        self.hosted = hosted;
+        self
     }
 
     /// The address workers must dial (pass to [`connect_worker`] or the
@@ -377,16 +396,18 @@ impl TcpStarBuilder {
         self.addr
     }
 
-    /// Accepts and validates one connection per worker (in any order),
-    /// then assembles the hub. Sockets that fail the hello handshake are
-    /// dropped and accepting continues until `deadline` elapses.
+    /// Accepts and validates one connection per linked worker (in any
+    /// order), then assembles the hub. Sockets that fail the hello
+    /// handshake are dropped and accepting continues until `deadline`
+    /// elapses.
     pub fn accept_workers(self, deadline: Duration) -> Result<MasterHub, TransportError> {
         let until = Instant::now() + deadline;
         let n = self.workers.len();
+        let linked = n - usize::from(self.hosted.is_some());
         let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         let mut connected = 0usize;
         self.listener.set_nonblocking(true)?;
-        while connected < n {
+        while connected < linked {
             match self.listener.accept() {
                 Ok((sock, _)) => match self.admit(sock) {
                     Ok((index, sock)) => {
@@ -404,7 +425,7 @@ impl TcpStarBuilder {
                 Err(e) if is_wait(&e) => {
                     if Instant::now() >= until {
                         return Err(TransportError::Handshake(format!(
-                            "only {connected}/{n} workers connected within {deadline:?}"
+                            "only {connected}/{linked} workers connected within {deadline:?}"
                         )));
                     }
                     std::thread::sleep(Duration::from_millis(2));
@@ -418,7 +439,10 @@ impl TcpStarBuilder {
         let mut sockets = Vec::with_capacity(n);
         let mut readers = Vec::with_capacity(n);
         for (index, slot) in slots.into_iter().enumerate() {
-            let sock = slot.expect("all slots filled");
+            let Some(sock) = slot else {
+                writers.push(LinkWriter::absent());
+                continue;
+            };
             let reader = sock.try_clone().map_err(TransportError::Io)?;
             let writer = sock.try_clone().map_err(TransportError::Io)?;
             let tx = tx.clone();
@@ -464,6 +488,9 @@ impl TcpStarBuilder {
                 "worker index {index} out of range (expected < {})",
                 self.workers.len()
             ));
+        }
+        if Some(index) == self.hosted {
+            return Err(format!("worker {index} is served by the master itself"));
         }
         if self.workers[index] != DeviceId(device) {
             return Err(format!(
@@ -563,7 +590,18 @@ pub fn tcp_star(
     master: DeviceId,
     workers: &[DeviceId],
 ) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
-    let builder = TcpStarBuilder::bind(ledger, master, workers)?;
+    tcp_star_around(ledger, master, workers, None)
+}
+
+/// [`tcp_star`] without a link for worker `hosted`, whose slot
+/// [`MasterHub::host`] fills. The ports keep their index in `workers`.
+pub(super) fn tcp_star_around(
+    ledger: Arc<TrafficLedger>,
+    master: DeviceId,
+    workers: &[DeviceId],
+    hosted: Option<usize>,
+) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
+    let builder = TcpStarBuilder::bind(ledger, master, workers)?.hosting(hosted);
     let addr = builder.addr();
     let accept = std::thread::Builder::new()
         .name("tcp-star-accept".into())
@@ -571,7 +609,9 @@ pub fn tcp_star(
         .expect("failed to spawn accept thread");
     let mut ports = Vec::with_capacity(workers.len());
     for (index, &device) in workers.iter().enumerate() {
-        ports.push(connect_worker(addr, index, device)?);
+        if Some(index) != hosted {
+            ports.push(connect_worker(addr, index, device)?);
+        }
     }
     let hub = accept.join().expect("accept thread panicked")?;
     Ok((hub, ports))
@@ -654,6 +694,7 @@ mod tests {
             ledger,
             master: DeviceId(0),
             workers: vec![DeviceId(1)],
+            hosted: None,
         };
         let mut hub = builder.accept_workers(Duration::from_secs(10)).unwrap();
         let mut port = dialer.join().unwrap().expect("retry should succeed");

@@ -5,13 +5,16 @@
 //! end — exactly the worker role in the paper's framework, where expert
 //! optimization never leaves the hosting device.
 //!
-//! Every worker starts through one entry, [`run_worker`]: on a thread
-//! ([`ExpertManager::spawn`], over any [`WorkerPort`]) or in a separate OS
-//! process (the `vela_worker` binary). Either way its first frame is an
-//! ordinary [`Message::Bootstrap`] carrying a [`WorkerBootstrap`]; a thread
-//! is also handed its shard by value. A master disconnect is a *clean*
-//! exit — the loop flushes its observability buffers and returns its shard
-//! instead of aborting the process.
+//! Every worker is one `Worker`, driven a frame at a time. A thread
+//! ([`ExpertManager::spawn`], over any [`WorkerPort`]) or a separate OS
+//! process (the `vela_worker` binary) drives it through [`run_worker`];
+//! the worker the master hosts is driven by the master's hub, on the
+//! master's thread, whenever the master would otherwise wait for a reply.
+//! Either way its first frame is an ordinary [`Message::Bootstrap`]
+//! carrying a [`WorkerBootstrap`]; a thread, and the hosted worker beside
+//! threads, is also handed its shard by value. A master disconnect is a
+//! *clean* exit — the worker flushes its observability buffers and
+//! returns its shard instead of aborting the process.
 
 use std::collections::HashMap;
 use std::thread::JoinHandle;
@@ -202,9 +205,9 @@ impl ExpertManager {
     }
 }
 
-/// The one entry of every Expert Manager, thread or `vela_worker` process:
-/// waits for [`Message::Bootstrap`], then serves until `Shutdown` or master
-/// disconnect and returns the final shard.
+/// The one entry of every Expert Manager thread and `vela_worker` process:
+/// serves frames until the worker stops (see `Worker::serve_next`) and
+/// returns the final shard.
 ///
 /// A thread brings its `shard` by value; a process passes `None` and starts
 /// from an empty shard of the bootstrap's shape (experts are seeded over
@@ -213,10 +216,109 @@ impl ExpertManager {
 /// booted: the link failed, the first frame was not a bootstrap (a stale
 /// peer's version included), or the bootstrap's shape is not the shard's.
 pub fn run_worker(
-    mut port: WorkerPort,
+    port: WorkerPort,
     shard: Option<LocalExpertStore>,
 ) -> Result<LocalExpertStore, TransportError> {
-    let boot = match port.recv()? {
+    let mut worker = Worker::new(port, shard);
+    while worker.serve_next() {}
+    worker.finish()
+}
+
+/// One Expert Manager, driven a frame at a time by whoever holds it: its
+/// own thread or process through [`run_worker`], or the master's thread,
+/// which serves the worker it hosts from inside its hub's receive.
+#[derive(Debug)]
+pub(crate) struct Worker {
+    port: WorkerPort,
+    stage: Stage,
+}
+
+#[derive(Debug)]
+enum Stage {
+    /// Waiting for [`Message::Bootstrap`], holding the shard handed over by
+    /// value, if any.
+    Booting(Option<LocalExpertStore>),
+    Serving(Box<Serving>),
+    /// The first frame was not a bootstrap of the shard's shape, or the
+    /// link failed before one arrived.
+    Refused(TransportError),
+}
+
+/// A booted worker: its shard, the optimizer that steps it, the
+/// migrations landing here, and the template experts migrate in from.
+#[derive(Debug)]
+struct Serving {
+    shard: LocalExpertStore,
+    opt: AdamW,
+    shadows: Shadows,
+    template: Option<ExpertTemplate>,
+}
+
+impl Worker {
+    /// A worker behind `port` that has not booted yet.
+    pub(crate) fn new(port: WorkerPort, shard: Option<LocalExpertStore>) -> Self {
+        Worker {
+            port,
+            stage: Stage::Booting(shard),
+        }
+    }
+
+    /// Receives the next frame and acts on it; `false` once the worker has
+    /// stopped. The first frame must be a bootstrap of the shard's shape.
+    /// After it, the worker stops on `Shutdown`, on a master disconnect or
+    /// failed link, and on a frame it cannot act on, which it logs.
+    pub(crate) fn serve_next(&mut self) -> bool {
+        let next = self.port.recv();
+        let index = self.port.index;
+        match &mut self.stage {
+            Stage::Booting(shard) => match next.and_then(|msg| boot(msg, shard.take())) {
+                Ok(state) => {
+                    let shape = (state.shard.blocks(), state.shard.experts_per_block());
+                    vela_obs::info!("worker {index} serving a {shape:?} shard");
+                    self.stage = Stage::Serving(state);
+                    true
+                }
+                Err(e) => {
+                    self.stage = Stage::Refused(e);
+                    false
+                }
+            },
+            Stage::Serving(state) => {
+                match next.and_then(|msg| handle(&mut self.port, state, msg)) {
+                    Ok(Flow::Continue) => true,
+                    Ok(Flow::Stop) => false,
+                    Err(TransportError::Disconnected) => {
+                        vela_obs::warn!("worker {index}: master disconnected, exiting cleanly");
+                        false
+                    }
+                    Err(e) => {
+                        vela_obs::error!("worker {index}: transport error, exiting: {e}");
+                        false
+                    }
+                }
+            }
+            Stage::Refused(_) => false,
+        }
+    }
+
+    /// Closes the port (a channel port posts its hang-up as it drops),
+    /// flushes the observability buffers and returns the shard, or why the
+    /// worker never booted.
+    pub(crate) fn finish(mut self) -> Result<LocalExpertStore, TransportError> {
+        self.port.shutdown();
+        vela_obs::flush();
+        match self.stage {
+            Stage::Serving(state) => Ok(state.shard),
+            Stage::Refused(e) => Err(e),
+            Stage::Booting(_) => Err(TransportError::Disconnected),
+        }
+    }
+}
+
+/// Boots from the first frame: a bootstrap whose shape is the handed
+/// shard's, or any shape when no shard was handed over.
+fn boot(first: Message, shard: Option<LocalExpertStore>) -> Result<Box<Serving>, TransportError> {
+    let boot = match first {
         Message::Bootstrap(boot) => boot,
         other => {
             return Err(TransportError::Protocol(format!(
@@ -230,67 +332,32 @@ pub fn run_worker(
         let why = format!("bootstrap shape {shape:?} is not the handed shard's");
         return Err(TransportError::Protocol(why));
     }
-    vela_obs::info!("worker {} serving a {shape:?} shard", port.index);
-    Ok(worker_loop(port, shard, boot.optim, boot.template))
+    Ok(Box::new(Serving {
+        shard,
+        opt: AdamW::new(boot.optim),
+        shadows: Shadows::default(),
+        template: boot.template,
+    }))
 }
 
-/// Whether the loop keeps serving after a message.
+/// Whether the worker keeps serving after a message.
 enum Flow {
     Continue,
     Stop,
 }
 
-fn worker_loop(
-    mut port: WorkerPort,
-    mut shard: LocalExpertStore,
-    optim: AdamWConfig,
-    template: Option<ExpertTemplate>,
-) -> LocalExpertStore {
-    let mut opt = AdamW::new(optim);
-    let mut shadows = Shadows::default();
-    loop {
-        match port.recv() {
-            Ok(msg) => match handle(
-                &mut port,
-                &mut shard,
-                &mut opt,
-                template.as_ref(),
-                &mut shadows,
-                msg,
-            ) {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Stop) => break,
-                Err(e) => {
-                    vela_obs::error!("worker {}: transport error, exiting: {e}", port.index);
-                    break;
-                }
-            },
-            Err(TransportError::Disconnected) => {
-                vela_obs::warn!(
-                    "worker {}: master disconnected, exiting cleanly",
-                    port.index
-                );
-                break;
-            }
-            Err(e) => {
-                vela_obs::error!("worker {}: receive failed, exiting: {e}", port.index);
-                break;
-            }
-        }
-    }
-    port.shutdown();
-    vela_obs::flush();
-    shard
-}
-
 fn handle(
     port: &mut WorkerPort,
-    shard: &mut LocalExpertStore,
-    opt: &mut AdamW,
-    template: Option<&ExpertTemplate>,
-    shadows: &mut Shadows,
+    state: &mut Serving,
     msg: Message,
 ) -> Result<Flow, TransportError> {
+    let Serving {
+        shard,
+        opt,
+        shadows,
+        template,
+    } = state;
+    let template = template.as_ref();
     match msg {
         Message::StepBegin { step } => {
             // Tag this worker's spans/flows with the master's step: every
@@ -847,65 +914,58 @@ mod tests {
         assert_clean_stop(held, Some(template), &frames[..1]);
     }
 
-    /// One worker's state, with [`handle`] run on the test's own thread so
-    /// the optimizer stays in reach (the channel transport never blocks a
-    /// sender, so no second thread is needed).
-    struct Inline {
-        index: usize,
-        port: WorkerPort,
-        shard: LocalExpertStore,
-        opt: AdamW,
-        shadows: Shadows,
-        template: ExpertTemplate,
+    /// Hands `worker` the next frame its port holds; it must keep serving.
+    fn serve(worker: &mut Worker) {
+        assert!(worker.serve_next(), "worker {} stopped", worker.port.index);
     }
 
-    impl Inline {
-        /// Handles the next frame the hub queued for this worker.
-        fn serve(&mut self) {
-            let msg = self.port.recv().unwrap();
-            let flow = handle(
-                &mut self.port,
-                &mut self.shard,
-                &mut self.opt,
-                Some(&self.template),
-                &mut self.shadows,
-                msg,
-            );
-            assert!(matches!(flow, Ok(Flow::Continue)));
-        }
-
-        fn holds_moments_for(&self, names: &[String]) -> bool {
-            names.iter().any(|n| self.opt.moments(n).is_some())
+    /// A booted worker's state, in reach of the test.
+    fn state(worker: &mut Worker) -> &mut Serving {
+        match &mut worker.stage {
+            Stage::Serving(state) => state,
+            other => panic!("worker {} is not serving: {other:?}", worker.port.index),
         }
     }
 
-    /// Moves expert `(0, 0)` between two inline workers, playing the
+    fn holds_moments_for(worker: &mut Worker, names: &[String]) -> bool {
+        let opt = &state(worker).opt;
+        names.iter().any(|n| opt.moments(n).is_some())
+    }
+
+    /// Moves expert `(0, 0)` between two workers served on the test's own
+    /// thread (the channel transport never blocks a sender), playing the
     /// master: stream request, chunk relay, landing ack, cutover.
-    fn migrate(hub: &mut crate::transport::MasterHub, from: &mut Inline, to: &mut Inline) {
+    fn migrate(hub: &mut crate::transport::MasterHub, from: &mut Worker, to: &mut Worker) {
         let (block, expert) = (0, 0);
-        hub.send(from.index, &Message::FetchShadow { block, expert })
+        hub.send(from.port.index, &Message::FetchShadow { block, expert })
             .unwrap();
-        from.serve();
+        serve(from);
         loop {
             let (w, msg) = hub.recv().unwrap();
             if msg == (Message::InstallDone { block, expert }) {
-                assert_eq!(w, to.index);
+                assert_eq!(w, to.port.index);
                 break;
             }
             assert!(matches!(msg, Message::ExpertChunk { .. }), "{msg:?}");
-            hub.send(to.index, &msg).unwrap();
-            to.serve();
+            hub.send(to.port.index, &msg).unwrap();
+            serve(to);
         }
-        assert!(!to.shard.contains(0, 0), "a shadow is not served");
-        hub.send(from.index, &Message::FetchTrained { block, expert })
+        assert!(!state(to).shard.contains(0, 0), "a shadow is not served");
+        hub.send(from.port.index, &Message::FetchTrained { block, expert })
             .unwrap();
-        from.serve();
+        serve(from);
         let (_, trained) = hub.recv().unwrap();
-        hub.send(to.index, &trained).unwrap();
-        to.serve();
-        let ack = (to.index, Message::InstallDone { block, expert });
+        hub.send(to.port.index, &trained).unwrap();
+        serve(to);
+        let ack = (to.port.index, Message::InstallDone { block, expert });
         assert_eq!(hub.recv().unwrap(), ack);
-        assert!(to.shard.contains(0, 0) && !from.shard.contains(0, 0));
+        assert!(state(to).shard.contains(0, 0) && !state(from).shard.contains(0, 0));
+    }
+
+    /// Steps `worker`'s optimizer over its shard, as a `StepEnd` would.
+    fn step_optimizer(worker: &mut Worker) {
+        let Serving { shard, opt, .. } = state(worker);
+        opt.step(shard);
     }
 
     #[test]
@@ -925,35 +985,34 @@ mod tests {
         });
         assert!(!names.is_empty());
         let shards = [full, LocalExpertStore::empty(cfg.blocks, cfg.experts)];
-        let mut sides = ports.into_iter().zip(shards).map(|(port, shard)| Inline {
-            index: port.index,
-            port,
-            shard,
-            opt: AdamW::new(AdamWConfig::default()),
-            shadows: Shadows::default(),
-            template,
-        });
+        let mut sides = ports
+            .into_iter()
+            .zip(shards)
+            .map(|(port, shard)| Worker::new(port, Some(shard)));
         let (mut a, mut b) = (sides.next().unwrap(), sides.next().unwrap());
+        hub.broadcast(&bootstrap(Some(template))).unwrap();
+        serve(&mut a);
+        serve(&mut b);
 
-        a.opt.step(&mut a.shard);
-        assert!(a.holds_moments_for(&names));
+        step_optimizer(&mut a);
+        assert!(holds_moments_for(&mut a, &names));
         migrate(&mut hub, &mut a, &mut b);
         assert!(
-            !a.holds_moments_for(&names),
+            !holds_moments_for(&mut a, &names),
             "the source kept moments for an expert it no longer holds"
         );
-        b.opt.step(&mut b.shard);
-        assert!(b.holds_moments_for(&names));
+        step_optimizer(&mut b);
+        assert!(holds_moments_for(&mut b, &names));
         migrate(&mut hub, &mut b, &mut a);
-        assert!(!a.holds_moments_for(&names) && !b.holds_moments_for(&names));
+        assert!(!holds_moments_for(&mut a, &names) && !holds_moments_for(&mut b, &names));
 
         // `FetchExpert` (teardown) evicts the same way.
-        a.opt.step(&mut a.shard);
+        step_optimizer(&mut a);
         let (block, expert) = (0, 0);
         hub.send(0, &Message::FetchExpert { block, expert })
             .unwrap();
-        a.serve();
-        assert!(!a.holds_moments_for(&names));
+        serve(&mut a);
+        assert!(!holds_moments_for(&mut a, &names));
     }
 
     #[test]

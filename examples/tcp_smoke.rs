@@ -1,6 +1,8 @@
-//! Multi-process loopback smoke test: a master and two real `vela_worker`
-//! OS processes over TCP, checked byte-for-byte against the in-process
-//! channel transport.
+//! Multi-process loopback smoke test: a master and a real `vela_worker`
+//! OS process over TCP, checked byte-for-byte against the in-process
+//! channel transport. Of the two workers, the one on the master's node
+//! (device 1) is served on the master's own thread and the other (device
+//! 2) is the child process, as in every session.
 //!
 //! Exercises the whole process-mode path — spawn, handshake, bootstrap,
 //! expert seeding, real-tensor training, virtual-payload stepping, expert
@@ -106,7 +108,7 @@ fn real_run(transport: TransportConfig) -> Vec<f32> {
 }
 
 fn main() -> ExitCode {
-    println!("VELA multi-process TCP smoke (master + 2 vela_worker processes)");
+    println!("VELA multi-process TCP smoke (master hosting worker 0 + 1 vela_worker process)");
 
     let channel_traffic = virtual_run(TransportConfig::channel());
     let tcp_traffic = virtual_run(TransportConfig::tcp_processes());

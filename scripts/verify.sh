@@ -120,10 +120,13 @@ for worker_trace in "$tcp_trace".worker*; do
     fi
 done
 # The merged trace rebases worker clocks onto the master timeline — merge
-# fails unless the master's step-1 ClockProbe (the only clock probe; the
-# handshake has none) sampled every worker — and completes every flow
-# chain; --check also gates attribution coverage and reconciles each
-# process lane's span histograms with its enter/exit pairs.
+# takes the .worker{i} siblings the master's step-1 ClockProbe (the only
+# clock probe; the handshake has none) sampled, so a worker it missed
+# leaves its flows incomplete — and --check requires every flow chain
+# complete; it also gates attribution coverage and reconciles each
+# process lane's span histograms with its enter/exit pairs. The worker
+# the master serves on its own thread has no sibling: its spans and flows
+# are in the master's stream.
 cargo run --release -p vela-bench --bin trace_summary -- merge "$tcp_trace"
 cargo run --release -p vela-bench --bin trace_summary -- --check "$tcp_trace".merged
 
