@@ -202,6 +202,31 @@ pub fn stats() -> WorkspaceStats {
     })
 }
 
+/// A pool owned by a caller instead of a thread: code that runs by turns
+/// on a thread it does not own — the worker a master serves on its own
+/// thread — keeps its scratch apart, as it would on a thread of its own,
+/// instead of crowding the owner's pool out and churning the allocator.
+#[derive(Default)]
+pub struct Workspace(Pool);
+
+impl std::fmt::Debug for Workspace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Workspace({} buffers)", self.0.bufs.len())
+    }
+}
+
+/// Runs `f` with `ws` as the current thread's pool, then puts the
+/// thread's own pool back.
+pub fn scoped<R>(ws: &mut Workspace, f: impl FnOnce() -> R) -> R {
+    let swap = |ws: &mut Workspace| {
+        let _ = POOL.try_with(|p| std::mem::swap(&mut *p.borrow_mut(), &mut ws.0));
+    };
+    swap(ws);
+    let out = f();
+    swap(ws);
+    out
+}
+
 /// Frees every buffer parked in the current thread's pool.
 pub fn clear() {
     let _ = POOL.try_with(|p| p.borrow_mut().bufs.clear());
@@ -210,6 +235,20 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_scoped_workspace_keeps_its_buffers_apart() {
+        clear();
+        let mut ws = Workspace::default();
+        scoped(&mut ws, || drop(take(Shape::from((4, 4)))));
+        assert_eq!(stats().pooled_buffers, 0, "the thread's pool got nothing");
+        let reused = scoped(&mut ws, || {
+            drop(take(Shape::from((2, 8))));
+            stats().hits
+        });
+        assert_eq!(reused, 1, "the scoped pool served its own buffer again");
+        assert_eq!(stats().pooled_buffers, 0);
+    }
 
     #[test]
     fn drop_then_take_reuses_capacity() {
