@@ -66,9 +66,7 @@ pub mod prelude {
     pub use vela_model::pretrain::{pretrain, PretrainConfig};
     pub use vela_model::{ExpertProvider, LocalExpertStore, ModelConfig, MoeModel, MoeSpec};
     pub use vela_nn::optim::{AdamW, AdamWConfig, Sgd};
-    pub use vela_placement::{
-        Placement, PlacementProblem, ReplicatedPlacement, ReplicationConfig, Strategy,
-    };
+    pub use vela_placement::{Placement, PlacementProblem, ReplicatedPlacement, Strategy};
     pub use vela_runtime::{
         EpEngine, MigrationHandle, RealRuntime, RunSummary, ScaleConfig, StepMetrics,
         TransportConfig, VirtualEngine,

@@ -97,7 +97,7 @@ impl AccessTracker {
     /// the `results/expert_access.json` artifact. Raw counts are exact;
     /// frequencies are rounded to six decimals for a stable, diffable
     /// file. This is the Fig. 3 measurement that drives the replication
-    /// cost model's degree choices (`ReplicationConfig::apply`).
+    /// cost model's degree choices (`replicate_by_cost`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"blocks\": {},\n", self.blocks()));

@@ -88,26 +88,6 @@ impl Placement {
         self.assign[block][expert] = worker;
     }
 
-    /// Pairs `(block, expert, from, to)` that differ between `self` and
-    /// `other` (the migration plan from one placement to another).
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn diff(&self, other: &Placement) -> Vec<(usize, usize, usize, usize)> {
-        assert_eq!(self.blocks(), other.blocks(), "block count mismatch");
-        assert_eq!(self.experts(), other.experts(), "expert count mismatch");
-        let mut out = Vec::new();
-        for l in 0..self.blocks() {
-            for e in 0..self.experts() {
-                let (from, to) = (self.worker_of(l, e), other.worker_of(l, e));
-                if from != to {
-                    out.push((l, e, from, to));
-                }
-            }
-        }
-        out
-    }
-
     /// Checks per-worker capacity limits.
     pub fn respects_capacities(&self, capacities: &[usize]) -> bool {
         self.load()
@@ -347,13 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn set_worker_and_diff() {
+    fn set_worker() {
         let mut a = Placement::new(vec![vec![0, 1], vec![2, 0]], 3);
-        let b = a.clone();
         a.set_worker(1, 0, 1);
         assert_eq!(a.worker_of(1, 0), 1);
-        assert_eq!(b.diff(&a), vec![(1, 0, 2, 1)]);
-        assert!(a.diff(&a).is_empty());
     }
 
     #[test]

@@ -151,22 +151,27 @@ pub(crate) fn route_experts(
     out
 }
 
-/// One requested change of primary: expert `(block, expert)` leaves worker
-/// `from` for worker `to`. Queued until a lane slot frees; once admitted,
-/// `from` streams the expert's frozen tensors to `to` through the master
-/// relay while it keeps serving and training it, and the move completes at
-/// the next step boundary with the cutover (see
-/// [`BrokerClient::pump_migrations`]).
+/// One expert's change of replica set that gains workers: the primary
+/// streams the expert's frozen tensors once, the master relays each chunk
+/// to every gained worker, and the change completes at the next step
+/// boundary with the cutover (see [`BrokerClient::pump_migrations`]).
+/// Queued until a lane slot frees; meanwhile the current copies keep
+/// serving and training the expert.
 #[derive(Debug)]
 struct Lane {
     block: usize,
     expert: usize,
-    from: usize,
-    to: usize,
-    /// The destination acked `InstallDone`: every chunk arrived and the
-    /// shadow is built. Nothing keeps it current meanwhile — the tensors it
-    /// holds are the ones no step changes.
-    landed: bool,
+    /// The target replica set, primary first.
+    target: Vec<usize>,
+    /// Gained workers whose shadow has not landed (acked `InstallDone`).
+    /// Nothing keeps a shadow current meanwhile — the tensors it holds are
+    /// the ones no step changes.
+    landing: Vec<usize>,
+}
+
+/// The workers of `set` that are not in `minus`, in `set`'s order.
+fn without(set: &[usize], minus: &[usize]) -> Vec<usize> {
+    set.iter().copied().filter(|w| !minus.contains(w)).collect()
 }
 
 /// How many lanes may be admitted at once, which is also how many shadows
@@ -184,13 +189,13 @@ const MAX_ACTIVE_LANES: usize = 2;
 struct MigrationState {
     /// Admitted lanes in admission order, at most [`MAX_ACTIVE_LANES`].
     lanes: Vec<Lane>,
-    /// Requested moves waiting for a slot, in request order. Their experts
-    /// keep training at their source untouched.
+    /// Lanes waiting for a slot, in request order. Their experts keep
+    /// training where they are, untouched.
     queued: VecDeque<Lane>,
 }
 
 impl MigrationState {
-    /// Moves admitted or queued.
+    /// Lanes admitted or queued.
     fn in_flight(&self) -> usize {
         self.lanes.len() + self.queued.len()
     }
@@ -453,62 +458,59 @@ impl BrokerClient {
         Ok(())
     }
 
-    /// Requests that worker `to` become the primary of one expert and
-    /// returns at once (a no-op when it already is). Must be called
-    /// *between* steps. The move queues for one of the
-    /// [`MAX_ACTIVE_LANES`] lane slots; once admitted, the source is asked
-    /// (`FetchShadow`) to stream the expert's frozen tensors, which
-    /// whatever routed drain runs next relays to the destination — the
-    /// transfer rides the per-link writer threads underneath training
-    /// compute — and the old placement keeps serving until the lane is cut
-    /// over at a step boundary (see [`Self::pump_migrations`]).
-    ///
-    /// When `to` already holds a replica there is nothing to ship: replicas
-    /// are bit-identical at step boundaries, so the old primary's copy is
-    /// dropped (`Evict`) and the primary re-rooted on the spot.
+    /// Starts moving experts so the placement becomes `target`, between
+    /// steps, and returns how many experts' replica sets change. Each
+    /// `(block, expert)`, in ascending order, diffs its replica set against
+    /// the target's: an expert that gains no worker only drops copies
+    /// (`Evict`, 0 accounted bytes) and settles here; one that gains
+    /// workers queues a lane for one of the [`MAX_ACTIVE_LANES`] slots.
+    /// Once admitted, the primary is asked (`FetchShadow`) to stream the
+    /// frozen tensors, which whatever routed drain runs next relays to
+    /// every gained worker — the transfer rides the per-link writer threads
+    /// underneath training compute — and the current copies keep serving
+    /// until the lane is cut over at a step boundary (see
+    /// [`Self::pump_migrations`]), where its drops apply too.
     ///
     /// # Panics
-    /// Panics if indices are out of range. A misbehaving worker surfaces
-    /// as [`TransportError::Protocol`], not a panic.
-    pub fn start_migration(
+    /// Panics if `target`'s shape disagrees with the placement. A call
+    /// while lanes are in flight (a plan must diff against settled state),
+    /// or a misbehaving worker, surfaces as [`TransportError::Protocol`].
+    pub fn apply_relation(
         &mut self,
-        block: usize,
-        expert: usize,
-        to: usize,
-    ) -> Result<(), TransportError> {
-        let from = self.placement.primary(block, expert);
-        if from == to {
-            return Ok(());
+        target: &ReplicatedPlacement,
+    ) -> Result<usize, TransportError> {
+        let shape = |p: &ReplicatedPlacement| (p.blocks(), p.experts(), p.workers());
+        assert_eq!(shape(target), shape(&self.placement), "shape mismatch");
+        if self.migrations.in_flight() > 0 {
+            let why = "a re-placement is still in flight";
+            return Err(TransportError::Protocol(why.into()));
         }
-        let (lanes, queued) = (&self.migrations.lanes, &self.migrations.queued);
-        if lanes
-            .iter()
-            .chain(queued)
-            .any(|l| (l.block, l.expert) == (block, expert))
+        let mut moved = 0;
+        for (block, expert) in
+            (0..target.blocks()).flat_map(|l| (0..target.experts()).map(move |e| (l, e)))
         {
-            return Err(TransportError::Protocol(format!(
-                "expert ({block},{expert}) already has a migration in flight"
-            )));
+            let now = self.placement.replicas_of(block, expert);
+            let to = target.replicas_of(block, expert).to_vec();
+            if now == to {
+                continue;
+            }
+            let landing = without(&to, now);
+            // A reordered set is no change of copies.
+            moved += usize::from(!landing.is_empty() || now.len() > to.len());
+            if landing.is_empty() {
+                self.settle(block, expert, &to, false)?;
+            } else {
+                let lane = Lane {
+                    block,
+                    expert,
+                    target: to,
+                    landing,
+                };
+                self.migrations.queued.push_back(lane);
+                self.admit_queued()?;
+            }
         }
-        if self.placement.replicas_of(block, expert).contains(&to) {
-            self.hub.send(
-                from,
-                &Message::Evict {
-                    block: block as u32,
-                    expert: expert as u32,
-                },
-            )?;
-            self.re_root(block, expert, to);
-            return Ok(());
-        }
-        self.migrations.queued.push_back(Lane {
-            block,
-            expert,
-            from,
-            to,
-            landed: false,
-        });
-        self.admit_queued()
+        Ok(moved)
     }
 
     /// Fills free lane slots from the queue, in request order: each
@@ -519,7 +521,7 @@ impl BrokerClient {
                 break;
             };
             self.hub.send(
-                lane.from,
+                self.placement.primary(lane.block, lane.expert),
                 &Message::FetchShadow {
                     block: lane.block as u32,
                     expert: lane.expert as u32,
@@ -536,20 +538,20 @@ impl BrokerClient {
     ///
     /// A lane is cut over at the first boundary after its admission. Its
     /// stream has had a whole step to hide under by then and has normally
-    /// landed; when it has not, the master waits for the ack here. That
-    /// makes the boundary each expert moves at a function of the plan
-    /// alone, never of thread timing — which it must be, because optimizer
-    /// moments do not travel (an expert restarts from fresh ones on its new
-    /// worker), so the boundary is visible in every later loss.
+    /// landed; when it has not, the master waits for the acks here. That
+    /// makes the boundary each expert's copies change at a function of the
+    /// plan alone, never of thread timing — which it must be, because
+    /// optimizer moments do not travel (every copy restarts from fresh
+    /// ones), so the boundary is visible in every later loss.
     ///
     /// The cutover itself is a stop-the-world exchange of the tensors that
-    /// train: the source evicts the expert and replies with them
-    /// (`FetchTrained` → `ExpertState`), the master forwards the blob, the
-    /// destination loads it onto its shadow, starts serving and acks, any
-    /// surviving replica drops its moments (`DropMoments`, so every copy
-    /// restarts alike), and the primary flips. FIFO links order all of it
-    /// before the next step's traffic, so both sides switch exactly at the
-    /// boundary.
+    /// train: the primary replies with them and keeps its copy
+    /// (`FetchTrained` → `ExpertState`), the master forwards the blob to
+    /// every gained worker, each loads it onto its shadow, starts serving
+    /// and acks, every surviving copy drops its moments (`DropMoments`, so
+    /// all copies restart alike), and the dropped copies are evicted.
+    /// FIFO links order all of it before the next step's traffic, so every
+    /// side switches exactly at the boundary.
     pub fn pump_migrations(&mut self) -> Result<usize, TransportError> {
         if self.migrations.in_flight() == 0 {
             return Ok(0);
@@ -557,7 +559,7 @@ impl BrokerClient {
         let _g = vela_obs::span(SPAN_MIGRATION_PUMP);
         let mut cut_over = 0;
         while !self.migrations.lanes.is_empty() {
-            while !self.migrations.lanes[0].landed {
+            while !self.migrations.lanes[0].landing.is_empty() {
                 // Between steps the workers owe nothing but lane frames.
                 let (w, msg) = self.hub.recv()?;
                 if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
@@ -566,15 +568,16 @@ impl BrokerClient {
                     )));
                 }
             }
-            // Off the table first: the cutover's own `InstallDone` must
-            // reach `wait_installs`, not be taken for a shadow landing.
+            // Off the table first: the cutover's own `InstallDone`s must
+            // reach `wait_installs`, not be taken for shadow landings.
             let Lane {
                 block,
                 expert,
-                from,
-                to,
+                target,
                 ..
             } = self.migrations.lanes.remove(0);
+            let from = self.placement.primary(block, expert);
+            let gains = without(&target, self.placement.replicas_of(block, expert));
             self.hub.send(
                 from,
                 &Message::FetchTrained {
@@ -583,21 +586,11 @@ impl BrokerClient {
                 },
             )?;
             let trained = self.recv_expert_state(from, block, expert)?;
-            self.install_expert(block, expert, &[to], trained)?;
+            self.install_expert(block, expert, &gains, trained)?;
             self.wait_installs()?;
-            // The destination starts from fresh moments; so must every
-            // surviving replica, or the copies stop being clones.
-            let peers = self.placement.replicas_of(block, expert)[1..].to_vec();
-            for p in peers {
-                self.hub.send(
-                    p,
-                    &Message::DropMoments {
-                        block: block as u32,
-                        expert: expert as u32,
-                    },
-                )?;
-            }
-            self.re_root(block, expert, to);
+            // The gained copies start from fresh moments; so must every
+            // surviving one, or the copies stop being clones.
+            self.settle(block, expert, &target, true)?;
             MIGRATION_COMMITS.add(1);
             cut_over += 1;
         }
@@ -608,7 +601,7 @@ impl BrokerClient {
     /// Completes every requested move now — boundary service with no steps
     /// in between, so each stream is waited for instead of hidden — and
     /// returns the number of lanes cut over. Stop-the-world migration is
-    /// this after [`start_migration`](Self::start_migration); it also runs
+    /// this after [`apply_relation`](Self::apply_relation); it also runs
     /// before re-planning (a new plan must diff against settled state) and
     /// at shutdown.
     pub fn finish_migrations(&mut self) -> Result<usize, TransportError> {
@@ -619,15 +612,32 @@ impl BrokerClient {
         Ok(cut_over)
     }
 
-    /// Makes `to` the primary of an expert whose old primary's copy is
-    /// gone, and forgets the forward route to it so backward never follows
-    /// a stale one.
-    fn re_root(&mut self, block: usize, expert: usize, to: usize) {
-        self.placement.set_primary(block, expert, to);
+    /// Drops (`Evict`) every copy of an expert that `target` leaves out —
+    /// with `reset`, every copy it keeps drops its moments (`DropMoments`)
+    /// — makes `target` its replica set, and forgets the forward route to
+    /// it so backward never follows a stale one.
+    fn settle(
+        &mut self,
+        block: usize,
+        expert: usize,
+        target: &[usize],
+        reset: bool,
+    ) -> Result<(), TransportError> {
+        let copies = self.placement.replicas_of(block, expert).to_vec();
+        self.placement.set_replicas(block, expert, target);
         self.routes.remove(&(block, expert));
+        let (block, expert) = (block as u32, expert as u32);
+        for w in copies {
+            if !target.contains(&w) {
+                self.hub.send(w, &Message::Evict { block, expert })?;
+            } else if reset {
+                self.hub.send(w, &Message::DropMoments { block, expert })?;
+            }
+        }
+        Ok(())
     }
 
-    /// Moves requested and not yet cut over (streaming or queued).
+    /// Lanes requested and not yet cut over (streaming or queued).
     pub fn migrations_in_flight(&self) -> usize {
         self.migrations.in_flight()
     }
@@ -763,9 +773,9 @@ impl BrokerClient {
     }
 
     /// Inspects a drained frame: if it belongs to an admitted lane it is
-    /// serviced here — the source's `ExpertChunk`s relay to the destination
-    /// over the accounted hub path, the destination's `InstallDone` marks
-    /// the lane landed — and `None` is returned. Any other frame is handed
+    /// serviced here — the primary's `ExpertChunk`s relay to every gained
+    /// worker over the accounted hub path, and each gained worker's
+    /// `InstallDone` marks its shadow landed — and `None` is returned. Any other frame is handed
     /// back to the caller's protocol loop untouched.
     fn route_lane_frame(
         &mut self,
@@ -784,14 +794,15 @@ impl BrokerClient {
             // the caller's own protocol validation deals with it.
             return Ok(Some((w, msg)));
         };
-        // The source streams chunks; only the destination acks.
-        let (what, expected) = match msg {
-            Message::InstallDone { .. } => ("install ack", lane.to),
-            _ => ("chunk", lane.from),
+        // The primary streams chunks; only a gained worker acks, once.
+        let ok = match msg {
+            Message::InstallDone { .. } => lane.landing.contains(&w),
+            _ => w == self.placement.primary(lane.block, lane.expert),
         };
-        if w != expected {
+        if !ok {
             return Err(TransportError::Protocol(format!(
-                "migration {what} for expert ({},{}) arrived from worker {w}, expected {expected}",
+                "migration frame for expert ({},{}) arrived from worker {w}, \
+                 which owes none: {msg:?}",
                 key.0, key.1
             )));
         }
@@ -799,9 +810,12 @@ impl BrokerClient {
             Message::ExpertChunk { data, .. } => {
                 MIGRATION_CHUNKS.add(1);
                 MIGRATION_BYTES.add(data.len() as u64);
-                self.hub.send(lane.to, &msg)?;
+                let now = self.placement.replicas_of(lane.block, lane.expert);
+                for to in without(&lane.target, now) {
+                    self.hub.send(to, &msg)?;
+                }
             }
-            _ => lane.landed = true,
+            _ => lane.landing.retain(|&g| g != w),
         }
         Ok(None)
     }
@@ -1244,8 +1258,19 @@ mod tests {
         LocalExpertStore,
         ModelConfig,
     ) {
+        setup_replicated_on(Arc::new(TrafficLedger::new(Topology::paper_testbed())))
+    }
+
+    /// [`setup_replicated`] accounting into `ledger`.
+    fn setup_replicated_on(
+        ledger: Arc<TrafficLedger>,
+    ) -> (
+        BrokerClient,
+        Vec<ExpertManager>,
+        LocalExpertStore,
+        ModelConfig,
+    ) {
         let cfg = ModelConfig::test_small();
-        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let (mut hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
 
         let reference = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
@@ -1366,14 +1391,16 @@ mod tests {
         let mut ref_opt = vela_nn::optim::AdamW::new(AdamWConfig::default());
         let moves = cfg.blocks * cfg.experts;
         let before = broker.placement().primaries();
+        let mut swapped = before.clone();
         for l in 0..cfg.blocks {
             for e in 0..cfg.experts {
-                let to = 1 - before.worker_of(l, e);
-                broker.start_migration(l, e, to).unwrap();
+                swapped.set_worker(l, e, 1 - before.worker_of(l, e));
             }
         }
+        let target = broker.placement().with_primaries(&swapped);
+        assert_eq!(broker.apply_relation(&target).unwrap(), moves);
         assert_eq!(broker.migrations_in_flight(), moves);
-        assert!(broker.start_migration(0, 0, 1).is_err(), "already moving");
+        assert!(broker.apply_relation(&target).is_err(), "already moving");
 
         let mut rng = DetRng::new(17);
         let mut boundaries = 0;
@@ -1424,7 +1451,10 @@ mod tests {
         // Expert 0 lives on both workers, rooted on worker 0.
         assert_eq!(broker.placement().replicas_of(0, 0), [0, 1]);
         let shipped = broker.wire_stats();
-        broker.start_migration(0, 0, 1).unwrap();
+        let mut target = broker.placement().primaries();
+        target.set_worker(0, 0, 1);
+        let target = broker.placement().with_primaries(&target);
+        assert_eq!(broker.apply_relation(&target).unwrap(), 1);
         assert_eq!(broker.migrations_in_flight(), 0);
         assert_eq!(broker.placement().replicas_of(0, 0), [1]);
         assert_eq!(broker.wire_stats(), shipped, "an evict is off the books");
@@ -1447,11 +1477,15 @@ mod tests {
         assert_eq!(held, 1);
     }
 
-    #[test]
-    fn a_lane_move_of_a_replicated_expert_keeps_its_copies_clones() {
-        // Expert (0, 0) lives on workers 0 and 1; a lane moves it from 0 to
-        // 2. The new primary starts from fresh moments, so the surviving
-        // peer must too, or the two copies part after the next step.
+    /// Six steps on three workers, expert `e` of each block on worker
+    /// `e % 3` and, with `replicated`, `(0, 0)` also on worker 1; before
+    /// step 3 the placement becomes `change` of itself. Returns the settled
+    /// replica set of `(0, 0)` and the parameter bits of each of its copies
+    /// at shutdown, in worker order.
+    fn copies_after(
+        replicated: bool,
+        change: impl Fn(&ReplicatedPlacement) -> ReplicatedPlacement,
+    ) -> (Vec<usize>, Vec<Vec<u32>>) {
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let (mut hub, ports) = star(
@@ -1472,8 +1506,10 @@ mod tests {
                 reps.push(e % 3);
             }
         }
-        shards[1].insert(0, 0, clone.take(0, 0));
-        replicas[0][0].push(1);
+        if replicated {
+            shards[1].insert(0, 0, clone.take(0, 0));
+            replicas[0][0].push(1);
+        }
         let managers: Vec<ExpertManager> = ports
             .into_iter()
             .zip(shards)
@@ -1485,7 +1521,8 @@ mod tests {
         let mut rng = DetRng::new(29);
         for step in 0..6 {
             if step == 3 {
-                broker.start_migration(0, 0, 2).unwrap();
+                let target = change(broker.placement());
+                broker.apply_relation(&target).unwrap();
             }
             broker.step_begin().unwrap();
             for l in 0..cfg.blocks {
@@ -1503,9 +1540,9 @@ mod tests {
             broker.wait_step_done().unwrap();
             broker.pump_migrations().unwrap();
         }
-        assert_eq!(broker.placement().replicas_of(0, 0), [2, 1]);
+        let settled = broker.placement().replicas_of(0, 0).to_vec();
         broker.shutdown().unwrap();
-        let mut copies: Vec<Vec<u32>> = managers
+        let copies = managers
             .into_iter()
             .map(|m| m.join().unwrap())
             .filter(|shard| shard.contains(0, 0))
@@ -1517,10 +1554,80 @@ mod tests {
                 bits
             })
             .collect();
-        assert_eq!(copies.len(), 2, "workers 1 and 2 hold the copies");
-        let (on_2, on_1) = (copies.pop().unwrap(), copies.pop().unwrap());
-        let differ = on_1.iter().zip(&on_2).filter(|(a, b)| a != b).count();
-        assert_eq!(differ, 0, "{differ} of {} values differ", on_1.len());
+        (settled, copies)
+    }
+
+    /// `Err` unless there are two copies and they agree bit for bit.
+    fn clones(copies: &[Vec<u32>]) -> Result<(), String> {
+        let [a, b] = copies else {
+            return Err(format!("{} copies", copies.len()));
+        };
+        match a.iter().zip(b).filter(|(x, y)| x != y).count() {
+            0 => Ok(()),
+            differ => Err(format!("{differ} of {} values differ", a.len())),
+        }
+    }
+
+    #[test]
+    fn a_lane_move_of_a_replicated_expert_keeps_its_copies_clones() {
+        // Expert (0, 0) lives on workers 0 and 1; a lane moves it from 0 to
+        // 2. The new primary starts from fresh moments, so the surviving
+        // peer must too, or the two copies part after the next step.
+        let (settled, copies) = copies_after(true, |placed| {
+            let mut target = placed.primaries();
+            target.set_worker(0, 0, 2);
+            placed.with_primaries(&target)
+        });
+        assert_eq!(settled, [2, 1]);
+        clones(&copies).unwrap();
+    }
+
+    #[test]
+    fn an_added_copy_steps_bit_identically_with_its_source() {
+        // Expert (0, 0) gains a copy on worker 2 and keeps the one on
+        // worker 0: an add with no drop. Both start the next step from
+        // fresh moments and the same weights, and stay clones.
+        let (settled, copies) = copies_after(false, |placed| {
+            let mut target = placed.clone();
+            target.add_replica(0, 0, 2);
+            target
+        });
+        assert_eq!(settled, [0, 2]);
+        clones(&copies).unwrap();
+    }
+
+    #[test]
+    fn a_drop_only_target_ships_nothing_and_settles_in_the_call() {
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let (mut broker, managers, mut reference, cfg) = setup_replicated_on(ledger.clone());
+        ledger.take_step();
+        // Every block's expert 0 lives on both workers; the target keeps
+        // only the primary's copy.
+        let mut target = broker.placement().clone();
+        for l in 0..cfg.blocks {
+            target.set_replicas(l, 0, &[0]);
+        }
+        assert_eq!(broker.apply_relation(&target).unwrap(), cfg.blocks);
+        assert_eq!(broker.migrations_in_flight(), 0);
+        assert_eq!(broker.placement(), &target);
+        assert_eq!(ledger.take_step().migration_bytes, 0);
+        assert_eq!(broker.frame_counts(), (0, 0), "an evict is off the books");
+        let mut rng = DetRng::new(41);
+        let batches = vec![ExpertBatch {
+            expert: 0,
+            xs: vela_tensor::Tensor::uniform((3, cfg.dim), -1.0, 1.0, &mut rng),
+        }];
+        assert_eq!(
+            broker.forward_block(0, &batches),
+            reference.forward_block(0, &batches)
+        );
+        assert!(broker.sync_replica_grads(64).unwrap().is_empty());
+        broker.shutdown().unwrap();
+        let held: Vec<bool> = managers
+            .into_iter()
+            .map(|m| m.join().unwrap().contains(0, 0))
+            .collect();
+        assert_eq!(held, [true, false]);
     }
 
     #[test]

@@ -617,8 +617,9 @@ frames! {
         check chunk_span(offset, total, data.len() as u64);
 
     /// Drops a worker's copy of an expert together with its optimizer
-    /// moments, with no reply (master → worker): how a move onto a worker
-    /// that already holds a replica retires the old primary.
+    /// moments, with no reply (master → worker): how a re-placement
+    /// retires a copy its target leaves out, inside the apply call or, for
+    /// an expert that also gains a worker, after its cutover fetch.
     // Moves no parameters, so it stays off the books; `accounts` is its
     // header size, for completeness.
     25 Evict {
@@ -628,11 +629,11 @@ frames! {
         expert: u32,
     } => ToWorker, Unaccounted, accounts 9, wire Control;
 
-    /// The cutover request (master → source worker): evict the expert,
-    /// drop its optimizer moments, and answer with an
-    /// [`Message::ExpertState`] holding only its *trainable* tensors. The
-    /// master forwards that blob to the destination, which loads it onto
-    /// the shadow the chunk stream built and starts serving.
+    /// The cutover request (master → primary): answer with an
+    /// [`Message::ExpertState`] holding only the expert's *trainable*
+    /// tensors, and keep the copy (an `Evict` drops it if the target does).
+    /// The master forwards that blob to every gained worker, which loads it
+    /// onto the shadow the chunk stream built and starts serving.
     // Mirrors FetchExpert's 9 bytes.
     27 FetchTrained {
         /// MoE block index.
@@ -641,10 +642,10 @@ frames! {
         expert: u32,
     } => ToWorker, Migration, accounts 9, wire Control;
 
-    /// Drops a replica's optimizer moments for one expert and keeps the
-    /// copy, with no reply (master → worker): sent at a cutover to every
-    /// surviving peer of the expert moved, whose new primary starts from
-    /// fresh moments, so all its copies step alike from then on.
+    /// Drops a copy's optimizer moments for one expert and keeps the copy,
+    /// with no reply (master → worker): sent at a cutover to every copy
+    /// that survives it, because the gained copies start from fresh
+    /// moments, so all copies step alike from then on.
     // Moves no parameters, so it stays off the books, like `Evict`.
     28 DropMoments {
         /// MoE block index.
@@ -676,8 +677,9 @@ impl Message {
 /// packed encoding 1, int8 rows, was retired and seeding blobs are exact
 /// "VELA" checkpoints only; 5: `DropMoments` came; 6: `GradSyncDone` left
 /// and `GradState` carries a packed row; 7: the bootstrap became frame 29
-/// instead of a raw frame ahead of the protocol).
-const BOOTSTRAP_VERSION: u8 = 7;
+/// instead of a raw frame ahead of the protocol; 8: `FetchTrained` keeps
+/// the copy it fetches).
+const BOOTSTRAP_VERSION: u8 = 8;
 
 /// Upper bound on the payload of one [`Message::ExpertChunk`] frame.
 /// Bounded chunks keep the per-link writer queues responsive: a multi-MB
@@ -1268,7 +1270,7 @@ mod tests {
         let boot = fixed_instances().pop().unwrap().encode();
         assert_eq!(
             (boot[..2].to_vec(), &boot[2..]),
-            (vec![29, 7], &raw_v6[1..])
+            (vec![29, 8], &raw_v6[1..])
         );
         let instances = fixed_instances();
         assert_eq!(instances.len(), recorded.len());

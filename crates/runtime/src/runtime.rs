@@ -30,19 +30,19 @@ use crate::session::Session;
 use crate::transport::{TransportConfig, TransportError};
 use crate::worker::{expert_grads, ExpertTemplate};
 
-/// What one [`RealRuntime::apply_placement`] call set in motion.
+/// What one [`RealRuntime::apply_relation`] call set in motion.
 ///
-/// The call plans and admits; it moves no parameters itself. Each admitted
-/// lane streams its expert's frozen tensors under the training steps that
-/// follow and is cut over at the next step boundary, `in_flight` counts
-/// the moves still to complete, and [`RealRuntime::finish_migrations`]
-/// completes them at once instead.
+/// The call plans, admits and drops; it moves no parameters itself. Each
+/// admitted lane streams its expert's frozen tensors under the training
+/// steps that follow and is cut over at the next step boundary, `in_flight`
+/// counts the lanes still to complete, and
+/// [`RealRuntime::finish_migrations`] completes them at once instead.
 #[derive(Debug, Clone)]
 pub struct MigrationHandle {
-    /// Experts whose primary changes under the target placement.
+    /// Experts whose replica set changes under the target.
     pub moved: usize,
-    /// Moves still streaming or queued when the call returned (a move onto
-    /// a worker that already held a replica completes inside the call).
+    /// Lanes still streaming or queued when the call returned (an expert
+    /// that gains no worker only drops copies, inside the call).
     pub in_flight: usize,
     /// Ledger window of the apply call itself: the stream requests of the
     /// lanes it admitted. The chunks and the cutovers land in the step
@@ -152,40 +152,26 @@ impl RealRuntime {
         &self.body.model
     }
 
-    /// Starts moving experts so the session matches `target`, between
-    /// steps, and returns as soon as the plan is admitted.
-    ///
-    /// At most two experts move at a time. Each one's frozen tensors
-    /// stream through the per-link writer threads underneath the next
-    /// training step while the old placement keeps serving and training
-    /// it; at the boundary after that step the expert is cut over — its
-    /// trainable tensors cross in a stop-the-world exchange, the
-    /// destination starts serving, the primary flips — and the next queued
-    /// move is admitted. Optimizer moments do not travel: an expert
-    /// restarts from fresh ones on its new worker, so a run is bitwise the
-    /// run that performs the same moves stop-the-world at the same
-    /// boundaries, which is `apply_placement` followed by
-    /// [`finish_migrations`](Self::finish_migrations). A move onto a worker
-    /// that already holds a replica ships nothing and completes inside
-    /// the call. Every byte moved is exact f32.
-    ///
-    /// Moves still in flight from a previous call are completed first, so
-    /// the plan always diffs against settled state.
+    /// Starts changing expert copies so the session's placement becomes
+    /// `target`, between steps, and returns as soon as the plan is
+    /// admitted ([`BrokerClient::apply_relation`], DESIGN.md §4l). Dropped
+    /// copies go inside the call; each expert that gains workers takes a
+    /// lane, streamed under the next step and cut over at the boundary
+    /// after it, where every copy restarts from fresh moments. So a run is
+    /// bitwise the run that applies the same changes stop-the-world at the
+    /// same boundaries: `apply_relation` followed by
+    /// [`finish_migrations`](Self::finish_migrations). Lanes still in
+    /// flight from a previous call are completed first.
     ///
     /// # Panics
     /// Panics if `target`'s shape disagrees with the session. Transport
     /// and protocol failures surface as [`TransportError`].
-    pub fn apply_placement(
+    pub fn apply_relation(
         &mut self,
-        target: &Placement,
+        target: &ReplicatedPlacement,
     ) -> Result<MigrationHandle, TransportError> {
         self.finish_migrations()?;
-        let plan = self.broker.placement().primaries().diff(target);
-        let moved = plan.len();
-        self.blocked(|broker| {
-            plan.into_iter()
-                .try_for_each(|(block, expert, _, to)| broker.start_migration(block, expert, to))
-        })?;
+        let moved = self.blocked(|broker| broker.apply_relation(target))?;
         Ok(MigrationHandle {
             moved,
             in_flight: self.broker.migrations_in_flight(),
@@ -193,8 +179,21 @@ impl RealRuntime {
         })
     }
 
-    /// Moves requested by [`apply_placement`](Self::apply_placement) and
-    /// not yet cut over.
+    /// [`apply_relation`](Self::apply_relation) to the settled placement
+    /// re-rooted on `target`'s owners
+    /// ([`ReplicatedPlacement::with_primaries`]): each expert whose owner
+    /// changes gets it as primary, loses its old primary's copy and keeps
+    /// its other copies.
+    pub fn apply_placement(
+        &mut self,
+        target: &Placement,
+    ) -> Result<MigrationHandle, TransportError> {
+        self.finish_migrations()?;
+        self.apply_relation(&self.placement().with_primaries(target))
+    }
+
+    /// Lanes requested by [`apply_relation`](Self::apply_relation) and not
+    /// yet cut over.
     pub fn migrations_in_flight(&self) -> usize {
         self.broker.migrations_in_flight()
     }
@@ -207,7 +206,7 @@ impl RealRuntime {
 
     /// Completes every move in flight now, without steps to hide the
     /// streams under, and returns how many experts it cut over (0 when
-    /// nothing was in flight). After an `apply_placement` this is
+    /// nothing was in flight). After an `apply_relation` this is
     /// stop-the-world migration.
     pub fn finish_migrations(&mut self) -> Result<usize, TransportError> {
         let cut_over = self.blocked(BrokerClient::finish_migrations)?;

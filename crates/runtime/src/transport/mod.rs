@@ -416,8 +416,8 @@ impl MasterHub {
     /// bucket against the `(src, dst)` device pair and splits its encoded
     /// length into the wire counters. Returns whether the frame counts at
     /// all: `Unaccounted` frames skip the ledger, the frame counters *and*
-    /// the wire stats, so a traced run (clock probes) and a replica
-    /// re-root's `Evict` leave every total as it was.
+    /// the wire stats, so a traced run (clock probes) and a dropped
+    /// copy's `Evict` leave every total as it was.
     fn account(&mut self, src: DeviceId, dst: DeviceId, msg: &Message, encoded_len: usize) -> bool {
         let info = msg.info();
         match info.bucket {
@@ -824,7 +824,7 @@ mod tests {
 
     #[test]
     fn unaccounted_frames_leave_every_total_untouched() {
-        // The bootstrap, clock probes and a replica re-root's `Evict`
+        // The bootstrap, clock probes and a dropped copy's `Evict`
         // travel like any other frame and decode on the far side, but no
         // accounting layer may see them: not the ledger, not the frame
         // counters, not the wire stats.

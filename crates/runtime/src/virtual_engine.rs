@@ -412,7 +412,7 @@ mod tests {
 
     #[test]
     fn replication_balances_routing_and_accounts_sync_traffic() {
-        use vela_placement::ReplicationConfig;
+        use vela_placement::replicate_by_cost;
         let spec = small_spec();
         let scale = ScaleConfig {
             batch: 4,
@@ -438,7 +438,7 @@ mod tests {
         assert!(single_steps.iter().all(|m| m.traffic.sync_bytes == 0));
         assert!(single_steps.iter().all(|m| m.time.sync_s == 0.0));
 
-        let replicated = ReplicationConfig::Budget { frac: 1.0 }.apply(&base, &problem);
+        let replicated = replicate_by_cost(&base, &problem, 1.0);
         assert!(replicated.total_replicas() > base.blocks() * base.experts());
         let mut engine = launch(replicated, profile, scale);
         let steps = engine.run(4);
@@ -504,8 +504,7 @@ mod tests {
             (rows, straggler, sync)
         };
         let (single_rows, single, single_sync) = run(ReplicatedPlacement::from(&base));
-        let (multi_rows, multi, multi_sync) =
-            run(ReplicationConfig::Budget { frac: 1.0 }.apply(&base, &problem));
+        let (multi_rows, multi, multi_sync) = run(replicate_by_cost(&base, &problem, 1.0));
         assert_eq!(single_rows.iter().sum::<u64>(), 12_288);
         assert_eq!(multi_rows.iter().sum::<u64>(), 12_288);
         assert_eq!(single_sync, 0);

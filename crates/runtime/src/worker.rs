@@ -395,14 +395,16 @@ fn handle(
                 );
                 return Ok(Flow::Stop);
             }
-            // Evict the expert and ship its parameters to the master: all
-            // of them, or at a cutover only the trainable ones — the
-            // frozen ones went ahead as chunks.
-            let mut ffn = evict(shard, opt, block, expert);
+            // Ship the expert's parameters to the master: at teardown all
+            // of them, evicting the expert; at a cutover only the trainable
+            // ones — the frozen ones went ahead as chunks — keeping it,
+            // since whether this copy stays is the master's `Evict` to send.
             let mut data = Vec::new();
             if matches!(msg, Message::FetchTrained { .. }) {
-                checkpoint::save_part(&mut ffn, &mut data, true).expect("in-memory save");
+                let ffn = shard.expert_mut(block as usize, expert as usize);
+                checkpoint::save_part(ffn, &mut data, true).expect("in-memory save");
             } else {
+                let mut ffn = evict(shard, opt, block, expert);
                 checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
             }
             port.send(&Message::ExpertState {
@@ -537,7 +539,7 @@ fn handle(
             }
         }
         Message::Evict { block, expert } => {
-            // The primary moved onto a replica: drop this copy.
+            // The placement dropped this copy.
             if shard.contains(block as usize, expert as usize) {
                 drop(evict(shard, opt, block, expert));
             } else {
@@ -548,8 +550,8 @@ fn handle(
             }
         }
         Message::DropMoments { block, expert } => {
-            // A lane moved this replica's peer: its new primary restarts
-            // from fresh moments, so this copy does too.
+            // A lane gave this expert a new copy, which starts from fresh
+            // moments, so this one does too.
             if shard.contains(block as usize, expert as usize) {
                 drop_moments(shard.expert_mut(block as usize, expert as usize), opt);
             } else {
@@ -934,7 +936,7 @@ mod tests {
 
     /// Moves expert `(0, 0)` between two workers served on the test's own
     /// thread (the channel transport never blocks a sender), playing the
-    /// master: stream request, chunk relay, landing ack, cutover.
+    /// master: stream request, chunk relay, landing ack, cutover, evict.
     fn migrate(hub: &mut crate::transport::MasterHub, from: &mut Worker, to: &mut Worker) {
         let (block, expert) = (0, 0);
         hub.send(from.port.index, &Message::FetchShadow { block, expert })
@@ -959,6 +961,13 @@ mod tests {
         serve(to);
         let ack = (to.port.index, Message::InstallDone { block, expert });
         assert_eq!(hub.recv().unwrap(), ack);
+        assert!(
+            state(from).shard.contains(0, 0),
+            "a cutover fetch keeps the copy"
+        );
+        hub.send(from.port.index, &Message::Evict { block, expert })
+            .unwrap();
+        serve(from);
         assert!(state(to).shard.contains(0, 0) && !state(from).shard.contains(0, 0));
     }
 

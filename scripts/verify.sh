@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repository verification: tier-1 build+test, formatting, the knob-list
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
-# VELA_* count and the non-test line counts of vela-runtime, vela-model and
-# vela-tensor), the release-mode gates (simplex pivot path, routing table,
-# the contract harness), fig5 and fig6 regenerated from an empty pretraining
-# cache and the four synthetic-profile ablations, all diffed against
-# results/, the trace smokes (quickstart, the
+# VELA_* count and the non-test line counts of vela-runtime, vela-placement,
+# vela-model and vela-tensor), the release-mode gates (simplex pivot path,
+# routing table, the contract harness), fig5, fig6, fig3, fig7 and theorem1
+# regenerated from an empty pretraining cache and the four synthetic-profile
+# ablations, all diffed against results/, the trace smokes (quickstart, the
 # virtual scale_simulation, a traced tcp run), and the benches (the
 # kernel one emits BENCH_kernels.json in the repo root and its log names the
 # GEMM SIMD level the host dispatched to; the placement-LP one is echoed
@@ -49,7 +49,7 @@ non_test_lines() {
     find "crates/$1/src" -name '*.rs' -print0 | sort -z |
         xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }'
 }
-echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); non-test lines: vela-runtime $(non_test_lines runtime), vela-model $(non_test_lines model), vela-tensor $(non_test_lines tensor)"
+echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); non-test lines: vela-runtime $(non_test_lines runtime), vela-placement $(non_test_lines placement), vela-model $(non_test_lines model), vela-tensor $(non_test_lines tensor)"
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
@@ -65,12 +65,12 @@ cargo test --release -q -p vela-tensor --lib rng::tests::categorical_table
 
 # The release seed budget is the harness's own constant, not an option.
 contract_seeds=$(sed -n 's/^const SEEDS: u64 = .* else { \([0-9]*\) };$/\1/p' tests/contract.rs)
-echo "==> contract harness (release): seeds 0..${contract_seeds} drawn by tests/contract.rs (engine, shape, transport, placement, re-placement) vs the single-process oracle that replays moment resets, plus the named regression seeds, the exchange golden pin recorded at 8456ee6 on {channel, tcp-threads, tcp} and the exact wire bytes/step"
+echo "==> contract harness (release): seeds 0..${contract_seeds} drawn by tests/contract.rs (engine, shape, transport, placement, re-placement to new owners or to a replica relation) vs the single-process oracle that replays moment resets, plus the named regression seeds, the exchange golden pin recorded at 8456ee6 on {channel, tcp-threads, tcp} and the exact wire bytes/step"
 cargo test --release -q --test contract
 
-echo "==> figures: fig5 and fig6 from an empty target/vela-cache (its key does not cover code changes) and the four ablations built on synthetic profiles (skew, bandwidth, capacity, heterogeneous), stdout diffed against results/"
+echo "==> figures: fig5, fig6, fig3, fig7 and theorem1 from an empty target/vela-cache (its key does not cover code changes) and the four ablations built on synthetic profiles (skew, bandwidth, capacity, heterogeneous), stdout diffed against results/ (log lines go to stderr)"
 rm -rf target/vela-cache
-for fig in fig5 fig6 ablation_skew ablation_bandwidth ablation_capacity ablation_heterogeneous; do
+for fig in fig5 fig6 fig3 fig7 theorem1 ablation_skew ablation_bandwidth ablation_capacity ablation_heterogeneous; do
     env -u VELA_TRANSPORT cargo run --release -q -p vela-bench --bin "$fig" >"target/$fig.txt"
     diff -u "results/$fig.txt" "target/$fig.txt" || {
         echo "FAIL: $fig stdout differs from results/$fig.txt: review the diff, then regenerate the file" >&2

@@ -2,11 +2,13 @@
 //! computes exactly what single-process fine-tuning computes.
 //!
 //! A [`Scenario`] drawn from `DetRng(seed)` picks the engine, a model shape,
-//! batches and steps, a transport, a placement and a re-placement schedule.
-//! One invariant: on real tensors each step's loss bits and routing, the
-//! eval loss and every final parameter's bits equal the single-process
-//! oracle's, which replays a re-placement as the runtime schedules it by
-//! dropping the moved experts' AdamW moments at their cutovers; `StepMetrics`
+//! batches and steps, a transport, a placement and a re-placement schedule
+//! with its target: new owners, or a replica relation that adds, drops and
+//! moves copies. One invariant: on real tensors each step's loss bits and
+//! routing, the eval loss and every final parameter's bits equal the
+//! single-process oracle's, which replays a re-placement as the runtime
+//! schedules it by dropping the AdamW moments of every expert that gains a
+//! copy at its cutover; `StepMetrics`
 //! and ledger bytes are equal across transports; and `sync_bytes > 0` exactly
 //! on the steps whose placement is replicated. A failing seed is printed with
 //! a greedily shrunk scenario. Named seeds keep the arms of the retired
@@ -20,6 +22,7 @@ use vela::model::finetune::prepare_for_finetune;
 use vela::model::provider::ExpertBatch;
 use vela::model::RoutingInfo;
 use vela::nn::param::Module;
+use vela::placement::replicate_by_cost;
 use vela::prelude::*;
 use vela::runtime::transport::build_star;
 use vela::runtime::worker::{ExpertManager, WorkerBootstrap};
@@ -49,9 +52,10 @@ enum Arrange {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Replace {
     None,
-    /// `apply_placement`, the lanes cut over under the following steps.
+    /// `apply_placement` (or `apply_relation`), the lanes cut over under
+    /// the following steps.
     Streamed,
-    /// `apply_placement` + `finish_migrations` at one boundary.
+    /// The same + `finish_migrations` at one boundary.
     Flushed,
 }
 
@@ -73,6 +77,9 @@ struct Scenario {
     replace: Replace,
     /// Steps taken before the re-placement is requested.
     replace_at: usize,
+    /// The re-placement targets a replica relation (`apply_relation`)
+    /// rather than new owners (`apply_placement`).
+    relation: bool,
 }
 
 fn optim() -> AdamWConfig {
@@ -106,6 +113,7 @@ impl Scenario {
             arrange,
             replace: if real { replace } else { Replace::None },
             replace_at: rng.below(steps.div_ceil(2)),
+            relation: rng.chance(0.5),
         }
     }
 
@@ -132,6 +140,7 @@ impl Scenario {
         push(self.replace != Replace::None, &|s| {
             s.replace = Replace::None
         });
+        push(self.relation, &|s| s.relation = false);
         out
     }
 
@@ -185,7 +194,7 @@ impl Scenario {
                 let profile =
                     LocalityProfile::synthetic("skew", self.blocks, self.experts, 1.5, self.seed);
                 let problem = self.problem(profile.to_matrix());
-                placed = ReplicationConfig::Budget { frac: 1.0 }.apply(&base, &problem);
+                placed = replicate_by_cost(&base, &problem, 1.0);
             }
             _ => {}
         }
@@ -205,7 +214,7 @@ impl Scenario {
     /// Every expert scattered, then the replicated pairs sent alternately
     /// onto one of their replicas and off their replica set (a lane move of
     /// a replicated expert), where the workers allow it.
-    fn target(&self, placed: &ReplicatedPlacement) -> Placement {
+    fn owners(&self, placed: &ReplicatedPlacement) -> Placement {
         let mut rng = DetRng::new(self.seed ^ 0x7a46);
         let mut target = placed.primaries();
         for l in 0..self.blocks {
@@ -227,23 +236,73 @@ impl Scenario {
         target
     }
 
-    /// The moves of the re-placement, in plan order, as `(block, expert,
-    /// onto a replica)`.
+    /// Each expert keeps its copies, gains one, drops one (the primary's
+    /// moves the expert onto its other copies), or trades one for a worker
+    /// off its replica set (an add plus a drop), where the workers allow it.
+    fn relation_target(&self, placed: &ReplicatedPlacement) -> ReplicatedPlacement {
+        let mut rng = DetRng::new(self.seed ^ 0x4e1a);
+        let relation = (0..self.blocks)
+            .map(|l| {
+                (0..self.experts)
+                    .map(|e| {
+                        let mut reps = placed.replicas_of(l, e).to_vec();
+                        let off: Vec<usize> =
+                            (0..self.workers).filter(|w| !reps.contains(w)).collect();
+                        match rng.below(4) {
+                            1 if !off.is_empty() => reps.push(off[rng.below(off.len())]),
+                            2 if reps.len() > 1 => {
+                                reps.remove(rng.below(reps.len()));
+                            }
+                            3 if !off.is_empty() => {
+                                let i = rng.below(reps.len());
+                                reps[i] = off[rng.below(off.len())];
+                            }
+                            _ => {}
+                        }
+                        reps[1..].sort_unstable();
+                        reps
+                    })
+                    .collect()
+            })
+            .collect();
+        ReplicatedPlacement::new(relation, self.workers)
+    }
+
+    /// The placement the re-placement settles on.
+    fn target(&self, placed: &ReplicatedPlacement) -> ReplicatedPlacement {
+        if self.relation {
+            self.relation_target(placed)
+        } else {
+            placed.with_primaries(&self.owners(placed))
+        }
+    }
+
+    /// The experts whose replica set the re-placement changes, in plan
+    /// order, as `(block, expert, gains a copy)`: only those take a lane.
     fn moves(&self, placed: &ReplicatedPlacement) -> Vec<(usize, usize, bool)> {
         if self.replace == Replace::None {
             return Vec::new();
         }
-        let plan = placed.primaries().diff(&self.target(placed));
-        plan.into_iter()
-            .map(|(l, e, _, to)| (l, e, placed.replicas_of(l, e).contains(&to)))
-            .collect()
+        let target = self.target(placed);
+        let mut out = Vec::new();
+        for l in 0..self.blocks {
+            for e in 0..self.experts {
+                let (now, to) = (placed.replicas_of(l, e), target.replicas_of(l, e));
+                let gains = to.iter().any(|w| !now.contains(w));
+                if gains || now.len() > to.len() {
+                    out.push((l, e, gains));
+                }
+            }
+        }
+        out
     }
 
     /// The oracle's moment resets, `(steps taken, block, expert)`: a flush
     /// cuts every lane over where it is applied, a stream two lanes at each
-    /// later boundary, in plan order.
+    /// later boundary, in plan order. An expert that only drops copies
+    /// keeps its moments.
     fn resets(&self, placed: &ReplicatedPlacement) -> Vec<(usize, usize, usize)> {
-        let lanes = self.moves(placed).into_iter().filter(|m| !m.2);
+        let lanes = self.moves(placed).into_iter().filter(|m| m.2);
         lanes
             .enumerate()
             .map(|(i, (l, e, _))| match self.replace {
@@ -344,12 +403,17 @@ fn distributed(
     let placed = s.placement();
     let mut rt = launch(transport, s.build(), placed.clone(), s.devices());
     let (moves, batches, seq) = (s.moves(&placed), s.batches(), s.cfg().seq_len);
-    let lanes = moves.iter().filter(|m| !m.2).count();
+    let lanes = moves.iter().filter(|m| m.2).count();
     let (mut trace, mut metrics) = (Trace::default(), Vec::new());
     let fail = |e: vela::runtime::TransportError| e.to_string();
     for (step, (inputs, targets)) in batches[..s.steps].iter().enumerate() {
         if s.replace != Replace::None && step == s.replace_at {
-            let handle = rt.apply_placement(&s.target(&placed)).map_err(fail)?;
+            let handle = if s.relation {
+                rt.apply_relation(&s.target(&placed))
+            } else {
+                rt.apply_placement(&s.owners(&placed))
+            };
+            let handle = handle.map_err(fail)?;
             let got = (handle.moved, handle.in_flight);
             ensure!(got == (moves.len(), lanes), "apply admitted {got:?}");
             if s.replace == Replace::Flushed {
@@ -366,7 +430,7 @@ fn distributed(
     }
     if s.replace != Replace::None {
         rt.finish_migrations().map_err(fail)?;
-        let settled = rt.placement().primaries() == s.target(&placed);
+        let settled = rt.placement() == &s.target(&placed);
         ensure!(settled, "the re-placement settled off its target");
     }
     let (inputs, targets) = &batches[s.steps];
@@ -514,10 +578,27 @@ fn dropped(s: &Scenario, p: &ReplicatedPlacement) -> usize {
 }
 
 /// A stream with a lane move of a replicated expert that drops moments,
-/// beside a move onto a replica.
+/// beside a move onto a replica (a change that gains no copy).
 fn streamed(s: &Scenario, p: &ReplicatedPlacement, transport: usize) -> bool {
-    let onto_replica = s.moves(p).iter().any(|m| m.2);
+    let onto_replica = s.moves(p).iter().any(|m| !m.2);
     s.replace == Replace::Streamed && s.transport == transport && dropped(s, p) > 0 && onto_replica
+}
+
+/// A relation re-placement (`replace` on `transport`) that gives an expert
+/// a copy and drops none, drops a copy of another and gains none, and
+/// resets moments between two steps.
+fn relation_arm(s: &Scenario, p: &ReplicatedPlacement, replace: Replace, transport: usize) -> bool {
+    let target = s.target(p);
+    let keeps = |l, e| {
+        p.replicas_of(l, e)
+            .iter()
+            .all(|w| target.replicas_of(l, e).contains(w))
+    };
+    let moves = s.moves(p);
+    let add = moves.iter().any(|&(l, e, gains)| gains && keeps(l, e));
+    let drop_only = moves.iter().any(|m| !m.2);
+    let arm = s.relation && s.replace == replace && s.transport == transport;
+    arm && add && drop_only && dropped(s, p) > 0
 }
 
 /// One `#[test]` per named seed, asserting the arm it stands for.
@@ -551,6 +632,12 @@ named_seeds! {
     overlap_migration_matches_sync_over_channel: 393, |s, p| streamed(s, p, 0);
     overlap_migration_matches_sync_over_tcp_threads: 304, |s, p| streamed(s, p, 1);
     overlap_migration_matches_sync_over_tcp_processes: 108, |s, p| streamed(s, p, 2);
+    relation_stream_adds_and_drops_copies_over_channel: 424,
+        |s, p| relation_arm(s, p, Replace::Streamed, 0);
+    relation_flush_adds_drops_and_moves_copies_over_tcp_threads: 13,
+        |s, p| relation_arm(s, p, Replace::Flushed, 1);
+    relation_stream_adds_and_drops_copies_over_tcp_processes: 463,
+        |s, p| relation_arm(s, p, Replace::Streamed, 2);
     ledger_windows_are_bitwise_identical_across_transports: 32,
         |s, p| !s.real && s.transport == 1 && p.is_degree_one() && s.steps > 1;
     replicated_arm_is_bitwise_identical_across_transports_and_shapes: 48,
@@ -782,14 +869,18 @@ fn exact_wire_bytes_are_pinned() {
 /// For the migration API facts no scenario expresses: the 2 × 4 LoRA micro
 /// model on six channel workers, expert `e` of each block on `assign(e)`.
 fn session(assign: impl Fn(usize) -> usize) -> (RealRuntime, Scenario) {
+    session_on(Placement::new(vec![(0..4).map(&assign).collect(); 2], 6).into())
+}
+
+/// [`session`] launched on `placement`.
+fn session_on(placement: ReplicatedPlacement) -> (RealRuntime, Scenario) {
     let mut s = Scenario::draw(0);
     (s.real, s.lora, s.blocks, s.experts, s.top_k, s.workers) = (true, true, 2, 4, 2, 6);
     (s.batch, s.steps) = (4, 2);
-    let placement = Placement::new(vec![(0..4).map(&assign).collect(); 2], 6);
     let rt = launch(
         TransportConfig::channel(),
         s.build(),
-        placement.into(),
+        placement,
         s.devices(),
     );
     (rt, s)
@@ -856,4 +947,35 @@ fn dynamic_replanning_improves_traffic_mid_run() {
     let after = external(&mut rt, &batches[2]);
     assert!(after < before / 2, "external bytes {before} -> {after}");
     rt.shutdown();
+}
+
+/// A lane move of expert `(0, 1)` off worker 1 onto worker 2, expert `e`
+/// of each block on worker `e` and `(0, 1)` also on worker 3 when
+/// `replicated`, applied as a `&Placement` and flushed: the migration-bucket
+/// ledger bytes and the hub frames (out, in) the move cost.
+fn lane_move(replicated: bool) -> (u64, (u64, u64)) {
+    let mut placed = ReplicatedPlacement::from(&Placement::new(vec![(0..4).collect(); 2], 6));
+    if replicated {
+        placed.add_replica(0, 1, 3);
+    }
+    let (mut rt, _) = session_on(placed);
+    let mut target = rt.placement().primaries();
+    target.set_worker(0, 1, 2);
+    let before = rt.frame_counts();
+    rt.apply_placement(&target).expect("migration failed");
+    rt.finish_migrations().expect("flush failed");
+    let after = rt.frame_counts();
+    let bytes = rt.migration_bytes();
+    rt.shutdown();
+    (bytes, (after.0 - before.0, after.1 - before.1))
+}
+
+/// A `&Placement` target lifts to the relation and comes out as the plan
+/// the primaries-only mover made: ledger bytes and hub frames recorded from
+/// it, for a lane move and for a lane move of a replicated expert (whose
+/// `DropMoments` and `Evict` are off the books).
+#[test]
+fn a_lifted_placement_is_todays_plan() {
+    assert_eq!(lane_move(false), (17_648, (4, 4)));
+    assert_eq!(lane_move(true), (17_648, (4, 4)));
 }
