@@ -7,6 +7,14 @@
 //! results, and the conjugated gradient dispatcher/receiver handle the
 //! backward pass. It also logs, per MoE block and pass, the bytes and rows
 //! exchanged with each worker — the inputs to the Eq. (7) time model.
+//!
+//! It also moves the Expert Managers' copies. A copy crosses one way: the
+//! frozen part as an `ExpertChunk` stream, then the trainable part as
+//! another, each acked with `InstallDone`. A migration lane relays both
+//! streams from the primary to every worker the expert gains (the frozen
+//! one under the training steps, the trainable one at the cutover);
+//! process-mode seeding streams both from the master, and process-mode
+//! teardown fetches both back before it evicts the copy.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -16,7 +24,7 @@ use vela_obs::Counter;
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::Tensor;
 
-use crate::message::{Message, PackedData, PackedGroup};
+use crate::message::{chunk_expert_state, ChunkAssembler, Message, PackedData, PackedGroup};
 use crate::pipeline::{
     DispatchPlan, Rows, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS, SPAN_COMBINE,
     SPAN_MIGRATION_PUMP,
@@ -163,9 +171,10 @@ struct Lane {
     expert: usize,
     /// The target replica set, primary first.
     target: Vec<usize>,
-    /// Gained workers whose shadow has not landed (acked `InstallDone`).
-    /// Nothing keeps a shadow current meanwhile — the tensors it holds are
-    /// the ones no step changes.
+    /// Gained workers the current stream has not landed on (no
+    /// `InstallDone` yet): the frozen stream until the cutover, then the
+    /// trainable one. Nothing keeps a shadow current meanwhile — the
+    /// tensors it holds are the ones no step changes.
     landing: Vec<usize>,
 }
 
@@ -250,8 +259,8 @@ pub struct BrokerClient {
     step: u64,
     /// Migration lanes; empty in the virtual engine, which never migrates.
     migrations: MigrationState,
-    /// `(worker, block, expert)` of every `ExpertState` install shipped
-    /// and not yet acknowledged.
+    /// `(worker, block, expert)` of every seeding stream shipped and not
+    /// yet acknowledged.
     installs_owed: Vec<(usize, usize, usize)>,
 }
 
@@ -357,86 +366,93 @@ impl BrokerClient {
         sent
     }
 
-    /// Fetches (and evicts) one expert's serialized parameters from the
-    /// worker currently hosting it, without reinstalling them anywhere.
-    /// Used by process-mode teardown to reassemble the expert population
-    /// on the master.
-    pub fn fetch_expert(&mut self, block: usize, expert: usize) -> Result<Vec<u8>, TransportError> {
-        let from = self.placement.primary(block, expert);
-        self.hub.send(
-            from,
-            &Message::FetchExpert {
-                block: block as u32,
-                expert: expert as u32,
-            },
-        )?;
-        self.recv_expert_state(from, block, expert)
-    }
-
-    /// Waits for the `ExpertState` worker `from` owes for `(block, expert)`
-    /// and returns its blob.
-    fn recv_expert_state(
+    /// Fetches one expert's serialized parameters back from its primary,
+    /// as `[frozen, trainable]` checkpoint blobs, and drops the copy there:
+    /// `FetchShadow` and `FetchTrained` go back to back, both streams are
+    /// reassembled, then an `Evict` follows. Used by process-mode teardown
+    /// to reassemble the expert population on the master.
+    pub fn fetch_expert(
         &mut self,
-        from: usize,
         block: usize,
         expert: usize,
-    ) -> Result<Vec<u8>, TransportError> {
-        let (src, msg) = self.recv_routed()?;
-        if src != from {
-            return Err(TransportError::Protocol(format!(
-                "expert state arrived from worker {src}, expected {from}"
-            )));
-        }
-        let Message::ExpertState {
-            block: rb,
-            expert: re,
-            data,
-        } = msg
-        else {
-            return Err(TransportError::Protocol(format!(
-                "expected ExpertState, got {msg:?}"
-            )));
-        };
-        if (rb as usize, re as usize) != (block, expert) {
-            return Err(TransportError::Protocol(format!(
-                "fetched expert ({rb},{re}), asked for ({block},{expert})"
-            )));
-        }
-        Ok(data)
+    ) -> Result<[Vec<u8>; 2], TransportError> {
+        let from = self.placement.primary(block, expert);
+        let (block, expert) = (block as u32, expert as u32);
+        self.hub
+            .send(from, &Message::FetchShadow { block, expert })?;
+        self.hub
+            .send(from, &Message::FetchTrained { block, expert })?;
+        let frozen = self.recv_stream(from, block, expert)?;
+        let trained = self.recv_stream(from, block, expert)?;
+        self.hub.send(from, &Message::Evict { block, expert })?;
+        Ok([frozen, trained])
     }
 
-    /// Ships one serialized expert to each worker in `to` as an accounted
-    /// `ExpertState` install — the one install path, shared by a
-    /// migration's cutover and process-mode seeding — and returns the
-    /// blob's size on the wire. The acks are collected by
-    /// [`wait_installs`](Self::wait_installs), so a caller with many
-    /// experts to place pipelines every install before it waits once.
-    ///
-    /// The bytes cross as given: a cutover forwards the source's exact f32
-    /// blob, and seeding worker processes ships the master's.
+    /// Reassembles the `ExpertChunk` stream worker `from` owes for
+    /// `(block, expert)` and returns its blob.
+    fn recv_stream(
+        &mut self,
+        from: usize,
+        block: u32,
+        expert: u32,
+    ) -> Result<Vec<u8>, TransportError> {
+        let mut stream = ChunkAssembler::new(block, expert);
+        loop {
+            let (w, msg) = self.recv_routed()?;
+            let Message::ExpertChunk {
+                block: b,
+                expert: e,
+                offset,
+                total,
+                data,
+            } = msg
+            else {
+                return Err(TransportError::Protocol(format!(
+                    "expected an expert chunk from worker {from}, got {msg:?}"
+                )));
+            };
+            if (w, b, e) != (from, block, expert) {
+                return Err(TransportError::Protocol(format!(
+                    "chunk of expert ({b},{e}) arrived from worker {w}, \
+                     expected ({block},{expert}) from {from}"
+                )));
+            }
+            stream
+                .accept(offset, total, &data)
+                .map_err(|e| TransportError::Protocol(format!("fetched stream: {e}")))?;
+            if stream.is_complete() {
+                return Ok(stream.into_bytes());
+            }
+        }
+    }
+
+    /// Streams one serialized expert to each worker in `to` the way a lane
+    /// moves it — the frozen blob, then the trainable one, each as
+    /// `ExpertChunk`s — for process-mode seeding. Every copy starts from
+    /// the same bytes, so replicas start bit-identical. Each worker acks
+    /// each stream; [`wait_installs`](Self::wait_installs) collects the
+    /// acks, so a caller with many experts to place pipelines every stream
+    /// before it waits once.
     pub fn install_expert(
         &mut self,
         block: usize,
         expert: usize,
         to: &[usize],
-        data: Vec<u8>,
-    ) -> Result<u64, TransportError> {
-        let bytes = data.len() as u64;
-        // Every replica receives the same blob, so copies start
-        // bit-identical on whichever worker hosts them.
-        let msg = Message::ExpertState {
-            block: block as u32,
-            expert: expert as u32,
-            data,
-        };
-        for &w in to {
-            self.hub.send(w, &msg)?;
-            self.installs_owed.push((w, block, expert));
+        parts: [&[u8]; 2],
+    ) -> Result<(), TransportError> {
+        for part in parts {
+            let frames = chunk_expert_state(block as u32, expert as u32, part);
+            for &w in to {
+                for frame in &frames {
+                    self.hub.send(w, frame)?;
+                }
+                self.installs_owed.push((w, block, expert));
+            }
         }
-        Ok(bytes)
+        Ok(())
     }
 
-    /// Waits for the `InstallDone` of every install shipped so far. An ack
+    /// Waits for the `InstallDone` of every stream shipped so far. An ack
     /// from a worker that owes none for that expert is a protocol error.
     pub fn wait_installs(&mut self) -> Result<(), TransportError> {
         while !self.installs_owed.is_empty() {
@@ -544,14 +560,14 @@ impl BrokerClient {
     /// optimizer moments do not travel (every copy restarts from fresh
     /// ones), so the boundary is visible in every later loss.
     ///
-    /// The cutover itself is a stop-the-world exchange of the tensors that
-    /// train: the primary replies with them and keeps its copy
-    /// (`FetchTrained` → `ExpertState`), the master forwards the blob to
-    /// every gained worker, each loads it onto its shadow, starts serving
-    /// and acks, every surviving copy drops its moments (`DropMoments`, so
-    /// all copies restart alike), and the dropped copies are evicted.
-    /// FIFO links order all of it before the next step's traffic, so every
-    /// side switches exactly at the boundary.
+    /// The cutover itself is a stop-the-world stream of the tensors that
+    /// train: the primary streams them and keeps its copy (`FetchTrained`
+    /// → `ExpertChunk`s), the master relays the stream to every gained
+    /// worker as it relayed the frozen one, each completes the copy on its
+    /// shadow, starts serving and acks, every surviving copy drops its
+    /// moments (`DropMoments`, so all copies restart alike), and the
+    /// dropped copies are evicted. FIFO links order all of it before the
+    /// next step's traffic, so every side switches exactly at the boundary.
     pub fn pump_migrations(&mut self) -> Result<usize, TransportError> {
         if self.migrations.in_flight() == 0 {
             return Ok(0);
@@ -559,35 +575,19 @@ impl BrokerClient {
         let _g = vela_obs::span(SPAN_MIGRATION_PUMP);
         let mut cut_over = 0;
         while !self.migrations.lanes.is_empty() {
-            while !self.migrations.lanes[0].landing.is_empty() {
-                // Between steps the workers owe nothing but lane frames.
-                let (w, msg) = self.hub.recv()?;
-                if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
-                    return Err(TransportError::Protocol(format!(
-                        "unexpected frame from worker {w} while a shadow was landing: {msg:?}"
-                    )));
-                }
-            }
-            // Off the table first: the cutover's own `InstallDone`s must
-            // reach `wait_installs`, not be taken for shadow landings.
-            let Lane {
-                block,
-                expert,
-                target,
-                ..
-            } = self.migrations.lanes.remove(0);
-            let from = self.placement.primary(block, expert);
-            let gains = without(&target, self.placement.replicas_of(block, expert));
+            self.land_first_lane()?;
+            let lane = &mut self.migrations.lanes[0];
+            let (block, expert) = (lane.block, lane.expert);
+            lane.landing = without(&lane.target, self.placement.replicas_of(block, expert));
             self.hub.send(
-                from,
+                self.placement.primary(block, expert),
                 &Message::FetchTrained {
                     block: block as u32,
                     expert: expert as u32,
                 },
             )?;
-            let trained = self.recv_expert_state(from, block, expert)?;
-            self.install_expert(block, expert, &gains, trained)?;
-            self.wait_installs()?;
+            self.land_first_lane()?;
+            let target = self.migrations.lanes.remove(0).target;
             // The gained copies start from fresh moments; so must every
             // surviving one, or the copies stop being clones.
             self.settle(block, expert, &target, true)?;
@@ -632,6 +632,21 @@ impl BrokerClient {
                 self.hub.send(w, &Message::Evict { block, expert })?;
             } else if reset {
                 self.hub.send(w, &Message::DropMoments { block, expert })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Drains lane frames until the first admitted lane's current stream
+    /// has landed on every gained worker. Between steps the workers owe
+    /// nothing but lane frames.
+    fn land_first_lane(&mut self) -> Result<(), TransportError> {
+        while !self.migrations.lanes[0].landing.is_empty() {
+            let (w, msg) = self.hub.recv()?;
+            if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
+                return Err(TransportError::Protocol(format!(
+                    "unexpected frame from worker {w} while a lane was landing: {msg:?}"
+                )));
             }
         }
         Ok(())
@@ -773,10 +788,11 @@ impl BrokerClient {
     }
 
     /// Inspects a drained frame: if it belongs to an admitted lane it is
-    /// serviced here — the primary's `ExpertChunk`s relay to every gained
-    /// worker over the accounted hub path, and each gained worker's
-    /// `InstallDone` marks its shadow landed — and `None` is returned. Any other frame is handed
-    /// back to the caller's protocol loop untouched.
+    /// serviced here — the primary's `ExpertChunk`s, frozen or trainable,
+    /// relay to every gained worker over the accounted hub path, and each
+    /// gained worker's `InstallDone` marks the stream landed there — and
+    /// `None` is returned. Any other frame is handed back to the caller's
+    /// protocol loop untouched.
     fn route_lane_frame(
         &mut self,
         w: usize,
@@ -790,7 +806,7 @@ impl BrokerClient {
         };
         let lanes = &mut self.migrations.lanes;
         let Some(lane) = lanes.iter_mut().find(|l| (l.block, l.expert) == key) else {
-            // Not lane traffic (e.g. a seeding or cutover install ack) —
+            // Not lane traffic (e.g. a seeding ack or a teardown stream) —
             // the caller's own protocol validation deals with it.
             return Ok(Some((w, msg)));
         };
@@ -972,9 +988,8 @@ impl ExpertProvider for BrokerClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::PackedReply;
-    use crate::transport::star;
-    use crate::transport::MasterHub;
+    use crate::message::{PackedReply, EXPERT_CHUNK_BYTES};
+    use crate::transport::{build_star, star, MasterHub, TransportConfig};
     use crate::worker::{ExpertManager, ExpertTemplate, WorkerBootstrap};
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
@@ -1477,24 +1492,20 @@ mod tests {
         assert_eq!(held, 1);
     }
 
-    /// Six steps on three workers, expert `e` of each block on worker
-    /// `e % 3` and, with `replicated`, `(0, 0)` also on worker 1; before
-    /// step 3 the placement becomes `change` of itself. Returns the settled
-    /// replica set of `(0, 0)` and the parameter bits of each of its copies
-    /// at shutdown, in worker order.
-    fn copies_after(
+    /// Three workers over `transport`, expert `e` of each block on worker
+    /// `e % 3` and, with `replicated`, `(0, 0)` also on worker 1. With
+    /// `stray`, worker 2 also holds a copy of `(0, 0)` the placement does
+    /// not list. Every copy of an expert starts bit-identical.
+    fn three_workers(
+        transport: TransportConfig,
+        cfg: &ModelConfig,
         replicated: bool,
-        change: impl Fn(&ReplicatedPlacement) -> ReplicatedPlacement,
-    ) -> (Vec<usize>, Vec<Vec<u32>>) {
-        let cfg = ModelConfig::test_small();
+        stray: bool,
+    ) -> (BrokerClient, Vec<ExpertManager>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (mut hub, ports) = star(
-            ledger,
-            DeviceId(0),
-            &[DeviceId(1), DeviceId(2), DeviceId(3)],
-        );
-        let mut source = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
-        let mut clone = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
+        let devices = [DeviceId(1), DeviceId(2), DeviceId(3)];
+        let (mut hub, ports) = build_star(transport, ledger, DeviceId(0), &devices).unwrap();
+        let mut source = LocalExpertStore::new(cfg, &mut DetRng::new(7));
         let template = Some(ExpertTemplate::from_expert(source.expert_mut(0, 0)));
         let mut shards: Vec<LocalExpertStore> = (0..3)
             .map(|_| LocalExpertStore::empty(cfg.blocks, cfg.experts))
@@ -1506,19 +1517,50 @@ mod tests {
                 reps.push(e % 3);
             }
         }
+        let clone = || LocalExpertStore::new(cfg, &mut DetRng::new(7)).take(0, 0);
         if replicated {
-            shards[1].insert(0, 0, clone.take(0, 0));
+            shards[1].insert(0, 0, clone());
             replicas[0][0].push(1);
         }
-        let managers: Vec<ExpertManager> = ports
+        if stray {
+            shards[2].insert(0, 0, clone());
+        }
+        let managers = ports
             .into_iter()
             .zip(shards)
             .map(|(port, shard)| ExpertManager::spawn(port, shard))
             .collect();
-        boot(&mut hub, &cfg, template);
-        let mut broker = BrokerClient::new(hub, ReplicatedPlacement::new(replicas, 3));
+        boot(&mut hub, cfg, template);
+        (
+            BrokerClient::new(hub, ReplicatedPlacement::new(replicas, 3)),
+            managers,
+        )
+    }
 
+    /// What [`copies_after`] saw of `(0, 0)`.
+    struct Copies {
+        /// Its settled replica set.
+        settled: Vec<usize>,
+        /// The parameter bits of each of its copies at shutdown, in worker
+        /// order.
+        bits: Vec<Vec<u32>>,
+        /// Hub frames `(out, in)` and expert-state wire bytes `(header,
+        /// payload)` of the boundary that cut the change over.
+        cutover: ((u64, u64), (u64, u64)),
+    }
+
+    /// Six steps on [`three_workers`] over channels; before step 3 the
+    /// placement becomes `change` of itself, and the boundary after it
+    /// cuts the change over.
+    fn copies_after(
+        cfg: &ModelConfig,
+        replicated: bool,
+        change: impl Fn(&ReplicatedPlacement) -> ReplicatedPlacement,
+    ) -> Copies {
+        let (mut broker, managers) =
+            three_workers(TransportConfig::channel(), cfg, replicated, false);
         let mut rng = DetRng::new(29);
+        let mut cutover = ((0, 0), (0, 0));
         for step in 0..6 {
             if step == 3 {
                 let target = change(broker.placement());
@@ -1538,11 +1580,22 @@ mod tests {
             broker.sync_replica_grads(64).unwrap();
             broker.step_end().unwrap();
             broker.wait_step_done().unwrap();
+            let (frames, wire) = (broker.frame_counts(), broker.wire_stats());
             broker.pump_migrations().unwrap();
+            if step == 3 {
+                let (now, after) = (broker.frame_counts(), broker.wire_stats());
+                cutover = (
+                    (now.0 - frames.0, now.1 - frames.1),
+                    (
+                        after.expert_state_header - wire.expert_state_header,
+                        after.expert_state_payload - wire.expert_state_payload,
+                    ),
+                );
+            }
         }
         let settled = broker.placement().replicas_of(0, 0).to_vec();
         broker.shutdown().unwrap();
-        let copies = managers
+        let bits = managers
             .into_iter()
             .map(|m| m.join().unwrap())
             .filter(|shard| shard.contains(0, 0))
@@ -1554,7 +1607,11 @@ mod tests {
                 bits
             })
             .collect();
-        (settled, copies)
+        Copies {
+            settled,
+            bits,
+            cutover,
+        }
     }
 
     /// `Err` unless there are two copies and they agree bit for bit.
@@ -1573,27 +1630,80 @@ mod tests {
         // Expert (0, 0) lives on workers 0 and 1; a lane moves it from 0 to
         // 2. The new primary starts from fresh moments, so the surviving
         // peer must too, or the two copies part after the next step.
-        let (settled, copies) = copies_after(true, |placed| {
+        let moved = copies_after(&ModelConfig::test_small(), true, |placed| {
             let mut target = placed.primaries();
             target.set_worker(0, 0, 2);
             placed.with_primaries(&target)
         });
-        assert_eq!(settled, [2, 1]);
-        clones(&copies).unwrap();
+        assert_eq!(moved.settled, [2, 1]);
+        clones(&moved.bits).unwrap();
     }
 
     #[test]
     fn an_added_copy_steps_bit_identically_with_its_source() {
         // Expert (0, 0) gains a copy on worker 2 and keeps the one on
         // worker 0: an add with no drop. Both start the next step from
-        // fresh moments and the same weights, and stay clones.
-        let (settled, copies) = copies_after(false, |placed| {
-            let mut target = placed.clone();
+        // fresh moments and the same weights, and stay clones — also at a
+        // width whose trainable blob needs many chunks.
+        let wide = ModelConfig {
+            dim: 128,
+            ffn_hidden: 576,
+            ..ModelConfig::test_small()
+        };
+        for (cfg, min_chunks) in [(ModelConfig::test_small(), 1), (wide, 2)] {
+            let moved = copies_after(&cfg, false, |placed| {
+                let mut target = placed.clone();
+                target.add_replica(0, 0, 2);
+                target
+            });
+            assert_eq!(moved.settled, [0, 2]);
+            clones(&moved.bits).unwrap();
+            // The base trains, so nothing is frozen and the whole expert
+            // rides the cutover's trainable stream: `FetchTrained` out, the
+            // stream in from worker 0 and relayed to worker 2, its ack in.
+            // Each leg is `n` bounded chunks with one chunk header each,
+            // never one frame holding the blob.
+            let ((out, back), (header, payload)) = moved.cutover;
+            let blob = payload / 2;
+            assert!(
+                blob >= (3 * cfg.dim * cfg.ffn_hidden * 4) as u64,
+                "{blob} bytes"
+            );
+            let n = blob.div_ceil(EXPERT_CHUNK_BYTES as u64);
+            let chunk_header = chunk_expert_state(0, 0, &[])[0].encode().len() as u64;
+            assert_eq!(
+                ((out, back), header),
+                ((1 + n, n + 1), 2 * n * chunk_header)
+            );
+            assert!(n >= min_chunks, "{blob} bytes crossed as {n} chunk(s)");
+        }
+    }
+
+    #[test]
+    fn a_gained_worker_that_holds_the_expert_refuses_the_stream() {
+        // Worker 2 holds a copy of (0, 0) the placement does not list, and
+        // the target adds one there. The worker refuses the opening chunk
+        // and stops; the flush reports a dead worker instead of hanging or
+        // panicking, on either in-process transport.
+        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
+            let cfg = ModelConfig::test_small();
+            let (mut broker, managers) = three_workers(transport, &cfg, false, true);
+            let mut target = broker.placement().clone();
             target.add_replica(0, 0, 2);
-            target
-        });
-        assert_eq!(settled, [0, 2]);
-        clones(&copies).unwrap();
+            assert_eq!(broker.apply_relation(&target).unwrap(), 1);
+            let flushed = broker.finish_migrations();
+            assert!(
+                matches!(flushed, Err(TransportError::Disconnected)),
+                "{}: {flushed:?}",
+                transport.label()
+            );
+            let _ = broker.shutdown();
+            let held: Vec<bool> = managers
+                .into_iter()
+                .map(|m| m.join().unwrap().contains(0, 0))
+                .collect();
+            assert_eq!(held, [true, false, true], "{}", transport.label());
+        }
     }
 
     #[test]
@@ -1632,8 +1742,8 @@ mod tests {
 
     #[test]
     fn wrong_reply_is_a_protocol_error_not_a_panic() {
-        // A worker that answers FetchExpert with StepDone must surface as
-        // TransportError::Protocol on the master.
+        // A worker that answers a teardown fetch with StepDone must surface
+        // as TransportError::Protocol on the master.
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let (hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(1)]);
         let mut port = ports.remove(0);

@@ -399,7 +399,7 @@ mod tests {
         // never a hang, while a linked worker keeps serving.
         let stops = [
             Message::StepDone,
-            Message::FetchExpert {
+            Message::FetchTrained {
                 block: 0,
                 expert: 1,
             },

@@ -211,7 +211,8 @@ pub enum FrameKind {
     Dispatch,
     /// Worker → master result traffic.
     Result,
-    /// Expert parameter transfers (migration, seeding, fetch-back).
+    /// Expert parameter chunks (migration, seeding, fetch-back) and
+    /// replica gradient rows.
     ExpertState,
     /// Everything else (step markers, acks, shutdown).
     Control,
@@ -452,10 +453,11 @@ macro_rules! frames {
     };
 }
 
-// Tags 2–5 (per-batch frames), 12–13 (per-item group frames), 20 (the
-// replica-sync ack) and 23, 24, 26 (the lockstep shadow's moment snapshot,
-// announce and commit) belonged to retired designs and are never reused: a
-// stale peer that still sends one gets `WireError::BadTag`, not a misparse.
+// Tags 2–5 (per-batch frames), 9–10 (the whole-expert fetch and blob),
+// 12–13 (per-item group frames), 20 (the replica-sync ack) and 23, 24, 26
+// (the lockstep shadow's moment snapshot, announce and commit) belonged to
+// retired designs and are never reused: a stale peer that still sends one
+// gets `WireError::BadTag`, not a misparse.
 frames! {
     /// Marks the start of a step; workers zero their gradients.
     1 StepBegin {
@@ -472,30 +474,9 @@ frames! {
     /// Terminates the worker loop.
     8 Shutdown => ToWorker, Plain, accounts 1, wire Control;
 
-    /// Asks the worker to evict and serialize one expert (master → worker,
-    /// expert migration).
-    9 FetchExpert {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-    } => ToWorker, Migration, accounts 9, wire Control;
-
-    /// Serialized expert parameters in transit (worker → master and
-    /// master → destination worker). A destination holding a shadow of the
-    /// expert loads the blob onto it — the cutover's trainable tensors —
-    /// and any other builds the expert from the blob alone.
-    10 ExpertState {
-        /// MoE block index.
-        block: u32,
-        /// Expert index within the block.
-        expert: u32,
-        /// Checkpoint bytes of the expert's parameters.
-        data: Vec<u8> as "expert state",
-    } => Both, Migration, accounts 17 + data.len() as u64,
-        wire ExpertState(data.len() as u64);
-
-    /// Worker acknowledgement that an expert was installed.
+    /// Worker acknowledgement that an [`Message::ExpertChunk`] stream
+    /// completed: it built a shadow of the expert, or completed the copy
+    /// on one, which then serves.
     11 InstallDone {
         /// MoE block index.
         block: u32,
@@ -576,13 +557,12 @@ frames! {
     } => Both, Sync, accounts 9 + row.data.row_cost(row.width),
         wire ExpertState(row.data.wire_bytes());
 
-    /// Asks the worker to serialize the *frozen* tensors of one expert
-    /// without evicting it (master → source worker, the background phase
-    /// of a migration). No step changes those tensors, so the worker
-    /// streams them as bounded [`Message::ExpertChunk`] frames and keeps
-    /// serving and training the expert; what trains is fetched at the
-    /// cutover by [`Message::FetchTrained`].
-    // Mirrors FetchExpert's 9 bytes.
+    /// Asks the worker to stream the *frozen* tensors of one expert as
+    /// [`Message::ExpertChunk`]s and keep the copy (master → primary: the
+    /// background phase of a migration, and the first half of a
+    /// process-mode teardown fetch). No step changes those tensors, so the
+    /// worker keeps serving and training the expert meanwhile; what trains
+    /// follows on [`Message::FetchTrained`].
     21 FetchShadow {
         /// MoE block index.
         block: u32,
@@ -590,16 +570,19 @@ frames! {
         expert: u32,
     } => ToWorker, Migration, accounts 9, wire Control;
 
-    /// One bounded chunk of an expert's serialized frozen tensors in
-    /// transit (source → master → destination). Chunks are emitted in
-    /// offset order on one link, so the receiver enforces contiguity
-    /// (`offset` must equal the bytes received so far) instead of
-    /// allocating `total` up front. The chunk at offset 0 opens the
-    /// destination's install; the one that completes the blob makes it
-    /// build the shadow and answer [`Message::InstallDone`].
-    // A chunked transfer accounts exactly what a single ExpertState frame
-    // with the same blob would have (17 + blob bytes): the first chunk
-    // carries the 17-byte header charge, later chunks account data only.
+    /// One bounded chunk of an expert's serialized frozen or trainable
+    /// tensors in transit (source → master → destination, or master →
+    /// worker when seeding): the only frame that carries expert
+    /// parameters. Chunks are emitted in offset order on one link, so the
+    /// receiver enforces contiguity (`offset` must equal the bytes
+    /// received so far) instead of allocating `total` up front. The chunk
+    /// at offset 0 opens a stream, never over a copy the destination
+    /// holds; the one that completes the blob makes it build a shadow, or
+    /// complete the copy on the shadow it has, and answer
+    /// [`Message::InstallDone`].
+    // A stream accounts what the retired single whole-blob frame did for
+    // the same blob (17 + blob bytes): the first chunk carries the 17-byte
+    // header charge, later chunks account data only.
     22 ExpertChunk {
         /// MoE block index.
         block: u32,
@@ -619,7 +602,8 @@ frames! {
     /// Drops a worker's copy of an expert together with its optimizer
     /// moments, with no reply (master → worker): how a re-placement
     /// retires a copy its target leaves out, inside the apply call or, for
-    /// an expert that also gains a worker, after its cutover fetch.
+    /// an expert that also gains a worker, after its cutover fetch; and
+    /// how a process-mode teardown fetch takes the copy off the worker.
     // Moves no parameters, so it stays off the books; `accounts` is its
     // header size, for completeness.
     25 Evict {
@@ -629,12 +613,11 @@ frames! {
         expert: u32,
     } => ToWorker, Unaccounted, accounts 9, wire Control;
 
-    /// The cutover request (master → primary): answer with an
-    /// [`Message::ExpertState`] holding only the expert's *trainable*
-    /// tensors, and keep the copy (an `Evict` drops it if the target does).
-    /// The master forwards that blob to every gained worker, which loads it
-    /// onto the shadow the chunk stream built and starts serving.
-    // Mirrors FetchExpert's 9 bytes.
+    /// The cutover request (master → primary): stream the expert's
+    /// *trainable* tensors as [`Message::ExpertChunk`]s and keep the copy
+    /// (an `Evict` drops it if the target does). The master relays the
+    /// stream to every gained worker, which completes the copy on the
+    /// shadow the frozen stream built and starts serving.
     27 FetchTrained {
         /// MoE block index.
         block: u32,
@@ -678,8 +661,9 @@ impl Message {
 /// "VELA" checkpoints only; 5: `DropMoments` came; 6: `GradSyncDone` left
 /// and `GradState` carries a packed row; 7: the bootstrap became frame 29
 /// instead of a raw frame ahead of the protocol; 8: `FetchTrained` keeps
-/// the copy it fetches).
-const BOOTSTRAP_VERSION: u8 = 8;
+/// the copy it fetches; 9: `FetchExpert` and `ExpertState` left, and every
+/// expert copy crosses as `ExpertChunk` streams).
+const BOOTSTRAP_VERSION: u8 = 9;
 
 /// Upper bound on the payload of one [`Message::ExpertChunk`] frame.
 /// Bounded chunks keep the per-link writer queues responsive: a multi-MB
@@ -1127,12 +1111,6 @@ mod tests {
             Message::StepEnd,
             Message::StepDone,
             Message::Shutdown,
-            Message::FetchExpert { block, expert },
-            Message::ExpertState {
-                block,
-                expert,
-                data: vec![7; 100],
-            },
             Message::InstallDone { block, expert },
             Message::PackedDispatch(PackedGroup::pack(
                 2,
@@ -1223,12 +1201,13 @@ mod tests {
         // commit classified `Evict` `Plain` but shipped it through an
         // unaccounted raw-frame path, which is what `Unaccounted` says.
         // `FetchTrained` (27) is younger than that commit; its row is
-        // pinned to `FetchExpert`'s, the request it is the cutover's
-        // version of, and `DropMoments` (28), younger still, to `Evict`'s,
-        // the other reply-less frame that moves no parameters. Rows 23, 24
-        // and 26 left with the lockstep shadow, the int8 `PackedDispatch`
-        // instance with packed encoding 1, and row 20 with the replica-sync
-        // ack. `GradState` now carries a packed row (`enc · width`, not
+        // pinned to `FetchShadow`'s, the other request for an
+        // `ExpertChunk` stream, and `DropMoments` (28), younger still, to
+        // `Evict`'s, the other reply-less frame that moves no parameters.
+        // Rows 23, 24 and 26 left with the lockstep shadow, the int8
+        // `PackedDispatch` instance with packed encoding 1, row 20 with the
+        // replica-sync ack, and rows 9 and 10 when every expert copy came
+        // to cross as chunk streams. `GradState` now carries a packed row (`enc · width`, not
         // `tag · rows · cols`), so both its instances encode, and so count
         // as header, 4 bytes less; what they account is unchanged.
         // `Bootstrap` (29) was a raw frame outside the protocol until
@@ -1236,13 +1215,11 @@ mod tests {
         // any unaccounted frame it accounts nothing.
         use Bucket::{Migration, Plain, Sync, Unaccounted};
         use FrameKind::{Control, Dispatch, ExpertState, Result as Reply};
-        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 22] = [
+        let recorded: [(u8, usize, u64, Bucket, FrameKind, u64, u64); 20] = [
             (1, 9, 9, Plain, Control, 9, 0),
             (6, 1, 1, Plain, Control, 1, 0),
             (7, 1, 1, Plain, Control, 1, 0),
             (8, 1, 1, Plain, Control, 1, 0),
-            (9, 9, 9, Migration, Control, 9, 0),
-            (10, 117, 117, Migration, ExpertState, 17, 100),
             (11, 9, 9, Migration, Control, 9, 0),
             (14, 53, 42, Plain, Dispatch, 29, 24),
             (14, 29, 245_778, Plain, Dispatch, 29, 0),
@@ -1270,7 +1247,7 @@ mod tests {
         let boot = fixed_instances().pop().unwrap().encode();
         assert_eq!(
             (boot[..2].to_vec(), &boot[2..]),
-            (vec![29, 8], &raw_v6[1..])
+            (vec![29, 9], &raw_v6[1..])
         );
         let instances = fixed_instances();
         assert_eq!(instances.len(), recorded.len());
@@ -1442,21 +1419,11 @@ mod tests {
 
     #[test]
     fn migration_messages_roundtrip() {
-        let msgs = vec![
-            Message::FetchExpert {
-                block: 3,
-                expert: 5,
-            },
-            Message::ExpertState {
-                block: 3,
-                expert: 5,
-                data: vec![1, 2, 3, 255, 0, 42],
-            },
-            Message::InstallDone {
-                block: 3,
-                expert: 5,
-            },
-        ];
+        let mut msgs = chunk_expert_state(3, 5, &[1, 2, 3, 255, 0, 42]);
+        msgs.push(Message::InstallDone {
+            block: 3,
+            expert: 5,
+        });
         for msg in msgs {
             assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         }
@@ -1504,12 +1471,11 @@ mod tests {
 
     #[test]
     fn expert_state_accounts_payload_bytes() {
-        let msg = Message::ExpertState {
-            block: 0,
-            expert: 0,
-            data: vec![0; 1000],
-        };
-        assert_eq!(msg.accounted_bytes(), 17 + 1000);
+        // A blob that fits one chunk crosses as one frame, which accounts
+        // the blob and the stream's 17-byte header.
+        let frames = chunk_expert_state(0, 0, &[0; 1000]);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].accounted_bytes(), 17 + 1000);
     }
 
     #[test]
@@ -1768,18 +1734,16 @@ mod tests {
             })
         ));
 
-        // Same for an expert-state blob claiming more bytes than present.
+        // A retired whole-expert blob claiming more bytes than present
+        // dies on its tag, before its length is read.
         let mut w = crate::wire::ByteWriter::with_capacity(32);
-        w.put_u8(10); // ExpertState
+        w.put_u8(10); // the retired ExpertState
         w.put_u32(0);
         w.put_u32(0);
         w.put_u64(u64::MAX);
         assert!(matches!(
             Message::decode(&w.into_vec()),
-            Err(WireError::BadLength {
-                what: "expert state",
-                ..
-            })
+            Err(WireError::BadTag { tag: 10, .. })
         ));
     }
 
@@ -1816,15 +1780,6 @@ mod tests {
         // The migration bucket sees exactly the frames that move
         // parameter bytes, plus their requests and acks.
         for msg in [
-            Message::FetchExpert {
-                block: 0,
-                expert: 0,
-            },
-            Message::ExpertState {
-                block: 0,
-                expert: 0,
-                data: vec![1, 2, 3],
-            },
             Message::InstallDone {
                 block: 0,
                 expert: 0,
@@ -1857,19 +1812,16 @@ mod tests {
 
     #[test]
     fn chunked_transfer_accounts_like_one_expert_state() {
+        // A stream accounts what the retired whole-blob frame did: the
+        // blob plus one 17-byte header, however many chunks carry it.
         let data = vec![7u8; 3 * EXPERT_CHUNK_BYTES + 123];
-        let whole = Message::ExpertState {
-            block: 0,
-            expert: 0,
-            data: data.clone(),
-        };
         let frames = chunk_expert_state(0, 0, &data);
         assert_eq!(frames.len(), 4);
         let chunked: u64 = frames.iter().map(|f| f.accounted_bytes()).sum();
-        assert_eq!(chunked, whole.accounted_bytes());
-        // Both halves of a move are requested at FetchExpert's price, so
-        // a move accounts one whole-expert transfer plus one more
-        // request/ack pair and blob header.
+        assert_eq!(chunked, 17 + data.len() as u64);
+        // Both halves of a copy are requested at the retired whole-expert
+        // fetch's 9 bytes, so a copy accounts one whole-expert transfer
+        // plus one more request/ack pair and stream header.
         for request in [
             Message::FetchShadow {
                 block: 0,
@@ -1880,14 +1832,7 @@ mod tests {
                 expert: 0,
             },
         ] {
-            assert_eq!(
-                request.accounted_bytes(),
-                Message::FetchExpert {
-                    block: 0,
-                    expert: 0
-                }
-                .accounted_bytes(),
-            );
+            assert_eq!(request.accounted_bytes(), 9);
         }
     }
 

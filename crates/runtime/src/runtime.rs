@@ -12,10 +12,12 @@
 //! ([`TransportConfig`]): in-process channels (default), TCP loopback with
 //! worker threads, or TCP loopback with real `vela_worker` OS processes
 //! (`VELA_TRANSPORT=tcp`). In process mode the workers start empty;
-//! [`RealRuntime::launch_with`] seeds their shards over the wire via
-//! `ExpertState` frames and teardown fetches every expert back before
-//! `Shutdown`, so [`RealRuntime::shutdown`] reassembles the identical
-//! population regardless of backend.
+//! [`RealRuntime::launch_with`] seeds their shards over the wire and
+//! teardown fetches every expert back before `Shutdown`, both as a
+//! migration lane moves an expert — the frozen part as an `ExpertChunk`
+//! stream, then the trainable part as another — so
+//! [`RealRuntime::shutdown`] reassembles the identical population
+//! regardless of backend.
 
 use vela_cluster::{DeviceId, Topology};
 use vela_model::{checkpoint, LocalExpertStore, MoeModel};
@@ -275,9 +277,10 @@ impl RealRuntime {
     /// Shuts the workers down and reassembles the expert population.
     ///
     /// Thread-backed workers hand their shards back on join; process-mode
-    /// workers have theirs fetched over the wire (`FetchExpert` /
-    /// `ExpertState`) before `Shutdown`, then the children are reaped.
-    /// Either way the returned store holds every expert.
+    /// workers have each primary copy fetched over the wire as two chunk
+    /// streams and evicted ([`BrokerClient::fetch_expert`]) before
+    /// `Shutdown`, then the children are reaped. Either way the returned
+    /// store holds every expert.
     pub fn shutdown(mut self) -> (MoeModel, LocalExpertStore) {
         // Complete any move in flight first: a shadow is not an expert,
         // and only its source's copy would be reassembled.
@@ -289,13 +292,15 @@ impl RealRuntime {
         if self.body.process_mode {
             for l in 0..blocks {
                 for e in 0..experts {
-                    let data = self
+                    let parts = self
                         .broker
                         .fetch_expert(l, e)
                         .unwrap_or_else(|err| panic!("fetching expert back failed: {err}"));
                     let mut ffn = self.body.template.instantiate(l, e);
-                    checkpoint::load(&mut ffn, &mut data.as_slice())
-                        .expect("valid expert checkpoint");
+                    for part in parts {
+                        checkpoint::load(&mut ffn, &mut part.as_slice())
+                            .expect("valid expert checkpoint");
+                    }
                     merged.insert(l, e, ffn);
                 }
             }
@@ -347,9 +352,9 @@ fn shard_experts(
     shards
 }
 
-/// Seeds worker processes, which start empty: every expert goes to each
-/// of its placed replicas through the broker's install path, all installs
-/// in flight before the acks are collected. The blobs are exact f32
+/// Seeds worker processes, which start empty: every expert streams to each
+/// of its placed replicas, frozen part then trainable part, all streams in
+/// flight before the acks are collected. The blobs are exact f32
 /// checkpoints, so worker processes install the same tensors the thread
 /// transports hand over by value.
 fn seed_processes(
@@ -359,10 +364,12 @@ fn seed_processes(
     let (blocks, per_block) = (broker.placement().blocks(), broker.placement().experts());
     for l in 0..blocks {
         for e in 0..per_block {
-            let mut data = Vec::new();
-            checkpoint::save(&mut experts.take(l, e), &mut data).expect("in-memory save");
+            let mut ffn = experts.take(l, e);
+            let [mut frozen, mut trained] = [Vec::new(), Vec::new()];
+            checkpoint::save_part(&mut ffn, &mut frozen, false).expect("in-memory save");
+            checkpoint::save_part(&mut ffn, &mut trained, true).expect("in-memory save");
             let replicas = broker.placement().replicas_of(l, e).to_vec();
-            broker.install_expert(l, e, &replicas, data)?;
+            broker.install_expert(l, e, &replicas, [&frozen, &trained])?;
         }
     }
     broker.wait_installs()

@@ -898,9 +898,11 @@ mod tests {
 
             hub.send(
                 2,
-                &Message::ExpertState {
+                &Message::ExpertChunk {
                     block: 0,
                     expert: 0,
+                    offset: 0,
+                    total: 100,
                     data: vec![7; 100],
                 },
             )
@@ -908,7 +910,7 @@ mod tests {
             hub.send(2, &Message::StepEnd).unwrap();
             let w = hub.wire_stats();
             assert_eq!(w.expert_state_payload, 100);
-            assert_eq!(w.expert_state_header, 17);
+            assert_eq!(w.expert_state_header, 33);
             assert_eq!(w.control, 1);
             assert_eq!(
                 w.total(),

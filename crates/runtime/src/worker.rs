@@ -15,6 +15,14 @@
 //! threads, is also handed its shard by value. A master disconnect is a
 //! *clean* exit — the worker flushes its observability buffers and
 //! returns its shard instead of aborting the process.
+//!
+//! Expert parameters cross one way in either direction: the frozen part as
+//! a [`Message::ExpertChunk`] stream, then the trainable part as another.
+//! A worker asked (`FetchShadow`, `FetchTrained`) streams the part and
+//! keeps its copy; a worker receiving builds a shadow from the first
+//! stream, completes the copy on it with the second, and acks each with
+//! `InstallDone`. That serves migration lanes, process-mode seeding and
+//! process-mode teardown alike.
 
 use std::collections::HashMap;
 use std::thread::JoinHandle;
@@ -86,25 +94,16 @@ fn drop_moments(ffn: &mut SwiGlu, opt: &mut AdamW) {
     });
 }
 
-/// Takes an expert out of the shard and its AdamW entries out of the
-/// optimizer. An expert that later returns to this worker then starts from
-/// fresh moments, as it does on any other destination, instead of resuming
-/// the ones its last stay left behind.
-fn evict(shard: &mut LocalExpertStore, opt: &mut AdamW, block: u32, expert: u32) -> SwiGlu {
-    let mut ffn = shard.take(block as usize, expert as usize);
-    drop_moments(&mut ffn, opt);
-    ffn
-}
-
-/// The migrations this worker is the destination of, keyed by
-/// `(block, expert)`.
+/// The copies arriving at this worker, keyed by `(block, expert)`. Each
+/// arrives as two [`Message::ExpertChunk`] streams: the frozen tensors,
+/// then the trainable ones.
 #[derive(Debug, Default)]
 struct Shadows {
-    /// Frozen-tensor chunk streams still arriving.
+    /// Chunk streams still arriving.
     streaming: HashMap<(u32, u32), ChunkAssembler>,
-    /// Experts built from a completed stream: resident, but neither served
-    /// nor trained until the cutover's [`Message::ExpertState`] brings the
-    /// trainable tensors.
+    /// Experts built from a completed first stream: resident, but neither
+    /// served nor trained until the second stream brings the trainable
+    /// tensors.
     resident: HashMap<(u32, u32), SwiGlu>,
 }
 
@@ -211,10 +210,11 @@ impl ExpertManager {
 ///
 /// A thread brings its `shard` by value; a process passes `None` and starts
 /// from an empty shard of the bootstrap's shape (experts are seeded over
-/// the wire via [`Message::ExpertState`], and the master normally fetches
-/// them all back before `Shutdown`). An error means the worker never
-/// booted: the link failed, the first frame was not a bootstrap (a stale
-/// peer's version included), or the bootstrap's shape is not the shard's.
+/// the wire as [`Message::ExpertChunk`] streams, and the master normally
+/// fetches them all back the same way before `Shutdown`). An error means
+/// the worker never booted: the link failed, the first frame was not a
+/// bootstrap (a stale peer's version included), or the bootstrap's shape is
+/// not the shard's.
 pub fn run_worker(
     port: WorkerPort,
     shard: Option<LocalExpertStore>,
@@ -387,54 +387,6 @@ fn handle(
             opt.step(shard);
             port.send(&Message::StepDone)?;
         }
-        Message::FetchExpert { block, expert } | Message::FetchTrained { block, expert } => {
-            if !shard.contains(block as usize, expert as usize) {
-                vela_obs::error!(
-                    "worker {}: fetch for absent expert ({block}, {expert}), exiting",
-                    port.index
-                );
-                return Ok(Flow::Stop);
-            }
-            // Ship the expert's parameters to the master: at teardown all
-            // of them, evicting the expert; at a cutover only the trainable
-            // ones — the frozen ones went ahead as chunks — keeping it,
-            // since whether this copy stays is the master's `Evict` to send.
-            let mut data = Vec::new();
-            if matches!(msg, Message::FetchTrained { .. }) {
-                let ffn = shard.expert_mut(block as usize, expert as usize);
-                checkpoint::save_part(ffn, &mut data, true).expect("in-memory save");
-            } else {
-                let mut ffn = evict(shard, opt, block, expert);
-                checkpoint::save(&mut ffn, &mut data).expect("in-memory save");
-            }
-            port.send(&Message::ExpertState {
-                block,
-                expert,
-                data,
-            })?;
-        }
-        Message::ExpertState {
-            block,
-            expert,
-            data,
-        } => {
-            // With a shadow resident this is a cutover and the blob holds
-            // the tensors the shadow lacks; without one it is a whole
-            // expert (process-mode seeding).
-            let shadow = shadows.resident.remove(&(block, expert));
-            let ffn = match build_expert(template, shadow, block, expert, &data) {
-                Ok(ffn) => ffn,
-                Err(why) => {
-                    vela_obs::error!(
-                        "worker {}: cannot install expert ({block}, {expert}): {why}, exiting",
-                        port.index
-                    );
-                    return Ok(Flow::Stop);
-                }
-            };
-            shard.insert(block as usize, expert as usize, ffn);
-            port.send(&Message::InstallDone { block, expert })?;
-        }
         Message::FetchGrads {
             block,
             expert,
@@ -472,20 +424,22 @@ fn handle(
                 install_expert_grads(shard.expert_mut(block as usize, expert as usize), data);
             }
         }
-        Message::FetchShadow { block, expert } => {
+        Message::FetchShadow { block, expert } | Message::FetchTrained { block, expert } => {
             if !shard.contains(block as usize, expert as usize) {
                 vela_obs::error!(
-                    "worker {}: shadow fetch for absent expert ({block}, {expert}), exiting",
+                    "worker {}: fetch for absent expert ({block}, {expert}), exiting",
                     port.index
                 );
                 return Ok(Flow::Stop);
             }
-            // Serialize the tensors no step changes and keep serving: what
-            // the destination builds from them now is still exact at the
-            // cutover, whenever that comes.
+            // Stream the frozen or the trainable part and keep the copy:
+            // whether it stays is the master's `Evict` to send. No step
+            // changes the frozen part, so a shadow built from it is still
+            // exact at the cutover, whenever that comes.
+            let trainable = matches!(msg, Message::FetchTrained { .. });
             let ffn = shard.expert_mut(block as usize, expert as usize);
             let mut data = Vec::new();
-            checkpoint::save_part(ffn, &mut data, false).expect("in-memory save");
+            checkpoint::save_part(ffn, &mut data, trainable).expect("in-memory save");
             for frame in chunk_expert_state(block, expert, &data) {
                 port.send(&frame)?;
             }
@@ -498,12 +452,11 @@ fn handle(
             data,
         } => {
             let key = (block, expert);
-            // The chunk at offset 0 opens the install (the assembler
-            // rejects any other first offset), but never over a copy this
-            // worker already holds.
+            // The chunk at offset 0 opens a stream (the assembler rejects
+            // any other first offset), but never over a copy this worker
+            // already holds.
             if !shadows.streaming.contains_key(&key)
-                && (shadows.resident.contains_key(&key)
-                    || shard.contains(block as usize, expert as usize))
+                && shard.contains(block as usize, expert as usize)
             {
                 vela_obs::error!(
                     "worker {}: expert chunk for ({block}, {expert}), already held here, exiting",
@@ -525,23 +478,32 @@ fn handle(
                     .remove(&key)
                     .expect("assembler present")
                     .into_bytes();
-                match build_expert(template, None, block, expert, &blob) {
-                    Ok(shadow) => shadows.resident.insert(key, shadow),
+                // A first stream builds a shadow; a second completes the
+                // copy on it, which then serves.
+                let shadow = shadows.resident.remove(&key);
+                let completes = shadow.is_some();
+                match build_expert(template, shadow, block, expert, &blob) {
+                    Ok(ffn) if completes => shard.insert(block as usize, expert as usize, ffn),
+                    Ok(shadow) => {
+                        shadows.resident.insert(key, shadow);
+                    }
                     Err(why) => {
                         vela_obs::error!(
-                            "worker {}: cannot install shadow ({block}, {expert}): {why}, exiting",
+                            "worker {}: cannot install expert ({block}, {expert}): {why}, exiting",
                             port.index
                         );
                         return Ok(Flow::Stop);
                     }
-                };
+                }
                 port.send(&Message::InstallDone { block, expert })?;
             }
         }
         Message::Evict { block, expert } => {
-            // The placement dropped this copy.
+            // The placement dropped this copy, or teardown fetched it. An
+            // expert that later returns to this worker starts from fresh
+            // moments, as on any other destination.
             if shard.contains(block as usize, expert as usize) {
-                drop(evict(shard, opt, block, expert));
+                drop_moments(&mut shard.take(block as usize, expert as usize), opt);
             } else {
                 vela_obs::warn!(
                     "worker {}: evict for absent expert ({block}, {expert})",
@@ -574,7 +536,7 @@ fn handle(
 }
 
 /// Builds the expert a blob of checkpoint bytes describes: loaded onto
-/// `shadow` when a chunk stream already built one (the blob then holds the
+/// `shadow` when a first stream already built one (the blob then holds the
 /// tensors the shadow lacks), else onto a blank instance of the template.
 /// A worker launched without a template, or bytes the loader rejects, are
 /// the peer's protocol violation: the reason comes back for the caller's
@@ -815,7 +777,8 @@ mod tests {
     /// Sends `frames` to a lone worker holding `shard` and checks the
     /// unhappy path's contract: the worker logs and leaves its loop — so
     /// `join` hands back the shard instead of propagating a panic — and the
-    /// master's next receive is a typed error, not a hang.
+    /// master's next receive after the acks of any streams that landed is
+    /// a typed error, not a hang.
     fn assert_clean_stop(
         shard: LocalExpertStore,
         template: Option<ExpertTemplate>,
@@ -830,7 +793,12 @@ mod tests {
             hub.send(0, frame).unwrap();
         }
         assert_eq!(manager.join().unwrap().present_count(), held, "{frames:?}");
-        let next = hub.recv_timeout(std::time::Duration::from_secs(10));
+        let next = loop {
+            match hub.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok((_, Message::InstallDone { .. })) => continue,
+                next => break next,
+            }
+        };
         assert!(
             matches!(next, Err(TransportError::Disconnected)),
             "{frames:?}: master saw {next:?}"
@@ -857,7 +825,7 @@ mod tests {
         assert_clean_stop(
             empty_shard(),
             None,
-            &[Message::FetchExpert { block, expert }],
+            &[Message::FetchTrained { block, expert }],
         );
     }
 
@@ -873,17 +841,13 @@ mod tests {
 
     #[test]
     fn uninstallable_expert_state_stops_the_worker_cleanly() {
+        // The second stream completes the copy on the shadow the first one
+        // built; bytes no loader accepts stop the worker there, and the
+        // shadow never serves.
         let (template, blob) = small_template();
-        // A worker launched without a template cannot rebuild any expert;
-        // one with a template still refuses bytes no loader accepts.
-        for (template, data) in [(None, blob), (Some(template), b"not a checkpoint".to_vec())] {
-            let install = Message::ExpertState {
-                block: 0,
-                expert: 1,
-                data,
-            };
-            assert_clean_stop(empty_shard(), template, &[install]);
-        }
+        let mut frames = chunk_expert_state(0, 1, &blob);
+        frames.extend(chunk_expert_state(0, 1, b"not a checkpoint"));
+        assert_clean_stop(empty_shard(), Some(template), &frames);
     }
 
     #[test]
@@ -936,35 +900,29 @@ mod tests {
 
     /// Moves expert `(0, 0)` between two workers served on the test's own
     /// thread (the channel transport never blocks a sender), playing the
-    /// master: stream request, chunk relay, landing ack, cutover, evict.
+    /// master: per part, stream request, chunk relay, ack; then evict.
     fn migrate(hub: &mut crate::transport::MasterHub, from: &mut Worker, to: &mut Worker) {
         let (block, expert) = (0, 0);
-        hub.send(from.port.index, &Message::FetchShadow { block, expert })
-            .unwrap();
-        serve(from);
-        loop {
-            let (w, msg) = hub.recv().unwrap();
-            if msg == (Message::InstallDone { block, expert }) {
-                assert_eq!(w, to.port.index);
-                break;
+        for fetch in [
+            Message::FetchShadow { block, expert },
+            Message::FetchTrained { block, expert },
+        ] {
+            hub.send(from.port.index, &fetch).unwrap();
+            serve(from);
+            loop {
+                let (w, msg) = hub.recv().unwrap();
+                if msg == (Message::InstallDone { block, expert }) {
+                    assert_eq!(w, to.port.index);
+                    break;
+                }
+                assert!(matches!(msg, Message::ExpertChunk { .. }), "{msg:?}");
+                hub.send(to.port.index, &msg).unwrap();
+                serve(to);
             }
-            assert!(matches!(msg, Message::ExpertChunk { .. }), "{msg:?}");
-            hub.send(to.port.index, &msg).unwrap();
-            serve(to);
+            let serves = matches!(fetch, Message::FetchTrained { .. });
+            assert_eq!(state(to).shard.contains(0, 0), serves, "after {fetch:?}");
         }
-        assert!(!state(to).shard.contains(0, 0), "a shadow is not served");
-        hub.send(from.port.index, &Message::FetchTrained { block, expert })
-            .unwrap();
-        serve(from);
-        let (_, trained) = hub.recv().unwrap();
-        hub.send(to.port.index, &trained).unwrap();
-        serve(to);
-        let ack = (to.port.index, Message::InstallDone { block, expert });
-        assert_eq!(hub.recv().unwrap(), ack);
-        assert!(
-            state(from).shard.contains(0, 0),
-            "a cutover fetch keeps the copy"
-        );
+        assert!(state(from).shard.contains(0, 0), "a fetch keeps the copy");
         hub.send(from.port.index, &Message::Evict { block, expert })
             .unwrap();
         serve(from);
@@ -1014,14 +972,6 @@ mod tests {
         assert!(holds_moments_for(&mut b, &names));
         migrate(&mut hub, &mut b, &mut a);
         assert!(!holds_moments_for(&mut a, &names) && !holds_moments_for(&mut b, &names));
-
-        // `FetchExpert` (teardown) evicts the same way.
-        step_optimizer(&mut a);
-        let (block, expert) = (0, 0);
-        hub.send(0, &Message::FetchExpert { block, expert })
-            .unwrap();
-        serve(&mut a);
-        assert!(!holds_moments_for(&mut a, &names));
     }
 
     #[test]

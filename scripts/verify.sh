@@ -4,12 +4,13 @@
 # VELA_* count and the non-test line counts of vela-runtime, vela-placement,
 # vela-model and vela-tensor), the release-mode gates (simplex pivot path,
 # routing table, the contract harness), fig5, fig6, fig3, fig7 and theorem1
-# regenerated from an empty pretraining cache and the four synthetic-profile
-# ablations, all diffed against results/, the trace smokes (quickstart, the
-# virtual scale_simulation, a traced tcp run), and the benches (the
-# kernel one emits BENCH_kernels.json in the repo root and its log names the
-# GEMM SIMD level the host dispatched to; the placement-LP one is echoed
-# only). Exchange and migration timing is benchmark/'s job, not this script's.
+# regenerated from an empty pretraining cache, the four synthetic-profile
+# ablations and the drift ablation (LP solves only), all diffed against
+# results/, the trace smokes (quickstart, the virtual scale_simulation, a
+# traced tcp run), and the benches (the kernel one emits BENCH_kernels.json
+# in the repo root and its log names the GEMM SIMD level the host dispatched
+# to; the placement-LP one is echoed only). Exchange and migration timing is
+# benchmark/'s job, not this script's.
 #
 # Usage: scripts/verify.sh [--no-bench]
 set -euo pipefail
@@ -68,9 +69,9 @@ contract_seeds=$(sed -n 's/^const SEEDS: u64 = .* else { \([0-9]*\) };$/\1/p' te
 echo "==> contract harness (release): seeds 0..${contract_seeds} drawn by tests/contract.rs (engine, shape, transport, placement, re-placement to new owners or to a replica relation) vs the single-process oracle that replays moment resets, plus the named regression seeds, the exchange golden pin recorded at 8456ee6 on {channel, tcp-threads, tcp} and the exact wire bytes/step"
 cargo test --release -q --test contract
 
-echo "==> figures: fig5, fig6, fig3, fig7 and theorem1 from an empty target/vela-cache (its key does not cover code changes) and the four ablations built on synthetic profiles (skew, bandwidth, capacity, heterogeneous), stdout diffed against results/ (log lines go to stderr)"
+echo "==> figures: fig5, fig6, fig3, fig7 and theorem1 from an empty target/vela-cache (its key does not cover code changes), the four ablations built on synthetic profiles (skew, bandwidth, capacity, heterogeneous) and the drift ablation (LP solves only), stdout diffed against results/ (log lines go to stderr)"
 rm -rf target/vela-cache
-for fig in fig5 fig6 fig3 fig7 theorem1 ablation_skew ablation_bandwidth ablation_capacity ablation_heterogeneous; do
+for fig in fig5 fig6 fig3 fig7 theorem1 ablation_skew ablation_bandwidth ablation_capacity ablation_heterogeneous ablation_drift; do
     env -u VELA_TRANSPORT cargo run --release -q -p vela-bench --bin "$fig" >"target/$fig.txt"
     diff -u "results/$fig.txt" "target/$fig.txt" || {
         echo "FAIL: $fig stdout differs from results/$fig.txt: review the diff, then regenerate the file" >&2

@@ -144,12 +144,6 @@ fn random_message(rng: &mut DetRng) -> Message {
         "StepEnd" => Message::StepEnd,
         "StepDone" => Message::StepDone,
         "Shutdown" => Message::Shutdown,
-        "FetchExpert" => Message::FetchExpert { block, expert },
-        "ExpertState" => Message::ExpertState {
-            block,
-            expert,
-            data: blob(rng),
-        },
         "InstallDone" => Message::InstallDone { block, expert },
         "PackedDispatch" => random_packed_dispatch(rng),
         "PackedResult" => random_packed_result(rng),
@@ -192,12 +186,13 @@ fn random_message(rng: &mut DetRng) -> Message {
 }
 
 /// Tags of the retired per-batch (2–5) and per-item group (12, 13)
-/// framings, of the replica-sync ack (20), and of the lockstep shadow's
-/// moment snapshot, announce and commit (23, 24, 26). They are never
-/// reassigned, so whatever a stale peer puts behind one, the decoder must
-/// answer with a [`WireError`] before it reads — let alone allocates for —
-/// a single length field.
-const RETIRED_TAGS: [u8; 10] = [2, 3, 4, 5, 12, 13, 20, 23, 24, 26];
+/// framings, of the whole-expert fetch and blob (9, 10), of the
+/// replica-sync ack (20), and of the lockstep shadow's moment snapshot,
+/// announce and commit (23, 24, 26). They are never reassigned, so
+/// whatever a stale peer puts behind one, the decoder must answer with a
+/// [`WireError`] before it reads — let alone allocates for — a single
+/// length field.
+const RETIRED_TAGS: [u8; 12] = [2, 3, 4, 5, 9, 10, 12, 13, 20, 23, 24, 26];
 
 /// A frame a stale peer might send: a retired tag in front of the body of
 /// some valid message.
@@ -506,24 +501,6 @@ fn implausible_length_fields_do_not_allocate() {
     use vela::runtime::wire::ByteWriter;
     for seed in 0..CASES {
         let mut rng = DetRng::new(0x1E46 + seed);
-        // An ExpertState header declaring up to u64::MAX payload bytes.
-        let mut w = ByteWriter::with_capacity(32);
-        w.put_u8(10); // ExpertState tag
-        w.put_u32(rng.below(64) as u32);
-        w.put_u32(rng.below(8) as u32);
-        w.put_u64(u64::MAX - rng.below(1 << 30) as u64);
-        let frame = w.into_vec();
-        assert!(
-            matches!(
-                Message::decode(&frame),
-                Err(WireError::BadLength {
-                    what: "expert state",
-                    ..
-                })
-            ),
-            "seed {seed}"
-        );
-
         // An f32 gradient row declaring a huge width.
         let mut w = ByteWriter::with_capacity(32);
         w.put_u8(19); // GradState tag
@@ -545,7 +522,9 @@ fn implausible_length_fields_do_not_allocate() {
 
         // The retired framings' own worst cases — a per-batch frame
         // declaring a huge rows × cols grid, a group frame declaring
-        // more items than any frame could hold — now die on the tag.
+        // more items than any frame could hold, a whole-expert blob
+        // declaring more bytes than any frame could hold — now die on the
+        // tag.
         for tag in RETIRED_TAGS {
             let mut w = ByteWriter::with_capacity(32);
             w.put_u8(tag);
