@@ -3,7 +3,8 @@
 //! On small instances (where the exact optimum is computable), measures the
 //! optimality gap of VELA's LP + rounding pipeline and the greedy
 //! heuristic; on paper-size instances, compares LP vs greedy quality and
-//! solve time.
+//! solve time. Costs, node counts and iteration counts go to stdout, which
+//! `results/ablation_solver.txt` pins; wall-clock times go to stderr.
 //!
 //! Run: `cargo run --release -p vela-bench --bin ablation_solver`
 
@@ -62,12 +63,12 @@ fn main() {
         let t0 = Instant::now();
         let bb = branch_and_bound(&problem, 2_000);
         let vela = problem.expected_comm_time(&Strategy::Vela.place(&problem));
+        eprintln!("seed {seed}: B&B {:.2?}", t0.elapsed());
         println!(
-            "seed {seed}: B&B {:.6} ({} nodes, optimal proven: {}, {:.2?}), vela {:.6} (gap {:+.1}%)",
+            "seed {seed}: B&B {:.6} ({} nodes, optimal proven: {}), vela {:.6} (gap {:+.1}%)",
             bb.cost,
             bb.nodes,
             bb.proven_optimal,
-            t0.elapsed(),
             vela,
             gap(vela, bb.cost)
         );
@@ -100,9 +101,10 @@ fn main() {
         let vela = problem.expected_comm_time(&vela_placement);
         let greedy = problem.expected_comm_time(&greedy_placement);
         let seq = problem.expected_comm_time(&Strategy::Sequential.place(&problem));
+        eprintln!("zipf {zipf:.1}: vela {lp_time:.2?}, greedy {greedy_time:.2?}");
         println!(
-            "zipf {zipf:.1}: vela {vela:.4}s/step ({lp_time:.2?}), greedy {greedy:.4}s/step \
-             ({greedy_time:.2?}), sequential {seq:.4}s/step; vela vs greedy {:+.1}%",
+            "zipf {zipf:.1}: vela {vela:.4}s/step, greedy {greedy:.4}s/step, \
+             sequential {seq:.4}s/step; vela vs greedy {:+.1}%",
             gap(vela, greedy)
         );
         // Where the LP's share of that time goes: iterations, not seconds,
@@ -112,10 +114,12 @@ fn main() {
         let sol = lp.solve();
         let solve_time = t2.elapsed();
         println!(
-            "          simplex: {} + {} iterations (phase 1 + 2), {solve_time:.2?} per solve, \
-             {:.1} µs each",
+            "          simplex: {} + {} iterations (phase 1 + 2)",
             sol.phase1_iterations,
             sol.iterations - sol.phase1_iterations,
+        );
+        eprintln!(
+            "          simplex: {solve_time:.2?} per solve, {:.1} µs each",
             solve_time.as_secs_f64() * 1e6 / sol.iterations as f64
         );
     }

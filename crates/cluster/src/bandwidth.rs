@@ -34,11 +34,6 @@ impl Bandwidth {
         Bandwidth::from_bytes_per_sec(gb * 1e9)
     }
 
-    /// From gigabits per second (iperf-style).
-    pub fn from_gbits_per_sec(gbit: f64) -> Self {
-        Bandwidth::from_bytes_per_sec(gbit * 1e9 / 8.0)
-    }
-
     /// Bytes per second.
     pub fn bytes_per_sec(self) -> f64 {
         self.0
@@ -68,7 +63,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(Bandwidth::from_gbytes_per_sec(1.0).bytes_per_sec(), 1e9);
-        assert_eq!(Bandwidth::from_gbits_per_sec(8.0).bytes_per_sec(), 1e9);
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl Topology {
         &self.devices
     }
 
-    /// Number of devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.devices
@@ -239,7 +234,7 @@ mod tests {
     #[test]
     fn paper_testbed_shape() {
         let t = Topology::paper_testbed();
-        assert_eq!(t.device_count(), 6);
+        assert_eq!(t.devices().len(), 6);
         assert_eq!(t.node_count(), 3);
         assert_eq!(t.node_of(DeviceId(0)), NodeId(0));
         assert_eq!(t.node_of(DeviceId(5)), NodeId(2));
@@ -272,7 +267,7 @@ mod tests {
             .device_memory(16 << 30)
             .device_flops(1e13)
             .build();
-        assert_eq!(t.device_count(), 8);
+        assert_eq!(t.devices().len(), 8);
         assert_eq!(t.device(DeviceId(0)).mem_bytes, 16 << 30);
         assert_eq!(t.device(DeviceId(0)).flops, 1e13);
         assert!((t.bandwidth(DeviceId(0), DeviceId(4)).gbytes_per_sec() - 5.0).abs() < 1e-9);

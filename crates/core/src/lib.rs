@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::ModelConfigExt;
     pub use vela_cluster::{Bandwidth, CostModel, DeviceId, NodeId, Topology};
     pub use vela_data::{Batch, CharTokenizer, Corpus, TokenDataset};
-    pub use vela_locality::{AccessTracker, Cdf, DriftDetector, LocalityProfile, StabilityReport};
+    pub use vela_locality::{AccessTracker, Cdf, LocalityProfile, StabilityReport};
     pub use vela_model::finetune::{FinetuneConfig, LoraConfig};
     pub use vela_model::pretrain::{pretrain, PretrainConfig};
     pub use vela_model::{ExpertProvider, LocalExpertStore, ModelConfig, MoeModel, MoeSpec};

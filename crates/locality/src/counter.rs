@@ -134,7 +134,6 @@ mod tests {
             counts,
             tokens,
             k,
-            dropped: 0,
         }
     }
 

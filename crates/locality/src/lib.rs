@@ -12,16 +12,16 @@
 //! * [`LocalityProfile`] — measured (or synthetic) access-probability
 //!   matrices, the `P ∈ R^{L×E}` that drives VELA's placement LP and the
 //!   scale-virtual routing in the evaluation.
+//!
+//! It only measures: nothing here triggers a re-placement.
 
 pub mod cdf;
 pub mod counter;
-pub mod drift;
 pub mod profile;
 pub mod stability;
 pub mod theorem;
 
 pub use cdf::Cdf;
 pub use counter::AccessTracker;
-pub use drift::DriftDetector;
 pub use profile::LocalityProfile;
 pub use stability::StabilityReport;

@@ -33,20 +33,6 @@ impl StabilityReport {
         StabilityReport { steps }
     }
 
-    /// Number of recorded steps.
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// The per-step frequency series for one expert (the Fig. 3(c) lines).
-    ///
-    /// # Panics
-    /// Panics if `expert` is out of range.
-    pub fn expert_series(&self, expert: usize) -> Vec<f64> {
-        assert!(expert < self.steps[0].len(), "expert out of range");
-        self.steps.iter().map(|s| s[expert]).collect()
-    }
-
     /// Maximum total-variation distance between consecutive steps.
     pub fn max_consecutive_tv(&self) -> f64 {
         self.steps
@@ -100,14 +86,6 @@ mod tests {
         assert_eq!(r.max_consecutive_tv(), 0.0);
         assert_eq!(r.end_to_end_tv(), 0.0);
         assert!(r.popularity_rank_preserved());
-        assert_eq!(r.step_count(), 10);
-    }
-
-    #[test]
-    fn expert_series_extracts_column() {
-        let r = StabilityReport::new(vec![vec![0.1, 0.9], vec![0.2, 0.8]]);
-        assert_eq!(r.expert_series(0), vec![0.1, 0.2]);
-        assert_eq!(r.expert_series(1), vec![0.9, 0.8]);
     }
 
     #[test]

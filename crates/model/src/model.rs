@@ -252,15 +252,6 @@ impl MoeModel {
             .collect()
     }
 
-    /// Sets the Switch-style expert-capacity factor on every MoE block
-    /// (`None` disables dropping — the default, and the fine-tuning
-    /// setting).
-    pub fn set_capacity_factor(&mut self, factor: Option<f32>) {
-        for block in &mut self.blocks {
-            block.moe.set_capacity_factor(factor);
-        }
-    }
-
     /// Freezes every backbone parameter and disables the auxiliary loss —
     /// the state of a *pre-trained* backbone entering fine-tuning.
     pub fn freeze_all(&mut self) {

@@ -10,10 +10,8 @@ use vela_obs::{LazyCounter, LazyHistogram};
 use vela_tensor::rng::DetRng;
 use vela_tensor::{workspace, Tensor};
 
-/// Token-slot assignments that survived the capacity limit.
+/// Token-slot assignments dispatched to an expert.
 static MOE_TOKENS: LazyCounter = LazyCounter::new("model.moe.assigned");
-/// Assignments dropped by the expert-capacity limit.
-static MOE_DROPPED: LazyCounter = LazyCounter::new("model.moe.dropped");
 /// Experts that received at least one token (dispatch occupancy).
 static MOE_ACTIVE: LazyCounter = LazyCounter::new("model.moe.active_experts");
 /// Distribution of per-expert group sizes (rows per dispatch group).
@@ -34,16 +32,13 @@ pub struct RoutingInfo {
     pub selected: Vec<usize>,
     /// Softmax scores of the selected experts, `[tokens · k]`.
     pub selected_probs: Vec<f32>,
-    /// Tokens routed to each expert (length = experts), after any
-    /// capacity-limit drops.
+    /// Tokens routed to each expert (length = experts); they sum to
+    /// `tokens · k`, since every selected slot reaches its expert.
     pub counts: Vec<usize>,
     /// Number of tokens in the batch.
     pub tokens: usize,
     /// Experts per token.
     pub k: usize,
-    /// (token, slot) assignments dropped by the expert-capacity limit
-    /// (0 when no capacity factor is set).
-    pub dropped: usize,
 }
 
 impl RoutingInfo {
@@ -72,10 +67,6 @@ pub struct MoeBlock {
     block: usize,
     experts: usize,
     dim: usize,
-    /// Switch-style expert capacity factor: each expert accepts at most
-    /// `ceil(tokens·k/E · factor)` assignments per batch; overflow slots
-    /// are dropped (their tokens ride the residual connection).
-    capacity_factor: Option<f32>,
     last_routing: Option<RoutingInfo>,
     state: DispatchState,
 }
@@ -131,34 +122,8 @@ impl MoeBlock {
             block,
             experts,
             dim,
-            capacity_factor: None,
             last_routing: None,
             state: DispatchState::default(),
-        }
-    }
-
-    /// Enables the Switch-style expert-capacity limit (used during
-    /// pre-training to bound stragglers; disabled by default and during
-    /// fine-tuning).
-    ///
-    /// # Panics
-    /// Panics if `factor` is not positive.
-    pub fn set_capacity_factor(&mut self, factor: Option<f32>) {
-        if let Some(f) = factor {
-            assert!(f > 0.0, "capacity factor must be positive");
-        }
-        self.capacity_factor = factor;
-    }
-
-    /// Assignments each expert may accept for a batch of `tokens` tokens
-    /// (`usize::MAX` when no factor is set).
-    pub fn expert_capacity(&self, tokens: usize) -> usize {
-        match self.capacity_factor {
-            None => usize::MAX,
-            Some(f) => {
-                let fair = (tokens * self.router.k()) as f32 / self.experts as f32;
-                (fair * f).ceil() as usize
-            }
         }
     }
 
@@ -187,25 +152,15 @@ impl MoeBlock {
     pub fn forward(&mut self, x: &Tensor, provider: &mut dyn ExpertProvider) -> Tensor {
         let _span = vela_obs::span("model.moe.fwd");
         let tokens = x.rows();
-        // Hoisted above the router call: `rout` borrows the router's
-        // persistent output for the rest of the pass.
-        let capacity = self.expert_capacity(tokens);
         let rout = self.router.forward(x);
         let state = &mut self.state;
 
-        // Pass 1: per-expert assignment counts, ascending expert id within
-        // each token's slots; assignments beyond an expert's capacity are
-        // dropped (tokens arrive in batch order, matching Switch's
-        // first-come policy).
+        // Pass 1: per-expert assignment counts. Every selected slot
+        // reaches its expert.
         state.counts.clear();
         state.counts.resize(self.experts, 0);
-        let mut dropped = 0usize;
         for &e in &rout.selected {
-            if state.counts[e] >= capacity {
-                dropped += 1;
-            } else {
-                state.counts[e] += 1;
-            }
+            state.counts[e] += 1;
         }
 
         // Pass 2: CSR offsets over the non-empty experts, then a stable
@@ -225,7 +180,6 @@ impl MoeBlock {
         let assigned = *state.offsets.last().unwrap();
         if vela_obs::enabled() {
             MOE_TOKENS.add(assigned as u64);
-            MOE_DROPPED.add(dropped as u64);
             MOE_ACTIVE.add(ngroups as u64);
             for gi in 0..ngroups {
                 MOE_GROUP_ROWS.record((state.offsets[gi + 1] - state.offsets[gi]) as u64);
@@ -254,9 +208,8 @@ impl MoeBlock {
         state.toks.resize(assigned, 0);
         state.slots.clear();
         state.slots.resize(assigned, 0);
-        // Reuse `counts` as per-group fill cursors (group-indexed now).
-        state.counts.clear();
-        state.counts.resize(self.experts, usize::MAX);
+        // Reuse `counts` as expert → group index; every selected expert
+        // has a group.
         for (gi, &e) in state.experts.iter().enumerate() {
             state.counts[e] = gi;
         }
@@ -268,13 +221,7 @@ impl MoeBlock {
             for j in 0..rout.k {
                 let slot = t * rout.k + j;
                 let gi = state.counts[rout.selected[slot]];
-                if gi == usize::MAX {
-                    continue; // expert saturated before any assignment
-                }
                 let pos = state.cursor[gi];
-                if pos >= state.offsets[gi + 1] {
-                    continue; // over capacity: dropped (counted above)
-                }
                 state.toks[pos] = t;
                 state.slots[pos] = slot;
                 state.cursor[gi] += 1;
@@ -337,7 +284,6 @@ impl MoeBlock {
             counts: Vec::new(),
             tokens: 0,
             k: rout.k,
-            dropped: 0,
         });
         info.selected.clear();
         info.selected.extend_from_slice(&rout.selected);
@@ -350,7 +296,6 @@ impl MoeBlock {
         }
         info.tokens = tokens;
         info.k = rout.k;
-        info.dropped = dropped;
 
         state.weights.clear();
         state.weights.extend_from_slice(&rout.weights);
@@ -571,61 +516,16 @@ mod tests {
     }
 
     #[test]
-    fn capacity_factor_drops_overflow() {
-        let (mut block, mut store, cfg) = setup();
-        // Capacity 1x fair share: with skew, some assignments must drop.
-        block.set_capacity_factor(Some(0.5));
-        let mut rng = DetRng::new(21);
-        let x = Tensor::uniform((16, cfg.dim), -1.0, 1.0, &mut rng);
-        let cap = block.expert_capacity(16);
-        let y = block.forward(&x, &mut store);
-        assert_eq!(y.shape().as_2d(), (16, cfg.dim));
-        let info = block.last_routing().unwrap();
-        assert!(
-            info.counts.iter().all(|&c| c <= cap),
-            "{:?} > {cap}",
-            info.counts
-        );
-        assert!(info.dropped > 0, "0.5x capacity must drop something");
-        assert_eq!(
-            info.counts.iter().sum::<usize>() + info.dropped,
-            16 * cfg.top_k
-        );
-        // Backward still works with dropped slots.
-        let gx = block.backward(&Tensor::ones((16, cfg.dim)), &mut store);
-        assert_eq!(gx.shape().as_2d(), (16, cfg.dim));
-    }
-
-    #[test]
-    fn no_capacity_factor_drops_nothing() {
+    fn every_selected_slot_reaches_its_expert() {
         let (mut block, mut store, cfg) = setup();
         let mut rng = DetRng::new(22);
         let x = Tensor::uniform((8, cfg.dim), -1.0, 1.0, &mut rng);
         block.forward(&x, &mut store);
-        assert_eq!(block.last_routing().unwrap().dropped, 0);
-        assert_eq!(block.expert_capacity(8), usize::MAX);
-    }
-
-    #[test]
-    fn generous_capacity_matches_unlimited_exactly() {
-        let cfg = ModelConfig::test_small();
-        let mut rng = DetRng::new(23);
-        let x = Tensor::uniform((6, cfg.dim), -1.0, 1.0, &mut rng);
-        let run = |factor: Option<f32>| {
-            let mut rng = DetRng::new(10);
-            let mut store = LocalExpertStore::new(&cfg, &mut rng);
-            let mut block = MoeBlock::new(0, cfg.dim, cfg.experts, cfg.top_k, 0.0, &mut rng);
-            block.set_capacity_factor(factor);
-            block.forward(&x, &mut store)
-        };
-        assert_eq!(run(None), run(Some(100.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity factor must be positive")]
-    fn zero_capacity_factor_panics() {
-        let (mut block, _, _) = setup();
-        block.set_capacity_factor(Some(0.0));
+        let info = block.last_routing().unwrap();
+        assert_eq!(info.counts.iter().sum::<usize>(), 8 * cfg.top_k);
+        for (e, &c) in info.counts.iter().enumerate() {
+            assert_eq!(c, info.selected.iter().filter(|&&s| s == e).count());
+        }
     }
 
     #[test]

@@ -29,9 +29,6 @@ pub struct PretrainConfig {
     pub lr: f32,
     /// Characters of mixed-domain corpus to generate.
     pub corpus_chars: usize,
-    /// Optional Switch-style expert-capacity factor (bounds per-expert
-    /// load during pre-training; `None` disables dropping).
-    pub capacity_factor: Option<f32>,
     /// Master seed for corpus, init and batch sampling.
     pub seed: u64,
 }
@@ -43,7 +40,6 @@ impl Default for PretrainConfig {
             batch_size: 8,
             lr: 3e-3,
             corpus_chars: 200_000,
-            capacity_factor: None,
             seed: 2025,
         }
     }
@@ -67,7 +63,6 @@ pub struct Pretrained {
 pub fn pretrain(cfg: &ModelConfig, pcfg: &PretrainConfig) -> Pretrained {
     let mut rng = DetRng::new(pcfg.seed);
     let (mut model, mut experts) = MoeModel::new(cfg, &mut rng);
-    model.set_capacity_factor(pcfg.capacity_factor);
 
     let tokenizer = CharTokenizer::new();
     assert_eq!(
@@ -136,19 +131,6 @@ mod tests {
         assert!(
             tail < head * 0.9,
             "pre-training should learn: {head} -> {tail}"
-        );
-    }
-
-    #[test]
-    fn capacity_factor_still_learns() {
-        let (cfg, mut pcfg) = quick_cfg();
-        pcfg.capacity_factor = Some(1.25);
-        let result = pretrain(&cfg, &pcfg);
-        let head: f32 = result.losses[..5].iter().sum::<f32>() / 5.0;
-        let tail: f32 = result.losses[result.losses.len() - 5..].iter().sum::<f32>() / 5.0;
-        assert!(
-            tail < head,
-            "capacity-limited pre-training should learn: {head} -> {tail}"
         );
     }
 

@@ -89,10 +89,6 @@ fn assert_same(a: &Pass, b: &Pass, what: &str) {
         a.routing.counts, b.routing.counts,
         "{what}: per-expert counts"
     );
-    assert_eq!(
-        a.routing.dropped, b.routing.dropped,
-        "{what}: capacity drops"
-    );
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Linear projection with an optional LoRA adapter.
 
 use vela_tensor::rng::DetRng;
-use vela_tensor::{ops, Tensor};
+use vela_tensor::Tensor;
 
 use crate::lora::LoraAdapter;
 use crate::param::{Module, Param};
 
-/// A dense linear layer `y = x·W (+ b) (+ s·(x·A)·B)`.
+/// A dense, bias-free linear layer `y = x·W (+ s·(x·A)·B)`.
 ///
 /// The same struct serves both training regimes of the paper:
 ///
@@ -20,7 +20,6 @@ use crate::param::{Module, Param};
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param,
-    bias: Option<Param>,
     lora: Option<LoraAdapter>,
     in_dim: usize,
     out_dim: usize,
@@ -29,7 +28,7 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Creates a trainable layer without bias, Xavier-initialized.
+    /// Creates a trainable layer, Xavier-initialized.
     pub fn new(name: impl Into<String>, in_dim: usize, out_dim: usize, rng: &mut DetRng) -> Self {
         let name = name.into();
         let std = (2.0 / (in_dim + out_dim) as f32).sqrt();
@@ -38,28 +37,12 @@ impl Linear {
                 format!("{name}.weight"),
                 Tensor::normal((in_dim, out_dim), 0.0, std, rng),
             ),
-            bias: None,
             lora: None,
             in_dim,
             out_dim,
             name,
             cached_x: None,
         }
-    }
-
-    /// Creates a trainable layer with a zero-initialized bias.
-    pub fn with_bias(
-        name: impl Into<String>,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut DetRng,
-    ) -> Self {
-        let mut layer = Linear::new(name, in_dim, out_dim, rng);
-        layer.bias = Some(Param::new(
-            format!("{}.bias", layer.name),
-            Tensor::zeros(out_dim),
-        ));
-        layer
     }
 
     /// Input feature dimension.
@@ -87,12 +70,9 @@ impl Linear {
         self.lora.as_ref()
     }
 
-    /// Freezes the base weight (and bias) so the optimizer skips them.
+    /// Freezes the base weight so the optimizer skips it.
     pub fn freeze_base(&mut self) {
         self.weight.set_trainable(false);
-        if let Some(b) = &mut self.bias {
-            b.set_trainable(false);
-        }
     }
 
     /// Attaches a LoRA adapter with the given rank and `α`.
@@ -135,9 +115,6 @@ impl Linear {
             self.in_dim
         );
         let mut y = x.matmul(&self.weight.value);
-        if let Some(b) = &self.bias {
-            y.add_row_broadcast_inplace(b.value.as_slice());
-        }
         if let Some(lora) = &mut self.lora {
             y.add_assign(&lora.forward(x));
         }
@@ -163,12 +140,6 @@ impl Linear {
             let dw = x.matmul_tn(grad_out);
             self.weight.accumulate(&dw);
         }
-        if let Some(b) = &mut self.bias {
-            if b.is_trainable() {
-                let db = Tensor::from_vec(self.out_dim, ops::sum_rows(grad_out));
-                b.accumulate(&db);
-            }
-        }
         let mut grad_in = grad_out.matmul_nt(&self.weight.value);
         if let Some(lora) = &mut self.lora {
             grad_in.add_assign(&lora.backward(x, grad_out));
@@ -180,9 +151,6 @@ impl Linear {
 impl Module for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
-        if let Some(b) = &mut self.bias {
-            f(b);
-        }
         if let Some(lora) = &mut self.lora {
             lora.visit_params(f);
         }
@@ -209,25 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn bias_broadcasts_to_every_row() {
-        let mut rng = DetRng::new(2);
-        let mut layer = Linear::with_bias("l", 2, 2, &mut rng);
-        layer.visit_params(&mut |p| {
-            if p.name().ends_with("bias") {
-                p.value = Tensor::from_vec(2usize, vec![1.0, -1.0]);
-            }
-        });
-        let x = Tensor::zeros((3, 2));
-        let y = layer.forward(&x);
-        for i in 0..3 {
-            assert_eq!(y.row(i), &[1.0, -1.0]);
-        }
-    }
-
-    #[test]
     fn backward_gradients_match_finite_difference() {
         let mut rng = DetRng::new(3);
-        let mut layer = Linear::with_bias("l", 4, 3, &mut rng);
+        let mut layer = Linear::new("l", 4, 3, &mut rng);
         let x = Tensor::uniform((5, 4), -1.0, 1.0, &mut rng);
         let gout = Tensor::uniform((5, 3), -1.0, 1.0, &mut rng);
         check_param_grads(
@@ -246,7 +198,7 @@ mod tests {
         // 13×17 → 9 straddles the 8×8 microkernel tiles on every axis, so
         // this exercises the zero-padded remainder lanes end to end.
         let mut rng = DetRng::new(31);
-        let mut layer = Linear::with_bias("l", 17, 9, &mut rng);
+        let mut layer = Linear::new("l", 17, 9, &mut rng);
         let x = Tensor::uniform((13, 17), -1.0, 1.0, &mut rng);
         let gout = Tensor::uniform((13, 9), -1.0, 1.0, &mut rng);
         check_param_grads(
@@ -324,11 +276,11 @@ mod tests {
     #[test]
     fn visit_params_order_is_deterministic() {
         let mut rng = DetRng::new(9);
-        let mut layer = Linear::with_bias("l", 2, 2, &mut rng);
+        let mut layer = Linear::new("l", 2, 2, &mut rng);
         layer.attach_lora(1, 1.0, &mut rng);
         let mut names = Vec::new();
         layer.visit_params(&mut |p| names.push(p.name().to_string()));
-        assert_eq!(names, vec!["l.weight", "l.bias", "l.lora_a", "l.lora_b"]);
+        assert_eq!(names, vec!["l.weight", "l.lora_a", "l.lora_b"]);
     }
 
     #[test]

@@ -36,11 +36,6 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     (loss, grad)
 }
 
-/// Perplexity corresponding to a mean cross-entropy loss.
-pub fn perplexity(loss: f32) -> f32 {
-    loss.exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,12 +96,6 @@ mod tests {
             let s: f32 = grad.row(i).iter().sum();
             assert!(s.abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn perplexity_of_zero_loss_is_one() {
-        assert_eq!(perplexity(0.0), 1.0);
-        assert!((perplexity((8.0f32).ln()) - 8.0).abs() < 1e-4);
     }
 
     #[test]

@@ -55,19 +55,6 @@ impl Placement {
         self.assign[block][expert]
     }
 
-    /// All `(block, expert)` pairs hosted by `worker`.
-    pub fn experts_on(&self, worker: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (l, row) in self.assign.iter().enumerate() {
-            for (e, &w) in row.iter().enumerate() {
-                if w == worker {
-                    out.push((l, e));
-                }
-            }
-        }
-        out
-    }
-
     /// Number of experts per worker.
     pub fn load(&self) -> Vec<usize> {
         let mut load = vec![0usize; self.workers];
@@ -320,7 +307,6 @@ mod tests {
         assert_eq!(p.blocks(), 2);
         assert_eq!(p.experts(), 3);
         assert_eq!(p.worker_of(1, 0), 2);
-        assert_eq!(p.experts_on(2), vec![(0, 2), (1, 0)]);
         assert_eq!(p.load(), vec![2, 2, 2]);
         assert!(p.respects_capacities(&[2, 2, 2]));
         assert!(!p.respects_capacities(&[1, 2, 2]));

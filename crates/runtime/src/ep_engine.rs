@@ -72,11 +72,6 @@ impl EpEngine {
         }
     }
 
-    /// The device hosting expert `e` (the paper's `e mod N` rule).
-    pub fn host_of(&self, expert: usize) -> DeviceId {
-        self.devices[expert % self.devices.len()]
-    }
-
     /// The (drifting) locality profile.
     pub fn profile(&self) -> &LocalityProfile {
         &self.profile
@@ -231,12 +226,21 @@ mod tests {
 
     fn engine(zipf: f64) -> EpEngine {
         let spec = small_spec();
+        engine_on(LocalityProfile::synthetic(
+            "p",
+            spec.blocks,
+            spec.experts,
+            zipf,
+            5,
+        ))
+    }
+
+    fn engine_on(profile: LocalityProfile) -> EpEngine {
         let scale = ScaleConfig {
             batch: 8,
             seq: 128,
-            ..ScaleConfig::paper_default(spec)
+            ..ScaleConfig::paper_default(small_spec())
         };
-        let profile = LocalityProfile::synthetic("p", spec.blocks, spec.experts, zipf, 5);
         EpEngine::new(
             Topology::paper_testbed(),
             (0..6).map(DeviceId).collect(),
@@ -275,10 +279,18 @@ mod tests {
 
     #[test]
     fn host_mapping_is_mod_n() {
-        let ep = engine(1.0);
-        assert_eq!(ep.host_of(0), DeviceId(0));
-        assert_eq!(ep.host_of(7), DeviceId(1));
-        assert_eq!(ep.host_of(5), DeviceId(5));
+        // Expert `e` lives on device `e mod 6`: routing every row to
+        // experts 1 and 7 loads one device with all of them, while 1 and
+        // 2 split them over two, so the slowest host computes longer.
+        let compute = |hot: [usize; 2]| {
+            let spec = small_spec();
+            let row = (0..spec.experts)
+                .map(|e| if hot.contains(&e) { 1.0 } else { 0.0 })
+                .collect();
+            let profile = LocalityProfile::from_frequencies("hot", vec![row; spec.blocks]);
+            engine_on(profile).step().time.compute_s
+        };
+        assert!(compute([1, 7]) > compute([1, 2]));
     }
 
     #[test]

@@ -393,35 +393,44 @@ fn handle(
             grad_bytes,
         } => {
             // Replica sync: ship this replica's accumulated gradients to
-            // the master as one row. Echo workers (no real experts) answer
-            // with a virtual row of the declared size so simulated runs
-            // account the same bytes a real run would.
+            // the master as one row. Only an echo worker (no template)
+            // answers for a copy it lacks, with a virtual row of the
+            // declared size, so simulated runs account a real run's bytes.
             let row = if shard.contains(block as usize, expert as usize) {
                 let grads = expert_grads(shard.expert_mut(block as usize, expert as usize));
                 PackedRow {
                     width: grads.len() as u32,
                     data: PackedData::F32(grads),
                 }
-            } else {
+            } else if template.is_none() {
                 PackedRow {
                     width: grad_bytes,
                     data: PackedData::Virtual,
                 }
+            } else {
+                vela_obs::error!(
+                    "worker {}: grad fetch for absent expert ({block}, {expert}), exiting",
+                    port.index
+                );
+                return Ok(Flow::Stop);
             };
             port.send(&Message::GradState { block, expert, row })?;
         }
         Message::GradState { block, expert, row } => {
             // No reply: the `StepDone` this link carries after the install
-            // answers for it.
-            if let PackedData::F32(data) = &row.data {
-                if !shard.contains(block as usize, expert as usize) {
+            // answers for it. Only an echo worker takes a virtual row.
+            match &row.data {
+                PackedData::F32(data) if shard.contains(block as usize, expert as usize) => {
+                    install_expert_grads(shard.expert_mut(block as usize, expert as usize), data);
+                }
+                PackedData::Virtual if template.is_none() => {}
+                _ => {
                     vela_obs::error!(
-                        "worker {}: grad state for absent expert ({block}, {expert}), exiting",
+                        "worker {}: cannot install grad state for ({block}, {expert}), exiting",
                         port.index
                     );
                     return Ok(Flow::Stop);
                 }
-                install_expert_grads(shard.expert_mut(block as usize, expert as usize), data);
             }
         }
         Message::FetchShadow { block, expert } | Message::FetchTrained { block, expert } => {
@@ -837,6 +846,31 @@ mod tests {
             None,
             &[Message::FetchShadow { block, expert }],
         );
+    }
+
+    #[test]
+    fn a_real_worker_never_sends_or_accepts_a_virtual_gradient_row() {
+        // A template-booted worker holds real experts only: it neither
+        // answers a grad fetch for a copy it lacks with a virtual row nor
+        // takes one in place of real gradients.
+        let (template, _) = small_template();
+        let (block, expert) = (0, 1);
+        let fetch = Message::FetchGrads {
+            block,
+            expert,
+            grad_bytes: 64,
+        };
+        assert_clean_stop(empty_shard(), Some(template), &[fetch]);
+        let install = Message::GradState {
+            block,
+            expert,
+            row: PackedRow {
+                width: 64,
+                data: PackedData::Virtual,
+            },
+        };
+        let held = LocalExpertStore::new(&ModelConfig::test_small(), &mut DetRng::new(5));
+        assert_clean_stop(held, Some(template), &[install]);
     }
 
     #[test]

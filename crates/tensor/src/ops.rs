@@ -153,31 +153,9 @@ pub fn topk_rows_into(t: &Tensor, k: usize, indices: &mut Vec<usize>, values: &m
     }
 }
 
-/// Sum over rows: returns a vector of length `cols` where entry `j` is the
-/// sum of column `j`.
-pub fn sum_rows(t: &Tensor) -> Vec<f32> {
-    let (r, c) = t.shape().as_2d();
-    let mut out = vec![0.0f32; c];
-    for i in 0..r {
-        for (o, &v) in out.iter_mut().zip(t.row(i)) {
-            *o += v;
-        }
-    }
-    out
-}
-
 /// SiLU (a.k.a. swish) activation `x * sigmoid(x)`, element-wise.
 pub fn silu(t: &Tensor) -> Tensor {
     t.map(|x| x * sigmoid(x))
-}
-
-/// Derivative of SiLU with respect to its input, element-wise, evaluated at
-/// the pre-activation `x`.
-pub fn silu_grad(t: &Tensor) -> Tensor {
-    t.map(|x| {
-        let s = sigmoid(x);
-        s * (1.0 + x * (1.0 - s))
-    })
 }
 
 /// The logistic function `1 / (1 + e^{-x})`.
@@ -314,31 +292,12 @@ mod tests {
     }
 
     #[test]
-    fn sum_rows_sums_each_column() {
-        let t = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(sum_rows(&t), vec![4.0, 6.0]);
-    }
-
-    #[test]
     fn silu_matches_definition() {
         let t = Tensor::from_vec(3usize, vec![-2.0, 0.0, 2.0]);
         let s = silu(&t);
         assert!((s.at(1)).abs() < 1e-7);
         assert!((s.at(2) - 2.0 * sigmoid(2.0)).abs() < 1e-6);
         assert!(s.at(0) < 0.0);
-    }
-
-    #[test]
-    fn silu_grad_matches_finite_difference() {
-        let t = Tensor::from_vec(5usize, vec![-3.0, -1.0, 0.0, 1.0, 3.0]);
-        let g = silu_grad(&t);
-        let eps = 1e-3f32;
-        for i in 0..t.len() {
-            let x = t.at(i);
-            let numeric =
-                ((x + eps) * sigmoid(x + eps) - (x - eps) * sigmoid(x - eps)) / (2.0 * eps);
-            assert!((numeric - g.at(i)).abs() < 1e-3);
-        }
     }
 
     #[test]

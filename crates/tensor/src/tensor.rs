@@ -530,30 +530,6 @@ impl Tensor {
         }
         Tensor::from_vec((total, c), data)
     }
-
-    /// Adds `bias` (length = cols) to every row of the 2-D view.
-    ///
-    /// # Panics
-    /// Panics if `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Tensor {
-        let mut out = self.clone();
-        out.add_row_broadcast_inplace(bias);
-        out
-    }
-
-    /// In-place variant of [`add_row_broadcast`](Self::add_row_broadcast).
-    ///
-    /// # Panics
-    /// Panics if `bias.len()` differs from the column count.
-    pub fn add_row_broadcast_inplace(&mut self, bias: &[f32]) {
-        let (r, c) = self.shape.as_2d();
-        assert_eq!(bias.len(), c, "bias length {} vs cols {c}", bias.len());
-        for i in 0..r {
-            for (j, &b) in bias.iter().enumerate() {
-                self.data[i * c + j] += b;
-            }
-        }
-    }
 }
 
 impl fmt::Debug for Tensor {
@@ -761,13 +737,6 @@ mod tests {
         let t = Tensor::from_vec(3usize, vec![1.0, 2.0, 3.0]);
         let v = t.into_vec();
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn add_row_broadcast_adds_bias() {
-        let t = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let out = t.add_row_broadcast(&[10.0, 20.0]);
-        assert_eq!(out.as_slice(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]

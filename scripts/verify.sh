@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Repository verification: tier-1 build+test, formatting, the knob-list
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
-# VELA_* count and the non-test line counts of vela-runtime, vela-placement,
-# vela-model and vela-tensor), the release-mode gates (simplex pivot path,
-# routing table, the contract harness), fig5, fig6, fig3, fig7 and theorem1
+# VELA_* count and the non-test line count of every crate under crates/
+# plus their sum), the release-mode gates (simplex pivot path, routing
+# table, the contract harness), fig5, fig6, fig3, fig7 and theorem1
 # regenerated from an empty pretraining cache, the four synthetic-profile
-# ablations and the drift ablation (LP solves only), all diffed against
-# results/, the trace smokes (quickstart, the virtual scale_simulation, a
+# ablations, the drift ablation and the solver ablation (LP solves only;
+# the solver's timings go to stderr), all diffed against results/, the
+# trace smokes (quickstart, the virtual scale_simulation, a
 # traced tcp run), and the benches (the kernel one emits BENCH_kernels.json
 # in the repo root and its log names the GEMM SIMD level the host dispatched
 # to; the placement-LP one is echoed only). Exchange and migration timing is
@@ -50,7 +51,13 @@ non_test_lines() {
     find "crates/$1/src" -name '*.rs' -print0 | sort -z |
         xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }'
 }
-echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); non-test lines: vela-runtime $(non_test_lines runtime), vela-placement $(non_test_lines placement), vela-model $(non_test_lines model), vela-tensor $(non_test_lines tensor)"
+sizes="" total=0
+for dir in crates/*/; do
+    n=$(non_test_lines "$(basename "$dir")")
+    sizes="$sizes, $(sed -n 's/^name = "\(.*\)"$/\1/p' "$dir/Cargo.toml" | head -n 1) $n"
+    total=$((total + n))
+done
+echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); non-test lines: total $total${sizes}"
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
@@ -69,9 +76,9 @@ contract_seeds=$(sed -n 's/^const SEEDS: u64 = .* else { \([0-9]*\) };$/\1/p' te
 echo "==> contract harness (release): seeds 0..${contract_seeds} drawn by tests/contract.rs (engine, shape, transport, placement, re-placement to new owners or to a replica relation) vs the single-process oracle that replays moment resets, plus the named regression seeds, the exchange golden pin recorded at 8456ee6 on {channel, tcp-threads, tcp} and the exact wire bytes/step"
 cargo test --release -q --test contract
 
-echo "==> figures: fig5, fig6, fig3, fig7 and theorem1 from an empty target/vela-cache (its key does not cover code changes), the four ablations built on synthetic profiles (skew, bandwidth, capacity, heterogeneous) and the drift ablation (LP solves only), stdout diffed against results/ (log lines go to stderr)"
+echo "==> figures: fig5, fig6, fig3, fig7 and theorem1 from an empty target/vela-cache (its key does not cover code changes), the four ablations built on synthetic profiles (skew, bandwidth, capacity, heterogeneous), the drift ablation and the solver ablation (LP solves only), stdout diffed against results/ (log lines and wall-clock times go to stderr)"
 rm -rf target/vela-cache
-for fig in fig5 fig6 fig3 fig7 theorem1 ablation_skew ablation_bandwidth ablation_capacity ablation_heterogeneous ablation_drift; do
+for fig in fig5 fig6 fig3 fig7 theorem1 ablation_skew ablation_bandwidth ablation_capacity ablation_heterogeneous ablation_drift ablation_solver; do
     env -u VELA_TRANSPORT cargo run --release -q -p vela-bench --bin "$fig" >"target/$fig.txt"
     diff -u "results/$fig.txt" "target/$fig.txt" || {
         echo "FAIL: $fig stdout differs from results/$fig.txt: review the diff, then regenerate the file" >&2
