@@ -43,7 +43,10 @@
 //!                                 pool, if a 256³ product runs slower on
 //!                                 the pool than serially. Parallel
 //!                                 speedups are not gated when
-//!                                 `host_parallelism < 2`.
+//!                                 `host_parallelism < 2`. Exits 2 when
+//!                                 FILE is unreadable, is not JSON, or has
+//!                                 a kernel row lacking `name`,
+//!                                 `serial_secs` or `allocs_per_iter`.
 //!
 //! Run with `cargo run --release -p vela-bench --bin bench_kernels`.
 
@@ -56,6 +59,7 @@ use vela::tensor::gemm::{self, Layout};
 use vela::tensor::parallel::{self, ThreadPool};
 use vela_bench::alloc::{count_allocations, CountingAllocator};
 use vela_bench::microbench::secs_per_iter;
+use vela_obs::reader::{parse_json, Json};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -386,48 +390,42 @@ fn emit_json(threads: usize, rows: &[Row]) -> String {
     json
 }
 
-/// Extracts `(name, serial_secs, allocs_per_iter)` triples from a
-/// `BENCH_kernels.json` file (the exact format this binary emits; no
-/// general JSON parser needed).
-fn parse_reference(text: &str) -> Vec<(String, f64, u64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[npos + 9..];
-        let Some(nend) = rest.find('"') else { continue };
-        let name = rest[..nend].to_string();
-        let Some(spos) = line.find("\"serial_secs\": ") else {
-            continue;
-        };
-        let num = line[spos + 15..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect::<String>();
-        let allocs = line
-            .find("\"allocs_per_iter\": ")
-            .and_then(|apos| {
-                line[apos + 19..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit())
-                    .collect::<String>()
-                    .parse::<u64>()
-                    .ok()
-            })
-            .unwrap_or(u64::MAX);
-        if let Ok(secs) = num.parse::<f64>() {
-            out.push((name, secs, allocs));
-        }
+/// Reads a `BENCH_kernels.json` reference: the `simd` level it was
+/// recorded at (`portable` for files that predate the field) and
+/// `(name, serial_secs, allocs_per_iter)` per kernel row. A file that is
+/// not JSON, has no kernel rows, or has a row lacking one of the three
+/// fields is an error, so no row silently leaves the gate.
+fn parse_reference(text: &str) -> Result<(String, Vec<(String, f64, u64)>), String> {
+    let json = parse_json(text)?;
+    let simd = match json.get("simd") {
+        None => "portable",
+        Some(simd) => simd.as_str().ok_or("`simd` is not a string")?,
+    };
+    let Some(Json::Arr(kernels)) = json.get("kernels") else {
+        return Err("no `kernels` array".into());
+    };
+    let rows = kernels
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let name = row.get("name").and_then(Json::as_str);
+            let secs = match row.get("serial_secs") {
+                Some(&Json::Num(secs)) => Some(secs),
+                _ => None,
+            };
+            let allocs = row.get("allocs_per_iter").and_then(Json::as_u64);
+            match (name, secs, allocs) {
+                (Some(name), Some(secs), Some(allocs)) => Ok((name.to_string(), secs, allocs)),
+                _ => Err(format!(
+                    "kernel row {i} lacks `name`, `serial_secs` or `allocs_per_iter`"
+                )),
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if rows.is_empty() {
+        return Err("no kernel entries".into());
     }
-    out
-}
-
-/// The `simd` level a reference JSON was recorded at; `None` for files
-/// that predate the field.
-fn parse_reference_simd(text: &str) -> Option<&str> {
-    let rest = &text[text.find("\"simd\": \"")? + 9..];
-    Some(&rest[..rest.find('"')?])
+    Ok((simd.to_string(), rows))
 }
 
 /// Compares steady-state allocation counts (exact budget: any increase
@@ -589,14 +587,10 @@ fn main() {
             eprintln!("cannot read reference {path}: {e}");
             std::process::exit(2);
         });
-        let rows = parse_reference(&text);
-        if rows.is_empty() {
-            eprintln!("reference {path} contains no kernel entries");
+        let (simd, rows) = parse_reference(&text).unwrap_or_else(|e| {
+            eprintln!("reference {path} is unreadable: {e}");
             std::process::exit(2);
-        }
-        let simd = parse_reference_simd(&text)
-            .unwrap_or("portable")
-            .to_string();
+        });
         (path, rows, simd)
     });
     let gate_times = reference

@@ -8,7 +8,7 @@ use vela_model::pretrain::{pretrain, PretrainConfig};
 use vela_model::ModelConfig;
 use vela_nn::optim::AdamWConfig;
 use vela_placement::{Placement, PlacementProblem, Strategy};
-use vela_runtime::{RealRuntime, StepMetrics, TransportConfig};
+use vela_runtime::{RealRuntime, StepMetrics};
 use vela_tensor::rng::DetRng;
 
 use crate::measure::measure_locality;
@@ -21,11 +21,7 @@ pub struct VelaSessionBuilder {
     finetune_batch: usize,
     corpus: Corpus,
     corpus_chars: usize,
-    topology: Topology,
     strategy: Strategy,
-    lora: LoraConfig,
-    optim: AdamWConfig,
-    transport: TransportConfig,
     seed: u64,
 }
 
@@ -39,11 +35,7 @@ impl VelaSessionBuilder {
             finetune_batch: 8,
             corpus: Corpus::TinyShakespeare,
             corpus_chars: 50_000,
-            topology: Topology::paper_testbed(),
             strategy: Strategy::Vela,
-            lora: LoraConfig::default(),
-            optim: AdamWConfig::default(),
-            transport: TransportConfig::from_env(),
             seed: 2025,
         }
     }
@@ -79,35 +71,9 @@ impl VelaSessionBuilder {
         self
     }
 
-    /// The cluster to run on (defaults to the paper's 3 × 2-GPU testbed).
-    pub fn topology(&mut self, topology: Topology) -> &mut Self {
-        self.topology = topology;
-        self
-    }
-
     /// The expert-placement strategy (defaults to [`Strategy::Vela`]).
     pub fn strategy(&mut self, strategy: Strategy) -> &mut Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// LoRA hyper-parameters.
-    pub fn lora(&mut self, lora: LoraConfig) -> &mut Self {
-        self.lora = lora;
-        self
-    }
-
-    /// Optimizer configuration for fine-tuning.
-    pub fn optim(&mut self, optim: AdamWConfig) -> &mut Self {
-        self.optim = optim;
-        self
-    }
-
-    /// The transport carrying master↔worker traffic (defaults to the
-    /// `VELA_TRANSPORT` environment knob: in-process channels unless the
-    /// user asks for TCP loopback or real worker processes).
-    pub fn transport(&mut self, transport: TransportConfig) -> &mut Self {
-        self.transport = transport;
         self
     }
 
@@ -118,8 +84,10 @@ impl VelaSessionBuilder {
     }
 
     /// Runs the full pipeline: balanced pre-training on the mixed corpus,
-    /// LoRA preparation, locality measurement on the target corpus,
-    /// placement, and distributed launch.
+    /// LoRA preparation ([`LoraConfig::default`]), locality measurement on
+    /// the target corpus, placement on the paper's 3 × 2-GPU testbed, and
+    /// distributed launch with [`AdamWConfig::default`] over the transport
+    /// `VELA_TRANSPORT` selects.
     ///
     /// # Panics
     /// Panics if the configuration is inconsistent (e.g. vocabulary
@@ -139,7 +107,7 @@ impl VelaSessionBuilder {
         prepare_for_finetune(
             &mut model,
             &mut experts,
-            self.lora,
+            LoraConfig::default(),
             &mut DetRng::new(self.seed ^ 0xA5A5),
         );
 
@@ -150,11 +118,12 @@ impl VelaSessionBuilder {
         );
         let profile = measure_locality(&mut model, &mut experts, &dataset, self.finetune_batch, 16);
 
+        let topology = Topology::paper_testbed();
         let master = DeviceId(0);
-        let workers: Vec<DeviceId> = self.topology.devices().iter().map(|d| d.id).collect();
+        let workers: Vec<DeviceId> = topology.devices().iter().map(|d| d.id).collect();
         let cfg = model.config().clone();
         let problem = PlacementProblem::new(
-            self.topology.clone(),
+            topology.clone(),
             master,
             workers.clone(),
             profile.to_matrix(),
@@ -164,15 +133,14 @@ impl VelaSessionBuilder {
         );
         let placement = self.strategy.place(&problem);
 
-        let runtime = RealRuntime::launch_with(
-            self.transport,
+        let runtime = RealRuntime::launch(
             model,
             experts,
             placement.clone(),
-            self.topology.clone(),
+            topology,
             master,
             workers,
-            self.optim,
+            AdamWConfig::default(),
         );
         VelaSession {
             runtime,

@@ -8,13 +8,13 @@
 //! backward pass. It also logs, per MoE block and pass, the bytes and rows
 //! exchanged with each worker — the inputs to the Eq. (7) time model.
 //!
-//! It also moves the Expert Managers' copies. A copy crosses one way: the
-//! frozen part as an `ExpertChunk` stream, then the trainable part as
-//! another, each acked with `InstallDone`. A migration lane relays both
-//! streams from the primary to every worker the expert gains (the frozen
-//! one under the training steps, the trainable one at the cutover);
-//! process-mode seeding streams both from the master, and process-mode
-//! teardown fetches both back before it evicts the copy.
+//! It also moves the Expert Managers' copies, with one mover
+//! ([`BrokerClient::apply_relation`]): a migration lane relays an expert's
+//! frozen part as an `ExpertChunk` stream from its primary to every worker
+//! it gains, under the training steps, then its trainable part as another
+//! at the cutover, each acked with `InstallDone`. Process-mode launch and
+//! teardown are re-placements too (from and back to the hosted worker), so
+//! lanes are the only traffic of that kind the master accepts.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -24,7 +24,7 @@ use vela_obs::Counter;
 use vela_placement::ReplicatedPlacement;
 use vela_tensor::Tensor;
 
-use crate::message::{chunk_expert_state, ChunkAssembler, Message, PackedData, PackedGroup};
+use crate::message::{Message, PackedData, PackedGroup};
 use crate::pipeline::{
     DispatchPlan, Rows, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS, SPAN_COMBINE,
     SPAN_MIGRATION_PUMP,
@@ -171,10 +171,10 @@ struct Lane {
     expert: usize,
     /// The target replica set, primary first.
     target: Vec<usize>,
-    /// Gained workers the current stream has not landed on (no
-    /// `InstallDone` yet): the frozen stream until the cutover, then the
-    /// trainable one. Nothing keeps a shadow current meanwhile — the
-    /// tensors it holds are the ones no step changes.
+    /// The `InstallDone`s still owed: each gained worker once per stream
+    /// requested and not landed there — the frozen one from admission, the
+    /// trainable one from the cutover. Nothing keeps a shadow current
+    /// meanwhile: the tensors it holds are the ones no step changes.
     landing: Vec<usize>,
 }
 
@@ -244,7 +244,7 @@ pub struct PhaseLog {
 ///
 /// It is the only master-side speaker of the protocol: the
 /// [`Session`](crate::Session) drives its steps, exchanges, gradient sync,
-/// installs and teardown through it, and nothing else holds the
+/// re-placements and teardown through it, and nothing else holds the
 /// [`MasterHub`].
 #[derive(Debug)]
 pub struct BrokerClient {
@@ -259,9 +259,6 @@ pub struct BrokerClient {
     step: u64,
     /// Migration lanes; empty in the virtual engine, which never migrates.
     migrations: MigrationState,
-    /// `(worker, block, expert)` of every seeding stream shipped and not
-    /// yet acknowledged.
-    installs_owed: Vec<(usize, usize, usize)>,
 }
 
 impl BrokerClient {
@@ -287,7 +284,6 @@ impl BrokerClient {
             step: 0,
             plan: DispatchPlan::default(),
             migrations: MigrationState::default(),
-            installs_owed: Vec::new(),
         }
     }
 
@@ -364,114 +360,6 @@ impl BrokerClient {
         let sent = self.hub.broadcast(&Message::Shutdown);
         self.hub.shutdown();
         sent
-    }
-
-    /// Fetches one expert's serialized parameters back from its primary,
-    /// as `[frozen, trainable]` checkpoint blobs, and drops the copy there:
-    /// `FetchShadow` and `FetchTrained` go back to back, both streams are
-    /// reassembled, then an `Evict` follows. Used by process-mode teardown
-    /// to reassemble the expert population on the master.
-    pub fn fetch_expert(
-        &mut self,
-        block: usize,
-        expert: usize,
-    ) -> Result<[Vec<u8>; 2], TransportError> {
-        let from = self.placement.primary(block, expert);
-        let (block, expert) = (block as u32, expert as u32);
-        self.hub
-            .send(from, &Message::FetchShadow { block, expert })?;
-        self.hub
-            .send(from, &Message::FetchTrained { block, expert })?;
-        let frozen = self.recv_stream(from, block, expert)?;
-        let trained = self.recv_stream(from, block, expert)?;
-        self.hub.send(from, &Message::Evict { block, expert })?;
-        Ok([frozen, trained])
-    }
-
-    /// Reassembles the `ExpertChunk` stream worker `from` owes for
-    /// `(block, expert)` and returns its blob.
-    fn recv_stream(
-        &mut self,
-        from: usize,
-        block: u32,
-        expert: u32,
-    ) -> Result<Vec<u8>, TransportError> {
-        let mut stream = ChunkAssembler::new(block, expert);
-        loop {
-            let (w, msg) = self.recv_routed()?;
-            let Message::ExpertChunk {
-                block: b,
-                expert: e,
-                offset,
-                total,
-                data,
-            } = msg
-            else {
-                return Err(TransportError::Protocol(format!(
-                    "expected an expert chunk from worker {from}, got {msg:?}"
-                )));
-            };
-            if (w, b, e) != (from, block, expert) {
-                return Err(TransportError::Protocol(format!(
-                    "chunk of expert ({b},{e}) arrived from worker {w}, \
-                     expected ({block},{expert}) from {from}"
-                )));
-            }
-            stream
-                .accept(offset, total, &data)
-                .map_err(|e| TransportError::Protocol(format!("fetched stream: {e}")))?;
-            if stream.is_complete() {
-                return Ok(stream.into_bytes());
-            }
-        }
-    }
-
-    /// Streams one serialized expert to each worker in `to` the way a lane
-    /// moves it — the frozen blob, then the trainable one, each as
-    /// `ExpertChunk`s — for process-mode seeding. Every copy starts from
-    /// the same bytes, so replicas start bit-identical. Each worker acks
-    /// each stream; [`wait_installs`](Self::wait_installs) collects the
-    /// acks, so a caller with many experts to place pipelines every stream
-    /// before it waits once.
-    pub fn install_expert(
-        &mut self,
-        block: usize,
-        expert: usize,
-        to: &[usize],
-        parts: [&[u8]; 2],
-    ) -> Result<(), TransportError> {
-        for part in parts {
-            let frames = chunk_expert_state(block as u32, expert as u32, part);
-            for &w in to {
-                for frame in &frames {
-                    self.hub.send(w, frame)?;
-                }
-                self.installs_owed.push((w, block, expert));
-            }
-        }
-        Ok(())
-    }
-
-    /// Waits for the `InstallDone` of every stream shipped so far. An ack
-    /// from a worker that owes none for that expert is a protocol error.
-    pub fn wait_installs(&mut self) -> Result<(), TransportError> {
-        while !self.installs_owed.is_empty() {
-            let (w, ack) = self.recv_routed()?;
-            let Message::InstallDone { block, expert } = ack else {
-                return Err(TransportError::Protocol(format!(
-                    "expected InstallDone, got {ack:?}"
-                )));
-            };
-            let key = (w, block as usize, expert as usize);
-            let Some(pos) = self.installs_owed.iter().position(|&owed| owed == key) else {
-                return Err(TransportError::Protocol(format!(
-                    "install ack for expert ({block},{expert}) arrived from worker {w}, \
-                     which owes none"
-                )));
-            };
-            self.installs_owed.swap_remove(pos);
-        }
-        Ok(())
     }
 
     /// Starts moving experts so the placement becomes `target`, between
@@ -561,11 +449,14 @@ impl BrokerClient {
     /// ones), so the boundary is visible in every later loss.
     ///
     /// The cutover itself is a stop-the-world stream of the tensors that
-    /// train: the primary streams them and keeps its copy (`FetchTrained`
-    /// → `ExpertChunk`s), the master relays the stream to every gained
-    /// worker as it relayed the frozen one, each completes the copy on its
-    /// shadow, starts serving and acks, every surviving copy drops its
-    /// moments (`DropMoments`, so all copies restart alike), and the
+    /// train, overlapped across lanes: every admitted lane's primary is
+    /// asked for them at once, before any stream is waited for, and keeps
+    /// its copy (`FetchTrained` → `ExpertChunk`s); FIFO links put each
+    /// behind its lane's frozen stream. The master relays each stream to
+    /// its gained workers as it relayed the frozen one, and each completes
+    /// the copy on its shadow, starts serving and acks. Only when every
+    /// stream has landed, in admission order, every surviving copy drops
+    /// its moments (`DropMoments`, so all copies restart alike) and the
     /// dropped copies are evicted. FIFO links order all of it before the
     /// next step's traffic, so every side switches exactly at the boundary.
     pub fn pump_migrations(&mut self) -> Result<usize, TransportError> {
@@ -573,29 +464,29 @@ impl BrokerClient {
             return Ok(0);
         }
         let _g = vela_obs::span(SPAN_MIGRATION_PUMP);
-        let mut cut_over = 0;
-        while !self.migrations.lanes.is_empty() {
-            self.land_first_lane()?;
-            let lane = &mut self.migrations.lanes[0];
+        let hub = &mut self.hub;
+        for lane in &mut self.migrations.lanes {
             let (block, expert) = (lane.block, lane.expert);
-            lane.landing = without(&lane.target, self.placement.replicas_of(block, expert));
-            self.hub.send(
+            let gained = without(&lane.target, self.placement.replicas_of(block, expert));
+            lane.landing.extend(gained);
+            hub.send(
                 self.placement.primary(block, expert),
                 &Message::FetchTrained {
                     block: block as u32,
                     expert: expert as u32,
                 },
             )?;
-            self.land_first_lane()?;
-            let target = self.migrations.lanes.remove(0).target;
+        }
+        self.land_lanes()?;
+        let lanes = std::mem::take(&mut self.migrations.lanes);
+        for lane in &lanes {
             // The gained copies start from fresh moments; so must every
             // surviving one, or the copies stop being clones.
-            self.settle(block, expert, &target, true)?;
+            self.settle(lane.block, lane.expert, &lane.target, true)?;
             MIGRATION_COMMITS.add(1);
-            cut_over += 1;
         }
         self.admit_queued()?;
-        Ok(cut_over)
+        Ok(lanes.len())
     }
 
     /// Completes every requested move now — boundary service with no steps
@@ -637,15 +528,15 @@ impl BrokerClient {
         Ok(())
     }
 
-    /// Drains lane frames until the first admitted lane's current stream
+    /// Drains lane frames until every stream requested for an admitted lane
     /// has landed on every gained worker. Between steps the workers owe
     /// nothing but lane frames.
-    fn land_first_lane(&mut self) -> Result<(), TransportError> {
-        while !self.migrations.lanes[0].landing.is_empty() {
+    fn land_lanes(&mut self) -> Result<(), TransportError> {
+        while self.migrations.lanes.iter().any(|l| !l.landing.is_empty()) {
             let (w, msg) = self.hub.recv()?;
             if let Some((w, msg)) = self.route_lane_frame(w, msg)? {
                 return Err(TransportError::Protocol(format!(
-                    "unexpected frame from worker {w} while a lane was landing: {msg:?}"
+                    "unexpected frame from worker {w} while lanes were landing: {msg:?}"
                 )));
             }
         }
@@ -787,12 +678,13 @@ impl BrokerClient {
         }
     }
 
-    /// Inspects a drained frame: if it belongs to an admitted lane it is
-    /// serviced here — the primary's `ExpertChunk`s, frozen or trainable,
-    /// relay to every gained worker over the accounted hub path, and each
-    /// gained worker's `InstallDone` marks the stream landed there — and
-    /// `None` is returned. Any other frame is handed back to the caller's
-    /// protocol loop untouched.
+    /// Inspects a drained frame: lane traffic is serviced here — the
+    /// primary's `ExpertChunk`s, frozen or trainable, relay to every gained
+    /// worker over the accounted hub path, and each gained worker's
+    /// `InstallDone` marks the stream landed there — and `None` is
+    /// returned. Any other frame is handed back to the caller's protocol
+    /// loop untouched. Lanes are the only streams there are, so a chunk or
+    /// an ack no admitted lane owes is a [`TransportError::Protocol`].
     fn route_lane_frame(
         &mut self,
         w: usize,
@@ -804,34 +696,36 @@ impl BrokerClient {
             }
             _ => return Ok(Some((w, msg))),
         };
-        let lanes = &mut self.migrations.lanes;
-        let Some(lane) = lanes.iter_mut().find(|l| (l.block, l.expert) == key) else {
-            // Not lane traffic (e.g. a seeding ack or a teardown stream) —
-            // the caller's own protocol validation deals with it.
-            return Ok(Some((w, msg)));
-        };
-        // The primary streams chunks; only a gained worker acks, once.
-        let ok = match msg {
-            Message::InstallDone { .. } => lane.landing.contains(&w),
-            _ => w == self.placement.primary(lane.block, lane.expert),
-        };
-        if !ok {
-            return Err(TransportError::Protocol(format!(
-                "migration frame for expert ({},{}) arrived from worker {w}, \
-                 which owes none: {msg:?}",
-                key.0, key.1
-            )));
-        }
-        match &msg {
-            Message::ExpertChunk { data, .. } => {
+        let placement = &self.placement;
+        let lane = self
+            .migrations
+            .lanes
+            .iter_mut()
+            .find(|l| (l.block, l.expert) == key);
+        let owed = lane
+            .as_ref()
+            .and_then(|l| l.landing.iter().position(|&g| g == w));
+        // The primary streams chunks; a gained worker acks each stream once.
+        match (lane, &msg, owed) {
+            (Some(lane), Message::ExpertChunk { data, .. }, _)
+                if w == placement.primary(lane.block, lane.expert) =>
+            {
                 MIGRATION_CHUNKS.add(1);
                 MIGRATION_BYTES.add(data.len() as u64);
-                let now = self.placement.replicas_of(lane.block, lane.expert);
-                for to in without(&lane.target, now) {
+                for to in without(&lane.target, placement.replicas_of(lane.block, lane.expert)) {
                     self.hub.send(to, &msg)?;
                 }
             }
-            _ => lane.landing.retain(|&g| g != w),
+            (Some(lane), Message::InstallDone { .. }, Some(at)) => {
+                lane.landing.swap_remove(at);
+            }
+            _ => {
+                return Err(TransportError::Protocol(format!(
+                    "migration frame for expert ({},{}) arrived from worker {w}, \
+                     which owes none: {msg:?}",
+                    key.0, key.1
+                )))
+            }
         }
         Ok(None)
     }
@@ -988,10 +882,11 @@ impl ExpertProvider for BrokerClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{PackedReply, EXPERT_CHUNK_BYTES};
+    use crate::message::{chunk_expert_state, PackedReply, EXPERT_CHUNK_BYTES};
     use crate::transport::{build_star, star, MasterHub, TransportConfig};
     use crate::worker::{ExpertManager, ExpertTemplate, WorkerBootstrap};
     use std::sync::Arc;
+    use std::thread::JoinHandle;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
     use vela_model::{LocalExpertStore, ModelConfig};
     use vela_nn::optim::AdamWConfig;
@@ -1740,27 +1635,74 @@ mod tests {
         assert_eq!(held, [true, false]);
     }
 
+    /// A broker over two rogue workers on `transport`, expert `(0, 0)` on
+    /// worker 0: each answers every frame but `Shutdown` with `reply`.
+    fn rogue_star(
+        transport: TransportConfig,
+        reply: Message,
+    ) -> (BrokerClient, Vec<JoinHandle<()>>) {
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let devices = [DeviceId(1), DeviceId(2)];
+        let (hub, ports) = build_star(transport, ledger, DeviceId(0), &devices).unwrap();
+        let rogues = ports
+            .into_iter()
+            .map(|mut port| {
+                let reply = reply.clone();
+                std::thread::spawn(move || {
+                    while let Ok(msg) = port.recv() {
+                        if msg == Message::Shutdown || port.send(&reply).is_err() {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        (
+            BrokerClient::new(hub, Placement::new(vec![vec![0]], 2)),
+            rogues,
+        )
+    }
+
     #[test]
     fn wrong_reply_is_a_protocol_error_not_a_panic() {
-        // A worker that answers a teardown fetch with StepDone must surface
-        // as TransportError::Protocol on the master.
-        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(1)]);
-        let mut port = ports.remove(0);
-        let rogue = std::thread::spawn(move || {
-            while let Ok(msg) = port.recv() {
-                match msg {
-                    Message::Shutdown => break,
-                    _ => port.send(&Message::StepDone).unwrap(),
-                }
-            }
-        });
-        let placement = Placement::new(vec![vec![0]], 1);
-        let mut broker = BrokerClient::new(hub, placement);
-        let err = broker.fetch_expert(0, 0).unwrap_err();
-        assert!(matches!(err, TransportError::Protocol(_)), "got {err:?}");
-        broker.shutdown().unwrap();
-        rogue.join().unwrap();
+        // A lane's primary answers its `FetchShadow` with `StepDone`: the
+        // flush ends in a typed error, with no hang.
+        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
+            let (mut broker, rogues) = rogue_star(transport, Message::StepDone);
+            let target = ReplicatedPlacement::new(vec![vec![vec![1]]], 2);
+            assert_eq!(broker.apply_relation(&target).unwrap(), 1);
+            let flushed = broker.finish_migrations();
+            assert!(
+                matches!(flushed, Err(TransportError::Protocol(_))),
+                "{}: {flushed:?}",
+                transport.label()
+            );
+            broker.shutdown().unwrap();
+            rogues.into_iter().for_each(|r| r.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_stray_install_ack_is_a_protocol_error() {
+        // Workers answer `StepEnd` with an `InstallDone` no lane owes: the
+        // lane router refuses it inside the wait for `StepDone`, a typed
+        // error with no hang.
+        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
+            let stray = Message::InstallDone {
+                block: 0,
+                expert: 0,
+            };
+            let (mut broker, rogues) = rogue_star(transport, stray);
+            broker.step_end().unwrap();
+            let waited = broker.wait_step_done();
+            assert!(
+                matches!(&waited, Err(TransportError::Protocol(why)) if why.contains("owes none")),
+                "{}: {waited:?}",
+                transport.label()
+            );
+            broker.shutdown().unwrap();
+            rogues.into_iter().for_each(|r| r.join().unwrap());
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! every transport, the hosted one too. The only extra machinery process
 //! mode adds is locating the worker binary and handing each child its
 //! connect coordinates via environment variables; a thread worker, and
-//! the hosted worker beside threads, is also handed its shard by value. Worker
-//! processes are always reaped — teardown waits with a deadline and kills
-//! stragglers, so a crashed master never leaks children past
-//! [`WorkerHandle::finish`].
+//! the hosted worker on every transport, is also handed its shard by
+//! value, while a child starts empty. Worker processes are always reaped —
+//! teardown waits with a deadline and kills stragglers, so a crashed
+//! master never leaks children past [`WorkerHandle::finish`].
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -64,8 +64,8 @@ pub enum WorkerHandle {
 impl WorkerHandle {
     /// Finishes the worker: joins a thread or takes a hosted worker's
     /// result (returning its shard, or `None` if it never booted), or
-    /// reaps a process (returning `None` — process shards are fetched back
-    /// over the wire before shutdown). A process that ignores the shutdown
+    /// reaps a process (returning `None` — a process's copies are moved to
+    /// the hosted worker before shutdown). A process that ignores the shutdown
     /// is killed after a 10 s grace period; none are ever leaked. Shut the
     /// hub down first: a hosted worker still running has no shard to give.
     pub fn finish(self) -> Option<LocalExpertStore> {
@@ -244,12 +244,11 @@ pub(crate) fn hosted_worker(topology: &Topology, master: DeviceId, workers: &[De
 /// with one Expert Manager per worker, and sends each the `bootstrap`
 /// frame — the bring-up of every [`Session`](crate::Session). The
 /// [`hosted_worker`] is served on this thread by the returned hub; the
-/// others run behind ports. Thread-backed transports call `shards` for
-/// one store per worker and hand each worker, the hosted one included,
-/// its shard by value. Process mode never calls it: its `vela_worker`
-/// children and the hosted worker start with empty shards, and the caller
-/// seeds whatever they should hold over the wire. The handles come back
-/// in worker order.
+/// others run behind ports. `shards` gives one store per worker: the
+/// hosted worker and thread workers take theirs by value, while
+/// `vela_worker` children start empty and their stores are dropped, so
+/// whatever a process should hold the mover carries over the wire. The
+/// handles come back in worker order.
 pub(crate) fn launch_star(
     transport: TransportConfig,
     ledger: Arc<TrafficLedger>,
@@ -259,19 +258,19 @@ pub(crate) fn launch_star(
     shards: impl FnOnce() -> Vec<LocalExpertStore>,
 ) -> Result<(MasterHub, Vec<WorkerHandle>), TransportError> {
     let hosted = hosted_worker(ledger.topology(), master, workers);
-    let (hub, mut handles, hosted_shard) = if transport.is_process_mode() {
+    let mut shards = shards();
+    let hosted_shard = shards.remove(hosted);
+    let (hub, mut handles) = if transport.is_process_mode() {
         let (hub, children) = launch_process_star(ledger, master, workers, hosted)?;
         let handles: Vec<WorkerHandle> = children.into_iter().map(WorkerHandle::Process).collect();
-        (hub, handles, None)
+        (hub, handles)
     } else {
         let (hub, ports) = build_star_around(transport, ledger, master, workers, Some(hosted))?;
-        let mut shards = shards();
-        let hosted_shard = shards.remove(hosted);
         let threads = ports.into_iter().zip(shards);
         let handles = threads
             .map(|(port, shard)| WorkerHandle::Thread(ExpertManager::spawn(port, shard)))
             .collect();
-        (hub, handles, Some(hosted_shard))
+        (hub, handles)
     };
     let (mut hub, shard_back) = hub.host(hosted, hosted_shard);
     handles.insert(hosted, WorkerHandle::Hosted(shard_back));

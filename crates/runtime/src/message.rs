@@ -211,8 +211,8 @@ pub enum FrameKind {
     Dispatch,
     /// Worker → master result traffic.
     Result,
-    /// Expert parameter chunks (migration, seeding, fetch-back) and
-    /// replica gradient rows.
+    /// Expert parameter chunks (every re-placement, process-mode launch
+    /// and teardown included) and replica gradient rows.
     ExpertState,
     /// Everything else (step markers, acks, shutdown).
     Control,
@@ -559,8 +559,8 @@ frames! {
 
     /// Asks the worker to stream the *frozen* tensors of one expert as
     /// [`Message::ExpertChunk`]s and keep the copy (master → primary: the
-    /// background phase of a migration, and the first half of a
-    /// process-mode teardown fetch). No step changes those tensors, so the
+    /// background phase of a migration lane, process-mode launch and
+    /// teardown included). No step changes those tensors, so the
     /// worker keeps serving and training the expert meanwhile; what trains
     /// follows on [`Message::FetchTrained`].
     21 FetchShadow {
@@ -571,9 +571,8 @@ frames! {
     } => ToWorker, Migration, accounts 9, wire Control;
 
     /// One bounded chunk of an expert's serialized frozen or trainable
-    /// tensors in transit (source → master → destination, or master →
-    /// worker when seeding): the only frame that carries expert
-    /// parameters. Chunks are emitted in offset order on one link, so the
+    /// tensors in transit on a migration lane (primary → master → every
+    /// gained worker): the only frame that carries expert parameters. Chunks are emitted in offset order on one link, so the
     /// receiver enforces contiguity (`offset` must equal the bytes
     /// received so far) instead of allocating `total` up front. The chunk
     /// at offset 0 opens a stream, never over a copy the destination
@@ -602,8 +601,8 @@ frames! {
     /// Drops a worker's copy of an expert together with its optimizer
     /// moments, with no reply (master → worker): how a re-placement
     /// retires a copy its target leaves out, inside the apply call or, for
-    /// an expert that also gains a worker, after its cutover fetch; and
-    /// how a process-mode teardown fetch takes the copy off the worker.
+    /// an expert that also gains a worker, after its cutover fetch —
+    /// process-mode teardown taking a copy off a worker process included.
     // Moves no parameters, so it stays off the books; `accounts` is its
     // header size, for completeness.
     25 Evict {

@@ -30,13 +30,16 @@ pub(crate) const SPAN_COMBINE: &str = "runtime.pipeline.combine";
 /// for a stream that had not landed — the visible cost of a move.
 pub(crate) const SPAN_MIGRATION_PUMP: &str = "runtime.migration.pump";
 
+// The three counters below count every lane, the process-mode launch and
+// teardown re-placements' included.
+
 /// Migration chunk frames relayed master → destination: a lane's frozen
 /// stream and its cutover's trainable stream alike.
 pub(crate) static MIGRATION_CHUNKS: LazyCounter = LazyCounter::new("runtime.migration.chunks");
 /// Migration chunk bytes relayed master → destination, both streams of a
 /// lane.
 pub(crate) static MIGRATION_BYTES: LazyCounter = LazyCounter::new("runtime.migration.bytes");
-/// Migration lanes cut over at a step boundary.
+/// Migration lanes cut over at a step boundary or a flush.
 pub(crate) static MIGRATION_COMMITS: LazyCounter = LazyCounter::new("runtime.migration.commits");
 
 /// Which worker serves which items of one block-pass.

@@ -11,13 +11,12 @@
 //! The transport behind the broker is pluggable
 //! ([`TransportConfig`]): in-process channels (default), TCP loopback with
 //! worker threads, or TCP loopback with real `vela_worker` OS processes
-//! (`VELA_TRANSPORT=tcp`). In process mode the workers start empty;
-//! [`RealRuntime::launch_with`] seeds their shards over the wire and
-//! teardown fetches every expert back before `Shutdown`, both as a
-//! migration lane moves an expert — the frozen part as an `ExpertChunk`
-//! stream, then the trainable part as another — so
-//! [`RealRuntime::shutdown`] reassembles the identical population
-//! regardless of backend.
+//! (`VELA_TRANSPORT=tcp`). Worker processes start and end empty: every
+//! copy the placement puts on one rests on the hosted worker outside the
+//! steps, and the one mover ([`BrokerClient::apply_relation`]) carries it
+//! there and back — [`RealRuntime::launch_with`] re-places from that
+//! relation, [`RealRuntime::shutdown`] back to it — so shutdown reassembles
+//! the identical population regardless of backend.
 
 use vela_cluster::{DeviceId, Topology};
 use vela_model::{checkpoint, LocalExpertStore, MoeModel};
@@ -27,6 +26,7 @@ use vela_nn::optim::{AdamW, AdamWConfig};
 use vela_placement::{Placement, ReplicatedPlacement};
 
 use crate::broker::BrokerClient;
+use crate::launch::hosted_worker;
 use crate::metrics::StepMetrics;
 use crate::session::Session;
 use crate::transport::{TransportConfig, TransportError};
@@ -53,13 +53,14 @@ pub struct MigrationHandle {
 }
 
 /// The real-tensor step body: the backbone and its optimizer on the
-/// master, and the expert template process-mode teardown rebuilds from.
+/// master, and where the expert copies rest outside the steps.
 #[derive(Debug)]
 pub struct TensorBody {
     model: MoeModel,
     opt_model: AdamW,
-    template: ExpertTemplate,
-    process_mode: bool,
+    /// The hosted worker in process mode, where every copy rests (see
+    /// [`resting`]); `None` beside threads.
+    hosted: Option<usize>,
 }
 
 /// A live distributed fine-tuning session with real tensors.
@@ -96,16 +97,19 @@ impl RealRuntime {
     /// `optim` is used by the master for the backbone *and* by each worker
     /// for its shard, matching the paper's per-device optimization.
     ///
-    /// Thread-backed transports hand each worker its shard by value;
-    /// process mode spawns `vela_worker` children and seeds each shard over
-    /// the wire (the seeding window is discarded from the ledger so
-    /// per-step traffic stays transport-independent).
+    /// Every worker boots on the [`resting`] relation, the hosted one
+    /// taking its shard by value: beside threads that is the placement
+    /// itself, in process mode every copy on the hosted worker, which the
+    /// mover then re-places onto the `vela_worker` children (its ledger
+    /// window is discarded, so per-step traffic and
+    /// [`migration_bytes`](Self::migration_bytes) stay
+    /// transport-independent).
     ///
     /// # Panics
     /// Panics if the placement shape disagrees with the model or the
     /// worker list, if any expert is missing from `experts`, or if the
-    /// transport cannot be brought up (e.g. the `vela_worker` binary is
-    /// missing in process mode).
+    /// transport cannot be brought up or re-placed onto (e.g. the
+    /// `vela_worker` binary is missing in process mode).
     #[allow(clippy::too_many_arguments)]
     pub fn launch_with(
         transport: TransportConfig,
@@ -120,32 +124,35 @@ impl RealRuntime {
         let spec = model.config().spec();
         let template = ExpertTemplate::from_expert(experts.expert_mut(0, 0));
         let grad_bytes = (expert_grads(experts.expert_mut(0, 0)).len() * 4) as u32;
+        let hosted = transport
+            .is_process_mode()
+            .then(|| hosted_worker(&topology, master, &worker_devices));
+        let placement = placement.into();
         let body = TensorBody {
             model,
             opt_model: AdamW::new(optim),
-            template,
-            process_mode: transport.is_process_mode(),
+            hosted,
         };
         let mut rt = Session::bring_up(
             transport,
             topology,
             master,
             worker_devices,
-            placement.into(),
+            resting(&placement, hosted),
             spec,
             grad_bytes,
             optim,
             Some(template),
-            |placement| shard_experts(&mut experts, placement, &template),
+            |resting| shard_experts(&mut experts, resting, &template),
             body,
         );
-        if transport.is_process_mode() {
-            seed_processes(&mut rt.broker, &mut experts)
-                .unwrap_or_else(|e| panic!("seeding worker processes failed: {e}"));
-            // Seeding crossed real sockets; drop its ledger window so step
-            // traffic starts clean and matches the thread-backed transports.
-            rt.ledger.take_step();
-        }
+        // Straight to the broker: launch is not time the training loop
+        // spends blocked on migration, and its window is dropped.
+        rt.broker
+            .apply_relation(&placement)
+            .and_then(|_| rt.broker.finish_migrations())
+            .unwrap_or_else(|e| panic!("placing the experts on the workers failed: {e}"));
+        rt.ledger.take_step();
         rt
     }
 
@@ -276,35 +283,24 @@ impl RealRuntime {
 
     /// Shuts the workers down and reassembles the expert population.
     ///
-    /// Thread-backed workers hand their shards back on join; process-mode
-    /// workers have each primary copy fetched over the wire as two chunk
-    /// streams and evicted ([`BrokerClient::fetch_expert`]) before
-    /// `Shutdown`, then the children are reaped. Either way the returned
-    /// store holds every expert.
+    /// Moves in flight complete first (a shadow is not an expert), then
+    /// every copy goes back to its [`resting`] place — in process mode the
+    /// hosted worker, beside threads where it already is — so the shards
+    /// the hosted and thread workers hand back hold every expert. A
+    /// transport failure on the way is logged, and the store then holds
+    /// what came back.
     pub fn shutdown(mut self) -> (MoeModel, LocalExpertStore) {
-        // Complete any move in flight first: a shadow is not an expert,
-        // and only its source's copy would be reassembled.
-        if let Err(e) = self.broker.finish_migrations() {
-            vela_obs::warn!("flushing in-flight migrations at shutdown failed: {e}");
+        let home = resting(self.placement(), self.body.hosted);
+        let broker = &mut self.broker;
+        if let Err(e) = broker
+            .finish_migrations()
+            .and_then(|_| broker.apply_relation(&home))
+            .and_then(|_| broker.finish_migrations())
+        {
+            vela_obs::warn!("moving the experts home at shutdown failed: {e}");
         }
-        let (blocks, experts) = (self.placement().blocks(), self.placement().experts());
+        let (blocks, experts) = (home.blocks(), home.experts());
         let mut merged = LocalExpertStore::empty(blocks, experts);
-        if self.body.process_mode {
-            for l in 0..blocks {
-                for e in 0..experts {
-                    let parts = self
-                        .broker
-                        .fetch_expert(l, e)
-                        .unwrap_or_else(|err| panic!("fetching expert back failed: {err}"));
-                    let mut ffn = self.body.template.instantiate(l, e);
-                    for part in parts {
-                        checkpoint::load(&mut ffn, &mut part.as_slice())
-                            .expect("valid expert checkpoint");
-                    }
-                    merged.insert(l, e, ffn);
-                }
-            }
-        }
         let (body, shards) = self.close();
         for mut shard in shards {
             for l in 0..blocks {
@@ -321,9 +317,25 @@ impl RealRuntime {
     }
 }
 
-/// Shards the expert population for thread-backed workers, one store per
-/// worker. The primary gets the expert itself; any extra replicas get
-/// exact f32 checkpoint clones, so every copy starts bit-identical.
+/// Where `placement`'s copies rest outside the steps, at launch and at
+/// shutdown. A copy on a worker process rests on the `hosted` worker
+/// instead, which takes its shard by value and hands it back, so in
+/// process mode (`hosted` is `Some`) every copy rests there; beside
+/// threads every copy rests where it is placed.
+fn resting(placement: &ReplicatedPlacement, hosted: Option<usize>) -> ReplicatedPlacement {
+    match hosted {
+        None => placement.clone(),
+        Some(h) => {
+            let all = vec![vec![h; placement.experts()]; placement.blocks()];
+            Placement::new(all, placement.workers()).into()
+        }
+    }
+}
+
+/// Shards the expert population per `placement`, one store per worker,
+/// for the workers that take theirs by value. The primary gets the expert
+/// itself; any extra replicas get exact f32 checkpoint clones, so every
+/// copy starts bit-identical.
 fn shard_experts(
     experts: &mut LocalExpertStore,
     placement: &ReplicatedPlacement,
@@ -350,29 +362,6 @@ fn shard_experts(
         }
     }
     shards
-}
-
-/// Seeds worker processes, which start empty: every expert streams to each
-/// of its placed replicas, frozen part then trainable part, all streams in
-/// flight before the acks are collected. The blobs are exact f32
-/// checkpoints, so worker processes install the same tensors the thread
-/// transports hand over by value.
-fn seed_processes(
-    broker: &mut BrokerClient,
-    experts: &mut LocalExpertStore,
-) -> Result<(), TransportError> {
-    let (blocks, per_block) = (broker.placement().blocks(), broker.placement().experts());
-    for l in 0..blocks {
-        for e in 0..per_block {
-            let mut ffn = experts.take(l, e);
-            let [mut frozen, mut trained] = [Vec::new(), Vec::new()];
-            checkpoint::save_part(&mut ffn, &mut frozen, false).expect("in-memory save");
-            checkpoint::save_part(&mut ffn, &mut trained, true).expect("in-memory save");
-            let replicas = broker.placement().replicas_of(l, e).to_vec();
-            broker.install_expert(l, e, &replicas, [&frozen, &trained])?;
-        }
-    }
-    broker.wait_installs()
 }
 
 #[cfg(test)]
@@ -497,21 +486,28 @@ mod tests {
 
     #[test]
     fn tcp_threads_transport_is_a_drop_in_replacement() {
-        // Same model, same batch, same steps — once over channels, once
-        // over real loopback sockets. Losses must agree bit-for-bit and
-        // the reassembled population must be complete.
+        // Same model, same batch, same steps, expert (0, 0) replicated —
+        // once over channels, once over real loopback sockets. Losses must
+        // agree bit-for-bit and the reassembled population must be
+        // complete. Beside threads every worker, replicas included, took
+        // its shard by value: nothing crossed before the first step.
         let run = |transport: TransportConfig| {
             let (model, experts, cfg) = build();
+            let mut placement = ReplicatedPlacement::from(sequential_placement(&cfg, 6));
+            placement.add_replica(0, 0, 3);
             let mut rt = RealRuntime::launch_with(
                 transport,
                 model,
                 experts,
-                sequential_placement(&cfg, 6),
+                placement,
                 Topology::paper_testbed(),
                 DeviceId(0),
                 (0..6).map(DeviceId).collect(),
                 AdamWConfig::default(),
             );
+            let label = transport.label();
+            assert_eq!(rt.frame_counts(), (0, 0), "{label}");
+            assert_eq!(rt.migration_bytes(), 0, "{label}");
             let (inputs, targets) = toy_batch(&cfg, 2, 9);
             let losses: Vec<f32> = (0..2)
                 .map(|_| {

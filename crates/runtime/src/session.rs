@@ -12,7 +12,9 @@
 //!
 //! One of the workers runs on the master's own thread: the session's hub
 //! serves it whenever the master would otherwise wait for a reply (see
-//! `launch`). The others are threads or `vela_worker` processes.
+//! `launch`). The others are threads or `vela_worker` processes, which
+//! boot empty: a body whose workers hold experts places copies on them
+//! with the broker's one mover.
 
 use std::sync::Arc;
 
@@ -52,10 +54,10 @@ pub struct Session<B> {
 
 impl<B> Session<B> {
     /// Launches the workers over `transport` — one hosted on this thread,
-    /// the others threads or processes; beside threads every worker takes
-    /// its `shards(&placement)` store by value, in process mode every one
-    /// boots empty — with `optim` and `template` as their bootstrap, and
-    /// wraps `body` around them.
+    /// the others threads or processes — with `optim` and `template` as
+    /// their bootstrap, and wraps `body` around them. The hosted worker and
+    /// thread workers take their `shards(&placement)` store by value;
+    /// processes boot empty and theirs are dropped.
     ///
     /// # Panics
     /// Panics if the placement shape disagrees with `spec` or the worker

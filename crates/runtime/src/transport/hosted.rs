@@ -58,7 +58,7 @@ impl HostedHub {
         remote: Box<dyn HubBackend>,
         index: usize,
         device: DeviceId,
-        shard: Option<LocalExpertStore>,
+        shard: LocalExpertStore,
     ) -> (Self, Receiver<Result<LocalExpertStore, TransportError>>) {
         let (up_tx, up) = channel();
         let (down, port) = link(up_tx, index, device);
@@ -68,7 +68,7 @@ impl HostedHub {
             index,
             down,
             up,
-            worker: Some(Worker::new(port, shard)),
+            worker: Some(Worker::new(port, Some(shard))),
             queued: 0,
             shard_back,
             scratch: Workspace::default(),

@@ -490,8 +490,7 @@ impl MasterHub {
     }
 
     /// Serves worker `index` on this thread from now on, as an Expert
-    /// Manager booting from `shard` (or empty, like a process, when
-    /// `None`). The backend must have left that worker's link out (see
+    /// Manager booting from `shard`. The backend must have left that worker's link out (see
     /// [`build_star_around`]); frames to and from it still pass through
     /// [`send`](Self::send) and [`recv`](Self::recv) and the codec, so
     /// every count this hub keeps is the same as over a link. The
@@ -499,7 +498,7 @@ impl MasterHub {
     pub(crate) fn host(
         self,
         index: usize,
-        shard: Option<LocalExpertStore>,
+        shard: LocalExpertStore,
     ) -> (
         MasterHub,
         Receiver<Result<LocalExpertStore, TransportError>>,

@@ -144,7 +144,7 @@ impl VirtualEngine {
 
     /// Launches echo workers over `transport` and prepares a session.
     /// Virtual workers carry no expert state, so process mode ships a
-    /// template-free bootstrap and there is nothing to seed or fetch back.
+    /// template-free bootstrap and there is nothing to move in or out.
     ///
     /// # Panics
     /// Panics if the profile or placement shapes disagree with the spec,

@@ -11,8 +11,8 @@
 //! the worker the master hosts is driven by the master's hub, on the
 //! master's thread, whenever the master would otherwise wait for a reply.
 //! Either way its first frame is an ordinary [`Message::Bootstrap`]
-//! carrying a [`WorkerBootstrap`]; a thread, and the hosted worker beside
-//! threads, is also handed its shard by value. A master disconnect is a
+//! carrying a [`WorkerBootstrap`]; a thread, and the hosted worker on
+//! every transport, is also handed its shard by value. A master disconnect is a
 //! *clean* exit — the worker flushes its observability buffers and
 //! returns its shard instead of aborting the process.
 //!
@@ -21,8 +21,9 @@
 //! A worker asked (`FetchShadow`, `FetchTrained`) streams the part and
 //! keeps its copy; a worker receiving builds a shadow from the first
 //! stream, completes the copy on it with the second, and acks each with
-//! `InstallDone`. That serves migration lanes, process-mode seeding and
-//! process-mode teardown alike.
+//! `InstallDone`. Only the master's migration lanes ask for either, also
+//! for a process's copies, which arrive from the hosted worker after
+//! launch and go back to it before shutdown.
 
 use std::collections::HashMap;
 use std::thread::JoinHandle;
@@ -209,9 +210,8 @@ impl ExpertManager {
 /// returns the final shard.
 ///
 /// A thread brings its `shard` by value; a process passes `None` and starts
-/// from an empty shard of the bootstrap's shape (experts are seeded over
-/// the wire as [`Message::ExpertChunk`] streams, and the master normally
-/// fetches them all back the same way before `Shutdown`). An error means
+/// from an empty shard of the bootstrap's shape (migration lanes move its
+/// copies in from the hosted worker, and normally back before `Shutdown`). An error means
 /// the worker never booted: the link failed, the first frame was not a
 /// bootstrap (a stale peer's version included), or the bootstrap's shape is
 /// not the shard's.
@@ -508,9 +508,9 @@ fn handle(
             }
         }
         Message::Evict { block, expert } => {
-            // The placement dropped this copy, or teardown fetched it. An
-            // expert that later returns to this worker starts from fresh
-            // moments, as on any other destination.
+            // The placement dropped this copy. An expert that later
+            // returns to this worker starts from fresh moments, as on any
+            // other destination.
             if shard.contains(block as usize, expert as usize) {
                 drop_moments(&mut shard.take(block as usize, expert as usize), opt);
             } else {

@@ -5,9 +5,10 @@
 //! 2) is the child process, as in every session.
 //!
 //! Exercises the whole process-mode path — spawn, handshake, bootstrap,
-//! expert seeding, real-tensor training, virtual-payload stepping, expert
-//! fetch-back and clean shutdown — and exits non-zero if the TCP ledger
-//! windows differ from the channel ones by a single byte.
+//! the launch re-placement from the hosted worker, real-tensor training,
+//! virtual-payload stepping, the teardown re-placement back to it and
+//! clean shutdown — and exits non-zero if the TCP ledger windows differ
+//! from the channel ones by a single byte.
 //!
 //! Run: `cargo run --release -p vela --example tcp_smoke`
 //! (requires the `vela_worker` binary, built by `cargo build --release`).
