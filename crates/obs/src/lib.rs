@@ -13,7 +13,7 @@
 //!   live endpoint and the trace snapshot carry every span's count and
 //!   total. Under `jsonl` the same two stamps are also written as
 //!   enter/exit events tagged with the current *logical step* (a
-//!   process-global counter advanced by [`step_begin`]). Events land in
+//!   process-global counter advanced by [`step_begin`]). Records land in
 //!   thread-local buffers that are drained to the process-global sink
 //!   either when a buffer fills or when [`flush`] is called.
 //! * **Counters / histograms** ([`counter`], [`histogram`]) are named
@@ -39,8 +39,11 @@
 //!
 //! ## Trace schema (JSONL)
 //!
-//! One JSON object per line; `t` is integer microseconds since process
-//! start, `tid` a small per-thread integer (0 = snapshot pseudo-thread):
+//! One [`Record`] per line, from the thread buffer that records it to the
+//! reader that decodes it: [`reader::to_jsonl`] writes every line, live or
+//! merged, and [`reader::parse_line`] is the one parser. `t` is integer
+//! microseconds since process start, `tid` a small per-thread integer
+//! (0 = snapshot pseudo-thread), and `"ev"` names the [`Kind`]:
 //!
 //! ```text
 //! {"ev":"b","t":12,"tid":1,"step":3,"name":"runtime.step"}      span enter
@@ -63,8 +66,8 @@
 //! counted; for a span histogram that is the span's total µs, equal to
 //! Σ(exit − enter) over the span's `"b"`/`"e"` pairs in the same
 //! process. A merged trace additionally carries a `"pid"` field on
-//! every record (0 = master, `i + 1` = worker `i`); unmerged
-//! single-process traces omit it.
+//! every worker record (`i + 1` = worker `i`); the field is omitted
+//! when 0, the master lane and every unmerged trace.
 //!
 //! The Chrome `trace_event` view (`chrome://tracing` / Perfetto) is
 //! rendered from a finished trace by [`reader::to_chrome`], which
@@ -77,6 +80,7 @@ pub mod reader;
 pub mod sink;
 pub mod span;
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -87,6 +91,57 @@ pub use counters::{
 };
 pub use logger::Level;
 pub use span::{expert_rows, flow, span, FlowPhase, SpanGuard};
+
+/// One trace line: the thread buffers' element, the sink's input,
+/// [`reader::parse_line`]'s output and every reader's input.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// Microseconds since the recording process's trace epoch (a merge
+    /// rebases worker records onto the master's).
+    pub t: u64,
+    /// Recording thread; 0 for the snapshot pseudo-thread.
+    pub tid: u64,
+    /// Process lane of a merged trace: 0 = master, `i + 1` = worker `i`.
+    pub pid: u64,
+    pub kind: Kind,
+}
+
+/// What a [`Record`] says: one variant per schema kind (its `"ev"` letter
+/// in brackets), each carrying exactly the fields that kind requires.
+/// Live span, flow and row records borrow their `&'static` names; decoded
+/// records own theirs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Kind {
+    /// `"b"`: a span opened during logical step `step`.
+    Enter { name: Cow<'static, str>, step: u64 },
+    /// `"e"`: the lane's innermost open span closed.
+    Exit { name: Cow<'static, str> },
+    /// `"c"`: a counter's cumulative value.
+    Counter { name: Cow<'static, str>, value: u64 },
+    /// `"h"`: a histogram's cumulative total and its `(bucket lower
+    /// bound, count)` pairs.
+    Histogram {
+        name: Cow<'static, str>,
+        total: u64,
+        buckets: Vec<(u64, u64)>,
+    },
+    /// `"x"`: `(expert, rows)` routed in one `(step, block, pass)`, as
+    /// the `src` layer (`"runtime"`, `"model"`, `"workerN"`) saw them.
+    /// The pass (`"fwd"`/`"bwd"`) is written as the line's `"name"`.
+    Rows {
+        pass: Cow<'static, str>,
+        src: Cow<'static, str>,
+        block: u64,
+        step: u64,
+        rows: Vec<(u64, u64)>,
+    },
+    /// `"f"`: one endpoint of the dispatch → worker compute → result chain
+    /// keyed `corr` (see [`corr`]).
+    Flow { ph: FlowPhase, corr: u64, step: u64 },
+    /// `"k"`: a clock sample: worker clock − master clock (µs, signed)
+    /// and the round trip of the probe that measured it.
+    Clock { worker: u64, offset: i64, rtt: u64 },
+}
 
 /// Compact correlation key identifying one dispatch frame of one
 /// exchange: `(step, worker, block, pass)` packed into a `u64`.
@@ -260,7 +315,7 @@ pub fn next_trace_step() -> u64 {
 /// Record one NTP-style clock sample for `worker`: `offset_us` is the
 /// worker clock minus the master clock (signed), `rtt_us` the round
 /// trip of the probe that measured it. Written directly to the sink as
-/// a `"k"` record; `trace_summary merge` uses the minimum-RTT sample
+/// a [`Kind::Clock`] record; `trace_summary merge` uses the minimum-RTT sample
 /// per worker to rebase that worker's timestamps.
 pub fn clock_sample(worker: usize, offset_us: i64, rtt_us: u64) {
     if !tracing() {

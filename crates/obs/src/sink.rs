@@ -1,14 +1,16 @@
-//! The process-global trace sink: serialises drained events as JSONL
-//! into a file (or an in-memory buffer for tests). Write errors are
-//! swallowed after downgrading the sink to discard — observability must
-//! never take the workload down.
+//! The process-global trace sink: writes [`Record`]s as JSONL, each line
+//! through the one writer [`crate::reader::to_jsonl`] uses, into a file
+//! (or an in-memory buffer for tests). Drained thread buffers arrive
+//! whole; the snapshot and clock records of pseudo-thread 0 are built and
+//! stamped here, inside the sink lock. Write errors are swallowed after
+//! downgrading the sink to discard — observability must never take the
+//! workload down.
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::Mutex;
 
-use crate::reader::{escape_into, write_pairs};
-use crate::span::Event;
+use crate::reader::write_jsonl;
+use crate::{Kind, Record};
 
 enum Target {
     File(std::io::BufWriter<std::fs::File>),
@@ -75,100 +77,70 @@ pub fn take_memory() -> String {
     }
 }
 
-fn fmt_jsonl(out: &mut String, tid: u64, ev: &Event) {
-    match ev {
-        Event::Enter { name, t, step } => {
-            let _ = write!(
-                out,
-                "{{\"ev\":\"b\",\"t\":{t},\"tid\":{tid},\"step\":{step},\"name\":\"{name}\"}}"
-            );
-        }
-        Event::Exit { name, t } => {
-            let _ = write!(
-                out,
-                "{{\"ev\":\"e\",\"t\":{t},\"tid\":{tid},\"name\":\"{name}\"}}"
-            );
-        }
-        Event::Flow { ph, corr, t, step } => {
-            let _ = write!(
-                out,
-                "{{\"ev\":\"f\",\"t\":{t},\"tid\":{tid},\"step\":{step},\"ph\":\"{}\",\"corr\":{corr}}}",
-                ph.letter()
-            );
-        }
-        Event::ExpertRows {
-            pass,
-            src,
-            block,
-            t,
-            step,
-            rows,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"ev\":\"x\",\"t\":{t},\"tid\":{tid},\"step\":{step},\"name\":\"{pass}\",\"src\":\"{src}\",\"block\":{block},\"rows\":"
-            );
-            write_pairs(out, rows);
-            out.push('}');
-        }
+fn write_lines(s: &mut Target, records: &[Record]) {
+    let mut out = String::with_capacity(records.len() * 64);
+    for record in records {
+        write_jsonl(&mut out, record);
+        out.push('\n');
     }
-    out.push('\n');
+    s.write(out.as_bytes());
 }
 
-pub(crate) fn write_events(tid: u64, events: &[Event]) {
-    if events.is_empty() {
-        return;
+pub(crate) fn write_records(records: &[Record]) {
+    if !records.is_empty() {
+        with_sink(|s| write_lines(s, records));
     }
+}
+
+/// Appends pseudo-thread-0 records, built by `kinds` and stamped *inside*
+/// the sink lock: two racing writers (say an engine shutdown's flush and
+/// a clock sample) would otherwise stamp their records before serializing
+/// on the lock and could write them in reverse timestamp order, breaking
+/// the tid-0 monotonicity `trace_summary --check` enforces.
+fn write_stamped(kinds: impl FnOnce() -> Vec<Kind>) {
     with_sink(|s| {
-        let mut out = String::with_capacity(events.len() * 64);
-        for ev in events {
-            fmt_jsonl(&mut out, tid, ev);
-        }
-        s.write(out.as_bytes());
+        let kinds = kinds();
+        let t = crate::now_us();
+        let records: Vec<Record> = kinds
+            .into_iter()
+            .map(|kind| Record {
+                t,
+                tid: 0,
+                pid: 0,
+                kind,
+            })
+            .collect();
+        write_lines(s, &records);
     });
 }
 
-/// Append a cumulative counter + histogram snapshot (pseudo-thread 0).
-/// Snapshot and timestamp are both taken *inside* the sink lock: two
-/// racing flushes (say an engine shutdown and a worker thread exiting)
-/// would otherwise stamp their batches before serializing on the lock
-/// and could write them in reverse timestamp order, breaking the
-/// tid-0 monotonicity `trace_summary --check` enforces.
+/// Appends a cumulative counter + histogram snapshot.
 pub(crate) fn write_snapshots() {
-    with_sink(|s| {
-        let counters = crate::counters::counter_snapshot();
-        let hists = crate::counters::histogram_snapshot();
-        if counters.is_empty() && hists.is_empty() {
-            return;
-        }
-        let t = crate::now_us();
-        let mut out = String::new();
-        for (name, value) in &counters {
-            let _ = write!(out, "{{\"ev\":\"c\",\"t\":{t},\"tid\":0,\"name\":\"");
-            escape_into(&mut out, name);
-            let _ = writeln!(out, "\",\"value\":{value}}}");
-        }
-        for (name, total, buckets) in &hists {
-            let _ = write!(out, "{{\"ev\":\"h\",\"t\":{t},\"tid\":0,\"name\":\"");
-            escape_into(&mut out, name);
-            let _ = write!(out, "\",\"total\":{total},\"buckets\":");
-            write_pairs(&mut out, buckets);
-            out.push_str("}\n");
-        }
-        s.write(out.as_bytes());
+    write_stamped(|| {
+        let counters = crate::counters::counter_snapshot().into_iter();
+        let hists = crate::counters::histogram_snapshot().into_iter();
+        counters
+            .map(|(name, value)| Kind::Counter {
+                name: name.into(),
+                value,
+            })
+            .chain(hists.map(|(name, total, buckets)| Kind::Histogram {
+                name: name.into(),
+                total,
+                buckets,
+            }))
+            .collect()
     });
 }
 
-/// Append one clock-offset sample for `worker` (pseudo-thread 0). The
-/// timestamp is taken *inside* the sink lock so tid-0 records stay
-/// monotone even when samples race a snapshot flush.
-pub(crate) fn write_clock(worker: u64, offset_us: i64, rtt_us: u64) {
-    with_sink(|s| {
-        let t = crate::now_us();
-        let line = format!(
-            "{{\"ev\":\"k\",\"t\":{t},\"tid\":0,\"worker\":{worker},\"offset\":{offset_us},\"rtt\":{rtt_us}}}\n"
-        );
-        s.write(line.as_bytes());
+/// Appends one clock-offset sample for `worker`.
+pub(crate) fn write_clock(worker: u64, offset: i64, rtt: u64) {
+    write_stamped(|| {
+        vec![Kind::Clock {
+            worker,
+            offset,
+            rtt,
+        }]
     });
 }
 

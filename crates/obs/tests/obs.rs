@@ -9,9 +9,36 @@
 use std::sync::Mutex;
 
 use vela_obs::reader::{parse_json, parse_line, validate, Json};
-use vela_obs::{sink, TraceMode};
+use vela_obs::{sink, Kind, Record, TraceMode};
 
 static GLOBAL: Mutex<()> = Mutex::new(());
+
+/// The span records of one kind (enter or exit) named `name`.
+fn spans_named<'a>(records: &'a [Record], enter: bool, name: &str) -> Vec<&'a Record> {
+    records
+        .iter()
+        .filter(|r| match &r.kind {
+            Kind::Enter { name: n, .. } => enter && n == name,
+            Kind::Exit { name: n } => !enter && n == name,
+            _ => false,
+        })
+        .collect()
+}
+
+/// The `(total, buckets)` of every histogram record named `name`.
+fn histograms_named<'a>(records: &'a [Record], name: &str) -> Vec<(u64, &'a [(u64, u64)])> {
+    records
+        .iter()
+        .filter_map(|r| match &r.kind {
+            Kind::Histogram {
+                name: n,
+                total,
+                buckets,
+            } if n == name => Some((*total, &buckets[..])),
+            _ => None,
+        })
+        .collect()
+}
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
@@ -93,22 +120,46 @@ fn spans_roundtrip_through_jsonl_and_validate() {
     let stats = validate(&events).expect("structurally valid trace");
     assert!(stats.spans >= 2);
 
-    let enter = events
-        .iter()
-        .find(|e| e.ev == "b" && e.name == "test.inner")
-        .expect("inner span enter");
-    assert_eq!(enter.step, Some(7));
+    let enter = spans_named(&events, true, "test.inner");
+    assert!(matches!(
+        enter[..],
+        [Record {
+            kind: Kind::Enter { step: 7, .. },
+            ..
+        }]
+    ));
 
-    let x = events.iter().find(|e| e.ev == "x").expect("expert rows");
-    assert_eq!(x.src.as_deref(), Some("runtime"));
-    assert_eq!(x.block, Some(2));
-    assert_eq!(x.rows, vec![(0, 128), (3, 64)]);
-
-    let c = events
+    let rows = events
         .iter()
-        .find(|e| e.ev == "c" && e.name == "test.roundtrip")
+        .find_map(|e| match &e.kind {
+            Kind::Rows {
+                pass,
+                src,
+                block,
+                rows,
+                ..
+            } => Some((pass, src, *block, rows)),
+            _ => None,
+        })
+        .expect("expert rows");
+    assert_eq!(
+        rows,
+        (
+            &"fwd".into(),
+            &"runtime".into(),
+            2,
+            &vec![(0, 128), (3, 64)]
+        )
+    );
+
+    let counted = events
+        .iter()
+        .find_map(|e| match &e.kind {
+            Kind::Counter { name, value } if name == "test.roundtrip" => Some(*value),
+            _ => None,
+        })
         .expect("counter snapshot event");
-    assert!(c.value.unwrap() >= 11);
+    assert!(counted >= 11);
 }
 
 /// `(count, total)` of the named histogram, if it has recorded anything.
@@ -154,23 +205,20 @@ fn span_closes_feed_a_histogram_in_every_enabled_mode() {
         .lines()
         .map(|l| parse_line(l).expect("schema-valid line"))
         .collect();
-    let named = |ev: &str, name: &str| {
-        events
-            .iter()
-            .filter(|e| e.ev == ev && e.name == name)
-            .collect::<Vec<_>>()
-    };
-    assert!(named("b", "test.hist.counters").is_empty());
-    assert!(named("e", "test.hist.counters").is_empty());
-    let (b, e) = (named("b", "test.hist.jsonl"), named("e", "test.hist.jsonl"));
+    assert!(spans_named(&events, true, "test.hist.counters").is_empty());
+    assert!(spans_named(&events, false, "test.hist.counters").is_empty());
+    let (b, e) = (
+        spans_named(&events, true, "test.hist.jsonl"),
+        spans_named(&events, false, "test.hist.jsonl"),
+    );
     assert_eq!((b.len(), e.len()), (1, 1));
-    let h = named("h", "test.hist.jsonl");
+    let h = histograms_named(&events, "test.hist.jsonl");
     assert_eq!(h.len(), 1, "one snapshot record per flush");
-    assert_eq!(h[0].total, Some(e[0].t - b[0].t), "total = exit − enter");
-    assert_eq!(h[0].buckets.iter().map(|&(_, c)| c).sum::<u64>(), 1);
+    assert_eq!(h[0].0, e[0].t - b[0].t, "total = exit − enter");
+    assert_eq!(h[0].1.iter().map(|&(_, c)| c).sum::<u64>(), 1);
     assert_eq!(
-        named("h", "test.hist.counters")[0].total,
-        Some(total),
+        histograms_named(&events, "test.hist.counters")[0].0,
+        total,
         "the counters-mode close is in the snapshot too"
     );
 }
@@ -201,11 +249,7 @@ fn spans_survive_worker_threads() {
         .map(|l| parse_line(l).expect("schema-valid line"))
         .collect();
     let stats = validate(&events).expect("valid trace");
-    let worker_spans = events
-        .iter()
-        .filter(|e| e.ev == "e" && e.name == "test.worker")
-        .count();
-    assert_eq!(worker_spans, 3);
+    assert_eq!(spans_named(&events, false, "test.worker").len(), 3);
     assert!(stats.threads >= 3);
 }
 
@@ -249,9 +293,13 @@ fn validator_rejects_malformed_traces() {
     assert_eq!(stats.threads, 2);
 
     // Schema errors surface at parse time.
-    assert!(parse_line(r#"{"ev":"b","t":1,"tid":1,"name":"a"}"#).is_err()); // b without step
-    assert!(parse_line(r#"{"ev":"c","t":1,"tid":0,"name":"a"}"#).is_err()); // c without value
-    assert!(parse_line(r#"{"ev":"q","t":1,"tid":0,"name":"a"}"#).is_err()); // unknown kind
+    let rejected = |line: &str| parse_line(line).unwrap_err();
+    let b_without_step = rejected(r#"{"ev":"b","t":1,"tid":1,"name":"a"}"#);
+    assert_eq!(b_without_step, r#"span enter missing "step""#);
+    let c_without_value = rejected(r#"{"ev":"c","t":1,"tid":0,"name":"a"}"#);
+    assert_eq!(c_without_value, r#"counter event missing "value""#);
+    let unknown_kind = rejected(r#"{"ev":"q","t":1,"tid":0,"name":"a"}"#);
+    assert_eq!(unknown_kind, r#"unknown event kind "q""#);
     assert!(parse_line("not json").is_err());
 }
 

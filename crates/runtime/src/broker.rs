@@ -565,7 +565,8 @@ impl BrokerClient {
     /// honestly.
     ///
     /// `grad_bytes` is the flattened trainable-gradient size of one
-    /// expert; echo (virtual) workers use it to size their replies.
+    /// expert; echo (virtual) workers use it to size their replies, and a
+    /// row of any other size is a `Protocol` error, never relayed.
     ///
     /// Returns the `(worker, accounted bytes)` flows in protocol order —
     /// the input to the cost model's sync-time term. Empty at degree 1:
@@ -615,6 +616,13 @@ impl BrokerClient {
                 return Err(TransportError::Protocol(format!(
                     "grad state arrived from worker {w}, expected {}",
                     t.serving
+                )));
+            }
+            let carried = row.data.row_cost(row.width);
+            if carried != u64::from(grad_bytes) {
+                return Err(TransportError::Protocol(format!(
+                    "grad state for expert ({block},{expert}) carries {carried} bytes, \
+                     expected {grad_bytes}"
                 )));
             }
             if slots[i].len() > 1 {
@@ -882,7 +890,7 @@ impl ExpertProvider for BrokerClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{chunk_expert_state, PackedReply, EXPERT_CHUNK_BYTES};
+    use crate::message::{chunk_expert_state, PackedReply, PackedRow, EXPERT_CHUNK_BYTES};
     use crate::transport::{build_star, star, MasterHub, TransportConfig};
     use crate::worker::{ExpertManager, ExpertTemplate, WorkerBootstrap};
     use std::sync::Arc;
@@ -945,6 +953,13 @@ mod tests {
             .collect();
         boot(&mut hub, &cfg, template);
         (BrokerClient::new(hub, placement), managers, reference, cfg)
+    }
+
+    /// The flattened trainable-gradient size of one `cfg` expert, in
+    /// bytes: what a replica's grad state must carry.
+    fn grad_bytes(cfg: &ModelConfig) -> u32 {
+        let mut store = LocalExpertStore::new(cfg, &mut DetRng::new(0));
+        (crate::worker::expert_grads(store.expert_mut(0, 0)).len() * 4) as u32
     }
 
     fn teardown(broker: &mut BrokerClient, managers: Vec<ExpertManager>) {
@@ -1247,7 +1262,7 @@ mod tests {
         // One replicated pair per block; each degree-2 sync is 3 flows
         // (fetch + state from the serving replica, one install per peer),
         // and every flow carries bytes the ledger will see.
-        let flows = broker.sync_replica_grads(64).unwrap();
+        let flows = broker.sync_replica_grads(grad_bytes(&cfg)).unwrap();
         assert_eq!(flows.len(), cfg.blocks * 3);
         assert!(flows.iter().all(|&(_, bytes)| bytes > 0));
         teardown(&mut broker, managers);
@@ -1275,7 +1290,7 @@ mod tests {
         let pairs = broker.placement().replicated_pairs().len() as u64;
         assert_eq!(pairs, cfg.blocks as u64);
         let (sent, drained) = broker.frame_counts();
-        broker.sync_replica_grads(64).unwrap();
+        broker.sync_replica_grads(grad_bytes(&cfg)).unwrap();
         broker.step_end().unwrap();
         broker.wait_step_done().unwrap();
         let (sent_after, drained_after) = broker.frame_counts();
@@ -1472,7 +1487,7 @@ mod tests {
                 broker.forward_block(l, &batches);
                 broker.backward_block(l, &batches);
             }
-            broker.sync_replica_grads(64).unwrap();
+            broker.sync_replica_grads(grad_bytes(cfg)).unwrap();
             broker.step_end().unwrap();
             broker.wait_step_done().unwrap();
             let (frames, wire) = (broker.frame_counts(), broker.wire_stats());
@@ -1636,9 +1651,11 @@ mod tests {
     }
 
     /// A broker over two rogue workers on `transport`, expert `(0, 0)` on
-    /// worker 0: each answers every frame but `Shutdown` with `reply`.
+    /// the workers `replicas` lists: each answers every frame but
+    /// `Shutdown` with `reply`.
     fn rogue_star(
         transport: TransportConfig,
+        replicas: Vec<usize>,
         reply: Message,
     ) -> (BrokerClient, Vec<JoinHandle<()>>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
@@ -1657,10 +1674,8 @@ mod tests {
                 })
             })
             .collect();
-        (
-            BrokerClient::new(hub, Placement::new(vec![vec![0]], 2)),
-            rogues,
-        )
+        let placement = ReplicatedPlacement::new(vec![vec![replicas]], 2);
+        (BrokerClient::new(hub, placement), rogues)
     }
 
     #[test]
@@ -1668,7 +1683,7 @@ mod tests {
         // A lane's primary answers its `FetchShadow` with `StepDone`: the
         // flush ends in a typed error, with no hang.
         for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
-            let (mut broker, rogues) = rogue_star(transport, Message::StepDone);
+            let (mut broker, rogues) = rogue_star(transport, vec![0], Message::StepDone);
             let target = ReplicatedPlacement::new(vec![vec![vec![1]]], 2);
             assert_eq!(broker.apply_relation(&target).unwrap(), 1);
             let flushed = broker.finish_migrations();
@@ -1692,12 +1707,38 @@ mod tests {
                 block: 0,
                 expert: 0,
             };
-            let (mut broker, rogues) = rogue_star(transport, stray);
+            let (mut broker, rogues) = rogue_star(transport, vec![0], stray);
             broker.step_end().unwrap();
             let waited = broker.wait_step_done();
             assert!(
                 matches!(&waited, Err(TransportError::Protocol(why)) if why.contains("owes none")),
                 "{}: {waited:?}",
+                transport.label()
+            );
+            broker.shutdown().unwrap();
+            rogues.into_iter().for_each(|r| r.join().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_grad_state_of_the_wrong_length_is_a_protocol_error() {
+        // The serving replica of (0, 0) answers `FetchGrads` with a row one
+        // value short: the master refuses to relay it to the peer, a typed
+        // error with no hang.
+        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
+            let short = Message::GradState {
+                block: 0,
+                expert: 0,
+                row: PackedRow {
+                    width: 15,
+                    data: PackedData::F32(vec![0.0; 15]),
+                },
+            };
+            let (mut broker, rogues) = rogue_star(transport, vec![0, 1], short);
+            let synced = broker.sync_replica_grads(64);
+            assert!(
+                matches!(&synced, Err(TransportError::Protocol(why)) if why.contains("carries 60 bytes")),
+                "{}: {synced:?}",
                 transport.label()
             );
             broker.shutdown().unwrap();

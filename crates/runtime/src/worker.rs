@@ -61,28 +61,28 @@ pub(crate) fn expert_grads(ffn: &mut SwiGlu) -> Vec<f32> {
 
 /// Installs a [`expert_grads`] row back into an expert's trainable
 /// gradients, overwriting whatever the replica accumulated locally.
-///
-/// # Panics
-/// Panics if the blob's length does not match the expert's trainable
-/// parameter count — a protocol violation, like a corrupt checkpoint.
-pub(crate) fn install_expert_grads(ffn: &mut SwiGlu, grads: &[f32]) {
-    let mut cursor = 0;
+/// Returns `false`, touching nothing, when the row is not exactly as long
+/// as the expert's trainable gradients — the peer's protocol violation.
+fn install_expert_grads(ffn: &mut SwiGlu, grads: &[f32]) -> bool {
+    let mut len = 0;
+    ffn.visit_params(&mut |p| {
+        if p.is_trainable() {
+            len += p.grad.len();
+        }
+    });
+    if len != grads.len() {
+        return false;
+    }
+    let mut rest = grads;
     ffn.visit_params(&mut |p| {
         if p.is_trainable() {
             let g = p.grad.as_mut_slice();
-            g.copy_from_slice(
-                grads
-                    .get(cursor..cursor + g.len())
-                    .expect("gradient blob shorter than expert's trainable parameters"),
-            );
-            cursor += g.len();
+            let (head, tail) = rest.split_at(g.len());
+            g.copy_from_slice(head);
+            rest = tail;
         }
     });
-    assert_eq!(
-        cursor,
-        grads.len(),
-        "gradient blob longer than expert's trainable parameters"
-    );
+    true
 }
 
 /// Takes an expert's AdamW entries out of the optimizer: its next step
@@ -371,6 +371,13 @@ fn handle(
             port.send(&Message::ClockReply { t1, t2, t3 })?;
         }
         Message::PackedDispatch(group) => {
+            if let Err(why) = servable(shard, &group) {
+                vela_obs::error!(
+                    "worker {}: cannot serve a dispatch: {why}, exiting",
+                    port.index
+                );
+                return Ok(Flow::Stop);
+            }
             // The same key the master derived: the step comes from the last
             // `StepBegin` (per-link FIFO order makes that the step this
             // frame belongs to), the worker index from the port.
@@ -419,18 +426,19 @@ fn handle(
         Message::GradState { block, expert, row } => {
             // No reply: the `StepDone` this link carries after the install
             // answers for it. Only an echo worker takes a virtual row.
-            match &row.data {
-                PackedData::F32(data) if shard.contains(block as usize, expert as usize) => {
-                    install_expert_grads(shard.expert_mut(block as usize, expert as usize), data);
+            let (b, e) = (block as usize, expert as usize);
+            let installed = match &row.data {
+                PackedData::F32(data) => {
+                    shard.contains(b, e) && install_expert_grads(shard.expert_mut(b, e), data)
                 }
-                PackedData::Virtual if template.is_none() => {}
-                _ => {
-                    vela_obs::error!(
-                        "worker {}: cannot install grad state for ({block}, {expert}), exiting",
-                        port.index
-                    );
-                    return Ok(Flow::Stop);
-                }
+                PackedData::Virtual => template.is_none(),
+            };
+            if !installed {
+                vela_obs::error!(
+                    "worker {}: cannot install grad state for ({block}, {expert}), exiting",
+                    port.index
+                );
+                return Ok(Flow::Stop);
             }
         }
         Message::FetchShadow { block, expert } | Message::FetchTrained { block, expert } => {
@@ -565,6 +573,33 @@ fn build_expert(
     };
     checkpoint::load(&mut ffn, &mut &data[..]).map_err(|e| format!("checkpoint rejected: {e}"))?;
     Ok(ffn)
+}
+
+/// Whether this worker can serve a dispatch, checked before any compute:
+/// real rows need every expert the frame names to be held here (so its
+/// block exists) and named once, and the rows to be as wide as the
+/// experts. Virtual rows are echoed and need none of it.
+fn servable(shard: &mut LocalExpertStore, group: &PackedGroup) -> Result<(), String> {
+    let (block, width) = (group.block as usize, group.width as usize);
+    if matches!(group.data, PackedData::Virtual) {
+        return Ok(());
+    }
+    for (i, span) in group.spans.iter().enumerate() {
+        let expert = span.expert as usize;
+        if !shard.contains(block, expert) {
+            return Err(format!("expert ({block}, {expert}) is not held here"));
+        }
+        if group.spans[..i].iter().any(|s| s.expert == span.expert) {
+            return Err(format!("expert ({block}, {expert}) is named twice"));
+        }
+        let dim = shard.expert_mut(block, expert).dim();
+        if width != dim {
+            return Err(format!(
+                "rows {width} wide for expert ({block}, {expert}) of dim {dim}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Serves one dispatch: the frame's single row region goes through one
@@ -871,6 +906,52 @@ mod tests {
         };
         let held = LocalExpertStore::new(&ModelConfig::test_small(), &mut DetRng::new(5));
         assert_clean_stop(held, Some(template), &[install]);
+    }
+
+    #[test]
+    fn a_gradient_row_of_the_wrong_length_stops_the_worker_cleanly() {
+        let cfg = ModelConfig::test_small();
+        let held = || LocalExpertStore::new(&cfg, &mut DetRng::new(5));
+        let len = expert_grads(held().expert_mut(0, 1)).len();
+        for width in [len - 1, len + 1] {
+            let install = Message::GradState {
+                block: 0,
+                expert: 1,
+                row: PackedRow {
+                    width: width as u32,
+                    data: PackedData::F32(vec![0.0; width]),
+                },
+            };
+            assert_clean_stop(held(), None, &[install]);
+        }
+    }
+
+    #[test]
+    fn a_dispatch_the_worker_cannot_serve_stops_it_cleanly() {
+        let cfg = ModelConfig::test_small();
+        let held = || LocalExpertStore::new(&cfg, &mut DetRng::new(5));
+        let missing = || {
+            let mut shard = held();
+            shard.take(0, 1);
+            shard
+        };
+        let rows = |width: usize| vec![0.5; 2 * width];
+        let (fit, wide) = (rows(cfg.dim), rows(cfg.dim + 1));
+        // (shard, block, width, spans): a block out of range, an expert not
+        // held here, one named twice, rows wider than the experts.
+        type Case<'a> = (LocalExpertStore, u32, usize, Vec<(u32, &'a [f32])>);
+        for pass in [GroupPass::Forward, GroupPass::Backward] {
+            let cases: [Case; 4] = [
+                (held(), cfg.blocks as u32, cfg.dim, vec![(0, &fit)]),
+                (missing(), 0, cfg.dim, vec![(0, &fit), (1, &fit)]),
+                (held(), 0, cfg.dim, vec![(2, &fit), (2, &fit)]),
+                (held(), 0, cfg.dim + 1, vec![(0, &wide)]),
+            ];
+            for (shard, block, width, spans) in cases {
+                let group = PackedGroup::pack(block, pass, width as u32, spans.into_iter());
+                assert_clean_stop(shard, None, &[Message::PackedDispatch(group)]);
+            }
+        }
     }
 
     #[test]

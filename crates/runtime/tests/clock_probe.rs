@@ -9,6 +9,7 @@ use vela_cluster::{DeviceId, Topology};
 use vela_locality::LocalityProfile;
 use vela_model::MoeSpec;
 use vela_obs::reader::parse_line;
+use vela_obs::Kind;
 use vela_placement::Placement;
 use vela_runtime::{ScaleConfig, TransportConfig, VirtualEngine};
 
@@ -54,8 +55,10 @@ fn a_traced_first_step_samples_every_worker_clock() {
         let sampled: BTreeSet<u64> = vela_obs::sink::take_memory()
             .lines()
             .map(|line| parse_line(line).expect("schema-valid trace line"))
-            .filter(|ev| ev.ev == "k")
-            .filter_map(|ev| ev.worker)
+            .filter_map(|record| match record.kind {
+                Kind::Clock { worker, .. } => Some(worker),
+                _ => None,
+            })
             .collect();
         assert_eq!(
             sampled,

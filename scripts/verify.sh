@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repository verification: tier-1 build+test, formatting, the knob-list
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
-# VELA_* count and the non-test line count of every crate under crates/
-# plus their sum), the release-mode gates (simplex pivot path, routing
-# table, the contract harness), fig5, fig6, fig3, fig7 and theorem1
-# regenerated from an empty pretraining cache, the four synthetic-profile
-# ablations, the drift ablation and the solver ablation (LP solves only;
+# VELA_* count, the non-test line count of every crate under crates/ plus
+# their sum, and the data plane's panic sites per file), the release-mode
+# gates (simplex pivot path, routing table, the contract harness), fig5,
+# fig6, fig3, fig7 and theorem1 regenerated from an empty pretraining
+# cache, the four synthetic-profile ablations, the drift ablation and the solver ablation (LP solves only;
 # the solver's timings go to stderr), all diffed against results/, the
 # trace smokes (quickstart, the virtual scale_simulation, a
 # traced tcp run), and the benches (the kernel one emits BENCH_kernels.json
@@ -58,6 +58,15 @@ for dir in crates/*/; do
     total=$((total + n))
 done
 echo "    VELA_* variables: $(echo "$readme_knobs" | wc -l); non-test lines: total $total${sizes}"
+# Also reported, not gated: the data plane's panic sites, its non-test lines
+# calling unwrap(), expect(, panic! or unreachable! (ROADMAP item 8).
+panic_sites="" panic_total=0
+for f in runtime.rs worker.rs wire.rs broker.rs session.rs virtual_engine.rs transport/mod.rs transport/tcp.rs; do
+    n=$(awk '/^#\[cfg\(test\)\]/ { exit } /unwrap\(|expect\(|panic!|unreachable!/ { n++ } END { print n + 0 }' "crates/runtime/src/$f")
+    panic_sites="$panic_sites, $f $n"
+    panic_total=$((panic_total + n))
+done
+echo "    data-plane panic sites: total $panic_total${panic_sites}"
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
