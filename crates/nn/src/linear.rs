@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn gradients_match_at_non_tile_multiple_dims() {
         // 13×17 → 9 straddles the 8×8 microkernel tiles on every axis, so
-        // this exercises the zero-padded remainder lanes end to end.
+        // this exercises the padded remainder lanes end to end.
         let mut rng = DetRng::new(31);
         let mut layer = Linear::new("l", 17, 9, &mut rng);
         let x = Tensor::uniform((13, 17), -1.0, 1.0, &mut rng);

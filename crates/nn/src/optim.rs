@@ -140,14 +140,15 @@ impl AdamW {
                 state.insert(p.name().to_string(), (zeros(), zeros()));
             }
             let (m, v) = state.get_mut(p.name()).expect("inserted above");
+            let (m, v) = (m.as_mut_slice(), v.as_mut_slice());
             let g = p.grad.as_slice();
             let w = p.value.as_mut_slice();
             for i in 0..g.len() {
                 let gi = g[i];
-                let mi = cfg.beta1 * m.as_slice()[i] + (1.0 - cfg.beta1) * gi;
-                let vi = cfg.beta2 * v.as_slice()[i] + (1.0 - cfg.beta2) * gi * gi;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
+                let mi = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * gi;
+                let vi = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * gi * gi;
+                m[i] = mi;
+                v[i] = vi;
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
                 // Decoupled weight decay, then the Adam update.

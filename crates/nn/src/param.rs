@@ -10,14 +10,25 @@ use vela_tensor::Tensor;
 /// Names are hierarchical (e.g. `"block3.expert2.gate.lora_a"`) and must be
 /// unique within a model, because optimizers key their per-parameter state by
 /// name.
+///
+/// A frozen parameter holds no gradient buffer, and its value keeps its GEMM
+/// panels ([`Tensor::set_keep_panels`]): the base weights of a LoRA
+/// fine-tune take part in a product every step and never change, so their
+/// packed copy is made once, and the gradient buffer they have no use for
+/// pays for it.
 #[derive(Debug, Clone)]
 pub struct Param {
     name: String,
     /// The parameter tensor.
     pub value: Tensor,
-    /// Accumulated gradient, same shape as `value`.
+    /// Accumulated gradient, same shape as `value`; empty while frozen.
     pub grad: Tensor,
     trainable: bool,
+}
+
+/// The gradient of a frozen parameter: no elements, no buffer.
+fn no_grad() -> Tensor {
+    Tensor::from_vec(0usize, Vec::new())
 }
 
 impl Param {
@@ -33,10 +44,14 @@ impl Param {
     }
 
     /// Creates a frozen (non-trainable) parameter.
-    pub fn frozen(name: impl Into<String>, value: Tensor) -> Self {
-        let mut p = Param::new(name, value);
-        p.trainable = false;
-        p
+    pub fn frozen(name: impl Into<String>, mut value: Tensor) -> Self {
+        value.set_keep_panels(true);
+        Param {
+            name: name.into(),
+            value,
+            grad: no_grad(),
+            trainable: false,
+        }
     }
 
     /// The parameter's unique name.
@@ -49,13 +64,19 @@ impl Param {
         self.trainable
     }
 
-    /// Freezes or unfreezes the parameter. A change of state zeroes the
-    /// gradient: [`zero_grad`](Self::zero_grad) leaves frozen parameters
-    /// alone, so whatever the buffer held when the parameter froze, or was
-    /// handed while it was frozen, must not be there when it thaws.
+    /// Freezes or unfreezes the parameter. Freezing marks the value to keep
+    /// its GEMM panels and frees the gradient buffer to the allocator (not
+    /// to the workspace pool, which would hold on to it); thawing clears the
+    /// mark and starts from a zeroed gradient of the value's shape.
     pub fn set_trainable(&mut self, trainable: bool) {
-        if trainable != self.trainable {
-            self.grad.fill_zero();
+        if trainable == self.trainable {
+            return;
+        }
+        self.value.set_keep_panels(!trainable);
+        if trainable {
+            self.grad = Tensor::zeros(*self.value.shape());
+        } else {
+            drop(std::mem::replace(&mut self.grad, no_grad()).into_vec());
         }
         self.trainable = trainable;
     }
@@ -70,22 +91,22 @@ impl Param {
         self.value.is_empty()
     }
 
-    /// Resets the accumulated gradient to zero. A frozen parameter is
-    /// skipped: no layer accumulates into one, and a fine-tuning step would
-    /// otherwise clear every frozen base weight's gradient buffer (6.3 MiB
-    /// per worker on the benchmark's expert-heavy workloads) to no effect.
+    /// Resets the accumulated gradient to zero. A frozen parameter has no
+    /// gradient buffer to clear.
     pub fn zero_grad(&mut self) {
-        if self.trainable {
-            self.grad.fill_zero();
-        }
+        self.grad.fill_zero();
     }
 
-    /// Accumulates `g` into the gradient.
+    /// Accumulates `g` into the gradient; a frozen parameter ignores it, as
+    /// the optimizer would.
     ///
     /// # Panics
-    /// Panics if `g`'s shape differs from the parameter's.
+    /// Panics if the parameter is trainable and `g`'s shape differs from
+    /// its own.
     pub fn accumulate(&mut self, g: &Tensor) {
-        self.grad.add_assign(g);
+        if self.trainable {
+            self.grad.add_assign(g);
+        }
     }
 }
 
@@ -172,26 +193,38 @@ mod tests {
         let g = Tensor::from_vec(2usize, vec![1.0, 2.0]);
         m[0].accumulate(&g);
         m[0].set_trainable(false);
-        assert_eq!(m[0].grad.sum(), 0.0, "freezing clears the last gradient");
+        assert!(m[0].grad.is_empty(), "freezing frees the gradient");
+        assert!(m[0].value.keeps_panels(), "a frozen value keeps its panels");
 
-        // One fine-tuning step: `zero_grad` skips the frozen parameter, so a
-        // gradient handed to it anyway survives until it thaws.
+        // One fine-tuning step: a gradient handed to the frozen parameter
+        // is dropped, and the optimizer leaves its value alone.
         m.zero_grad();
         m[0].accumulate(&g);
         m[1].accumulate(&g);
         Sgd::new(0.5).step(&mut m);
         m.zero_grad();
         assert_eq!(m[0].value.as_slice(), &[1.0, 1.0]);
-        assert_eq!(m[0].grad.as_slice(), &[1.0, 2.0]);
+        assert!(m[0].grad.is_empty());
         assert_eq!(m[1].value.as_slice(), &[0.5, 0.0]);
         assert_eq!(m[1].grad.sum(), 0.0);
 
         m[0].set_trainable(true);
-        assert_eq!(m[0].grad.sum(), 0.0, "thawing clears what freezing kept");
+        assert_eq!(m[0].grad.as_slice(), &[0.0, 0.0], "thawing yields zeros");
+        assert!(!m[0].value.keeps_panels());
         m[0].accumulate(&g);
         assert_eq!(m[0].grad.as_slice(), &[1.0, 2.0]);
         m[0].set_trainable(true);
         assert_eq!(m[0].grad.as_slice(), &[1.0, 2.0], "no change of state");
+    }
+
+    #[test]
+    fn a_param_born_frozen_matches_one_frozen_later() {
+        let born = Param::frozen("w", Tensor::ones((2, 3)));
+        let mut later = Param::new("w", Tensor::ones((2, 3)));
+        later.set_trainable(false);
+        for p in [&born, &later] {
+            assert!(!p.is_trainable() && p.grad.is_empty() && p.value.keeps_panels());
+        }
     }
 
     #[test]

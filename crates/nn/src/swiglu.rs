@@ -80,6 +80,13 @@ impl SwiGlu {
         !self.gate.weight().is_trainable()
     }
 
+    /// Rows of the input the last [`forward`](Self::forward) saw — the row
+    /// count a [`backward`](Self::backward) must match — or `None` if this
+    /// expert has not run forward.
+    pub fn cached_rows(&self) -> Option<usize> {
+        self.cached_gate_pre.as_ref().map(Tensor::rows)
+    }
+
     /// Forward pass over `[tokens, dim]`.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let gate_pre = self.gate.forward(x);
@@ -109,7 +116,8 @@ impl SwiGlu {
     /// input gradient.
     ///
     /// # Panics
-    /// Panics if called before [`forward`](Self::forward).
+    /// Panics if called before [`forward`](Self::forward), or with a row
+    /// count other than [`cached_rows`](Self::cached_rows).
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let gate_pre = self
             .cached_gate_pre

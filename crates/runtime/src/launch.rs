@@ -445,6 +445,57 @@ mod tests {
     }
 
     #[test]
+    fn a_hosted_worker_refuses_a_backward_without_its_forward() {
+        // What would panic in `SwiGlu::backward` on the master's thread is
+        // a dead hosted worker instead: a backward for an expert that ran
+        // no forward, and one whose rows differ from its forward's.
+        use crate::message::{GroupPass, PackedGroup};
+        use vela_model::ModelConfig;
+        use vela_tensor::rng::DetRng;
+
+        let cfg = ModelConfig::test_small();
+        let dispatch = |pass, rows: usize| {
+            let data = vec![0.5; rows * cfg.dim];
+            let group = PackedGroup::pack(0, pass, cfg.dim as u32, [(1, &data[..])].into_iter());
+            Message::PackedDispatch(group)
+        };
+        for forward_rows in [None, Some(2)] {
+            let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+            let bootstrap = WorkerBootstrap {
+                blocks: cfg.blocks,
+                experts: cfg.experts,
+                optim: AdamWConfig::default(),
+                template: None,
+            };
+            let shards = || vec![LocalExpertStore::new(&cfg, &mut DetRng::new(5))];
+            let transport = TransportConfig::channel();
+            let (mut hub, mut handles) = launch_star(
+                transport,
+                ledger,
+                DeviceId(0),
+                &[DeviceId(1)],
+                bootstrap,
+                shards,
+            )
+            .unwrap();
+            assert_eq!(kind(&handles[0]), "hosted");
+            if let Some(rows) = forward_rows {
+                hub.send(0, &dispatch(GroupPass::Forward, rows)).unwrap();
+                let reply = hub.recv().unwrap();
+                assert!(matches!(reply, (0, Message::PackedResult(_))), "{reply:?}");
+            }
+            hub.send(0, &dispatch(GroupPass::Backward, 3)).unwrap();
+            let next = hub.recv_timeout(Duration::from_secs(10));
+            assert!(
+                matches!(next, Err(TransportError::Disconnected)),
+                "forward of {forward_rows:?} rows: {next:?}"
+            );
+            hub.shutdown();
+            assert!(handles.remove(0).finish().is_some());
+        }
+    }
+
+    #[test]
     fn missing_worker_binary_is_a_clear_error() {
         // Tests run from target/{profile}/deps; unless a prior build left
         // a vela_worker binary around, the locator must explain itself

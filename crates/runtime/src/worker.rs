@@ -578,7 +578,9 @@ fn build_expert(
 /// Whether this worker can serve a dispatch, checked before any compute:
 /// real rows need every expert the frame names to be held here (so its
 /// block exists) and named once, and the rows to be as wide as the
-/// experts. Virtual rows are echoed and need none of it.
+/// experts; a backward also needs each expert's forward cache, of as many
+/// rows as the backward brings. Virtual rows are echoed and need none of
+/// it.
 fn servable(shard: &mut LocalExpertStore, group: &PackedGroup) -> Result<(), String> {
     let (block, width) = (group.block as usize, group.width as usize);
     if matches!(group.data, PackedData::Virtual) {
@@ -592,10 +594,18 @@ fn servable(shard: &mut LocalExpertStore, group: &PackedGroup) -> Result<(), Str
         if group.spans[..i].iter().any(|s| s.expert == span.expert) {
             return Err(format!("expert ({block}, {expert}) is named twice"));
         }
-        let dim = shard.expert_mut(block, expert).dim();
+        let ffn = shard.expert_mut(block, expert);
+        let dim = ffn.dim();
         if width != dim {
             return Err(format!(
                 "rows {width} wide for expert ({block}, {expert}) of dim {dim}"
+            ));
+        }
+        let cached = ffn.cached_rows();
+        if group.pass == GroupPass::Backward && cached != Some(span.rows as usize) {
+            return Err(format!(
+                "a backward of {} rows for expert ({block}, {expert}), whose forward cache holds {cached:?}",
+                span.rows
             ));
         }
     }
@@ -839,7 +849,7 @@ mod tests {
         assert_eq!(manager.join().unwrap().present_count(), held, "{frames:?}");
         let next = loop {
             match hub.recv_timeout(std::time::Duration::from_secs(10)) {
-                Ok((_, Message::InstallDone { .. })) => continue,
+                Ok((_, Message::InstallDone { .. } | Message::PackedResult(_))) => continue,
                 next => break next,
             }
         };
@@ -952,6 +962,25 @@ mod tests {
                 assert_clean_stop(shard, None, &[Message::PackedDispatch(group)]);
             }
         }
+    }
+
+    #[test]
+    fn a_backward_without_its_forward_stops_the_worker_cleanly() {
+        let cfg = ModelConfig::test_small();
+        let held = || LocalExpertStore::new(&cfg, &mut DetRng::new(5));
+        let dispatch = |pass, rows: usize| {
+            let data = vec![0.5; rows * cfg.dim];
+            let group = PackedGroup::pack(0, pass, cfg.dim as u32, [(1, &data[..])].into_iter());
+            Message::PackedDispatch(group)
+        };
+        // No forward at all, then a forward of two rows and a backward of
+        // three: either would panic in `SwiGlu::backward`.
+        assert_clean_stop(held(), None, &[dispatch(GroupPass::Backward, 2)]);
+        let mismatched = [
+            dispatch(GroupPass::Forward, 2),
+            dispatch(GroupPass::Backward, 3),
+        ];
+        assert_clean_stop(held(), None, &mismatched);
     }
 
     #[test]

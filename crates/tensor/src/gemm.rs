@@ -3,14 +3,20 @@
 //!
 //! # Tile layout
 //!
-//! The driver packs `B` once per call into column panels, stored K-major
+//! The driver packs `B` into column panels, stored K-major
 //! (`bpack[p * nr + jj]`), so the microkernel reads `B` contiguously no
 //! matter which variant produced it — `matmul_nt`'s transposed access pattern
-//! is absorbed entirely by the pack step. `A` is packed per row tile into
-//! K-major [`MR`]-row strips (`apack[p * MR + ii]`). Remainder tiles are
-//! zero-padded: padded lanes compute garbage that is never written back, and
-//! real lanes only ever multiply real values, so padding cannot perturb any
-//! output bit.
+//! is absorbed entirely by the pack step. A short final panel is zero-padded.
+//! `B` is packed once per call, unless the caller already holds its panels:
+//! a [`Tensor`](crate::Tensor) marked to keep them (a frozen weight) packs
+//! its `Nn` panels on its first product and hands them to every later one
+//! ([`NnPanels`], [`gemm_kept`]) until it is written to.
+//!
+//! `A` is read in place, through [`MR`] row cursors (`ATile`): `Nn`/`Nt` row
+//! `i` at `a[i * k + p]`, `Tn` row `i` at `a[p * r + i]`. A short row tile
+//! points its padding cursors at its last real row; those lanes compute a
+//! copy of that row, which is never written back, so padding cannot perturb
+//! any output bit.
 //!
 //! | microkernel          | tile `MR x` | accumulators         | panels it runs on        |
 //! |----------------------|-------------|----------------------|--------------------------|
@@ -21,7 +27,8 @@
 //! # The panel width is chosen per call
 //!
 //! The panel width `nr` is [`NR`] (8) or `NR_WIDE` (32), a value threaded
-//! from [`gemm`] through `pack_b`, `RowJob` and `gemm_rows`, not a constant:
+//! from [`gemm`] through `pack_b`, `RowJob` and `gemm_rows` (and kept in
+//! [`NnPanels`] beside panels packed ahead), not a constant:
 //! 32 when the CPU has AVX-512F and the product has at least 32 columns,
 //! otherwise 8. One width cannot serve both kinds of product a fine-tuning
 //! step is made of. The expert FFN's projections are 64 to 1024 columns wide
@@ -129,6 +136,62 @@ pub enum Layout {
 pub fn gemm(layout: Layout, a: &[f32], b: &[f32], r: usize, k: usize, c: usize, out: &mut [f32]) {
     let isa = Isa::detect();
     gemm_with(isa, isa.panel_width(c), layout, a, b, r, k, c, out);
+}
+
+/// The `Nn` column panels of a `(k, c)` right operand, packed once for
+/// every product it takes part in — what a [`Tensor`](crate::Tensor) marked
+/// to keep its panels holds. Packed at the width [`gemm`] would pick for
+/// `c` on this host, with the same `pack_b`, so [`gemm_kept`] returns the
+/// same bits as [`gemm`] on the unpacked operand.
+///
+/// The buffer comes from the allocator and goes back to it, not to the
+/// [`workspace`] pool: it lives as long as its tensor is unwritten.
+pub(crate) struct NnPanels {
+    nr: usize,
+    k: usize,
+    c: usize,
+    buf: Vec<f32>,
+}
+
+impl NnPanels {
+    /// Packs `b`, a row-major `(k, c)` operand.
+    pub(crate) fn pack(b: &[f32], k: usize, c: usize) -> NnPanels {
+        debug_assert_eq!(b.len(), k * c);
+        let isa = Isa::detect();
+        let nr = isa.panel_width(c);
+        let mut buf = vec![0.0; c.div_ceil(nr) * k * nr];
+        if k > 0 {
+            pack_b_spanned(isa, nr, Layout::Nn, b, k, c, &mut buf);
+        }
+        NnPanels { nr, k, c, buf }
+    }
+
+    /// The packed panels.
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.buf
+    }
+}
+
+/// [`gemm`] in the `Nn` layout with `B: (k, c)` already packed into
+/// `panels`: `out = A @ B`, `a: (r, k)`.
+///
+/// # Panics
+/// Panics if `panels` were packed for other dimensions.
+pub(crate) fn gemm_kept(
+    a: &[f32],
+    panels: &NnPanels,
+    r: usize,
+    k: usize,
+    c: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(
+        (panels.k, panels.c),
+        (k, c),
+        "panels packed for another shape"
+    );
+    let b = Right::Panels(&panels.buf);
+    gemm_with(Isa::detect(), panels.nr, Layout::Nn, a, b, r, k, c, out);
 }
 
 /// [`gemm`] pinned to the portable microkernel and narrow panels whatever
@@ -269,7 +332,7 @@ impl Isa {
     #[inline]
     fn microkernel(
         self,
-        apack: &[f32],
+        a: &ATile<'_>,
         panel: &[f32],
         nr: usize,
         t0: usize,
@@ -280,30 +343,45 @@ impl Isa {
             .split_first_chunk_mut::<{ MR * NR }>()
             .expect("the wide tile holds a narrow one");
         match (self, nr) {
-            (Isa::Portable, NR) => microkernel::<NR>(apack, panel, t0, k, acc8),
-            (Isa::Portable, _) => microkernel::<NR_WIDE>(apack, panel, t0, k, acc8),
+            (Isa::Portable, NR) => microkernel::<NR>(a, panel, t0, k, acc8),
+            (Isa::Portable, _) => microkernel::<NR_WIDE>(a, panel, t0, k, acc8),
             // SAFETY (every arm below): an `Isa::Avx2` exists only because
             // `Isa::avx2` saw the CPU report AVX2, and an `Isa::Avx512` only
             // because `Isa::avx512` saw it report AVX-512F and AVX2.
             #[cfg(target_arch = "x86_64")]
             (Isa::Avx2 | Isa::Avx512, NR) => unsafe {
-                microkernel_avx2::<NR>(apack, panel, t0, k, acc8)
+                microkernel_avx2::<NR>(a, panel, t0, k, acc8)
             },
             #[cfg(target_arch = "x86_64")]
-            (Isa::Avx2, _) => unsafe { microkernel_avx2::<NR_WIDE>(apack, panel, t0, k, acc8) },
+            (Isa::Avx2, _) => unsafe { microkernel_avx2::<NR_WIDE>(a, panel, t0, k, acc8) },
             #[cfg(target_arch = "x86_64")]
-            (Isa::Avx512, _) => unsafe { microkernel_avx512(apack, panel, k, acc) },
+            (Isa::Avx512, _) => unsafe { microkernel_avx512(a, panel, k, acc) },
         }
     }
 }
 
+/// The right operand as a call hands it over.
+#[derive(Clone, Copy)]
+enum Right<'a> {
+    /// The caller's row-major buffer, packed by this call.
+    Rows(&'a [f32]),
+    /// Panels packed ahead by [`NnPanels::pack`], at the call's width.
+    Panels(&'a [f32]),
+}
+
+impl<'a> From<&'a [f32]> for Right<'a> {
+    fn from(rows: &'a [f32]) -> Self {
+        Right::Rows(rows)
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
-fn gemm_with(
+fn gemm_with<'b>(
     isa: Isa,
     nr: usize,
     layout: Layout,
     a: &[f32],
-    b: &[f32],
+    b: impl Into<Right<'b>>,
     r: usize,
     k: usize,
     c: usize,
@@ -320,17 +398,21 @@ fn gemm_with(
 
     let _g = vela_obs::span("tensor.gemm");
 
-    // Pack B once; the packed panels are shared read-only across threads.
-    let mut bpack_buf = workspace::take_vec_uninit(c.div_ceil(nr) * k * nr);
-    {
-        let _p = vela_obs::span("tensor.gemm.pack");
-        match nr {
-            NR => pack_b::<NR>(isa, layout, b, k, c, &mut bpack_buf),
-            NR_WIDE => pack_b::<NR_WIDE>(isa, layout, b, k, c, &mut bpack_buf),
-            _ => unreachable!("panels are NR or NR_WIDE columns, not {nr}"),
+    // Pack B once (unless it came packed); the panels are shared read-only
+    // across threads.
+    let panels_len = c.div_ceil(nr) * k * nr;
+    let mut scratch = Vec::new();
+    let bpack = match b.into() {
+        Right::Panels(panels) => {
+            debug_assert_eq!(panels.len(), panels_len);
+            panels
         }
-    }
-    let bpack = &bpack_buf[..];
+        Right::Rows(b) => {
+            scratch = workspace::take_vec_uninit(panels_len);
+            pack_b_spanned(isa, nr, layout, b, k, c, &mut scratch);
+            &scratch[..]
+        }
+    };
 
     {
         let _c = vela_obs::span("tensor.gemm.compute");
@@ -347,7 +429,26 @@ fn gemm_with(
         par_rows(r, k * c, out, c, |rows, chunk| gemm_rows(&job, rows, chunk));
     }
 
-    workspace::recycle_vec(bpack_buf);
+    workspace::recycle_vec(scratch);
+}
+
+/// [`pack_b`] at the runtime panel width `nr`, under the
+/// `tensor.gemm.pack` span the trace counts packs by.
+fn pack_b_spanned(
+    isa: Isa,
+    nr: usize,
+    layout: Layout,
+    b: &[f32],
+    k: usize,
+    c: usize,
+    bpack: &mut [f32],
+) {
+    let _p = vela_obs::span("tensor.gemm.pack");
+    match nr {
+        NR => pack_b::<NR>(isa, layout, b, k, c, bpack),
+        NR_WIDE => pack_b::<NR_WIDE>(isa, layout, b, k, c, bpack),
+        _ => unreachable!("panels are NR or NR_WIDE columns, not {nr}"),
+    }
 }
 
 /// Packs `B` into K-major column panels of `W` columns: panel `jp` covers
@@ -497,40 +598,52 @@ fn transpose_16x16(r: [std::arch::x86_64::__m512; 16]) -> [std::arch::x86_64::__
     out
 }
 
-/// Packs an `A` row tile (`rows i0..i0+iw` of the logical `(r, k)` operand)
-/// into K-major order: `apack[p*MR + ii] = A[i0+ii, p]`, zero-padding short
-/// tiles.
-///
-/// Never inlined: standing alone, `a` and `apack` are distinct arguments, so
-/// LLVM hoists the gather's bounds checks and loads four source floats per
-/// iteration; inlined into [`gemm_rows`] it keeps one checked load and store
-/// per float, and the LoRA-sized products (`64×64×8`, `512×64×8`), half of
-/// whose time is this function, run 1.3–1.6× slower.
-#[inline(never)]
-fn pack_a(layout: Layout, a: &[f32], r: usize, k: usize, i0: usize, iw: usize, apack: &mut [f32]) {
-    match layout {
-        // A is (r, k) row-major: gather MR rows into K-major strips.
-        Layout::Nn | Layout::Nt => {
-            if iw < MR {
-                apack.fill(0.0);
-            }
-            for ii in 0..iw {
-                let src = &a[(i0 + ii) * k..(i0 + ii + 1) * k];
-                for (p, &v) in src.iter().enumerate() {
-                    apack[p * MR + ii] = v;
-                }
-            }
+/// Where the [`MR`] rows of one row tile of the logical `(r, k)` operand `A`
+/// sit in the caller's buffer `src`: tile row `ii` holds `A[i0 + ii, p]` at
+/// `src[start[ii] + p * step]`. `Nn`/`Nt` rows start `k` apart and step by one;
+/// `Tn` rows start one apart and step by `r`. A short tile's padding rows
+/// start where its last real row does: they compute a copy of that row,
+/// which [`gemm_rows`] never writes back.
+struct ATile<'a> {
+    src: &'a [f32],
+    start: [usize; MR],
+    step: usize,
+}
+
+impl<'a> ATile<'a> {
+    /// Rows `i0 .. i0 + iw` of `A` (`1 <= iw <= MR`).
+    ///
+    /// # Panics
+    /// Panics if a row of the tile reaches past `a`. The SIMD kernels read
+    /// unchecked on the strength of this check.
+    fn new(layout: Layout, a: &'a [f32], r: usize, k: usize, i0: usize, iw: usize) -> Self {
+        let (row_stride, step) = match layout {
+            Layout::Nn | Layout::Nt => (k, 1),
+            Layout::Tn => (1, r),
+        };
+        assert!(
+            (1..=MR).contains(&iw) && k > 0,
+            "a tile of {iw} rows, k = {k}"
+        );
+        let start = std::array::from_fn(|ii| (i0 + ii.min(iw - 1)) * row_stride);
+        // The last real row starts furthest in, in both layouts.
+        assert!(
+            start[MR - 1] + (k - 1) * step < a.len(),
+            "rows {i0}..{} of a {r}x{k} {layout:?} operand reach past its {} floats",
+            i0 + iw,
+            a.len()
+        );
+        ATile {
+            src: a,
+            start,
+            step,
         }
-        // A is (k, r) row-major: the logical A^T rows are already K-major
-        // columns, so each p contributes a contiguous segment.
-        Layout::Tn => {
-            for p in 0..k {
-                let src = &a[p * r + i0..p * r + i0 + iw];
-                let dst = &mut apack[p * MR..p * MR + MR];
-                dst[..iw].copy_from_slice(src);
-                dst[iw..].fill(0.0);
-            }
-        }
+    }
+
+    /// Where each tile row's first value is.
+    #[cfg(target_arch = "x86_64")]
+    fn row_ptrs(&self) -> [*const f32; MR] {
+        self.start.map(|s| self.src[s..].as_ptr())
     }
 }
 
@@ -546,7 +659,7 @@ fn pack_a(layout: Layout, a: &[f32], r: usize, k: usize, i0: usize, iw: usize, a
 /// nothing.
 #[inline(never)]
 fn microkernel<const LDB: usize>(
-    apack: &[f32],
+    a: &ATile<'_>,
     panel: &[f32],
     t0: usize,
     k: usize,
@@ -554,10 +667,9 @@ fn microkernel<const LDB: usize>(
 ) {
     acc.fill(0.0);
     for p in 0..k {
-        let arow = &apack[p * MR..p * MR + MR];
         let brow = &panel[p * LDB + t0..p * LDB + t0 + NR];
-        for ii in 0..MR {
-            let av = arow[ii];
+        for (ii, &start) in a.start.iter().enumerate() {
+            let av = a.src[start + p * a.step];
             let dst = &mut acc[ii * NR..ii * NR + NR];
             for (d, &bv) in dst.iter_mut().zip(brow) {
                 *d += av * bv;
@@ -567,17 +679,18 @@ fn microkernel<const LDB: usize>(
 }
 
 /// [`microkernel`] in AVX2 intrinsics: the eight accumulator rows live in
-/// eight `ymm` registers for the whole `k` extent. Per element it performs
-/// the same `acc = acc + a*b` sequence — `vmulps` then `vaddps`, two
-/// roundings; `avx2` does not enable `fma` and nothing here asks for it — so
-/// it returns the same bits as the portable kernel.
+/// eight `ymm` registers for the whole `k` extent, and each `A` value is
+/// broadcast straight from the caller's buffer. Per element it performs the
+/// same `acc = acc + a*b` sequence — `vmulps` then `vaddps`, two roundings;
+/// `avx2` does not enable `fma` and nothing here asks for it — so it returns
+/// the same bits as the portable kernel.
 ///
 /// # Safety
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn microkernel_avx2<const LDB: usize>(
-    apack: &[f32],
+    a: &ATile<'_>,
     panel: &[f32],
     t0: usize,
     k: usize,
@@ -589,15 +702,19 @@ unsafe fn microkernel_avx2<const LDB: usize>(
     };
     const { assert!(NR == 8, "one ymm register holds one accumulator row") };
 
+    let a_rows = a.row_ptrs();
     let mut rows = [_mm256_setzero_ps(); MR];
-    let a_rows = apack[..k * MR].chunks_exact(MR);
     let b_rows = panel[..k * LDB].chunks_exact(LDB);
-    for (arow, brow) in a_rows.zip(b_rows) {
+    for (p, brow) in b_rows.enumerate() {
         let brow = &brow[t0..t0 + NR];
         // SAFETY: `brow` was just sliced to exactly NR == 8 floats.
         let b = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
-        for (row, av) in rows.iter_mut().zip(arow) {
-            *row = _mm256_add_ps(*row, _mm256_mul_ps(_mm256_broadcast_ss(av), b));
+        let at = p * a.step;
+        for (row, a_row) in rows.iter_mut().zip(a_rows) {
+            // SAFETY: `p < k`, and `ATile::new` checked that every row's
+            // `k`-th value is inside `a`.
+            let av = unsafe { _mm256_broadcast_ss(&*a_row.add(at)) };
+            *row = _mm256_add_ps(*row, _mm256_mul_ps(av, b));
         }
     }
     for (dst, row) in acc.chunks_exact_mut(NR).zip(rows) {
@@ -609,18 +726,18 @@ unsafe fn microkernel_avx2<const LDB: usize>(
 /// The `MR x NR_WIDE` tile in AVX-512F intrinsics: each accumulator row is
 /// two `zmm` registers, sixteen in all, held for the whole `k` extent. Per
 /// `p` it loads the panel row as two vectors and, per tile row, broadcasts
-/// one `A` value and issues two `vmulps` and two `vaddps` — separate
-/// multiply and add, two roundings, so every element sees the `acc = acc +
-/// a*b` sequence of the portable kernel and holds the same bits. AVX-512F
-/// *has* fused multiply-adds; nothing here asks for one, and LLVM does not
-/// contract separate intrinsics.
+/// one `A` value from the caller's buffer and issues two `vmulps` and two
+/// `vaddps` — separate multiply and add, two roundings, so every element
+/// sees the `acc = acc + a*b` sequence of the portable kernel and holds the
+/// same bits. AVX-512F *has* fused multiply-adds; nothing here asks for one,
+/// and LLVM does not contract separate intrinsics.
 ///
 /// # Safety
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn microkernel_avx512(
-    apack: &[f32],
+    a: &ATile<'_>,
     bpanel: &[f32],
     k: usize,
     acc: &mut [f32; MR * NR_WIDE],
@@ -637,11 +754,11 @@ unsafe fn microkernel_avx512(
         )
     };
 
+    let a_rows = a.row_ptrs();
     let mut lo = [_mm512_setzero_ps(); MR];
     let mut hi = [_mm512_setzero_ps(); MR];
-    let a_rows = apack[..k * MR].chunks_exact(MR);
     let b_rows = bpanel[..k * NR_WIDE].chunks_exact(NR_WIDE);
-    for (arow, brow) in a_rows.zip(b_rows) {
+    for (p, brow) in b_rows.enumerate() {
         let (b_lo, b_hi) = brow.split_at(LANES);
         // SAFETY: `chunks_exact(NR_WIDE)` yields 32 floats, so each half is
         // exactly LANES == 16 of them.
@@ -651,10 +768,13 @@ unsafe fn microkernel_avx512(
                 _mm512_loadu_ps(b_hi.as_ptr()),
             )
         };
-        for ((lo, hi), &av) in lo.iter_mut().zip(&mut hi).zip(arow) {
-            let a = _mm512_set1_ps(av);
-            *lo = _mm512_add_ps(*lo, _mm512_mul_ps(a, b_lo));
-            *hi = _mm512_add_ps(*hi, _mm512_mul_ps(a, b_hi));
+        let at = p * a.step;
+        for ((lo, hi), a_row) in lo.iter_mut().zip(&mut hi).zip(a_rows) {
+            // SAFETY: `p < k`, and `ATile::new` checked that every row's
+            // `k`-th value is inside `a`.
+            let av = _mm512_set1_ps(unsafe { *a_row.add(at) });
+            *lo = _mm512_add_ps(*lo, _mm512_mul_ps(av, b_lo));
+            *hi = _mm512_add_ps(*hi, _mm512_mul_ps(av, b_hi));
         }
     }
     for ((dst, lo), hi) in acc.chunks_exact_mut(NR_WIDE).zip(lo).zip(hi) {
@@ -681,7 +801,7 @@ struct RowJob<'a> {
 }
 
 /// Computes output rows `rows` into `chunk` (the disjoint sub-slice owned by
-/// this range): packs each `A` tile, then sweeps all `B` panels through the
+/// this range): per `A` row tile, sweeps all `B` panels through the
 /// microkernel, one tile width of columns at a time.
 fn gemm_rows(job: &RowJob<'_>, rows: Range<usize>, chunk: &mut [f32]) {
     let &RowJob {
@@ -697,13 +817,12 @@ fn gemm_rows(job: &RowJob<'_>, rows: Range<usize>, chunk: &mut [f32]) {
     let base = rows.start;
     let tw = isa.tile_width(nr);
     let panels = c.div_ceil(nr);
-    let mut apack = workspace::take_vec_uninit(k * MR);
     let mut acc = [0.0f32; MR * NR_WIDE];
 
     let mut i0 = rows.start;
     while i0 < rows.end {
         let iw = MR.min(rows.end - i0);
-        pack_a(layout, a, r, k, i0, iw, &mut apack);
+        let tile = ATile::new(layout, a, r, k, i0, iw);
         for jp in 0..panels {
             let panel = &bpack[jp * k * nr..(jp + 1) * k * nr];
             // Tiles wholly inside the last panel's zero padding are skipped.
@@ -712,7 +831,7 @@ fn gemm_rows(job: &RowJob<'_>, rows: Range<usize>, chunk: &mut [f32]) {
             while t0 < panel_cols {
                 let j0 = jp * nr + t0;
                 let jw = tw.min(c - j0);
-                isa.microkernel(&apack, panel, nr, t0, k, &mut acc);
+                isa.microkernel(&tile, panel, nr, t0, k, &mut acc);
                 for ii in 0..iw {
                     let dst = &mut chunk[(i0 - base + ii) * c + j0..][..jw];
                     dst.copy_from_slice(&acc[ii * tw..ii * tw + jw]);
@@ -722,8 +841,6 @@ fn gemm_rows(job: &RowJob<'_>, rows: Range<usize>, chunk: &mut [f32]) {
         }
         i0 += iw;
     }
-
-    workspace::recycle_vec(apack);
 }
 
 /// Runs `kernel` over disjoint row ranges of the output, splitting across

@@ -6,6 +6,100 @@ use crate::rng::DetRng;
 use crate::workspace;
 use crate::Shape;
 
+use self::data::Data;
+
+/// A tensor's elements, and the GEMM panels a marked tensor keeps of them.
+///
+/// The fields are private to this module, so the rest of [`Tensor`] reads
+/// the elements through `Deref` and can write them only through
+/// [`Data::get_mut`], which drops the panels first. A kept copy therefore
+/// never outlives the elements it was packed from, and a `&mut` method that
+/// forgets about the panels does not compile.
+mod data {
+    use std::ops::Deref;
+    use std::sync::OnceLock;
+
+    use crate::gemm::NnPanels;
+
+    pub(super) struct Data {
+        elems: Vec<f32>,
+        /// Keep the `Nn` panels once built (the mark survives `clone`).
+        keep: bool,
+        /// Built by the first `matmul` that reads them while `keep` is set.
+        panels: OnceLock<NnPanels>,
+    }
+
+    impl Deref for Data {
+        type Target = Vec<f32>;
+
+        fn deref(&self) -> &Vec<f32> {
+            &self.elems
+        }
+    }
+
+    impl Data {
+        pub(super) fn new(elems: Vec<f32>) -> Self {
+            Data {
+                elems,
+                keep: false,
+                panels: OnceLock::new(),
+            }
+        }
+
+        /// A copy of the elements in `elems` that keeps the mark but not
+        /// the panels.
+        pub(super) fn copied_into(&self, mut elems: Vec<f32>) -> Self {
+            elems.copy_from_slice(&self.elems);
+            Data {
+                elems,
+                keep: self.keep,
+                panels: OnceLock::new(),
+            }
+        }
+
+        /// The elements, to write: whatever panels were kept are dropped.
+        /// Only a marked tensor can hold any, so an unmarked one (every
+        /// activation and gradient) pays one branch on a plain `bool`.
+        #[inline]
+        pub(super) fn get_mut(&mut self) -> &mut Vec<f32> {
+            if self.keep {
+                self.panels.take();
+            }
+            &mut self.elems
+        }
+
+        /// Moves the elements out, leaving none.
+        pub(super) fn take(&mut self) -> Vec<f32> {
+            std::mem::take(self.get_mut())
+        }
+
+        pub(super) fn keeps_panels(&self) -> bool {
+            self.keep
+        }
+
+        pub(super) fn set_keep_panels(&mut self, keep: bool) {
+            if !keep {
+                self.panels.take();
+            }
+            self.keep = keep;
+        }
+
+        /// The `Nn` panels of these elements as a `(k, c)` operand, packed
+        /// now if not yet; `None` for an unmarked tensor.
+        pub(super) fn panels(&self, k: usize, c: usize) -> Option<&NnPanels> {
+            self.keep.then(|| {
+                self.panels
+                    .get_or_init(|| NnPanels::pack(&self.elems, k, c))
+            })
+        }
+
+        /// The panels already kept, without packing any.
+        pub(super) fn kept_panels(&self) -> Option<&NnPanels> {
+            self.panels.get()
+        }
+    }
+}
+
 /// Resizes a pooled buffer to `n` elements without preserving contents
 /// (beyond the zero-fill of any newly grown tail).
 fn resize_for(data: &mut Vec<f32>, n: usize) {
@@ -42,13 +136,22 @@ fn resize_for(data: &mut Vec<f32>, n: usize) {
 /// ```
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Data,
 }
 
+// A tensor is shared read-only across the GEMM pool's threads, kept panels
+// and all.
+const _: () = {
+    const fn send_and_sync<T: Send + Sync>() {}
+    send_and_sync::<Tensor>();
+};
+
 impl Clone for Tensor {
+    /// Copies the elements and the keep-panels mark, not the panels.
     fn clone(&self) -> Self {
-        let mut data = workspace::take_vec_uninit(self.data.len());
-        data.copy_from_slice(&self.data);
+        let data = self
+            .data
+            .copied_into(workspace::take_vec_uninit(self.data.len()));
         Tensor {
             shape: self.shape,
             data,
@@ -57,15 +160,16 @@ impl Clone for Tensor {
 }
 
 impl Drop for Tensor {
-    /// Returns the backing buffer to the thread-local [`workspace`] pool.
+    /// Returns the backing buffer to the thread-local [`workspace`] pool;
+    /// kept panels go back to the allocator.
     fn drop(&mut self) {
-        workspace::recycle_vec(std::mem::take(&mut self.data));
+        workspace::recycle_vec(self.data.take());
     }
 }
 
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.data == other.data
+        self.shape == other.shape && *self.data == *other.data
     }
 }
 
@@ -83,7 +187,10 @@ impl Tensor {
             shape.len(),
             data.len()
         );
-        Tensor { shape, data }
+        Tensor {
+            shape,
+            data: Data::new(data),
+        }
     }
 
     /// Creates a 2-D tensor from row slices.
@@ -105,7 +212,7 @@ impl Tensor {
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         let data = workspace::take_vec_zeroed(shape.len());
-        Tensor { shape, data }
+        Tensor::from_vec(shape, data)
     }
 
     /// A tensor filled with ones.
@@ -118,14 +225,14 @@ impl Tensor {
         let shape = shape.into();
         let mut data = workspace::take_vec_uninit(shape.len());
         data.fill(value);
-        Tensor { shape, data }
+        Tensor::from_vec(shape, data)
     }
 
     /// The `n`-by-`n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros((n, n));
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            t.data.get_mut()[i * n + i] = 1.0;
         }
         t
     }
@@ -137,7 +244,7 @@ impl Tensor {
         for x in &mut data {
             *x = rng.uniform(lo, hi);
         }
-        Tensor { shape, data }
+        Tensor::from_vec(shape, data)
     }
 
     /// A tensor with elements drawn from a normal distribution.
@@ -147,7 +254,7 @@ impl Tensor {
         for x in &mut data {
             *x = rng.normal(mean, std);
         }
-        Tensor { shape, data }
+        Tensor::from_vec(shape, data)
     }
 
     /// The tensor's shape.
@@ -182,13 +289,13 @@ impl Tensor {
 
     /// Mutable access to the backing buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.data.get_mut()
     }
 
     /// Consumes the tensor and returns its backing buffer (which is then
     /// owned by the caller instead of returning to the pool).
     pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
+        self.data.take()
     }
 
     /// Element at flat index `i`.
@@ -216,7 +323,7 @@ impl Tensor {
     pub fn set2(&mut self, row: usize, col: usize, value: f32) {
         let (r, c) = self.shape.as_2d();
         assert!(row < r && col < c, "index ({row},{col}) out of {r}x{c}");
-        self.data[row * c + col] = value;
+        self.data.get_mut()[row * c + col] = value;
     }
 
     /// Borrows row `row` of the 2-D view.
@@ -236,7 +343,7 @@ impl Tensor {
     pub fn row_mut(&mut self, row: usize) -> &mut [f32] {
         let (r, c) = self.shape.as_2d();
         assert!(row < r, "row {row} out of {r}");
-        &mut self.data[row * c..(row + 1) * c]
+        &mut self.data.get_mut()[row * c..(row + 1) * c]
     }
 
     /// Returns a copy reshaped to `shape` (same element count).
@@ -262,25 +369,23 @@ impl Tensor {
     /// caches.
     pub fn copy_from(&mut self, src: &Tensor) {
         self.shape = src.shape;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
+        let data = self.data.get_mut();
+        data.clear();
+        data.extend_from_slice(&src.data);
     }
 
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = workspace::take_vec_uninit(self.data.len());
-        for (o, &x) in out.iter_mut().zip(&self.data) {
+        for (o, &x) in out.iter_mut().zip(self.data.iter()) {
             *o = f(x);
         }
-        Tensor {
-            shape: self.shape,
-            data: out,
-        }
+        Tensor::from_vec(self.shape, out)
     }
 
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data.get_mut() {
             *x = f(*x);
         }
     }
@@ -320,13 +425,10 @@ impl Tensor {
             self.shape, other.shape
         );
         let mut out = workspace::take_vec_uninit(self.data.len());
-        for ((o, &a), &b) in out.iter_mut().zip(&self.data).zip(&other.data) {
+        for ((o, &a), &b) in out.iter_mut().zip(self.data.iter()).zip(other.data.iter()) {
             *o = f(a, b);
         }
-        Tensor {
-            shape: self.shape,
-            data: out,
-        }
+        Tensor::from_vec(self.shape, out)
     }
 
     /// In-place `self += other` (same shape).
@@ -339,7 +441,7 @@ impl Tensor {
             "shape mismatch: {} vs {}",
             self.shape, other.shape
         );
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data.get_mut().iter_mut().zip(other.data.iter()) {
             *a += b;
         }
     }
@@ -355,7 +457,7 @@ impl Tensor {
             "shape mismatch: {} vs {}",
             self.shape, other.shape
         );
-        crate::ops::scaled_add(&mut self.data, scale, &other.data);
+        crate::ops::scaled_add(self.data.get_mut(), scale, &other.data);
     }
 
     /// `self * s` for a scalar `s`.
@@ -370,7 +472,7 @@ impl Tensor {
 
     /// Fills the tensor with zeros, keeping its shape.
     pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
+        self.data.get_mut().fill(0.0);
     }
 
     /// Sum of all elements.
@@ -413,13 +515,41 @@ impl Tensor {
         Tensor::from_vec((c, r), out)
     }
 
+    /// Marks this tensor as a fixed right operand of [`matmul`](Self::matmul)
+    /// (`keep = true`), or clears the mark. A marked tensor packs its GEMM
+    /// panels on the first product it is the right operand of and keeps them
+    /// for every later one, until anything writes to it: every `&mut`
+    /// method drops them. The mark survives `clone`; the panels do not.
+    /// Clearing the mark drops them too.
+    ///
+    /// Frozen weights carry the mark (`vela_nn::Param`): they take part in
+    /// a product every step and never change. Kept panels cost about one
+    /// more copy of the tensor.
+    pub fn set_keep_panels(&mut self, keep: bool) {
+        self.data.set_keep_panels(keep);
+    }
+
+    /// Whether this tensor is marked to keep its GEMM panels.
+    pub fn keeps_panels(&self) -> bool {
+        self.data.keeps_panels()
+    }
+
+    /// The GEMM panels this tensor keeps: `None` until a product has packed
+    /// them, and again after any write. Exposed so a caller can tell kept
+    /// panels from re-packed ones by address.
+    pub fn kept_panels(&self) -> Option<&[f32]> {
+        self.data.kept_panels().map(|p| p.as_slice())
+    }
+
     /// Matrix product of the 2-D views: `(r x k) @ (k x c) -> (r x c)`.
     ///
     /// All three variants lower onto the packed microkernel in
     /// [`crate::gemm`]. Large products are split over output rows across
     /// the current [`crate::parallel`] pool; every element is accumulated
     /// in ascending inner-index order regardless of thread count, so
-    /// results are bitwise-deterministic.
+    /// results are bitwise-deterministic. When `other` is marked to keep
+    /// its panels ([`set_keep_panels`](Self::set_keep_panels)), the product
+    /// reads them instead of packing `other`; the bits are the same.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
@@ -428,7 +558,10 @@ impl Tensor {
         let (k2, c) = other.shape.as_2d();
         assert_eq!(k, k2, "matmul inner dims: {k} vs {k2}");
         let mut out = workspace::take_vec_uninit(r * c);
-        gemm::gemm(Layout::Nn, &self.data, &other.data, r, k, c, &mut out);
+        match other.data.panels(k, c) {
+            Some(panels) => gemm::gemm_kept(&self.data, panels, r, k, c, &mut out),
+            None => gemm::gemm(Layout::Nn, &self.data, &other.data, r, k, c, &mut out),
+        }
         Tensor::from_vec((r, c), out)
     }
 
@@ -485,10 +618,11 @@ impl Tensor {
     pub fn gather_rows_into(&self, indices: &[usize], out: &mut Tensor) {
         let (r, c) = self.shape.as_2d();
         out.shape = Shape::d2(indices.len(), c);
-        resize_for(&mut out.data, indices.len() * c);
+        let dst = out.data.get_mut();
+        resize_for(dst, indices.len() * c);
         for (i, &idx) in indices.iter().enumerate() {
             assert!(idx < r, "gather index {idx} out of {r} rows");
-            out.data[i * c..(i + 1) * c].copy_from_slice(&self.data[idx * c..(idx + 1) * c]);
+            dst[i * c..(i + 1) * c].copy_from_slice(&self.data[idx * c..(idx + 1) * c]);
         }
     }
 
@@ -503,9 +637,10 @@ impl Tensor {
         let (sr, sc) = src.shape.as_2d();
         assert_eq!(c, sc, "scatter column mismatch: {c} vs {sc}");
         assert_eq!(indices.len(), sr, "scatter index count mismatch");
+        let data = self.data.get_mut();
         for (i, &idx) in indices.iter().enumerate() {
             assert!(idx < r, "scatter index {idx} out of {r} rows");
-            let dst = &mut self.data[idx * c..(idx + 1) * c];
+            let dst = &mut data[idx * c..(idx + 1) * c];
             let s = &src.data[i * c..(i + 1) * c];
             for (d, &v) in dst.iter_mut().zip(s) {
                 *d += v;
@@ -536,7 +671,7 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor({}", self.shape)?;
         if self.len() <= 8 {
-            write!(f, ", {:?})", self.data)
+            write!(f, ", {:?})", *self.data)
         } else {
             write!(
                 f,

@@ -130,6 +130,11 @@ pub(crate) fn take_vec_uninit(n: usize) -> Vec<f32> {
 }
 
 fn take_vec_raw(n: usize) -> Vec<f32> {
+    // Best fit would hand an empty tensor (a frozen parameter's gradient)
+    // the smallest pooled buffer, to hold at length 0 for its lifetime.
+    if n == 0 {
+        return Vec::new();
+    }
     POOL.try_with(|p| p.borrow_mut().take(n))
         .unwrap_or_else(|_| Vec::with_capacity(n))
 }
@@ -248,6 +253,16 @@ mod tests {
         });
         assert_eq!(reused, 1, "the scoped pool served its own buffer again");
         assert_eq!(stats().pooled_buffers, 0);
+    }
+
+    #[test]
+    fn an_empty_tensor_takes_no_pooled_buffer() {
+        clear();
+        drop(take_uninit((16, 16)));
+        let pooled = stats().pooled_buffers;
+        let empty = Tensor::from_vec(0usize, Vec::new());
+        let copies = [empty.clone(), take(0usize), take_uninit(0usize)];
+        assert_eq!(stats().pooled_buffers, pooled, "{copies:?}");
     }
 
     #[test]

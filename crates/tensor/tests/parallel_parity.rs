@@ -14,7 +14,7 @@ use vela_tensor::Tensor;
 /// Shapes `(r, k, c)` mixing tiny, ragged, and pool-engaging sizes
 /// (the larger ones exceed the parallel cutoff, so a multi-lane pool
 /// genuinely splits them). Several sit exactly on or one past the
-/// 8×8 microkernel tile boundaries to exercise the zero-padded
+/// 8×8 microkernel tile boundaries to exercise the padded
 /// remainder lanes.
 const SHAPES: [(usize, usize, usize); 10] = [
     (1, 1, 1),

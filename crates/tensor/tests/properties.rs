@@ -161,3 +161,114 @@ fn uniform_tensor_reproducible() {
     let tb = Tensor::uniform((8, 8), -1.0, 1.0, &mut b);
     assert_eq!(ta, tb);
 }
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every `&mut` method of `Tensor`, as a write to a `(k, c)` tensor, with the
+/// operands it needs drawn from `rng`. A method added without a line here is
+/// untested; one whose line is here but which forgot to drop the kept panels
+/// fails [`a_write_through_any_mut_method_drops_the_kept_panels`].
+#[allow(clippy::type_complexity)]
+fn writes(k: usize, c: usize, rng: &mut DetRng) -> Vec<(&'static str, Box<dyn Fn(&mut Tensor)>)> {
+    let other = random_tensor(k, c, rng);
+    let rows = random_tensor(2, c, rng);
+    let picks: Vec<usize> = (0..k).map(|_| rng.below(k)).collect();
+    let (i, j) = (rng.below(k), rng.below(c));
+    let v = rng.uniform(-10.0, 10.0);
+    vec![
+        ("set2", Box::new(move |t| t.set2(i, j, v))),
+        (
+            "as_mut_slice",
+            Box::new(move |t| t.as_mut_slice()[i * c + j] = v),
+        ),
+        ("row_mut", Box::new(move |t| t.row_mut(i).fill(v))),
+        ("copy_from", {
+            let other = other.clone();
+            Box::new(move |t| t.copy_from(&other))
+        }),
+        ("map_inplace", Box::new(move |t| t.map_inplace(|x| x * v))),
+        ("add_assign", {
+            let other = other.clone();
+            Box::new(move |t| t.add_assign(&other))
+        }),
+        ("axpy", {
+            let other = other.clone();
+            Box::new(move |t| t.axpy(v, &other))
+        }),
+        ("scale_inplace", Box::new(move |t| t.scale_inplace(v))),
+        ("fill_zero", Box::new(|t| t.fill_zero())),
+        (
+            "scatter_add_rows",
+            Box::new(move |t| t.scatter_add_rows(&[i, i], &rows)),
+        ),
+        (
+            "gather_rows_into",
+            Box::new(move |t| other.gather_rows_into(&picks, t)),
+        ),
+        (
+            "set_keep_panels",
+            Box::new(|t| {
+                t.set_keep_panels(false);
+                t.set_keep_panels(true);
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn a_write_through_any_mut_method_drops_the_kept_panels() {
+    for seed in 0..CASES {
+        let mut rng = DetRng::new(seed);
+        // Both panel widths, and short final panels.
+        let (r, k, c) = (1 + rng.below(20), 1 + rng.below(20), 1 + rng.below(80));
+        let x = random_tensor(r, k, &mut rng);
+        let w = random_tensor(k, c, &mut rng);
+        for (name, write) in writes(k, c, &mut rng) {
+            let mut kept = w.clone();
+            kept.set_keep_panels(true);
+            assert_eq!(bits(&x.matmul(&kept)), bits(&x.matmul(&w)), "seed {seed}");
+            assert!(kept.kept_panels().is_some(), "seed {seed}: nothing kept");
+            let mut plain = w.clone();
+            write(&mut kept);
+            write(&mut plain);
+            assert!(kept.keeps_panels(), "seed {seed}: {name} cleared the mark");
+            assert_eq!(
+                bits(&x.matmul(&kept)),
+                bits(&x.matmul(&plain)),
+                "seed {seed}: {r}x{k}x{c} product after {name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_clone_keeps_the_mark_but_not_the_panels() {
+    let mut rng = DetRng::new(3);
+    let x = random_tensor(5, 64, &mut rng);
+    let mut w = random_tensor(64, 40, &mut rng);
+    w.set_keep_panels(true);
+    let want = bits(&x.matmul(&w));
+    let kept = w.kept_panels().expect("the product packed them").as_ptr();
+    assert_eq!(bits(&x.matmul(&w)), want);
+    assert_eq!(
+        w.kept_panels().map(<[f32]>::as_ptr),
+        Some(kept),
+        "re-packed"
+    );
+
+    let copy = w.clone();
+    assert!(copy.keeps_panels());
+    assert!(copy.kept_panels().is_none());
+    assert_eq!(bits(&x.matmul(&copy)), want);
+    assert_ne!(copy.kept_panels().map(<[f32]>::as_ptr), Some(kept));
+
+    w.set_keep_panels(false);
+    assert!(w.kept_panels().is_none());
+    assert_eq!(bits(&x.matmul(&w)), want);
+    assert!(
+        w.kept_panels().is_none(),
+        "an unmarked tensor keeps nothing"
+    );
+}
