@@ -24,9 +24,12 @@
 //! dispatched to (`avx512`, `avx2` or `portable`; detected, not configured).
 //! The three 256³ rows also carry `portable_secs` and `simd_speedup`: the
 //! portable microkernel timed in the same process, and how many times faster
-//! the dispatched one ran. On an AVX-512 host every bare product carries
-//! `avx2_secs` and `avx2_speedup` as well: the AVX2 microkernel on 8-wide
-//! panels — what the host dispatched to before it had a 512-bit tile. Each
+//! the dispatched one ran. On an AVX-512 host every bare product `gemm`
+//! dispatches to the 512-bit tile (`gemm::kernel_for`) carries `avx2_secs`
+//! and `avx2_speedup` as well: the AVX2 microkernel on 8-wide panels — what
+//! the host dispatched to before it had a 512-bit tile. A product narrower
+//! than that tile already runs the AVX2 microkernel and is not compared with
+//! itself. Each
 //! ratio comes from batches of the two kernels alternating through the raw
 //! `gemm` entry points, so it is free of the host's speed regimes (and is not
 //! exactly `portable_secs / serial_secs`, which were timed apart).
@@ -45,8 +48,9 @@
 //!                                 the dispatched `matmul_nn_256` is not
 //!                                 >= 1.5x the portable one; if `simd` is
 //!                                 `avx512` and `matmul_nn_256` is not
-//!                                 >= 1.25x the AVX2 one or any product is
-//!                                 slower than 0.95x its AVX2 time; if
+//!                                 >= 1.25x the AVX2 one or any product on
+//!                                 the 512-bit tile is slower than 0.95x
+//!                                 its AVX2 time; if
 //!                                 `ffn_fwd_16x64x1024_kept` is not >= 1.4x
 //!                                 the same product packing per call; or, on
 //!                                 a host with >= 2 CPUs and a multi-lane
@@ -275,9 +279,10 @@ fn alternating<R, S>(
 
 type PinnedGemm = fn(Layout, &[f32], &[f32], usize, usize, usize, &mut [f32]);
 
-/// [`row`] for a bare product: also records its flops and, on an AVX-512
-/// host, its time through the AVX2 microkernel — or, when its right operand
-/// keeps its panels, its time packing them per call instead.
+/// [`row`] for a bare product: also records its flops and, when the host
+/// runs it on the 512-bit tile, its time through the AVX2 microkernel — or,
+/// when its right operand keeps its panels, its time packing them per call
+/// instead.
 fn product_row(
     name: &'static str,
     product: Product<'_>,
@@ -288,7 +293,7 @@ fn product_row(
 ) -> Row {
     let (r, k, c) = product.shape;
     let kept = product.b.keeps_panels();
-    let avx2 = (gemm::simd_level() == "avx512" && !kept)
+    let avx2 = (gemm::kernel_for(c) == "avx512" && !kept)
         .then(|| product.versus(serial, sampling, gemm::gemm_avx2, min_avx512_speedup(name)));
     let per_call = kept.then(|| {
         let mut unkept = product.b.clone();
@@ -552,11 +557,12 @@ const REGRESSION_FACTOR: f64 = 2.0;
 /// batches, so the host's speed regimes cancel.
 const MIN_SIMD_SPEEDUP: f64 = 1.5;
 
-/// AVX-512-vs-AVX2 floor on a bare product when the host runs the 512-bit
+/// AVX-512-vs-AVX2 floor on a bare product the host runs on the 512-bit
 /// tile. On `matmul_nn_256`, separate multiply and add at twice the lanes
-/// measures 1.35–1.4×. Every other product must at least cost what it did: one
-/// too narrow for the 512-bit tile runs the AVX2 one, not a padded panel (a
-/// global 32-wide panel is 0.45–0.5× here on the `c = 8` LoRA rows).
+/// measures 1.35–1.4×. Every other such product must at least cost what it
+/// did. One too narrow for the tile runs the AVX2 microkernel itself, so it
+/// has no ratio to gate; that it is not given a padded 32-wide panel (0.45–
+/// 0.5× on the `c = 8` LoRA rows) is `gemm`'s panel-width unit test.
 fn min_avx512_speedup(name: &str) -> f64 {
     if name == "matmul_nn_256" {
         1.25

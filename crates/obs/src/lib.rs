@@ -10,8 +10,7 @@
 //! * **Spans** ([`span`]) are the one timing instrument. Whenever
 //!   anything is recorded (`counters` or `jsonl`), a span's close adds
 //!   its `exit − enter` µs to the histogram named after the span, so the
-//!   live endpoint and the trace snapshot carry every span's count and
-//!   total. Under `jsonl` the same two stamps are also written as
+//!   trace snapshot carries every span's count and total. Under `jsonl` the same two stamps are also written as
 //!   enter/exit events tagged with the current *logical step* (a
 //!   process-global counter advanced by [`step_begin`]). Records land in
 //!   thread-local buffers that are drained to the process-global sink
@@ -27,13 +26,11 @@
 //!
 //! ## Knobs
 //!
-//! * `VELA_TRACE` — `0`/unset: off; `counters`: counters only, no file;
-//!   `jsonl`/`1`: JSONL event stream. Any other value warns and turns
-//!   tracing off.
+//! * `VELA_TRACE` — `0`/unset: off; `counters`: counters and histograms
+//!   only, written as snapshot records at every [`flush`]; `jsonl`/`1`:
+//!   the full JSONL event stream. Any other value warns and turns tracing
+//!   off.
 //! * `VELA_TRACE_OUT` — output path (default `vela-trace.jsonl`).
-//! * `VELA_METRICS_ADDR` — serve a live plain-text counter/histogram
-//!   snapshot, span histograms included, on this TCP address (see
-//!   [`endpoint`]); implies at least [`TraceMode::Counters`].
 //! * `VELA_LOG` — stderr logger level: `error`, `warn` (default),
 //!   `info`, `debug`.
 //!
@@ -74,7 +71,6 @@
 //! `trace_summary merge` writes next to the merged JSONL.
 
 pub mod counters;
-pub mod endpoint;
 pub mod logger;
 pub mod reader;
 pub mod sink;
@@ -197,8 +193,9 @@ pub mod corr {
 pub enum TraceMode {
     /// Nothing is recorded; every probe is a relaxed load + branch.
     Off = 1,
-    /// Counters and histograms (span durations included) accumulate but
-    /// no event file is written.
+    /// Counters and histograms (span durations included) accumulate, and
+    /// [`flush`] writes their snapshot to the trace — no span, row, flow or
+    /// clock event. `trace_summary` reads such a file like any other.
     Counters = 2,
     /// Counters plus span/row events streamed as JSONL.
     Jsonl = 3,
@@ -208,7 +205,7 @@ pub enum TraceMode {
 static MODE: AtomicU8 = AtomicU8::new(0);
 
 fn init_mode_from_env() -> TraceMode {
-    let mode = match std::env::var("VELA_TRACE").ok().as_deref() {
+    match std::env::var("VELA_TRACE").ok().as_deref() {
         None | Some("") | Some("0") | Some("off") => TraceMode::Off,
         Some("counters") => TraceMode::Counters,
         Some("jsonl") | Some("1") => TraceMode::Jsonl,
@@ -219,15 +216,6 @@ fn init_mode_from_env() -> TraceMode {
             );
             TraceMode::Off
         }
-    };
-    // A live metrics endpoint needs counters to snapshot, so the env
-    // knob lifts an otherwise-off process to Counters mode.
-    match std::env::var("VELA_METRICS_ADDR").ok().as_deref() {
-        Some(addr) if !addr.is_empty() => {
-            endpoint::start_from_env(addr);
-            mode.max(TraceMode::Counters)
-        }
-        _ => mode,
     }
 }
 
@@ -324,15 +312,17 @@ pub fn clock_sample(worker: usize, offset_us: i64, rtt_us: u64) {
     sink::write_clock(worker as u64, offset_us, rtt_us);
 }
 
-/// Drain every thread's event buffer to the sink, append a cumulative
-/// counter/histogram snapshot, and flush the underlying writer. Cheap
-/// no-op when tracing is disabled. Engines call this at shutdown; call
-/// it at the end of any program that traces.
+/// Drain every thread's event buffer to the sink (under `jsonl`), append a
+/// cumulative counter/histogram snapshot, and flush the underlying writer.
+/// Cheap no-op when nothing is recorded. Engines call this at shutdown;
+/// call it at the end of any program that traces.
 pub fn flush() {
-    if !tracing() {
+    if !enabled() {
         return;
     }
-    span::drain_all();
+    if tracing() {
+        span::drain_all();
+    }
     sink::write_snapshots();
     sink::flush_writer();
 }

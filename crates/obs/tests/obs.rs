@@ -180,15 +180,39 @@ fn span_closes_feed_a_histogram_in_every_enabled_mode() {
     }
     assert_eq!(histogram_of("test.hist.off"), None);
 
-    // Counters: a histogram sample and no event.
+    // Counters: a histogram sample and no event; the flush writes the
+    // snapshot and nothing else.
     vela_obs::set_mode(TraceMode::Counters);
+    sink::set_memory_sink();
     {
         let _s = vela_obs::span("test.hist.counters");
+        vela_obs::expert_rows("runtime", "fwd", 0, &[(1, 8)]);
+        vela_obs::flow(vela_obs::FlowPhase::Start, vela_obs::corr::pack(3, 0, 0, 0));
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
+    vela_obs::counter("test.hist.counters.calls").add(1);
     let (count, total) = histogram_of("test.hist.counters").expect("counters-mode histogram");
     assert_eq!(count, 1);
     assert!(total >= 1000, "total is the span's µs: {total}");
+    vela_obs::flush();
+    let snapshot: Vec<_> = sink::take_memory()
+        .lines()
+        .map(|l| parse_line(l).expect("schema-valid line"))
+        .collect();
+    assert!(
+        snapshot
+            .iter()
+            .all(|r| matches!(r.kind, Kind::Counter { .. } | Kind::Histogram { .. })),
+        "a counters-mode flush writes only the snapshot: {snapshot:?}"
+    );
+    assert_eq!(
+        histograms_named(&snapshot, "test.hist.counters"),
+        [(total, &[(1u64 << total.ilog2(), 1u64)][..])]
+    );
+    assert!(snapshot.iter().any(|r| matches!(
+        &r.kind,
+        Kind::Counter { name, value: 1.. } if name == "test.hist.counters.calls"
+    )));
 
     // Jsonl: both, from the same two stamps.
     vela_obs::set_mode(TraceMode::Jsonl);

@@ -13,11 +13,11 @@
 //! [`launch_star`] sends each worker the same [`Message::Bootstrap`] on
 //! every transport, the hosted one too. The only extra machinery process
 //! mode adds is locating the worker binary and handing each child its
-//! connect coordinates via environment variables; a thread worker, and
-//! the hosted worker on every transport, is also handed its shard by
-//! value, while a child starts empty. Worker processes are always reaped —
-//! teardown waits with a deadline and kills stragglers, so a crashed
-//! master never leaks children past [`WorkerHandle::finish`].
+//! coordinates (master address, worker index, device) as arguments; a
+//! thread worker, and the hosted worker on every transport, is also handed
+//! its shard by value, while a child starts empty. Worker processes are
+//! always reaped — teardown waits with a deadline and kills stragglers, so
+//! a crashed master never leaks children past [`WorkerHandle::finish`].
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -34,18 +34,6 @@ use crate::transport::{
     build_star_around, MasterHub, TcpStarBuilder, TransportConfig, TransportError,
 };
 use crate::worker::{ExpertManager, WorkerBootstrap};
-
-/// Environment variables a `vela_worker` process reads at startup.
-pub mod env_keys {
-    /// `host:port` of the master's listener.
-    pub const CONNECT: &str = "VELA_WORKER_CONNECT";
-    /// This worker's index in the master's worker list.
-    pub const INDEX: &str = "VELA_WORKER_INDEX";
-    /// Numeric device id this worker represents.
-    pub const DEVICE: &str = "VELA_WORKER_DEVICE";
-    /// Overrides the worker binary path used by the spawner.
-    pub const BIN: &str = "VELA_WORKER_BIN";
-}
 
 /// A launched worker: a thread in this process, a child OS process, or
 /// the worker the master's hub serves on the master's thread.
@@ -113,14 +101,13 @@ impl WorkerHandle {
 /// next to the current executable (hopping out of `deps/` or `examples/`
 /// subdirectories cargo uses for tests and examples).
 pub fn worker_binary() -> Result<PathBuf, TransportError> {
-    if let Ok(path) = std::env::var(env_keys::BIN) {
+    if let Ok(path) = std::env::var("VELA_WORKER_BIN") {
         let path = PathBuf::from(path);
         if path.is_file() {
             return Ok(path);
         }
         return Err(TransportError::Handshake(format!(
-            "{}={} does not exist",
-            env_keys::BIN,
+            "VELA_WORKER_BIN={} does not exist",
             path.display()
         )));
     }
@@ -140,14 +127,13 @@ pub fn worker_binary() -> Result<PathBuf, TransportError> {
     }
     Err(TransportError::Handshake(format!(
         "vela_worker binary not found at {} — build it with `cargo build --release -p \
-         vela-runtime` or set {}",
-        candidate.display(),
-        env_keys::BIN
+         vela-runtime` or set VELA_WORKER_BIN",
+        candidate.display()
     )))
 }
 
-/// Spawns one `vela_worker` process per `(index, device)` link, pointed
-/// at `addr`; no links, no binary lookup.
+/// Spawns one `vela_worker <addr> <index> <device>` process per
+/// `(index, device)` link; no links, no binary lookup.
 ///
 /// Children inherit this process's environment (so `VELA_THREADS`,
 /// `VELA_LOG` etc. apply), with `VELA_TRACE_OUT` suffixed by the worker's
@@ -163,9 +149,7 @@ fn spawn_worker_processes(
     let bin = worker_binary()?;
     for &(index, device) in links {
         let mut cmd = Command::new(&bin);
-        cmd.env(env_keys::CONNECT, addr.to_string())
-            .env(env_keys::INDEX, index.to_string())
-            .env(env_keys::DEVICE, device.0.to_string())
+        cmd.args([addr.to_string(), index.to_string(), device.0.to_string()])
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit());

@@ -390,8 +390,8 @@ impl TcpStarBuilder {
         self
     }
 
-    /// The address workers must dial (pass to [`connect_worker`] or the
-    /// `vela_worker` binary via `VELA_WORKER_CONNECT`).
+    /// The address workers must dial (pass to [`connect_worker`], or to the
+    /// `vela_worker` binary as its first argument).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
@@ -481,8 +481,8 @@ impl TcpStarBuilder {
             return Err(format!("bad hello magic {:?}", &hello[..4]));
         }
         let mut r = ByteReader::new(&hello[4..]);
-        let index = r.get_u32().expect("fixed-size hello") as usize;
-        let device = r.get_u64().expect("fixed-size hello") as usize;
+        let index = r.get_u32().map_err(|e| e.to_string())? as usize;
+        let device = r.get_u64().map_err(|e| e.to_string())? as usize;
         if index >= self.workers.len() {
             return Err(format!(
                 "worker index {index} out of range (expected < {})",

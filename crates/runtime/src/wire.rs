@@ -203,6 +203,18 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array, for the fixed-width getters.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let Some((head, _)) = self.buf[self.pos..].split_first_chunk::<N>() else {
+            return Err(WireError::Underflow {
+                wanted: N,
+                left: self.remaining(),
+            });
+        };
+        self.pos += N;
+        Ok(*head)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
@@ -210,32 +222,29 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a big-endian `u16`.
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        self.take_array().map(u16::from_be_bytes)
     }
 
     /// Reads a big-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        self.take_array().map(u32::from_be_bytes)
     }
 
     /// Reads a big-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        self.take_array().map(u64::from_be_bytes)
     }
 
     /// Reads a big-endian IEEE-754 `f32`.
     pub fn get_f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        self.take_array().map(f32::from_be_bytes)
     }
 
     /// Reads `n` big-endian IEEE-754 `f32`s with a single bounds check,
     /// bit-identical to `n` [`get_f32`](Self::get_f32) calls.
     pub fn get_f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
-        Ok(self
-            .take(n * 4)?
-            .chunks_exact(4)
-            .map(|c| f32::from_be_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
+        let (words, _) = self.take(n * 4)?.as_chunks::<4>();
+        Ok(words.iter().map(|&w| f32::from_be_bytes(w)).collect())
     }
 
     /// Reads exactly `out.len()` raw bytes into `out`.

@@ -14,6 +14,8 @@ use vela_runtime::VirtualEngine;
 #[test]
 fn obs_link_counters_match_step_traffic_exactly() {
     vela_obs::set_mode(vela_obs::TraceMode::Counters);
+    // A counters-mode flush writes the snapshot; keep it off the disk.
+    vela_obs::sink::set_memory_sink();
     vela_obs::reset_counters();
 
     let spec = MoeSpec {

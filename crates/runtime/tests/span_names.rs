@@ -23,6 +23,8 @@ fn round_robin(blocks: usize, experts: usize, workers: usize) -> Placement {
 #[test]
 fn tensor_and_virtual_steps_share_one_span_vocabulary() {
     vela_obs::set_mode(vela_obs::TraceMode::Counters);
+    // A counters-mode flush writes the snapshot; keep it off the disk.
+    vela_obs::sink::set_memory_sink();
     vela_obs::reset_counters();
     let devices: Vec<DeviceId> = (0..6).map(DeviceId).collect();
 

@@ -233,12 +233,20 @@ pub fn gemm_avx2(
 /// The widest microkernel [`gemm`] runs on this host: `"avx512"`, `"avx2"`
 /// or `"portable"`. Detected from the CPU, not configured.
 pub fn simd_level() -> &'static str {
-    match Isa::detect() {
+    kernel_for(usize::MAX)
+}
+
+/// The microkernel [`gemm`] runs a `c`-column product on, on this host:
+/// `"avx512"` only when the CPU has AVX-512F and the product is wide enough
+/// for 32-wide panels, else `"avx2"` or `"portable"`.
+pub fn kernel_for(c: usize) -> &'static str {
+    let isa = Isa::detect();
+    match isa {
         Isa::Portable => "portable",
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => "avx2",
+        Isa::Avx512 if isa.panel_width(c) == NR_WIDE => "avx512",
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => "avx512",
+        Isa::Avx2 | Isa::Avx512 => "avx2",
     }
 }
 
@@ -957,9 +965,20 @@ mod tests {
 
     #[test]
     fn wide_panels_are_for_avx512_and_at_least_one_full_tile() {
-        for isa in simd_isas().into_iter().chain([Isa::Portable]) {
-            let wide = isa.tile_width(NR_WIDE) == NR_WIDE;
-            assert_eq!(wide, Some(isa) == Isa::avx512());
+        // Every kernel, whether or not this CPU has it: the width rule is
+        // pure and runs no instruction of the kernel it names. A narrow
+        // product padded to one 32-wide panel (LoRA's `c = 8`) ran at
+        // 0.45–0.5× its AVX2 time.
+        #[cfg(target_arch = "x86_64")]
+        let isas = [
+            (Isa::Portable, false),
+            (Isa::Avx2, false),
+            (Isa::Avx512, true),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let isas = [(Isa::Portable, false)];
+        for (isa, wide) in isas {
+            assert_eq!(isa.tile_width(NR_WIDE) == NR_WIDE, wide, "{isa:?}");
             for c in [1, NR, NR_WIDE - 1] {
                 assert_eq!(isa.panel_width(c), NR, "{isa:?} at c = {c}");
             }
@@ -968,6 +987,11 @@ mod tests {
                 assert_eq!(isa.panel_width(c), want, "{isa:?} at c = {c}");
             }
         }
+        let narrow = match simd_level() {
+            "avx512" => "avx2",
+            level => level,
+        };
+        assert_eq!((kernel_for(8), kernel_for(32)), (narrow, simd_level()));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 # fig6, fig3, fig7 and theorem1 regenerated from an empty pretraining
 # cache, the four synthetic-profile ablations, the drift ablation and the solver ablation (LP solves only;
 # the solver's timings go to stderr), all diffed against results/, the
-# trace smokes (quickstart, the virtual scale_simulation, a
+# trace smokes (quickstart under jsonl and under counters, the virtual
+# scale_simulation, a
 # traced tcp run), and the benches (the kernel one emits BENCH_kernels.json
 # in the repo root and its log names the GEMM SIMD level the host dispatched
 # to; the placement-LP one is echoed only). Exchange and migration timing is
@@ -33,13 +34,10 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> knob list: VELA_* names in README.md == names read in crates/"
-# What the code reads: env::var("VELA_...") call sites plus the
-# launch::env_keys constants the worker binary reads through.
+# What the code reads: its env::var("VELA_...") call sites.
 readme_knobs=$(grep -oE 'VELA_[A-Z_]+' README.md | sort -u)
-code_knobs=$({
-    grep -rhoE 'var(_os)?\("VELA_[A-Z_]+"' crates --include='*.rs'
-    sed -n '/^pub mod env_keys/,/^}/p' crates/runtime/src/launch.rs
-} | grep -oE 'VELA_[A-Z_]+' | sort -u)
+code_knobs=$(grep -rhoE 'var(_os)?\("VELA_[A-Z_]+"' crates --include='*.rs' |
+    grep -oE 'VELA_[A-Z_]+' | sort -u)
 if [ "$readme_knobs" != "$code_knobs" ]; then
     echo "FAIL: README.md (<) and crates/ (>) disagree on the VELA_* variables:" >&2
     diff <(echo "$readme_knobs") <(echo "$code_knobs") >&2 || true
@@ -108,6 +106,18 @@ test -s "$trace_out".merged.json || {
     exit 1
 }
 
+echo "==> counters smoke: quickstart under VELA_TRACE=counters writes the counter/histogram snapshot, which trace_summary prints (runtime.step among its span histograms) and --check passes"
+counters_out=target/quickstart-counters.jsonl
+rm -f "$counters_out"
+VELA_TRACE=counters VELA_TRACE_OUT="$counters_out" \
+    cargo run --release -p vela --example quickstart >/dev/null
+cargo run --release -p vela-bench --bin trace_summary -- "$counters_out" >target/quickstart-counters.txt
+grep -qE '^runtime\.step +≥' target/quickstart-counters.txt || {
+    echo "FAIL: trace_summary printed no runtime.step histogram for $counters_out" >&2
+    exit 1
+}
+cargo run --release -p vela-bench --bin trace_summary -- --check "$counters_out"
+
 echo "==> trace smoke: scale_simulation (the virtual session) under VELA_TRACE=jsonl + trace_summary --check (its exchanges must be the reader's EXCHANGE_SPANS)"
 virtual_trace=target/scale-simulation-trace.jsonl
 rm -f "$virtual_trace"
@@ -148,7 +158,7 @@ cargo run --release -p vela-bench --bin trace_summary -- merge "$tcp_trace"
 cargo run --release -p vela-bench --bin trace_summary -- --check "$tcp_trace".merged
 
 if [ "$run_bench" = 1 ]; then
-    echo "==> bench smoke: serial regression gate vs committed BENCH_kernels.json + in-process SIMD ratio gates (simd >= 1.5x portable on matmul_nn_256; on avx512 also >= 1.25x avx2 there and no product below 0.95x its avx2 time)"
+    echo "==> bench smoke: serial regression gate vs committed BENCH_kernels.json + in-process SIMD ratio gates (simd >= 1.5x portable on matmul_nn_256; on avx512 also >= 1.25x avx2 there and no product on the 512-bit tile below 0.95x its avx2 time)"
     # The first line names the widest microkernel this host dispatched to:
     # avx512, avx2 or portable. Serial times are compared only when that is
     # the level the committed file was recorded at (avx512): an avx2 or
