@@ -204,7 +204,8 @@ pub fn run_strategy(
         }
         _ => {
             let problem = scale_problem(profile, spec, &topology, scale);
-            let mut engine = VirtualEngine::launch(
+            let mut engine = VirtualEngine::launch_with(
+                TransportConfig::from_env(),
                 topology,
                 DeviceId(0),
                 workers,

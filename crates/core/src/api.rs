@@ -8,7 +8,7 @@ use vela_model::pretrain::{pretrain, PretrainConfig};
 use vela_model::ModelConfig;
 use vela_nn::optim::AdamWConfig;
 use vela_placement::{Placement, PlacementProblem, Strategy};
-use vela_runtime::{RealRuntime, StepMetrics};
+use vela_runtime::{RealRuntime, StepMetrics, TransportConfig};
 use vela_tensor::rng::DetRng;
 
 use crate::measure::measure_locality;
@@ -133,7 +133,8 @@ impl VelaSessionBuilder {
         );
         let placement = self.strategy.place(&problem);
 
-        let runtime = RealRuntime::launch(
+        let runtime = RealRuntime::launch_with(
+            TransportConfig::from_env(),
             model,
             experts,
             placement.clone(),

@@ -238,7 +238,7 @@ impl LocalExpertStore {
     }
 
     /// Forward pass over one packed dispatch region — see
-    /// [`run_rows`](Self::run_rows) for the contract.
+    /// `run_rows` for the contract.
     pub fn forward_rows(
         &mut self,
         block: usize,
@@ -251,7 +251,7 @@ impl LocalExpertStore {
     }
 
     /// Backward pass over one packed gradient region — see
-    /// [`run_rows`](Self::run_rows) for the contract.
+    /// `run_rows` for the contract.
     pub fn backward_rows(
         &mut self,
         block: usize,

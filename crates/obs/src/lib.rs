@@ -7,7 +7,7 @@
 //!
 //! ## Model
 //!
-//! * **Spans** ([`span`]) are the one timing instrument. Whenever
+//! * **Spans** ([`span()`]) are the one timing instrument. Whenever
 //!   anything is recorded (`counters` or `jsonl`), a span's close adds
 //!   its `exit − enter` µs to the histogram named after the span, so the
 //!   trace snapshot carries every span's count and total. Under `jsonl` the same two stamps are also written as

@@ -3,7 +3,7 @@
 //! Spawned by the process-mode launcher (`VELA_TRANSPORT=tcp`) as
 //! `vela_worker <master addr> <worker index> <device id>`: connects to the
 //! master's loopback listener at `host:port` as that worker on that device
-//! and hands the link to [`run_worker`](vela_runtime::worker::run_worker),
+//! and hands the link to [`vela_runtime::worker::run_worker`],
 //! the entry every worker thread starts through too. That boots from the
 //! first frame, an ordinary `Message::Bootstrap`, and serves the Expert
 //! Manager loop until `Shutdown` or master disconnect — either way exiting

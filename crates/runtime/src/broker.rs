@@ -29,7 +29,7 @@ use crate::pipeline::{
     DispatchPlan, Rows, MIGRATION_BYTES, MIGRATION_CHUNKS, MIGRATION_COMMITS, SPAN_COMBINE,
     SPAN_MIGRATION_PUMP,
 };
-use crate::transport::{MasterHub, TransportError, WireStats};
+use crate::transport::{MasterHub, TransportError};
 
 /// One worker's byte/row counter handles, resolved once per worker index
 /// instead of re-registering `runtime.worker.{w}.*` by formatted name on
@@ -263,7 +263,8 @@ pub struct BrokerClient {
 
 impl BrokerClient {
     /// Creates a broker over `hub` using `placement` (a plain
-    /// [`Placement`] converts to the degree-1 relation).
+    /// [`Placement`](vela_placement::Placement) converts to the degree-1
+    /// relation).
     ///
     /// # Panics
     /// Panics if the placement's worker count differs from the hub's.
@@ -292,22 +293,10 @@ impl BrokerClient {
         &self.placement
     }
 
-    /// Wire frames shipped/drained by the underlying hub so far.
-    pub fn frame_counts(&self) -> (u64, u64) {
-        self.hub.frame_counts()
-    }
-
-    /// Actual encoded wire bytes shipped/received so far, split per frame
-    /// kind into header vs payload. Distinct from the phase-log ledgers,
-    /// which account tokens moved rather than how they were framed; these
-    /// are the bytes the encoding really put on the wire.
-    pub fn wire_stats(&self) -> WireStats {
-        self.hub.wire_stats()
-    }
-
-    /// Label of the transport backend in use.
-    pub fn transport(&self) -> &'static str {
-        self.hub.transport()
+    /// The hub under this broker, for its counts: frames, wire bytes and
+    /// the transport's label.
+    pub fn hub(&self) -> &MasterHub {
+        &self.hub
     }
 
     /// Broadcasts `StepBegin`, starting a new step on every worker. The
@@ -367,7 +356,7 @@ impl BrokerClient {
     /// `(block, expert)`, in ascending order, diffs its replica set against
     /// the target's: an expert that gains no worker only drops copies
     /// (`Evict`, 0 accounted bytes) and settles here; one that gains
-    /// workers queues a lane for one of the [`MAX_ACTIVE_LANES`] slots.
+    /// workers queues a lane for one of the `MAX_ACTIVE_LANES` slots.
     /// Once admitted, the primary is asked (`FetchShadow`) to stream the
     /// frozen tensors, which whatever routed drain runs next relays to
     /// every gained worker — the transfer rides the per-link writer threads
@@ -891,7 +880,7 @@ impl ExpertProvider for BrokerClient {
 mod tests {
     use super::*;
     use crate::message::{chunk_expert_state, PackedReply, PackedRow, EXPERT_CHUNK_BYTES};
-    use crate::transport::{build_star, star, MasterHub, TransportConfig};
+    use crate::transport::{build_star, MasterHub, TransportConfig};
     use crate::worker::{ExpertManager, ExpertTemplate, WorkerBootstrap};
     use std::sync::Arc;
     use std::thread::JoinHandle;
@@ -922,7 +911,14 @@ mod tests {
     ) {
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (mut hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+        let (mut hub, ports) = build_star(
+            TransportConfig::channel(),
+            ledger,
+            DeviceId(0),
+            &[DeviceId(1), DeviceId(2)],
+            None,
+        )
+        .unwrap();
 
         let reference = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
         let mut source = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
@@ -1056,7 +1052,14 @@ mod tests {
         // answers first, its results wait in `pending` behind batch 0.
         for first in [0usize, 1] {
             let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-            let (hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+            let (hub, mut ports) = build_star(
+                TransportConfig::channel(),
+                ledger,
+                DeviceId(0),
+                &[DeviceId(1), DeviceId(2)],
+                None,
+            )
+            .unwrap();
             let echo = std::thread::spawn(move || {
                 let replies: Vec<Message> = ports
                     .iter_mut()
@@ -1113,7 +1116,7 @@ mod tests {
             .collect();
         broker.forward_block(0, &batches);
         // 2 workers × 4 experts: one frame per worker each way...
-        assert_eq!(broker.frame_counts(), (2, 2));
+        assert_eq!(broker.hub.frame_counts(), (2, 2));
         // ...accounting what one frame per expert batch cost at the commit
         // that retired them (8456ee6): 2 × (9 + 3 rows · 16 · 4) a worker.
         let log = broker.take_phase_logs().pop().unwrap();
@@ -1196,7 +1199,14 @@ mod tests {
         ModelConfig,
     ) {
         let cfg = ModelConfig::test_small();
-        let (mut hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+        let (mut hub, ports) = build_star(
+            TransportConfig::channel(),
+            ledger,
+            DeviceId(0),
+            &[DeviceId(1), DeviceId(2)],
+            None,
+        )
+        .unwrap();
 
         let reference = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
         let mut a = LocalExpertStore::new(&cfg, &mut DetRng::new(7));
@@ -1289,11 +1299,11 @@ mod tests {
         }
         let pairs = broker.placement().replicated_pairs().len() as u64;
         assert_eq!(pairs, cfg.blocks as u64);
-        let (sent, drained) = broker.frame_counts();
+        let (sent, drained) = broker.hub.frame_counts();
         broker.sync_replica_grads(grad_bytes(&cfg)).unwrap();
         broker.step_end().unwrap();
         broker.wait_step_done().unwrap();
-        let (sent_after, drained_after) = broker.frame_counts();
+        let (sent_after, drained_after) = broker.hub.frame_counts();
         // Out: a fetch and an install per pair, a `StepEnd` per worker.
         assert_eq!(sent_after - sent, 2 * pairs + 2);
         // In: one `GradState` per pair and a `StepDone` per worker.
@@ -1375,15 +1385,19 @@ mod tests {
         let (mut broker, managers, mut reference, cfg) = setup_replicated();
         // Expert 0 lives on both workers, rooted on worker 0.
         assert_eq!(broker.placement().replicas_of(0, 0), [0, 1]);
-        let shipped = broker.wire_stats();
+        let shipped = broker.hub.wire_stats();
         let mut target = broker.placement().primaries();
         target.set_worker(0, 0, 1);
         let target = broker.placement().with_primaries(&target);
         assert_eq!(broker.apply_relation(&target).unwrap(), 1);
         assert_eq!(broker.migrations_in_flight(), 0);
         assert_eq!(broker.placement().replicas_of(0, 0), [1]);
-        assert_eq!(broker.wire_stats(), shipped, "an evict is off the books");
-        assert_eq!(broker.frame_counts(), (0, 0));
+        assert_eq!(
+            broker.hub.wire_stats(),
+            shipped,
+            "an evict is off the books"
+        );
+        assert_eq!(broker.hub.frame_counts(), (0, 0));
         let mut rng = DetRng::new(23);
         let batches = vec![ExpertBatch {
             expert: 0,
@@ -1414,7 +1428,7 @@ mod tests {
     ) -> (BrokerClient, Vec<ExpertManager>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let devices = [DeviceId(1), DeviceId(2), DeviceId(3)];
-        let (mut hub, ports) = build_star(transport, ledger, DeviceId(0), &devices).unwrap();
+        let (mut hub, ports) = build_star(transport, ledger, DeviceId(0), &devices, None).unwrap();
         let mut source = LocalExpertStore::new(cfg, &mut DetRng::new(7));
         let template = Some(ExpertTemplate::from_expert(source.expert_mut(0, 0)));
         let mut shards: Vec<LocalExpertStore> = (0..3)
@@ -1490,10 +1504,10 @@ mod tests {
             broker.sync_replica_grads(grad_bytes(cfg)).unwrap();
             broker.step_end().unwrap();
             broker.wait_step_done().unwrap();
-            let (frames, wire) = (broker.frame_counts(), broker.wire_stats());
+            let (frames, wire) = (broker.hub.frame_counts(), broker.hub.wire_stats());
             broker.pump_migrations().unwrap();
             if step == 3 {
-                let (now, after) = (broker.frame_counts(), broker.wire_stats());
+                let (now, after) = (broker.hub.frame_counts(), broker.hub.wire_stats());
                 cutover = (
                     (now.0 - frames.0, now.1 - frames.1),
                     (
@@ -1631,7 +1645,11 @@ mod tests {
         assert_eq!(broker.migrations_in_flight(), 0);
         assert_eq!(broker.placement(), &target);
         assert_eq!(ledger.take_step().migration_bytes, 0);
-        assert_eq!(broker.frame_counts(), (0, 0), "an evict is off the books");
+        assert_eq!(
+            broker.hub.frame_counts(),
+            (0, 0),
+            "an evict is off the books"
+        );
         let mut rng = DetRng::new(41);
         let batches = vec![ExpertBatch {
             expert: 0,
@@ -1660,7 +1678,7 @@ mod tests {
     ) -> (BrokerClient, Vec<JoinHandle<()>>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let devices = [DeviceId(1), DeviceId(2)];
-        let (hub, ports) = build_star(transport, ledger, DeviceId(0), &devices).unwrap();
+        let (hub, ports) = build_star(transport, ledger, DeviceId(0), &devices, None).unwrap();
         let rogues = ports
             .into_iter()
             .map(|mut port| {

@@ -1,5 +1,5 @@
 //! Launch plumbing: bringing up the star and its workers over any transport
-//! ([`launch_star`]), and what process mode needs on top — spawning
+//! (`launch_star`), and what process mode needs on top — spawning
 //! `vela_worker` OS processes and wiring them into a TCP star.
 //!
 //! Every star has one worker the master serves on its own thread: the one
@@ -10,7 +10,7 @@
 //! are workers, and a one-worker star spawns none.
 //!
 //! Every mode shares every protocol byte, the first one included:
-//! [`launch_star`] sends each worker the same [`Message::Bootstrap`] on
+//! `launch_star` sends each worker the same [`Message::Bootstrap`] on
 //! every transport, the hosted one too. The only extra machinery process
 //! mode adds is locating the worker binary and handing each child its
 //! coordinates (master address, worker index, device) as arguments; a
@@ -30,9 +30,7 @@ use vela_model::LocalExpertStore;
 
 use crate::message::Message;
 use crate::transport::tcp::ACCEPT_DEADLINE;
-use crate::transport::{
-    build_star_around, MasterHub, TcpStarBuilder, TransportConfig, TransportError,
-};
+use crate::transport::{build_star, MasterHub, TcpStarBuilder, TransportConfig, TransportError};
 use crate::worker::{ExpertManager, WorkerBootstrap};
 
 /// A launched worker: a thread in this process, a child OS process, or
@@ -249,7 +247,7 @@ pub(crate) fn launch_star(
         let handles: Vec<WorkerHandle> = children.into_iter().map(WorkerHandle::Process).collect();
         (hub, handles)
     } else {
-        let (hub, ports) = build_star_around(transport, ledger, master, workers, Some(hosted))?;
+        let (hub, ports) = build_star(transport, ledger, master, workers, Some(hosted))?;
         let threads = ports.into_iter().zip(shards);
         let handles = threads
             .map(|(port, shard)| WorkerHandle::Thread(ExpertManager::spawn(port, shard)))
@@ -278,7 +276,10 @@ mod tests {
 
     /// Launches a star of echo workers (empty `(2, 4)` shards, no
     /// template) around a master on device 0 of the paper testbed.
-    fn launch(transport: TransportConfig, workers: &[DeviceId]) -> (MasterHub, Vec<WorkerHandle>) {
+    fn echo_star(
+        transport: TransportConfig,
+        workers: &[DeviceId],
+    ) -> (MasterHub, Vec<WorkerHandle>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let bootstrap = WorkerBootstrap {
             blocks: 2,
@@ -345,7 +346,7 @@ mod tests {
     fn every_transport_hosts_one_worker_and_links_the_rest() {
         let workers = [DeviceId(2), DeviceId(1), DeviceId(3)];
         for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
-            let (hub, handles) = launch(transport, &workers);
+            let (hub, handles) = echo_star(transport, &workers);
             let kinds: Vec<&str> = handles.iter().map(kind).collect();
             assert_eq!(
                 kinds,
@@ -365,7 +366,7 @@ mod tests {
             vec![DeviceId(1)],
             vec![DeviceId(1), DeviceId(2), DeviceId(3)],
         ] {
-            let (hub, handles) = launch(TransportConfig::tcp_processes(), &workers);
+            let (hub, handles) = echo_star(TransportConfig::tcp_processes(), &workers);
             let kinds: Vec<&str> = handles.iter().map(kind).collect();
             let mut expected = vec!["hosted"];
             expected.resize(workers.len(), "process");
@@ -396,7 +397,7 @@ mod tests {
                         transport.label(),
                         workers.len()
                     );
-                    let (mut hub, mut handles) = launch(transport, workers);
+                    let (mut hub, mut handles) = echo_star(transport, workers);
                     hub.send(0, stop).unwrap();
                     let next = hub.recv_timeout(Duration::from_secs(10));
                     assert!(

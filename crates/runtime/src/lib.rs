@@ -49,6 +49,6 @@ pub use message::{
 pub use metrics::{RunSummary, StepMetrics};
 pub use runtime::{MigrationHandle, RealRuntime};
 pub use session::Session;
-pub use transport::{TransportConfig, TransportError, TransportMode, WireStats};
+pub use transport::{TransportConfig, TransportError, WireStats};
 pub use virtual_engine::{ScaleConfig, VirtualEngine};
 pub use wire::WireError;

@@ -118,7 +118,8 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
-/// Evaluates the master–worker time model over one step's phase logs.
+/// The modelled time of one master–worker step, evaluated over the step's
+/// phase logs and replica gradient-sync flows.
 ///
 /// Each phase contributes a one-to-all dispatch (max leg, Eq. (7)), the
 /// workers' parallel expert compute (max worker), and a one-to-all gather.
@@ -131,12 +132,17 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// binds.
 ///
 /// `master_flops` accounts for the backbone computation the master runs
-/// serially (attention, norms, LM head, gate).
-pub fn master_worker_time(
+/// serially (attention, norms, LM head, gate). `sync_flows` are
+/// `(worker, accounted bytes)` in protocol order, from
+/// [`BrokerClient::sync_replica_grads`](crate::BrokerClient::sync_replica_grads):
+/// every sync flow crosses the master's one link to its worker, so the
+/// sync term is the sum of the per-flow transfer times.
+pub fn step_time(
     cost: &CostModel,
     master: DeviceId,
     worker_devices: &[DeviceId],
     logs: &[PhaseLog],
+    sync_flows: &[(usize, u64)],
     spec: &MoeSpec,
     master_flops: f64,
 ) -> TimeBreakdown {
@@ -173,25 +179,6 @@ pub fn master_worker_time(
         }
     }
     time.compute_s += cost.compute_time(master, master_flops);
-    time
-}
-
-/// The modelled time of one master–worker step: [`master_worker_time`]
-/// over the step's phase logs, plus the replica gradient-sync flows
-/// (`(worker, accounted bytes)` in protocol order, from
-/// [`BrokerClient::sync_replica_grads`](crate::BrokerClient::sync_replica_grads)).
-/// Every sync flow crosses the master's one link to its worker, so the
-/// sync term is the sum of the per-flow transfer times.
-pub fn step_time(
-    cost: &CostModel,
-    master: DeviceId,
-    worker_devices: &[DeviceId],
-    logs: &[PhaseLog],
-    sync_flows: &[(usize, u64)],
-    spec: &MoeSpec,
-    master_flops: f64,
-) -> TimeBreakdown {
-    let mut time = master_worker_time(cost, master, worker_devices, logs, spec, master_flops);
     time.sync_s += sync_flows
         .iter()
         .map(|&(w, bytes)| cost.transfer_time(master, worker_devices[w], bytes))
@@ -290,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn master_worker_time_prefers_local_bytes() {
+    fn step_time_prefers_local_bytes() {
         let topology = Topology::paper_testbed();
         let cost = CostModel::new(topology);
         let spec = MoeSpec::mixtral_8x7b();
@@ -311,8 +298,8 @@ mod tests {
             rows: vec![100, 0, 0, 0, 0, 0],
             ..remote_log.clone()
         };
-        let t_remote = master_worker_time(&cost, DeviceId(0), &workers, &[remote_log], &spec, 0.0);
-        let t_local = master_worker_time(&cost, DeviceId(0), &workers, &[local_log], &spec, 0.0);
+        let t_remote = step_time(&cost, DeviceId(0), &workers, &[remote_log], &[], &spec, 0.0);
+        let t_local = step_time(&cost, DeviceId(0), &workers, &[local_log], &[], &spec, 0.0);
         // Remote placement: the slow Ethernet leg binds. Local placement:
         // the free link means compute binds instead — and the total drops.
         assert!(t_remote.comm_s > 0.0);
@@ -335,8 +322,8 @@ mod tests {
             pass: Pass::Backward,
             ..fwd.clone()
         };
-        let tf = master_worker_time(&cost, DeviceId(0), &workers, &[fwd], &spec, 0.0);
-        let tb = master_worker_time(&cost, DeviceId(0), &workers, &[bwd], &spec, 0.0);
+        let tf = step_time(&cost, DeviceId(0), &workers, &[fwd], &[], &spec, 0.0);
+        let tb = step_time(&cost, DeviceId(0), &workers, &[bwd], &[], &spec, 0.0);
         // No bytes move, so compute binds in both phases; backward is 2x.
         assert!((tb.compute_s - 2.0 * tf.compute_s).abs() < 1e-12);
     }

@@ -68,36 +68,12 @@ pub type RealRuntime = Session<TensorBody>;
 
 impl RealRuntime {
     /// Distributes `experts` across workers per `placement` and launches
-    /// them over the transport selected by `VELA_TRANSPORT` (in-process
-    /// channels by default). See [`launch_with`](Self::launch_with).
-    pub fn launch(
-        model: MoeModel,
-        experts: LocalExpertStore,
-        placement: impl Into<ReplicatedPlacement>,
-        topology: Topology,
-        master: DeviceId,
-        worker_devices: Vec<DeviceId>,
-        optim: AdamWConfig,
-    ) -> Self {
-        Self::launch_with(
-            TransportConfig::from_env(),
-            model,
-            experts,
-            placement,
-            topology,
-            master,
-            worker_devices,
-            optim,
-        )
-    }
-
-    /// Distributes `experts` across workers per `placement` and launches
     /// the workers over `transport`.
     ///
     /// `optim` is used by the master for the backbone *and* by each worker
     /// for its shard, matching the paper's per-device optimization.
     ///
-    /// Every worker boots on the [`resting`] relation, the hosted one
+    /// Every worker boots on the `resting` relation, the hosted one
     /// taking its shard by value: beside threads that is the placement
     /// itself, in process mode every copy on the hosted worker, which the
     /// mover then re-places onto the `vela_worker` children (its ledger
@@ -284,7 +260,7 @@ impl RealRuntime {
     /// Shuts the workers down and reassembles the expert population.
     ///
     /// Moves in flight complete first (a shadow is not an expert), then
-    /// every copy goes back to its [`resting`] place — in process mode the
+    /// every copy goes back to its `resting` place — in process mode the
     /// hosted worker, beside threads where it already is — so the shards
     /// the hosted and thread workers hand back hold every expert. A
     /// transport failure on the way is logged, and the store then holds
@@ -425,7 +401,8 @@ mod tests {
     fn losses_decrease_over_steps() {
         let (model, experts, cfg) = build();
         let topology = Topology::paper_testbed();
-        let mut rt = RealRuntime::launch(
+        let mut rt = RealRuntime::launch_with(
+            TransportConfig::from_env(),
             model,
             experts,
             sequential_placement(&cfg, 6),
@@ -464,7 +441,8 @@ mod tests {
         let (model, experts, cfg) = build();
         let topology = Topology::paper_testbed();
         let all_on_zero = Placement::new(vec![vec![0; cfg.experts]; cfg.blocks], 6);
-        let mut rt = RealRuntime::launch(
+        let mut rt = RealRuntime::launch_with(
+            TransportConfig::from_env(),
             model,
             experts,
             all_on_zero,
@@ -536,7 +514,8 @@ mod tests {
         // sequential vs LP placement on the real runtime.
         let run = |placement: Placement| -> u64 {
             let (model, experts, cfg) = build();
-            let mut rt = RealRuntime::launch(
+            let mut rt = RealRuntime::launch_with(
+                TransportConfig::from_env(),
                 model,
                 experts,
                 placement,

@@ -12,9 +12,9 @@
 //!
 //! One of the workers runs on the master's own thread: the session's hub
 //! serves it whenever the master would otherwise wait for a reply (see
-//! `launch`). The others are threads or `vela_worker` processes, which
-//! boot empty: a body whose workers hold experts places copies on them
-//! with the broker's one mover.
+//! the `launch` module). The others are threads or `vela_worker`
+//! processes, which boot empty: a body whose workers hold experts places
+//! copies on them with the broker's one mover.
 
 use std::sync::Arc;
 
@@ -122,18 +122,18 @@ impl<B> Session<B> {
 
     /// Label of the transport backend carrying this session's traffic.
     pub fn transport_label(&self) -> &'static str {
-        self.broker.transport()
+        self.broker.hub.transport()
     }
 
     /// Wire frames shipped/drained by the master hub so far (out, in).
     pub fn frame_counts(&self) -> (u64, u64) {
-        self.broker.frame_counts()
+        self.broker.hub.frame_counts()
     }
 
     /// Actual encoded wire bytes by frame kind (headers vs payloads).
     /// Unlike the traffic ledger this *does* depend on the wire framing.
     pub fn wire_stats(&self) -> WireStats {
-        self.broker.wire_stats()
+        self.broker.hub.wire_stats()
     }
 
     /// Max/mean routed token rows per worker, accumulated over every

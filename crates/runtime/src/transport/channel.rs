@@ -116,21 +116,12 @@ pub(super) fn link(
 }
 
 /// Builds the mpsc star between `master` and `workers`, accounting all
-/// traffic in `ledger`.
+/// traffic in `ledger`, with no link for worker `hosted` (see
+/// [`build_star`](super::build_star)).
 ///
 /// # Panics
 /// Panics if `workers` is empty.
-pub fn channel_star(
-    ledger: Arc<TrafficLedger>,
-    master: DeviceId,
-    workers: &[DeviceId],
-) -> (MasterHub, Vec<WorkerPort>) {
-    channel_star_around(ledger, master, workers, None)
-}
-
-/// [`channel_star`] without a link for worker `hosted`, whose slot
-/// [`MasterHub::host`] fills. The ports keep their index in `workers`.
-pub(super) fn channel_star_around(
+pub(super) fn channel_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],

@@ -19,6 +19,9 @@
 //! a [`channel`] link, beside a backend that links the others
 //! (`MasterHub::host`). Its frames pass through the same
 //! [`MasterHub::send`]/[`MasterHub::recv`] as every other worker's.
+//! [`build_star`] builds every in-process star, with or without that
+//! hosted slot; a process-mode star is assembled by [`TcpStarBuilder`] as
+//! the `vela_worker` children dial in.
 //!
 //! **Traffic accounting is transport-independent by construction**: every
 //! accounted byte is recorded by the *master-side* [`MasterHub`] wrapper —
@@ -47,10 +50,7 @@ use vela_obs::LazyCounter;
 use crate::message::{Bucket, FrameKind, Message};
 use crate::wire::WireError;
 
-/// The in-process mpsc star — the original transport, now one backend
-/// among several.
-pub use channel::channel_star as star;
-pub use tcp::{connect_worker, tcp_star, TcpStarBuilder};
+pub use tcp::{connect_worker, TcpStarBuilder};
 
 /// A transport-layer failure. Unlike the original mpsc star, which
 /// panicked on any hiccup, every condition a real link can produce is an
@@ -65,8 +65,9 @@ pub enum TransportError {
     Io(std::io::Error),
     /// A frame arrived but could not be decoded.
     Wire(WireError),
-    /// The connect handshake failed (bad magic, duplicate worker index,
-    /// device mismatch, or the retry budget ran out).
+    /// The star could not be assembled: the connect handshake failed (bad
+    /// magic, duplicate worker index, device mismatch, or the retry budget
+    /// ran out), or the worker side could not be started.
     Handshake(String),
     /// The peer spoke the protocol wrong: an unexpected message kind, a
     /// reply for the wrong block/pass/expert, or an ack from the wrong
@@ -116,55 +117,48 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// Chooses and labels a transport: build one with [`channel`](Self::channel),
+/// [`tcp_threads`](Self::tcp_threads), [`tcp_processes`](Self::tcp_processes)
+/// or [`from_env`](Self::from_env).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TransportConfig {
+    backend: Backend,
+}
+
 /// How the star network is realized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportMode {
-    /// In-process `std::sync::mpsc` channels, workers as threads (the
-    /// default; fastest, and what every engine used before the seam).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Backend {
+    /// In-process `std::sync::mpsc` channels, workers as threads.
+    #[default]
     Channel,
-    /// Loopback TCP sockets, workers still as threads in this process.
-    /// Exercises the full wire path hermetically — used by the parity
-    /// tests and available as `VELA_TRANSPORT=tcp-threads`.
+    /// Loopback TCP sockets, workers still as threads in this process:
+    /// the full wire path, hermetically.
     TcpThreads,
     /// Loopback TCP sockets, workers as separate OS processes running the
-    /// `vela_worker` binary (`VELA_TRANSPORT=tcp`).
+    /// `vela_worker` binary.
     TcpProcesses,
 }
 
-/// Chooses and labels a transport; read from `VELA_TRANSPORT`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransportConfig {
-    /// The selected realization of the star.
-    pub mode: TransportMode,
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            mode: TransportMode::Channel,
-        }
-    }
-}
-
 impl TransportConfig {
-    /// The in-process mpsc star.
+    /// The in-process mpsc star (the default; fastest).
     pub fn channel() -> Self {
         TransportConfig {
-            mode: TransportMode::Channel,
+            backend: Backend::Channel,
         }
     }
 
-    /// TCP loopback with in-process worker threads.
+    /// TCP loopback with in-process worker threads
+    /// (`VELA_TRANSPORT=tcp-threads`).
     pub fn tcp_threads() -> Self {
         TransportConfig {
-            mode: TransportMode::TcpThreads,
+            backend: Backend::TcpThreads,
         }
     }
 
-    /// TCP loopback with worker OS processes.
+    /// TCP loopback with worker OS processes (`VELA_TRANSPORT=tcp`).
     pub fn tcp_processes() -> Self {
         TransportConfig {
-            mode: TransportMode::TcpProcesses,
+            backend: Backend::TcpProcesses,
         }
     }
 
@@ -186,16 +180,16 @@ impl TransportConfig {
     /// Stable label recorded in [`RunSummary`](crate::RunSummary) and the
     /// fig6 output columns.
     pub fn label(&self) -> &'static str {
-        match self.mode {
-            TransportMode::Channel => "channel",
-            TransportMode::TcpThreads => "tcp-threads",
-            TransportMode::TcpProcesses => "tcp",
+        match self.backend {
+            Backend::Channel => "channel",
+            Backend::TcpThreads => "tcp-threads",
+            Backend::TcpProcesses => "tcp",
         }
     }
 
     /// Whether workers run as separate OS processes.
     pub fn is_process_mode(&self) -> bool {
-        self.mode == TransportMode::TcpProcesses
+        self.backend == Backend::TcpProcesses
     }
 }
 
@@ -490,11 +484,12 @@ impl MasterHub {
     }
 
     /// Serves worker `index` on this thread from now on, as an Expert
-    /// Manager booting from `shard`. The backend must have left that worker's link out (see
-    /// [`build_star_around`]); frames to and from it still pass through
-    /// [`send`](Self::send) and [`recv`](Self::recv) and the codec, so
-    /// every count this hub keeps is the same as over a link. The
-    /// receiver gets its shard, or why it never booted, once it stops.
+    /// Manager booting from `shard`. The backend must have left that
+    /// worker's link out (see [`build_star`]'s `hosted`); frames to and
+    /// from it still pass through [`send`](Self::send) and
+    /// [`recv`](Self::recv) and the codec, so every count this hub keeps is
+    /// the same as over a link. The receiver gets its shard, or why it
+    /// never booted, once it stops.
     pub(crate) fn host(
         self,
         index: usize,
@@ -552,40 +547,29 @@ impl WorkerPort {
     }
 }
 
-/// Builds the star for an in-process `config` (`Channel` or
-/// `TcpThreads`). Process mode has an asymmetric construction (the hub
-/// accepts, each worker process connects) and goes through
-/// [`TcpStarBuilder`] / [`connect_worker`] instead.
+/// Builds the star between `master` and `workers` for an in-process
+/// `config` (`channel` or `tcp-threads`), with no link for worker `hosted`
+/// when it is `Some`: `MasterHub::host` fills that slot, and the other
+/// ports keep their index in `workers`. Process mode has an asymmetric
+/// construction (the hub accepts, each worker process connects) and goes
+/// through [`TcpStarBuilder`] / [`connect_worker`] instead; asking for it
+/// here is a [`TransportError::Handshake`].
 ///
 /// # Panics
-/// Panics if `workers` is empty or `config` is process mode.
+/// Panics if `workers` is empty.
 pub fn build_star(
-    config: TransportConfig,
-    ledger: Arc<TrafficLedger>,
-    master: DeviceId,
-    workers: &[DeviceId],
-) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
-    build_star_around(config, ledger, master, workers, None)
-}
-
-/// [`build_star`] without a link for worker `hosted`, whose slot
-/// [`MasterHub::host`] fills: no port is built for it, and the other ports
-/// keep their index in `workers`.
-pub(crate) fn build_star_around(
     config: TransportConfig,
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
     hosted: Option<usize>,
 ) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
-    match config.mode {
-        TransportMode::Channel => Ok(channel::channel_star_around(
-            ledger, master, workers, hosted,
+    match config.backend {
+        Backend::Channel => Ok(channel::channel_star(ledger, master, workers, hosted)),
+        Backend::TcpThreads => tcp::tcp_star(ledger, master, workers, hosted),
+        Backend::TcpProcesses => Err(TransportError::Handshake(
+            "process mode builds its star with TcpStarBuilder, not build_star".into(),
         )),
-        TransportMode::TcpThreads => tcp::tcp_star_around(ledger, master, workers, hosted),
-        TransportMode::TcpProcesses => {
-            panic!("process mode builds its star via TcpStarBuilder, not build_star")
-        }
     }
 }
 
@@ -610,7 +594,7 @@ mod tests {
         for config in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
             let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
             let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
-            let (hub, ports) = build_star(config, ledger.clone(), DeviceId(0), &workers)
+            let (hub, ports) = build_star(config, ledger.clone(), DeviceId(0), &workers, None)
                 .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
             case(config, ledger, hub, ports);
         }
@@ -922,6 +906,23 @@ mod tests {
                     + w.control
             );
         });
+    }
+
+    #[test]
+    fn process_mode_is_an_error_not_a_panic() {
+        let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
+        let built = build_star(
+            TransportConfig::tcp_processes(),
+            ledger,
+            DeviceId(0),
+            &[DeviceId(1), DeviceId(2)],
+            None,
+        );
+        assert!(
+            matches!(built, Err(TransportError::Handshake(_))),
+            "{:?}",
+            built.map(|(hub, _)| hub.transport())
+        );
     }
 
     #[test]

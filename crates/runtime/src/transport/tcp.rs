@@ -581,21 +581,12 @@ fn try_connect(addr: SocketAddr, index: usize, device: DeviceId) -> Result<TcpSt
 /// Builds a complete TCP star *within this process*: the hub accepts on a
 /// background thread while each worker port dials in. This is the
 /// hermetic `tcp-threads` mode — every byte crosses a real loopback
-/// socket, but workers stay threads, so tests need no child binaries.
+/// socket, but workers stay threads, so tests need no child binaries. No
+/// port dials in for worker `hosted` (see [`build_star`](super::build_star)).
 ///
 /// # Panics
 /// Panics if `workers` is empty.
-pub fn tcp_star(
-    ledger: Arc<TrafficLedger>,
-    master: DeviceId,
-    workers: &[DeviceId],
-) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
-    tcp_star_around(ledger, master, workers, None)
-}
-
-/// [`tcp_star`] without a link for worker `hosted`, whose slot
-/// [`MasterHub::host`] fills. The ports keep their index in `workers`.
-pub(super) fn tcp_star_around(
+pub(super) fn tcp_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
@@ -605,15 +596,16 @@ pub(super) fn tcp_star_around(
     let addr = builder.addr();
     let accept = std::thread::Builder::new()
         .name("tcp-star-accept".into())
-        .spawn(move || builder.accept_workers(ACCEPT_DEADLINE))
-        .expect("failed to spawn accept thread");
+        .spawn(move || builder.accept_workers(ACCEPT_DEADLINE))?;
     let mut ports = Vec::with_capacity(workers.len());
     for (index, &device) in workers.iter().enumerate() {
         if Some(index) != hosted {
             ports.push(connect_worker(addr, index, device)?);
         }
     }
-    let hub = accept.join().expect("accept thread panicked")?;
+    let hub = accept
+        .join()
+        .map_err(|_| TransportError::Handshake("the accept thread panicked".into()))??;
     Ok((hub, ports))
 }
 
@@ -625,12 +617,13 @@ mod tests {
 
     use super::*;
     use crate::message::{Message, PackedData, PackedRow};
+    use crate::transport::{build_star, TransportConfig};
     use vela_cluster::Topology;
 
     fn setup() -> (Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let workers: Vec<DeviceId> = (1..4).map(DeviceId).collect();
-        let (hub, ports) = tcp_star(ledger.clone(), DeviceId(0), &workers).unwrap();
+        let (hub, ports) = tcp_star(ledger.clone(), DeviceId(0), &workers, None).unwrap();
         (ledger, hub, ports)
     }
 
@@ -665,10 +658,12 @@ mod tests {
             hub.shutdown();
         };
         let chan_ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, ports) = super::super::star(chan_ledger.clone(), DeviceId(0), &workers);
+        let channel = TransportConfig::channel();
+        let (hub, ports) =
+            build_star(channel, chan_ledger.clone(), DeviceId(0), &workers, None).unwrap();
         drive(hub, ports);
         let tcp_ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, ports) = tcp_star(tcp_ledger.clone(), DeviceId(0), &workers).unwrap();
+        let (hub, ports) = tcp_star(tcp_ledger.clone(), DeviceId(0), &workers, None).unwrap();
         drive(hub, ports);
         let (c, t) = (chan_ledger.peek(), tcp_ledger.peek());
         assert_eq!(c.internal_bytes, t.internal_bytes);
@@ -741,7 +736,7 @@ mod tests {
         // The hub's send only enqueues; a port that reads nothing for a
         // while must not stall the master (up to the queue bound).
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (mut hub, mut ports) = tcp_star(ledger, DeviceId(0), &[DeviceId(1)]).unwrap();
+        let (mut hub, mut ports) = tcp_star(ledger, DeviceId(0), &[DeviceId(1)], None).unwrap();
         for step in 0..40 {
             hub.send(0, &Message::StepBegin { step }).unwrap();
         }

@@ -120,28 +120,6 @@ pub struct VirtualBody {
 pub type VirtualEngine = Session<VirtualBody>;
 
 impl VirtualEngine {
-    /// Launches echo workers over the transport selected by
-    /// `VELA_TRANSPORT` and prepares a session. See
-    /// [`launch_with`](Self::launch_with).
-    pub fn launch(
-        topology: Topology,
-        master: DeviceId,
-        worker_devices: Vec<DeviceId>,
-        placement: impl Into<ReplicatedPlacement>,
-        profile: LocalityProfile,
-        scale: ScaleConfig,
-    ) -> Self {
-        Self::launch_with(
-            TransportConfig::from_env(),
-            topology,
-            master,
-            worker_devices,
-            placement,
-            profile,
-            scale,
-        )
-    }
-
     /// Launches echo workers over `transport` and prepares a session.
     /// Virtual workers carry no expert state, so process mode ships a
     /// template-free bootstrap and there is nothing to move in or out.
@@ -306,12 +284,13 @@ mod tests {
         }
     }
 
-    fn launch(
+    fn launched(
         placement: impl Into<ReplicatedPlacement>,
         profile: LocalityProfile,
         scale: ScaleConfig,
     ) -> VirtualEngine {
-        VirtualEngine::launch(
+        VirtualEngine::launch_with(
+            TransportConfig::from_env(),
             Topology::paper_testbed(),
             DeviceId(0),
             (0..6).map(DeviceId).collect(),
@@ -339,7 +318,7 @@ mod tests {
             ..ScaleConfig::paper_default(spec)
         };
         let profile = LocalityProfile::synthetic("p", spec.blocks, spec.experts, 1.0, 1);
-        let mut engine = launch(seq_placement(&spec, 6), profile, scale.clone());
+        let mut engine = launched(seq_placement(&spec, 6), profile, scale.clone());
         let m = engine.step();
         // 1024 tokens × 2 experts × 8 KiB × 2 directions × 2 passes × 4 blocks.
         let expected_total = (scale.tokens() * spec.top_k) as u64 * spec.token_bytes() * 4 * 4;
@@ -378,7 +357,7 @@ mod tests {
             vec![8; 6],
         );
         let run = |placement: Placement| {
-            let mut engine = launch(placement, profile.clone(), scale.clone());
+            let mut engine = launched(placement, profile.clone(), scale.clone());
             let steps = engine.run(5);
             engine.shutdown();
             crate::metrics::RunSummary::from_steps(&steps).avg_external_per_node
@@ -397,7 +376,7 @@ mod tests {
             ..ScaleConfig::paper_default(spec)
         };
         let profile = LocalityProfile::synthetic("p", spec.blocks, spec.experts, 1.2, 2);
-        let mut engine = launch(seq_placement(&spec, 6), profile, scale);
+        let mut engine = launched(seq_placement(&spec, 6), profile, scale);
         let bytes: Vec<u64> = engine
             .run(3)
             .iter()
@@ -431,7 +410,7 @@ mod tests {
         );
         let base = Strategy::Vela.place(&problem);
 
-        let mut single = launch(base.clone(), profile.clone(), scale.clone());
+        let mut single = launched(base.clone(), profile.clone(), scale.clone());
         let single_steps = single.run(4);
         let single_straggler = single.straggler_index();
         single.shutdown();
@@ -440,7 +419,7 @@ mod tests {
 
         let replicated = replicate_by_cost(&base, &problem, 1.0);
         assert!(replicated.total_replicas() > base.blocks() * base.experts());
-        let mut engine = launch(replicated, profile, scale);
+        let mut engine = launched(replicated, profile, scale);
         let steps = engine.run(4);
         let straggler = engine.straggler_index();
         engine.shutdown();
@@ -529,7 +508,7 @@ mod tests {
         };
         let profile = LocalityProfile::synthetic("p", spec.blocks, spec.experts, 1.0, 4);
         let before = profile.mean_concentration();
-        let mut engine = launch(seq_placement(&spec, 6), profile, scale);
+        let mut engine = launched(seq_placement(&spec, 6), profile, scale);
         engine.run(10);
         let after = engine.profile().mean_concentration();
         assert!(after > before, "{before} -> {after}");

@@ -656,7 +656,7 @@ fn serve_packed(shard: &mut LocalExpertStore, group: PackedGroup) -> PackedReply
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::star;
+    use crate::transport::{build_star, TransportConfig};
     use std::sync::Arc;
     use vela_cluster::{DeviceId, Topology, TrafficLedger};
     use vela_model::provider::ExpertBatch;
@@ -678,7 +678,14 @@ mod tests {
     fn spawn_one() -> (crate::transport::MasterHub, ExpertManager, ModelConfig) {
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (mut hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(2)]);
+        let (mut hub, mut ports) = build_star(
+            TransportConfig::channel(),
+            ledger,
+            DeviceId(0),
+            &[DeviceId(2)],
+            None,
+        )
+        .unwrap();
         let shard = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
         let manager = ExpertManager::spawn(ports.remove(0), shard);
         hub.send(0, &bootstrap(None)).unwrap();
@@ -839,7 +846,14 @@ mod tests {
         frames: &[Message],
     ) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (mut hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(2)]);
+        let (mut hub, mut ports) = build_star(
+            TransportConfig::channel(),
+            ledger,
+            DeviceId(0),
+            &[DeviceId(2)],
+            None,
+        )
+        .unwrap();
         let held = shard.present_count();
         let manager = ExpertManager::spawn(ports.remove(0), shard);
         hub.send(0, &bootstrap(template)).unwrap();
@@ -1085,7 +1099,14 @@ mod tests {
         // Between the two stays A's optimizer must hold nothing for it.
         let cfg = ModelConfig::test_small();
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (mut hub, ports) = star(ledger, DeviceId(0), &[DeviceId(1), DeviceId(2)]);
+        let (mut hub, ports) = build_star(
+            TransportConfig::channel(),
+            ledger,
+            DeviceId(0),
+            &[DeviceId(1), DeviceId(2)],
+            None,
+        )
+        .unwrap();
         let mut full = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
         let template = ExpertTemplate::from_expert(full.expert_mut(0, 0));
         let mut names = Vec::new();
@@ -1186,7 +1207,14 @@ mod tests {
         });
         for first in [Message::StepBegin { step: 0 }, other_shape] {
             let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-            let (mut hub, mut ports) = star(ledger, DeviceId(0), &[DeviceId(2)]);
+            let (mut hub, mut ports) = build_star(
+                TransportConfig::channel(),
+                ledger,
+                DeviceId(0),
+                &[DeviceId(2)],
+                None,
+            )
+            .unwrap();
             let shard = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
             let manager = ExpertManager::spawn(ports.remove(0), shard);
             hub.send(0, &first).unwrap();

@@ -5,7 +5,7 @@ use vela_cluster::{DeviceId, Topology};
 use vela_locality::LocalityProfile;
 use vela_model::MoeSpec;
 use vela_placement::Placement;
-use vela_runtime::{EpEngine, RunSummary, ScaleConfig, VirtualEngine};
+use vela_runtime::{EpEngine, RunSummary, ScaleConfig, TransportConfig, VirtualEngine};
 
 fn spec() -> MoeSpec {
     MoeSpec {
@@ -39,7 +39,8 @@ fn seq_placement(spec: &MoeSpec) -> Placement {
 fn run_virtual(steps: usize) -> RunSummary {
     let spec = spec();
     let profile = LocalityProfile::synthetic("d", spec.blocks, spec.experts, 1.0, 3);
-    let mut engine = VirtualEngine::launch(
+    let mut engine = VirtualEngine::launch_with(
+        TransportConfig::from_env(),
         Topology::paper_testbed(),
         DeviceId(0),
         (0..6).map(DeviceId).collect(),
@@ -64,7 +65,8 @@ fn virtual_traffic_scales_linearly_with_workload() {
     let spec = spec();
     let profile = LocalityProfile::synthetic("d", spec.blocks, spec.experts, 1.0, 3);
     let run = |seq: usize| {
-        let mut engine = VirtualEngine::launch(
+        let mut engine = VirtualEngine::launch_with(
+            TransportConfig::from_env(),
             Topology::paper_testbed(),
             DeviceId(0),
             (0..6).map(DeviceId).collect(),
@@ -98,7 +100,8 @@ fn ep_and_virtual_account_the_same_token_volume() {
     // within a factor ~2 of each other (EP adds the all-reduce ring).
     let spec = spec();
     let profile = LocalityProfile::synthetic("u", spec.blocks, spec.experts, 0.1, 7);
-    let mut engine = VirtualEngine::launch(
+    let mut engine = VirtualEngine::launch_with(
+        TransportConfig::from_env(),
         Topology::paper_testbed(),
         DeviceId(0),
         (0..6).map(DeviceId).collect(),
@@ -145,7 +148,8 @@ fn hot_placement_on_master_cuts_traffic() {
                 .collect(),
             6,
         );
-        let mut engine = VirtualEngine::launch(
+        let mut engine = VirtualEngine::launch_with(
+            TransportConfig::from_env(),
             Topology::paper_testbed(),
             DeviceId(0),
             (0..6).map(DeviceId).collect(),

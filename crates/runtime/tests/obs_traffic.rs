@@ -9,7 +9,7 @@ use vela_locality::LocalityProfile;
 use vela_model::MoeSpec;
 use vela_placement::Placement;
 use vela_runtime::virtual_engine::ScaleConfig;
-use vela_runtime::VirtualEngine;
+use vela_runtime::{TransportConfig, VirtualEngine};
 
 #[test]
 fn obs_link_counters_match_step_traffic_exactly() {
@@ -39,7 +39,8 @@ fn obs_link_counters_match_step_traffic_exactly() {
             .collect(),
         6,
     );
-    let mut engine = VirtualEngine::launch(
+    let mut engine = VirtualEngine::launch_with(
+        TransportConfig::from_env(),
         topology.clone(),
         DeviceId(0),
         (0..6).map(DeviceId).collect(),

@@ -10,7 +10,7 @@
 //! `B` is packed once per call, unless the caller already holds its panels:
 //! a [`Tensor`](crate::Tensor) marked to keep them (a frozen weight) packs
 //! its `Nn` panels on its first product and hands them to every later one
-//! ([`NnPanels`], [`gemm_kept`]) until it is written to.
+//! (`NnPanels`, `gemm_kept`) until it is written to.
 //!
 //! `A` is read in place, through [`MR`] row cursors (`ATile`): `Nn`/`Nt` row
 //! `i` at `a[i * k + p]`, `Tn` row `i` at `a[p * r + i]`. A short row tile
@@ -28,7 +28,7 @@
 //!
 //! The panel width `nr` is [`NR`] (8) or `NR_WIDE` (32), a value threaded
 //! from [`gemm`] through `pack_b`, `RowJob` and `gemm_rows` (and kept in
-//! [`NnPanels`] beside panels packed ahead), not a constant:
+//! `NnPanels` beside panels packed ahead), not a constant:
 //! 32 when the CPU has AVX-512F and the product has at least 32 columns,
 //! otherwise 8. One width cannot serve both kinds of product a fine-tuning
 //! step is made of. The expert FFN's projections are 64 to 1024 columns wide

@@ -1,6 +1,6 @@
 //! Thread-local scratch-buffer pool backing the zero-allocation hot path.
 //!
-//! Every [`Tensor`](crate::Tensor) returns its backing `Vec<f32>` here when
+//! Every [`Tensor`] returns its backing `Vec<f32>` here when
 //! dropped, and every tensor-producing op draws its buffer from here first,
 //! so a steady-state training step recycles the same handful of buffers
 //! instead of hitting the system allocator. Layers that want explicit
@@ -17,10 +17,11 @@
 //!   initialized* values (leftovers from a previous use). Callers must
 //!   overwrite every element before reading. There is no `unsafe` here: the
 //!   pool never exposes uninitialized memory, it only skips the zero-fill.
-//! - The pool holds at most [`MAX_POOLED_BUFFERS`] buffers and at most
-//!   [`MAX_POOLED_FLOATS`] elements of capacity per buffer; anything larger
-//!   is released to the allocator on drop, so pathological peaks don't pin
-//!   memory forever.
+//! - The pool holds at most [`MAX_POOLED_BYTES`] of capacity in total and
+//!   at most [`MAX_POOLED_BUFFERS`] buffers; a buffer that would take it
+//!   over either is released to the allocator on drop, so what a pool pins
+//!   is bounded in bytes whatever sizes a step returns, and pathological
+//!   peaks don't pin memory forever.
 
 use std::cell::RefCell;
 
@@ -34,16 +35,27 @@ static WS_HIT: LazyCounter = LazyCounter::new("tensor.workspace.hit");
 static WS_MISS: LazyCounter = LazyCounter::new("tensor.workspace.miss");
 static WS_RECYCLED: LazyCounter = LazyCounter::new("tensor.workspace.recycled");
 
-/// Maximum buffers held per thread-local pool.
-pub const MAX_POOLED_BUFFERS: usize = 64;
+/// Maximum bytes of buffer capacity one pool holds (16 MiB).
+///
+/// Measured on the `ffn-heavy` benchmark shape (dim 64, two blocks of eight
+/// 1024-wide experts, top-4, batch 2 × 64 tokens), fine-tuning on one
+/// thread: with no byte bound, a steady-state step ends with 9.6–15.1 MiB
+/// pooled in 63 buffers; 16 MiB holds that, and a smaller whole-MiB budget
+/// makes those steps allocate more.
+pub const MAX_POOLED_BYTES: usize = 16 << 20;
 
-/// Maximum capacity (in `f32` elements) of a single pooled buffer; larger
-/// buffers are freed on drop instead of pooled (16M floats = 64 MiB).
-pub const MAX_POOLED_FLOATS: usize = 16 << 20;
+/// Maximum buffers one pool holds. Besides bounding the best-fit scan, it
+/// bounds a pool that more buffers enter than leave, as the master's does
+/// in a frame-bound run: with bytes as the only bound, `wire-heavy`'s
+/// master pool filled to [`MAX_POOLED_BYTES`] with thousands of small
+/// buffers.
+pub const MAX_POOLED_BUFFERS: usize = 64;
 
 #[derive(Default)]
 struct Pool {
     bufs: Vec<Vec<f32>>,
+    /// Total capacity (elements) of `bufs`.
+    floats: usize,
     hits: u64,
     misses: u64,
     recycled: u64,
@@ -81,6 +93,7 @@ impl Pool {
                     self.misses += 1;
                     WS_MISS.add(1);
                 }
+                self.floats -= cap;
                 self.bufs.swap_remove(i)
             }
             None => {
@@ -92,14 +105,17 @@ impl Pool {
     }
 
     fn recycle(&mut self, buf: Vec<f32>) {
-        if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_FLOATS {
+        let floats = self.floats + buf.capacity();
+        if buf.capacity() == 0
+            || self.bufs.len() == MAX_POOLED_BUFFERS
+            || floats > MAX_POOLED_BYTES / 4
+        {
             return;
         }
-        if self.bufs.len() < MAX_POOLED_BUFFERS {
-            self.recycled += 1;
-            WS_RECYCLED.add(1);
-            self.bufs.push(buf);
-        }
+        self.floats = floats;
+        self.recycled += 1;
+        WS_RECYCLED.add(1);
+        self.bufs.push(buf);
     }
 }
 
@@ -192,7 +208,7 @@ pub fn stats() -> WorkspaceStats {
         let p = p.borrow();
         WorkspaceStats {
             pooled_buffers: p.bufs.len(),
-            pooled_floats: p.bufs.iter().map(|b| b.capacity()).sum(),
+            pooled_floats: p.floats,
             hits: p.hits,
             misses: p.misses,
             recycled: p.recycled,
@@ -234,7 +250,11 @@ pub fn scoped<R>(ws: &mut Workspace, f: impl FnOnce() -> R) -> R {
 
 /// Frees every buffer parked in the current thread's pool.
 pub fn clear() {
-    let _ = POOL.try_with(|p| p.borrow_mut().bufs.clear());
+    let _ = POOL.try_with(|p| {
+        let mut p = p.borrow_mut();
+        p.bufs.clear();
+        p.floats = 0;
+    });
 }
 
 #[cfg(test)]
@@ -295,10 +315,24 @@ mod tests {
     #[test]
     fn oversize_buffers_are_not_pooled() {
         clear();
-        let n = MAX_POOLED_FLOATS + 1;
+        let n = MAX_POOLED_BYTES / 4 + 1;
         let t = Tensor::from_vec(n, vec![0.0; n]);
         drop(t);
         assert_eq!(stats().pooled_buffers, 0);
+    }
+
+    #[test]
+    fn recycling_past_the_budget_keeps_the_pool_within_it() {
+        clear();
+        let mib = (1 << 20) / 4;
+        for _ in 0..MAX_POOLED_BYTES / (1 << 20) + 4 {
+            recycle_vec(Vec::with_capacity(mib + 3));
+            assert!(stats().pooled_floats * 4 <= MAX_POOLED_BYTES);
+        }
+        // The room left is still used by a buffer that fits in it.
+        let full = stats().pooled_buffers;
+        recycle_vec(Vec::with_capacity(16));
+        assert_eq!(stats().pooled_buffers, full + 1);
     }
 
     #[test]

@@ -58,7 +58,8 @@ fn main() {
     println!("placement load per worker: {:?}", placement.load());
 
     // 3. Launch the master-worker runtime and fine-tune.
-    let mut runtime = RealRuntime::launch(
+    let mut runtime = RealRuntime::launch_with(
+        TransportConfig::from_env(),
         dist_model,
         dist_experts,
         placement,

@@ -41,7 +41,8 @@ fn main() {
             .collect(),
         6,
     );
-    let mut rt = RealRuntime::launch(
+    let mut rt = RealRuntime::launch_with(
+        TransportConfig::from_env(),
         model,
         experts,
         naive,

@@ -53,8 +53,15 @@ fn main() {
     );
     let placement = Strategy::Vela.place(&problem);
     println!("experts per worker: {:?}", placement.load());
-    let mut engine =
-        VirtualEngine::launch(topology, DeviceId(0), workers, placement, profile, scale);
+    let mut engine = VirtualEngine::launch_with(
+        TransportConfig::from_env(),
+        topology,
+        DeviceId(0),
+        workers,
+        placement,
+        profile,
+        scale,
+    );
     let vela_summary = RunSummary::from_steps(&engine.run(25));
     engine.shutdown();
 

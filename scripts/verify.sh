@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository verification: tier-1 build+test, formatting, the knob-list
+# Repository verification: tier-1 build+test, formatting, rustdoc without
+# warnings, the knob-list
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
 # VELA_* count, the non-test line count of every crate under crates/ plus
 # their sum, and the data plane's panic sites per file), the release-mode
@@ -68,6 +69,9 @@ echo "    data-plane panic sites: total $panic_total${panic_sites}"
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
+
+echo "==> rustdoc: cargo doc --workspace --no-deps with every warning an error (broken, ambiguous or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo test -q"
 cargo test -q

@@ -813,8 +813,14 @@ fn wire_stats() -> WireStats {
     }
     let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
     let devices: Vec<DeviceId> = (0..WORKERS).map(DeviceId).collect();
-    let (mut hub, ports) = build_star(TransportConfig::channel(), ledger, DeviceId(0), &devices)
-        .expect("channel star");
+    let (mut hub, ports) = build_star(
+        TransportConfig::channel(),
+        ledger,
+        DeviceId(0),
+        &devices,
+        None,
+    )
+    .expect("channel star");
     let workers: Vec<ExpertManager> = ports
         .into_iter()
         .zip(shards)
@@ -847,7 +853,7 @@ fn wire_stats() -> WireStats {
         broker.step_end().expect("step end");
         broker.wait_step_done().expect("step done");
     }
-    let stats = broker.wire_stats();
+    let stats = broker.hub().wire_stats();
     broker.shutdown().expect("worker shutdown");
     workers.into_iter().for_each(|w| drop(w.join().unwrap()));
     stats

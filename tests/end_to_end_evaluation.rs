@@ -79,7 +79,8 @@ fn summaries(profile: &LocalityProfile, spec: &MoeSpec, steps: usize) -> Vec<(St
         Strategy::Vela,
     ] {
         let placement = strategy.place(&problem);
-        let mut engine = VirtualEngine::launch(
+        let mut engine = VirtualEngine::launch_with(
+            TransportConfig::from_env(),
             topology.clone(),
             DeviceId(0),
             workers.clone(),
