@@ -96,14 +96,17 @@ impl SwiGlu {
             Some(t) if t.shape() == gate_pre.shape() => t,
             _ => workspace::take_uninit(*gate_pre.shape()),
         };
-        // One pass over the hidden buffer: the sigmoid, and
+        // The sigmoid (vectorized, bit for bit `ops::sigmoid`), then
         // `inner = silu(gate_pre) ⊙ up_out` with silu(x) = x · sigmoid(x).
+        ops::sigmoid_into(gate_pre.as_slice(), gate_sig.as_mut_slice());
         let mut inner = workspace::take_uninit(*gate_pre.shape());
-        let outs = gate_sig.as_mut_slice().iter_mut().zip(inner.as_mut_slice());
-        let ins = gate_pre.as_slice().iter().zip(up_out.as_slice());
-        for ((sig, y), (&g, &u)) in outs.zip(ins) {
-            *sig = ops::sigmoid(g);
-            *y = (g * *sig) * u;
+        let ins = gate_pre.as_slice().iter().zip(gate_sig.as_slice());
+        for (y, ((&g, &s), &u)) in inner
+            .as_mut_slice()
+            .iter_mut()
+            .zip(ins.zip(up_out.as_slice()))
+        {
+            *y = (g * s) * u;
         }
         let out = self.down.forward(&inner);
         self.cached_gate_pre = Some(gate_pre);

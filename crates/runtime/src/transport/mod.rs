@@ -624,27 +624,36 @@ mod tests {
     #[test]
     fn traffic_is_recorded_per_link() {
         // The same figures on every backend: accounting is the hub's, not
-        // the wire's.
+        // the wire's. An exchange frame, then a grad-sync frame, which the
+        // ledger also counts as sync bytes.
         each_backend(|config, ledger, mut hub, mut ports| {
-            let msg = Message::PackedDispatch(PackedGroup::pack_virtual(
+            let dispatch = Message::PackedDispatch(PackedGroup::pack_virtual(
                 0,
                 GroupPass::Forward,
                 100,
                 std::iter::once((0, 10)),
             ));
-            hub.send(0, &msg).unwrap(); // master → worker on the same device: free
-            hub.send(1, &msg).unwrap(); // same node: internal
-            hub.send(2, &msg).unwrap(); // cross-node: external
-            ports[2].send(&msg).unwrap(); // reply crosses back...
-            hub.recv().unwrap(); // ...accounted when the master receives it
-            let t = ledger.peek();
-            assert_eq!(
-                t.internal_bytes,
-                msg.accounted_bytes(),
-                "{}",
-                config.label()
-            );
-            assert_eq!(t.external_total(), 2 * msg.accounted_bytes());
+            let grads = Message::GradState {
+                block: 0,
+                expert: 0,
+                row: PackedRow {
+                    width: 1000,
+                    data: PackedData::Virtual,
+                },
+            };
+            let mut sent = 0;
+            for msg in [&dispatch, &grads] {
+                hub.send(0, msg).unwrap(); // master → worker on the same device: free
+                hub.send(1, msg).unwrap(); // same node: internal
+                hub.send(2, msg).unwrap(); // cross-node: external
+                ports[2].send(msg).unwrap(); // reply crosses back...
+                hub.recv().unwrap(); // ...accounted when the master receives it
+                sent += msg.accounted_bytes();
+                let t = ledger.peek();
+                assert_eq!(t.internal_bytes, sent, "{}", config.label());
+                assert_eq!(t.external_total(), 2 * sent, "{}", config.label());
+            }
+            assert_eq!(ledger.peek().sync_bytes, 3 * grads.accounted_bytes());
         });
     }
 

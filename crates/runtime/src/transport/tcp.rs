@@ -616,8 +616,7 @@ mod tests {
     //! and `tcp-threads` in the suite in `transport/mod.rs`.
 
     use super::*;
-    use crate::message::{Message, PackedData, PackedRow};
-    use crate::transport::{build_star, TransportConfig};
+    use crate::message::Message;
     use vela_cluster::Topology;
 
     fn setup() -> (Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>) {
@@ -636,38 +635,6 @@ mod tests {
         let (idx, msg) = hub.recv().unwrap();
         assert_eq!((idx, msg), (2, Message::StepDone));
         hub.shutdown();
-    }
-
-    #[test]
-    fn ledger_accounts_identically_to_channel() {
-        let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
-        let msg = Message::GradState {
-            block: 0,
-            expert: 0,
-            row: PackedRow {
-                width: 1000,
-                data: PackedData::Virtual,
-            },
-        };
-        let drive = |mut hub: MasterHub, mut ports: Vec<WorkerPort>| {
-            hub.send(0, &msg).unwrap();
-            hub.send(1, &msg).unwrap();
-            hub.send(2, &msg).unwrap();
-            ports[2].send(&msg).unwrap();
-            hub.recv().unwrap();
-            hub.shutdown();
-        };
-        let chan_ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let channel = TransportConfig::channel();
-        let (hub, ports) =
-            build_star(channel, chan_ledger.clone(), DeviceId(0), &workers, None).unwrap();
-        drive(hub, ports);
-        let tcp_ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (hub, ports) = tcp_star(tcp_ledger.clone(), DeviceId(0), &workers, None).unwrap();
-        drive(hub, ports);
-        let (c, t) = (chan_ledger.peek(), tcp_ledger.peek());
-        assert_eq!(c.internal_bytes, t.internal_bytes);
-        assert_eq!(c.external_total(), t.external_total());
     }
 
     #[test]

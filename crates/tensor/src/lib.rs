@@ -27,6 +27,7 @@
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! ```
 
+mod expf;
 pub mod gemm;
 pub mod ops;
 pub mod parallel;

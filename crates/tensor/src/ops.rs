@@ -5,7 +5,9 @@
 //! softmax, log-softmax, top-k selection — together with small reduction
 //! helpers used by layers and the locality toolkit.
 
-use crate::Tensor;
+#[cfg(target_arch = "x86_64")]
+use crate::expf;
+use crate::{workspace, Tensor};
 
 /// Fused `dst[i] += scale * src[i]` over two equal-length slices — the
 /// row-level AXPY behind the MoE weighted combine and gradient folds.
@@ -44,36 +46,50 @@ pub fn scaled_add(dst: &mut [f32], scale: f32, src: &[f32]) {
 /// ```
 pub fn softmax_rows(logits: &Tensor) -> Tensor {
     let (r, c) = logits.shape().as_2d();
-    let mut out = logits.clone();
+    let mut out = workspace::take_uninit((r, c));
     for i in 0..r {
-        let row = out.row_mut(i);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
+        let (src, row) = (logits.row(i), out.row_mut(i));
+        let max = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        exp_shifted_into(src, max, row);
+        let sum = row.iter().sum::<f32>();
         for x in row.iter_mut() {
             *x /= sum;
         }
     }
-    debug_assert_eq!(out.shape().as_2d(), (r, c));
     out
 }
 
 /// Numerically stable row-wise log-softmax.
 pub fn log_softmax_rows(logits: &Tensor) -> Tensor {
-    let (r, _) = logits.shape().as_2d();
+    let (r, c) = logits.shape().as_2d();
     let mut out = logits.clone();
+    let mut exps = workspace::take_uninit(c);
     for i in 0..r {
         let row = out.row_mut(i);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let log_sum = row.iter().map(|x| (x - max).exp()).sum::<f32>().ln() + max;
+        exp_shifted_into(row, max, exps.as_mut_slice());
+        let log_sum = exps.as_slice().iter().sum::<f32>().ln() + max;
         for x in row.iter_mut() {
             *x -= log_sum;
         }
     }
     out
+}
+
+/// `dst[i] = (src[i] − shift).exp()`, bit for bit, on sixteen lanes at a
+/// time where the CPU has AVX-512F. A softmax passes its row's maximum, so
+/// every argument is `≤ 0` or NaN, but any `shift` gives the scalar bits.
+pub(crate) fn exp_shifted_into(src: &[f32], shift: f32, dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "exp_shifted_into length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: the CPU just reported AVX-512F.
+        unsafe { expf::exp_shifted_avx512(src, shift, dst) };
+        return;
+    }
+    for (y, &x) in dst.iter_mut().zip(src) {
+        *y = (x - shift).exp();
+    }
 }
 
 /// Backward pass of row-wise softmax: given the softmax output `probs` and
@@ -168,6 +184,26 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
+/// `dst[i] = sigmoid(src[i])`, bit for bit. Where the CPU has AVX-512F
+/// (detected per call, as [`gemm`](crate::gemm) does; no knob) sixteen
+/// lanes at a time, through a vector `exp` that reproduces the host libm's
+/// `expf` on every input; elsewhere [`sigmoid`] per element.
+///
+/// # Panics
+/// Panics if the slice lengths differ.
+pub fn sigmoid_into(src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "sigmoid_into length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: the CPU just reported AVX-512F.
+        unsafe { expf::sigmoid_avx512(src, dst) };
+        return;
+    }
+    for (y, &x) in dst.iter_mut().zip(src) {
+        *y = sigmoid(x);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +219,53 @@ mod tests {
             let sum: f32 = s.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
             assert!(s.row(i).iter().all(|&p| p > 0.0));
+        }
+    }
+
+    /// Both softmaxes as they were before their exps were vectorized: the
+    /// reference they are pinned against, bit for bit.
+    fn reference_softmaxes(t: &Tensor) -> (Vec<u32>, Vec<u32>) {
+        let (mut soft, mut log) = (Vec::new(), Vec::new());
+        for i in 0..t.rows() {
+            let row = t.row(i);
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0;
+            let exps: Vec<f32> = row
+                .iter()
+                .map(|x| {
+                    let e = (x - max).exp();
+                    sum += e;
+                    e
+                })
+                .collect();
+            soft.extend(exps.iter().map(|e| (e / sum).to_bits()));
+            let log_sum = row.iter().map(|x| (x - max).exp()).sum::<f32>().ln() + max;
+            log.extend(row.iter().map(|x| (x - log_sum).to_bits()));
+        }
+        (soft, log)
+    }
+
+    #[test]
+    fn softmaxes_are_bitwise_the_scalar_formulas() {
+        let bits = |t: Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let mut rng = DetRng::new(14);
+        // Widths around the 16-lane chunks; a causal mask's −∞ in some rows.
+        for cols in [1, 15, 16, 17, 64, 100] {
+            let mut t = Tensor::uniform((6, cols), -30.0, 30.0, &mut rng);
+            for i in 0..6 {
+                for x in &mut t.row_mut(i)[(i + 1).min(cols)..] {
+                    if i % 2 == 0 {
+                        *x = f32::NEG_INFINITY;
+                    }
+                }
+            }
+            let (soft, log) = reference_softmaxes(&t);
+            assert_eq!(bits(softmax_rows(&t)), soft, "softmax, {cols} columns");
+            assert_eq!(
+                bits(log_softmax_rows(&t)),
+                log,
+                "log-softmax, {cols} columns"
+            );
         }
     }
 

@@ -4,7 +4,8 @@
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
 # VELA_* count, the non-test line count of every crate under crates/ plus
 # their sum, and the data plane's panic sites per file), the release-mode
-# gates (simplex pivot path, routing table, the contract harness), fig5,
+# gates (simplex pivot path, routing table, the vector sigmoid/exp on all
+# 2^32 inputs, the contract harness), fig5,
 # fig6, fig3, fig7 and theorem1 regenerated from an empty pretraining
 # cache, the four synthetic-profile ablations, the drift ablation and the solver ablation (LP solves only;
 # the solver's timings go to stderr), all diffed against results/, the
@@ -81,6 +82,9 @@ cargo test --release -q -p vela-placement
 
 echo "==> routing table exactness (release): CategoricalTable vs categorical on all 2^24 draws of each edge weight vector (interior/leading zero, scan fall-through, subnormal redraw, Zipf row)"
 cargo test --release -q -p vela-tensor --lib rng::tests::categorical_table
+
+echo "==> activation exactness (release): the vector sigmoid and softmax exp vs the scalar formulas (host libm expf) on all 2^32 inputs, NaN bits included"
+cargo test --release -q -p vela-tensor -- --ignored
 
 # The release seed budget is the harness's own constant, not an option.
 contract_seeds=$(sed -n 's/^const SEEDS: u64 = .* else { \([0-9]*\) };$/\1/p' tests/contract.rs)
