@@ -528,12 +528,15 @@ fn emit_json(threads: usize, rows: &[Row]) -> String {
     json
 }
 
+/// One reference kernel row: `(name, serial_secs, allocs_per_iter)`.
+type ReferenceRow = (String, f64, u64);
+
 /// Reads a `BENCH_kernels.json` reference: the `simd` level it was
 /// recorded at (`portable` for files that predate the field) and
 /// `(name, serial_secs, allocs_per_iter)` per kernel row. A file that is
 /// not JSON, has no kernel rows, or has a row lacking one of the three
 /// fields is an error, so no row silently leaves the gate.
-fn parse_reference(text: &str) -> Result<(String, Vec<(String, f64, u64)>), String> {
+fn parse_reference(text: &str) -> Result<(String, Vec<ReferenceRow>), String> {
     let json = parse_json(text)?;
     let simd = match json.get("simd") {
         None => "portable",

@@ -402,7 +402,7 @@ fn summarize(events: &[Record], top: usize) {
         println!("{:<32} {:>12} {:>7}", "span", "self (ms)", "share");
         let total_self: u64 = stats.values().map(|s| s.self_us).sum();
         let mut by_self: Vec<(&str, &SpanStat)> = stats.iter().map(|(n, s)| (*n, s)).collect();
-        by_self.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us));
+        by_self.sort_by_key(|&(_, s)| std::cmp::Reverse(s.self_us));
         for (name, s) in by_self.iter().take(top) {
             println!(
                 "{:<32} {:>12.3} {:>6.1}%",

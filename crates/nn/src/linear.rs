@@ -222,7 +222,7 @@ mod tests {
         layer.visit_params(&mut |p| {
             if p.name().ends_with("lora_b") {
                 let mut r = DetRng::new(99);
-                p.value = Tensor::uniform(p.value.shape().clone(), -0.5, 0.5, &mut r);
+                p.value = Tensor::uniform(*p.value.shape(), -0.5, 0.5, &mut r);
             }
         });
         let x = Tensor::uniform((5, 4), -1.0, 1.0, &mut rng);
@@ -258,7 +258,7 @@ mod tests {
         layer.visit_params(&mut |p| {
             if p.name().ends_with("lora_b") {
                 let mut r = DetRng::new(7);
-                p.value = Tensor::uniform(p.value.shape().clone(), -0.5, 0.5, &mut r);
+                p.value = Tensor::uniform(*p.value.shape(), -0.5, 0.5, &mut r);
             }
         });
         let x = Tensor::uniform((3, 4), -1.0, 1.0, &mut rng);

@@ -34,7 +34,7 @@ fn no_grad() -> Tensor {
 impl Param {
     /// Creates a trainable parameter initialized to `value`.
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape().clone());
+        let grad = Tensor::zeros(*value.shape());
         Param {
             name: name.into(),
             value,

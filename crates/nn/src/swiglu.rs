@@ -344,7 +344,7 @@ mod tests {
         let mut r = DetRng::new(55);
         ffn.visit_params(&mut |p| {
             if p.name().ends_with("lora_b") {
-                p.value = Tensor::uniform(p.value.shape().clone(), -0.3, 0.3, &mut r);
+                p.value = Tensor::uniform(*p.value.shape(), -0.3, 0.3, &mut r);
             }
         });
         let x = Tensor::uniform((2, 4), -1.0, 1.0, &mut rng);

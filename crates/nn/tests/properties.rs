@@ -161,7 +161,7 @@ fn lora_merge_exact() {
         layer.visit_params(&mut |p| {
             if p.name().contains("lora") {
                 let mut r = DetRng::new(seed ^ 0xAB);
-                p.value = Tensor::uniform(p.value.shape().clone(), -0.5, 0.5, &mut r);
+                p.value = Tensor::uniform(*p.value.shape(), -0.5, 0.5, &mut r);
             }
         });
         let x = tensor(3, 5, seed ^ 0xCD, 1.0);

@@ -240,9 +240,10 @@ pub fn branch_and_bound(problem: &PlacementProblem, node_limit: usize) -> Branch
                 if fixed.iter().any(|&((b, ex), _)| (b, ex) == (block, expert)) {
                     continue;
                 }
-                let frac = (0..n)
-                    .map(|w| {
-                        let v = x[w][block][expert];
+                let frac = x
+                    .iter()
+                    .map(|per_worker| {
+                        let v = per_worker[block][expert];
                         (v - v.round()).abs()
                     })
                     .fold(0.0f64, f64::max);

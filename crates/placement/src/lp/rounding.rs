@@ -140,10 +140,10 @@ pub fn polish_placement(
 
     for _ in 0..max_passes {
         let mut improved = false;
-        for block in 0..l {
+        for (block, block_times) in times.iter_mut().enumerate() {
             for expert in 0..e {
                 let from = placement.worker_of(block, expert);
-                let current = block_max(&times[block]);
+                let current = block_max(block_times);
 
                 // Single moves.
                 let mut best: Option<(usize, f64)> = None;
@@ -151,7 +151,7 @@ pub fn polish_placement(
                     if to == from || load[to] >= caps[to] {
                         continue;
                     }
-                    let mut t = times[block].clone();
+                    let mut t = block_times.clone();
                     t[from] -= problem.coeff(from, block, expert);
                     t[to] += problem.coeff(to, block, expert);
                     let cand = block_max(&t);
@@ -160,8 +160,8 @@ pub fn polish_placement(
                     }
                 }
                 if let Some((to, _)) = best {
-                    times[block][from] -= problem.coeff(from, block, expert);
-                    times[block][to] += problem.coeff(to, block, expert);
+                    block_times[from] -= problem.coeff(from, block, expert);
+                    block_times[to] += problem.coeff(to, block, expert);
                     load[from] -= 1;
                     load[to] += 1;
                     placement.set_worker(block, expert, to);
@@ -175,13 +175,13 @@ pub fn polish_placement(
                     if ow == from {
                         continue;
                     }
-                    let mut t = times[block].clone();
+                    let mut t = block_times.clone();
                     t[from] -= problem.coeff(from, block, expert);
                     t[from] += problem.coeff(from, block, other);
                     t[ow] -= problem.coeff(ow, block, other);
                     t[ow] += problem.coeff(ow, block, expert);
-                    if block_max(&t) < block_max(&times[block]) - 1e-15 {
-                        times[block] = t;
+                    if block_max(&t) < block_max(block_times) - 1e-15 {
+                        *block_times = t;
                         placement.set_worker(block, expert, ow);
                         placement.set_worker(block, other, from);
                         improved = true;

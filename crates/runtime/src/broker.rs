@@ -916,7 +916,7 @@ mod tests {
             ledger,
             DeviceId(0),
             &[DeviceId(1), DeviceId(2)],
-            None,
+            &[],
         )
         .unwrap();
 
@@ -1057,7 +1057,7 @@ mod tests {
                 ledger,
                 DeviceId(0),
                 &[DeviceId(1), DeviceId(2)],
-                None,
+                &[],
             )
             .unwrap();
             let echo = std::thread::spawn(move || {
@@ -1204,7 +1204,7 @@ mod tests {
             ledger,
             DeviceId(0),
             &[DeviceId(1), DeviceId(2)],
-            None,
+            &[],
         )
         .unwrap();
 
@@ -1428,7 +1428,7 @@ mod tests {
     ) -> (BrokerClient, Vec<ExpertManager>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let devices = [DeviceId(1), DeviceId(2), DeviceId(3)];
-        let (mut hub, ports) = build_star(transport, ledger, DeviceId(0), &devices, None).unwrap();
+        let (mut hub, ports) = build_star(transport, ledger, DeviceId(0), &devices, &[]).unwrap();
         let mut source = LocalExpertStore::new(cfg, &mut DetRng::new(7));
         let template = Some(ExpertTemplate::from_expert(source.expert_mut(0, 0)));
         let mut shards: Vec<LocalExpertStore> = (0..3)
@@ -1678,7 +1678,7 @@ mod tests {
     ) -> (BrokerClient, Vec<JoinHandle<()>>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let devices = [DeviceId(1), DeviceId(2)];
-        let (hub, ports) = build_star(transport, ledger, DeviceId(0), &devices, None).unwrap();
+        let (hub, ports) = build_star(transport, ledger, DeviceId(0), &devices, &[]).unwrap();
         let rogues = ports
             .into_iter()
             .map(|mut port| {

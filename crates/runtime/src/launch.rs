@@ -2,12 +2,17 @@
 //! (`launch_star`), and what process mode needs on top — spawning
 //! `vela_worker` OS processes and wiring them into a TCP star.
 //!
-//! Every star has one worker the master serves on its own thread: the one
-//! on the master's device, else the one with the highest bandwidth to it
-//! (`hosted_worker`), chosen from the topology with no setting. The
-//! others run as threads (`channel`, `tcp-threads`) or as `vela_worker`
-//! children (`tcp`), so process mode spawns one process fewer than there
-//! are workers, and a one-worker star spawns none.
+//! The master serves some workers on its own thread, by one rule with no
+//! setting (`hosted_workers`). On `channel`, a session of echo workers
+//! (no expert template: nothing to compute) hosts them all, so it starts
+//! no thread and a frame costs a function call. Every other session hosts
+//! one: the worker on the master's device, else the one with the highest
+//! bandwidth to it (`hosted_worker`), chosen from the topology. Its others
+//! run as threads (`channel`, `tcp-threads`) or as `vela_worker` children
+//! (`tcp`), so process mode spawns one process fewer than there are
+//! workers, and a one-worker star spawns none. Real-tensor workers have
+//! compute to overlap with the master's, and `tcp-threads` and `tcp` exist
+//! to put frames through sockets.
 //!
 //! Every mode shares every protocol byte, the first one included:
 //! `launch_star` sends each worker the same [`Message::Bootstrap`] on
@@ -21,7 +26,6 @@
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,11 +34,13 @@ use vela_model::LocalExpertStore;
 
 use crate::message::Message;
 use crate::transport::tcp::ACCEPT_DEADLINE;
-use crate::transport::{build_star, MasterHub, TcpStarBuilder, TransportConfig, TransportError};
+use crate::transport::{
+    build_star, MasterHub, ShardBack, TcpStarBuilder, TransportConfig, TransportError,
+};
 use crate::worker::{ExpertManager, WorkerBootstrap};
 
 /// A launched worker: a thread in this process, a child OS process, or
-/// the worker the master's hub serves on the master's thread.
+/// a worker the master's hub serves on the master's thread.
 #[derive(Debug)]
 pub enum WorkerHandle {
     /// In-process Expert Manager thread.
@@ -44,7 +50,7 @@ pub enum WorkerHandle {
     /// Served by the master's hub, which sends its shard (or why it never
     /// booted) here when the worker stops, at the latest when the hub
     /// shuts down.
-    Hosted(Receiver<Result<LocalExpertStore, TransportError>>),
+    Hosted(ShardBack),
 }
 
 impl WorkerHandle {
@@ -169,26 +175,27 @@ fn spawn_worker_processes(
     Ok(children)
 }
 
-/// `(index, device)` of every worker but `hosted`: the ones with a link.
-fn linked(workers: &[DeviceId], hosted: usize) -> Vec<(usize, DeviceId)> {
+/// `(index, device)` of every worker not in `hosted`: the ones with a link.
+fn linked(workers: &[DeviceId], hosted: &[usize]) -> Vec<(usize, DeviceId)> {
     workers
         .iter()
         .copied()
         .enumerate()
-        .filter(|&(index, _)| index != hosted)
+        .filter(|(index, _)| !hosted.contains(index))
         .collect()
 }
 
-/// Builds a process-mode star around worker `hosted`, which the master
-/// serves itself: bind, spawn one `vela_worker` per other worker and
-/// accept them all. Children are killed if the star cannot be assembled.
+/// Builds a process-mode star around the workers in `hosted`, which the
+/// master serves itself: bind, spawn one `vela_worker` per other worker
+/// and accept them all. Children are killed if the star cannot be
+/// assembled.
 fn launch_process_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
-    hosted: usize,
+    hosted: &[usize],
 ) -> Result<(MasterHub, Vec<Child>), TransportError> {
-    let builder = TcpStarBuilder::bind(ledger, master, workers)?.hosting(Some(hosted));
+    let builder = TcpStarBuilder::bind(ledger, master, workers)?.hosting(hosted);
     let mut children = spawn_worker_processes(builder.addr(), &linked(workers, hosted))?;
     match builder.accept_workers(ACCEPT_DEADLINE) {
         Ok(hub) => Ok((hub, children)),
@@ -205,9 +212,10 @@ fn kill(child: &mut Child) {
     let _ = child.wait();
 }
 
-/// The worker the master serves on its own thread: the one on the
-/// master's device if there is one, else the one with the highest
-/// bandwidth to it, the lowest index on ties.
+/// The one worker the master serves on its own thread when it does not
+/// serve them all (see [`hosted_workers`]): the one on the master's device
+/// if there is one, else the one with the highest bandwidth to it, the
+/// lowest index on ties.
 pub(crate) fn hosted_worker(topology: &Topology, master: DeviceId, workers: &[DeviceId]) -> usize {
     if let Some(index) = workers.iter().position(|&device| device == master) {
         return index;
@@ -222,15 +230,33 @@ pub(crate) fn hosted_worker(topology: &Topology, master: DeviceId, workers: &[De
     })
 }
 
+/// The workers, in ascending order, that the master serves on its own
+/// thread: all of them on `channel` when `bootstrap` carries no expert
+/// template (echo workers: nothing to compute, so a thread would add only
+/// its wake-ups), else the one [`hosted_worker`].
+fn hosted_workers(
+    transport: TransportConfig,
+    topology: &Topology,
+    master: DeviceId,
+    workers: &[DeviceId],
+    bootstrap: &WorkerBootstrap,
+) -> Vec<usize> {
+    if transport == TransportConfig::channel() && bootstrap.template.is_none() {
+        (0..workers.len()).collect()
+    } else {
+        vec![hosted_worker(topology, master, workers)]
+    }
+}
+
 /// Brings up the star between `master` and `workers` over `transport`,
 /// with one Expert Manager per worker, and sends each the `bootstrap`
 /// frame — the bring-up of every [`Session`](crate::Session). The
-/// [`hosted_worker`] is served on this thread by the returned hub; the
-/// others run behind ports. `shards` gives one store per worker: the
-/// hosted worker and thread workers take theirs by value, while
-/// `vela_worker` children start empty and their stores are dropped, so
-/// whatever a process should hold the mover carries over the wire. The
-/// handles come back in worker order.
+/// [`hosted_workers`] are served on this thread by the returned hub; the
+/// others run behind ports. `shards` gives one store per worker: hosted
+/// workers and thread workers take theirs by value, while `vela_worker`
+/// children start empty and their stores are dropped, so whatever a
+/// process should hold the mover carries over the wire. The handles come
+/// back in worker order.
 pub(crate) fn launch_star(
     transport: TransportConfig,
     ledger: Arc<TrafficLedger>,
@@ -239,23 +265,28 @@ pub(crate) fn launch_star(
     bootstrap: WorkerBootstrap,
     shards: impl FnOnce() -> Vec<LocalExpertStore>,
 ) -> Result<(MasterHub, Vec<WorkerHandle>), TransportError> {
-    let hosted = hosted_worker(ledger.topology(), master, workers);
-    let mut shards = shards();
-    let hosted_shard = shards.remove(hosted);
+    let hosted = hosted_workers(transport, ledger.topology(), master, workers, &bootstrap);
+    let (hosted_shards, linked_shards): (Vec<_>, Vec<_>) = shards()
+        .into_iter()
+        .enumerate()
+        .partition(|(index, _)| hosted.contains(index));
     let (hub, mut handles) = if transport.is_process_mode() {
-        let (hub, children) = launch_process_star(ledger, master, workers, hosted)?;
+        let (hub, children) = launch_process_star(ledger, master, workers, &hosted)?;
         let handles: Vec<WorkerHandle> = children.into_iter().map(WorkerHandle::Process).collect();
         (hub, handles)
     } else {
-        let (hub, ports) = build_star(transport, ledger, master, workers, Some(hosted))?;
-        let threads = ports.into_iter().zip(shards);
+        let (hub, ports) = build_star(transport, ledger, master, workers, &hosted)?;
+        let threads = ports.into_iter().zip(linked_shards);
         let handles = threads
-            .map(|(port, shard)| WorkerHandle::Thread(ExpertManager::spawn(port, shard)))
+            .map(|(port, (_, shard))| WorkerHandle::Thread(ExpertManager::spawn(port, shard)))
             .collect();
         (hub, handles)
     };
-    let (mut hub, shard_back) = hub.host(hosted, hosted_shard);
-    handles.insert(hosted, WorkerHandle::Hosted(shard_back));
+    let (mut hub, shards_back) = hub.host(hosted_shards);
+    // Ascending, so each lands at its index among the linked handles.
+    for (&index, shard_back) in hosted.iter().zip(shards_back) {
+        handles.insert(index, WorkerHandle::Hosted(shard_back));
+    }
     // A thread that never boots ends when the hub drops; a process is
     // killed, like one the star could not seat.
     if let Err(e) = hub.broadcast(&Message::Bootstrap(bootstrap)) {
@@ -272,6 +303,7 @@ pub(crate) fn launch_star(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::ExpertTemplate;
     use vela_nn::optim::AdamWConfig;
 
     /// Launches a star of echo workers (empty `(2, 4)` shards, no
@@ -280,12 +312,21 @@ mod tests {
         transport: TransportConfig,
         workers: &[DeviceId],
     ) -> (MasterHub, Vec<WorkerHandle>) {
+        star(transport, workers, None)
+    }
+
+    /// [`echo_star`] with `template` in the bootstrap.
+    fn star(
+        transport: TransportConfig,
+        workers: &[DeviceId],
+        template: Option<ExpertTemplate>,
+    ) -> (MasterHub, Vec<WorkerHandle>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let bootstrap = WorkerBootstrap {
             blocks: 2,
             experts: 4,
             optim: AdamWConfig::default(),
-            template: None,
+            template,
         };
         let shards = || {
             workers
@@ -343,19 +384,58 @@ mod tests {
     }
 
     #[test]
-    fn every_transport_hosts_one_worker_and_links_the_rest() {
+    fn channel_hosts_every_echo_worker_and_every_other_star_hosts_one() {
         let workers = [DeviceId(2), DeviceId(1), DeviceId(3)];
-        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
-            let (hub, handles) = echo_star(transport, &workers);
-            let kinds: Vec<&str> = handles.iter().map(kind).collect();
-            assert_eq!(
-                kinds,
+        let template = ExpertTemplate {
+            dim: 4,
+            ffn_hidden: 8,
+            lora: None,
+            base_frozen: false,
+        };
+        let table = [
+            (TransportConfig::channel(), None, ["hosted"; 3]),
+            (
+                TransportConfig::channel(),
+                Some(template),
                 ["thread", "hosted", "thread"],
-                "{}",
-                transport.label()
-            );
+            ),
+            (
+                TransportConfig::tcp_threads(),
+                None,
+                ["thread", "hosted", "thread"],
+            ),
+        ];
+        for (transport, template, expected) in table {
+            let (hub, handles) = star(transport, &workers, template);
+            let kinds: Vec<&str> = handles.iter().map(kind).collect();
+            let what = format!("{}, template {:?}", transport.label(), template.is_some());
+            assert_eq!(kinds, expected, "{what}");
             step_and_close(hub, handles);
         }
+    }
+
+    #[test]
+    fn an_all_hosted_hub_with_nothing_queued_is_disconnected_at_once() {
+        // No worker is linked, so no reply can come from anywhere else:
+        // a receive with nothing queued must not block. A hang fails the
+        // deadline below instead of the run.
+        let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
+        let (mut hub, handles) = echo_star(TransportConfig::channel(), &workers);
+        assert!(handles.iter().all(|h| kind(h) == "hosted"));
+        let (done, outcome) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            // The six bootstraps are served on the way to the first answer.
+            let first = hub.recv();
+            let timed = hub.recv_timeout(Duration::from_secs(60));
+            let disconnected = |r: &Result<_, _>| matches!(r, Err(TransportError::Disconnected));
+            let _ = done.send((disconnected(&first), disconnected(&timed)));
+            step_and_close(hub, handles);
+        });
+        let outcome = outcome
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a receive on a hub with no links blocked");
+        assert_eq!(outcome, (true, true), "(recv, recv_timeout)");
+        receiver.join().unwrap();
     }
 
     #[test]
@@ -378,9 +458,10 @@ mod tests {
     #[test]
     fn a_hosted_worker_that_stops_is_a_dead_worker() {
         // A frame it cannot act on, a fetch for an expert it lacks, and
-        // `Shutdown` each stop the worker the master hosts. From then on
-        // a send to it and the receive that reaches it are `Disconnected`,
-        // never a hang, while a linked worker keeps serving.
+        // `Shutdown` each stop a worker the master hosts. From then on a
+        // send to it and the receive that reaches it are `Disconnected`,
+        // never a hang, while every other worker, hosted (all six on
+        // channel) or linked, keeps serving.
         let stops = [
             Message::StepDone,
             Message::FetchTrained {
@@ -389,42 +470,64 @@ mod tests {
             },
             Message::Shutdown,
         ];
-        for transport in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
-            for workers in [&[DeviceId(1)][..], &[DeviceId(1), DeviceId(2)]] {
-                for stop in &stops {
-                    let what = format!(
-                        "{} × {} workers, {stop:?}",
-                        transport.label(),
-                        workers.len()
-                    );
-                    let (mut hub, mut handles) = echo_star(transport, workers);
-                    hub.send(0, stop).unwrap();
-                    let next = hub.recv_timeout(Duration::from_secs(10));
-                    assert!(
-                        matches!(next, Err(TransportError::Disconnected)),
-                        "{what}: {next:?}"
-                    );
-                    let sent = hub.send(0, &Message::StepEnd);
-                    assert!(
-                        matches!(sent, Err(TransportError::Disconnected)),
-                        "{what}: {sent:?}"
-                    );
-                    if workers.len() == 1 {
-                        let again = hub.recv();
-                        assert!(matches!(again, Err(TransportError::Disconnected)), "{what}");
-                    } else {
-                        hub.send(1, &Message::StepEnd).unwrap();
-                        assert_eq!(hub.recv().unwrap(), (1, Message::StepDone), "{what}");
-                        hub.send(1, &Message::Shutdown).unwrap();
+        let one = vec![DeviceId(1)];
+        let two = vec![DeviceId(1), DeviceId(2)];
+        let six: Vec<DeviceId> = (0..6).map(DeviceId).collect();
+        let cases = [
+            (TransportConfig::channel(), &one, 0),
+            (TransportConfig::channel(), &two, 0),
+            (TransportConfig::channel(), &six, 3),
+            (TransportConfig::tcp_threads(), &one, 0),
+            (TransportConfig::tcp_threads(), &two, 0),
+        ];
+        for (transport, workers, stopped) in cases {
+            for stop in &stops {
+                let what = format!(
+                    "{} × {} workers, worker {stopped}, {stop:?}",
+                    transport.label(),
+                    workers.len()
+                );
+                let (mut hub, mut handles) = echo_star(transport, workers);
+                assert_eq!(kind(&handles[stopped]), "hosted", "{what}");
+                hub.send(stopped, stop).unwrap();
+                let next = hub.recv_timeout(Duration::from_secs(10));
+                assert!(
+                    matches!(next, Err(TransportError::Disconnected)),
+                    "{what}: {next:?}"
+                );
+                let sent = hub.send(stopped, &Message::StepEnd);
+                assert!(
+                    matches!(sent, Err(TransportError::Disconnected)),
+                    "{what}: {sent:?}"
+                );
+                let others: Vec<usize> = (0..workers.len()).filter(|&w| w != stopped).collect();
+                if others.is_empty() {
+                    let again = hub.recv();
+                    assert!(matches!(again, Err(TransportError::Disconnected)), "{what}");
+                } else {
+                    for &w in &others {
+                        hub.send(w, &Message::StepEnd).unwrap();
                     }
-                    hub.shutdown();
-                    let shard = handles.remove(0).finish();
-                    assert!(
-                        shard.is_some(),
-                        "{what}: a stopped worker hands its shard back"
-                    );
-                    handles.into_iter().for_each(|h| drop(h.finish()));
+                    let mut done: Vec<usize> = others
+                        .iter()
+                        .map(|_| match hub.recv() {
+                            Ok((w, Message::StepDone)) => w,
+                            other => panic!("{what}: expected StepDone, got {other:?}"),
+                        })
+                        .collect();
+                    done.sort_unstable();
+                    assert_eq!(done, others, "{what}");
+                    for &w in &others {
+                        hub.send(w, &Message::Shutdown).unwrap();
+                    }
                 }
+                hub.shutdown();
+                let shard = handles.remove(stopped).finish();
+                assert!(
+                    shard.is_some(),
+                    "{what}: a stopped worker hands its shard back"
+                );
+                handles.into_iter().for_each(|h| drop(h.finish()));
             }
         }
     }

@@ -686,7 +686,7 @@ const SPAN_BYTES: u64 = 8;
 /// once the chunk's bytes are decoded; their allocation is bounded by the
 /// frame's own length either way.)
 fn chunk_span(offset: u64, total: u64, len: u64) -> Result<(), WireError> {
-    if offset.checked_add(len).map_or(true, |end| end > total) {
+    if offset.checked_add(len).is_none_or(|end| end > total) {
         return Err(WireError::BadLength {
             what: "expert chunk span",
             declared: offset.saturating_add(len),

@@ -10,11 +10,13 @@
 //! size-only rows sampled from a locality profile
 //! ([`VirtualEngine`](crate::VirtualEngine)).
 //!
-//! One of the workers runs on the master's own thread: the session's hub
-//! serves it whenever the master would otherwise wait for a reply (see
-//! the `launch` module). The others are threads or `vela_worker`
-//! processes, which boot empty: a body whose workers hold experts places
-//! copies on them with the broker's one mover.
+//! Some workers run on the master's own thread: the session's hub serves
+//! them whenever the master would otherwise wait for a reply. That is
+//! every worker of a virtual session on `channel`, whose echo workers
+//! compute nothing, and one worker otherwise (see the `launch` module).
+//! The others are threads or `vela_worker` processes, which boot empty: a
+//! body whose workers hold experts places copies on them with the
+//! broker's one mover.
 
 use std::sync::Arc;
 
@@ -53,9 +55,10 @@ pub struct Session<B> {
 }
 
 impl<B> Session<B> {
-    /// Launches the workers over `transport` — one hosted on this thread,
-    /// the others threads or processes — with `optim` and `template` as
-    /// their bootstrap, and wraps `body` around them. The hosted worker and
+    /// Launches the workers over `transport` — hosted on this thread (all
+    /// of them on `channel` without a `template`, else one), the others
+    /// threads or processes — with `optim` and `template` as their
+    /// bootstrap, and wraps `body` around them. Hosted workers and
     /// thread workers take their `shards(&placement)` store by value;
     /// processes boot empty and theirs are dropped.
     ///
@@ -223,7 +226,7 @@ impl<B> Session<B> {
     }
 
     /// Broadcasts `Shutdown`, which the hub's shutdown serves to the
-    /// hosted worker, joins the worker threads (or reaps the processes)
+    /// hosted workers, joins the worker threads (or reaps the processes)
     /// and flushes the trace. Returns the body and the shards the hosted
     /// and thread workers hand back, in worker order.
     pub(crate) fn close(mut self) -> (B, Vec<LocalExpertStore>) {

@@ -12,7 +12,7 @@
 //! receiver, so the master can always keep dispatching while replies
 //! queue in its inbox. No extra threads are needed.
 //!
-//! One such link, `link`, is also how the master reaches the worker it
+//! One such link, `link`, is also how the master reaches each worker it
 //! serves on its own thread (`transport::hosted`), on every transport.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -29,7 +29,7 @@ pub(super) type Inbound = (usize, Result<Vec<u8>, TransportError>);
 /// Master side: one sender per linked worker, one shared inbox.
 #[derive(Debug)]
 struct ChannelHub {
-    /// Indexed by worker; `None` for the worker the master hosts. Emptied
+    /// Indexed by worker; `None` for a worker the master hosts. Emptied
     /// by `shutdown`, which is what closes the downlinks.
     to_workers: Vec<Option<Sender<Vec<u8>>>>,
     inbox: Receiver<Inbound>,
@@ -116,7 +116,7 @@ pub(super) fn link(
 }
 
 /// Builds the mpsc star between `master` and `workers`, accounting all
-/// traffic in `ledger`, with no link for worker `hosted` (see
+/// traffic in `ledger`, with no link for the workers in `hosted` (see
 /// [`build_star`](super::build_star)).
 ///
 /// # Panics
@@ -125,14 +125,14 @@ pub(super) fn channel_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
-    hosted: Option<usize>,
+    hosted: &[usize],
 ) -> (MasterHub, Vec<WorkerPort>) {
     assert!(!workers.is_empty(), "star needs at least one worker");
     let (up_tx, up_rx) = channel();
     let mut to_workers = Vec::with_capacity(workers.len());
     let mut ports = Vec::with_capacity(workers.len());
     for (index, &dev) in workers.iter().enumerate() {
-        if Some(index) == hosted {
+        if hosted.contains(&index) {
             to_workers.push(None);
             continue;
         }

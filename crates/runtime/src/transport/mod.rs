@@ -15,13 +15,14 @@
 //!   and true multi-process runs via the `vela_worker` binary.
 //!
 //! A session's star uses both around one more piece: `hosted`, which
-//! serves the worker nearest the master on the master's own thread, over
-//! a [`channel`] link, beside a backend that links the others
-//! (`MasterHub::host`). Its frames pass through the same
+//! serves a set of workers on the master's own thread, each over its own
+//! [`channel`] link, beside a backend that links the others
+//! (`MasterHub::host`): the worker nearest the master, or on `channel`
+//! every worker of an echo session. Their frames pass through the same
 //! [`MasterHub::send`]/[`MasterHub::recv`] as every other worker's.
-//! [`build_star`] builds every in-process star, with or without that
-//! hosted slot; a process-mode star is assembled by [`TcpStarBuilder`] as
-//! the `vela_worker` children dial in.
+//! [`build_star`] builds every in-process star, with or without hosted
+//! slots; a process-mode star is assembled by [`TcpStarBuilder`] as the
+//! `vela_worker` children dial in.
 //!
 //! **Traffic accounting is transport-independent by construction**: every
 //! accounted byte is recorded by the *master-side* [`MasterHub`] wrapper —
@@ -39,7 +40,6 @@ pub mod tcp;
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,6 +50,7 @@ use vela_obs::LazyCounter;
 use crate::message::{Bucket, FrameKind, Message};
 use crate::wire::WireError;
 
+pub(crate) use hosted::ShardBack;
 pub use tcp::{connect_worker, TcpStarBuilder};
 
 /// A transport-layer failure. Unlike the original mpsc star, which
@@ -468,7 +469,7 @@ impl MasterHub {
                 let t4 = vela_obs::now_us();
                 let rtt = (t4 - t1).saturating_sub(t3.saturating_sub(t2));
                 let offset = ((t2 as i64 - t1 as i64) + (t3 as i64 - t4 as i64)) / 2;
-                if best.map_or(true, |(r, _)| rtt < r) {
+                if best.is_none_or(|(r, _)| rtt < r) {
                     best = Some((rtt, offset));
                 }
             }
@@ -483,23 +484,18 @@ impl MasterHub {
         self.backend.shutdown();
     }
 
-    /// Serves worker `index` on this thread from now on, as an Expert
-    /// Manager booting from `shard`. The backend must have left that
-    /// worker's link out (see [`build_star`]'s `hosted`); frames to and
-    /// from it still pass through [`send`](Self::send) and
-    /// [`recv`](Self::recv) and the codec, so every count this hub keeps is
-    /// the same as over a link. The receiver gets its shard, or why it
-    /// never booted, once it stops.
+    /// Serves each worker `index` of `hosted` on this thread from now on,
+    /// as an Expert Manager booting from its `shard`. The backend must have
+    /// left those workers' links out (see [`build_star`]'s `hosted`);
+    /// frames to and from them still pass through [`send`](Self::send)
+    /// and [`recv`](Self::recv) and the codec, so every count this hub
+    /// keeps is the same as over links. Each receiver, in `hosted`'s order,
+    /// gets its worker's shard, or why it never booted, once it stops.
     pub(crate) fn host(
         self,
-        index: usize,
-        shard: LocalExpertStore,
-    ) -> (
-        MasterHub,
-        Receiver<Result<LocalExpertStore, TransportError>>,
-    ) {
-        let (backend, shard_back) =
-            hosted::HostedHub::new(self.backend, index, self.workers[index], shard);
+        hosted: Vec<(usize, LocalExpertStore)>,
+    ) -> (MasterHub, Vec<ShardBack>) {
+        let (backend, shard_back) = hosted::HostedHub::new(self.backend, &self.workers, hosted);
         let hub = MasterHub {
             backend: Box::new(backend),
             ..self
@@ -548,9 +544,9 @@ impl WorkerPort {
 }
 
 /// Builds the star between `master` and `workers` for an in-process
-/// `config` (`channel` or `tcp-threads`), with no link for worker `hosted`
-/// when it is `Some`: `MasterHub::host` fills that slot, and the other
-/// ports keep their index in `workers`. Process mode has an asymmetric
+/// `config` (`channel` or `tcp-threads`), with no link for the workers in
+/// `hosted`: `MasterHub::host` fills those slots, and the other ports keep
+/// their index in `workers`. Process mode has an asymmetric
 /// construction (the hub accepts, each worker process connects) and goes
 /// through [`TcpStarBuilder`] / [`connect_worker`] instead; asking for it
 /// here is a [`TransportError::Handshake`].
@@ -562,7 +558,7 @@ pub fn build_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
-    hosted: Option<usize>,
+    hosted: &[usize],
 ) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
     match config.backend {
         Backend::Channel => Ok(channel::channel_star(ledger, master, workers, hosted)),
@@ -594,7 +590,7 @@ mod tests {
         for config in [TransportConfig::channel(), TransportConfig::tcp_threads()] {
             let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
             let workers: Vec<DeviceId> = (0..6).map(DeviceId).collect();
-            let (hub, ports) = build_star(config, ledger.clone(), DeviceId(0), &workers, None)
+            let (hub, ports) = build_star(config, ledger.clone(), DeviceId(0), &workers, &[])
                 .unwrap_or_else(|e| panic!("{}: {e}", config.label()));
             case(config, ledger, hub, ports);
         }
@@ -925,7 +921,7 @@ mod tests {
             ledger,
             DeviceId(0),
             &[DeviceId(1), DeviceId(2)],
-            None,
+            &[],
         );
         assert!(
             matches!(built, Err(TransportError::Handshake(_))),

@@ -354,8 +354,8 @@ pub struct TcpStarBuilder {
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: Vec<DeviceId>,
-    /// The worker the master serves itself: it never dials in.
-    hosted: Option<usize>,
+    /// The workers the master serves itself: they never dial in.
+    hosted: Vec<usize>,
 }
 
 impl TcpStarBuilder {
@@ -378,15 +378,15 @@ impl TcpStarBuilder {
             ledger,
             master,
             workers: workers.to_vec(),
-            hosted: None,
+            hosted: Vec::new(),
         })
     }
 
-    /// Leaves worker `hosted` out of the star: it is not accepted, and
-    /// its slot stays empty for [`MasterHub::host`] to fill. The others
-    /// keep their index in the roster.
-    pub(crate) fn hosting(mut self, hosted: Option<usize>) -> Self {
-        self.hosted = hosted;
+    /// Leaves the workers in `hosted` out of the star: they are not
+    /// accepted, and their slots stay empty for [`MasterHub::host`] to
+    /// fill. The others keep their index in the roster.
+    pub(crate) fn hosting(mut self, hosted: &[usize]) -> Self {
+        self.hosted = hosted.to_vec();
         self
     }
 
@@ -403,7 +403,7 @@ impl TcpStarBuilder {
     pub fn accept_workers(self, deadline: Duration) -> Result<MasterHub, TransportError> {
         let until = Instant::now() + deadline;
         let n = self.workers.len();
-        let linked = n - usize::from(self.hosted.is_some());
+        let linked = n - self.hosted.len();
         let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         let mut connected = 0usize;
         self.listener.set_nonblocking(true)?;
@@ -489,7 +489,7 @@ impl TcpStarBuilder {
                 self.workers.len()
             ));
         }
-        if Some(index) == self.hosted {
+        if self.hosted.contains(&index) {
             return Err(format!("worker {index} is served by the master itself"));
         }
         if self.workers[index] != DeviceId(device) {
@@ -582,7 +582,7 @@ fn try_connect(addr: SocketAddr, index: usize, device: DeviceId) -> Result<TcpSt
 /// background thread while each worker port dials in. This is the
 /// hermetic `tcp-threads` mode — every byte crosses a real loopback
 /// socket, but workers stay threads, so tests need no child binaries. No
-/// port dials in for worker `hosted` (see [`build_star`](super::build_star)).
+/// port dials in for the workers in `hosted` (see [`build_star`](super::build_star)).
 ///
 /// # Panics
 /// Panics if `workers` is empty.
@@ -590,7 +590,7 @@ pub(super) fn tcp_star(
     ledger: Arc<TrafficLedger>,
     master: DeviceId,
     workers: &[DeviceId],
-    hosted: Option<usize>,
+    hosted: &[usize],
 ) -> Result<(MasterHub, Vec<WorkerPort>), TransportError> {
     let builder = TcpStarBuilder::bind(ledger, master, workers)?.hosting(hosted);
     let addr = builder.addr();
@@ -599,7 +599,7 @@ pub(super) fn tcp_star(
         .spawn(move || builder.accept_workers(ACCEPT_DEADLINE))?;
     let mut ports = Vec::with_capacity(workers.len());
     for (index, &device) in workers.iter().enumerate() {
-        if Some(index) != hosted {
+        if !hosted.contains(&index) {
             ports.push(connect_worker(addr, index, device)?);
         }
     }
@@ -622,7 +622,7 @@ mod tests {
     fn setup() -> (Arc<TrafficLedger>, MasterHub, Vec<WorkerPort>) {
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
         let workers: Vec<DeviceId> = (1..4).map(DeviceId).collect();
-        let (hub, ports) = tcp_star(ledger.clone(), DeviceId(0), &workers, None).unwrap();
+        let (hub, ports) = tcp_star(ledger.clone(), DeviceId(0), &workers, &[]).unwrap();
         (ledger, hub, ports)
     }
 
@@ -656,7 +656,7 @@ mod tests {
             ledger,
             master: DeviceId(0),
             workers: vec![DeviceId(1)],
-            hosted: None,
+            hosted: Vec::new(),
         };
         let mut hub = builder.accept_workers(Duration::from_secs(10)).unwrap();
         let mut port = dialer.join().unwrap().expect("retry should succeed");
@@ -703,7 +703,7 @@ mod tests {
         // The hub's send only enqueues; a port that reads nothing for a
         // while must not stall the master (up to the queue bound).
         let ledger = Arc::new(TrafficLedger::new(Topology::paper_testbed()));
-        let (mut hub, mut ports) = tcp_star(ledger, DeviceId(0), &[DeviceId(1)], None).unwrap();
+        let (mut hub, mut ports) = tcp_star(ledger, DeviceId(0), &[DeviceId(1)], &[]).unwrap();
         for step in 0..40 {
             hub.send(0, &Message::StepBegin { step }).unwrap();
         }

@@ -8,10 +8,10 @@
 //! Every worker is one `Worker`, driven a frame at a time. A thread
 //! ([`ExpertManager::spawn`], over any [`WorkerPort`]) or a separate OS
 //! process (the `vela_worker` binary) drives it through [`run_worker`];
-//! the worker the master hosts is driven by the master's hub, on the
+//! a worker the master hosts is driven by the master's hub, on the
 //! master's thread, whenever the master would otherwise wait for a reply.
 //! Either way its first frame is an ordinary [`Message::Bootstrap`]
-//! carrying a [`WorkerBootstrap`]; a thread, and the hosted worker on
+//! carrying a [`WorkerBootstrap`]; a thread, and a hosted worker on
 //! every transport, is also handed its shard by value. A master disconnect is a
 //! *clean* exit — the worker flushes its observability buffers and
 //! returns its shard instead of aborting the process.
@@ -683,7 +683,7 @@ mod tests {
             ledger,
             DeviceId(0),
             &[DeviceId(2)],
-            None,
+            &[],
         )
         .unwrap();
         let shard = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
@@ -851,7 +851,7 @@ mod tests {
             ledger,
             DeviceId(0),
             &[DeviceId(2)],
-            None,
+            &[],
         )
         .unwrap();
         let held = shard.present_count();
@@ -1104,7 +1104,7 @@ mod tests {
             ledger,
             DeviceId(0),
             &[DeviceId(1), DeviceId(2)],
-            None,
+            &[],
         )
         .unwrap();
         let mut full = LocalExpertStore::new(&cfg, &mut DetRng::new(5));
@@ -1212,7 +1212,7 @@ mod tests {
                 ledger,
                 DeviceId(0),
                 &[DeviceId(2)],
-                None,
+                &[],
             )
             .unwrap();
             let shard = LocalExpertStore::new(&cfg, &mut DetRng::new(5));

@@ -158,7 +158,9 @@ pub fn topk_rows_into(t: &Tensor, k: usize, indices: &mut Vec<usize>, values: &m
                     continue;
                 }
                 match best {
-                    Some(b) if !(v > row[b]) => {}
+                    // `!(v > row[b])`, spelled out: a NaN on either side
+                    // never displaces the current pick.
+                    Some(b) if v.partial_cmp(&row[b]) != Some(std::cmp::Ordering::Greater) => {}
                     _ => best = Some(j),
                 }
             }

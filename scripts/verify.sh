@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repository verification: tier-1 build+test, formatting, rustdoc without
-# warnings, the knob-list
+# Repository verification: tier-1 build+test, formatting, clippy with
+# every warning an error, rustdoc without warnings, the knob-list
 # check (which also prints, ungated, the sizes a simplicity PR quotes: the
 # VELA_* count, the non-test line count of every crate under crates/ plus
 # their sum, and the data plane's panic sites per file), the release-mode
@@ -11,7 +11,8 @@
 # the solver's timings go to stderr), all diffed against results/, the
 # trace smokes (quickstart under jsonl and under counters, the virtual
 # scale_simulation, a
-# traced tcp run), and the benches (the kernel one emits BENCH_kernels.json
+# traced tcp run), scale_simulation's stdout with every worker hosted
+# (channel) against threads behind sockets (tcp-threads), and the benches (the kernel one emits BENCH_kernels.json
 # in the repo root and its log names the GEMM SIMD level the host dispatched
 # to; the placement-LP one is echoed only). Exchange and migration timing is
 # benchmark/'s job, not this script's.
@@ -34,6 +35,9 @@ done
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> cargo clippy --workspace --all-targets with every warning an error"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> knob list: VELA_* names in README.md == names read in crates/"
 # What the code reads: its env::var("VELA_...") call sites.
@@ -132,6 +136,16 @@ rm -f "$virtual_trace"
 VELA_TRACE=jsonl VELA_TRACE_OUT="$virtual_trace" \
     cargo run --release -p vela --example scale_simulation >/dev/null
 cargo run --release -p vela-bench --bin trace_summary -- --check "$virtual_trace"
+
+echo "==> hosting parity: scale_simulation stdout with every worker served on the master's thread (channel) == with worker threads behind sockets (tcp-threads)"
+for transport in channel tcp-threads; do
+    VELA_TRANSPORT=$transport cargo run --release -q -p vela --example scale_simulation \
+        >"target/scale-simulation-$transport.txt"
+done
+diff -u target/scale-simulation-channel.txt target/scale-simulation-tcp-threads.txt || {
+    echo "FAIL: scale_simulation stdout differs between channel (all workers hosted) and tcp-threads" >&2
+    exit 1
+}
 
 echo "==> multi-process smoke: master + worker processes over TCP loopback"
 cargo run --release -p vela --example tcp_smoke

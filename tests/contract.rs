@@ -818,7 +818,7 @@ fn wire_stats() -> WireStats {
         ledger,
         DeviceId(0),
         &devices,
-        None,
+        &[],
     )
     .expect("channel star");
     let workers: Vec<ExpertManager> = ports
