@@ -96,8 +96,8 @@ impl AccessTracker {
     /// Serializes the per-`(block, expert)` access histogram as JSON —
     /// the `results/expert_access.json` artifact. Raw counts are exact;
     /// frequencies are rounded to six decimals for a stable, diffable
-    /// file. This is the Fig. 3 measurement that drives the replication
-    /// cost model's degree choices (`replicate_by_cost`).
+    /// file. This is the Fig. 3 measurement a caller reads to decide
+    /// which experts to replicate.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"blocks\": {},\n", self.blocks()));

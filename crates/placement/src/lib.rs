@@ -28,5 +28,5 @@ pub mod strategy;
 
 pub use lp::simplex::{LpBuilder, LpSolution, LpStatus};
 pub use problem::{Placement, PlacementProblem};
-pub use replicated::{replicate_by_cost, ReplicatedPlacement};
+pub use replicated::ReplicatedPlacement;
 pub use strategy::Strategy;

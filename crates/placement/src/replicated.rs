@@ -1,26 +1,19 @@
-//! Expert→worker mapping as a *relation*: cost-aware replication.
+//! Expert→worker mapping as a *relation*.
 //!
 //! The paper's LP (§IV-B) assigns each expert to exactly one device, so a
-//! hot expert makes its worker the straggler. Following CRAFT's cost-aware
-//! replication and MoETuner's balanced routing, [`ReplicatedPlacement`]
+//! hot expert makes its worker the straggler. [`ReplicatedPlacement`]
 //! generalises [`Placement`] to a per-`(block, expert)` *replica set*: the
 //! first entry is the **primary** (the seed owner — checkpoints, migration
 //! and bootstrap still root there) and any further entries are extra live
-//! copies the runtime may route token batches to.
+//! copies the runtime may route token batches to. The caller writes the
+//! relation ([`ReplicatedPlacement::add_replica`]); no policy here chooses
+//! degrees.
 //!
 //! Degree 1 everywhere is the identity refactor: a `ReplicatedPlacement`
 //! built [`From`] a `Placement` routes, accounts and trains bit-for-bit
 //! identically to the single-owner code it replaced.
-//!
-//! [`replicate_by_cost`] chooses degrees from the measured access
-//! histogram (the Fig.-3 `P` matrix carried by [`PlacementProblem`]) under
-//! a per-worker memory budget: the hottest experts — the ones whose token
-//! load dominates `max_n E[T_{n,l}]` — gain replicas on the least-loaded
-//! eligible workers until the budget runs out or no expert is hotter than
-//! uniform. Every choice breaks ties on the lowest index so the result is
-//! deterministic for a given problem.
 
-use crate::problem::{Placement, PlacementProblem};
+use crate::problem::Placement;
 
 /// A per-`(block, expert)` replica set over `workers` workers.
 ///
@@ -91,14 +84,6 @@ impl ReplicatedPlacement {
             .unwrap_or(0)
     }
 
-    /// Total replica slots across all workers.
-    pub fn total_replicas(&self) -> usize {
-        self.replicas
-            .iter()
-            .flat_map(|row| row.iter().map(Vec::len))
-            .sum()
-    }
-
     /// `true` iff every `(block, expert)` has exactly one replica — the
     /// configuration that must be bitwise-identical to [`Placement`].
     pub fn is_degree_one(&self) -> bool {
@@ -118,27 +103,6 @@ impl ReplicatedPlacement {
             }
         }
         out
-    }
-
-    /// Replica slots hosted per worker (memory-proxy load).
-    pub fn load(&self) -> Vec<usize> {
-        let mut load = vec![0usize; self.workers];
-        for row in &self.replicas {
-            for reps in row {
-                for &w in reps {
-                    load[w] += 1;
-                }
-            }
-        }
-        load
-    }
-
-    /// `true` iff each worker hosts at most its capacity in replica slots.
-    pub fn respects_capacities(&self, capacities: &[usize]) -> bool {
-        self.load()
-            .iter()
-            .zip(capacities)
-            .all(|(&used, &cap)| used <= cap)
     }
 
     /// Adds `worker` as a replica of `(block, expert)`; no-op if already
@@ -244,106 +208,18 @@ fn check_replicas(l: usize, e: usize, reps: &[usize], workers: usize) {
     );
 }
 
-/// Chooses replica degrees from the access histogram under a per-worker
-/// memory budget.
-///
-/// Greedy, deterministic: repeatedly pick the `(block, expert)` with the
-/// largest *residual* per-replica token share `P_{l,e} / degree` (ties →
-/// lowest `(block, expert)`), and add one replica on the eligible worker —
-/// not already a replica, budget left — with the smallest
-/// `(replica load, comm coeff, index)`. Stops when the per-worker budgets
-/// (`floor(frac · capacity)` extra slots each) are exhausted or no
-/// remaining candidate's residual share exceeds the uniform share `1/E`
-/// (replicating a colder-than-uniform expert cannot reduce the straggler
-/// term).
-pub fn replicate_by_cost(
-    base: &Placement,
-    problem: &PlacementProblem,
-    budget_frac: f64,
-) -> ReplicatedPlacement {
-    assert!(budget_frac > 0.0, "budget fraction must be positive");
-    let mut placement = ReplicatedPlacement::from(base);
-    let (blocks, experts, workers) = (base.blocks(), base.experts(), base.workers());
-    assert_eq!(
-        problem.probs().len(),
-        blocks,
-        "problem/placement block mismatch"
-    );
-    let caps = problem.capacities();
-    let mut extra_left: Vec<usize> = caps
-        .iter()
-        .map(|&c| (budget_frac * c as f64).floor() as usize)
-        .collect();
-    let mut load = placement.load();
-    let uniform = 1.0 / experts.max(1) as f64;
-
-    loop {
-        // Hottest residual share first; deterministic lowest-index ties.
-        let mut best: Option<(f64, usize, usize)> = None;
-        for l in 0..blocks {
-            for e in 0..experts {
-                let share = problem.probs()[l][e] / placement.degree(l, e) as f64;
-                if share <= uniform {
-                    continue;
-                }
-                let beats = match best {
-                    None => true,
-                    Some((s, bl, be)) => share > s || (share == s && (l, e) < (bl, be)),
-                };
-                if beats {
-                    best = Some((share, l, e));
-                }
-            }
-        }
-        let Some((_, l, e)) = best else { break };
-        // Cheapest eligible host: least replica load, then cheapest link,
-        // then lowest index.
-        let current = placement.replicas_of(l, e);
-        let target = (0..workers)
-            .filter(|&w| extra_left[w] > 0 && !current.contains(&w))
-            .min_by(|&a, &b| {
-                let ka = (load[a], problem.coeff(a, l, e), a);
-                let kb = (load[b], problem.coeff(b, l, e), b);
-                ka.partial_cmp(&kb).expect("no NaN coefficients")
-            });
-        let Some(w) = target else {
-            // No host has budget for this expert; try the next-hottest by
-            // pretending this one is saturated. Simplest deterministic way:
-            // stop replicating entirely — remaining candidates are colder
-            // and would land on the same exhausted workers.
-            break;
-        };
-        placement.add_replica(l, e, w);
-        extra_left[w] -= 1;
-        load[w] += 1;
-    }
-    placement
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vela_cluster::{DeviceId, Topology};
 
-    fn base_and_problem() -> (Placement, PlacementProblem) {
-        // 2 blocks × 4 experts over 2 workers; expert 0 is hot.
-        let probs: Vec<Vec<f64>> = (0..2).map(|_| vec![0.7, 0.1, 0.1, 0.1]).collect();
-        let problem = PlacementProblem::new(
-            Topology::builder(1, 3).build(),
-            DeviceId(0),
-            vec![DeviceId(1), DeviceId(2)],
-            probs,
-            768.0,
-            8192,
-            vec![8, 8],
-        );
-        let assign = vec![vec![0, 1, 0, 1], vec![1, 0, 1, 0]];
-        (Placement::new(assign, 2), problem)
+    /// 2 blocks × 4 experts over 2 workers.
+    fn base() -> Placement {
+        Placement::new(vec![vec![0, 1, 0, 1], vec![1, 0, 1, 0]], 2)
     }
 
     #[test]
     fn degree_one_roundtrips_the_placement() {
-        let (base, _) = base_and_problem();
+        let base = base();
         let rep = ReplicatedPlacement::from(&base);
         assert!(rep.is_degree_one());
         assert_eq!(rep.max_degree(), 1);
@@ -354,7 +230,6 @@ mod tests {
                 assert_eq!(rep.replicas_of(l, e), &[base.worker_of(l, e)]);
             }
         }
-        assert_eq!(rep.load(), base.load());
     }
 
     #[test]
@@ -377,7 +252,7 @@ mod tests {
 
     #[test]
     fn add_replica_keeps_primary_first_and_tail_sorted() {
-        let (base, _) = base_and_problem();
+        let base = base();
         let mut rep = ReplicatedPlacement::from(&base);
         rep.add_replica(0, 2, 1);
         assert_eq!(rep.replicas_of(0, 2), &[0, 1]);
@@ -389,7 +264,7 @@ mod tests {
 
     #[test]
     fn with_primaries_drops_the_old_primary_and_keeps_the_rest() {
-        let (base, _) = base_and_problem();
+        let base = base();
         let mut rep = ReplicatedPlacement::from(&base);
         rep.add_replica(0, 0, 1);
         rep.add_replica(1, 1, 1);
@@ -410,39 +285,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be sorted")]
     fn set_replicas_checks_the_invariants() {
-        let (base, _) = base_and_problem();
+        let base = base();
         ReplicatedPlacement::from(&base).set_replicas(0, 0, &[0, 1, 0]);
-    }
-
-    #[test]
-    fn replicate_by_cost_targets_hot_experts_within_budget() {
-        let (base, problem) = base_and_problem();
-        let rep = replicate_by_cost(&base, &problem, 0.25);
-        // floor(0.25 · 8) = 2 extra slots per worker.
-        let extra = rep.total_replicas() - base.blocks() * base.experts();
-        assert!(extra >= 1, "budget should admit at least one replica");
-        assert!(extra <= 4, "budget of 2+2 extra slots exceeded: {extra}");
-        // The hot expert (P = 0.7 ≫ uniform 0.25) replicates first.
-        assert!(rep.degree(0, 0) > 1, "hot expert not replicated");
-        // Cold experts (P = 0.1 < uniform) never replicate.
-        for l in 0..2 {
-            for e in 1..4 {
-                assert_eq!(rep.degree(l, e), 1, "cold expert ({l}, {e}) replicated");
-            }
-        }
-        let caps: Vec<usize> = problem
-            .capacities()
-            .iter()
-            .map(|&c| c + (0.25 * c as f64).floor() as usize)
-            .collect();
-        assert!(rep.respects_capacities(&caps));
-    }
-
-    #[test]
-    fn replicate_by_cost_is_deterministic() {
-        let (base, problem) = base_and_problem();
-        let a = replicate_by_cost(&base, &problem, 0.5);
-        let b = replicate_by_cost(&base, &problem, 0.5);
-        assert_eq!(a, b);
     }
 }

@@ -18,19 +18,6 @@ pub struct StepMetrics {
     pub time: TimeBreakdown,
 }
 
-/// Max/mean of per-worker routed-row totals — the routing-skew straggler
-/// index replication is meant to flatten. Returns 1.0 (balanced) for an
-/// empty or idle fleet.
-pub(crate) fn straggler_index(row_totals: &[u64]) -> f64 {
-    let max = row_totals.iter().copied().max().unwrap_or(0) as f64;
-    let mean = row_totals.iter().sum::<u64>() as f64 / row_totals.len().max(1) as f64;
-    if mean == 0.0 {
-        1.0
-    } else {
-        max / mean
-    }
-}
-
 /// Aggregates of a run, used by the figure harnesses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
@@ -256,18 +243,6 @@ mod tests {
         let s = RunSummary::from_steps(&shuffled);
         assert_eq!(s.p50_step_time, 2.0);
         assert_eq!(s.p99_step_time, 3.0);
-    }
-
-    #[test]
-    fn straggler_index_measures_row_skew() {
-        // Balanced fleet: index 1.0.
-        assert!((straggler_index(&[10, 10, 10, 10]) - 1.0).abs() < 1e-12);
-        // One worker takes everything: max/mean = 4 over 4 workers.
-        assert!((straggler_index(&[40, 0, 0, 0]) - 4.0).abs() < 1e-12);
-        assert!((straggler_index(&[30, 10]) - 1.5).abs() < 1e-12);
-        // Degenerate inputs read as balanced.
-        assert_eq!(straggler_index(&[]), 1.0);
-        assert_eq!(straggler_index(&[0, 0]), 1.0);
     }
 
     #[test]

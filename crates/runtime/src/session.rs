@@ -27,7 +27,7 @@ use vela_placement::ReplicatedPlacement;
 
 use crate::broker::BrokerClient;
 use crate::launch::{launch_star, WorkerHandle};
-use crate::metrics::{backbone_flops_per_token, step_time, straggler_index, StepMetrics};
+use crate::metrics::{backbone_flops_per_token, step_time, StepMetrics};
 use crate::transport::{TransportConfig, TransportError, WireStats};
 use crate::worker::{ExpertTemplate, WorkerBootstrap};
 
@@ -46,8 +46,6 @@ pub struct Session<B> {
     /// size of each replica gradient-sync transfer.
     grad_bytes: u32,
     step: usize,
-    /// Routed token rows per worker over every step so far.
-    pub(crate) row_totals: Vec<u64>,
     /// Wall seconds spent in [`blocked`](Self::blocked) calls.
     pub(crate) migration_blocked: f64,
     /// Migration-bucket ledger bytes of every window taken so far.
@@ -107,7 +105,6 @@ impl<B> Session<B> {
             ledger,
             cost: CostModel::new(topology),
             master,
-            row_totals: vec![0; worker_devices.len()],
             worker_devices,
             spec,
             grad_bytes,
@@ -137,13 +134,6 @@ impl<B> Session<B> {
     /// Unlike the traffic ledger this *does* depend on the wire framing.
     pub fn wire_stats(&self) -> WireStats {
         self.broker.hub.wire_stats()
-    }
-
-    /// Max/mean routed token rows per worker, accumulated over every
-    /// step so far — the straggler index replicas are placed to cut. 1.0
-    /// before any step has run.
-    pub fn straggler_index(&self) -> f64 {
-        straggler_index(&self.row_totals)
     }
 
     /// Closes the ledger window, keeping count of the migration bytes
@@ -202,11 +192,6 @@ impl<B> Session<B> {
 
         let traffic = self.take_traffic();
         let logs = self.broker.take_phase_logs();
-        for log in &logs {
-            for (t, &r) in self.row_totals.iter_mut().zip(&log.rows) {
-                *t += r;
-            }
-        }
         let master_flops = tokens as f64 * backbone_flops_per_token(&self.spec, seq) * 3.0;
         let time = step_time(
             &self.cost,

@@ -50,10 +50,36 @@ if [ "$readme_knobs" != "$code_knobs" ]; then
     exit 1
 fi
 # Reported, not gated. Non-test lines of a file are the ones before its
-# first `#[cfg(test)]`.
+# first `#[cfg(test)]`; a file declared as a `#[cfg(test)] mod name;`
+# module (and every file under its directory) has none.
+rust_files() { find "crates/$1/src" -name '*.rs' -print0 | sort -z; }
+test_module_paths() {
+    rust_files "$1" | xargs -0 awk '
+        FNR == 1 { cfg = 0 }
+        cfg && /^[[:space:]]*(pub(\([^)]*\))? )?mod [A-Za-z0-9_]+;/ {
+            name = $0
+            sub(/^[[:space:]]*(pub(\([^)]*\))? )?mod /, "", name)
+            sub(/;.*/, "", name)
+            dir = FILENAME
+            if (dir ~ /\/(mod|lib|main)\.rs$/) sub(/\/[^\/]+$/, "", dir)
+            else sub(/\.rs$/, "", dir)
+            print dir "/" name ".rs"
+            print dir "/" name "/"
+        }
+        { cfg = /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ }'
+}
 non_test_lines() {
-    find "crates/$1/src" -name '*.rs' -print0 | sort -z |
-        xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n }'
+    rust_files "$1" | xargs -0 awk -v skip="$(test_module_paths "$1")" '
+        BEGIN { split(skip, paths, "\n") }
+        FNR == 1 {
+            test = 0
+            for (i in paths)
+                if (paths[i] != "" && (FILENAME == paths[i] || (paths[i] ~ /\/$/ && index(FILENAME, paths[i]) == 1)))
+                    test = 1
+        }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        !test { n++ }
+        END { print n + 0 }'
 }
 sizes="" total=0
 for dir in crates/*/; do

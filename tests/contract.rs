@@ -22,7 +22,6 @@ use vela::model::finetune::prepare_for_finetune;
 use vela::model::provider::ExpertBatch;
 use vela::model::RoutingInfo;
 use vela::nn::param::Module;
-use vela::placement::replicate_by_cost;
 use vela::prelude::*;
 use vela::runtime::transport::build_star;
 use vela::runtime::worker::{ExpertManager, WorkerBootstrap};
@@ -45,8 +44,9 @@ enum Arrange {
     AllOnOne,
     /// Sequential, with replicas grafted onto the first and last expert.
     Grafted,
-    /// Sequential, with `budget:1.0` replicas chosen by the cost model.
-    Budget,
+    /// Sequential, with each block's hottest expert under a Zipf-1.5
+    /// profile copied onto the worker after its primary.
+    HotCopy,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,7 +97,7 @@ impl Scenario {
         let (blocks, experts) = (1 + rng.below(3), 2 + rng.below(5));
         let top_k = 1 + rng.below(experts.min(2));
         let (workers, batch, steps) = (1 + rng.below(6), 1 + rng.below(2), 1 + rng.below(6));
-        let arrange = [Sequential, Random, AllOnOne, Grafted, Budget][rng.below(5)];
+        let arrange = [Sequential, Random, AllOnOne, Grafted, HotCopy][rng.below(5)];
         let replace = [Replace::None, Replace::Streamed, Replace::Flushed][rng.below(3)];
         Scenario {
             seed,
@@ -190,11 +190,14 @@ impl Scenario {
                     placed.add_replica(l, last, 0);
                 }
             }
-            Arrange::Budget => {
+            Arrange::HotCopy => {
                 let profile =
                     LocalityProfile::synthetic("skew", self.blocks, self.experts, 1.5, self.seed);
-                let problem = self.problem(profile.to_matrix());
-                placed = replicate_by_cost(&base, &problem, 1.0);
+                for l in 0..self.blocks {
+                    let row = profile.row(l);
+                    let hot = (0..self.experts).fold(0, |h, e| if row[e] > row[h] { e } else { h });
+                    placed.add_replica(l, hot, (base.worker_of(l, hot) + 1) % w);
+                }
             }
             _ => {}
         }
@@ -622,8 +625,8 @@ named_seeds! {
     /// Worker processes: teardown fetches every expert back from its primary.
     replicated_session_evaluates_and_reassembles_exactly: 62,
         |s, p| no_move(s, Arrange::Grafted, 2) && !p.is_degree_one();
-    budget_replication_from_the_knob_stays_transparent: 180,
-        |s, p| no_move(s, Arrange::Budget, 0) && !p.is_degree_one();
+    hot_expert_copies_stay_transparent: 180,
+        |s, p| no_move(s, Arrange::HotCopy, 0) && !p.is_degree_one();
     migration_preserves_computation_exactly: 314,
         |s, p| s.lora && s.replace == Replace::Flushed && s.transport == 2 && dropped(s, p) > 0;
     /// Nothing frozen: every stream is empty and the cutover carries all.
