@@ -14,6 +14,11 @@
 //! allocator — the zero-allocation hot-path metric — and each bare product
 //! its serial GFLOP/s.
 //!
+//! The `lora_*` rows are the `ffn-heavy` expert's rank-8 adapter products
+//! (`x·A`, `(x·A)·B`, `g·Bᵀ`, `xaᵀ·g`, `g_xa·Aᵀ`), and the two
+//! `expert_lora_fwd_bwd` rows a whole frozen 64 → 1024 → 64 SwiGLU expert
+//! with r = 8 adapters, forward plus backward, at 16 and 64 rows.
+//!
 //! The two `_kept` rows are the expert's forward product with a right
 //! operand that keeps its GEMM panels, as a frozen base weight does: they
 //! carry `per_call_secs`, the same product packing per call timed in
@@ -33,9 +38,9 @@
 //! the dispatched one ran. On an AVX-512 host every bare product `gemm`
 //! dispatches to the 512-bit tile (`gemm::kernel_for`) carries `avx2_secs`
 //! and `avx2_speedup` as well: the AVX2 microkernel on 8-wide panels — what
-//! the host dispatched to before it had a 512-bit tile. A product narrower
-//! than that tile already runs the AVX2 microkernel and is not compared with
-//! itself. Each
+//! the host dispatched to before it had a 512-bit tile (a short-side tile
+//! counts as one). A product that runs neither already runs the AVX2
+//! microkernel and is not compared with itself. Each
 //! ratio comes from batches of the two kernels alternating through the raw
 //! `gemm` entry points, so it is free of the host's speed regimes (and is not
 //! exactly `portable_secs / serial_secs`, which were timed apart).
@@ -75,8 +80,9 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 use vela::model::{LocalExpertStore, ModelConfig, MoeBlock};
+use vela::nn::swiglu::SwiGlu;
 use vela::prelude::*;
-use vela::tensor::gemm::{self, Layout};
+use vela::tensor::gemm::{self, Epilogue, Layout};
 use vela::tensor::ops;
 use vela::tensor::parallel::{self, ThreadPool};
 use vela_bench::alloc::{count_allocations, CountingAllocator};
@@ -241,7 +247,18 @@ impl Product<'_> {
             sampling,
             floor,
             || pinned(self.layout, a, b, r, k, c, black_box(&mut pinned_out)),
-            || gemm::gemm(self.layout, a, b, r, k, c, black_box(&mut out)),
+            || {
+                gemm::gemm(
+                    self.layout,
+                    a,
+                    b,
+                    r,
+                    k,
+                    c,
+                    black_box(&mut out),
+                    Epilogue::Store,
+                )
+            },
         )
     }
 }
@@ -305,7 +322,7 @@ fn product_row(
 ) -> Row {
     let (r, k, c) = product.shape;
     let kept = product.b.keeps_panels();
-    let avx2 = (gemm::kernel_for(c) == "avx512" && !kept)
+    let avx2 = (gemm::kernel_for(product.layout, k, c) == "avx512" && !kept)
         .then(|| product.versus(serial, sampling, gemm::gemm_avx2, min_avx512_speedup(name)));
     let per_call = kept.then(|| {
         let mut unkept = product.b.clone();
@@ -403,6 +420,18 @@ fn run_all(sampling: Sampling, limits: &[(String, f64)]) -> (usize, Vec<Row>) {
     product("ffn_bwd_dx_64x1024x64", Layout::Nt, &h, &wg, (64, 1024, 64));
     product("lora_up_64x8x1024", Layout::Nn, &xa, &wb, (64, 8, 1024));
     product("lora_down_64x1024x8", Layout::Nt, &h, &wb, (64, 1024, 8));
+    // The rest of the gate/up adapter's backward: `B`'s gradient `xaᵀ·g`
+    // (one row tile, `B` read in place) and the down adapter's input
+    // gradient `g_xa·Aᵀ` through its `A: (1024, 8)` (8-deep).
+    let wa_down = Tensor::uniform((1024, 8), -1.0, 1.0, &mut rng); // down's LoRA A
+    product("lora_bgrad_8x64x1024", Layout::Tn, &xa, &h, (8, 64, 1024));
+    product(
+        "lora_gin_64x8x1024",
+        Layout::Nt,
+        &xa,
+        &wa_down,
+        (64, 8, 1024),
+    );
 
     // The same expert at `drift-replace`'s 16 routed rows, where packing the
     // 64×1024 weight rivals the product.
@@ -417,6 +446,33 @@ fn run_all(sampling: Sampling, limits: &[(String, f64)]) -> (usize, Vec<Row>) {
         (16, 64, 1024),
     );
     product("ffn_bwd_dx_16x1024x64", Layout::Nt, &h, &wg, (16, 1024, 64));
+    let xa = Tensor::uniform((16, 8), -1.0, 1.0, &mut rng);
+    product("lora_bgrad_8x16x1024", Layout::Tn, &xa, &h, (8, 16, 1024));
+    product(
+        "lora_gin_16x8x1024",
+        Layout::Nt,
+        &xa,
+        &wa_down,
+        (16, 8, 1024),
+    );
+
+    // A whole `ffn-heavy` expert as fine-tuning runs it — frozen 64 → 1024
+    // → 64 SwiGLU with r = 8 adapters on all three projections — forward
+    // plus backward, at both row counts.
+    for (name, n) in [
+        ("expert_lora_fwd_bwd_16x64x1024", 16),
+        ("expert_lora_fwd_bwd_64x64x1024", 64),
+    ] {
+        let mut expert = SwiGlu::new("e", 64, 1024, &mut rng);
+        expert.freeze_base();
+        expert.attach_lora(8, 16.0, &mut rng);
+        let x = Tensor::uniform((n, 64), -1.0, 1.0, &mut rng);
+        let g = Tensor::uniform((n, 64), -1.0, 1.0, &mut rng);
+        rows.push(row(name, &serial, &pool, sampling, limit(name), || {
+            expert.forward(&x);
+            expert.backward(&g)
+        }));
+    }
 
     // The SwiGLU gate's sigmoid over one `ffn-heavy` expert's 64 × 1024
     // hidden activations, against the scalar formula per element.

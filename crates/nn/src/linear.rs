@@ -1,5 +1,6 @@
 //! Linear projection with an optional LoRA adapter.
 
+use vela_tensor::gemm::Layout;
 use vela_tensor::rng::DetRng;
 use vela_tensor::Tensor;
 
@@ -116,7 +117,7 @@ impl Linear {
         );
         let mut y = x.matmul(&self.weight.value);
         if let Some(lora) = &mut self.lora {
-            y.add_assign(&lora.forward(x));
+            lora.forward_into(x, &mut y);
         }
         // Reuse the cache buffer across steps instead of reallocating.
         match &mut self.cached_x {
@@ -136,13 +137,11 @@ impl Linear {
             .cached_x
             .as_ref()
             .expect("Linear::backward called before forward");
-        if self.weight.is_trainable() {
-            let dw = x.matmul_tn(grad_out);
-            self.weight.accumulate(&dw);
-        }
+        self.weight
+            .accumulate_product(Layout::Tn, x, grad_out, None);
         let mut grad_in = grad_out.matmul_nt(&self.weight.value);
         if let Some(lora) = &mut self.lora {
-            grad_in.add_assign(&lora.backward(x, grad_out));
+            lora.backward_into(x, grad_out, &mut grad_in);
         }
         grad_in
     }

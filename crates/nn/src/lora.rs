@@ -6,8 +6,9 @@
 //! which is the parameter-efficient regime the VELA paper targets
 //! (LoRA `r = 8`, `α = 16` in the evaluation).
 
+use vela_tensor::gemm::{Epilogue, Layout};
 use vela_tensor::rng::DetRng;
-use vela_tensor::Tensor;
+use vela_tensor::{workspace, Tensor};
 
 use crate::param::Param;
 
@@ -64,40 +65,50 @@ impl LoraAdapter {
         self.scale
     }
 
-    /// The low-rank contribution `s·(x·A)·B`, caching `x·A` for backward.
-    /// The input itself is not kept: the owning layer already caches it and
-    /// hands it back to [`backward`](Self::backward).
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// Adds the low-rank contribution `s·(x·A)·B` to `y`, the base layer's
+    /// output, caching `x·A` for backward. The input itself is not kept: the
+    /// owning layer already caches it and hands it back to
+    /// [`backward_into`](Self::backward_into).
+    ///
+    /// The scale and the sum are the product's epilogue: `y + (acc·s)`,
+    /// rounded as a separate scale and add would round it.
+    pub fn forward_into(&mut self, x: &Tensor, y: &mut Tensor) {
         let xa = x.matmul(&self.a.value);
-        let mut out = xa.matmul(&self.b.value);
-        out.scale_inplace(self.scale);
+        y.gemm_into(
+            Layout::Nn,
+            &xa,
+            &self.b.value,
+            Epilogue::AddScaled(self.scale),
+        );
         self.cached_xa = Some(xa);
-        out
     }
 
-    /// Accumulates gradients for `A` and `B` and returns the adapter's
-    /// contribution to the input gradient. `x` is the input the last
-    /// [`forward`](Self::forward) saw.
+    /// Accumulates gradients for `A` and `B` and adds the adapter's
+    /// contribution to the input gradient to `grad_in`. `x` is the input the
+    /// last [`forward_into`](Self::forward_into) saw.
     ///
     /// # Panics
-    /// Panics if called before [`forward`](Self::forward).
-    pub fn backward(&mut self, x: &Tensor, grad_out: &Tensor) -> Tensor {
+    /// Panics if called before [`forward_into`](Self::forward_into).
+    pub fn backward_into(&mut self, x: &Tensor, grad_out: &Tensor, grad_in: &mut Tensor) {
         let xa = self
             .cached_xa
             .as_ref()
-            .expect("LoraAdapter::backward called before forward");
+            .expect("LoraAdapter::backward_into called before forward_into");
         // dB = s * (xA)^T g
-        let mut db = xa.matmul_tn(grad_out);
-        db.scale_inplace(self.scale);
-        self.b.accumulate(&db);
+        self.b
+            .accumulate_product(Layout::Tn, xa, grad_out, Some(self.scale));
         // g_xa = s * g B^T
-        let mut g_xa = grad_out.matmul_nt(&self.b.value);
-        g_xa.scale_inplace(self.scale);
+        let mut g_xa = workspace::take_uninit((grad_out.rows(), self.rank));
+        g_xa.gemm_into(
+            Layout::Nt,
+            grad_out,
+            &self.b.value,
+            Epilogue::Scale(self.scale),
+        );
         // dA = x^T g_xa
-        let da = x.matmul_tn(&g_xa);
-        self.a.accumulate(&da);
-        // grad_in = g_xa A^T
-        g_xa.matmul_nt(&self.a.value)
+        self.a.accumulate_product(Layout::Tn, x, &g_xa, None);
+        // grad_in += g_xa A^T
+        grad_in.gemm_into(Layout::Nt, &g_xa, &self.a.value, Epilogue::Add);
     }
 
     /// Materializes the dense update `s·A·B` (e.g. for merging into the base
@@ -122,7 +133,7 @@ mod tests {
         let mut rng = DetRng::new(1);
         let mut lora = LoraAdapter::new("l", 6, 4, 2, 16.0, &mut rng);
         let x = Tensor::uniform((3, 6), -1.0, 1.0, &mut rng);
-        let y = lora.forward(&x);
+        let y = contribution(&mut lora, &x);
         assert_eq!(y.sum(), 0.0, "fresh adapter must be a no-op");
     }
 
@@ -141,7 +152,7 @@ mod tests {
         // Give B nonzero values.
         lora.b.value = Tensor::uniform((2, 3), -1.0, 1.0, &mut rng);
         let x = Tensor::uniform((4, 5), -1.0, 1.0, &mut rng);
-        let via_forward = lora.forward(&x);
+        let via_forward = contribution(&mut lora, &x);
         let via_delta = x.matmul(&lora.to_dense_delta());
         assert!(vela_tensor::approx_eq(
             via_forward.as_slice(),
@@ -158,8 +169,9 @@ mod tests {
         let x = Tensor::uniform((5, 4), -1.0, 1.0, &mut rng);
         let gout = Tensor::uniform((5, 3), -1.0, 1.0, &mut rng);
 
-        lora.forward(&x);
-        let gin = lora.backward(&x, &gout);
+        contribution(&mut lora, &x);
+        let mut gin = Tensor::zeros(*x.shape());
+        lora.backward_into(&x, &gout, &mut gin);
 
         let eps = 1e-2f32;
         // Check dA.
@@ -209,14 +221,105 @@ mod tests {
         }
     }
 
+    /// The adapter's output `s·(x·A)·B` alone: its contribution added to
+    /// zeros.
+    fn contribution(lora: &mut LoraAdapter, x: &Tensor) -> Tensor {
+        let mut y = Tensor::zeros((x.rows(), lora.b.value.cols()));
+        lora.forward_into(x, &mut y);
+        y
+    }
+
     /// Scalar probe loss `<forward(x), gout>`.
     fn loss_of(lora: &mut LoraAdapter, x: &Tensor, gout: &Tensor) -> f32 {
-        lora.forward(x)
+        contribution(lora, x)
             .as_slice()
             .iter()
             .zip(gout.as_slice())
             .map(|(&y, &g)| y * g)
             .sum()
+    }
+
+    /// One forward and backward of a frozen base `w` with an adapter
+    /// (`a`, `b`, `scale`), as the adapter computed it before its products
+    /// wrote through an epilogue: every product, scale and sum a pass of its
+    /// own (`matmul`, `scale_inplace`, `add_assign`, `accumulate`). Kept as
+    /// the reference the fused adapter is pinned against, bit for bit.
+    /// Returns the output and the input gradient.
+    fn unfused_step(
+        w: &Tensor,
+        (a, b, scale): (&mut Param, &mut Param, f32),
+        x: &Tensor,
+        g: &Tensor,
+    ) -> (Tensor, Tensor) {
+        let mut y = x.matmul(w);
+        let xa = x.matmul(&a.value);
+        let mut delta = xa.matmul(&b.value);
+        delta.scale_inplace(scale);
+        y.add_assign(&delta);
+
+        let mut db = xa.matmul_tn(g);
+        db.scale_inplace(scale);
+        b.accumulate(&db);
+        let mut g_xa = g.matmul_nt(&b.value);
+        g_xa.scale_inplace(scale);
+        let da = x.matmul_tn(&g_xa);
+        a.accumulate(&da);
+        let mut grad_in = g.matmul_nt(w);
+        grad_in.add_assign(&g_xa.matmul_nt(&a.value));
+        (y, grad_in)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_adapter_is_bitwise_the_unfused_formula() {
+        use crate::linear::Linear;
+        use crate::param::Module;
+
+        // Ranks around the short-side tiles' bound of 16 and the paper's 8;
+        // widths that are ragged, the model's and the expert's hidden one;
+        // rows below, at and past a row tile, and the `ffn-heavy` expert's.
+        for rank in [1, 8, 16, 17] {
+            for in_dim in [9, 64, 1024] {
+                for out_dim in [9, 64, 1024] {
+                    let seed = (rank * 10_000 + in_dim * 10 + out_dim) as u64;
+                    let mut rng = DetRng::new(seed);
+                    let mut layer = Linear::new("l", in_dim, out_dim, &mut rng);
+                    layer.freeze_base();
+                    layer.attach_lora(rank, 16.0, &mut rng);
+                    layer.visit_params(&mut |p| {
+                        if p.name().ends_with("lora_b") {
+                            p.value = Tensor::uniform(*p.value.shape(), -0.5, 0.5, &mut rng);
+                        }
+                    });
+                    let w = layer.weight().value.clone();
+                    let lora = layer.lora().expect("attached");
+                    let (mut a, mut b, scale) = (lora.a.clone(), lora.b.clone(), lora.scale());
+                    for rows in [1, 7, 16, 64] {
+                        // Two steps with no `zero_grad` between: the second
+                        // accumulates into a non-zero gradient.
+                        for step in 0..2 {
+                            let x = Tensor::uniform((rows, in_dim), -1.0, 1.0, &mut rng);
+                            let g = Tensor::uniform((rows, out_dim), -1.0, 1.0, &mut rng);
+                            let y = layer.forward(&x);
+                            let gin = layer.backward(&g);
+                            let (ref_y, ref_gin) =
+                                unfused_step(&w, (&mut a, &mut b, scale), &x, &g);
+                            let case = format!(
+                                "r = {rank}, {in_dim} -> {out_dim}, {rows} rows, step {step}"
+                            );
+                            let lora = layer.lora().expect("attached");
+                            assert_eq!(bits(&y), bits(&ref_y), "output, {case}");
+                            assert_eq!(bits(&gin), bits(&ref_gin), "input grad, {case}");
+                            assert_eq!(bits(&lora.a.grad), bits(&a.grad), "A grad, {case}");
+                            assert_eq!(bits(&lora.b.grad), bits(&b.grad), "B grad, {case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

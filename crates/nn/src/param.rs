@@ -1,5 +1,6 @@
 //! Trainable parameters and the module-visitor abstraction.
 
+use vela_tensor::gemm::{Epilogue, Layout};
 use vela_tensor::Tensor;
 
 /// A named parameter: a value tensor, its accumulated gradient, and a
@@ -106,6 +107,28 @@ impl Param {
     pub fn accumulate(&mut self, g: &Tensor) {
         if self.trainable {
             self.grad.add_assign(g);
+        }
+    }
+
+    /// Accumulates the product of `a` and `b` in `layout`, scaled by
+    /// `scale` if given, into the gradient as the product is computed —
+    /// the bits of [`accumulate`](Self::accumulate) on the product (scaled
+    /// by [`Tensor::scale_inplace`]), with no temporary. A frozen parameter
+    /// ignores it, and nothing is computed.
+    ///
+    /// # Panics
+    /// Panics if the parameter is trainable and the product's shape differs
+    /// from its own.
+    pub fn accumulate_product(
+        &mut self,
+        layout: Layout,
+        a: &Tensor,
+        b: &Tensor,
+        scale: Option<f32>,
+    ) {
+        if self.trainable {
+            let ep = scale.map_or(Epilogue::Add, Epilogue::AddScaled);
+            self.grad.gemm_into(layout, a, b, ep);
         }
     }
 }

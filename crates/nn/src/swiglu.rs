@@ -149,9 +149,9 @@ impl SwiGlu {
             *gg = (g * u) * d;
         }
 
-        let gin_up = self.up.backward(&g_up);
-        let gin_gate = self.gate.backward(&g_gate_pre);
-        gin_up.add(&gin_gate)
+        let mut gin = self.up.backward(&g_up);
+        gin.add_assign(&self.gate.backward(&g_gate_pre));
+        gin
     }
 }
 

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
-use crate::gemm::{self, Layout};
+use crate::gemm::{self, Epilogue, Layout};
 use crate::rng::DetRng;
 use crate::workspace;
 use crate::Shape;
@@ -107,6 +107,28 @@ fn resize_for(data: &mut Vec<f32>, n: usize) {
         data.truncate(n);
     } else {
         data.resize(n, 0.0);
+    }
+}
+
+/// `(r, k, c)` of the product of `a` and `b` in `layout`.
+///
+/// # Panics
+/// Panics if their dimensions disagree.
+fn product_dims(layout: Layout, a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
+    let ((ar, ac), (br, bc)) = (a.shape.as_2d(), b.shape.as_2d());
+    match layout {
+        Layout::Nn => {
+            assert_eq!(ac, br, "matmul inner dims: {ac} vs {br}");
+            (ar, ac, bc)
+        }
+        Layout::Tn => {
+            assert_eq!(ar, br, "matmul_tn row dims: {ar} vs {br}");
+            (ac, ar, bc)
+        }
+        Layout::Nt => {
+            assert_eq!(ac, bc, "matmul_nt col dims: {ac} vs {bc}");
+            (ar, ac, br)
+        }
     }
 }
 
@@ -544,25 +566,18 @@ impl Tensor {
     /// Matrix product of the 2-D views: `(r x k) @ (k x c) -> (r x c)`.
     ///
     /// All three variants lower onto the packed microkernel in
-    /// [`crate::gemm`]. Large products are split over output rows across
-    /// the current [`crate::parallel`] pool; every element is accumulated
-    /// in ascending inner-index order regardless of thread count, so
-    /// results are bitwise-deterministic. When `other` is marked to keep
-    /// its panels ([`set_keep_panels`](Self::set_keep_panels)), the product
-    /// reads them instead of packing `other`; the bits are the same.
+    /// [`crate::gemm`], as does [`gemm_into`](Self::gemm_into). Large
+    /// products are split over output rows across the current
+    /// [`crate::parallel`] pool; every element is accumulated in ascending
+    /// inner-index order regardless of thread count, so results are
+    /// bitwise-deterministic. When `other` is marked to keep its panels
+    /// ([`set_keep_panels`](Self::set_keep_panels)), the product reads them
+    /// instead of packing `other`; the bits are the same.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let (r, k) = self.shape.as_2d();
-        let (k2, c) = other.shape.as_2d();
-        assert_eq!(k, k2, "matmul inner dims: {k} vs {k2}");
-        let mut out = workspace::take_vec_uninit(r * c);
-        match other.data.panels(k, c) {
-            Some(panels) => gemm::gemm_kept(&self.data, panels, r, k, c, &mut out),
-            None => gemm::gemm(Layout::Nn, &self.data, &other.data, r, k, c, &mut out),
-        }
-        Tensor::from_vec((r, c), out)
+        self.product(Layout::Nn, other)
     }
 
     /// `self^T @ other`: `(k x r)^T`-free product computing `(r x c)` from
@@ -572,12 +587,7 @@ impl Tensor {
     /// # Panics
     /// Panics if the outer (row) dimensions disagree.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let (k, r) = self.shape.as_2d();
-        let (k2, c) = other.shape.as_2d();
-        assert_eq!(k, k2, "matmul_tn row dims: {k} vs {k2}");
-        let mut out = workspace::take_vec_uninit(r * c);
-        gemm::gemm(Layout::Tn, &self.data, &other.data, r, k, c, &mut out);
-        Tensor::from_vec((r, c), out)
+        self.product(Layout::Tn, other)
     }
 
     /// `self @ other^T`: computes `(r x c)` from `self: (r x k)` and
@@ -587,12 +597,44 @@ impl Tensor {
     /// # Panics
     /// Panics if the inner (column) dimensions disagree.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let (r, k) = self.shape.as_2d();
-        let (c, k2) = other.shape.as_2d();
-        assert_eq!(k, k2, "matmul_nt col dims: {k} vs {k2}");
-        let mut out = workspace::take_vec_uninit(r * c);
-        gemm::gemm(Layout::Nt, &self.data, &other.data, r, k, c, &mut out);
-        Tensor::from_vec((r, c), out)
+        self.product(Layout::Nt, other)
+    }
+
+    /// The product of `self` and `other` in `layout`, into a new tensor.
+    fn product(&self, layout: Layout, other: &Tensor) -> Tensor {
+        let (r, _, c) = product_dims(layout, self, other);
+        let mut out = Tensor::from_vec((r, c), workspace::take_vec_uninit(r * c));
+        out.gemm_into(layout, self, other, Epilogue::Store);
+        out
+    }
+
+    /// `self = ep(self, a ∘ b)`, where `a ∘ b` is the `(r x c)` product of
+    /// `layout` ([`matmul`](Self::matmul), [`matmul_tn`](Self::matmul_tn) or
+    /// [`matmul_nt`](Self::matmul_nt) of `a` and `b`): the epilogue scales
+    /// each element, adds it to `self`'s, or both, as the product writes it
+    /// — the bits of a separate [`scale_inplace`](Self::scale_inplace) and
+    /// [`add_assign`](Self::add_assign), with no temporary.
+    ///
+    /// # Panics
+    /// Panics if the operands' dimensions disagree, or `self` is not
+    /// `(r x c)`.
+    pub fn gemm_into(&mut self, layout: Layout, a: &Tensor, b: &Tensor, ep: Epilogue) {
+        let (r, k, c) = product_dims(layout, a, b);
+        assert_eq!(
+            self.shape.as_2d(),
+            (r, c),
+            "gemm_into writes a {r}x{c} product into a {} tensor",
+            self.shape
+        );
+        let kept = match layout {
+            Layout::Nn => b.data.panels(k, c),
+            Layout::Tn | Layout::Nt => None,
+        };
+        let out = self.data.get_mut();
+        match kept {
+            Some(panels) => gemm::gemm_kept(&a.data, &b.data, panels, r, k, c, out, ep),
+            None => gemm::gemm(layout, &a.data, &b.data, r, k, c, out, ep),
+        }
     }
 
     /// Gathers rows of the 2-D view by index, producing

@@ -3,6 +3,7 @@
 //! Each property is checked over many [`DetRng`]-seeded random cases, so
 //! the suite is fully deterministic and needs no external test framework.
 
+use vela_tensor::gemm::{Epilogue, Layout};
 use vela_tensor::ops;
 use vela_tensor::rng::DetRng;
 use vela_tensor::Tensor;
@@ -177,6 +178,7 @@ fn writes(k: usize, c: usize, rng: &mut DetRng) -> Vec<(&'static str, Box<dyn Fn
     let picks: Vec<usize> = (0..k).map(|_| rng.below(k)).collect();
     let (i, j) = (rng.below(k), rng.below(c));
     let v = rng.uniform(-10.0, 10.0);
+    let (lhs, rhs) = (random_tensor(2, k, rng), random_tensor(2, c, rng));
     vec![
         ("set2", Box::new(move |t| t.set2(i, j, v))),
         (
@@ -198,6 +200,10 @@ fn writes(k: usize, c: usize, rng: &mut DetRng) -> Vec<(&'static str, Box<dyn Fn
             Box::new(move |t| t.axpy(v, &other))
         }),
         ("scale_inplace", Box::new(move |t| t.scale_inplace(v))),
+        (
+            "gemm_into",
+            Box::new(move |t| t.gemm_into(Layout::Tn, &lhs, &rhs, Epilogue::AddScaled(v))),
+        ),
         ("fill_zero", Box::new(|t| t.fill_zero())),
         (
             "scatter_add_rows",
